@@ -47,9 +47,6 @@ GATED_METRICS = {
     "bench_stability": [
         "design_sweep.batched_speedup_vs_scalar",
     ],
-    "bench_mc": [
-        "mc.ensemble_speedup_vs_scalar",
-    ],
 }
 
 

@@ -251,8 +251,8 @@ __attribute__((always_inline)) inline Phi12 phi12_functions(cplx z, cplx ez) {
 /// exactly (pinned by randomized differential coverage in
 /// test_spectral).  Four or more modes defer to the shared kernel,
 /// whose vectorized path is the value reference at that width.
-/// Ensemble-exclusive: the scalar chain's full builds keep calling
-/// batch_cexp directly.
+/// Serves the Gamma2-free builds of every propagator cache and the
+/// theta-row sampler; full builds keep calling batch_cexp directly.
 void modal_cexp(const double* zre, const double* zim, std::size_t n,
                 double* ere, double* eim) {
   if (n >= 4) {
@@ -439,9 +439,8 @@ void PropagatorFactory::make_spectral_into(double h, StepPropagator& out,
   const bool augmented = mode_ == Mode::kSpectralAugmented;
 
   // n scalar exponentials through the SIMD batch kernel.  The
-  // Gamma2-free (ensemble store) build takes the bit-identical
-  // real-argument shortcut; the full build is the preserved scalar
-  // chain and keeps the kernel call.
+  // Gamma2-free (propagator cache) build takes the bit-identical
+  // real-argument shortcut; the full build keeps the kernel call.
   for (std::size_t k = 0; k < nf_; ++k) {
     zre_[k] = lambda_[k].real() * h;
     zim_[k] = lambda_[k].imag() * h;

@@ -141,8 +141,8 @@ class PropagatorFactory {
   /// Gamma2-free build of the phase-augmented scalar-input propagator:
   /// same accumulation order as the generic loop with the row indexing
   /// hoisted to raw pointers, so the output is bit-identical while the
-  /// per-entry address math disappears from the ensemble store's
-  /// miss-dominated rebuild stream.
+  /// per-entry address math disappears from the propagator caches'
+  /// rebuild stream.
   void make_spectral_aug_g2free_into(double h, StepPropagator& out) const;
 
   RMatrix a_;

@@ -28,6 +28,7 @@ constexpr const char* kReasonNames[kDiagReasonCount] = {
     "pole_search.diverged",         // kPoleSearchDiverged
     "propagator_cache.churn",       // kPropagatorCacheChurn
     "ensemble.lane_divergence",     // kEnsembleLaneDivergence
+    "vco_edge.bisection_fallback",  // kVcoEdgeBisectionFallback
 };
 static_assert(sizeof(kReasonNames) / sizeof(kReasonNames[0]) ==
               kDiagReasonCount);

@@ -53,6 +53,7 @@ enum class DiagReason : std::uint8_t {
   kPoleSearchDiverged,          ///< Newton lane dropped: step left R^2
   kPropagatorCacheChurn,        ///< cache turned over a full capacity
   kEnsembleLaneDivergence,      ///< lockstep round split off scalar lanes
+  kVcoEdgeBisectionFallback,    ///< VCO-edge Newton failed; bisection ran
   kCount,
 };
 

@@ -19,7 +19,7 @@
 //    and re-enter batching at the next common edge -- the bucketing is
 //    recomputed every round, so retirement and re-admission are free;
 //  * ALL propagator lookups (batched and scalar lanes, edge-solver
-//    peeks, recording peeks) are served by one per-engine
+//    peeks) are served by one per-engine
 //    SharedPropagatorStore, so a step length solved by any member is
 //    built once per worker instead of once per member.
 //
@@ -32,8 +32,8 @@
 //
 // HTMPLL_ENSEMBLE=0 (or off), mc::set_ensemble_enabled(false) or
 // MonteCarloOptions::use_ensemble_engine = false route the Monte Carlo
-// drivers (timedomain/montecarlo.hpp) back to the scalar chain, which
-// is preserved verbatim.
+// drivers (timedomain/montecarlo.hpp) back to independent per-member
+// runs.
 #pragma once
 
 #include <cstdint>

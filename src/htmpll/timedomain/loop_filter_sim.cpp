@@ -223,7 +223,9 @@ const StepPropagator& PiecewiseExactIntegrator::propagator(double h) const {
     propagator_metrics().pade_fallbacks.add();
   }
   if (cache_.size() < cache_capacity_) {
-    cache_.push_back({h, factory_.make(h)});
+    StepPropagator prop;
+    factory_.make_into(h, prop, /*want_gamma2=*/false);
+    cache_.push_back({h, std::move(prop)});
     index_insert(h, static_cast<std::int32_t>(cache_.size() - 1));
     return cache_.back().prop;
   }
@@ -242,7 +244,7 @@ const StepPropagator& PiecewiseExactIntegrator::propagator(double h) const {
   next_slot_ = (next_slot_ + 1) % cache_capacity_;
   index_erase(slot.h);
   slot.h = h;
-  slot.prop = factory_.make(h);
+  factory_.make_into(h, slot.prop, /*want_gamma2=*/false);
   index_insert(h, entry);
   return slot.prop;
 }
@@ -268,7 +270,7 @@ double PiecewiseExactIntegrator::peek_last(double h, double u) const {
   HTMPLL_REQUIRE(h >= 0.0, "cannot propagate backwards");
   const std::size_t last = ss_.order() - 1;
   if (h == 0.0) return x_[last];
-  if (shared_ != nullptr && factory_.has_last_row_fast_path()) {
+  if (factory_.has_last_row_fast_path()) {
     return factory_.propagate_last_row(h, x_.data(), u);
   }
   peek_into(h, u, scratch_);

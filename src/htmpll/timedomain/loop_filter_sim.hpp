@@ -177,11 +177,10 @@ class PiecewiseExactIntegrator {
   void peek_into(double h, double u, RVector& out) const;
 
   /// Last state component of the peek, bit-identical to
-  /// peek(h, u)[order()-1].  With a shared propagator store attached
-  /// and a phase-augmented spectral factorization this skips the full
-  /// propagator build (one modal theta-row contraction instead); the
-  /// store-less scalar chain keeps the plain peek_into path, so its
-  /// build schedule is untouched.
+  /// peek(h, u)[order()-1].  With a phase-augmented spectral
+  /// factorization this skips the propagator lookup and build (one
+  /// modal theta-row contraction instead); other systems take the plain
+  /// peek_into path.
   double peek_last(double h, double u) const;
 
   /// Output at the peeked state.
@@ -218,7 +217,9 @@ class PiecewiseExactIntegrator {
   // lookup O(1) instead of a scan over the capacity -- the scan showed
   // up in profiles once warm-started sweeps pushed capacities past a
   // few dozen.  The cache is per-integrator (no sharing, no locking)
-  // and bounded; results never depend on hits vs misses.
+  // and bounded; results never depend on hits vs misses.  Entries are
+  // Gamma2-free builds (see SharedPropagatorStore::get): every peek and
+  // advance holds the input constant over the step.
   struct CacheEntry {
     double h;
     StepPropagator prop;

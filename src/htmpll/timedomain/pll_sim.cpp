@@ -6,6 +6,7 @@
 #include <numbers>
 #include <sstream>
 
+#include "htmpll/obs/diag.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/util/check.hpp"
 
@@ -22,6 +23,15 @@ double ReferenceModulation::slope(double t) const {
 }
 
 namespace {
+
+/// Events within this fraction of T of a step's end time fire together
+/// with it (finish_step / process_edges).
+constexpr double kCoincidenceWindow = 1e-9;
+
+/// A VCO edge search skips Newton when g = t + theta(t) - target is
+/// still below -kHorizonMargin * T * max(1, g') at the step horizon: the
+/// crossing then lies beyond the coincidence window with 4x headroom.
+constexpr double kHorizonMargin = 4.0 * kCoincidenceWindow;
 
 /// PFD edges processed across all simulators in the process (the
 /// per-instance count stays available via events()).
@@ -197,12 +207,31 @@ double PllTransientSim::next_reference_edge(double target) const {
   return std::max(t, t_);
 }
 
-double PllTransientSim::next_vco_edge(double target, double current) const {
+double PllTransientSim::next_vco_edge(double target, double current,
+                                      double horizon) const {
   // Solve t + theta(t) = target with theta propagated exactly from the
   // segment start under the held charge-pump current.
   const double theta_now = theta();
   double t = std::max(t_, target - theta_now);
+  if (t > horizon && horizon >= t_) {
+    // Newton would start past the step's next event.  One peek at the
+    // horizon (the step the commit then takes, so the commit reuses its
+    // propagator) decides: with the VCO phase still advancing and
+    // clearly short of the target there, the edge cannot fire in this
+    // step and the search is skipped.  Searching anyway is what made
+    // DOWN-state steps expensive: far past the horizon 1 + kvco y drops
+    // toward zero and Newton diverges into the bisection fallback.
+    aug_.peek_into(horizon - t_, current, peek_scratch_);
+    const double g = horizon + peek_scratch_[theta_index_] - target;
+    const double gp =
+        1.0 + kvco_ * aug_.system().output(peek_scratch_, current);
+    if (gp > 0.0 &&
+        g < -kHorizonMargin * t_period_ * std::max(1.0, gp)) {
+      return std::numeric_limits<double>::infinity();
+    }
+  }
   bool converged = false;
+  double dt = 0.0;
   for (int it = 0; it < 60; ++it) {
     const double h = std::max(0.0, t - t_);
     aug_.peek_into(h, current, peek_scratch_);
@@ -213,7 +242,7 @@ double PllTransientSim::next_vco_edge(double target, double current) const {
     // theta' <= -1 would mean non-positive instantaneous VCO frequency;
     // treat as a degenerate large transient and damp the step.
     if (gp < 0.1) gp = 1.0;
-    const double dt = -g / gp;
+    dt = -g / gp;
     t += dt;
     if (t < t_) t = t_;
     if (std::abs(dt) <= cfg_.edge_tolerance * t_period_) {
@@ -222,6 +251,9 @@ double PllTransientSim::next_vco_edge(double target, double current) const {
     }
   }
   if (!converged) {
+    // Payload: the last Newton step in periods (NaN once it diverged).
+    obs::diag_event(obs::DiagReason::kVcoEdgeBisectionFallback,
+                    std::abs(dt) / t_period_);
     // Bisection fallback on g(t) = t + theta(t) - target over an
     // expanding bracket; g is continuous and eventually positive.
     double lo = t_;
@@ -262,9 +294,8 @@ void PllTransientSim::record_range(double t_begin, double t_end,
     const double ts = static_cast<double>(next_sample_) * cfg_.sample_interval;
     if (ts > t_end) break;
     if (ts >= t_begin) {
-      // Uniform-grid samples need theta alone; peek_last lets ensemble
-      // members (shared store attached) skip the full propagator build
-      // while the scalar chain keeps its verbatim peek.
+      // Uniform-grid samples need theta alone: peek_last contracts the
+      // modal theta row instead of building a propagator per offset.
       sample_t_.push_back(ts);
       sample_theta_.push_back(aug_.peek_last(ts - t_begin, current));
       sample_theta_ref_.push_back(mod_.value(ts));
@@ -274,7 +305,7 @@ void PllTransientSim::record_range(double t_begin, double t_end,
 }
 
 void PllTransientSim::process_edges(double t_evt, double t_ref, double t_vco) {
-  const double eps = 1e-9 * t_period_;
+  const double eps = kCoincidenceWindow * t_period_;
   const TriStatePfd::State before = pfd_.state();
   if (t_ref <= t_evt + eps) {
     pfd_.on_reference_edge();
@@ -322,18 +353,19 @@ TransientStepPlan PllTransientSim::plan_step(double t_end) const {
   plan.current = pfd_.pump_current(icp_) +
                  (leak_on_ ? leak_current_ : 0.0) + noise_current_;
   plan.t_ref = next_reference_edge(static_cast<double>(n_ref_) * t_period_);
-  plan.t_vco = next_vco_edge(static_cast<double>(n_vco_) * t_period_,
-                             plan.current);
   plan.t_leak = leaking ? (static_cast<double>(n_leak_) * t_period_ +
                            (leak_on_ ? leak_window_ : 0.0))
                         : std::numeric_limits<double>::infinity();
+  plan.t_vco = next_vco_edge(static_cast<double>(n_vco_) * t_period_,
+                             plan.current,
+                             std::min({plan.t_ref, plan.t_leak, t_end}));
   plan.t_evt = std::min({plan.t_ref, plan.t_vco, plan.t_leak, t_end});
   return plan;
 }
 
 bool PllTransientSim::finish_step(const TransientStepPlan& plan) {
   const bool leaking = leak_current_ != 0.0 && leak_window_ > 0.0;
-  const double eps = 1e-9 * t_period_;
+  const double eps = kCoincidenceWindow * t_period_;
   t_ = plan.t_evt;
   bool fired = false;
   if (leaking && plan.t_leak <= plan.t_evt + eps) {

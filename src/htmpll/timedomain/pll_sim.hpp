@@ -8,7 +8,9 @@
 // output y.  Between PFD events the charge-pump current is constant, so
 // the filter+phase state is propagated *exactly* (matrix exponential) and
 // edge instants are located by Newton iteration with exact propagation
-// inside the bracket -- no time-step discretization error at all.
+// inside the bracket -- no time-step discretization error at all.  The
+// VCO-edge search is bounded by the step's next reference/leakage event:
+// an edge that cannot fire before it is not searched for.
 #pragma once
 
 #include <cstdint>
@@ -56,11 +58,12 @@ struct TransientConfig {
 
 /// One planned event-loop iteration of PllTransientSim: the held
 /// charge-pump current over the segment and the candidate event times,
-/// with t_evt = min(t_ref, t_vco, t_leak, t_end).  plan_step computes
-/// it without touching any state, so a lockstep ensemble engine can
-/// plan every member, bucket members by step length h = t_evt - time()
-/// and advance whole buckets through one shared propagator before
-/// committing each member.
+/// with t_evt = min(t_ref, t_vco, t_leak, t_end).  t_vco is +inf when
+/// no VCO edge can fire by the horizon min(t_ref, t_leak, t_end).
+/// plan_step computes it without touching any state, so a lockstep
+/// ensemble engine can plan every member, bucket members by step length
+/// h = t_evt - time() and advance whole buckets through one shared
+/// propagator before committing each member.
 struct TransientStepPlan {
   double current = 0.0;
   double t_ref = 0.0;
@@ -233,7 +236,9 @@ class PllTransientSim {
 
  private:
   double next_reference_edge(double target) const;
-  double next_vco_edge(double target, double current) const;
+  /// Time of the next VCO edge, or +inf when it cannot fire by
+  /// `horizon` (the step's next reference/leakage event or t_end).
+  double next_vco_edge(double target, double current, double horizon) const;
   void record_range(double t_begin, double t_end, double current);
   void process_edges(double t_evt, double t_ref, double t_vco);
   bool finish_step(const TransientStepPlan& plan);

@@ -52,9 +52,8 @@ void SampleHoldPllSim::record_range(double t_begin, double t_end) {
                       cfg_.sample_interval;
     if (ts > t_end) break;
     if (ts >= t_begin) {
-      aug_.peek_into(ts - t_begin, current_, peek_scratch_);
       sample_t_.push_back(ts);
-      sample_theta_.push_back(peek_scratch_[theta_index_]);
+      sample_theta_.push_back(aug_.peek_last(ts - t_begin, current_));
       sample_theta_ref_.push_back(mod_.value(ts));
     }
     ++next_sample_;

@@ -56,7 +56,6 @@ class SampleHoldPllSim {
 
   PiecewiseExactIntegrator aug_;
   std::size_t theta_index_;
-  mutable RVector peek_scratch_;  ///< sampler peek staging
 
   std::int64_t n_ref_ = 1;
   double t_ = 0.0;

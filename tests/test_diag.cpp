@@ -57,6 +57,9 @@ TEST(DiagReasons, NamesRoundTripAndAreUnique) {
     EXPECT_EQ(back, reason);
   }
   obs::DiagReason out = obs::DiagReason::kCount;
+  EXPECT_TRUE(obs::diag_reason_from_name("vco_edge.bisection_fallback", out));
+  EXPECT_EQ(out, obs::DiagReason::kVcoEdgeBisectionFallback);
+  out = obs::DiagReason::kCount;
   EXPECT_FALSE(obs::diag_reason_from_name("no.such.reason", out));
   EXPECT_EQ(out, obs::DiagReason::kCount);  // untouched on failure
   EXPECT_STREQ(obs::diag_reason_name(obs::DiagReason::kCount), "unknown");

@@ -1,10 +1,18 @@
-// Transient performance-layer suite: keyed propagator cache, checkpoint
-// round-tripping, warm-start probes, probe-option validation and the
-// Monte Carlo batch APIs.  Kept in its own binary (like test_parallel)
+// Transient performance-layer suite: keyed propagator cache, the
+// horizon-bounded edge search (cost and bitwise exactness against a
+// reference event loop), checkpoint round-tripping, warm-start probes,
+// probe-option validation and the Monte Carlo batch APIs.  Kept in its
+// own binary (like test_parallel)
 // so the whole suite stays fast enough to run routinely under
 // -DHTMPLL_SANITIZE=thread.
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <numbers>
+#include <random>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +41,203 @@ struct ScopedDiagObs {
   bool was_enabled = obs::enabled();
   explicit ScopedDiagObs(bool on) { on ? obs::enable() : obs::disable(); }
   ~ScopedDiagObs() { was_enabled ? obs::enable() : obs::disable(); }
+};
+
+/// Test oracle: PllTransientSim's event loop as it stood before the
+/// edge search was bounded by the step horizon.  Every VCO edge is
+/// solved to convergence (Newton, then the expanding-bracket bisection),
+/// every peek -- samples included -- applies a full propagator build,
+/// and edges, leakage, held noise and recording follow the simulator's
+/// rules operation for operation.
+class ReferenceEventLoop {
+ public:
+  ReferenceEventLoop(const PllParameters& p, ReferenceModulation mod,
+                     bool use_spectral)
+      : mod_(mod),
+        t_period_(p.period()),
+        icp_(p.icp),
+        kvco_(p.kvco),
+        integ_(augment_with_phase(to_state_space(p.filter.impedance()),
+                                  p.kvco),
+               /*cache_capacity=*/1, use_spectral),
+        x_(integ_.state()),
+        theta_index_(x_.size() - 1),
+        sample_interval_(t_period_ / 8.0) {}
+
+  void set_initial_frequency_offset(double relative_offset) {
+    const StateSpace& ss = integ_.system();
+    double cc = 0.0;
+    for (std::size_t j = 0; j < ss.order(); ++j) cc += ss.c(0, j) * ss.c(0, j);
+    const double target_y = relative_offset / kvco_;
+    for (std::size_t j = 0; j < ss.order(); ++j) {
+      x_[j] = ss.c(0, j) * target_y / cc;
+    }
+  }
+  void set_initial_theta(double theta0) { x_[theta_index_] = theta0; }
+  void set_leakage(double current, double window) {
+    leak_current_ = current;
+    leak_window_ = window;
+  }
+  void set_noise_current(double sigma, unsigned seed) {
+    noise_sigma_ = sigma;
+    noise_rng_.seed(seed);
+    noise_current_ = sigma > 0.0 ? sigma * noise_dist_(noise_rng_) : 0.0;
+  }
+
+  void run_until(double t_end) {
+    const bool leaking = leak_current_ != 0.0 && leak_window_ > 0.0;
+    const double eps = 1e-9 * t_period_;
+    while (t_ < t_end) {
+      const double current = pfd_.pump_current(icp_) +
+                             (leak_on_ ? leak_current_ : 0.0) +
+                             noise_current_;
+      const double t_ref =
+          next_reference_edge(static_cast<double>(n_ref_) * t_period_);
+      const double t_vco =
+          next_vco_edge(static_cast<double>(n_vco_) * t_period_, current);
+      const double t_leak =
+          leaking ? (static_cast<double>(n_leak_) * t_period_ +
+                     (leak_on_ ? leak_window_ : 0.0))
+                  : std::numeric_limits<double>::infinity();
+      const double t_evt = std::min({t_ref, t_vco, t_leak, t_end});
+      record_range(t_, t_evt, current);
+      peek(t_evt - t_, current, scratch_);
+      x_.swap(scratch_);
+      t_ = t_evt;
+      bool fired = false;
+      if (leaking && t_leak <= t_evt + eps) {
+        if (leak_on_) ++n_leak_;
+        leak_on_ = !leak_on_;
+        fired = true;
+      }
+      if (t_ref <= t_evt + eps) {
+        pfd_.on_reference_edge();
+        ++n_ref_;
+        ++events_;
+        if (noise_sigma_ > 0.0) {
+          noise_current_ = noise_sigma_ * noise_dist_(noise_rng_);
+        }
+        fired = true;
+      }
+      if (t_vco <= t_evt + eps) {
+        pfd_.on_vco_edge();
+        ++n_vco_;
+        ++events_;
+        fired = true;
+      }
+      max_slip_ = std::max(max_slip_, std::abs(n_vco_ - n_ref_));
+      if (!fired) break;
+    }
+  }
+
+  double theta() const { return x_[theta_index_]; }
+  std::size_t event_count() const { return events_; }
+  /// Largest |VCO edges - reference edges| seen: > 1 means cycle slips.
+  std::int64_t max_slip() const { return max_slip_; }
+  /// Edge searches whose Newton iteration failed.
+  std::size_t bisection_fallbacks() const { return bisections_; }
+  const std::vector<double>& sample_times() const { return sample_t_; }
+  const std::vector<double>& theta_samples() const { return sample_theta_; }
+
+ private:
+  /// Full-build propagation from the current state (peek_into's rule).
+  void peek(double h, double u, RVector& out) {
+    if (h == 0.0) {
+      out = x_;
+      return;
+    }
+    auto it = full_builds_.find(h);
+    if (it == full_builds_.end()) {
+      it = full_builds_.emplace(h, integ_.propagator_factory().make(h)).first;
+    }
+    it->second.advance_into(x_, u, u, h, out);
+  }
+
+  double next_reference_edge(double target) const {
+    double t = target - mod_.value(target);
+    for (int it = 0; it < 50; ++it) {
+      const double g = t + mod_.value(t) - target;
+      const double dt = -g / (1.0 + mod_.slope(t));
+      t += dt;
+      if (std::abs(dt) <= 1e-13 * t_period_) break;
+    }
+    return std::max(t, t_);
+  }
+
+  double next_vco_edge(double target, double current) {
+    const double tol = 1e-13 * t_period_;
+    double t = std::max(t_, target - x_[theta_index_]);
+    bool converged = false;
+    for (int it = 0; it < 60; ++it) {
+      peek(std::max(0.0, t - t_), current, scratch_);
+      const double g = t + scratch_[theta_index_] - target;
+      double gp = 1.0 + kvco_ * integ_.system().output(scratch_, current);
+      if (gp < 0.1) gp = 1.0;
+      const double dt = -g / gp;
+      t += dt;
+      if (t < t_) t = t_;
+      if (std::abs(dt) <= tol) {
+        converged = true;
+        break;
+      }
+    }
+    if (!converged) {
+      ++bisections_;
+      double lo = t_;
+      peek(0.0, current, scratch_);
+      if (lo + scratch_[theta_index_] - target >= 0.0) return t_;
+      double hi = t_ + t_period_;
+      for (int grow = 0; grow < 64; ++grow) {
+        peek(hi - t_, current, scratch_);
+        if (hi + scratch_[theta_index_] - target >= 0.0) break;
+        hi = t_ + 2.0 * (hi - t_);
+      }
+      for (int it = 0; it < 200; ++it) {
+        const double mid = 0.5 * (lo + hi);
+        peek(mid - t_, current, scratch_);
+        if (mid + scratch_[theta_index_] - target < 0.0) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+        if (hi - lo <= tol) break;
+      }
+      t = 0.5 * (lo + hi);
+    }
+    return std::max(t, t_);
+  }
+
+  void record_range(double t_begin, double t_end, double current) {
+    while (true) {
+      const double ts = static_cast<double>(next_sample_) * sample_interval_;
+      if (ts > t_end) break;
+      if (ts >= t_begin) {
+        peek(ts - t_begin, current, scratch_);
+        sample_t_.push_back(ts);
+        sample_theta_.push_back(scratch_[theta_index_]);
+      }
+      ++next_sample_;
+    }
+  }
+
+  ReferenceModulation mod_;
+  double t_period_, icp_, kvco_;
+  PiecewiseExactIntegrator integ_;  ///< only its system and factory
+  RVector x_, scratch_;
+  std::size_t theta_index_;
+  double sample_interval_;
+  std::unordered_map<double, StepPropagator> full_builds_;
+  TriStatePfd pfd_;
+  double t_ = 0.0;
+  std::int64_t n_ref_ = 1, n_vco_ = 1, n_leak_ = 0, next_sample_ = 1;
+  std::int64_t max_slip_ = 0;
+  std::size_t events_ = 0, bisections_ = 0;
+  double leak_current_ = 0.0, leak_window_ = 0.0;
+  bool leak_on_ = false;
+  double noise_sigma_ = 0.0, noise_current_ = 0.0;
+  std::mt19937 noise_rng_;
+  std::normal_distribution<double> noise_dist_{0.0, 1.0};
+  std::vector<double> sample_t_, sample_theta_;
 };
 
 TEST(PropagatorCache, CountsHitsAndMisses) {
@@ -102,10 +307,10 @@ TEST(PropagatorCache, SimulationIndependentOfCapacity) {
 
 TEST(PropagatorCache, DefaultCapacityAvoidsModulatedChurn) {
   // Regression for the old 32-entry default: a modulated run makes the
-  // inter-event spacings quasi-continuous, so a small cache thrashes
-  // (probe-sweep hit rate ~0.38 with ~300k evictions before the fix).
-  // The enlarged default must hold the hit rate well above that churn
-  // plateau on the same workload.
+  // inter-event spacings quasi-continuous, so a small cache keeps
+  // replacing entries (~300k probe-sweep evictions before the fix).
+  // The enlarged default must hold every step length of the same
+  // workload without a single eviction.
   const PllParameters p = make_typical_loop(0.12 * kW0, kW0);
   ReferenceModulation mod;
   mod.amplitude = 1e-3;
@@ -121,9 +326,9 @@ TEST(PropagatorCache, DefaultCapacityAvoidsModulatedChurn) {
   const PropagatorCacheStats big = run({});  // current default capacity
   EXPECT_GE(PiecewiseExactIntegrator::kDefaultCacheCapacity, 1024u);
   EXPECT_EQ(big.lookups, small.lookups);  // same workload either way
-  EXPECT_LT(small.hit_rate(), 0.45);      // the old default churns...
-  EXPECT_GE(big.hit_rate(), 0.55);        // ...the new one must not
-  EXPECT_LT(big.evictions, small.evictions / 2);
+  EXPECT_GT(small.evictions, 100u);       // the old default churns...
+  EXPECT_EQ(big.evictions, 0u);           // ...the new one must not
+  EXPECT_LT(big.misses, small.misses);
 }
 
 TEST(PropagatorCache, ChurnDiagEventPerFullTurnover) {
@@ -149,6 +354,147 @@ TEST(PropagatorCache, ChurnDiagEventPerFullTurnover) {
   ASSERT_EQ(payloads.size(), 2u);
   EXPECT_DOUBLE_EQ(payloads[0], 1.0);
   EXPECT_DOUBLE_EQ(payloads[1], 2.0);
+}
+
+TEST(EdgeSearch, LookupsPerEventStayFlatAcrossLoopBandwidth) {
+  // Regression for the cost cliff above w_UG/w0 = 0.1: there the
+  // searches for VCO edges that cannot fire before the next reference
+  // edge drove Newton into divergence and the bisection bracket never
+  // closed (~60 propagator lookups per PFD event at 0.15 vs ~8 at 0.05).
+  // Bounding the search by the step horizon keeps ~3 at every ratio.
+  for (double ratio : {0.05, 0.1, 0.101, 0.15, 0.27}) {
+    const PllParameters p = make_typical_loop(ratio * kW0, kW0);
+    ReferenceModulation mod;
+    mod.amplitude = 1e-3;
+    mod.omega = 0.17 * kW0;
+    PllTransientSim sim(p, mod);
+    sim.run_periods(80.0);
+    ASSERT_GT(sim.event_count(), 100u) << "ratio " << ratio;
+    EXPECT_LE(sim.propagator_cache_stats().lookups, 4 * sim.event_count())
+        << "ratio " << ratio;
+  }
+}
+
+TEST(EdgeSearch, BisectionFallbackIsObservable) {
+  // The Fig. 6 probe at w_UG/w0 = 0.01, 0.3 w_UG runs past t = 8192 T,
+  // where doubles near t are ~1.8e-12 T apart: the 1e-13 T Newton
+  // tolerance is unreachable for an edge whose residual never rounds to
+  // zero, and the bisection fallback takes over.  The diag event reports
+  // each such search with the stalled Newton step (in periods) as its
+  // payload.  The cache holds every step length of the run, so no
+  // eviction events push the payloads out of the ring.
+  ScopedDiagObs on(true);
+  const PllParameters p = make_typical_loop(0.01 * kW0, kW0);
+  ReferenceModulation mod;
+  mod.amplitude = ProbeOptions{}.amplitude_fraction * p.period();
+  mod.omega = 0.3 * 0.01 * kW0;
+  TransientConfig cfg;
+  cfg.record = false;
+  cfg.propagator_cache = 1u << 14;
+  PllTransientSim sim(p, mod, cfg);
+  obs::diag_reset();
+  const double tm = 2.0 * std::numbers::pi / mod.omega;
+  const double settle = std::max(400.0 * p.period(), 4.0 * tm);
+  sim.run_until(settle);
+  sim.run_until(settle + 24.0 * tm);  // the probe's schedule
+  ASSERT_EQ(sim.propagator_cache_stats().evictions, 0u);
+  const obs::DiagSnapshot s = obs::diag_snapshot();
+  const std::uint64_t fallbacks = s.tally[static_cast<std::size_t>(
+      obs::DiagReason::kVcoEdgeBisectionFallback)];
+  EXPECT_GE(fallbacks, 1u);
+  std::uint64_t seen = 0;
+  for (const obs::DiagEvent& e : s.events) {
+    if (e.reason != obs::DiagReason::kVcoEdgeBisectionFallback) continue;
+    ++seen;
+    EXPECT_GT(e.payload, 1e-13);     // above the Newton tolerance...
+    EXPECT_LT(e.payload, 0x1p-39);   // ...below one double spacing at 8192
+  }
+  EXPECT_EQ(seen, fallbacks);
+}
+
+TEST(EdgeSearch, MatchesUnboundedReferenceLoopBitwise) {
+  // Differential check of the horizon-bounded edge search, the theta-row
+  // sampler and the Gamma2-free cache builds against the reference
+  // loop, on random loops across the whole stable range with
+  // modulation, held noise, leakage and acquisition offsets (frequency
+  // up to 3e-2, phase up to ~T).  Every fourth run starts a slow loop
+  // almost a cycle behind and below frequency, so it slips a cycle.
+  // Quiet runs (no modulation, noise or leakage) on fast loops settle
+  // until reference and VCO edges coincide within the 1e-9 T window,
+  // which is what the horizon margin must respect.  run_until stops at
+  // off-grid times so t_end bounds the horizon too.
+  std::mt19937 rng(20261016u);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  int slipping_runs = 0;
+  std::size_t bisections = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const bool slip_prone = trial % 4 == 0;
+    const bool quiet = trial % 6 == 3;
+    const double ratio = slip_prone ? 0.005 + 0.005 * unit(rng)
+                         : quiet    ? 0.1 + 0.17 * unit(rng)
+                                    : 0.005 + 0.265 * unit(rng);
+    const double gamma = 2.0 + 4.0 * unit(rng);
+    const PllParameters p = make_typical_loop(ratio * kW0, kW0, gamma);
+    ReferenceModulation mod;
+    if (!quiet && trial % 3 != 0) {
+      mod.amplitude = 2e-3 * unit(rng) * p.period();
+      mod.omega = (0.05 + 0.4 * unit(rng)) * kW0;
+      mod.phase = 6.0 * unit(rng);
+    }
+    const double offset = slip_prone ? -3e-2 * (1.0 - 0.2 * unit(rng))
+                                     : 3e-2 * (2.0 * unit(rng) - 1.0);
+    const double theta0 = (slip_prone ? -0.99 : 1.6 * unit(rng) - 0.8) *
+                          p.period();
+    const bool noisy = !quiet && trial % 2 == 1;
+    const bool leaky = !quiet && trial % 4 >= 2;
+    const bool spectral = trial % 8 != 7;
+    const double sigma = 1e-3 * unit(rng) * p.icp;
+    const unsigned seed = static_cast<unsigned>(rng());
+    const double leak = 0.02 * (2.0 * unit(rng) - 1.0) * p.icp;
+    const double window = (0.05 + 0.4 * unit(rng)) * p.period();
+
+    TransientConfig cfg;
+    cfg.use_spectral_propagators = spectral;
+    PllTransientSim sim(p, mod, cfg);
+    ReferenceEventLoop ref(p, mod, spectral);
+    sim.set_initial_frequency_offset(offset);  // before theta0: it
+    ref.set_initial_frequency_offset(offset);  // rewrites the whole state
+    sim.set_initial_theta(theta0);
+    ref.set_initial_theta(theta0);
+    if (noisy) {
+      sim.set_noise_current(sigma, seed);
+      ref.set_noise_current(sigma, seed);
+    }
+    if (leaky) {
+      sim.set_leakage(leak, window);
+      ref.set_leakage(leak, window);
+    }
+    for (double t_end : {37.3, 120.0 + unit(rng)}) {
+      sim.run_until(t_end * p.period());
+      ref.run_until(t_end * p.period());
+    }
+    if (ref.max_slip() > 1) ++slipping_runs;
+    bisections += ref.bisection_fallbacks();
+
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " ratio " << ratio
+                                    << " gamma " << gamma << " offset "
+                                    << offset << " theta0 " << theta0);
+    EXPECT_EQ(sim.event_count(), ref.event_count());
+    const double theta_sim = sim.theta();
+    const double theta_ref = ref.theta();
+    EXPECT_EQ(std::memcmp(&theta_sim, &theta_ref, sizeof(double)), 0);
+    ASSERT_EQ(sim.theta_samples().size(), ref.theta_samples().size());
+    for (std::size_t i = 0; i < ref.theta_samples().size(); ++i) {
+      ASSERT_EQ(sim.sample_times()[i], ref.sample_times()[i]) << "sample " << i;
+      ASSERT_EQ(std::memcmp(&sim.theta_samples()[i], &ref.theta_samples()[i],
+                            sizeof(double)),
+                0)
+          << "sample " << i;
+    }
+  }
+  // Coverage: cycle slips, and the diverging searches the horizon skips.
+  EXPECT_GE(slipping_runs, 3);
+  EXPECT_GT(bisections, 0u);
 }
 
 TEST(SpectralEngine, SimulationAgreesWithPadeWithinTolerance) {
