@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "htmpll/util/check.hpp"
+#include "htmpll/util/grid.hpp"
 
 namespace htmpll {
 
@@ -99,39 +100,92 @@ DesignResult design_time_varying_aware(const DesignSpec& spec,
   return best;
 }
 
-double output_jitter_tv(const JitterOptimizationSpec& spec, double w_ug) {
-  const SamplingPllModel model(
-      make_typical_loop(w_ug, spec.w0, spec.gamma));
-  const NoiseAnalysis na(model, spec.fold_harmonics);
-  return na.integrated_rms(
-      [&](double w) {
-        return na.output_psd_from_reference(w, spec.s_ref) +
-               na.output_psd_from_vco(w, spec.s_vco);
-      },
-      spec.w_lo_frac * spec.w0, spec.w_hi_frac * spec.w0,
-      spec.quadrature_points);
-}
-
-double output_jitter_lti(const JitterOptimizationSpec& spec, double w_ug) {
-  const PllParameters p = make_typical_loop(w_ug, spec.w0, spec.gamma);
-  const RationalFunction a = p.open_loop_gain();
-  // Classical transfers: |A/(1+A)|^2 S_ref + |1/(1+A)|^2 S_vco, no
-  // folding, no sampling effects.
-  const auto psd = [&](double w) {
-    const cplx av = a(cplx{0.0, w});
-    const cplx h = av / (1.0 + av);
-    return std::norm(h) * spec.s_ref(w) +
-           std::norm(1.0 - h) * spec.s_vco(w);
-  };
-  // Same quadrature as the TV path (reuse NoiseAnalysis's integrator).
-  const SamplingPllModel model(p);
-  const NoiseAnalysis na(model, 1);
-  return na.integrated_rms(psd, spec.w_lo_frac * spec.w0,
-                           spec.w_hi_frac * spec.w0,
-                           spec.quadrature_points);
-}
-
 namespace {
+
+/// The jitter integrands of both models on one log quadrature grid.
+/// Everything that does not depend on the loop -- the grid, S_ref,
+/// S_vco and the folded VCO sum F(w) = sum_{0<|m|<=fold} S_vco(|w + m w0|)
+/// -- is built once, so scoring a candidate loop costs one model build
+/// and one H_00 grid on its compiled plan (TV), or one pointwise
+/// A/(1+A) pass (LTI).  The pointwise NoiseAnalysis chain computes the
+/// same integrals and stays as the test oracle.
+class JitterQuadrature {
+ public:
+  explicit JitterQuadrature(const JitterOptimizationSpec& spec)
+      : spec_(spec) {
+    HTMPLL_REQUIRE(static_cast<bool>(spec.s_ref) &&
+                       static_cast<bool>(spec.s_vco),
+                   "noise PSDs must be provided");
+    HTMPLL_REQUIRE(spec.w0 > 0.0, "reference rate must be positive");
+    HTMPLL_REQUIRE(spec.fold_harmonics >= 0,
+                   "fold_harmonics must be >= 0 (zero keeps only the "
+                   "unfolded m = 0 term)");
+    HTMPLL_REQUIRE(spec.quadrature_points >= 2,
+                   "quadrature needs at least two points");
+    w_ = logspace(spec.w_lo_frac * spec.w0, spec.w_hi_frac * spec.w0,
+                  spec.quadrature_points);
+    const std::size_t n = w_.size();
+    s_.resize(n);
+    s_ref_.resize(n);
+    s_vco_.resize(n);
+    folded_.assign(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      s_[i] = cplx{0.0, w_[i]};
+      s_ref_[i] = spec.s_ref(w_[i]);
+      s_vco_[i] = spec.s_vco(w_[i]);
+      for (int m = -spec.fold_harmonics; m <= spec.fold_harmonics; ++m) {
+        const double wm = std::abs(w_[i] + static_cast<double>(m) * spec.w0);
+        if (m == 0 || wm == 0.0) continue;
+        folded_[i] += spec.s_vco(wm);
+      }
+    }
+  }
+
+  /// |H00|^2 S_ref + |1 - H00|^2 S_vco + |H00|^2 F, with H00 the
+  /// sampled loop's baseband transfer (eq. 38).
+  double tv(double w_ug) const {
+    const SamplingPllModel model(
+        make_typical_loop(w_ug, spec_.w0, spec_.gamma));
+    const CVector h = model.baseband_transfer_grid(s_);
+    std::vector<double> psd(w_.size());
+    for (std::size_t i = 0; i < w_.size(); ++i) {
+      const double h2 = std::norm(h[i]);
+      psd[i] = h2 * s_ref_[i] + std::norm(1.0 - h[i]) * s_vco_[i] +
+               h2 * folded_[i];
+    }
+    return rms(psd);
+  }
+
+  /// Classical transfers: |A/(1+A)|^2 S_ref + |1/(1+A)|^2 S_vco, no
+  /// folding, no sampling effects.
+  double lti(double w_ug) const {
+    const RationalFunction a =
+        make_typical_loop(w_ug, spec_.w0, spec_.gamma).open_loop_gain();
+    std::vector<double> psd(w_.size());
+    for (std::size_t i = 0; i < w_.size(); ++i) {
+      const cplx av = a(s_[i]);
+      const cplx h = av / (1.0 + av);
+      psd[i] = std::norm(h) * s_ref_[i] + std::norm(1.0 - h) * s_vco_[i];
+    }
+    return rms(psd);
+  }
+
+ private:
+  /// sqrt((1/pi) * trapezoid of psd over the grid), summed in the
+  /// order NoiseAnalysis::integrated_rms uses.
+  double rms(const std::vector<double>& psd) const {
+    double integral = 0.0;
+    for (std::size_t i = 1; i < w_.size(); ++i) {
+      integral += 0.5 * (psd[i] + psd[i - 1]) * (w_[i] - w_[i - 1]);
+    }
+    return std::sqrt(integral / std::numbers::pi);
+  }
+
+  const JitterOptimizationSpec& spec_;
+  std::vector<double> w_;
+  CVector s_;
+  std::vector<double> s_ref_, s_vco_, folded_;
+};
 
 /// Golden-section minimization on log(w_ug).
 template <typename F>
@@ -162,25 +216,28 @@ double golden_min(F f, double lo, double hi, int iterations = 60) {
 
 JitterOptimizationResult optimize_bandwidth_for_jitter(
     const JitterOptimizationSpec& spec) {
-  HTMPLL_REQUIRE(spec.w0 > 0.0, "reference rate must be positive");
   HTMPLL_REQUIRE(spec.ratio_min > 0.0 && spec.ratio_max > spec.ratio_min,
                  "bandwidth search range is empty");
-  HTMPLL_REQUIRE(static_cast<bool>(spec.s_ref) &&
-                     static_cast<bool>(spec.s_vco),
-                 "noise PSDs must be provided");
+  const JitterQuadrature q(spec);
+  const double lo = spec.ratio_min * spec.w0;
+  const double hi = spec.ratio_max * spec.w0;
 
   JitterOptimizationResult out;
-  out.w_ug_tv = golden_min(
-      [&](double w) { return output_jitter_tv(spec, w); },
-      spec.ratio_min * spec.w0, spec.ratio_max * spec.w0);
-  out.rms_tv = output_jitter_tv(spec, out.w_ug_tv);
+  out.w_ug_tv = golden_min([&](double w) { return q.tv(w); }, lo, hi);
+  out.rms_tv = q.tv(out.w_ug_tv);
 
-  out.w_ug_lti = golden_min(
-      [&](double w) { return output_jitter_lti(spec, w); },
-      spec.ratio_min * spec.w0, spec.ratio_max * spec.w0);
-  out.rms_at_lti_pick = output_jitter_tv(spec, out.w_ug_lti);
+  out.w_ug_lti = golden_min([&](double w) { return q.lti(w); }, lo, hi);
+  out.rms_at_lti_pick = q.tv(out.w_ug_lti);
   out.penalty = out.rms_at_lti_pick / out.rms_tv;
   return out;
+}
+
+double output_jitter_tv(const JitterOptimizationSpec& spec, double w_ug) {
+  return JitterQuadrature(spec).tv(w_ug);
+}
+
+double output_jitter_lti(const JitterOptimizationSpec& spec, double w_ug) {
+  return JitterQuadrature(spec).lti(w_ug);
 }
 
 std::vector<DesignResult> sweep_crossover_ratios(

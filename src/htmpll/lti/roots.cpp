@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 
+#include "htmpll/obs/metrics.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll {
@@ -21,6 +23,11 @@ double cauchy_root_bound(const Polynomial& p) {
 }
 
 namespace {
+
+obs::Counter& aberth_sweeps_counter() {
+  static obs::Counter& c = obs::counter("lti.aberth_sweeps");
+  return c;
+}
 
 /// Strips roots at exactly zero (trailing zero low-order coefficients) so
 /// the Aberth iteration never needs to divide a zero-valued guess.
@@ -81,7 +88,17 @@ CVector find_roots(const Polynomial& p, const RootOptions& opts) {
   }
 
   const Polynomial dq = q.derivative();
+  // Above the rounding floor every sweep shrinks the largest relative
+  // step, except while a near-multiple pair resolves: its steps wander
+  // around the pair's separation, which can be as small as sqrt(eps)
+  // ~ 1.5e-8.  Below kFloorStep a sweep that fails to shrink the step
+  // is cycling at the floor (the tolerance can lie below it), so more
+  // sweeps cannot improve the roots.
+  constexpr double kFloorStep = 1e-9;
+  double prev_worst = std::numeric_limits<double>::infinity();
+  int sweeps = 0;
   for (int it = 0; it < opts.max_iterations; ++it) {
+    ++sweeps;
     double worst = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
       const cplx pk = q(z[k]);
@@ -105,7 +122,10 @@ CVector find_roots(const Polynomial& p, const RootOptions& opts) {
       worst = std::max(worst, rel);
     }
     if (worst < opts.tolerance) break;
+    if (worst < kFloorStep && worst >= prev_worst) break;
+    prev_worst = worst;
   }
+  aberth_sweeps_counter().add(static_cast<std::uint64_t>(sweeps));
 
   // One Newton polish per root for good measure (helps simple roots;
   // multiple roots keep their cluster accuracy ~ tol^(1/m), which the

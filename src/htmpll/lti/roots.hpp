@@ -12,7 +12,12 @@ namespace htmpll {
 
 struct RootOptions {
   int max_iterations = 200;
-  double tolerance = 1e-13;  ///< relative step-size stopping criterion
+  /// Relative step-size stopping criterion.  The sweeps also stop when
+  /// the largest step is below 1e-9 and no smaller than the previous
+  /// sweep's: the iteration has hit the rounding floor, which can lie
+  /// above `tolerance`.  The obs counter lti.aberth_sweeps counts the
+  /// sweeps run.
+  double tolerance = 1e-13;
 };
 
 /// All complex roots of `p` (with multiplicity, as clustered numerical

@@ -24,6 +24,8 @@ thread_local bool t_inside_worker = false;
 struct PoolMetrics {
   obs::Counter& jobs = obs::counter("parallel.pool_jobs");
   obs::Counter& jobs_inline = obs::counter("parallel.pool_jobs_inline");
+  obs::Counter& jobs_contended =
+      obs::counter("parallel.pool_jobs_contended");
   obs::Counter& chunks = obs::counter("parallel.pool_chunks");
   obs::Counter& indices = obs::counter("parallel.pool_indices");
   obs::Counter& busy_ns = obs::counter("parallel.pool_busy_ns");
@@ -142,11 +144,18 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
                               const std::function<void(std::size_t)>& fn) {
   HTMPLL_REQUIRE(grain >= 1, "parallel_for grain must be >= 1");
   if (n == 0) return;
-  if (workers_.empty() || n <= grain || t_inside_worker) {
+  // One job at a time: a caller that finds another caller's job in
+  // flight runs its own inline.  Chunk boundaries depend only on
+  // (n, grain), so the results are the same either way.
+  std::unique_lock<std::mutex> submission(submit_mu_, std::defer_lock);
+  const bool contended =
+      !would_run_inline(n, grain) && !submission.try_lock();
+  if (!submission.owns_lock()) {
     if (obs::enabled()) {
       PoolMetrics& m = pool_metrics();
       m.jobs_inline.add();
       m.indices.add(n);
+      if (contended) m.jobs_contended.add();
     }
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;

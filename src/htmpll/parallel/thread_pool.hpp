@@ -60,7 +60,9 @@ class ThreadPool {
   /// indices per task.  Chunk boundaries depend only on (n, grain).
   /// Blocks until all indices completed.  The first exception thrown by
   /// any fn(i) is rethrown here (remaining chunks are skipped).
-  /// Nested calls from inside a worker run inline.
+  /// Nested calls from inside a worker run inline, and so does a call
+  /// from a thread that finds another thread's job in flight (counted
+  /// as parallel.pool_jobs_contended).
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t)>& fn);
 
@@ -143,6 +145,8 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
 
+  /// Held by the caller whose job is published, until the job completes.
+  std::mutex submit_mu_;
   std::mutex mu_;
   std::condition_variable cv_job_;
   std::condition_variable cv_done_;

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -281,6 +282,136 @@ TEST(Design, JitterOptimizerValidatesInput) {
   spec.ratio_max = 0.2;
   EXPECT_THROW(optimize_bandwidth_for_jitter(spec),
                std::invalid_argument);
+}
+
+// ---- jitter objectives vs the pointwise transfer chain ----------------
+
+/// TV output rms through the pointwise transfers: the folded reference
+/// and VCO PSDs of NoiseAnalysis, integrated by its integrated_rms.
+double jitter_tv_oracle(const JitterOptimizationSpec& spec, double w_ug) {
+  const SamplingPllModel model(
+      make_typical_loop(w_ug, spec.w0, spec.gamma));
+  const NoiseAnalysis na(model, spec.fold_harmonics);
+  return na.integrated_rms(
+      [&](double w) {
+        return na.output_psd_from_reference(w, spec.s_ref) +
+               na.output_psd_from_vco(w, spec.s_vco);
+      },
+      spec.w_lo_frac * spec.w0, spec.w_hi_frac * spec.w0,
+      spec.quadrature_points);
+}
+
+/// LTI output rms computed pointwise: |A/(1+A)|^2 S_ref +
+/// |1/(1+A)|^2 S_vco, integrated by NoiseAnalysis::integrated_rms.
+double jitter_lti_oracle(const JitterOptimizationSpec& spec, double w_ug) {
+  const PllParameters p = make_typical_loop(w_ug, spec.w0, spec.gamma);
+  const RationalFunction a = p.open_loop_gain();
+  const SamplingPllModel model(p);
+  const NoiseAnalysis na(model, 1);
+  return na.integrated_rms(
+      [&](double w) {
+        const cplx av = a(cplx{0.0, w});
+        const cplx h = av / (1.0 + av);
+        return std::norm(h) * spec.s_ref(w) +
+               std::norm(1.0 - h) * spec.s_vco(w);
+      },
+      spec.w_lo_frac * spec.w0, spec.w_hi_frac * spec.w0,
+      spec.quadrature_points);
+}
+
+JitterOptimizationSpec jitter_spec(const PowerLawPsd& ref,
+                                   const PowerLawPsd& vco) {
+  JitterOptimizationSpec spec;
+  spec.w0 = kW0;
+  spec.s_ref = ref;
+  spec.s_vco = vco;
+  return spec;
+}
+
+TEST(Design, JitterObjectivesMatchPointwiseOracle) {
+  // White, flicker and random-walk terms on both sources, so the
+  // folded VCO sum sees every power law.
+  const double c = 0.05 * kW0;
+  const std::vector<std::pair<PowerLawPsd, PowerLawPsd>> psds = {
+      {{1e-20, 0.0, 0.0}, {0.0, 0.0, 1e-20 * c * c}},
+      {{1e-20, 1e-20 * c, 0.0}, {1e-21, 0.0, 1e-20 * c * c}},
+      {{1e-20, 1e-21 * c, 1e-22 * c * c}, {0.0, 1e-20 * c, 1e-20 * c * c}},
+      {{0.0, 0.0, 1e-20 * c * c}, {1e-21, 1e-21 * c, 1e-21 * c * c}}};
+  double worst_tv = 0.0;
+  double worst_lti = 0.0;
+  for (const auto& [ref, vco] : psds) {
+    JitterOptimizationSpec spec = jitter_spec(ref, vco);
+    for (const double gamma : {2.5, 4.0, 6.0}) {
+      spec.gamma = gamma;
+      for (const int fold : {0, 12, 16}) {
+        spec.fold_harmonics = fold;
+        for (int k = 0; k < 10; ++k) {
+          const double ratio = 0.002 * std::pow(0.26 / 0.002, k / 9.0);
+          const double w_ug = ratio * kW0;
+          const double tv = output_jitter_tv(spec, w_ug);
+          const double tv_ref = jitter_tv_oracle(spec, w_ug);
+          const double lti = output_jitter_lti(spec, w_ug);
+          const double lti_ref = jitter_lti_oracle(spec, w_ug);
+          worst_tv = std::max(worst_tv, std::abs(tv - tv_ref) / tv_ref);
+          worst_lti = std::max(worst_lti, std::abs(lti - lti_ref) / lti_ref);
+        }
+      }
+    }
+  }
+  EXPECT_LE(worst_tv, 1e-12);
+  EXPECT_LE(worst_lti, 1e-12);
+}
+
+TEST(Design, JitterOptimizerReportsOracleRms) {
+  const double c = 0.05 * kW0;
+  const JitterOptimizationSpec spec =
+      jitter_spec({1e-18, 0.0, 0.0}, {0.0, 0.0, 1e-18 * c * c});
+  const JitterOptimizationResult r = optimize_bandwidth_for_jitter(spec);
+  const double at_tv = jitter_tv_oracle(spec, r.w_ug_tv);
+  const double at_lti = jitter_tv_oracle(spec, r.w_ug_lti);
+  EXPECT_LE(std::abs(r.rms_tv - at_tv) / at_tv, 1e-12);
+  EXPECT_LE(std::abs(r.rms_at_lti_pick - at_lti) / at_lti, 1e-12);
+}
+
+// Both objectives reject bad specs up front, for the TV and LTI model.
+void expect_jitter_objectives_reject(const JitterOptimizationSpec& spec) {
+  const double w_ug = 0.05 * kW0;
+  EXPECT_THROW(output_jitter_tv(spec, w_ug), std::invalid_argument);
+  EXPECT_THROW(output_jitter_lti(spec, w_ug), std::invalid_argument);
+}
+
+const PowerLawPsd kRefPsd{1e-20, 0.0, 0.0};
+const PowerLawPsd kVcoPsd{0.0, 0.0, 1e-10};
+
+TEST(Design, JitterObjectivesRejectNullPsds) {
+  JitterOptimizationSpec spec = jitter_spec(kRefPsd, kVcoPsd);
+  spec.s_ref = nullptr;
+  expect_jitter_objectives_reject(spec);
+  spec = jitter_spec(kRefPsd, kVcoPsd);
+  spec.s_vco = nullptr;
+  expect_jitter_objectives_reject(spec);
+}
+
+TEST(Design, JitterObjectivesRejectNonPositiveReferenceRate) {
+  JitterOptimizationSpec spec = jitter_spec(kRefPsd, kVcoPsd);
+  spec.w0 = 0.0;
+  expect_jitter_objectives_reject(spec);
+  spec.w0 = -kW0;
+  expect_jitter_objectives_reject(spec);
+}
+
+TEST(Design, JitterObjectivesRejectNegativeFold) {
+  JitterOptimizationSpec spec = jitter_spec(kRefPsd, kVcoPsd);
+  spec.fold_harmonics = -1;
+  expect_jitter_objectives_reject(spec);
+}
+
+TEST(Design, JitterObjectivesRejectTooFewQuadraturePoints) {
+  JitterOptimizationSpec spec = jitter_spec(kRefPsd, kVcoPsd);
+  spec.quadrature_points = 1;
+  expect_jitter_objectives_reject(spec);
+  spec.quadrature_points = 0;
+  expect_jitter_objectives_reject(spec);
 }
 
 TEST(Design, RejectsCrossoverBeyondNyquist) {

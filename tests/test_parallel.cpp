@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <numbers>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,6 +100,37 @@ TEST(ThreadPool, NestedCallsRunInlineWithoutDeadlock) {
     out[i] = inner;
   });
   for (double v : out) EXPECT_EQ(v, 45.0);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverEveryIndexOnce) {
+  // Several non-worker threads submitting to one pool at once: each job
+  // must still visit every one of its own indices exactly once, whether
+  // it ran on the pool or inline behind another caller's job.
+  ThreadPool pool(4);
+  constexpr int kCallers = 8;
+  constexpr int kJobs = 100;
+  std::atomic<int> bad_jobs{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int job = 0; job < kJobs; ++job) {
+        const std::size_t n = 1 + static_cast<std::size_t>(
+                                      (c * 131 + job * 37) % 500);
+        const std::size_t grain = 1 + static_cast<std::size_t>(job % 7);
+        std::vector<std::atomic<int>> hits(n);
+        for (auto& h : hits) h.store(0);
+        pool.parallel_for(n, grain, [&](std::size_t i) { hits[i]++; });
+        for (const auto& h : hits) {
+          if (h.load() != 1) {
+            bad_jobs++;
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(bad_jobs.load(), 0);
 }
 
 TEST(ThreadPool, RejectsZeroGrainAndAcceptsEmptyRange) {

@@ -1,9 +1,16 @@
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numbers>
 #include <random>
 
 #include <gtest/gtest.h>
 
+#include "htmpll/lti/loop_filter.hpp"
 #include "htmpll/lti/roots.hpp"
+#include "htmpll/obs/metrics.hpp"
+#include "htmpll/ztrans/zdomain.hpp"
 
 namespace htmpll {
 namespace {
@@ -136,6 +143,170 @@ TEST_P(RootsRandomReconstruction, RecoversRandomSimpleRoots) {
 
 INSTANTIATE_TEST_SUITE_P(Degrees, RootsRandomReconstruction,
                          ::testing::Values(3, 4, 5, 6, 8, 10, 12, 16, 20));
+
+// ---- rounding-floor exit vs the loop without it ------------------------
+
+/// find_roots's Aberth loop without the rounding-floor exit (it sweeps
+/// until the step tolerance or max_iterations), followed by the same
+/// Newton polish.  Degree >= 3 and a nonzero constant term only, so the
+/// zero stripping and closed forms of find_roots do not apply.
+CVector aberth_without_floor_exit(const Polynomial& q, int* sweeps) {
+  const RootOptions opts;
+  const std::size_t n = q.degree();
+  const double radius = 0.5 * cauchy_root_bound(q);
+  CVector z(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double angle =
+        2.0 * std::numbers::pi * static_cast<double>(k) /
+            static_cast<double>(n) + 0.7;
+    z[k] = radius * cplx{std::cos(angle), std::sin(angle)};
+  }
+  const Polynomial dq = q.derivative();
+  *sweeps = 0;
+  for (int it = 0; it < opts.max_iterations; ++it) {
+    ++*sweeps;
+    double worst = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const cplx pk = q(z[k]);
+      const cplx dk = dq(z[k]);
+      const cplx newton = std::abs(dk) > 0.0
+                              ? pk / dk
+                              : cplx{opts.tolerance, opts.tolerance};
+      cplx repulse{0.0};
+      for (std::size_t m = 0; m < n; ++m) {
+        if (m == k) continue;
+        const cplx diff = z[k] - z[m];
+        if (std::abs(diff) > 1e-300) repulse += 1.0 / diff;
+      }
+      const cplx denom = 1.0 - newton * repulse;
+      const cplx step = (std::abs(denom) > 1e-300) ? newton / denom : newton;
+      z[k] -= step;
+      worst = std::max(worst, std::abs(step) / std::max(1.0, std::abs(z[k])));
+    }
+    if (worst < opts.tolerance) break;
+  }
+  for (cplx& r : z) {
+    const cplx d = dq(r);
+    if (std::abs(d) > 0.0) {
+      const cplx step = q(r) / d;
+      if (std::abs(step) < 0.5 * std::max(1.0, std::abs(r))) r -= step;
+    }
+  }
+  return z;
+}
+
+/// Worst normwise backward error over the roots, in units of eps:
+/// |p(r)| / sum_i |c_i| |r|^i.
+double backward_error_eps(const Polynomial& p, const CVector& roots) {
+  const CVector& c = p.coefficients();
+  double worst = 0.0;
+  for (const cplx& r : roots) {
+    cplx value{0.0};
+    double scale = 0.0;
+    for (std::size_t i = c.size(); i-- > 0;) {
+      value = value * r + c[i];
+      scale = scale * std::abs(r) + std::abs(c[i]);
+    }
+    worst = std::max(worst, std::abs(value) / scale);
+  }
+  return worst / std::numeric_limits<double>::epsilon();
+}
+
+/// Largest relative distance from a root in `a` to its nearest
+/// unclaimed partner in `b`.
+double worst_relative_mismatch(const CVector& a, CVector b) {
+  double worst = 0.0;
+  for (const cplx& x : a) {
+    const auto it = std::min_element(
+        b.begin(), b.end(), [&](const cplx& u, const cplx& v) {
+          return std::abs(u - x) < std::abs(v - x);
+        });
+    worst = std::max(worst, std::abs(*it - x) / std::abs(x));
+    b.erase(it);
+  }
+  return worst;
+}
+
+/// find_roots with the lti.aberth_sweeps counter read around it.
+CVector find_roots_counting(const Polynomial& p, std::uint64_t* sweeps) {
+  const bool was = obs::enabled();
+  obs::enable();
+  obs::Counter& c = obs::counter("lti.aberth_sweeps");
+  const std::uint64_t before = c.value();
+  CVector roots = find_roots(p);
+  *sweeps = c.value() - before;
+  if (!was) obs::disable();
+  return roots;
+}
+
+TEST(Roots, FloorExitEndsStalledDesignCubics) {
+  // z-domain characteristic cubics of slow typical loops: the real
+  // root's imaginary part decays into subnormals and the largest step
+  // cycles at ~1e-13..4e-13, just above the tolerance, so the loop
+  // without the floor exit runs all 200 sweeps.
+  const double w0 = 2.0 * std::numbers::pi * 1e6;
+  for (const auto& [gamma, ratio] :
+       {std::pair{2.5, 0.005}, {2.5, 0.0055}, {4.0, 0.005}}) {
+    const Polynomial q =
+        ImpulseInvariantModel(
+            make_typical_loop(ratio * w0, w0, gamma).open_loop_gain(), w0)
+            .characteristic();
+    ASSERT_EQ(q.degree(), 3u);
+    int reference_sweeps = 0;
+    const CVector reference = aberth_without_floor_exit(q, &reference_sweeps);
+    std::uint64_t sweeps = 0;
+    const CVector roots = find_roots_counting(q, &sweeps);
+    EXPECT_EQ(reference_sweeps, 200) << "gamma " << gamma << " ratio " << ratio;
+    EXPECT_LE(sweeps, 20u) << "gamma " << gamma << " ratio " << ratio;
+    EXPECT_LE(worst_relative_mismatch(roots, reference), 1e-10)
+        << "gamma " << gamma << " ratio " << ratio;
+  }
+}
+
+TEST(Roots, FloorExitNeverRaisesBackwardError) {
+  // Random polynomials of two kinds: well-separated roots of mixed
+  // magnitude, and a near-double pair (relative separation 1e-8..1e-5)
+  // whose resolution makes the step wander before it converges.  An
+  // exit that fired mid-resolution would leave a backward error far
+  // above the loop without the exit.  At the floor both stop at
+  // arbitrary points of the rounding noise, so allow a few eps there:
+  // every backward error must stay within max(reference, 8 eps).
+  std::mt19937 rng(2024u);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  const auto random_root = [&] {
+    return std::polar(std::pow(10.0, 2.0 * u(rng) - 1.0),
+                      2.0 * std::numbers::pi * u(rng));
+  };
+  int stalled = 0;
+  for (int trial = 0; trial < 1600; ++trial) {
+    const int degree = 3 + static_cast<int>(u(rng) * 4.0);
+    CVector roots;
+    if (trial % 4 != 0) {
+      // Real centers half the time, as for real-coefficient loops.
+      const double angle =
+          u(rng) < 0.5 ? 0.0 : 2.0 * std::numbers::pi * u(rng);
+      const cplx center = std::polar(0.3 + 0.7 * u(rng), angle);
+      const double sep = std::pow(10.0, -8.0 + 3.0 * u(rng));
+      roots.push_back(center);
+      roots.push_back(center *
+                      (1.0 + sep * std::polar(1.0, 2.0 * std::numbers::pi *
+                                                       u(rng))));
+    }
+    while (static_cast<int>(roots.size()) < degree) {
+      roots.push_back(random_root());
+    }
+    const Polynomial p = Polynomial::from_roots(roots);
+    int reference_sweeps = 0;
+    const CVector reference = aberth_without_floor_exit(p, &reference_sweeps);
+    if (reference_sweeps == 200) ++stalled;
+    const double reference_error = backward_error_eps(p, reference);
+    const double error = backward_error_eps(p, find_roots(p));
+    EXPECT_LE(error, std::max(reference_error, 8.0))
+        << "trial " << trial << " degree " << degree;
+  }
+  // The draw must exercise the exit: many of these stall without it.
+  EXPECT_GT(stalled, 100);
+}
 
 }  // namespace
 }  // namespace htmpll
