@@ -24,6 +24,55 @@ obs::Counter& plan_points_counter() {
   return ctr;
 }
 
+/// Plane quotient num[i] /= den[i] by the batch_complex_div formula
+/// num conj(den) / |den|^2, so no lane pays a libgcc complex division.
+/// A lane whose |den|^2 leaves [1e-290, 1e290] (zero, overflow, NaN)
+/// instead takes `fallback(i, num)`: the scalar model's std::complex
+/// expression with its domain check, which therefore still throws on a
+/// zero denominator.  Such lanes are recorded like batch_complex_div's.
+/// The range is tested for the whole block first, so a block with no
+/// such lane (every block of the design grids) runs a branch-free loop
+/// the compiler vectorizes.
+template <class Fallback>
+void divide_planes(double* num_re, double* num_im, const double* den_re,
+                   const double* den_im, std::size_t n,
+                   const Fallback& fallback) {
+  bool in_range = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d2 = den_re[i] * den_re[i] + den_im[i] * den_im[i];
+    in_range &= d2 >= 1e-290 && d2 <= 1e290;
+  }
+  if (in_range) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double nr = num_re[i];
+      const double ni = num_im[i];
+      const double dr = den_re[i];
+      const double di = den_im[i];
+      const double inv = 1.0 / (dr * dr + di * di);
+      num_re[i] = (nr * dr + ni * di) * inv;
+      num_im[i] = (ni * dr - nr * di) * inv;
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double nr = num_re[i];
+    const double ni = num_im[i];
+    const double dr = den_re[i];
+    const double di = den_im[i];
+    const double d2 = dr * dr + di * di;
+    if (d2 >= 1e-290 && d2 <= 1e290) {
+      const double inv = 1.0 / d2;
+      num_re[i] = (nr * dr + ni * di) * inv;
+      num_im[i] = (ni * dr - nr * di) * inv;
+    } else {
+      obs::diag_event(obs::DiagReason::kSimdBailoutGuardTrip, d2);
+      const cplx q = fallback(i, cplx{nr, ni});
+      num_re[i] = q.real();
+      num_im[i] = q.imag();
+    }
+  }
+}
+
 }  // namespace
 
 /// Per-thread workspace for one block of grid points.  All planes are
@@ -37,9 +86,11 @@ struct EvalPlan::Scratch {
   std::vector<double> arg_re, arg_im, e_re, e_im;
   // Pole-sum accumulators (exact lambda) and their derivative twins.
   std::vector<double> acc_re, acc_im, dacc_re, dacc_im;
-  // Rational-evaluation temporaries (denominator planes, shifted
-  // imaginary plane).
+  // Denominator planes (batch_rational temporaries, then plane
+  // quotients) and the shifted imaginary plane.
   std::vector<double> den_re, den_im, im_shift;
+  // Numerator planes of a plane quotient; they hold its result after.
+  std::vector<double> num_re, num_im;
   // Shifted-gain table, planes laid out [(m + mspan) * n + i].
   std::vector<double> g_re, g_im;
   // Per-point lambda and PFD-shape prefactor of the block.
@@ -59,6 +110,8 @@ struct EvalPlan::Scratch {
     den_re.resize(n);
     den_im.resize(n);
     im_shift.resize(n);
+    num_re.resize(n);
+    num_im.resize(n);
     lam.resize(n);
     pre.resize(n);
   }
@@ -215,33 +268,87 @@ void EvalPlan::gains_block(std::size_t n, int mspan, Scratch& sc) const {
                    hlf_den_.size(), sc.s_re.data(), sc.im_shift.data(), n,
                    gr, gi, sc.den_re.data(), sc.den_im.data());
     if (shape_ == PfdShape::kZeroOrderHold) {
+      // g / (s_m T); the denominator planes are free once batch_rational
+      // has returned.
       for (std::size_t i = 0; i < n; ++i) {
-        const cplx sm{sc.s_re[i], sc.im_shift[i]};
-        HTMPLL_REQUIRE(std::abs(sm) > 0.0,
-                       "ZOH shape evaluated on a harmonic of w0; evaluate "
-                       "off the harmonic grid");
-        const cplx q = cplx{gr[i], gi[i]} / (sm * t_);
-        gr[i] = q.real();
-        gi[i] = q.imag();
+        sc.den_re[i] = sc.s_re[i] * t_;
+        sc.den_im[i] = sc.im_shift[i] * t_;
       }
+      divide_planes(gr, gi, sc.den_re.data(), sc.den_im.data(), n,
+                    [&](std::size_t i, cplx g) {
+                      const cplx sm{sc.s_re[i], sc.im_shift[i]};
+                      HTMPLL_REQUIRE(std::abs(sm) > 0.0,
+                                     "ZOH shape evaluated on a harmonic of "
+                                     "w0; evaluate off the harmonic grid");
+                      return g / (sm * t_);
+                    });
     }
   }
 }
 
-cplx EvalPlan::vtilde_from_gains(const Scratch& sc, std::size_t n,
-                                 int mspan, std::size_t i, int band,
-                                 cplx pre) const {
-  cplx acc{0.0};
+void EvalPlan::vtilde_block(std::size_t n, int mspan, int band,
+                            bool close_loop, Scratch& sc) const {
+  // Numerator pre * sum_k v_k g_{band-k} * w0/(2 pi), channel-outer in
+  // real arithmetic: the std::complex products' operations without
+  // their NaN-recovery branches, so the loops vectorize.
+  std::fill_n(sc.num_re.data(), n, 0.0);
+  std::fill_n(sc.num_im.data(), n, 0.0);
   for (const ChannelWeight& ch : channels_) {
     const int m = band - ch.k;  // |m| <= mspan by table construction
     const std::size_t base = static_cast<std::size_t>(m + mspan) * n;
-    acc += ch.v * cplx{sc.g_re[base + i], sc.g_im[base + i]};
+    const double* gr = sc.g_re.data() + base;
+    const double* gi = sc.g_im.data() + base;
+    const double vr = ch.v.real();
+    const double vi = ch.v.imag();
+    for (std::size_t i = 0; i < n; ++i) {
+      sc.num_re[i] += vr * gr[i] - vi * gi[i];
+      sc.num_im[i] += vr * gi[i] + vi * gr[i];
+    }
   }
-  const cplx sn{sc.s_re[i],
-                sc.s_im[i] + static_cast<double>(band) * w0_};
-  HTMPLL_REQUIRE(std::abs(sn) > 0.0,
-                 "V~ evaluated on an integrator pole s = -j n w0");
-  return pre * acc * front_ / sn;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double pr = sc.pre[i].real();
+    const double pi = sc.pre[i].imag();
+    const double ar = sc.num_re[i];
+    const double ai = sc.num_im[i];
+    sc.num_re[i] = (pr * ar - pi * ai) * front_;
+    sc.num_im[i] = (pr * ai + pi * ar) * front_;
+  }
+  // Denominator s_n = s + j band w0, times (1 + lambda) when closing the
+  // loop: one quotient per point instead of two.
+  const double shift = static_cast<double>(band) * w0_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double sr = sc.s_re[i];
+    const double si = sc.s_im[i] + shift;
+    if (close_loop) {
+      const double lr = 1.0 + sc.lam[i].real();
+      const double li = sc.lam[i].imag();
+      sc.den_re[i] = sr * lr - si * li;
+      sc.den_im[i] = sr * li + si * lr;
+    } else {
+      sc.den_re[i] = sr;
+      sc.den_im[i] = si;
+    }
+  }
+  divide_planes(sc.num_re.data(), sc.num_im.data(), sc.den_re.data(),
+                sc.den_im.data(), n, [&](std::size_t i, cplx num) {
+                  const cplx sn{sc.s_re[i], sc.s_im[i] + shift};
+                  HTMPLL_REQUIRE(std::abs(sn) > 0.0,
+                                 "V~ evaluated on an integrator pole s = "
+                                 "-j n w0");
+                  const cplx v = num / sn;
+                  return close_loop ? v / (1.0 + sc.lam[i]) : v;
+                });
+}
+
+void EvalPlan::truncated_lambda_block(std::size_t n, int mspan,
+                                      int truncation, Scratch& sc) const {
+  std::fill_n(sc.lam.data(), n, cplx{0.0});
+  for (int band = -truncation; band <= truncation; ++band) {
+    vtilde_block(n, mspan, band, /*close_loop=*/false, sc);
+    for (std::size_t i = 0; i < n; ++i) {
+      sc.lam[i] += cplx{sc.num_re[i], sc.num_im[i]};
+    }
+  }
 }
 
 CVector EvalPlan::lambda_grid(const CVector& s_grid, LambdaMethod method,
@@ -261,15 +368,9 @@ CVector EvalPlan::lambda_grid(const CVector& s_grid, LambdaMethod method,
         if (exact) {
           exact_lambda_block(n, sc);
         } else {
-          gains_block(n, truncation + hmax_, sc);
           const int mspan = truncation + hmax_;
-          std::fill_n(sc.lam.data(), n, cplx{0.0});
-          for (int band = -truncation; band <= truncation; ++band) {
-            for (std::size_t i = 0; i < n; ++i) {
-              sc.lam[i] +=
-                  vtilde_from_gains(sc, n, mspan, i, band, sc.pre[i]);
-            }
-          }
+          gains_block(n, mspan, sc);
+          truncated_lambda_block(n, mspan, truncation, sc);
         }
         std::copy_n(sc.lam.data(), n, out.data() + b);
       });
@@ -343,20 +444,12 @@ std::vector<CVector> EvalPlan::closed_loop_grid(
         if (exact) {
           exact_lambda_block(n, sc);
         } else {
-          std::fill_n(sc.lam.data(), n, cplx{0.0});
-          for (int band = -truncation; band <= truncation; ++band) {
-            for (std::size_t i = 0; i < n; ++i) {
-              sc.lam[i] +=
-                  vtilde_from_gains(sc, n, mspan, i, band, sc.pre[i]);
-            }
-          }
+          truncated_lambda_block(n, mspan, truncation, sc);
         }
         for (std::size_t bi = 0; bi < bands.size(); ++bi) {
-          for (std::size_t i = 0; i < n; ++i) {
-            out[bi][b + i] =
-                vtilde_from_gains(sc, n, mspan, i, bands[bi], sc.pre[i]) /
-                (1.0 + sc.lam[i]);
-          }
+          vtilde_block(n, mspan, bands[bi], /*close_loop=*/true, sc);
+          join_planes(sc.num_re.data(), sc.num_im.data(), n,
+                      out[bi].data() + b);
         }
       });
   return out;

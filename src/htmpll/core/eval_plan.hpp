@@ -105,9 +105,15 @@ class EvalPlan {
   void gains_block(std::size_t n, int mspan, Scratch& sc) const;
   /// ZOH prefactor plane (1 - exp(-sT)), or all-ones for impulse.
   void prefactor_block(std::size_t n, Scratch& sc) const;
-  /// V~_band at point i of the loaded block, from the gain table.
-  cplx vtilde_from_gains(const Scratch& sc, std::size_t n, int mspan,
-                         std::size_t i, int band, cplx pre) const;
+  /// V~_band over the loaded block from the gain table, left in the
+  /// scratch numerator planes; with `close_loop` it is divided by
+  /// 1 + lambda (the block's lambda plane) in the same plane quotient.
+  void vtilde_block(std::size_t n, int mspan, int band, bool close_loop,
+                    Scratch& sc) const;
+  /// Truncated lambda = sum_{|n| <= truncation} V~_n into the block's
+  /// lambda plane (requires the gain table).
+  void truncated_lambda_block(std::size_t n, int mspan, int truncation,
+                              Scratch& sc) const;
 
   double w0_ = 0.0;
   double t_ = 0.0;      ///< T = 2 pi / w0

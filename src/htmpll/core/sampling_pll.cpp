@@ -23,6 +23,15 @@ obs::Counter& lambda_eval_counter() {
   return c;
 }
 
+/// Grid entry-point check: a NaN or infinite s would otherwise come back
+/// as a silent NaN or a misleading domain error.
+void require_finite_grid(const CVector& s_grid) {
+  for (const cplx& s : s_grid) {
+    HTMPLL_REQUIRE(std::isfinite(s.real()) && std::isfinite(s.imag()),
+                   "grid point is not finite (NaN or infinite s)");
+  }
+}
+
 }  // namespace
 
 namespace {
@@ -236,6 +245,7 @@ cplx SamplingPllModel::lambda_derivative(cplx s) const {
 
 CVector SamplingPllModel::lambda_derivative_grid(const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.lambda_grid");
+  require_finite_grid(s_grid);
   if (plan_ && plan_->supports_derivative()) {
     return plan_->lambda_derivative_grid(s_grid);
   }
@@ -318,6 +328,7 @@ CVector SamplingPllModel::lambda_grid(const CVector& s_grid,
                                       LambdaMethod method,
                                       int truncation) const {
   HTMPLL_TRACE_SPAN("core.lambda_grid");
+  require_finite_grid(s_grid);
   if (plan_ && plan_->supports(method)) {
     return plan_->lambda_grid(s_grid, method, truncation);
   }
@@ -336,6 +347,7 @@ CVector SamplingPllModel::lambda_grid(const CVector& s_grid,
 
 CVector SamplingPllModel::baseband_transfer_grid(const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.baseband_transfer_grid");
+  require_finite_grid(s_grid);
   const LambdaMethod method = opts_.lambda_method;
   const int truncation = opts_.truncation;
   if (plan_ && plan_->supports(method)) {
@@ -363,6 +375,7 @@ CVector SamplingPllModel::baseband_transfer_grid(const CVector& s_grid) const {
 
 CVector SamplingPllModel::lti_baseband_transfer_grid(
     const CVector& s_grid) const {
+  require_finite_grid(s_grid);
   CVector out(s_grid.size());
   ThreadPool::global().for_each_index(s_grid.size(), [&](std::size_t i) {
     out[i] = lti_baseband_transfer(s_grid[i]);
@@ -380,6 +393,7 @@ CVector SamplingPllModel::baseband_error_transfer_grid(
 std::vector<CVector> SamplingPllModel::closed_loop_grid(
     const std::vector<int>& bands, const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.closed_loop_grid");
+  require_finite_grid(s_grid);
   const LambdaMethod method = opts_.lambda_method;
   const int truncation = opts_.truncation;
   if (plan_ && plan_->supports(method)) {

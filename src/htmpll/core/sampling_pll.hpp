@@ -127,7 +127,8 @@ class SamplingPllModel {
   // shape(s + j m w0) shared between the truncated lambda sum and the
   // V~ numerators -- into a per-point table; slot i of that path is
   // BIT-IDENTICAL to the scalar call at s_grid[i] for every method and
-  // PFD shape.
+  // PFD shape.  Every grid point must be finite: a NaN or infinite s
+  // throws std::invalid_argument on both paths.
 
   /// lambda over a grid via the configured / an explicit method.
   CVector lambda_grid(const CVector& s_grid) const;

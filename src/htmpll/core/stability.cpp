@@ -1,12 +1,14 @@
 #include "htmpll/core/stability.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <utility>
 
 #include "htmpll/linalg/batch_kernels.hpp"
 #include "htmpll/lti/bode.hpp"
+#include "htmpll/obs/metrics.hpp"
 #include "htmpll/parallel/sweep.hpp"
 #include "htmpll/util/check.hpp"
 #include "htmpll/util/grid.hpp"
@@ -27,10 +29,46 @@ struct BatchedCrossover {
 /// ~7 rounds instead of ~30 sequential bisection steps.
 constexpr int kRefine = 16;
 
+/// logspace(w_lo, w_hi, points), memoized per thread.  effective_margins
+/// scans two windows that depend only on w0, and design sweeps call it
+/// for many loops at one w0, so each thread keeps its two most recently
+/// used grids; a hit returns the vector logspace built, bit for bit.
+/// The reference stays valid until this thread's second later miss.
+/// Builds count under "core.margin_scan_grids".
+const std::vector<double>& scan_grid(double w_lo, double w_hi,
+                                     std::size_t points) {
+  struct Slot {
+    double w_lo = 0.0;
+    double w_hi = 0.0;
+    std::vector<double> grid;  // empty until first filled
+  };
+  thread_local std::array<Slot, 2> slots;
+  thread_local std::size_t last_used = 0;
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    Slot& slot = slots[k];
+    if (slot.grid.size() == points && slot.w_lo == w_lo &&
+        slot.w_hi == w_hi) {
+      last_used = k;
+      return slot.grid;
+    }
+  }
+  // Built before a slot is touched, so a throwing logspace leaves the
+  // memo as it was.
+  std::vector<double> grid = logspace(w_lo, w_hi, points);
+  static obs::Counter& builds = obs::counter("core.margin_scan_grids");
+  builds.add();
+  last_used = 1 - last_used;
+  Slot& slot = slots[last_used];
+  slot.w_lo = w_lo;
+  slot.w_hi = w_hi;
+  slot.grid = std::move(grid);
+  return slot.grid;
+}
+
 /// Grid-first twin of find_gain_crossover on a batch-evaluable
 /// response: one chunked log-grid pass brackets the first downward
-/// |H| = 1 crossing (same grid and predicate as the scalar scan), and
-/// vectorized interval-refinement rounds narrow it.  The phase margin
+/// |H| = 1 crossing (same grid as the scalar scan), and vectorized
+/// interval-refinement rounds narrow it.  The phase margin
 /// is then unwrapped along the samples already in hand -- the bracket
 /// grid up to the crossing plus every refinement probe below the
 /// crossover -- so only H(j wc) itself costs an extra evaluation.
@@ -43,18 +81,20 @@ BatchedCrossover crossover_batched(const BatchEval& eval, double w_lo,
                                    double w_hi,
                                    const MarginOptions& opts = {}) {
   BatchedCrossover out;
-  const std::vector<double> grid = logspace(w_lo, w_hi, opts.grid_points);
+  const std::vector<double>& grid =
+      scan_grid(w_lo, w_hi, opts.grid_points);
 
   // Bracket pass in plan-block-sized chunks with early exit at the
   // first downward |lambda| = 1 crossing: the crossover sits below the
   // top of the scan for every stable loop, so the tail of the grid
   // never needs evaluating.  The samples seen agree point-for-point
-  // with a whole-grid pass (chunking never changes values).
+  // with a whole-grid pass (chunking never changes values).  The
+  // crossing tests compare |lambda|^2 with 1, which needs no hypot.
   constexpr std::size_t kChunk = 128;
   CVector lam;
   lam.reserve(grid.size());
   std::size_t hit = 0;
-  double prev_mag = 0.0;
+  double prev_mag2 = 0.0;
   for (std::size_t base = 0; base < grid.size() && hit == 0;
        base += kChunk) {
     const std::size_t end = std::min(grid.size(), base + kChunk);
@@ -62,13 +102,13 @@ BatchedCrossover crossover_batched(const BatchEval& eval, double w_lo,
     const CVector lp = eval(part);
     lam.insert(lam.end(), lp.begin(), lp.end());
     for (std::size_t i = base == 0 ? 1 : base; i < end; ++i) {
-      const double mag = std::abs(lam[i]);
-      if (i == 1) prev_mag = std::abs(lam[0]);
-      if (prev_mag >= 1.0 && mag < 1.0) {
+      const double mag2 = std::norm(lam[i]);
+      if (i == 1) prev_mag2 = std::norm(lam[0]);
+      if (prev_mag2 >= 1.0 && mag2 < 1.0) {
         hit = i;
         break;
       }
-      prev_mag = mag;
+      prev_mag2 = mag2;
     }
   }
   if (hit == 0) return out;
@@ -91,7 +131,7 @@ BatchedCrossover crossover_batched(const BatchEval& eval, double w_lo,
     for (int j = 0; j < kRefine; ++j) {
       refine_samples.emplace_back(probes[static_cast<std::size_t>(j)],
                                   lp[static_cast<std::size_t>(j)]);
-      if (std::abs(lp[static_cast<std::size_t>(j)]) < 1.0) {
+      if (std::norm(lp[static_cast<std::size_t>(j)]) < 1.0) {
         nb = probes[static_cast<std::size_t>(j)];
         break;
       }

@@ -32,6 +32,40 @@ void require_psd(const PsdFunction& f, const char* name) {
                  std::string("PSD function '") + name + "' is null");
 }
 
+void require_power_law(const PowerLawPsd& p) {
+  const auto ok = [](double c) { return std::isfinite(c) && c >= 0.0; };
+  HTMPLL_REQUIRE(ok(p.white) && ok(p.flicker) && ok(p.walk),
+                 "power-law PSD coefficients must be finite and "
+                 "non-negative");
+}
+
+/// psd[i] = f(|w[i] + shift|) for every lane off DC.  DC lanes hold no
+/// PSD value (inf/NaN or unwritten) and the fold loops skip them.  A
+/// PowerLawPsd held by `f` (the PSD type of every driver) is evaluated
+/// inline with the expression of PowerLawPsd::operator(), so the values
+/// are bitwise those of the per-point call without its std::function
+/// dispatch, on every lane so the loop vectorizes; any other callable
+/// is called per point, off DC only.
+void fold_psd_plane(const PsdFunction& f, const double* w, double shift,
+                    std::size_t n, double* psd) {
+  if (const PowerLawPsd* p = f.target<PowerLawPsd>()) {
+    require_power_law(*p);
+    const double white = p->white;
+    const double flicker = p->flicker;
+    const double walk = p->walk;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double wm = std::abs(w[i] + shift);
+      psd[i] = white + flicker / wm + walk / (wm * wm);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double wm = std::abs(w[i] + shift);
+    if (wm == 0.0) continue;
+    psd[i] = f(wm);
+  }
+}
+
 CVector jw_grid(const std::vector<double>& w_grid) {
   CVector s(w_grid.size());
   for (std::size_t i = 0; i < w_grid.size(); ++i) {
@@ -63,6 +97,7 @@ void even_odd_split(const CVector& c, std::vector<double>& even,
 }  // namespace
 
 double PowerLawPsd::operator()(double w) const {
+  require_power_law(*this);
   const double aw = std::abs(w);
   HTMPLL_REQUIRE(aw > 0.0, "power-law PSD evaluated at DC");
   return white + flicker / aw + walk / (aw * aw);
@@ -198,7 +233,7 @@ void NoiseAnalysis::psd_vco_into(const CVector& h00,
   // |delta_{m0} - H_00| takes only two values per grid point; hoist
   // both squared magnitudes out of the fold loop so the band sweep is
   // one multiply-add plus the PSD lookup per term.
-  std::vector<double> gain_base(n), gain_fold(n);
+  std::vector<double> gain_base(n), gain_fold(n), psd(n);
   for (std::size_t i = 0; i < n; ++i) {
     gain_base[i] = std::norm(cplx{1.0} - h00[i]);
     gain_fold[i] = std::norm(h00[i]);
@@ -206,10 +241,12 @@ void NoiseAnalysis::psd_vco_into(const CVector& h00,
   for (int m = -fold_; m <= fold_; ++m) {
     const double shift = static_cast<double>(m) * w0;
     const double* gain = (m == 0 ? gain_base : gain_fold).data();
+    fold_psd_plane(s_vco, w_grid.data(), shift, n, psd.data());
+    // DC lanes add +0.0 instead of their term: out[i] is never -0.0,
+    // so that is the skip, bit for bit, and the loop vectorizes.
     for (std::size_t i = 0; i < n; ++i) {
-      const double wm = std::abs(w_grid[i] + shift);
-      if (wm == 0.0) continue;
-      out[i] += gain[i] * s_vco(wm);
+      const double term = gain[i] * psd[i];
+      out[i] += w_grid[i] + shift == 0.0 ? 0.0 : term;
     }
     fold_terms_counter().add(n);
   }
@@ -294,7 +331,8 @@ void NoiseAnalysis::psd_charge_pump_into(const CVector& tracking,
   const double inv_icp2 = inv_icp * inv_icp;
 
   std::vector<double> sm_re(n, 0.0), sm_im(n), z_re(n), z_im(n), t_re(n),
-      t_im(n), z2(n), y_pl(n), ev_pl(n), od_pl(n), row_re(n), row_im(n);
+      t_im(n), z2(n), y_pl(n), ev_pl(n), od_pl(n), row_re(n), row_im(n),
+      psd(n);
   // Coefficient-outer Horner pass over a whole plane: amortizes the
   // tiny-degree loop overhead and lets the compiler vectorize.
   const auto horner_plane = [&](const std::vector<double>& c, double* dst) {
@@ -338,6 +376,7 @@ void NoiseAnalysis::psd_charge_pump_into(const CVector& tracking,
         z2[i] = z_re[i] * z_re[i] + z_im[i] * z_im[i];
       }
     }
+    fold_psd_plane(s_icp, w_grid.data(), shift, n, psd.data());
     const cplx v_minus_m = p.kvco * isf[-m];
     const double vm_re = v_minus_m.imag();  // components of v_{-m}/s
     const double vm_im = -v_minus_m.real();
@@ -349,11 +388,10 @@ void NoiseAnalysis::psd_charge_pump_into(const CVector& tracking,
       const double* gr = taps[0].g_re.data();
       const double* gi = taps[0].g_im.data();
       for (std::size_t i = 0; i < n; ++i) {
-        const double wm = std::abs(sm_im[i]);
-        if (wm == 0.0) continue;
         const double br = vm_re * inv_w[i] - gr[i] * inv[i];
         const double bi = vm_im * inv_w[i] - gi[i] * inv[i];
-        out[i] += z2[i] * inv_icp2 * (br * br + bi * bi) * s_icp(wm);
+        const double term = z2[i] * inv_icp2 * (br * br + bi * bi) * psd[i];
+        out[i] += sm_im[i] == 0.0 ? 0.0 : term;  // DC skip, as above
       }
     } else {
       // tracking * row_sum plane over the ISF window.
@@ -371,12 +409,11 @@ void NoiseAnalysis::psd_charge_pump_into(const CVector& tracking,
         }
       }
       for (std::size_t i = 0; i < n; ++i) {
-        const double wm = std::abs(sm_im[i]);
-        if (wm == 0.0) continue;
         // bracket = v_{-m}/s - tracking * row_sum
         const double br = vm_re * inv_w[i] - row_re[i];
         const double bi = vm_im * inv_w[i] - row_im[i];
-        out[i] += z2[i] * inv_icp2 * (br * br + bi * bi) * s_icp(wm);
+        const double term = z2[i] * inv_icp2 * (br * br + bi * bi) * psd[i];
+        out[i] += sm_im[i] == 0.0 ? 0.0 : term;  // DC skip, as above
       }
     }
     fold_terms_counter().add(n);

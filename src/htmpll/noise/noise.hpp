@@ -23,7 +23,9 @@
 namespace htmpll {
 
 /// One-sided phase PSD model S(w) = white + flicker/w + walk/w^2
-/// (w in rad/s; units follow the caller's phase convention).
+/// (w in rad/s; units follow the caller's phase convention).  The
+/// coefficients must be finite and non-negative; evaluating one that is
+/// not throws std::invalid_argument, as does evaluating at DC.
 struct PowerLawPsd {
   double white = 0.0;
   double flicker = 0.0;

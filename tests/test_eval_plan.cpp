@@ -13,8 +13,11 @@
 // the shifted-gain free list under concurrent sweeps.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,8 +26,10 @@
 #include "htmpll/core/aliasing_sum.hpp"
 #include "htmpll/core/eval_plan.hpp"
 #include "htmpll/core/sampling_pll.hpp"
+#include "htmpll/core/stability.hpp"
 #include "htmpll/linalg/batch_kernels.hpp"
 #include "htmpll/linalg/simd.hpp"
+#include "htmpll/obs/diag.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/parallel/sweep.hpp"
 #include "htmpll/util/grid.hpp"
@@ -352,6 +357,172 @@ TEST(EvalPlan, ConcurrentScalarSweepsReuseGainScratchSafely) {
         EXPECT_EQ(r[b][i], reference[b][i]);
       }
     }
+  }
+}
+
+/// Runs `call` and returns the std::invalid_argument message it threw
+/// ("" when it threw nothing).
+template <class F>
+std::string invalid_argument_message(F&& call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::uint64_t guard_trip_tally() {
+  return obs::diag_snapshot().tally[static_cast<std::size_t>(
+      obs::DiagReason::kSimdBailoutGuardTrip)];
+}
+
+TEST(EvalPlan, PlaneQuotientFallbackLanesMatchScalar) {
+  // Far up the jw axis the closing quotient's |s_n (1 + lambda)|^2
+  // leaves [1e-290, 1e290] (at 1e150) and those lanes take the
+  // std::complex fallback; 1e140 stays on the plane formula.  The
+  // second-order loop keeps H_LF finite at infinity, so the bands stay
+  // far above the underflow range there.
+  const double w0 = 2.0 * std::numbers::pi;
+  const ModelPair m = make_pair(make_second_order_loop(0.1 * w0, w0),
+                                HarmonicCoefficients(cplx{1.0}), {});
+  const CVector s_grid = {cplx{0.0, 0.07 * w0}, cplx{0.0, 1e140},
+                          cplx{0.0, 1e150}, cplx{0.0, 0.31 * w0}};
+  const std::vector<int> bands = {-1, 0, 1};
+  const std::vector<CVector> cl = m.plan.closed_loop_grid(bands, s_grid);
+  for (std::size_t b = 0; b < bands.size(); ++b) {
+    for (std::size_t i = 0; i < s_grid.size(); ++i) {
+      const cplx want = m.scalar.closed_loop(bands[b], s_grid[i]);
+      ASSERT_GT(std::abs(want), 1e-200) << "s=" << s_grid[i];
+      EXPECT_LE(rel_err(cl[b][i], want), kTol)
+          << "n=" << bands[b] << " s=" << s_grid[i];
+    }
+  }
+}
+
+TEST(EvalPlan, PlaneQuotientFallbackLanesAreObservable) {
+  // A fallback lane records a guard-trip diag event whose payload is the
+  // out-of-range |d|^2; an ordinary jw grid records none.  (The grid
+  // starts above 2e-3 w0, below which the pole-sum kernel's own
+  // small-|u| guards trip.)
+  obs::enable();
+  obs::diag_reset();
+  const double w0 = 2.0 * std::numbers::pi;
+  const SamplingPllModel model(make_second_order_loop(0.1 * w0, w0));
+  (void)model.closed_loop_grid(
+      {-1, 0, 1}, jw_grid(logspace(1e-2 * w0, 0.45 * w0, 300)));
+  EXPECT_EQ(guard_trip_tally(), 0u);
+  (void)model.closed_loop_grid({0}, {cplx{0.0, 1e150}});
+  const obs::DiagSnapshot snap = obs::diag_snapshot();
+  obs::disable();
+  EXPECT_GT(snap.tally[static_cast<std::size_t>(
+                obs::DiagReason::kSimdBailoutGuardTrip)],
+            0u);
+  bool quotient_event = false;
+  for (const obs::DiagEvent& ev : snap.events) {
+    quotient_event |=
+        ev.reason == obs::DiagReason::kSimdBailoutGuardTrip &&
+        ev.payload > 1e290;
+  }
+  EXPECT_TRUE(quotient_event);
+}
+
+TEST(EvalPlan, ZeroDenominatorsKeepTheScalarDomainErrors) {
+  // A zero plane-quotient denominator falls back to the scalar
+  // expression, so the plan throws the scalar path's messages.
+  const double w0 = 2.0 * std::numbers::pi;
+  const PllParameters loop = make_typical_loop(0.1 * w0, w0);
+  const HarmonicCoefficients dc(cplx{1.0});
+  const SamplingPllModel impulse(loop);
+  // Band 1 at s = -j w0 sits on its integrator pole s = -j n w0.
+  EXPECT_NE(invalid_argument_message([&] {
+              (void)impulse.closed_loop_grid(
+                  {-1, 0, 1}, {cplx{0.0, 0.2 * w0}, cplx{0.0, -w0}});
+            }).find("V~ evaluated on an integrator pole s = -j n w0"),
+            std::string::npos);
+  SamplingPllOptions trunc;
+  trunc.lambda_method = LambdaMethod::kTruncated;
+  trunc.truncation = 4;
+  const SamplingPllModel truncated(loop, dc, trunc);
+  EXPECT_NE(invalid_argument_message([&] {
+              (void)truncated.lambda_grid({cplx{0.0, 2.0 * w0}});
+            }).find("V~ evaluated on an integrator pole s = -j n w0"),
+            std::string::npos);
+  // The ZOH quotient g / (s_m T) on a harmonic of w0.
+  SamplingPllOptions zoh;
+  zoh.pfd_shape = PfdShape::kZeroOrderHold;
+  const SamplingPllModel held(loop, dc, zoh);
+  EXPECT_NE(invalid_argument_message([&] {
+              (void)held.closed_loop_grid(
+                  {-1, 0, 1}, {cplx{0.0, 0.2 * w0}, cplx{0.0, w0}});
+            }).find("ZOH shape evaluated on a harmonic of w0; "),
+            std::string::npos);
+}
+
+TEST(EvalPlan, NonFiniteGridPointsAreRejectedOnBothPaths) {
+  const double w0 = 2.0 * std::numbers::pi;
+  const ModelPair m = make_pair(make_typical_loop(0.1 * w0, w0),
+                                HarmonicCoefficients(cplx{1.0}), {});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const cplx bad : {cplx{0.0, nan}, cplx{nan, 0.3 * w0},
+                         cplx{0.0, inf}}) {
+    const CVector s_grid = {cplx{0.0, 0.1 * w0}, bad};
+    for (const SamplingPllModel* model : {&m.plan, &m.scalar}) {
+      const auto rejects = [&](auto&& call) {
+        return invalid_argument_message(call).find("not finite") !=
+               std::string::npos;
+      };
+      EXPECT_TRUE(rejects([&] { (void)model->lambda_grid(s_grid); }))
+          << "s=" << bad;
+      EXPECT_TRUE(
+          rejects([&] { (void)model->baseband_transfer_grid(s_grid); }))
+          << "s=" << bad;
+      EXPECT_TRUE(rejects(
+          [&] { (void)model->closed_loop_grid({-1, 0}, s_grid); }))
+          << "s=" << bad;
+      EXPECT_TRUE(
+          rejects([&] { (void)model->lambda_derivative_grid(s_grid); }))
+          << "s=" << bad;
+      EXPECT_TRUE(rejects(
+          [&] { (void)model->lti_baseband_transfer_grid(s_grid); }))
+          << "s=" << bad;
+    }
+  }
+}
+
+TEST(EvalPlan, ConcurrentMarginSearchesMatchSerial) {
+  // Four threads each run effective_margins on their own w0: the
+  // per-thread scan-grid memo and plan scratch keep them independent
+  // (bit-exact here, race-free under TSan).
+  std::vector<SamplingPllModel> models;
+  for (const double w0 : {2.0 * std::numbers::pi, 2.0e3 * std::numbers::pi,
+                          2.0e6 * std::numbers::pi,
+                          2.0e7 * std::numbers::pi}) {
+    models.emplace_back(make_typical_loop(0.1 * w0, w0));
+  }
+  std::vector<EffectiveMargins> serial;
+  for (const SamplingPllModel& model : models) {
+    serial.push_back(effective_margins(model));
+  }
+  std::vector<EffectiveMargins> concurrent(models.size());
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    threads.emplace_back([&, k] {
+      for (int rep = 0; rep < 3; ++rep) {
+        concurrent[k] = effective_margins(models[k]);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    EXPECT_TRUE(serial[k].eff_found && serial[k].lti_found);
+    EXPECT_EQ(concurrent[k].lti_crossover, serial[k].lti_crossover);
+    EXPECT_EQ(concurrent[k].lti_phase_margin_deg,
+              serial[k].lti_phase_margin_deg);
+    EXPECT_EQ(concurrent[k].eff_crossover, serial[k].eff_crossover);
+    EXPECT_EQ(concurrent[k].eff_phase_margin_deg,
+              serial[k].eff_phase_margin_deg);
   }
 }
 

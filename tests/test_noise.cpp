@@ -1,4 +1,8 @@
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <numbers>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,34 @@ TEST(PowerLawPsd, Shapes) {
   EXPECT_NEAR(psd(1e3), 1e-12 + 1e-12 + 1e-12, 1e-20);
   EXPECT_NEAR(psd(-1e3), psd(1e3), 0.0);  // even in w
   EXPECT_THROW(psd(0.0), std::invalid_argument);
+}
+
+TEST(PowerLawPsd, RejectsNegativeOrNonFiniteCoefficients) {
+  // A negative coefficient made a negative PSD and a NaN jitter; a NaN
+  // or infinite one a NaN PSD.  Both the per-point call and the fold
+  // loops' inline evaluation reject them.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const SamplingPllModel m = make_model(0.1);
+  const NoiseAnalysis na(m, 4);
+  const PowerLawPsd good{1e-14, 0.0, 0.0};
+  const std::vector<double> w{0.05 * kW0, 0.1 * kW0};
+  for (const PowerLawPsd bad :
+       {PowerLawPsd{-1e-14, 0.0, 0.0}, PowerLawPsd{0.0, -1e-12, 0.0},
+        PowerLawPsd{0.0, 0.0, -1e-8}, PowerLawPsd{nan, 0.0, 0.0},
+        PowerLawPsd{0.0, inf, 0.0}, PowerLawPsd{0.0, 0.0, nan}}) {
+    EXPECT_THROW(bad(1.0), std::invalid_argument);
+    EXPECT_THROW(na.output_psd_from_vco_grid(w, bad),
+                 std::invalid_argument);
+    EXPECT_THROW(na.output_psd_from_charge_pump_grid(w, bad),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        na.integrated_jitter(0.01 * kW0, 0.4 * kW0, good, bad, good),
+        std::invalid_argument);
+    EXPECT_THROW(
+        na.integrated_jitter(0.01 * kW0, 0.4 * kW0, bad, good, good),
+        std::invalid_argument);
+  }
 }
 
 TEST(Noise, ReferenceTransferIsLowpass) {
@@ -255,6 +287,65 @@ TEST(Noise, SpurMapGridMatchesPsdRows) {
       EXPECT_NEAR(map[k - 1][i], want, 1e-10 * want)
           << "k=" << k << " i=" << i;
     }
+  }
+}
+
+TEST(Noise, InlinePowerLawPsdsMatchWrappedCallablesBitwise) {
+  // The fold loops evaluate a held PowerLawPsd inline; wrapping each PSD
+  // in a lambda hides the type (target<PowerLawPsd>() is null) and
+  // forces the per-point call.  Both must agree bit for bit, for a
+  // DC-only ISF (one fused tap) and an LPTV one (the tap window).
+  const PowerLawPsd ref{1e-14, 1e-13, 0.0};
+  const PowerLawPsd vco{1e-16, 1e-12, 1e-8};
+  const PowerLawPsd icp{1e-20, 1e-21, 1e-19};
+  const auto wrap = [](const PowerLawPsd& p) {
+    return PsdFunction([p](double w) { return p(w); });
+  };
+  const PsdFunction ref_w = wrap(ref), vco_w = wrap(vco), icp_w = wrap(icp);
+  ASSERT_EQ(vco_w.target<PowerLawPsd>(), nullptr);
+  const auto same = [](const std::vector<double>& a,
+                       const std::vector<double>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+                std::bit_cast<std::uint64_t>(b[i]))
+          << "i=" << i << ": " << a[i] << " vs " << b[i];
+    }
+  };
+  const SamplingPllModel lptv(
+      make_typical_loop(0.15 * kW0, kW0),
+      HarmonicCoefficients::real_waveform(1.0, {cplx{0.2, -0.05}}));
+  for (const SamplingPllModel& m : {make_model(0.2), lptv}) {
+    const NoiseAnalysis na(m, 12);
+    std::vector<double> w;
+    for (int i = 0; i < 50; ++i) w.push_back((0.004 + 0.031 * i) * kW0);
+    same(na.output_psd_grid(w, ref, vco, icp),
+         na.output_psd_grid(w, ref_w, vco_w, icp_w));
+    same(na.output_psd_from_vco_grid(w, vco),
+         na.output_psd_from_vco_grid(w, vco_w));
+    same(na.output_psd_from_charge_pump_grid(w, icp),
+         na.output_psd_from_charge_pump_grid(w, icp_w));
+    // Offset 0 puts a fold band exactly on DC, where both paths skip
+    // (the LPTV charge-pump taps are singular there, so it gets -0.01).
+    const double mid = m.time_invariant_vco() ? 0.0 : -0.01 * kW0;
+    const std::vector<double> offsets{-0.2 * kW0, mid, 0.07 * kW0};
+    const auto map = na.spur_map_grid(offsets, 3, ref, vco, icp);
+    const auto map_w = na.spur_map_grid(offsets, 3, ref_w, vco_w, icp_w);
+    ASSERT_EQ(map.size(), map_w.size());
+    for (std::size_t k = 0; k < map.size(); ++k) {
+      same(map[k], map_w[k]);
+      if (mid != 0.0) continue;
+      // On a harmonic the skipped DC lane must leave the pointwise sum.
+      const double want = na.output_psd_total(
+          static_cast<double>(k + 1) * kW0, ref, vco, icp);
+      EXPECT_NEAR(map[k][1], want, 1e-10 * want) << "harmonic " << k + 1;
+    }
+    const double jit =
+        na.integrated_jitter(0.01 * kW0, 0.45 * kW0, ref, vco, icp);
+    const double jit_w =
+        na.integrated_jitter(0.01 * kW0, 0.45 * kW0, ref_w, vco_w, icp_w);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(jit),
+              std::bit_cast<std::uint64_t>(jit_w));
   }
 }
 

@@ -1,9 +1,14 @@
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "htmpll/core/stability.hpp"
+#include "htmpll/design/design_sweep.hpp"
+#include "htmpll/obs/metrics.hpp"
+#include "htmpll/parallel/thread_pool.hpp"
 
 namespace htmpll {
 namespace {
@@ -14,38 +19,106 @@ SamplingPllModel make_model(double ratio) {
   return SamplingPllModel(make_typical_loop(ratio * kW0, kW0));
 }
 
+/// The batched (plan) margins of `loop` against the scalar-forced
+/// find_gain_crossover chains -- the oracle -- at the 1e-9-relative
+/// bench gate.
+void expect_margins_match_scalar(const EffectiveMargins& b,
+                                 const PllParameters& loop) {
+  SamplingPllOptions opts;
+  opts.use_eval_plan = false;
+  const SamplingPllModel scalar(loop, HarmonicCoefficients(cplx{1.0}), opts);
+  const EffectiveMargins s = effective_margins(scalar);
+  ASSERT_EQ(b.lti_found, s.lti_found);
+  ASSERT_EQ(b.eff_found, s.eff_found);
+  ASSERT_TRUE(b.lti_found && b.eff_found);
+  EXPECT_LT(std::abs(b.lti_crossover - s.lti_crossover) / s.lti_crossover,
+            1e-9);
+  EXPECT_LT(std::abs(b.eff_crossover - s.eff_crossover) / s.eff_crossover,
+            1e-9);
+  EXPECT_LT(std::abs(b.lti_phase_margin_deg - s.lti_phase_margin_deg) /
+                s.lti_phase_margin_deg,
+            1e-9);
+  EXPECT_LT(std::abs(b.eff_phase_margin_deg - s.eff_phase_margin_deg) /
+                s.eff_phase_margin_deg,
+            1e-9);
+}
+
 TEST(Stability, BatchedCrossoverMatchesScalarSearch) {
   // With a compiled plan both crossover hunts (lambda through the batch
-  // kernels, A through the SIMD rational kernel) run grid-first; the
-  // scalar find_gain_crossover chains are the oracle.  Agreement must
-  // beat the 1e-9-relative bench gate at every sweep ratio.
+  // kernels, A through the SIMD rational kernel) run grid-first.
+  // Agreement must beat the bench gate at every sweep ratio.
   for (double ratio : {0.03, 0.1, 0.2, 0.25}) {
+    SCOPED_TRACE(testing::Message() << "ratio " << ratio);
     const SamplingPllModel planned = make_model(ratio);
     ASSERT_TRUE(planned.has_eval_plan());
-    SamplingPllOptions opts;
-    opts.use_eval_plan = false;
-    const SamplingPllModel scalar(make_typical_loop(ratio * kW0, kW0),
-                                  HarmonicCoefficients(cplx{1.0}), opts);
-    const EffectiveMargins b = effective_margins(planned);
-    const EffectiveMargins s = effective_margins(scalar);
-    ASSERT_EQ(b.lti_found, s.lti_found) << "ratio " << ratio;
-    ASSERT_EQ(b.eff_found, s.eff_found) << "ratio " << ratio;
-    ASSERT_TRUE(b.lti_found && b.eff_found) << "ratio " << ratio;
-    EXPECT_LT(std::abs(b.lti_crossover - s.lti_crossover) / s.lti_crossover,
-              1e-9)
-        << "ratio " << ratio;
-    EXPECT_LT(std::abs(b.eff_crossover - s.eff_crossover) / s.eff_crossover,
-              1e-9)
-        << "ratio " << ratio;
-    EXPECT_LT(std::abs(b.lti_phase_margin_deg - s.lti_phase_margin_deg) /
-                  s.lti_phase_margin_deg,
-              1e-9)
-        << "ratio " << ratio;
-    EXPECT_LT(std::abs(b.eff_phase_margin_deg - s.eff_phase_margin_deg) /
-                  s.eff_phase_margin_deg,
-              1e-9)
-        << "ratio " << ratio;
+    expect_margins_match_scalar(effective_margins(planned),
+                                make_typical_loop(ratio * kW0, kW0));
   }
+}
+
+TEST(Stability, ScanGridMemoKeepsMarginsBitwise) {
+  // The scan-grid memo keeps two grids per thread, so cycling three w0
+  // values (A B C A B C) evicts on every call and each call builds its
+  // two windows; repeating the last w0 builds nothing.  Each repeat must
+  // equal its first call bit for bit, and each the scalar search.
+  std::vector<PllParameters> loops;
+  for (const double w0 : {kW0, 1e6 * kW0, 1e7 * kW0}) {
+    loops.push_back(make_typical_loop(0.1 * w0, w0));
+  }
+  // A w0 outside the cycle first, so no earlier test's grids are held.
+  (void)effective_margins(SamplingPllModel(make_typical_loop(0.33 * kW0,
+                                                             3.3 * kW0)));
+  obs::enable();
+  const auto builds = [] {
+    return obs::snapshot().counter_value("core.margin_scan_grids");
+  };
+  const std::uint64_t start = builds();
+  std::vector<EffectiveMargins> first;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t k = 0; k < loops.size(); ++k) {
+      SCOPED_TRACE(testing::Message() << "pass " << pass << " w0 #" << k);
+      const EffectiveMargins em =
+          effective_margins(SamplingPllModel(loops[k]));
+      if (pass == 0) {
+        first.push_back(em);
+        expect_margins_match_scalar(em, loops[k]);
+        continue;
+      }
+      EXPECT_EQ(em.lti_crossover, first[k].lti_crossover);
+      EXPECT_EQ(em.lti_phase_margin_deg, first[k].lti_phase_margin_deg);
+      EXPECT_EQ(em.eff_crossover, first[k].eff_crossover);
+      EXPECT_EQ(em.eff_phase_margin_deg, first[k].eff_phase_margin_deg);
+    }
+  }
+  EXPECT_EQ(builds() - start, 12u);
+  (void)effective_margins(SamplingPllModel(loops.back()));
+  EXPECT_EQ(builds() - start, 12u);
+  obs::disable();
+}
+
+TEST(Stability, DesignMapBuildsEachScanGridOncePerThread) {
+  // Every point of a one-w0 design map scans the same two windows, so
+  // each thread that runs points builds at most those two grids (the
+  // map used to build two per point: 192 for 24 x 4).  The w0 is used
+  // by no other test, so no thread starts with these grids in hand.
+  DesignSpec spec;
+  spec.w0 = 3.7 * kW0;
+  spec.target_w_ug = 0.1 * spec.w0;
+  spec.target_pm_deg = 60.0;
+  std::vector<double> ratios;
+  for (int i = 0; i < 24; ++i) ratios.push_back(0.01 + 0.01 * i);
+  obs::enable();
+  const auto before = obs::snapshot();
+  const DesignSpaceMap map =
+      design_space_map(spec, ratios, {2.5, 3.5, 4.5, 5.5});
+  const auto after = obs::snapshot();
+  obs::disable();
+  ASSERT_EQ(map.points.size(), 96u);
+  const std::uint64_t builds =
+      after.counter_value("core.margin_scan_grids") -
+      before.counter_value("core.margin_scan_grids");
+  EXPECT_GE(builds, 2u);
+  EXPECT_LE(builds, 2u * ThreadPool::global().threads());
 }
 
 TEST(Stability, BatchedCrossoverHandlesUnstableLoop) {
