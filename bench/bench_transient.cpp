@@ -1,11 +1,10 @@
 // Transient-engine benchmark: measures the time-domain performance
-// layer (spectral step propagators, keyed propagator cache, settled-
-// state warm starts, batched probes) against the seed behavior and
-// verifies its contracts:
+// layer (spectral step propagators, settled-state warm starts, batched
+// probes) against the seed behavior and verifies its contracts:
 //
 //   1. Multi-frequency probe sweep, single thread: the seed baseline
-//      (single-entry propagator cache, Pade propagators, full per-point
-//      settle) vs the cold Pade path (multi-entry cache; must be
+//      (a replica of the probe loop with Pade propagators and a full
+//      per-point settle) vs the library's cold Pade path (must be
 //      BIT-IDENTICAL to the seed) vs the cold default path (spectral
 //      propagators when enabled; must agree within 1e-10 and run >= 2x
 //      the seed under --check) vs the warm-start path (shared settled
@@ -26,8 +25,8 @@
 //   --check: exit non-zero if the cold Pade path is not bit-identical
 //            to the seed behavior, if the spectral path disagrees
 //            beyond tolerance or fails its speed/expm gates, if
-//            warm-start disagrees beyond tolerance, or if caching +
-//            warm start fail to beat the seed baseline.
+//            warm-start disagrees beyond tolerance, or if warm start
+//            fails to beat the seed baseline.
 #include <cmath>
 #include <cstring>
 #include <iostream>
@@ -53,9 +52,9 @@ using bench::Json;
 using bench::time_best_of;
 
 /// Replica of the probe measurement loop with the seed's configuration:
-/// single-entry propagator cache and Pade (Van Loan expm) propagators.
-/// The arithmetic is identical to run_probe's with the same settings, so
-/// the cold Pade probe must match its output bit-for-bit.
+/// Pade (Van Loan expm) propagators.  The arithmetic is identical to
+/// run_probe's with the same settings, so the cold Pade probe must match
+/// its output bit-for-bit.
 cplx probe_seed_replica(const PllParameters& params, double omega_m,
                         const ProbeOptions& opts) {
   const double t_period = params.period();
@@ -72,7 +71,6 @@ cplx probe_seed_replica(const PllParameters& params, double omega_m,
                 t_period / 8.0,
                 2.0 * std::numbers::pi / (16.0 * omega_m)});
   cfg.record = false;
-  cfg.propagator_cache = 1;
   cfg.use_spectral_propagators = false;
 
   PllTransientSim sim(params, mod, cfg);
@@ -149,7 +147,7 @@ int main(int argc, char** argv) {
     }
   });
 
-  // Cold run with the keyed cache but the seed's Pade numerics: the
+  // The library's cold probe with the seed's Pade numerics: the
   // bit-identity contract lives here.
   std::vector<TransferMeasurement> m_pade;
   spectral::set_enabled(false);
@@ -239,9 +237,9 @@ int main(int argc, char** argv) {
 
   // --- report ----------------------------------------------------------
   Table t({"case", "time_s", "vs_seed", "note"});
-  t.add_row({"seed (1-entry cache, Pade, cold)", Table::fmt(t_seed),
+  t.add_row({"seed replica (Pade, cold)", Table::fmt(t_seed),
              Table::fmt(1.0), "baseline"});
-  t.add_row({"cold, keyed cache, Pade", Table::fmt(t_pade),
+  t.add_row({"cold, library probe, Pade", Table::fmt(t_pade),
              Table::fmt(speedup_cache),
              default_identical ? "bit-identical" : "NOT IDENTICAL"});
   t.add_row({"cold, default backend", Table::fmt(t_cold),
@@ -268,7 +266,7 @@ int main(int argc, char** argv) {
   std::cout << "locked loop: " << events_per_sec
             << " events/s, propagator builds " << st.misses << " of "
             << st.lookups << " lookups (" << 100.0 * saved_fraction
-            << "% saved by the cache)\n";
+            << "% saved by the memo)\n";
 
   const std::string verdict =
       std::string(default_identical
@@ -355,7 +353,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (check && speedup_warm < 1.2) {
-    std::cerr << "FAIL: caching + warm start only " << speedup_warm
+    std::cerr << "FAIL: warm start only " << speedup_warm
               << "x vs the seed baseline\n";
     return 1;
   }

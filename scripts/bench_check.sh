@@ -12,13 +12,12 @@
 #    2000-point lambda sweep at >= 1.5x the scalar-forced grid with
 #    <= 1e-12 max relative error.
 #  * bench_transient: the cold Pade probe path must be bit-identical to
-#    the seed behavior (single-entry propagator cache, Van Loan expm
-#    propagators), the spectral default must agree with the Pade path to
-#    <= 1e-10, run the cold sweep >= 2x faster than the seed and drive
-#    the probe sweep's expm evaluations to ~zero, warm-start
-#    measurements must agree with cold ones within the probe tolerance,
-#    and caching + warm start must beat the seed baseline (verdict field
-#    in BENCH_transient.json).
+#    the seed behavior (Van Loan expm propagators), the spectral default
+#    must agree with the Pade path to <= 1e-10, run the cold sweep >= 2x
+#    faster than the seed and drive the probe sweep's expm evaluations
+#    to ~zero, warm-start measurements must agree with cold ones within
+#    the probe tolerance, and warm start must beat the seed baseline
+#    (verdict field in BENCH_transient.json).
 #  * forced-Pade transient: bench_transient re-runs with
 #    HTMPLL_SPECTRAL=0, so the seed bit-identity contract is also gated
 #    with the spectral engine compiled in but switched off.

@@ -251,7 +251,7 @@ __attribute__((always_inline)) inline Phi12 phi12_functions(cplx z, cplx ez) {
 /// exactly (pinned by randomized differential coverage in
 /// test_spectral).  Four or more modes defer to the shared kernel,
 /// whose vectorized path is the value reference at that width.
-/// Serves the Gamma2-free builds of every propagator cache and the
+/// Serves the Gamma2-free builds of every propagator store and the
 /// theta-row sampler; full builds keep calling batch_cexp directly.
 void modal_cexp(const double* zre, const double* zim, std::size_t n,
                 double* ere, double* eim) {
@@ -439,7 +439,7 @@ void PropagatorFactory::make_spectral_into(double h, StepPropagator& out,
   const bool augmented = mode_ == Mode::kSpectralAugmented;
 
   // n scalar exponentials through the SIMD batch kernel.  The
-  // Gamma2-free (propagator cache) build takes the bit-identical
+  // Gamma2-free (propagator store) build takes the bit-identical
   // real-argument shortcut; the full build keeps the kernel call.
   for (std::size_t k = 0; k < nf_; ++k) {
     zre_[k] = lambda_[k].real() * h;
@@ -567,74 +567,84 @@ void PropagatorFactory::make_spectral_aug_g2free_into(
   g1[n - 1] += h * btheta_[0];
 }
 
-double PropagatorFactory::propagate_last_row(double h, const double* x,
-                                             double u) const {
-  HTMPLL_REQUIRE(h > 0.0, "PropagatorFactory: step must be positive");
+void PropagatorFactory::propagate_last_row_many(const double* h,
+                                                std::size_t count,
+                                                const double* x, double u,
+                                                double* out) const {
   HTMPLL_ASSERT(has_last_row_fast_path());
   const std::size_t n = a_.rows();
-
-  for (std::size_t k = 0; k < nf_; ++k) {
-    zre_[k] = lambda_[k].real() * h;
-    zim_[k] = lambda_[k].imag() * h;
-  }
+  // At four or more modes batch_cexp's vectorized path is the value
+  // reference, so every lane of an offset goes through one kernel call.
   const bool lazy_exp = nf_ < 4;
-  if (!lazy_exp) {
-    // At four or more modes batch_cexp's vectorized path is the value
-    // reference, so every lane must go through the one kernel call.
-    modal_cexp(zre_.data(), zim_.data(), nf_, ere_.data(), eim_.data());
-  }
-
-  // Theta row of phi0 and gamma1, accumulated mode by mode in the same
-  // order as make_spectral_into (starting from the assign_zero +0.0).
-  const double h2 = h * h;
   double* row = trow_.data();
-  for (std::size_t j = 0; j < nf_; ++j) row[j] = 0.0;
-  double g1 = 0.0;
-  for (std::size_t k = 0; k < nf_; ++k) {
-    const cplx z{zre_[k], zim_[k]};
-    Phi12 f;
-    if (lazy_exp) {
-      // Below four modes the reference e^z is the per-lane libm scalar
-      // tail, and the series branch never reads it: the exponential is
-      // evaluated only on the quotient branch.  Slow modes (|z| < 0.5,
-      // e.g. the near-zero integrator pole at every sampling offset)
-      // skip libm entirely.
-      if (phi_branch_magnitude(z) < 0.5) {
-        f = phi12_series(z);
-      } else {
-        const double m = std::exp(zre_[k]);
-        const cplx ez = zim_[k] == 0.0
-                            ? cplx{m, m * zim_[k]}
-                            : cplx{m * std::cos(zim_[k]),
-                                   m * std::sin(zim_[k])};
-        f = phi12_quotient(z, ez);
-      }
-    } else {
-      f = phi12_functions(z, {ere_[k], eim_[k]});
-    }
-    const cplx w1 = h * f.phi1;
-    for (std::size_t j = 0; j < nf_; ++j) {
-      const cplx& v = cproj_[k][j];
-      row[j] += w1.real() * v.real() - w1.imag() * v.imag();
-    }
-    if (m_ > 0) {
-      const cplx w2 = h2 * f.phi2;
-      const cplx& v = cgmode_[k][0];
-      g1 += w2.real() * v.real() - w2.imag() * v.imag();
-    }
-  }
 
-  // advance_into's row n-1: zero-seeded dot over all n columns (the
-  // theta diagonal entry is exactly 1.0), then the 0.0 + gamma1 * u0
-  // term guarded exactly like the full kernel.
-  double acc = 0.0;
-  for (std::size_t j = 0; j < nf_; ++j) acc += row[j] * x[j];
-  acc += 1.0 * x[n - 1];
-  if (m_ > 0) {
-    g1 += h * btheta_[0];
-    acc += 0.0 + g1 * u;
+  for (std::size_t s = 0; s < count; ++s) {
+    const double hs = h[s];
+    HTMPLL_REQUIRE(hs >= 0.0,
+                   "PropagatorFactory: step must be non-negative");
+    if (hs == 0.0) {
+      out[s] = x[n - 1];
+      continue;
+    }
+    for (std::size_t k = 0; k < nf_; ++k) {
+      zre_[k] = lambda_[k].real() * hs;
+      zim_[k] = lambda_[k].imag() * hs;
+    }
+    if (!lazy_exp) {
+      modal_cexp(zre_.data(), zim_.data(), nf_, ere_.data(), eim_.data());
+    }
+
+    // Theta row of phi0 and gamma1, accumulated mode by mode in the same
+    // order as make_spectral_into (starting from the assign_zero +0.0).
+    const double h2 = hs * hs;
+    for (std::size_t j = 0; j < nf_; ++j) row[j] = 0.0;
+    double g1 = 0.0;
+    for (std::size_t k = 0; k < nf_; ++k) {
+      const cplx z{zre_[k], zim_[k]};
+      Phi12 f;
+      if (lazy_exp) {
+        // Below four modes the reference e^z is the per-lane libm scalar
+        // tail, and the series branch never reads it: the exponential is
+        // evaluated only on the quotient branch.  Slow modes (|z| < 0.5,
+        // e.g. the near-zero integrator pole at every sampling offset)
+        // skip libm entirely.
+        if (phi_branch_magnitude(z) < 0.5) {
+          f = phi12_series(z);
+        } else {
+          const double m = std::exp(zre_[k]);
+          const cplx ez = zim_[k] == 0.0
+                              ? cplx{m, m * zim_[k]}
+                              : cplx{m * std::cos(zim_[k]),
+                                     m * std::sin(zim_[k])};
+          f = phi12_quotient(z, ez);
+        }
+      } else {
+        f = phi12_functions(z, {ere_[k], eim_[k]});
+      }
+      const cplx w1 = hs * f.phi1;
+      for (std::size_t j = 0; j < nf_; ++j) {
+        const cplx& v = cproj_[k][j];
+        row[j] += w1.real() * v.real() - w1.imag() * v.imag();
+      }
+      if (m_ > 0) {
+        const cplx w2 = h2 * f.phi2;
+        const cplx& v = cgmode_[k][0];
+        g1 += w2.real() * v.real() - w2.imag() * v.imag();
+      }
+    }
+
+    // advance_into's row n-1: zero-seeded dot over all n columns (the
+    // theta diagonal entry is exactly 1.0), then the 0.0 + gamma1 * u0
+    // term guarded exactly like the full kernel.
+    double acc = 0.0;
+    for (std::size_t j = 0; j < nf_; ++j) acc += row[j] * x[j];
+    acc += 1.0 * x[n - 1];
+    if (m_ > 0) {
+      g1 += hs * btheta_[0];
+      acc += 0.0 + g1 * u;
+    }
+    out[s] = acc;
   }
-  return acc;
 }
 
 }  // namespace htmpll

@@ -70,7 +70,7 @@ void set_enabled(bool on);
 /// once; make() then builds a StepPropagator for any positive h.
 /// Not thread-safe across concurrent make() calls (per-mode scratch is
 /// reused), matching the per-integrator ownership of the propagator
-/// cache.
+/// memo.
 class PropagatorFactory {
  public:
   enum class Mode {
@@ -119,19 +119,23 @@ class PropagatorFactory {
   /// Pade path ignores the flag and always builds all three blocks.
   void make_into(double h, StepPropagator& out, bool want_gamma2) const;
 
-  /// True when propagate_last_row() is available: phase-augmented modal
-  /// factorization with a scalar input.
+  /// True when propagate_last_row_many() is available: phase-augmented
+  /// modal factorization with a scalar input.
   bool has_last_row_fast_path() const {
     return mode_ == Mode::kSpectralAugmented && m_ <= 1;
   }
 
-  /// Last (theta) component of phi0(h) x + gamma1(h) u without building
-  /// the propagator: the augmented theta row is a modal contraction
-  /// (see the header comment), so one batch_cexp plus O(n) accumulation
-  /// replaces the O(n^2) build.  Bit-identical to
-  /// make(h).advance_into(x, u, u, h, out); out[n-1] -- same kernel,
-  /// same mode order, same accumulation order.
-  double propagate_last_row(double h, const double* x, double u) const;
+  /// Last (theta) component of phi0(h) x + gamma1(h) u at each of
+  /// `count` step lengths h[i] >= 0 sharing one state x and input u,
+  /// without building any propagator: the augmented theta row is a
+  /// modal contraction (see the header comment), so one e^z set plus
+  /// O(n) accumulation per offset replaces the O(n^2) build.  out[i] is
+  /// bit-identical to make(h[i]).advance_into(x, u, u, h[i], out)[n-1]
+  /// -- same kernel, same mode order, same accumulation order -- and an
+  /// offset of 0 returns x[n-1].  Throws on a negative or NaN offset.
+  void propagate_last_row_many(const double* h, std::size_t count,
+                               const double* x, double u,
+                               double* out) const;
 
  private:
   void try_spectral(double max_condition);
@@ -141,7 +145,7 @@ class PropagatorFactory {
   /// Gamma2-free build of the phase-augmented scalar-input propagator:
   /// same accumulation order as the generic loop with the row indexing
   /// hoisted to raw pointers, so the output is bit-identical while the
-  /// per-entry address math disappears from the propagator caches'
+  /// per-entry address math disappears from the propagator stores'
   /// rebuild stream.
   void make_spectral_aug_g2free_into(double h, StepPropagator& out) const;
 

@@ -22,11 +22,9 @@ constexpr const char* kReasonNames[kDiagReasonCount] = {
     "eval_plan.cancellation_recompute",  // kPlanCancellationRecompute
     "eval_plan.exp_overflow_fallback",   // kPlanExpOverflowFallback
     "eval_plan.scalar_fallback",    // kPlanScalarFallback
-    "propagator_cache.eviction",    // kPropagatorCacheEviction
     "htm.truncation_saturated",     // kHtmTruncationSaturated
     "pole_search.degenerate_step",  // kPoleSearchDegenerateStep
     "pole_search.diverged",         // kPoleSearchDiverged
-    "propagator_cache.churn",       // kPropagatorCacheChurn
     "ensemble.lane_divergence",     // kEnsembleLaneDivergence
     "vco_edge.bisection_fallback",  // kVcoEdgeBisectionFallback
 };

@@ -47,11 +47,9 @@ enum class DiagReason : std::uint8_t {
   kPlanCancellationRecompute,   ///< eval-plan near-pole recompute
   kPlanExpOverflowFallback,     ///< exp(pT) left the normal range
   kPlanScalarFallback,          ///< plan unusable (multiplicity > 4)
-  kPropagatorCacheEviction,     ///< step-propagator slot replaced
   kHtmTruncationSaturated,      ///< adaptive aliasing sum hit max_pairs
   kPoleSearchDegenerateStep,    ///< Newton lane dropped: df zero/non-finite
   kPoleSearchDiverged,          ///< Newton lane dropped: step left R^2
-  kPropagatorCacheChurn,        ///< cache turned over a full capacity
   kEnsembleLaneDivergence,      ///< lockstep round split off scalar lanes
   kVcoEdgeBisectionFallback,    ///< VCO-edge Newton failed; bisection ran
   kCount,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "htmpll/linalg/expm.hpp"
@@ -27,17 +28,18 @@ class Counter;
 /// output y (the VCO control).  Shared by the transient simulators.
 StateSpace augment_with_phase(const StateSpace& filter, double kvco);
 
-/// Hit/miss counters of a PiecewiseExactIntegrator's propagator cache.
-/// Every miss costs one propagator construction (a Van Loan matrix
-/// exponential on the Pade path, n scalar exponentials on the spectral
-/// path) and `lookups - misses` is the number saved by caching.  This is
-/// a thin per-integrator view; when instrumentation is enabled
-/// (HTMPLL_OBS=1) the same events also feed the process-wide obs
-/// counters "timedomain.propagator_{lookups,misses,evictions}".
+/// Hit/miss counters of a step-propagator store (an integrator's
+/// one-entry memo or a SharedPropagatorStore).  Every miss costs one
+/// propagator construction (a Van Loan matrix exponential on the Pade
+/// path, n scalar exponentials on the spectral path) and
+/// `lookups - misses` is the number saved.  This is a thin per-store
+/// view; when instrumentation is enabled (HTMPLL_OBS=1) the same events
+/// also feed the process-wide obs counters
+/// "timedomain.propagator_{lookups,misses}".
 struct PropagatorCacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;  ///< cache-full slot replacements
+  std::uint64_t evictions = 0;  ///< shared-store slot replacements
   std::uint64_t hits() const { return lookups - misses; }
   /// hits / lookups; 0 before the first lookup.
   double hit_rate() const { return ratio(lookups - misses); }
@@ -121,29 +123,15 @@ class SharedPropagatorStore {
 
 class PiecewiseExactIntegrator {
  public:
-  /// Default propagator-cache capacity.  In lock the segment lengths a
-  /// simulation requests cluster around a handful of exact values (the
-  /// inter-event spacing plus the uniform-sampler offsets), but any
-  /// modulated run (probe sweeps, acquisition transients) makes the
-  /// spacings quasi-continuous: a single phase-step probe touches
-  /// thousands of distinct step lengths, and the old 32-entry default
-  /// thrashed (probe-sweep hit rate ~0.38, ~300k evictions).  1024
-  /// entries lift that to ~0.79 -- the remainder is compulsory cold
-  /// misses -- at ~200 KB per order-4 integrator.  Results never depend
-  /// on the capacity, only the propagator-build count does.
-  static constexpr std::size_t kDefaultCacheCapacity = 1024;
-
   /// `use_spectral` false forces the Van Loan expm path for every
   /// propagator build (bit-identical to the pre-spectral engine)
   /// regardless of the global spectral::enabled() switch.
-  explicit PiecewiseExactIntegrator(
-      StateSpace ss, std::size_t cache_capacity = kDefaultCacheCapacity,
-      bool use_spectral = true);
+  explicit PiecewiseExactIntegrator(StateSpace ss, bool use_spectral = true);
 
   std::size_t order() const { return ss_.order(); }
   const StateSpace& system() const { return ss_; }
 
-  /// True when cache misses are served by the one-time modal
+  /// True when propagator builds are served by the one-time modal
   /// factorization instead of a per-step expm.
   bool spectral_propagators() const { return factory_.is_spectral(); }
   const PropagatorFactory& propagator_factory() const { return factory_; }
@@ -159,7 +147,7 @@ class PiecewiseExactIntegrator {
   }
 
   /// Serves ALL propagator lookups from `store` instead of the private
-  /// cache (nullptr reverts).  The store must be built from a factory
+  /// memo (nullptr reverts).  The store must be built from a factory
   /// of the same system; results never change, only where builds
   /// happen.  Lifetime is the caller's problem (ensemble engines own
   /// both the store and the member integrators).
@@ -176,12 +164,15 @@ class PiecewiseExactIntegrator {
   /// internal state.
   void peek_into(double h, double u, RVector& out) const;
 
-  /// Last state component of the peek, bit-identical to
-  /// peek(h, u)[order()-1].  With a phase-augmented spectral
-  /// factorization this skips the propagator lookup and build (one
-  /// modal theta-row contraction instead); other systems take the plain
-  /// peek_into path.
-  double peek_last(double h, double u) const;
+  /// Last state component of the peek at each of `count` offsets of one
+  /// segment: out[i] is bit-identical to peek(h[i], u)[order()-1], and
+  /// an offset of 0 returns the current last component.  With a
+  /// phase-augmented spectral factorization this takes one modal
+  /// theta-row contraction per offset and no propagator lookup; other
+  /// systems take the plain peek_into path.  Throws on a negative or
+  /// NaN offset.
+  void peek_last_many(const double* h, std::size_t count, double u,
+                      double* out) const;
 
   /// Output at the peeked state.
   double peek_output(double h, double u) const;
@@ -189,46 +180,28 @@ class PiecewiseExactIntegrator {
   /// Commit: advance the state by `h` under constant input `u`.
   void advance(double h, double u);
 
-  // --- propagator cache ---
-  /// Caps the number of cached step propagators (>= 1).  Shrinking
-  /// discards existing entries; results never depend on the capacity,
-  /// only the propagator-build count does.
-  void set_cache_capacity(std::size_t capacity);
-  std::size_t cache_capacity() const { return cache_capacity_; }
+  /// Lookup/build counters of the propagator memo.
   const PropagatorCacheStats& cache_stats() const { return stats_; }
 
  private:
   const StepPropagator& propagator(double h) const;
-  std::size_t slot_home(double h) const;
-  void index_insert(double h, std::int32_t entry) const;
-  void index_erase(double h) const;
-  void rebuild_index() const;
 
   StateSpace ss_;
   PropagatorFactory factory_;
   RVector x_;
   SharedPropagatorStore* shared_ = nullptr;
 
-  // Keyed propagator cache (exact h match).  Each distinct step length
-  // costs one propagator build; edge searches, sampler peeks and
-  // commits then reuse the entry.  Entries live in a slab with
-  // round-robin eviction; an open-addressed index (hash of the bit
-  // pattern of h, linear probing, backward-shift deletion) makes the
-  // lookup O(1) instead of a scan over the capacity -- the scan showed
-  // up in profiles once warm-started sweeps pushed capacities past a
-  // few dozen.  The cache is per-integrator (no sharing, no locking)
-  // and bounded; results never depend on hits vs misses.  Entries are
-  // Gamma2-free builds (see SharedPropagatorStore::get): every peek and
-  // advance holds the input constant over the step.
-  struct CacheEntry {
-    double h;
-    StepPropagator prop;
-  };
-  std::size_t cache_capacity_;
-  mutable std::vector<CacheEntry> cache_;
-  mutable std::vector<std::int32_t> slots_;  ///< index into cache_, -1 empty
-  mutable std::size_t slot_mask_ = 0;        ///< slots_.size() - 1 (pow2)
-  mutable std::size_t next_slot_ = 0;  ///< round-robin eviction cursor
+  // One-entry propagator memo: the last step length built and its
+  // Gamma2-free propagator (see SharedPropagatorStore::get; every peek
+  // and advance holds the input constant over the step).  A lookup of
+  // the same h -- typically a commit taking the step its edge search
+  // peeked last -- returns it; any other h rebuilds it in place, which
+  // on the spectral path costs n scalar exponentials and no allocation.
+  // That rebuild is cheaper than the hash index a keyed cache needs to
+  // avoid it.  NaN matches no step.  Results never depend on hits vs
+  // misses.
+  mutable double memo_h_ = std::numeric_limits<double>::quiet_NaN();
+  mutable StepPropagator memo_;
   mutable PropagatorCacheStats stats_;
   mutable RVector scratch_;  ///< advance() staging, swapped into x_
 };

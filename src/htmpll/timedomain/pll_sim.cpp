@@ -22,6 +22,69 @@ double ReferenceModulation::slope(double t) const {
   return amplitude * omega * std::cos(omega * t + phase);
 }
 
+double ReferenceModulation::edge_time(double target, double tolerance) const {
+  // |theta_ref| << T makes this a contraction around t = target.  With
+  // no modulation the loop below returns target (its first step is -0).
+  if (amplitude == 0.0) return target;
+  double t = target - value(target);
+  for (int it = 0; it < 50; ++it) {
+    double s, c;
+    __builtin_sincos(omega * t + phase, &s, &c);
+    const double g = t + amplitude * s - target;
+    const double gp = 1.0 + amplitude * omega * c;
+    const double dt = -g / gp;
+    t += dt;
+    if (std::abs(dt) <= tolerance) break;
+  }
+  return t;
+}
+
+void UniformSamples::clear() {
+  t.clear();
+  theta.clear();
+  theta_ref.clear();
+}
+
+void UniformSamples::record_segment(const PiecewiseExactIntegrator& integ,
+                                    const ReferenceModulation& mod,
+                                    double interval, double t_begin,
+                                    double t_end, double u,
+                                    std::int64_t& next) {
+  // Uniform-grid samples need theta alone, which the spectral
+  // integrator contracts from the modal theta row per offset instead of
+  // building a propagator; one call covers the whole segment.
+  const std::size_t first = theta.size();
+  offsets_.clear();
+  while (true) {
+    const double ts = static_cast<double>(next) * interval;
+    if (ts > t_end) break;
+    if (ts >= t_begin) {
+      t.push_back(ts);
+      offsets_.push_back(ts - t_begin);
+      theta_ref.push_back(mod.value(ts));
+    }
+    ++next;
+  }
+  if (offsets_.empty()) return;
+  theta.resize(first + offsets_.size());
+  integ.peek_last_many(offsets_.data(), offsets_.size(), u,
+                       theta.data() + first);
+}
+
+void validate_transient_setup(const ReferenceModulation& mod,
+                              const TransientConfig& cfg, double period) {
+  HTMPLL_REQUIRE(std::abs(mod.amplitude) < 0.25 * period,
+                 "reference modulation must stay small-signal (< T/4)");
+  HTMPLL_REQUIRE(std::isfinite(mod.omega),
+                 "reference modulation omega must be finite");
+  HTMPLL_REQUIRE(std::isfinite(mod.phase),
+                 "reference modulation phase must be finite");
+  HTMPLL_REQUIRE(std::isfinite(cfg.sample_interval),
+                 "sample_interval must be finite");
+  HTMPLL_REQUIRE(cfg.edge_tolerance > 0.0 && std::isfinite(cfg.edge_tolerance),
+                 "edge_tolerance must be positive and finite");
+}
+
 namespace {
 
 /// Events within this fraction of T of a step's end time fire together
@@ -75,10 +138,9 @@ PllTransientSim::PllTransientSim(const PllParameters& params,
       // folded into the system too.
       aug_(augment_with_phase(to_state_space(params.filter.impedance()),
                               params.kvco),
-           cfg.propagator_cache, cfg.use_spectral_propagators),
+           cfg.use_spectral_propagators),
       theta_index_(aug_.order() - 1) {
-  HTMPLL_REQUIRE(std::abs(mod_.amplitude) < 0.25 * t_period_,
-                 "reference modulation must stay small-signal (< T/4)");
+  validate_transient_setup(mod_, cfg_, t_period_);
   if (cfg_.sample_interval <= 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
 
@@ -105,11 +167,7 @@ void PllTransientSim::set_leakage(double current, double window) {
   leak_window_ = window;
 }
 
-void PllTransientSim::clear_samples() {
-  sample_t_.clear();
-  sample_theta_.clear();
-  sample_theta_ref_.clear();
-}
+void PllTransientSim::clear_samples() { samples_.clear(); }
 
 TransientCheckpoint PllTransientSim::checkpoint() const {
   TransientCheckpoint cp;
@@ -194,17 +252,12 @@ void PllTransientSim::set_initial_frequency_offset(double relative_offset) {
 }
 
 double PllTransientSim::next_reference_edge(double target) const {
-  // Solve t + theta_ref(t) = target; |theta_ref| << T makes this a
-  // contraction around t = target.
-  double t = target - mod_.value(target);
-  for (int it = 0; it < 50; ++it) {
-    const double g = t + mod_.value(t) - target;
-    const double gp = 1.0 + mod_.slope(t);
-    const double dt = -g / gp;
-    t += dt;
-    if (std::abs(dt) <= cfg_.edge_tolerance * t_period_) break;
+  if (target != ref_edge_target_) {
+    ref_edge_time_ =
+        mod_.edge_time(target, cfg_.edge_tolerance * t_period_);
+    ref_edge_target_ = target;
   }
-  return std::max(t, t_);
+  return std::max(ref_edge_time_, t_);
 }
 
 double PllTransientSim::next_vco_edge(double target, double current,
@@ -290,18 +343,8 @@ void PllTransientSim::record_range(double t_begin, double t_end,
                        std::floor(t_end / cfg_.sample_interval)) + 1;
     return;
   }
-  while (true) {
-    const double ts = static_cast<double>(next_sample_) * cfg_.sample_interval;
-    if (ts > t_end) break;
-    if (ts >= t_begin) {
-      // Uniform-grid samples need theta alone: peek_last contracts the
-      // modal theta row instead of building a propagator per offset.
-      sample_t_.push_back(ts);
-      sample_theta_.push_back(aug_.peek_last(ts - t_begin, current));
-      sample_theta_ref_.push_back(mod_.value(ts));
-    }
-    ++next_sample_;
-  }
+  samples_.record_segment(aug_, mod_, cfg_.sample_interval, t_begin, t_end,
+                          current, next_sample_);
 }
 
 void PllTransientSim::process_edges(double t_evt, double t_ref, double t_vco) {
@@ -335,15 +378,16 @@ void PllTransientSim::process_edges(double t_evt, double t_ref, double t_vco) {
 }
 
 void PllTransientSim::begin_run(double t_end) {
+  HTMPLL_REQUIRE(std::isfinite(t_end), "run_until: t_end must be finite");
   started_ = true;
   if (cfg_.record && t_end > t_) {
     // Reserve the whole recording horizon up front instead of growing
     // the three streams geometrically mid-run.
     const std::size_t add = static_cast<std::size_t>(
         (t_end - t_) / cfg_.sample_interval) + 2;
-    sample_t_.reserve(sample_t_.size() + add);
-    sample_theta_.reserve(sample_theta_.size() + add);
-    sample_theta_ref_.reserve(sample_theta_ref_.size() + add);
+    samples_.t.reserve(samples_.t.size() + add);
+    samples_.theta.reserve(samples_.theta.size() + add);
+    samples_.theta_ref.reserve(samples_.theta_ref.size() + add);
   }
 }
 

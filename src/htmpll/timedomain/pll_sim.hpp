@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -35,6 +36,13 @@ struct ReferenceModulation {
 
   double value(double t) const;
   double slope(double t) const;
+
+  /// Reference edge for `target` = n T: solves t + value(t) = target by
+  /// Newton from t = target - value(target), stopping once a step is
+  /// within `tolerance` seconds (at most 50 steps), and returns t
+  /// unclamped.  Each step takes value and slope from one sincos of
+  /// omega t + phase, bit-identical to value(t) and slope(t).
+  double edge_time(double target, double tolerance) const;
 };
 
 struct TransientConfig {
@@ -44,17 +52,41 @@ struct TransientConfig {
   bool record = true;
   /// Newton convergence tolerance for edge times, relative to T.
   double edge_tolerance = 1e-13;
-  /// Step-propagator cache capacity of the exact integrator (>= 1).
-  /// Affects only how often propagators are rebuilt, never the results.
-  std::size_t propagator_cache =
-      PiecewiseExactIntegrator::kDefaultCacheCapacity;
-  /// Serve cache misses from the one-time spectral factorization of the
-  /// state matrix instead of a per-step Van Loan expm (see
+  /// Build step propagators from the one-time spectral factorization of
+  /// the state matrix instead of a per-step Van Loan expm (see
   /// linalg/spectral.hpp).  False forces the expm path, bit-identical
   /// to the pre-spectral engine; the HTMPLL_SPECTRAL environment switch
   /// can force the same globally.
   bool use_spectral_propagators = true;
 };
+
+/// Uniform-grid recording of the event-driven simulators: theta and
+/// theta_ref at the instants k * interval.
+struct UniformSamples {
+  std::vector<double> t;
+  std::vector<double> theta;
+  std::vector<double> theta_ref;
+
+  void clear();
+  /// Appends every grid instant k * interval in [t_begin, t_end] with
+  /// k >= next, advancing next past t_end.  The segment's instants and
+  /// theta_ref values are collected first; theta then comes from one
+  /// peek_last_many call on `integ` (state at t_begin, held input u).
+  void record_segment(const PiecewiseExactIntegrator& integ,
+                      const ReferenceModulation& mod, double interval,
+                      double t_begin, double t_end, double u,
+                      std::int64_t& next);
+
+ private:
+  std::vector<double> offsets_;  ///< one segment's offsets from t_begin
+};
+
+/// Throws std::invalid_argument unless the modulation is small-signal
+/// (|amplitude| < T/4) with finite omega and phase, sample_interval is
+/// finite and edge_tolerance is positive and finite.  Called by both
+/// event-driven simulators' constructors.
+void validate_transient_setup(const ReferenceModulation& mod,
+                              const TransientConfig& cfg, double period);
 
 /// One planned event-loop iteration of PllTransientSim: the held
 /// charge-pump current over the segment and the candidate event times,
@@ -132,7 +164,7 @@ class PllTransientSim {
   const PllParameters& parameters() const { return params_; }
   double period() const { return t_period_; }
 
-  /// Advances the simulation to absolute time t_end.
+  /// Advances the simulation to absolute time t_end (finite).
   void run_until(double t_end);
   /// Advances by n reference periods.
   void run_periods(double n);
@@ -144,7 +176,8 @@ class PllTransientSim {
   // same-h buckets through one shared propagator (batch_step_advance)
   // and commit the precomputed states, bit-identical to the loop above.
 
-  /// Marks the run started and reserves the recording horizon.
+  /// Marks the run started and reserves the recording horizon; throws
+  /// std::invalid_argument unless t_end is finite.
   void begin_run(double t_end);
   /// Computes the next event-loop iteration without changing state.
   TransientStepPlan plan_step(double t_end) const;
@@ -159,7 +192,7 @@ class PllTransientSim {
                               const double* x_next, std::size_t stride = 1);
 
   /// Serves every propagator lookup from a shared per-worker store
-  /// (nullptr reverts to the private cache).  Results never change.
+  /// (nullptr reverts to the private memo).  Results never change.
   void set_shared_propagator_store(SharedPropagatorStore* store) {
     aug_.set_shared_store(store);
   }
@@ -180,10 +213,10 @@ class PllTransientSim {
   double control_output() const;
 
   // --- recorded uniform samples ---
-  const std::vector<double>& sample_times() const { return sample_t_; }
-  const std::vector<double>& theta_samples() const { return sample_theta_; }
+  const std::vector<double>& sample_times() const { return samples_.t; }
+  const std::vector<double>& theta_samples() const { return samples_.theta; }
   const std::vector<double>& theta_ref_samples() const {
-    return sample_theta_ref_;
+    return samples_.theta_ref;
   }
   void clear_samples();
   void set_recording(bool on) { cfg_.record = on; }
@@ -221,12 +254,12 @@ class PllTransientSim {
 
   // --- diagnostics ---
   std::size_t event_count() const { return events_; }
-  /// Step-propagator cache counters of the exact integrator; misses
+  /// Step-propagator memo counters of the exact integrator; misses
   /// equal propagator constructions performed, hits constructions saved.
   const PropagatorCacheStats& propagator_cache_stats() const {
     return aug_.cache_stats();
   }
-  /// True when cache misses use the spectral (modal) propagator path.
+  /// True when propagator builds use the spectral (modal) path.
   bool spectral_propagators() const { return aug_.spectral_propagators(); }
   /// Largest |charge-pump pulse width| among the last few pulses, in
   /// seconds; ~0 when phase-locked with no modulation.
@@ -235,6 +268,8 @@ class PllTransientSim {
   bool is_locked(double tol) const;
 
  private:
+  /// edge_time(target) clamped to the current time; the unclamped
+  /// solution is kept for the next call with the same target.
   double next_reference_edge(double target) const;
   /// Time of the next VCO edge, or +inf when it cannot fire by
   /// `horizon` (the step's next reference/leakage event or t_end).
@@ -252,7 +287,13 @@ class PllTransientSim {
 
   PiecewiseExactIntegrator aug_;  ///< filter states + theta (last state)
   std::size_t theta_index_;
-  mutable RVector peek_scratch_;  ///< edge-solver / sampler peek staging
+  mutable RVector peek_scratch_;  ///< edge-solver peek staging
+  // Last reference-edge solve.  plan_step runs once per step and a
+  // reference edge usually spans two (a VCO edge falls in between); the
+  // solution depends only on the target, so keying on it stays valid
+  // across restore().  NaN matches no target.
+  mutable double ref_edge_target_ = std::numeric_limits<double>::quiet_NaN();
+  mutable double ref_edge_time_ = 0.0;
 
   TriStatePfd pfd_;
   std::int64_t n_ref_ = 1;
@@ -275,9 +316,7 @@ class PllTransientSim {
   std::normal_distribution<double> noise_dist_{0.0, 1.0};
 
   std::int64_t next_sample_ = 1;
-  std::vector<double> sample_t_;
-  std::vector<double> sample_theta_;
-  std::vector<double> sample_theta_ref_;
+  UniformSamples samples_;
   bool started_ = false;
 };
 

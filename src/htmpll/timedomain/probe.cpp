@@ -25,16 +25,33 @@ cplx single_bin_ratio(const std::vector<double>& t,
   HTMPLL_REQUIRE(t.size() == y.size() && t.size() == x.size(),
                  "record length mismatch");
   HTMPLL_REQUIRE(t.size() >= 8, "record too short for a bin estimate");
+  HTMPLL_REQUIRE(std::isfinite(omega_y) && std::isfinite(omega_x),
+                 "bin frequency must be finite");
   const std::size_t n = t.size();
-  cplx ybin{0.0}, xbin{0.0};
+  // e^{-j w t} as (cos, sin) of one sincos: glibc's cexp(0 + jy) is
+  // exactly (cos y, sin y), so the sums match the complex-exp form bit
+  // for bit.  Every baseband probe uses one frequency for both bins.
+  // (Equal frequencies of opposite zero sign give +-0 sines, which the
+  // +0.0-seeded sums absorb alike.)
+  const bool same_bin = omega_y == omega_x;
+  double yre = 0.0, yim = 0.0, xre = 0.0, xim = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     const double hann =
         0.5 * (1.0 - std::cos(2.0 * std::numbers::pi *
                               static_cast<double>(k) /
                               static_cast<double>(n - 1)));
-    ybin += hann * y[k] * std::exp(cplx{0.0, -omega_y * t[k]});
-    xbin += hann * x[k] * std::exp(cplx{0.0, -omega_x * t[k]});
+    double sy, cy;
+    __builtin_sincos(-omega_y * t[k], &sy, &cy);
+    double sx = sy, cx = cy;
+    if (!same_bin) __builtin_sincos(-omega_x * t[k], &sx, &cx);
+    const double wy = hann * y[k];
+    const double wx = hann * x[k];
+    yre += wy * cy;
+    yim += wy * sy;
+    xre += wx * cx;
+    xim += wx * sx;
   }
+  const cplx ybin{yre, yim}, xbin{xre, xim};
   HTMPLL_REQUIRE(std::abs(xbin) > 0.0, "stimulus bin is empty");
   return ybin / xbin;
 }
@@ -48,13 +65,16 @@ cplx single_bin_transfer(const std::vector<double>& t,
 void validate_probe_options(const ProbeOptions& opts) {
   HTMPLL_REQUIRE(opts.amplitude_fraction > 0.0,
                  "modulation amplitude must be positive");
-  HTMPLL_REQUIRE(opts.settle_periods >= 0.0,
-                 "settle period count must be non-negative");
+  HTMPLL_REQUIRE(opts.settle_periods >= 0.0 &&
+                     std::isfinite(opts.settle_periods),
+                 "settle period count must be non-negative and finite");
   HTMPLL_REQUIRE(opts.measure_periods >= 1, "need >= 1 measurement period");
   HTMPLL_REQUIRE(opts.samples_per_period >= 8,
                  "need >= 8 samples per modulation period");
-  HTMPLL_REQUIRE(opts.warm_resettle_periods >= 0.0,
-                 "warm re-settle period count must be non-negative");
+  HTMPLL_REQUIRE(opts.warm_resettle_periods >= 0.0 &&
+                     std::isfinite(opts.warm_resettle_periods),
+                 "warm re-settle period count must be non-negative and "
+                 "finite");
 }
 
 TransientCheckpoint make_settled_checkpoint(const PllParameters& params,
@@ -82,7 +102,8 @@ TransferMeasurement run_probe(const PllParameters& params, double omega_m,
                               const TransientCheckpoint* warm) {
   HTMPLL_TRACE_SPAN("probe.point");
   probe_point_counter().add();
-  HTMPLL_REQUIRE(omega_m > 0.0, "modulation frequency must be positive");
+  HTMPLL_REQUIRE(omega_m > 0.0 && std::isfinite(omega_m),
+                 "modulation frequency must be positive and finite");
   validate_probe_options(opts);
 
   const double t_period = params.period();

@@ -41,8 +41,9 @@ struct ProbeOptions {
 };
 
 /// Throws std::invalid_argument unless amplitude_fraction > 0,
-/// settle_periods >= 0, measure_periods >= 1, samples_per_period >= 8
-/// and warm_resettle_periods >= 0.  Called by every probe entry point.
+/// settle_periods >= 0 (finite), measure_periods >= 1,
+/// samples_per_period >= 8 and warm_resettle_periods >= 0 (finite).
+/// Called by every probe entry point.
 void validate_probe_options(const ProbeOptions& opts);
 
 /// Settles the unmodulated loop for `settle_periods` reference periods
@@ -103,7 +104,8 @@ std::vector<TransferMeasurement> measure_band_transfer_many(
 
 /// Windowed single-bin DFT ratio of two equally-sampled records; exposed
 /// for unit testing.  Returns sum(w_k y_k e^{-j wy t_k}) /
-/// sum(w_k x_k e^{-j wx t_k}) with a Hann window.
+/// sum(w_k x_k e^{-j wx t_k}) with a Hann window; both frequencies must
+/// be finite.
 cplx single_bin_ratio(const std::vector<double>& t,
                       const std::vector<double>& y, double omega_y,
                       const std::vector<double>& x, double omega_x);

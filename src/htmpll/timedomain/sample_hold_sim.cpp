@@ -18,27 +18,14 @@ SampleHoldPllSim::SampleHoldPllSim(const PllParameters& params,
       icp_(params.icp),
       aug_(augment_with_phase(to_state_space(params.filter.impedance()),
                               params.kvco),
-           cfg.propagator_cache, cfg.use_spectral_propagators),
+           cfg.use_spectral_propagators),
       theta_index_(aug_.order() - 1) {
-  HTMPLL_REQUIRE(std::abs(mod_.amplitude) < 0.25 * t_period_,
-                 "reference modulation must stay small-signal (< T/4)");
+  validate_transient_setup(mod_, cfg_, t_period_);
   if (cfg_.sample_interval <= 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
 
 double SampleHoldPllSim::theta() const {
   return aug_.state()[theta_index_];
-}
-
-double SampleHoldPllSim::next_reference_edge(double target) const {
-  double t = target - mod_.value(target);
-  for (int it = 0; it < 50; ++it) {
-    const double g = t + mod_.value(t) - target;
-    const double gp = 1.0 + mod_.slope(t);
-    const double dt = -g / gp;
-    t += dt;
-    if (std::abs(dt) <= 1e-13 * t_period_) break;
-  }
-  return std::max(t, t_);
 }
 
 void SampleHoldPllSim::record_range(double t_begin, double t_end) {
@@ -47,23 +34,17 @@ void SampleHoldPllSim::record_range(double t_begin, double t_end) {
                        std::floor(t_end / cfg_.sample_interval)) + 1;
     return;
   }
-  while (true) {
-    const double ts = static_cast<double>(next_sample_) *
-                      cfg_.sample_interval;
-    if (ts > t_end) break;
-    if (ts >= t_begin) {
-      sample_t_.push_back(ts);
-      sample_theta_.push_back(aug_.peek_last(ts - t_begin, current_));
-      sample_theta_ref_.push_back(mod_.value(ts));
-    }
-    ++next_sample_;
-  }
+  samples_.record_segment(aug_, mod_, cfg_.sample_interval, t_begin, t_end,
+                          current_, next_sample_);
 }
 
 void SampleHoldPllSim::run_until(double t_end) {
+  HTMPLL_REQUIRE(std::isfinite(t_end), "run_until: t_end must be finite");
   while (t_ < t_end) {
-    const double t_ref =
-        next_reference_edge(static_cast<double>(n_ref_) * t_period_);
+    const double t_ref = std::max(
+        mod_.edge_time(static_cast<double>(n_ref_) * t_period_,
+                       cfg_.edge_tolerance * t_period_),
+        t_);
     const double t_evt = std::min(t_ref, t_end);
 
     record_range(t_, t_evt);
@@ -87,15 +68,12 @@ void SampleHoldPllSim::run_periods(double n) {
   run_until(t_ + n * t_period_);
 }
 
-void SampleHoldPllSim::clear_samples() {
-  sample_t_.clear();
-  sample_theta_.clear();
-  sample_theta_ref_.clear();
-}
+void SampleHoldPllSim::clear_samples() { samples_.clear(); }
 
 TransferMeasurement measure_baseband_transfer_sample_hold(
     const PllParameters& params, double omega_m, const ProbeOptions& opts) {
-  HTMPLL_REQUIRE(omega_m > 0.0, "modulation frequency must be positive");
+  HTMPLL_REQUIRE(omega_m > 0.0 && std::isfinite(omega_m),
+                 "modulation frequency must be positive and finite");
   const double t_period = params.period();
   const double tm = 2.0 * std::numbers::pi / omega_m;
 

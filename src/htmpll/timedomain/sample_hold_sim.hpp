@@ -34,10 +34,10 @@ class SampleHoldPllSim {
   void run_until(double t_end);
   void run_periods(double n);
 
-  const std::vector<double>& sample_times() const { return sample_t_; }
-  const std::vector<double>& theta_samples() const { return sample_theta_; }
+  const std::vector<double>& sample_times() const { return samples_.t; }
+  const std::vector<double>& theta_samples() const { return samples_.theta; }
   const std::vector<double>& theta_ref_samples() const {
-    return sample_theta_ref_;
+    return samples_.theta_ref;
   }
   void clear_samples();
   void set_recording(bool on) { cfg_.record = on; }
@@ -45,7 +45,6 @@ class SampleHoldPllSim {
   std::size_t event_count() const { return events_; }
 
  private:
-  double next_reference_edge(double target) const;
   void record_range(double t_begin, double t_end);
 
   PllParameters params_;
@@ -63,9 +62,7 @@ class SampleHoldPllSim {
   std::size_t events_ = 0;
 
   std::int64_t next_sample_ = 1;
-  std::vector<double> sample_t_;
-  std::vector<double> sample_theta_;
-  std::vector<double> sample_theta_ref_;
+  UniformSamples samples_;
 };
 
 /// Small-signal baseband transfer measured on the sample-and-hold loop.

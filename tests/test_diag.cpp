@@ -88,17 +88,17 @@ TEST(DiagEvents, DisabledEmissionIsANoOp) {
 TEST(DiagEvents, EnabledEmissionRecordsTallyAndPayload) {
   ScopedDiagObs on(true);
   obs::diag_reset();
-  obs::diag_event(obs::DiagReason::kPropagatorCacheEviction, 2.5e-9);
-  obs::diag_event(obs::DiagReason::kPropagatorCacheEviction, 3.5e-9);
+  obs::diag_event(obs::DiagReason::kVcoEdgeBisectionFallback, 2.5e-9);
+  obs::diag_event(obs::DiagReason::kVcoEdgeBisectionFallback, 3.5e-9);
   const obs::DiagSnapshot s = obs::diag_snapshot();
   EXPECT_EQ(
       s.tally[static_cast<std::size_t>(
-          obs::DiagReason::kPropagatorCacheEviction)],
+          obs::DiagReason::kVcoEdgeBisectionFallback)],
       2u);
   EXPECT_EQ(s.total(), 2u);
   EXPECT_EQ(s.dropped, 0u);
   ASSERT_EQ(s.events.size(), 2u);
-  EXPECT_EQ(s.events[0].reason, obs::DiagReason::kPropagatorCacheEviction);
+  EXPECT_EQ(s.events[0].reason, obs::DiagReason::kVcoEdgeBisectionFallback);
   EXPECT_DOUBLE_EQ(s.events[0].payload, 2.5e-9);
   EXPECT_DOUBLE_EQ(s.events[1].payload, 3.5e-9);
 }

@@ -102,39 +102,33 @@ TEST(Integrator, PeekIntoMatchesPeekBitwise) {
   }
 }
 
-TEST(Integrator, CacheIndexSurvivesEvictionChurn) {
-  // Push 10x the capacity of distinct step lengths through the cache,
-  // interleaved with re-lookups of a pinned subset: the open-addressed
-  // index must keep serving exact results through the round-robin
-  // eviction (backward-shift deletion leaves no tombstones).  Pade is
-  // forced so every peek can be compared bit-exactly against a direct
+TEST(Integrator, PropagatorMemoStaysExact) {
+  // The one-entry memo rebuilds its propagator in place whenever h
+  // changes: random step lengths interleaved with repeats of the
+  // previous h and of a pinned set must keep every peek bit-exact.
+  // Pade is forced so every peek can be compared against a direct
   // make_propagator call.
-  PiecewiseExactIntegrator sim(lowpass(1.5), /*cache_capacity=*/8,
-                               /*use_spectral=*/false);
+  PiecewiseExactIntegrator sim(lowpass(1.5), /*use_spectral=*/false);
   std::mt19937 rng(5u);
   std::uniform_real_distribution<double> step(0.01, 1.0);
-  std::vector<double> pinned{0.125, 0.25, 0.5};
+  const std::vector<double> pinned{0.125, 0.25, 0.5};
+  const auto direct = [&](double h) {
+    return make_propagator(sim.system().a, sim.system().b, h)
+        .advance(sim.state(), {0.3}, {0.3}, h)[0];
+  };
   for (int k = 0; k < 80; ++k) {
     const double h = step(rng);
-    const double direct =
-        make_propagator(sim.system().a, sim.system().b, h)
-            .advance(sim.state(), {0.3}, {0.3}, h)[0];
-    EXPECT_EQ(sim.peek(h, 0.3)[0], direct);
-    for (double hp : pinned) {
-      const double want =
-          make_propagator(sim.system().a, sim.system().b, hp)
-              .advance(sim.state(), {0.3}, {0.3}, hp)[0];
-      EXPECT_EQ(sim.peek(hp, 0.3)[0], want);
-    }
+    EXPECT_EQ(sim.peek(h, 0.3)[0], direct(h));
+    EXPECT_EQ(sim.peek(h, 0.3)[0], direct(h));  // served by the memo
+    for (double hp : pinned) EXPECT_EQ(sim.peek(hp, 0.3)[0], direct(hp));
   }
   const PropagatorCacheStats& st = sim.cache_stats();
-  EXPECT_EQ(st.lookups, 80u * 4u);
-  EXPECT_GT(st.evictions, 0u);
-  EXPECT_GT(st.hits(), 0u);
+  EXPECT_EQ(st.lookups, 80u * 5u);
+  EXPECT_EQ(st.hits(), 80u);
 }
 
 TEST(Integrator, CacheHitRate) {
-  PiecewiseExactIntegrator sim(lowpass(1.0), 4);
+  PiecewiseExactIntegrator sim(lowpass(1.0));
   EXPECT_DOUBLE_EQ(sim.cache_stats().hit_rate(), 0.0);  // no lookups yet
   sim.peek(0.5, 1.0);  // miss
   EXPECT_DOUBLE_EQ(sim.cache_stats().hit_rate(), 0.0);
@@ -145,28 +139,11 @@ TEST(Integrator, CacheHitRate) {
   EXPECT_DOUBLE_EQ(sim.cache_stats().hit_rate(), 0.5);
 }
 
-TEST(Integrator, ShrinkingCacheKeepsResultsIdentical) {
-  PiecewiseExactIntegrator a(lowpass(2.0), 16);
-  PiecewiseExactIntegrator b(lowpass(2.0), 16);
-  for (int k = 0; k < 12; ++k) a.advance(0.01 * (k + 1), 1.0);
-  for (int k = 0; k < 12; ++k) b.advance(0.01 * (k + 1), 1.0);
-  b.set_cache_capacity(1);  // drops all entries, forces rebuilds
-  for (int k = 0; k < 12; ++k) {
-    a.advance(0.01 * (k + 1), 0.5);
-    b.advance(0.01 * (k + 1), 0.5);
-  }
-  EXPECT_EQ(a.state()[0], b.state()[0]);
-}
-
 TEST(Integrator, SpectralOffIsAvailablePerInstance) {
   // use_spectral = false must force the Pade path even while the global
   // switch is on, and both paths must agree on a well-scaled system.
-  PiecewiseExactIntegrator on(lowpass(2.0),
-                              PiecewiseExactIntegrator::kDefaultCacheCapacity,
-                              /*use_spectral=*/true);
-  PiecewiseExactIntegrator off(lowpass(2.0),
-                               PiecewiseExactIntegrator::kDefaultCacheCapacity,
-                               /*use_spectral=*/false);
+  PiecewiseExactIntegrator on(lowpass(2.0), /*use_spectral=*/true);
+  PiecewiseExactIntegrator off(lowpass(2.0), /*use_spectral=*/false);
   EXPECT_FALSE(off.spectral_propagators());
   for (int k = 0; k < 10; ++k) {
     const double h = 0.05 + 0.02 * k;

@@ -1,5 +1,8 @@
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -51,6 +54,56 @@ TEST(SingleBin, ValidatesInput) {
                std::invalid_argument);
   EXPECT_THROW(single_bin_transfer(t, {1.0, 2.0}, {1.0, 2.0}, 1.0),
                std::invalid_argument);  // too short
+}
+
+/// single_bin_ratio as written with one complex exponential per sample
+/// and bin: the value reference for its one-sincos form.
+cplx single_bin_ratio_cexp(const std::vector<double>& t,
+                           const std::vector<double>& y, double omega_y,
+                           const std::vector<double>& x, double omega_x) {
+  const std::size_t n = t.size();
+  cplx ybin{0.0}, xbin{0.0};
+  for (std::size_t k = 0; k < n; ++k) {
+    const double hann =
+        0.5 * (1.0 - std::cos(2.0 * std::numbers::pi *
+                              static_cast<double>(k) /
+                              static_cast<double>(n - 1)));
+    ybin += hann * y[k] * std::exp(cplx{0.0, -omega_y * t[k]});
+    xbin += hann * x[k] * std::exp(cplx{0.0, -omega_x * t[k]});
+  }
+  return ybin / xbin;
+}
+
+TEST(SingleBin, OneSincosPerSampleMatchesComplexExpBitwise) {
+  // Random records of 8..20000 samples reaching up to 1e4 periods, with
+  // the baseband case (one frequency for both bins), distinct bins, and
+  // a band probe's output bin above w0.
+  const double w0 = 2.0 * kPi;  // T = 1
+  std::mt19937_64 rng(15u);
+  std::uniform_int_distribution<std::size_t> length(8, 20000);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::normal_distribution<double> value(0.0, 1.0);
+  const auto same = [](cplx a, cplx b) {
+    return std::memcmp(&a, &b, sizeof(cplx)) == 0;
+  };
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = length(rng);
+    const double span = 1e4 * unit(rng);
+    const double t0 = (1e4 - span) * unit(rng);
+    std::vector<double> t(n), y(n), x(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      t[k] = t0 + span * static_cast<double>(k) / static_cast<double>(n);
+      y[k] = value(rng);
+      x[k] = value(rng);
+    }
+    const double wm = (0.001 + 0.489 * unit(rng)) * w0;
+    const double band = static_cast<double>(1 + trial % 8);
+    for (double wy : {wm, (0.001 + 0.489 * unit(rng)) * w0, band * w0 + wm}) {
+      EXPECT_TRUE(same(single_bin_ratio(t, y, wy, x, wm),
+                       single_bin_ratio_cexp(t, y, wy, x, wm)))
+          << "trial " << trial << " n " << n << " wy " << wy << " wx " << wm;
+    }
+  }
 }
 
 TEST(Probe, OptionsValidated) {

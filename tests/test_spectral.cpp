@@ -9,6 +9,7 @@
 #include <numbers>
 #include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "htmpll/linalg/eig.hpp"
 #include "htmpll/linalg/spectral.hpp"
@@ -318,9 +319,12 @@ TEST(SpectralPropagator, Gamma2FreeBuildMatchesFullBuildBitwise) {
 }
 
 TEST(SpectralPropagator, LastRowFastPathMatchesFullAdvanceBitwise) {
-  // propagate_last_row replaces the O(n^2) build + advance with a modal
-  // theta-row contraction; the ensemble record path leans on it being
-  // bit-identical to the full chain for every h the samplers request.
+  // propagate_last_row_many replaces the O(n^2) build + advance with a
+  // modal theta-row contraction per offset; the record paths lean on it
+  // being bit-identical to the full chain for every h the samplers
+  // request.  Each case's step-length range puts |lambda h| on both
+  // sides of the phi series/quotient switch at 0.5, and the 4-mode
+  // system takes the batch_cexp branch.
   ScopedSpectral pin(true);
   std::mt19937 rng(4321u);
   std::uniform_real_distribution<double> entry(-1.0, 1.0);
@@ -333,27 +337,63 @@ TEST(SpectralPropagator, LastRowFastPathMatchesFullAdvanceBitwise) {
                         {-1.0, -0.5, 0.0},
                         {0.7, 0.2, 0.0}};
   const RMatrix small_b{{0.1}, {1.0}, {0.4}};
+  const RMatrix quad_a{{-0.3, 1.0, 0.0, 0.0, 0.0},
+                       {-1.0, -0.5, 0.2, 0.0, 0.0},
+                       {0.0, 0.0, -2.0, 0.5, 0.0},
+                       {0.1, 0.0, 0.0, -0.8, 0.0},
+                       {0.7, 0.2, 0.3, 0.1, 0.0}};
+  const RMatrix quad_b{{0.1}, {1.0}, {0.5}, {0.2}, {0.4}};
   struct Case {
     PropagatorFactory f;
     double logh_lo, logh_hi, xscale;
   };
   Case cases[] = {{PropagatorFactory(aug.a, aug.b), -12.0, -8.0, 1e-9},
-                  {PropagatorFactory(small_a, small_b), -3.0, 1.0, 1.0}};
+                  {PropagatorFactory(small_a, small_b), -3.0, 1.0, 1.0},
+                  {PropagatorFactory(quad_a, quad_b), -3.0, 1.0, 1.0}};
+  const auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
   for (Case& c : cases) {
+    ASSERT_EQ(c.f.mode(), PropagatorFactory::Mode::kSpectralAugmented);
     ASSERT_TRUE(c.f.has_last_row_fast_path());
     const std::size_t n = c.f.order();
     RVector x(n), out(n);
+    const auto full_last = [&](double h, double u) {
+      c.f.make(h).advance_into(x, u, u, h, out);
+      return out[n - 1];
+    };
     std::uniform_real_distribution<double> logh(c.logh_lo, c.logh_hi);
+    // One offset per call, each with its own state and input.
     for (int k = 0; k < 60; ++k) {
       const double h = std::pow(10.0, logh(rng));
       for (std::size_t i = 0; i < n; ++i) x[i] = entry(rng) * c.xscale;
       const double u = entry(rng) * 1e-3;
-      const StepPropagator full = c.f.make(h);
-      full.advance_into(x, u, u, h, out);
-      const double fast = c.f.propagate_last_row(h, x.data(), u);
-      EXPECT_EQ(std::memcmp(&fast, &out[n - 1], sizeof(double)), 0)
-          << "h " << h << " fast " << fast << " full " << out[n - 1];
+      double fast = 0.0;
+      c.f.propagate_last_row_many(&h, 1, x.data(), u, &fast);
+      const double full = full_last(h, u);
+      EXPECT_TRUE(same(fast, full))
+          << "n " << n << " h " << h << " fast " << fast << " full " << full;
     }
+    // The record paths' shape: a segment's 60 offsets in one call
+    // sharing state and input, an offset of 0 among them.
+    std::vector<double> hs(61);
+    for (double& h : hs) h = std::pow(10.0, logh(rng));
+    hs[30] = 0.0;
+    for (std::size_t i = 0; i < n; ++i) x[i] = entry(rng) * c.xscale;
+    const double u = entry(rng) * 1e-3;
+    std::vector<double> got(hs.size());
+    c.f.propagate_last_row_many(hs.data(), hs.size(), x.data(), u,
+                                got.data());
+    for (std::size_t k = 0; k < hs.size(); ++k) {
+      const double want = hs[k] == 0.0 ? x[n - 1] : full_last(hs[k], u);
+      EXPECT_TRUE(same(got[k], want))
+          << "n " << n << " offset " << k << " h " << hs[k];
+    }
+    const double negative = -1e-3;
+    double unused = 0.0;
+    EXPECT_THROW(
+        c.f.propagate_last_row_many(&negative, 1, x.data(), u, &unused),
+        std::invalid_argument);
   }
 }
 

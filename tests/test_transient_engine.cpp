@@ -1,9 +1,9 @@
-// Transient performance-layer suite: keyed propagator cache, the
+// Transient performance-layer suite: the propagator memo, the
 // horizon-bounded edge search (cost and bitwise exactness against a
 // reference event loop), checkpoint round-tripping, warm-start probes,
-// probe-option validation and the Monte Carlo batch APIs.  Kept in its
-// own binary (like test_parallel)
-// so the whole suite stays fast enough to run routinely under
+// probe-option and non-finite input validation and the Monte Carlo
+// batch APIs.  Kept in its own binary (like test_parallel) so the whole
+// suite stays fast enough to run routinely under
 // -DHTMPLL_SANITIZE=thread.
 #include <algorithm>
 #include <cmath>
@@ -12,6 +12,7 @@
 #include <limits>
 #include <numbers>
 #include <random>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "htmpll/parallel/thread_pool.hpp"
 #include "htmpll/timedomain/montecarlo.hpp"
 #include "htmpll/timedomain/probe.hpp"
+#include "htmpll/timedomain/sample_hold_sim.hpp"
 
 namespace htmpll {
 namespace {
@@ -59,7 +61,7 @@ class ReferenceEventLoop {
         kvco_(p.kvco),
         integ_(augment_with_phase(to_state_space(p.filter.impedance()),
                                   p.kvco),
-               /*cache_capacity=*/1, use_spectral),
+               use_spectral),
         x_(integ_.state()),
         theta_index_(x_.size() - 1),
         sample_interval_(t_period_ / 8.0) {}
@@ -251,109 +253,16 @@ TEST(PropagatorCache, CountsHitsAndMisses) {
   EXPECT_EQ(st.lookups, 3u);
   EXPECT_EQ(st.misses, 2u);
   EXPECT_EQ(st.hits(), 1u);
-}
 
-TEST(PropagatorCache, EvictionKeepsResultsExact) {
-  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
-  const StateSpace aug =
-      augment_with_phase(to_state_space(p.filter.impedance()), p.kvco);
-  PiecewiseExactIntegrator tiny(aug, 2);   // constant thrash
-  PiecewiseExactIntegrator roomy(aug, 64);
-  for (int round = 0; round < 3; ++round) {
-    for (double h : {0.1, 0.2, 0.3, 0.4, 0.5}) {
-      const RVector a = tiny.peek(h, 1e-3);
-      const RVector b = roomy.peek(h, 1e-3);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-    }
-  }
-  EXPECT_GT(tiny.cache_stats().misses, roomy.cache_stats().misses);
-}
-
-TEST(PropagatorCache, CapacityValidatedAndShrinkable) {
-  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
-  PiecewiseExactIntegrator integ(
+  // The memo holds one step length: h = a a b a b b hits only on the
+  // immediate repeats.
+  PiecewiseExactIntegrator memo(
       augment_with_phase(to_state_space(p.filter.impedance()), p.kvco));
-  EXPECT_THROW(integ.set_cache_capacity(0), std::invalid_argument);
-  for (double h : {0.1, 0.2, 0.3}) (void)integ.peek(h, 0.0);
-  integ.set_cache_capacity(1);  // discards entries, stays correct
-  const RVector x = integ.peek(0.1, 0.0);
-  EXPECT_EQ(x.size(), integ.order());
-}
-
-TEST(PropagatorCache, SimulationIndependentOfCapacity) {
-  const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
-  ReferenceModulation mod;
-  mod.amplitude = 1e-3;
-  mod.omega = 0.2 * kW0;
-  auto run = [&](std::size_t capacity) {
-    TransientConfig cfg;
-    cfg.propagator_cache = capacity;
-    PllTransientSim sim(p, mod, cfg);
-    sim.run_periods(40.0);
-    return sim;
-  };
-  const PllTransientSim s1 = run(1);
-  const PllTransientSim s64 = run(64);
-  ASSERT_EQ(s1.theta_samples().size(), s64.theta_samples().size());
-  for (std::size_t i = 0; i < s1.theta_samples().size(); ++i) {
-    EXPECT_EQ(s1.theta_samples()[i], s64.theta_samples()[i]);
+  for (double h : {0.125, 0.125, 0.25, 0.125, 0.25, 0.25}) {
+    (void)memo.peek(h, 1e-3);
   }
-  EXPECT_EQ(s1.theta(), s64.theta());
-  // The keyed cache must actually save expm work on the same workload.
-  EXPECT_LT(s64.propagator_cache_stats().misses,
-            s1.propagator_cache_stats().misses);
-}
-
-TEST(PropagatorCache, DefaultCapacityAvoidsModulatedChurn) {
-  // Regression for the old 32-entry default: a modulated run makes the
-  // inter-event spacings quasi-continuous, so a small cache keeps
-  // replacing entries (~300k probe-sweep evictions before the fix).
-  // The enlarged default must hold every step length of the same
-  // workload without a single eviction.
-  const PllParameters p = make_typical_loop(0.12 * kW0, kW0);
-  ReferenceModulation mod;
-  mod.amplitude = 1e-3;
-  mod.omega = 0.17 * kW0;
-  auto run = [&](const TransientConfig& cfg) {
-    PllTransientSim sim(p, mod, cfg);
-    sim.run_periods(80.0);
-    return sim.propagator_cache_stats();
-  };
-  TransientConfig old_default;
-  old_default.propagator_cache = 32;
-  const PropagatorCacheStats small = run(old_default);
-  const PropagatorCacheStats big = run({});  // current default capacity
-  EXPECT_GE(PiecewiseExactIntegrator::kDefaultCacheCapacity, 1024u);
-  EXPECT_EQ(big.lookups, small.lookups);  // same workload either way
-  EXPECT_GT(small.evictions, 100u);       // the old default churns...
-  EXPECT_EQ(big.evictions, 0u);           // ...the new one must not
-  EXPECT_LT(big.misses, small.misses);
-}
-
-TEST(PropagatorCache, ChurnDiagEventPerFullTurnover) {
-  // One bounded diag event per full capacity turnover, payload = the
-  // completed turnover count.
-  ScopedDiagObs on(true);
-  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
-  PiecewiseExactIntegrator integ(
-      augment_with_phase(to_state_space(p.filter.impedance()), p.kvco), 4);
-  obs::diag_reset();
-  for (int i = 1; i <= 12; ++i) (void)integ.peek(0.01 * i, 0.0);
-  EXPECT_EQ(integ.cache_stats().evictions, 8u);  // 12 distinct h, cap 4
-  const obs::DiagSnapshot s = obs::diag_snapshot();
-  EXPECT_EQ(s.tally[static_cast<std::size_t>(
-                obs::DiagReason::kPropagatorCacheChurn)],
-            2u);
-  std::vector<double> payloads;
-  for (const obs::DiagEvent& e : s.events) {
-    if (e.reason == obs::DiagReason::kPropagatorCacheChurn) {
-      payloads.push_back(e.payload);
-    }
-  }
-  ASSERT_EQ(payloads.size(), 2u);
-  EXPECT_DOUBLE_EQ(payloads[0], 1.0);
-  EXPECT_DOUBLE_EQ(payloads[1], 2.0);
+  EXPECT_EQ(memo.cache_stats().lookups, 6u);
+  EXPECT_EQ(memo.cache_stats().misses, 4u);
 }
 
 TEST(EdgeSearch, LookupsPerEventStayFlatAcrossLoopBandwidth) {
@@ -381,8 +290,7 @@ TEST(EdgeSearch, BisectionFallbackIsObservable) {
   // tolerance is unreachable for an edge whose residual never rounds to
   // zero, and the bisection fallback takes over.  The diag event reports
   // each such search with the stalled Newton step (in periods) as its
-  // payload.  The cache holds every step length of the run, so no
-  // eviction events push the payloads out of the ring.
+  // payload.
   ScopedDiagObs on(true);
   const PllParameters p = make_typical_loop(0.01 * kW0, kW0);
   ReferenceModulation mod;
@@ -390,14 +298,12 @@ TEST(EdgeSearch, BisectionFallbackIsObservable) {
   mod.omega = 0.3 * 0.01 * kW0;
   TransientConfig cfg;
   cfg.record = false;
-  cfg.propagator_cache = 1u << 14;
   PllTransientSim sim(p, mod, cfg);
   obs::diag_reset();
   const double tm = 2.0 * std::numbers::pi / mod.omega;
   const double settle = std::max(400.0 * p.period(), 4.0 * tm);
   sim.run_until(settle);
   sim.run_until(settle + 24.0 * tm);  // the probe's schedule
-  ASSERT_EQ(sim.propagator_cache_stats().evictions, 0u);
   const obs::DiagSnapshot s = obs::diag_snapshot();
   const std::uint64_t fallbacks = s.tally[static_cast<std::size_t>(
       obs::DiagReason::kVcoEdgeBisectionFallback)];
@@ -702,6 +608,125 @@ TEST(ProbeOptionsValidation, RejectsOutOfRangeFields) {
                std::invalid_argument);
 
   EXPECT_NO_THROW(validate_probe_options(ProbeOptions{}));
+}
+
+/// Expects `f` to throw std::invalid_argument whose message contains
+/// `what` (the name of the rejected input).
+template <class F>
+void expect_rejected(F&& f, const std::string& what) {
+  try {
+    f();
+    ADD_FAILURE() << "accepted; expected a rejection naming " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(NonFiniteInput, ModulationOmegaRejected) {
+  // A NaN or infinite omega used to make run_periods(5) never return:
+  // NaN event times never pass record_range's ts > t_end break.
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  for (double omega : {kNaN, kInf, -kInf}) {
+    ReferenceModulation mod;
+    mod.amplitude = 1e-3;
+    mod.omega = omega;
+    expect_rejected([&] { PllTransientSim sim(p, mod); }, "omega");
+    expect_rejected([&] { SampleHoldPllSim sim(p, mod); }, "omega");
+  }
+}
+
+TEST(NonFiniteInput, ModulationPhaseRejected) {
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  for (double phase : {kNaN, kInf}) {
+    ReferenceModulation mod;
+    mod.amplitude = 1e-3;
+    mod.omega = 0.05 * kW0;
+    mod.phase = phase;
+    expect_rejected([&] { PllTransientSim sim(p, mod); }, "phase");
+    expect_rejected([&] { SampleHoldPllSim sim(p, mod); }, "phase");
+  }
+}
+
+TEST(NonFiniteInput, RunUntilRejectsNonFiniteEnd) {
+  // run_until(+inf) never returned; run_until(NaN) returned at t = 0
+  // without a word.
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  for (double t_end : {kInf, kNaN}) {
+    PllTransientSim sim(p);
+    expect_rejected([&] { sim.run_until(t_end); }, "t_end");
+    expect_rejected([&] { sim.run_periods(t_end); }, "t_end");
+    EXPECT_EQ(sim.time(), 0.0);
+    SampleHoldPllSim sh(p);
+    expect_rejected([&] { sh.run_until(t_end); }, "t_end");
+    EXPECT_EQ(sh.time(), 0.0);
+  }
+}
+
+TEST(NonFiniteInput, SettlePeriodsRejected) {
+  // settle_periods = inf made every probe run forever.
+  const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
+  ProbeOptions bad;
+  bad.settle_periods = kInf;
+  expect_rejected([&] { validate_probe_options(bad); }, "settle period");
+  expect_rejected([&] { measure_baseband_transfer(p, 0.2 * kW0, bad); },
+                  "settle period");
+  bad = {};
+  bad.warm_resettle_periods = kInf;
+  expect_rejected([&] { validate_probe_options(bad); }, "re-settle");
+}
+
+TEST(NonFiniteInput, ModulationFrequencyRejected) {
+  // measure_baseband_transfer(p, +inf) used to fail deep inside the
+  // integrator with "cannot propagate backwards".
+  const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
+  expect_rejected([&] { measure_baseband_transfer(p, kInf); },
+                  "modulation frequency");
+  expect_rejected([&] { measure_band_transfer(p, 1, kInf); },
+                  "modulation frequency");
+  expect_rejected(
+      [&] { measure_baseband_transfer_sample_hold(p, kInf); },
+      "modulation frequency");
+}
+
+TEST(NonFiniteInput, SingleBinFrequencyRejected) {
+  // single_bin_ratio with a NaN frequency returned NaN.
+  std::vector<double> t(16), y(16, 1.0), x(16, 1.0);
+  for (std::size_t k = 0; k < t.size(); ++k) t[k] = 0.1 * k;
+  expect_rejected([&] { single_bin_ratio(t, y, kNaN, x, 1.0); },
+                  "bin frequency");
+  expect_rejected([&] { single_bin_ratio(t, y, 1.0, x, kInf); },
+                  "bin frequency");
+  expect_rejected([&] { single_bin_transfer(t, y, x, kNaN); },
+                  "bin frequency");
+}
+
+TEST(NonFiniteInput, SampleIntervalRejected) {
+  // A NaN sample_interval used to surface as a bare vector::reserve.
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  TransientConfig cfg;
+  cfg.sample_interval = kNaN;
+  expect_rejected([&] { PllTransientSim sim(p, {}, cfg); },
+                  "sample_interval");
+  expect_rejected([&] { SampleHoldPllSim sim(p, {}, cfg); },
+                  "sample_interval");
+}
+
+TEST(NonFiniteInput, EdgeToleranceRejected) {
+  // A NaN edge_tolerance was accepted, and every edge search then ran to
+  // its iteration caps.
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  for (double tol : {kNaN, kInf, 0.0, -1e-13}) {
+    TransientConfig cfg;
+    cfg.edge_tolerance = tol;
+    expect_rejected([&] { PllTransientSim sim(p, {}, cfg); },
+                    "edge_tolerance");
+    expect_rejected([&] { SampleHoldPllSim sim(p, {}, cfg); },
+                    "edge_tolerance");
+  }
 }
 
 TEST(WarmStart, AgreesWithColdWithinSmallSignalTolerance) {
