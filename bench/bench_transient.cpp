@@ -53,8 +53,9 @@ using bench::time_best_of;
 
 /// Replica of the probe measurement loop with the seed's configuration:
 /// Pade (Van Loan expm) propagators.  The arithmetic is identical to
-/// run_probe's with the same settings, so the cold Pade probe must match
-/// its output bit-for-bit.
+/// run_probe's with the same settings (the exact theta bin over the
+/// measurement window, divided by theta_ref's closed-form bin), so the
+/// cold Pade probe must match its output bit-for-bit.
 cplx probe_seed_replica(const PllParameters& params, double omega_m,
                         const ProbeOptions& opts) {
   const double t_period = params.period();
@@ -66,21 +67,16 @@ cplx probe_seed_replica(const PllParameters& params, double omega_m,
   mod.phase = 0.0;
 
   TransientConfig cfg;
-  cfg.sample_interval =
-      std::min({tm / static_cast<double>(opts.samples_per_period),
-                t_period / 8.0,
-                2.0 * std::numbers::pi / (16.0 * omega_m)});
   cfg.record = false;
   cfg.use_spectral_propagators = false;
 
   PllTransientSim sim(params, mod, cfg);
   const double settle = std::max(opts.settle_periods * t_period, 4.0 * tm);
   sim.run_until(settle);
-  sim.set_recording(true);
-  sim.clear_samples();
-  sim.run_until(settle + static_cast<double>(opts.measure_periods) * tm);
-  return single_bin_ratio(sim.sample_times(), sim.theta_samples(), omega_m,
-                          sim.theta_ref_samples(), omega_m);
+  const double t0 = sim.time();
+  const double width = static_cast<double>(opts.measure_periods) * tm;
+  const cplx theta_bin = sim.measure_theta_bin(omega_m, width);
+  return theta_bin / mod.hann_bin(omega_m, t0, width);
 }
 
 bool bit_identical(const std::vector<cplx>& a, const std::vector<cplx>& b) {

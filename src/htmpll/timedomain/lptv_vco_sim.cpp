@@ -207,6 +207,7 @@ TransferMeasurement measure_baseband_transfer_lptv(
     const PllParameters& params, const IsfWaveform& isf, double omega_m,
     const ProbeOptions& opts) {
   HTMPLL_REQUIRE(omega_m > 0.0, "modulation frequency must be positive");
+  validate_probe_options(opts);
   const double t_period = params.period();
   const double tm = 2.0 * std::numbers::pi / omega_m;
 
@@ -214,10 +215,14 @@ TransferMeasurement measure_baseband_transfer_lptv(
   mod.amplitude = opts.amplitude_fraction * t_period;
   mod.omega = omega_m;
 
+  // Sampling at a multiple of w0 (T/8 is 8 w0) folds the sidebands
+  // H_{n,0} at w_m + n w0 exactly onto the bin.  At (8 + 0.618...) w0,
+  // the golden-ratio offset, none lands on it; the nearest folded
+  // sidebands have |n| >= 9.
+  constexpr double kSamplesPerPeriod = 8.0 + 0.6180339887498949;
   LptvTransientConfig cfg;
   cfg.sample_interval =
-      std::min(tm / static_cast<double>(opts.samples_per_period),
-               t_period / 8.0);
+      std::min(tm / 16.0, t_period / kSamplesPerPeriod);
   cfg.record = false;
 
   LptvPllTransientSim sim(params, isf, mod, cfg);

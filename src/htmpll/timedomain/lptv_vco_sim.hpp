@@ -105,8 +105,11 @@ class LptvPllTransientSim {
   std::vector<double> sample_theta_ref_;
 };
 
-/// Small-signal baseband transfer measured on the LPTV simulator (same
-/// protocol as measure_baseband_transfer).
+/// Small-signal baseband transfer measured on the LPTV simulator: the
+/// settle and window of measure_baseband_transfer, but the bins come
+/// from single_bin_transfer over theta sampled every
+/// min(T_m / 16, T / 8.618...), a rate no multiple of w0 -- RK4 has no
+/// closed-form bin.
 TransferMeasurement measure_baseband_transfer_lptv(
     const PllParameters& params, const IsfWaveform& isf, double omega_m,
     const ProbeOptions& opts = {});

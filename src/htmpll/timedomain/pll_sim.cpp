@@ -5,7 +5,10 @@
 #include <limits>
 #include <numbers>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "htmpll/linalg/lu.hpp"
 #include "htmpll/obs/diag.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/util/check.hpp"
@@ -37,6 +40,128 @@ double ReferenceModulation::edge_time(double target, double tolerance) const {
     if (std::abs(dt) <= tolerance) break;
   }
   return t;
+}
+
+namespace {
+
+double sinc(double x) { return x == 0.0 ? 1.0 : std::sin(x) / x; }
+
+/// Integral of w(t) e^{-j nu t} over [t0, t0 + width], w the Hann window
+/// of ReferenceModulation::hann_bin: its three sinc lobes, 2 pi / width
+/// apart, about the window's centre.
+cplx hann_exponential_bin(double nu, double t0, double width) {
+  const double x = 0.5 * nu * width;
+  const double lobes = 0.5 * sinc(x) + 0.25 * sinc(x - std::numbers::pi) +
+                       0.25 * sinc(x + std::numbers::pi);
+  const double tc = t0 + 0.5 * width;
+  return width * lobes * cplx{std::cos(nu * tc), -std::sin(nu * tc)};
+}
+
+/// The three window phasors at t: e^{-j omega t} times 1,
+/// e^{+j s (t - t0)} and e^{-j s (t - t0)} (s the bin spacing) -- the
+/// e^{-j nu t} of nu = omega, omega - s, omega + s with the Hann
+/// window's e^{-+j s t0} factors folded in.
+void window_phasors(double omega, double spacing, double t0, double t,
+                    cplx out[3]) {
+  double se, ce, sr, cr;
+  __builtin_sincos(omega * t, &se, &ce);
+  __builtin_sincos(spacing * (t - t0), &sr, &cr);
+  const cplx e{ce, -se};
+  out[0] = e;
+  out[1] = e * cplx{cr, sr};
+  out[2] = e * cplx{cr, -sr};
+}
+
+/// Every ThetaBin rejection names the bin's output frequency.
+std::string bin_error(double omega, const char* what) {
+  std::ostringstream os;
+  os << "theta bin at omega = " << omega << " rad/s: " << what;
+  return os.str();
+}
+
+}  // namespace
+
+cplx ReferenceModulation::hann_bin(double omega_bin, double t0,
+                                   double width) const {
+  if (amplitude == 0.0) return 0.0;
+  // a sin(w t + p) = (a / 2j) (e^{jp} e^{jwt} - e^{-jp} e^{-jwt}).
+  const cplx up = std::polar(1.0, phase) *
+                  hann_exponential_bin(omega_bin - omega, t0, width);
+  const cplx down = std::polar(1.0, -phase) *
+                    hann_exponential_bin(omega_bin + omega, t0, width);
+  return amplitude / cplx{0.0, 2.0} * (up - down);
+}
+
+ThetaBin::ThetaBin(double omega, double t0, double width, RVector x0)
+    : omega_(omega),
+      t0_(t0),
+      width_(width),
+      spacing_(2.0 * std::numbers::pi / width),
+      x0_(std::move(x0)) {
+  HTMPLL_REQUIRE(std::isfinite(omega),
+                 bin_error(omega, "bin frequency must be finite"));
+  HTMPLL_REQUIRE(width > 0.0 && std::isfinite(width),
+                 bin_error(omega, "window width must be positive and finite"));
+  HTMPLL_REQUIRE(std::isfinite(t0),
+                 bin_error(omega, "window start must be finite"));
+  nu_[0] = omega;
+  nu_[1] = omega - spacing_;
+  nu_[2] = omega + spacing_;
+  for (double nu : nu_) {
+    HTMPLL_REQUIRE(std::abs(nu) >= kMinDcOffset * spacing_,
+                   bin_error(omega, "a window frequency (omega or omega -+ "
+                                    "2 pi / width) lies within 0.01 bins of "
+                                    "DC, where A - j nu I is singular"));
+  }
+}
+
+void ThetaBin::add_segment(double t_a, double t_b, double u) {
+  if (u == 0.0 || !(t_b > t_a)) return;
+  const double h = t_b - t_a;
+  // int_{t_a}^{t_b} e^{-j nu t} dt = h sinc(nu h / 2) e^{-j nu t_mid}:
+  // the phasor at the midpoint and sin(nu h / 2) for all three nu from
+  // the half-angle sincos of omega h and s h.
+  cplx p[3];
+  window_phasors(omega_, spacing_, t0_, t_a + 0.5 * h, p);
+  double sa, ca, sb, cb;
+  __builtin_sincos(0.5 * omega_ * h, &sa, &ca);
+  __builtin_sincos(0.5 * spacing_ * h, &sb, &cb);
+  const double half_sin[3] = {sa, sa * cb - ca * sb, sa * cb + ca * sb};
+  for (int k = 0; k < 3; ++k) {
+    const double x = 0.5 * nu_[k] * h;
+    const double s = x == 0.0 ? 1.0 : half_sin[k] / x;
+    u_[k] += (u * h * s) * p[k];
+  }
+}
+
+cplx ThetaBin::finish(const StateSpace& sys, const RVector& x1) const {
+  const std::size_t n = sys.order();
+  HTMPLL_REQUIRE(x0_.size() == n && x1.size() == n,
+                 "theta bin: state dimension mismatch");
+  cplx p0[3], p1[3];
+  window_phasors(omega_, spacing_, t0_, t0_, p0);
+  window_phasors(omega_, spacing_, t0_, t0_ + width_, p1);
+  cplx bins[3];
+  for (int k = 0; k < 3; ++k) {
+    CMatrix m(n, n);
+    CVector v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t c = 0; c < n; ++c) m(i, c) = sys.a(i, c);
+      m(i, i) -= cplx{0.0, nu_[k]};
+      v[i] = x1[i] * p1[k] - x0_[i] * p0[k] - sys.b(i, 0) * u_[k];
+    }
+    bool singular = false;
+    try {
+      bins[k] = solve(m, v)[n - 1];
+    } catch (const std::domain_error&) {
+      singular = true;
+    }
+    HTMPLL_REQUIRE(!singular && std::isfinite(bins[k].real()) &&
+                       std::isfinite(bins[k].imag()),
+                   bin_error(omega_, "the solve of A - j nu I met a "
+                                     "singular pivot"));
+  }
+  return 0.5 * bins[0] - 0.25 * bins[1] - 0.25 * bins[2];
 }
 
 void UniformSamples::clear() {
@@ -338,6 +463,7 @@ double PllTransientSim::next_vco_edge(double target, double current,
 
 void PllTransientSim::record_range(double t_begin, double t_end,
                                    double current) {
+  if (bin_ != nullptr) bin_->add_segment(t_begin, t_end, current);
   if (!cfg_.record) {
     next_sample_ = static_cast<std::int64_t>(
                        std::floor(t_end / cfg_.sample_interval)) + 1;
@@ -451,6 +577,12 @@ void PllTransientSim::run_until(double t_end) {
 
 void PllTransientSim::run_periods(double n) {
   run_until(t_ + n * t_period_);
+}
+
+cplx PllTransientSim::measure_theta_bin(double omega, double width) {
+  return detail::run_theta_bin_window(
+      bin_, aug_, t_, omega, width,
+      [this](double t_end) { run_until(t_end); });
 }
 
 double PllTransientSim::max_recent_pulse_width() const {

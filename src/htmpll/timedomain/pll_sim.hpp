@@ -43,6 +43,13 @@ struct ReferenceModulation {
   /// unclamped.  Each step takes value and slope from one sincos of
   /// omega t + phase, bit-identical to value(t) and slope(t).
   double edge_time(double target, double tolerance) const;
+
+  /// Hann-windowed bin of value(t) at `omega_bin` over the window
+  /// [t0, t0 + width], in closed form: the integral of
+  /// w(t) value(t) e^{-j omega_bin t} dt with
+  /// w(t) = (1 - cos(2 pi (t - t0) / width)) / 2 -- the same bin
+  /// ThetaBin takes of theta.
+  cplx hann_bin(double omega_bin, double t0, double width) const;
 };
 
 struct TransientConfig {
@@ -80,6 +87,82 @@ struct UniformSamples {
  private:
   std::vector<double> offsets_;  ///< one segment's offsets from t_begin
 };
+
+/// Hann-windowed bin of theta, the last state of the phase-augmented
+/// system x' = A x + B u, taken exactly from the held input u instead
+/// of from samples.  Integrating d/dt(x e^{-j nu t}) over the window
+/// [t0, t1] gives, with no approximation,
+///
+///   X(nu) = (A - j nu I)^{-1} [x(t1) e^{-j nu t1} - x(t0) e^{-j nu t0}
+///                              - B U(nu)],
+///   U(nu) = sum over segments [t_a, t_b] of u int e^{-j nu t} dt,
+///
+/// and the Hann window is three such rectangular bins, at nu = omega and
+/// omega -+ 2 pi / width.  A segment of nonzero current costs four
+/// sincos and never touches the state; closing the window costs one
+/// n x n complex solve per frequency.
+class ThetaBin {
+ public:
+  /// Every window frequency must keep this fraction of the bin spacing
+  /// 2 pi / width away from DC.  A has the theta integrator's zero
+  /// eigenvalue (with the loop filter's, a double one), so A - j nu I is
+  /// singular at nu = 0 and the boundary terms cancel ever more as nu
+  /// approaches it.  Measured against a Riemann sum over a T/8192.37
+  /// record of a loop with DC leakage: 3e-10 relative error at 1e-2
+  /// bins from DC, 2.5e-7 at 3e-3 bins and 3.4e-6 at 1e-3 bins.
+  static constexpr double kMinDcOffset = 1e-2;
+
+  /// Opens the window [t0, t0 + width] at state x0 for the bin at
+  /// `omega` (rad/s, any sign).  Throws std::invalid_argument, naming
+  /// omega, unless omega and t0 are finite, width is positive and
+  /// finite and every window frequency keeps kMinDcOffset bins from DC.
+  ThetaBin(double omega, double t0, double width, RVector x0);
+
+  /// Adds the segment [t_a, t_b] over which the input is held at u:
+  /// u e^{-j nu t_a} h phi1(-j nu h) per window frequency, h = t_b - t_a,
+  /// evaluated as u h sinc(nu h / 2) e^{-j nu (t_a + t_b) / 2}, which
+  /// keeps full relative accuracy on short charge-pump pulses.
+  void add_segment(double t_a, double t_b, double u);
+
+  /// Closes the window with the state x1 at t0 + width and returns
+  /// int w(t) theta(t) e^{-j omega t} dt, w the Hann window of
+  /// ReferenceModulation::hann_bin.  `sys` supplies A and B.  Throws
+  /// std::invalid_argument, naming omega, when a solve meets a singular
+  /// pivot.
+  cplx finish(const StateSpace& sys, const RVector& x1) const;
+
+ private:
+  double omega_;
+  double t0_;
+  double width_;
+  double spacing_;   ///< 2 pi / width
+  double nu_[3];     ///< omega, omega - spacing, omega + spacing
+  RVector x0_;
+  cplx u_[3] = {};   ///< U(nu) per window frequency
+};
+
+namespace detail {
+
+/// Both event-driven simulators' measure_theta_bin: opens a ThetaBin at
+/// the integrator's state, points `slot` (the simulator's per-segment
+/// hook) at it while `run_until` covers [t0, t0 + width], then closes
+/// it at the final state.  `slot` is cleared on every exit, so it never
+/// outlives the bin.
+template <class RunUntil>
+cplx run_theta_bin_window(ThetaBin*& slot,
+                          const PiecewiseExactIntegrator& integ, double t0,
+                          double omega, double width, RunUntil&& run_until) {
+  ThetaBin bin(omega, t0, width, integ.state());
+  struct Unhook {
+    ThetaBin*& slot;
+    ~Unhook() { slot = nullptr; }
+  } unhook{slot};
+  slot = &bin;
+  run_until(t0 + width);
+  return bin.finish(integ.system(), integ.state());
+}
+
+}  // namespace detail
 
 /// Throws std::invalid_argument unless the modulation is small-signal
 /// (|amplitude| < T/4) with finite omega and phase, sample_interval is
@@ -221,6 +304,13 @@ class PllTransientSim {
   void clear_samples();
   void set_recording(bool on) { cfg_.record = on; }
 
+  /// Runs the window [time(), time() + width] and returns theta's
+  /// Hann-windowed bin at `omega` over it (see ThetaBin): exact for the
+  /// simulated trajectory, with no sampling.  Recording, if on, goes on
+  /// as usual.  Throws std::invalid_argument as ThetaBin does, before
+  /// simulating.
+  cplx measure_theta_bin(double omega, double width);
+
   // --- checkpointing (warm starts, ensemble restarts) ---
   /// Captures the full dynamic state.  Recorded sample streams are NOT
   /// part of the checkpoint -- manage them with clear_samples().
@@ -317,6 +407,7 @@ class PllTransientSim {
 
   std::int64_t next_sample_ = 1;
   UniformSamples samples_;
+  ThetaBin* bin_ = nullptr;  ///< open measure_theta_bin window, if any
   bool started_ = false;
 };
 

@@ -30,7 +30,7 @@ cplx single_bin_ratio(const std::vector<double>& t,
   const std::size_t n = t.size();
   // e^{-j w t} as (cos, sin) of one sincos: glibc's cexp(0 + jy) is
   // exactly (cos y, sin y), so the sums match the complex-exp form bit
-  // for bit.  Every baseband probe uses one frequency for both bins.
+  // for bit.  The LPTV probe uses one frequency for both bins.
   // (Equal frequencies of opposite zero sign give +-0 sines, which the
   // +0.0-seeded sums absorb alike.)
   const bool same_bin = omega_y == omega_x;
@@ -69,8 +69,6 @@ void validate_probe_options(const ProbeOptions& opts) {
                      std::isfinite(opts.settle_periods),
                  "settle period count must be non-negative and finite");
   HTMPLL_REQUIRE(opts.measure_periods >= 1, "need >= 1 measurement period");
-  HTMPLL_REQUIRE(opts.samples_per_period >= 8,
-                 "need >= 8 samples per modulation period");
   HTMPLL_REQUIRE(opts.warm_resettle_periods >= 0.0 &&
                      std::isfinite(opts.warm_resettle_periods),
                  "warm re-settle period count must be non-negative and "
@@ -92,13 +90,12 @@ TransientCheckpoint make_settled_checkpoint(const PllParameters& params,
 namespace {
 
 /// Shared probe core: runs the modulated simulation to steady state and
-/// returns the bin ratio between the theta record at omega_out and the
-/// theta_ref record at omega_m.  With a warm checkpoint the full settle
-/// is replaced by restoring the settled unmodulated state and a short
-/// re-settle under modulation.
+/// returns the ratio of theta's exact Hann-windowed bin at omega_out to
+/// theta_ref's at omega_m over the same window.  With a warm checkpoint
+/// the full settle is replaced by restoring the settled unmodulated
+/// state and a short re-settle under modulation.
 TransferMeasurement run_probe(const PllParameters& params, double omega_m,
-                              double omega_out, double min_sample_rate,
-                              const ProbeOptions& opts,
+                              double omega_out, const ProbeOptions& opts,
                               const TransientCheckpoint* warm) {
   HTMPLL_TRACE_SPAN("probe.point");
   probe_point_counter().add();
@@ -115,13 +112,6 @@ TransferMeasurement run_probe(const PllParameters& params, double omega_m,
   mod.phase = 0.0;
 
   TransientConfig cfg;
-  // Never sample slower than T/8 (ripple and sidebands near multiples
-  // of w0 must not alias near the measurement bins), and honor any
-  // higher rate required to resolve omega_out.
-  cfg.sample_interval =
-      std::min({tm / static_cast<double>(opts.samples_per_period),
-                t_period / 8.0,
-                2.0 * std::numbers::pi / min_sample_rate});
   cfg.record = false;
 
   PllTransientSim sim(params, mod, cfg);
@@ -138,16 +128,16 @@ TransferMeasurement run_probe(const PllParameters& params, double omega_m,
     sim.run_until(settle);
   }
 
-  sim.set_recording(true);
-  sim.clear_samples();
+  const double t0 = sim.time();
+  const double width = static_cast<double>(opts.measure_periods) * tm;
+  cplx theta_bin;
   {
     HTMPLL_TRACE_SPAN("probe.measure");
-    sim.run_until(settle + static_cast<double>(opts.measure_periods) * tm);
+    theta_bin = sim.measure_theta_bin(omega_out, width);
   }
 
   TransferMeasurement out;
-  out.value = single_bin_ratio(sim.sample_times(), sim.theta_samples(),
-                               omega_out, sim.theta_ref_samples(), omega_m);
+  out.value = theta_bin / mod.hann_bin(omega_m, t0, width);
   out.simulated_time = sim.time();
   out.events = sim.event_count();
   return out;
@@ -156,7 +146,7 @@ TransferMeasurement run_probe(const PllParameters& params, double omega_m,
 TransferMeasurement baseband_probe(const PllParameters& params,
                                    double omega_m, const ProbeOptions& opts,
                                    const TransientCheckpoint* warm) {
-  return run_probe(params, omega_m, omega_m, 16.0 * omega_m, opts, warm);
+  return run_probe(params, omega_m, omega_m, opts, warm);
 }
 
 TransferMeasurement band_probe(const PllParameters& params, int band,
@@ -164,23 +154,10 @@ TransferMeasurement band_probe(const PllParameters& params, int band,
                                const TransientCheckpoint* warm) {
   HTMPLL_REQUIRE(band >= -8 && band <= 8,
                  "band transfer probe supports |n| <= 8");
-  const double w0 = params.w0;
-  const double omega_out =
-      static_cast<double>(band) * w0 + omega_m;
-  // The output component may sit at a negative frequency (n < 0); a real
-  // record's bin there is the conjugate of the bin at |omega|.  We
-  // measure at |omega| and conjugate back -- the magnitude matches
-  // |H_{n,0}| exactly; the phase is only meaningful for n >= 0 (the
-  // stimulus bin is not conjugated).
-  const double omega_abs = std::abs(omega_out);
-  HTMPLL_REQUIRE(omega_abs > 1e-12 * w0,
-                 "output component sits at DC; choose another w_m");
-  // Sample fast enough that omega_abs is well below Nyquist.
-  const double min_rate = 4.0 * (omega_abs + w0);
-  TransferMeasurement m = run_probe(params, omega_m, omega_abs, min_rate,
-                                    opts, warm);
-  if (omega_out < 0.0) m.value = std::conj(m.value);
-  return m;
+  // The output component may sit at a negative frequency (n < 0); the
+  // exact bin measures it there directly, phase included.
+  const double omega_out = static_cast<double>(band) * params.w0 + omega_m;
+  return run_probe(params, omega_m, omega_out, opts, warm);
 }
 
 /// Settles the shared warm-start checkpoint when requested (and only

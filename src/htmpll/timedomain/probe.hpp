@@ -1,14 +1,13 @@
 // Small-signal transfer-function measurement on the transient simulator.
 //
 // Applies a sinusoidal phase modulation to the reference (eq. 14), lets
-// the loop settle, then extracts the VCO phase response at the
-// modulation frequency with a windowed single-bin DFT.  The ratio of the
-// theta and theta_ref bins is the measured closed-loop baseband transfer
-// H_{0,0}(j w_m) -- the marks on the paper's Fig. 6.
-//
-// A Hann window suppresses the image component at w0 - w_m (the
-// H_{-1,0} sideband folded by sampling theta(t) on a uniform grid),
-// which otherwise contaminates measurements near w0/2.
+// the loop settle, then takes the Hann-windowed bins of the VCO phase
+// theta and of theta_ref over a whole number of modulation periods.
+// Both bins are exact: theta's comes in closed form from the held
+// charge-pump current (ThetaBin), theta_ref's from the modulation, so no
+// record is sampled and no sideband folds onto the bin.  Their ratio is
+// the measured closed-loop transfer H_{0,0}(j w_m) -- the marks on the
+// paper's Fig. 6 -- or, at n w0 + w_m, the sideband H_{n,0}(j w_m).
 #pragma once
 
 #include <cstddef>
@@ -26,9 +25,10 @@ struct ProbeOptions {
   /// Reference periods simulated (recording off) before measuring.
   double settle_periods = 300.0;
   /// Integer number of modulation periods in the measurement window.
+  /// A baseband probe needs >= 2: with one period the Hann window's
+  /// lower frequency w_m - 2 pi / width sits at DC, which the bin
+  /// rejects.
   int measure_periods = 24;
-  /// Samples per modulation period (>= 8).
-  int samples_per_period = 16;
   /// Warm start: settle the *unmodulated* loop once (settle_periods),
   /// checkpoint it, and reuse that checkpoint for every probe frequency
   /// with only a short per-point re-settle.  Off by default -- the cold
@@ -41,8 +41,8 @@ struct ProbeOptions {
 };
 
 /// Throws std::invalid_argument unless amplitude_fraction > 0,
-/// settle_periods >= 0 (finite), measure_periods >= 1,
-/// samples_per_period >= 8 and warm_resettle_periods >= 0 (finite).
+/// settle_periods >= 0 (finite), measure_periods >= 1 and
+/// warm_resettle_periods >= 0 (finite).
 /// Called by every probe entry point.
 void validate_probe_options(const ProbeOptions& opts);
 
@@ -53,7 +53,7 @@ TransientCheckpoint make_settled_checkpoint(const PllParameters& params,
                                             double settle_periods);
 
 struct TransferMeasurement {
-  cplx value;              ///< measured H_{0,0}(j w_m)
+  cplx value;              ///< measured H_{0,0}(j w_m) (H_{n,0}: band probe)
   double simulated_time;   ///< total simulated seconds
   std::size_t events;      ///< PFD edge events processed
 };
@@ -64,12 +64,17 @@ TransferMeasurement measure_baseband_transfer(const PllParameters& params,
                                               double omega_m,
                                               const ProbeOptions& opts = {});
 
-/// Measures |H_{n,0}(j w_m)| for band index n: the output component at
-/// n w0 + w_m (a reference "spur" for n != 0) produced by baseband
-/// reference modulation at w_m.  This exercises the off-diagonal HTM
-/// elements of Fig. 2 -- "signal transfers to other frequency bands can
-/// be studied as well by considering the other elements of H(s)".
-/// Requires |band| <= 8 (sampling-rate limit of the probe).
+/// Measures H_{n,0}(j w_m), magnitude and phase, for band index n: the
+/// output component at n w0 + w_m (a reference "spur" for n != 0)
+/// produced by baseband reference modulation at w_m.  This exercises the
+/// off-diagonal HTM elements of Fig. 2 -- "signal transfers to other
+/// frequency bands can be studied as well by considering the other
+/// elements of H(s)".  A negative n w0 + w_m is measured there directly.
+/// Requires |band| <= 8: the exact bin has no sampling rate to limit
+/// it, so this is only an input range check on the band index.  Throws
+/// std::invalid_argument when n w0 + w_m, or it -+ the bin spacing
+/// 2 pi / (measure_periods T_m), lies within 0.01 bins of DC (see
+/// ThetaBin).
 TransferMeasurement measure_band_transfer(const PllParameters& params,
                                           int band, double omega_m,
                                           const ProbeOptions& opts = {});
@@ -102,8 +107,9 @@ std::vector<TransferMeasurement> measure_band_transfer_many(
     const PllParameters& params, const std::vector<BandProbePoint>& points,
     const ProbeOptions& opts, ThreadPool& pool);
 
-/// Windowed single-bin DFT ratio of two equally-sampled records; exposed
-/// for unit testing.  Returns sum(w_k y_k e^{-j wy t_k}) /
+/// Windowed single-bin DFT ratio of two equally-sampled records: the
+/// LPTV probe's estimator, and the oracle the exact bins are tested
+/// against.  Returns sum(w_k y_k e^{-j wy t_k}) /
 /// sum(w_k x_k e^{-j wx t_k}) with a Hann window; both frequencies must
 /// be finite.
 cplx single_bin_ratio(const std::vector<double>& t,

@@ -29,6 +29,7 @@ double SampleHoldPllSim::theta() const {
 }
 
 void SampleHoldPllSim::record_range(double t_begin, double t_end) {
+  if (bin_ != nullptr) bin_->add_segment(t_begin, t_end, current_);
   if (!cfg_.record) {
     next_sample_ = static_cast<std::int64_t>(
                        std::floor(t_end / cfg_.sample_interval)) + 1;
@@ -70,10 +71,17 @@ void SampleHoldPllSim::run_periods(double n) {
 
 void SampleHoldPllSim::clear_samples() { samples_.clear(); }
 
+cplx SampleHoldPllSim::measure_theta_bin(double omega, double width) {
+  return detail::run_theta_bin_window(
+      bin_, aug_, t_, omega, width,
+      [this](double t_end) { run_until(t_end); });
+}
+
 TransferMeasurement measure_baseband_transfer_sample_hold(
     const PllParameters& params, double omega_m, const ProbeOptions& opts) {
   HTMPLL_REQUIRE(omega_m > 0.0 && std::isfinite(omega_m),
                  "modulation frequency must be positive and finite");
+  validate_probe_options(opts);
   const double t_period = params.period();
   const double tm = 2.0 * std::numbers::pi / omega_m;
 
@@ -82,21 +90,17 @@ TransferMeasurement measure_baseband_transfer_sample_hold(
   mod.omega = omega_m;
 
   TransientConfig cfg;
-  cfg.sample_interval =
-      std::min(tm / static_cast<double>(opts.samples_per_period),
-               t_period / 8.0);
   cfg.record = false;
 
   SampleHoldPllSim sim(params, mod, cfg);
   const double settle = std::max(opts.settle_periods * t_period, 4.0 * tm);
   sim.run_until(settle);
-  sim.set_recording(true);
-  sim.clear_samples();
-  sim.run_until(settle + static_cast<double>(opts.measure_periods) * tm);
+  const double t0 = sim.time();
+  const double width = static_cast<double>(opts.measure_periods) * tm;
+  const cplx theta_bin = sim.measure_theta_bin(omega_m, width);
 
   TransferMeasurement out;
-  out.value = single_bin_transfer(sim.sample_times(), sim.theta_samples(),
-                                  sim.theta_ref_samples(), omega_m);
+  out.value = theta_bin / mod.hann_bin(omega_m, t0, width);
   out.simulated_time = sim.time();
   out.events = sim.event_count();
   return out;

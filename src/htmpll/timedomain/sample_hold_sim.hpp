@@ -42,6 +42,10 @@ class SampleHoldPllSim {
   void clear_samples();
   void set_recording(bool on) { cfg_.record = on; }
 
+  /// Runs the window [time(), time() + width] and returns theta's exact
+  /// Hann-windowed bin at `omega` (see PllTransientSim::measure_theta_bin).
+  cplx measure_theta_bin(double omega, double width);
+
   std::size_t event_count() const { return events_; }
 
  private:
@@ -63,6 +67,7 @@ class SampleHoldPllSim {
 
   std::int64_t next_sample_ = 1;
   UniformSamples samples_;
+  ThetaBin* bin_ = nullptr;  ///< open measure_theta_bin window, if any
 };
 
 /// Small-signal baseband transfer measured on the sample-and-hold loop.

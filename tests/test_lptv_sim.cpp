@@ -96,8 +96,33 @@ TEST(LptvSim, ProbeMatchesHtmModelTiCase) {
   const TransferMeasurement meas =
       measure_baseband_transfer_lptv(p, flat_isf(p), wm, opts);
   const cplx predicted = model.baseband_transfer(j * wm);
+  // Measured 4.5e-4.
   EXPECT_NEAR(std::abs(meas.value - predicted) / std::abs(predicted), 0.0,
-              0.02);
+              1.5e-3);
+}
+
+TEST(LptvSim, DcIsfProbeMatchesExactProbe) {
+  // With a DC-only ISF the RK4 loop is the exact simulator's loop, so
+  // its sampled probe must agree with the exact-bin probe.  Bounds are
+  // ~3x the measured 3.9e-5, 2.4e-4 and 7.7e-6: the RK4 and
+  // linear-interpolation error, and the sampled record's own leakage.
+  struct Mark {
+    double ratio, f, tol;
+  };
+  for (const Mark m : {Mark{0.15, 0.1, 1.2e-4}, Mark{0.2, 0.4, 7.5e-4},
+                       Mark{0.1, 0.03, 2.5e-5}}) {
+    const PllParameters p = loop(m.ratio);
+    ProbeOptions opts;
+    opts.settle_periods = 250.0;
+    opts.measure_periods = 16;
+    const double wm = m.f * kW0;
+    const TransferMeasurement rk =
+        measure_baseband_transfer_lptv(p, flat_isf(p), wm, opts);
+    const TransferMeasurement exact = measure_baseband_transfer(p, wm, opts);
+    EXPECT_LT(std::abs(rk.value - exact.value) / std::abs(exact.value),
+              m.tol)
+        << "w_UG/w0 " << m.ratio << " w_m/w0 " << m.f;
+  }
 }
 
 TEST(LptvSim, ProbeMatchesHtmModelLptvCase) {
@@ -123,7 +148,7 @@ TEST(LptvSim, ProbeMatchesHtmModelLptvCase) {
   const cplx ti_pred = ti_model.baseband_transfer(j * wm);
   const double err_lptv =
       std::abs(meas.value - lptv_pred) / std::abs(lptv_pred);
-  EXPECT_LT(err_lptv, 0.03);
+  EXPECT_LT(err_lptv, 2e-3);  // measured 5.9e-4
   // The ISF harmonic changes the response; the LPTV model must be the
   // better predictor.
   const double err_ti = std::abs(meas.value - ti_pred) / std::abs(ti_pred);

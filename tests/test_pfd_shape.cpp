@@ -142,13 +142,18 @@ TEST(SampleHoldSim, ProbeMatchesZohModel) {
   ProbeOptions opts;
   opts.settle_periods = 300.0;
   opts.measure_periods = 20;
-  for (double f : {0.05, 0.12}) {
+  // The exact bin leaves only the S/H loop's own distance from its ZOH
+  // model: measured 2.2e-9 and 1.1e-7.
+  const struct {
+    double f, tol;
+  } cases[] = {{0.05, 7e-9}, {0.12, 3.5e-7}};
+  for (const auto& c : cases) {
     const TransferMeasurement meas =
-        measure_baseband_transfer_sample_hold(p, f * kW0, opts);
-    const cplx predicted = model.baseband_transfer(j * (f * kW0));
+        measure_baseband_transfer_sample_hold(p, c.f * kW0, opts);
+    const cplx predicted = model.baseband_transfer(j * (c.f * kW0));
     EXPECT_NEAR(std::abs(meas.value - predicted) / std::abs(predicted),
-                0.0, 0.02)
-        << "f = " << f;
+                0.0, c.tol)
+        << "f = " << c.f;
   }
 }
 

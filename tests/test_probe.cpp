@@ -2,11 +2,13 @@
 #include <cstring>
 #include <numbers>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "htmpll/timedomain/probe.hpp"
+#include "htmpll/timedomain/sample_hold_sim.hpp"
 
 namespace htmpll {
 namespace {
@@ -109,10 +111,6 @@ TEST(SingleBin, OneSincosPerSampleMatchesComplexExpBitwise) {
 TEST(Probe, OptionsValidated) {
   const PllParameters p = make_typical_loop(0.2 * 2.0 * kPi, 2.0 * kPi);
   ProbeOptions opts;
-  opts.samples_per_period = 2;
-  EXPECT_THROW(measure_baseband_transfer(p, 1.0, opts),
-               std::invalid_argument);
-  opts = ProbeOptions{};
   opts.measure_periods = 0;
   EXPECT_THROW(measure_baseband_transfer(p, 1.0, opts),
                std::invalid_argument);
@@ -131,6 +129,196 @@ TEST(Probe, InBandMeasurementTracksReference) {
   EXPECT_NEAR(std::abs(m.value), 1.0, 0.03);
   EXPECT_GT(m.events, 100u);
   EXPECT_GT(m.simulated_time, 0.0);
+}
+
+// --- the exact theta bin ------------------------------------------------
+
+constexpr double kW0 = 2.0 * kPi;  // T = 1
+
+/// Continuous-Hann Riemann sum over the recorded samples inside
+/// [t0, t0 + width]: the oracle for the exact bins.
+cplx riemann_hann_bin(const std::vector<double>& t,
+                      const std::vector<double>& y, double omega, double t0,
+                      double width, double dt) {
+  cplx acc{0.0};
+  for (std::size_t k = 0; k < t.size(); ++k) {
+    if (t[k] < t0 || t[k] > t0 + width) continue;
+    const double w = 0.5 * (1.0 - std::cos(2.0 * kPi * (t[k] - t0) / width));
+    acc += w * y[k] * std::exp(cplx{0.0, -omega * t[k]});
+  }
+  return acc * dt;
+}
+
+struct OracleCase {
+  const char* name;
+  double ratio;  // w_UG / w0
+  double f;      // w_m / w0
+  int band;      // the bin sits at band w0 + w_m
+  double phase;  // modulation phase
+  bool leakage;  // DC leakage current: a static phase offset
+  bool pade;     // force Pade propagators
+  bool sample_hold;
+  double tol;    // relative agreement, ~3x the measured value
+};
+
+class ThetaBinOracle : public ::testing::TestWithParam<OracleCase> {};
+
+/// Settles, then in one run records theta every T/256.37 (a rate no
+/// multiple of w0) with the exact bin on, and compares the two.
+template <class Sim>
+void expect_bin_matches_record(Sim& sim, const OracleCase& c,
+                               double omega_m) {
+  sim.run_until(150.0);
+  sim.set_recording(true);
+  const double t0 = sim.time();
+  const double width = 12.0 * 2.0 * kPi / omega_m;
+  const double omega = c.band * kW0 + omega_m;
+  const cplx bin = sim.measure_theta_bin(omega, width);
+  const cplx oracle = riemann_hann_bin(sim.sample_times(),
+                                       sim.theta_samples(), omega, t0, width,
+                                       1.0 / 256.37);
+  EXPECT_LT(std::abs(bin - oracle) / std::abs(bin), c.tol)
+      << c.name << ": bin " << bin << " oracle " << oracle;
+}
+
+TEST_P(ThetaBinOracle, MatchesRiemannSumOfDenseRecord) {
+  const OracleCase c = GetParam();
+  const PllParameters p = make_typical_loop(c.ratio * kW0, kW0);
+  ReferenceModulation mod;
+  mod.amplitude = 1e-3;
+  mod.omega = c.f * kW0;
+  mod.phase = c.phase;
+  TransientConfig cfg;
+  cfg.sample_interval = 1.0 / 256.37;
+  cfg.record = false;
+  cfg.use_spectral_propagators = !c.pade;
+  if (c.sample_hold) {
+    SampleHoldPllSim sim(p, mod, cfg);
+    expect_bin_matches_record(sim, c, mod.omega);
+  } else {
+    PllTransientSim sim(p, mod, cfg);
+    if (c.leakage) sim.set_leakage(2e-3 * p.icp, 0.1);
+    expect_bin_matches_record(sim, c, mod.omega);
+  }
+}
+
+// Measured at 256.37 samples per T: 4.4e-7, 5.1e-6, 2.4e-5, 7.7e-8,
+// 6.7e-8, 7.5e-6 and 1.9e-12 -- the Riemann sum's own error at theta's
+// kinks, which keeps falling with the rate (<= 7e-11 at 16384.37
+// samples per T).
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ThetaBinOracle,
+    ::testing::Values(
+        OracleCase{"baseband", 0.2, 0.12, 0, 0.0, false, false, false, 1.5e-6},
+        OracleCase{"band -1", 0.2, 0.12, -1, 0.0, false, false, false, 1.5e-5},
+        OracleCase{"band 2", 0.2, 0.12, 2, 0.0, false, false, false, 7e-5},
+        OracleCase{"phase", 0.15, 0.09, 0, 0.7, false, false, false, 2.5e-7},
+        OracleCase{"leakage", 0.15, 0.09, 0, 0.0, true, false, false, 2e-7},
+        OracleCase{"pade", 0.2, 0.12, 1, 0.0, false, true, false, 2.5e-5},
+        OracleCase{"sample-hold", 0.15, 0.1, 0, 0.3, false, false, true,
+                   1e-11}));
+
+TEST(ThetaBin, SpectralAndPadeBinsAgreeWithinTheStateContract) {
+  const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
+  ReferenceModulation mod;
+  mod.amplitude = 1e-3;
+  mod.omega = 0.12 * kW0;
+  const double width = 12.0 * 2.0 * kPi / mod.omega;
+  for (int band : {0, -1, 2}) {
+    cplx bins[2];
+    for (bool spectral : {true, false}) {
+      TransientConfig cfg;
+      cfg.record = false;
+      cfg.use_spectral_propagators = spectral;
+      PllTransientSim sim(p, mod, cfg);
+      sim.run_until(150.0);
+      bins[spectral ? 0 : 1] =
+          sim.measure_theta_bin(band * kW0 + mod.omega, width);
+    }
+    EXPECT_LT(std::abs(bins[0] - bins[1]) / std::abs(bins[1]), 1e-10)
+        << "band " << band;
+  }
+}
+
+TEST(ThetaBin, ReferenceBinMatchesRiemannSum) {
+  ReferenceModulation mod;
+  mod.amplitude = 2e-3;
+  mod.omega = 0.37;
+  mod.phase = -1.1;
+  const double t0 = 13.0, width = 9.0 * 2.0 * kPi / mod.omega;
+  const double dt = width / 200000.0;
+  std::vector<double> t, y;
+  for (double tk = t0; tk <= t0 + width; tk += dt) {
+    t.push_back(tk);
+    y.push_back(mod.value(tk));
+  }
+  // The measured bin and two off-bin frequencies, one between lobes.
+  for (double omega : {mod.omega, 1.3 * mod.omega, -0.55 * mod.omega}) {
+    const cplx exact = mod.hann_bin(omega, t0, width);
+    const cplx oracle = riemann_hann_bin(t, y, omega, t0, width, dt);
+    EXPECT_LT(std::abs(exact - oracle), 1e-9 * std::abs(mod.hann_bin(
+                                                  mod.omega, t0, width)))
+        << "omega " << omega;
+  }
+  EXPECT_EQ(ReferenceModulation{}.hann_bin(1.0, 0.0, 10.0), cplx{0.0});
+}
+
+/// Expects `f` to throw std::invalid_argument whose message contains
+/// `what`.
+template <class F>
+void expect_rejected(F&& f, const std::string& what) {
+  try {
+    f();
+    ADD_FAILURE() << "accepted; expected a rejection naming " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ThetaBin, RejectsWindowFrequenciesNearDc) {
+  const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
+  ProbeOptions opts;
+  opts.settle_periods = 20.0;
+  // n = -1 at w_m = 24/25 w0: the output sits at -w0/25, exactly one
+  // bin (2 pi / width = w_m / 24) below DC, so omega + 2 pi / width = 0.
+  expect_rejected(
+      [&] { measure_band_transfer(p, -1, 24.0 / 25.0 * kW0, opts); },
+      "omega = -0.251");
+  // One modulation period puts a baseband probe's omega - 2 pi / width
+  // on DC.
+  opts.measure_periods = 1;
+  expect_rejected([&] { measure_baseband_transfer(p, 0.1 * kW0, opts); },
+                  "DC");
+  // The bin itself: omega within 0.01 bins of DC.
+  const RVector x0(3, 0.0);
+  expect_rejected([&] { ThetaBin(1e-4, 0.0, 2.0 * kPi, x0); }, "DC");
+  EXPECT_NO_THROW(ThetaBin(0.5, 0.0, 2.0 * kPi, x0));
+}
+
+TEST(ThetaBin, RejectsASingularSolve) {
+  // x' = [0 1; -1 0] x + [0; 1] u rings at 1 rad/s, so A - j I is
+  // exactly singular at the bin omega = 1.
+  StateSpace osc;
+  osc.a = RMatrix{{0.0, 1.0}, {-1.0, 0.0}};
+  osc.b = RMatrix{{0.0}, {1.0}};
+  osc.c = RMatrix{{1.0, 0.0}};
+  ThetaBin bin(1.0, 0.0, 40.0 * kPi, RVector{0.0, 0.0});
+  bin.add_segment(0.0, 1.0, 1.0);
+  expect_rejected([&] { (void)bin.finish(osc, RVector{0.1, 0.2}); },
+                  "singular pivot");
+}
+
+TEST(ThetaBin, RejectsBadWindowWidth) {
+  const RVector x0(3, 0.0);
+  for (double width : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    expect_rejected([&] { ThetaBin(0.5, 0.0, width, x0); }, "width");
+    PllTransientSim sim(make_typical_loop(0.1 * kW0, kW0));
+    expect_rejected([&] { (void)sim.measure_theta_bin(0.5, width); },
+                    "omega = 0.5");
+    EXPECT_EQ(sim.time(), 0.0);
+    EXPECT_EQ(sim.event_count(), 0u);
+  }
 }
 
 }  // namespace
