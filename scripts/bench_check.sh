@@ -54,16 +54,7 @@
 #    scalar-forced (use_eval_plan=false) margins/poles must be
 #    bit-identical to the seed implementation.
 #
-#  * bench_mc: the lockstep SoA ensemble engine's NoiseRunStats /
-#    acquisition / step-response outputs must be bitwise identical to
-#    the per-member scalar chain on both the default and the
-#    forced-scalar (use_ensemble_engine=false) paths.  Its speedup over
-#    that chain is reported but not gated (a twin-relative ratio, and
-#    both paths share the same exact fast paths).  A reduced-horizon
-#    HTMPLL_SIMD=0 re-run keeps the same parity gates on the portable
-#    kernels.
-#
-# Usage: scripts/bench_check.sh [--smoke] [build-dir] [sweep-report.json] [transient-report.json] [kernels-report.json] [noise-report.json] [stability-report.json] [mc-report.json]
+# Usage: scripts/bench_check.sh [--smoke] [build-dir] [sweep-report.json] [transient-report.json] [kernels-report.json] [noise-report.json] [stability-report.json]
 #   --smoke: end-to-end bench-shape check for PRs -- reduced reps where
 #            supported, gates relaxed to parity / tolerance /
 #            bit-identity only (no timing gates, no overhead check, no
@@ -85,7 +76,6 @@ TREPORT="${POS[2]:-BENCH_transient.json}"
 KREPORT="${POS[3]:-BENCH_kernels.json}"
 NREPORT="${POS[4]:-BENCH_noise.json}"
 SREPORT="${POS[5]:-BENCH_stability.json}"
-MREPORT="${POS[6]:-BENCH_mc.json}"
 
 # The benches enforce parity / tolerance / bit-identity unconditionally;
 # --check adds their timing gates, which smoke mode leaves out.
@@ -94,7 +84,7 @@ if [ "$SMOKE" = 1 ]; then CHECK=""; fi
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build "$BUILD" --target bench_sweep bench_transient bench_kernels \
-      bench_noise bench_stability bench_mc -j > /dev/null
+      bench_noise bench_stability -j > /dev/null
 
 "$BUILD/bench/bench_sweep" "$REPORT" $CHECK
 "$BUILD/bench/bench_transient" "$TREPORT" $CHECK
@@ -102,19 +92,14 @@ cmake --build "$BUILD" --target bench_sweep bench_transient bench_kernels \
 "$BUILD/bench/bench_noise" "$NREPORT" $CHECK
 if [ "$SMOKE" = 1 ]; then
   "$BUILD/bench/bench_stability" "$SREPORT" --check --smoke
-  "$BUILD/bench/bench_mc" "$MREPORT" --smoke
 else
   "$BUILD/bench/bench_stability" "$SREPORT" --check
-  "$BUILD/bench/bench_mc" "$MREPORT"
 fi
 
 # The same gates must hold with the SIMD dispatch forced to the
 # portable scalar kernels and with the obs layer live.
 HTMPLL_SIMD=0 "$BUILD/bench/bench_kernels" "${KREPORT%.json}_scalar.json" $CHECK
 HTMPLL_SIMD=0 "$BUILD/bench/bench_noise" "${NREPORT%.json}_scalar.json" $CHECK
-# Ensemble parity must also hold on the portable batch kernels
-# (reduced horizon: the run only feeds the bitwise gates).
-HTMPLL_SIMD=0 "$BUILD/bench/bench_mc" "${MREPORT%.json}_scalar.json" --smoke
 HTMPLL_OBS=1 "$BUILD/bench/bench_noise" "${NREPORT%.json}_obs.json" $CHECK
 
 # Forced-Pade transient run: with the spectral engine switched off the
@@ -183,8 +168,7 @@ require_le() {
   fi
 }
 
-for f in "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT" \
-         "$MREPORT"; do
+for f in "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT"; do
   if [ ! -f "$f" ]; then
     fail "report-exists" "$f" "file written by the bench" "no such file"
   fi
@@ -232,17 +216,6 @@ if [ -f "$SREPORT" ]; then
   require_section stability-scalar-fallback "$SREPORT" scalar_fallback
   require_section stability-telemetry "$SREPORT" telemetry
 fi
-
-for mf in "$MREPORT" "${MREPORT%.json}_scalar.json"; do
-  if [ -f "$mf" ]; then
-    require_true mc-noise-bitwise "$mf" noise_parity_bitwise
-    require_true mc-forced-scalar-bitwise "$mf" forced_scalar_bitwise
-    require_true mc-acquisition-bitwise "$mf" acquisition_parity_bitwise
-    require_true mc-step-response-bitwise "$mf" step_response_parity_bitwise
-    require_section mc-section "$mf" mc
-    require_section mc-telemetry "$mf" telemetry
-  fi
-done
 
 if [ -f "$TREPORT" ]; then
   require_true transient-bit-identical "$TREPORT" default_bit_identical
@@ -297,8 +270,7 @@ require_true noise-obs-bit-identical "$NREPORT" bit_identical
 require_section noise-obs-overhead "$NREPORT" obs_overhead
 
 # Every bench manifest must carry the diagnostics/health section.
-for f in "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT" \
-         "$MREPORT"; do
+for f in "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT"; do
   m="$f.manifest.json"
   if [ -f "$m" ]; then
     require_section manifest-health "$m" health
@@ -328,7 +300,7 @@ if [ "$FAILURES" -gt 0 ]; then
 fi
 
 if [ "$SMOKE" = 1 ]; then
-  echo "bench_check: OK [smoke] ($REPORT, $TREPORT, $KREPORT, $NREPORT, $SREPORT, $MREPORT)"
+  echo "bench_check: OK [smoke] ($REPORT, $TREPORT, $KREPORT, $NREPORT, $SREPORT)"
   exit 0
 fi
 
@@ -339,12 +311,12 @@ fi
 HISTORY_TMP="$(mktemp)"
 trap 'rm -f "$HISTORY_TMP"' EXIT
 python3 "$(dirname "$0")/bench_history.py" --history "$HISTORY_TMP" \
-  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT" "$MREPORT"
+  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT"
 python3 "$(dirname "$0")/bench_history.py" --history "$HISTORY_TMP" \
-  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT" "$MREPORT"
+  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT"
 # Record this run in the persistent history keyed by git describe.
 python3 "$(dirname "$0")/bench_history.py" \
-  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT" "$MREPORT"
+  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT"
 
 # A build with the vector kernel TU compiled out entirely: the stub
 # path must link and the portable kernels must clear the same gates.
@@ -355,4 +327,4 @@ cmake --build "$NOSIMD_BUILD" --target bench_kernels bench_noise -j > /dev/null
 "$NOSIMD_BUILD/bench/bench_kernels" "${KREPORT%.json}_nosimd.json" --check
 "$NOSIMD_BUILD/bench/bench_noise" "${NREPORT%.json}_nosimd.json" --check
 
-echo "bench_check: OK ($REPORT, $TREPORT, $KREPORT, $NREPORT, $SREPORT, $MREPORT)"
+echo "bench_check: OK ($REPORT, $TREPORT, $KREPORT, $NREPORT, $SREPORT)"

@@ -82,34 +82,6 @@ void accumulate_pole_sums_scalar(const PoleSumTerm& term, double c,
   }
 }
 
-void batch_step_advance_scalar(const double* phi0, const double* gamma1,
-                               std::size_t n, const double* x,
-                               const double* u0, std::size_t m,
-                               double* out) {
-  // Accumulation runs j-outer / member-inner: per member the additions
-  // happen in the same ascending-j order as the scalar advance_into
-  // register accumulator, so every column is bit-identical to it.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* arow = phi0 + i * n;
-    double* orow = out + i * m;
-    for (std::size_t k = 0; k < m; ++k) orow[k] = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double aij = arow[j];
-      const double* xrow = x + j * m;
-      for (std::size_t k = 0; k < m; ++k) orow[k] += aij * xrow[k];
-    }
-  }
-  if (gamma1 != nullptr) {
-    // The leading 0.0 + mirrors advance_into: it keeps a -0.0 product
-    // from flipping the sign bit of a -0.0 accumulator entry.
-    for (std::size_t i = 0; i < n; ++i) {
-      const double gi = gamma1[i];
-      double* orow = out + i * m;
-      for (std::size_t k = 0; k < m; ++k) orow[k] += 0.0 + gi * u0[k];
-    }
-  }
-}
-
 }  // namespace detail
 
 void split_planes(const cplx* z, std::size_t n, double* re, double* im) {
@@ -172,16 +144,6 @@ void accumulate_pole_sums(const PoleSumTerm& term, double c,
   } else {
     detail::accumulate_pole_sums_scalar(term, c, s_re, s_im, e_re, e_im,
                                         n, acc_re, acc_im);
-  }
-}
-
-void batch_step_advance(const double* phi0, const double* gamma1,
-                        std::size_t n, const double* x, const double* u0,
-                        std::size_t m, double* out) {
-  if (use_avx2()) {
-    detail::batch_step_advance_avx2(phi0, gamma1, n, x, u0, m, out);
-  } else {
-    detail::batch_step_advance_scalar(phi0, gamma1, n, x, u0, m, out);
   }
 }
 

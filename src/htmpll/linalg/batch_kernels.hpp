@@ -88,23 +88,4 @@ void accumulate_pole_sums(const PoleSumTerm& term, double c,
                           const double* e_re, const double* e_im,
                           std::size_t n, double* acc_re, double* acc_im);
 
-/// Lockstep step-propagator application for an ensemble of `m` members
-/// sharing ONE step length: `x` and `out` are n x m row-major SoA
-/// blocks (row i holds state component i of every member), `phi0` is
-/// the n x n propagator, `gamma1` its n x 1 input column (null for an
-/// autonomous system) and `u0` the per-member held input.  Per member k
-/// the operation sequence is exactly StepPropagator::advance_into with
-/// u1 == u0 (piecewise-constant input, so the gamma2 term vanishes):
-///
-///   out(i,k) = sum_j phi0(i,j) x(j,k)       (j ascending)
-///   out(i,k) += 0.0 + gamma1(i,0) * u0[k]
-///
-/// so every member's column is bit-identical to its scalar advance for
-/// any m.  The AVX2 variant vectorizes ACROSS members with separate
-/// mul/add (never fused), preserving the per-lane sequence.  `out` must
-/// not alias `x`.
-void batch_step_advance(const double* phi0, const double* gamma1,
-                        std::size_t n, const double* x, const double* u0,
-                        std::size_t m, double* out);
-
 }  // namespace htmpll

@@ -44,11 +44,6 @@ void accumulate_pole_sums_scalar(const PoleSumTerm& term, double c,
                                  std::size_t n, double* acc_re,
                                  double* acc_im);
 
-void batch_step_advance_scalar(const double* phi0, const double* gamma1,
-                               std::size_t n, const double* x,
-                               const double* u0, std::size_t m,
-                               double* out);
-
 inline cplx coth_from_e(cplx e) { return (1.0 + e) / (1.0 - e); }
 
 inline cplx csch2_from_e(cplx e) {

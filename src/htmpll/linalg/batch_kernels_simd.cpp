@@ -444,51 +444,6 @@ HTMPLL_TGT void accumulate_pole_sums_avx2(const PoleSumTerm& term, double c,
   }
 }
 
-HTMPLL_TGT void batch_step_advance_avx2(const double* phi0,
-                                        const double* gamma1,
-                                        std::size_t n, const double* x,
-                                        const double* u0, std::size_t m,
-                                        double* out) {
-  // Lanes run across members; per lane the j-ascending mul/add sequence
-  // is the scalar accumulator's (this TU builds with -ffp-contract=off
-  // and uses no fused intrinsics here, so nothing contracts).
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* arow = phi0 + i * n;
-    double* orow = out + i * m;
-    std::size_t k = 0;
-    for (; k + 4 <= m; k += 4) {
-      __m256d acc = _mm256_setzero_pd();
-      for (std::size_t j = 0; j < n; ++j) {
-        const __m256d a = _mm256_set1_pd(arow[j]);
-        const __m256d xv = _mm256_loadu_pd(x + j * m + k);
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(a, xv));
-      }
-      _mm256_storeu_pd(orow + k, acc);
-    }
-    for (; k < m; ++k) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < n; ++j) acc += arow[j] * x[j * m + k];
-      orow[k] = acc;
-    }
-  }
-  if (gamma1 != nullptr) {
-    const __m256d zero = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < n; ++i) {
-      double* orow = out + i * m;
-      const __m256d g = _mm256_set1_pd(gamma1[i]);
-      std::size_t k = 0;
-      for (; k + 4 <= m; k += 4) {
-        const __m256d u = _mm256_loadu_pd(u0 + k);
-        const __m256d t =
-            _mm256_add_pd(zero, _mm256_mul_pd(g, u));  // 0.0 + g*u0
-        _mm256_storeu_pd(orow + k,
-                         _mm256_add_pd(_mm256_loadu_pd(orow + k), t));
-      }
-      for (; k < m; ++k) orow[k] += 0.0 + gamma1[i] * u0[k];
-    }
-  }
-}
-
 #else  // !HTMPLL_SIMD_X86: stubs (dispatch never selects them)
 
 namespace {
@@ -518,11 +473,6 @@ void batch_complex_div_avx2(std::size_t, double*, double*, const double*,
 void accumulate_pole_sums_avx2(const PoleSumTerm&, double, const double*,
                                const double*, const double*, const double*,
                                std::size_t, double*, double*) {
-  simd_unavailable();
-}
-void batch_step_advance_avx2(const double*, const double*, std::size_t,
-                             const double*, const double*, std::size_t,
-                             double*) {
   simd_unavailable();
 }
 

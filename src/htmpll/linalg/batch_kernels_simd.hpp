@@ -46,11 +46,4 @@ void accumulate_pole_sums_avx2(const PoleSumTerm& term, double c,
                                std::size_t n, double* acc_re,
                                double* acc_im);
 
-/// Lockstep ensemble step (batch_kernels.hpp): vectorized ACROSS
-/// members with separate mul/add only (no fused ops), so each member
-/// lane reproduces the scalar advance_into sequence bit for bit.
-void batch_step_advance_avx2(const double* phi0, const double* gamma1,
-                             std::size_t n, const double* x,
-                             const double* u0, std::size_t m, double* out);
-
 }  // namespace htmpll::detail

@@ -25,7 +25,6 @@ constexpr const char* kReasonNames[kDiagReasonCount] = {
     "htm.truncation_saturated",     // kHtmTruncationSaturated
     "pole_search.degenerate_step",  // kPoleSearchDegenerateStep
     "pole_search.diverged",         // kPoleSearchDiverged
-    "ensemble.lane_divergence",     // kEnsembleLaneDivergence
     "vco_edge.bisection_fallback",  // kVcoEdgeBisectionFallback
 };
 static_assert(sizeof(kReasonNames) / sizeof(kReasonNames[0]) ==

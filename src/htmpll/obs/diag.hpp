@@ -50,7 +50,6 @@ enum class DiagReason : std::uint8_t {
   kHtmTruncationSaturated,      ///< adaptive aliasing sum hit max_pairs
   kPoleSearchDegenerateStep,    ///< Newton lane dropped: df zero/non-finite
   kPoleSearchDiverged,          ///< Newton lane dropped: step left R^2
-  kEnsembleLaneDivergence,      ///< lockstep round split off scalar lanes
   kVcoEdgeBisectionFallback,    ///< VCO-edge Newton failed; bisection ran
   kCount,
 };

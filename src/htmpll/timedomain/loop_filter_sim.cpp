@@ -1,7 +1,5 @@
 #include "htmpll/timedomain/loop_filter_sim.hpp"
 
-#include <cstring>
-
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/util/check.hpp"
 
@@ -21,31 +19,6 @@ struct PropagatorMetrics {
 PropagatorMetrics& propagator_metrics() {
   static PropagatorMetrics m;
   return m;
-}
-
-/// Process-wide mirrors of the shared ensemble-store stats.
-struct EnsembleStoreMetrics {
-  obs::Counter& lookups = obs::counter("timedomain.ensemble_store_lookups");
-  obs::Counter& misses = obs::counter("timedomain.ensemble_store_misses");
-  obs::Counter& evictions =
-      obs::counter("timedomain.ensemble_store_evictions");
-};
-
-EnsembleStoreMetrics& ensemble_store_metrics() {
-  static EnsembleStoreMetrics m;
-  return m;
-}
-
-/// splitmix64 finalizer over the bit pattern of h.  Step lengths differ
-/// only in a few mantissa bits (Newton edge refinements), so the key
-/// needs full avalanche to spread over a small table.
-std::uint64_t hash_step(double h) {
-  std::uint64_t z;
-  std::memcpy(&z, &h, sizeof z);
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
 }
 
 }  // namespace
@@ -69,52 +42,6 @@ StateSpace augment_with_phase(const StateSpace& filter, double kvco) {
   return aug;
 }
 
-SharedPropagatorStore::SharedPropagatorStore(const PropagatorFactory& factory,
-                                             std::size_t slots)
-    : factory_(factory) {
-  HTMPLL_REQUIRE(slots >= 1, "shared propagator store needs >= 1 slot");
-  std::size_t n = 1;
-  while (n < slots) n *= 2;
-  slots_.resize(n);
-  mask_ = n - 1;
-  if (factory_.is_spectral()) {
-    // Pre-size every slot's matrices so make_into's assign_zero never
-    // allocates, even the first time a slot is touched mid-run --
-    // spectral misses are allocation-free from the first get() on.
-    // (Pade builds replace the matrices wholesale, so pre-sizing would
-    // buy nothing there.  gamma2 stays empty: get() builds without it.)
-    const std::size_t order = factory_.order();
-    const std::size_t inputs = factory_.inputs();
-    for (Slot& s : slots_) {
-      s.prop.phi0.assign_zero(order, order);
-      if (inputs > 0) s.prop.gamma1.assign_zero(order, inputs);
-    }
-  }
-  EnsembleStoreMetrics& m = ensemble_store_metrics();
-  lookups_counter_ = &m.lookups;
-  misses_counter_ = &m.misses;
-  evictions_counter_ = &m.evictions;
-}
-
-const StepPropagator& SharedPropagatorStore::get(double h) {
-  ++stats_.lookups;
-  Slot& slot = slots_[static_cast<std::size_t>(hash_step(h)) & mask_];
-  if (slot.used && slot.h == h) return slot.prop;
-  ++stats_.misses;
-  if (slot.used) ++stats_.evictions;
-  factory_.make_into(h, slot.prop, /*want_gamma2=*/false);
-  slot.h = h;
-  slot.used = true;
-  return slot.prop;
-}
-
-void SharedPropagatorStore::flush_counters() {
-  lookups_counter_->add(stats_.lookups - flushed_.lookups);
-  misses_counter_->add(stats_.misses - flushed_.misses);
-  evictions_counter_->add(stats_.evictions - flushed_.evictions);
-  flushed_ = stats_;
-}
-
 PiecewiseExactIntegrator::PiecewiseExactIntegrator(StateSpace ss,
                                                    bool use_spectral)
     : ss_(std::move(ss)),
@@ -126,18 +53,7 @@ void PiecewiseExactIntegrator::set_state(RVector x) {
   x_ = std::move(x);
 }
 
-void PiecewiseExactIntegrator::set_shared_store(SharedPropagatorStore* store) {
-  if (store != nullptr) {
-    HTMPLL_REQUIRE(store->factory().order() == factory_.order() &&
-                       store->factory().mode() == factory_.mode(),
-                   "shared propagator store was built for a different "
-                   "system");
-  }
-  shared_ = store;
-}
-
 const StepPropagator& PiecewiseExactIntegrator::propagator(double h) const {
-  if (shared_ != nullptr) return shared_->get(h);
   ++stats_.lookups;
   propagator_metrics().lookups.add();
   if (h == memo_h_) return memo_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/util/check.hpp"
@@ -11,8 +10,7 @@ namespace htmpll {
 
 namespace {
 
-/// Moments of one finished noise run.  Shared by the scalar and
-/// lockstep paths so the reduction is one code path, bit for bit.
+/// Moments of the recorded theta stream of one finished noise run.
 NoiseRunStats reduce_noise_run(const PllTransientSim& sim) {
   const std::vector<double>& th = sim.theta_samples();
   NoiseRunStats st;
@@ -29,7 +27,7 @@ NoiseRunStats reduce_noise_run(const PllTransientSim& sim) {
   return st;
 }
 
-/// Normalized step response of one finished run (shared reduction).
+/// Normalized step response of one finished run.
 std::vector<double> reduce_step_response(const PllTransientSim& sim,
                                          std::size_t count, double delta) {
   std::vector<double> resp;
@@ -40,41 +38,6 @@ std::vector<double> reduce_step_response(const PllTransientSim& sim,
     resp.push_back(sim.theta_samples()[k] / delta + 1.0);
   }
   return resp;
-}
-
-/// Lockstep block width: ~one block per worker, capped by max_block so
-/// the per-worker SoA scratch stays bounded.
-std::size_t block_width(std::size_t n, const MonteCarloOptions& mc,
-                        const ThreadPool& pool) {
-  const std::size_t cap = std::max<std::size_t>(1, mc.max_block);
-  const std::size_t per_worker = (n + pool.threads() - 1) / pool.threads();
-  return std::min(std::max<std::size_t>(1, per_worker), cap);
-}
-
-/// True when two loops may share one lockstep block (identical dynamics
-/// field for field, hence identical propagator factories).
-bool same_loop(const PllParameters& a, const PllParameters& b) {
-  return a.w0 == b.w0 && a.icp == b.icp && a.kvco == b.kvco &&
-         a.filter.r == b.filter.r && a.filter.c1 == b.filter.c1 &&
-         a.filter.c2 == b.filter.c2;
-}
-
-/// Partitions [0, n) into lockstep blocks: maximal runs of consecutive
-/// same-loop entries, each split to at most `width` members.
-template <class SameLoopAt>
-std::vector<std::pair<std::size_t, std::size_t>> lockstep_blocks(
-    std::size_t n, std::size_t width, const SameLoopAt& same) {
-  std::vector<std::pair<std::size_t, std::size_t>> blocks;
-  std::size_t g0 = 0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    if (i == n || !same(g0, i)) {
-      for (std::size_t b = g0; b < i; b += width) {
-        blocks.emplace_back(b, std::min(i, b + width));
-      }
-      g0 = i;
-    }
-  }
-  return blocks;
 }
 
 }  // namespace
@@ -97,41 +60,12 @@ std::vector<NoiseRunStats> run_noise_ensemble(const PllParameters& params,
                                               ThreadPool& pool) {
   HTMPLL_TRACE_SPAN("mc.noise_ensemble");
   HTMPLL_REQUIRE(n_runs >= 1, "noise ensemble needs at least one run");
-  HTMPLL_REQUIRE(sigma >= 0.0, "noise sigma must be non-negative");
+  HTMPLL_REQUIRE(sigma >= 0.0 && std::isfinite(sigma),
+                 "noise sigma must be non-negative and finite");
   HTMPLL_REQUIRE(opts.settle_periods >= 0.0 && opts.measure_periods > 0.0,
                  "noise ensemble needs settle >= 0 and measure > 0 periods");
   HTMPLL_REQUIRE(opts.sample_interval >= 0.0,
                  "noise ensemble sample interval must be >= 0 (0 = T/8)");
-
-  if (opts.mc.use_ensemble_engine && mc::ensemble_enabled()) {
-    static obs::Counter& runs = obs::counter("timedomain.mc_runs");
-    std::vector<NoiseRunStats> out(n_runs);
-    pool.for_each_chunk(
-        n_runs, block_width(n_runs, opts.mc, pool),
-        [&](std::size_t b0, std::size_t b1) {
-          HTMPLL_TRACE_SPAN("mc.noise_block");
-          TransientConfig cfg;
-          cfg.sample_interval = opts.sample_interval;
-          cfg.record = false;
-          EnsembleTransientEngine eng(params, b1 - b0, {}, cfg);
-          for (std::size_t k = 0; k < eng.size(); ++k) {
-            eng.member(k).set_noise_current(
-                sigma,
-                static_cast<unsigned>(mc_stream_seed(base_seed, b0 + k)));
-          }
-          eng.run_periods(opts.settle_periods);
-          for (std::size_t k = 0; k < eng.size(); ++k) {
-            eng.member(k).set_recording(true);
-            eng.member(k).clear_samples();
-          }
-          eng.run_periods(opts.measure_periods);
-          for (std::size_t k = 0; k < eng.size(); ++k) {
-            runs.add();
-            out[b0 + k] = reduce_noise_run(eng.member(k));
-          }
-        });
-    return out;
-  }
 
   return monte_carlo_map<NoiseRunStats>(
       n_runs, base_seed,
@@ -161,42 +95,6 @@ std::vector<double> acquisition_periods(
                  "acquisition options must be positive");
   std::vector<double> out(cases.size());
 
-  if (opts.mc.use_ensemble_engine && mc::ensemble_enabled()) {
-    const auto blocks = lockstep_blocks(
-        cases.size(), block_width(cases.size(), opts.mc, pool),
-        [&](std::size_t a, std::size_t b) {
-          return same_loop(cases[a].params, cases[b].params);
-        });
-    pool.for_each_index(blocks.size(), 1, [&](std::size_t bi) {
-      HTMPLL_TRACE_SPAN("mc.acquisition_block");
-      const auto [b0, b1] = blocks[bi];
-      const PllParameters& p = cases[b0].params;
-      EnsembleTransientEngine eng(p, b1 - b0);
-      for (std::size_t k = 0; k < eng.size(); ++k) {
-        eng.member(k).set_recording(false);
-        eng.member(k).set_initial_frequency_offset(
-            cases[b0 + k].rel_offset);
-        out[b0 + k] = -1.0;
-      }
-      const double tol = opts.tol_fraction * p.period();
-      double elapsed = 0.0;
-      std::size_t remaining = eng.size();
-      while (elapsed < opts.max_periods && remaining > 0) {
-        eng.run_periods(opts.chunk_periods);
-        elapsed += opts.chunk_periods;
-        for (std::size_t k = 0; k < eng.size(); ++k) {
-          if (eng.retired(k)) continue;
-          if (eng.member(k).is_locked(tol)) {
-            out[b0 + k] = elapsed;
-            eng.retire(k);  // locked members leave the lockstep rounds
-            --remaining;
-          }
-        }
-      }
-    });
-    return out;
-  }
-
   pool.parallel_for(cases.size(), 1, [&](std::size_t i) {
     const AcquisitionCase& c = cases[i];
     PllTransientSim sim(c.params);
@@ -220,37 +118,14 @@ std::vector<double> acquisition_periods(
 
 std::vector<std::vector<double>> step_response_batch(
     const std::vector<PllParameters>& loops, std::size_t count,
-    double delta, const MonteCarloOptions& mc, ThreadPool& pool) {
+    double delta, ThreadPool& pool) {
   HTMPLL_TRACE_SPAN("mc.step_response_batch");
   HTMPLL_REQUIRE(!loops.empty(),
                  "step-response batch needs at least one loop");
   HTMPLL_REQUIRE(count >= 1, "need at least one step-response sample");
-  HTMPLL_REQUIRE(delta != 0.0, "step size must be non-zero");
+  HTMPLL_REQUIRE(delta != 0.0 && std::isfinite(delta),
+                 "step size must be non-zero and finite");
   std::vector<std::vector<double>> out(loops.size());
-
-  if (mc.use_ensemble_engine && mc::ensemble_enabled()) {
-    const auto blocks = lockstep_blocks(
-        loops.size(), block_width(loops.size(), mc, pool),
-        [&](std::size_t a, std::size_t b) {
-          return same_loop(loops[a], loops[b]);
-        });
-    pool.for_each_index(blocks.size(), 1, [&](std::size_t bi) {
-      HTMPLL_TRACE_SPAN("mc.step_block");
-      const auto [b0, b1] = blocks[bi];
-      const PllParameters& p = loops[b0];
-      TransientConfig cfg;
-      cfg.sample_interval = p.period();
-      EnsembleTransientEngine eng(p, b1 - b0, {}, cfg);
-      for (std::size_t k = 0; k < eng.size(); ++k) {
-        eng.member(k).set_initial_theta(-delta);
-      }
-      eng.run_periods(static_cast<double>(count) + 2.0);
-      for (std::size_t k = 0; k < eng.size(); ++k) {
-        out[b0 + k] = reduce_step_response(eng.member(k), count, delta);
-      }
-    });
-    return out;
-  }
 
   pool.parallel_for(loops.size(), 1, [&](std::size_t i) {
     const PllParameters& p = loops[i];

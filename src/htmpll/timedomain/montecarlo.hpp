@@ -17,24 +17,10 @@
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
-#include "htmpll/timedomain/ensemble_sim.hpp"
 #include "htmpll/timedomain/pll_sim.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll {
-
-/// Execution policy shared by the Monte Carlo drivers below.
-struct MonteCarloOptions {
-  /// Advance members through the lockstep SoA ensemble engine
-  /// (EnsembleTransientEngine) instead of one scalar simulator per run.
-  /// Bit-identical either way; HTMPLL_ENSEMBLE=0 or
-  /// mc::set_ensemble_enabled(false) force the scalar chain globally.
-  bool use_ensemble_engine = true;
-  /// Upper bound on members per lockstep block.  The drivers size
-  /// blocks at ~n/threads so each worker owns one block, capped here to
-  /// bound the per-worker SoA scratch.
-  std::size_t max_block = 64;
-};
 
 /// Deterministic per-run RNG seed: splitmix64 of base_seed + run_index.
 /// Adjacent indices yield statistically independent streams; the map is
@@ -74,15 +60,14 @@ struct NoiseEnsembleOptions {
   double settle_periods = 200.0;   ///< recording off
   double measure_periods = 2000.0; ///< recording on
   double sample_interval = 0.0;    ///< 0 selects T/8; negative rejected
-  MonteCarloOptions mc;            ///< lockstep-engine policy
 };
 
 /// Runs n_runs independent simulations of `params` with held white
-/// charge-pump noise of the given sigma; run i is seeded with
-/// mc_stream_seed(base_seed, i).  Pool-parallel, bit-identical for any
-/// thread count and for either engine policy.  Rejects n_runs == 0,
-/// negative settle/non-positive measure horizons and negative sample
-/// intervals with std::invalid_argument.
+/// charge-pump noise of the given sigma; run i is one PllTransientSim
+/// seeded with mc_stream_seed(base_seed, i).  Pool-parallel and
+/// bit-identical for any thread count.  Rejects n_runs == 0, a negative
+/// or non-finite sigma, negative settle/non-positive measure horizons
+/// and negative sample intervals with std::invalid_argument.
 std::vector<NoiseRunStats> run_noise_ensemble(
     const PllParameters& params, double sigma, std::uint64_t base_seed,
     std::size_t n_runs, const NoiseEnsembleOptions& opts = {},
@@ -99,15 +84,13 @@ struct AcquisitionOptions {
   double tol_fraction = 1e-6;   ///< lock when |pulse| < tol_fraction * T
   double max_periods = 3000.0;  ///< give up after this many periods
   double chunk_periods = 5.0;   ///< lock-detector polling granularity
-  MonteCarloOptions mc;         ///< lockstep-engine policy
 };
 
 /// Periods until phase lock for every case (-1 when max_periods is
-/// exhausted), distributed over the pool.  The simulations are
-/// noise-free and independent, so the batch is deterministic.  On the
-/// ensemble path, consecutive cases with identical loop parameters run
-/// in lockstep and members retire from the block as they lock.
-/// Rejects an empty case list with std::invalid_argument.
+/// exhausted), one PllTransientSim per case, distributed over the pool.
+/// The simulations are noise-free and independent, so the batch is
+/// deterministic.  Rejects an empty case list, non-positive options and
+/// a non-finite offset with std::invalid_argument.
 std::vector<double> acquisition_periods(
     const std::vector<AcquisitionCase>& cases,
     const AcquisitionOptions& opts = {},
@@ -115,12 +98,12 @@ std::vector<double> acquisition_periods(
 
 /// Simulated reference-phase-step responses, one loop per entry:
 /// out[k][n] ~ theta(nT)/delta + 1 (normalized unit step, out[k][0] = 0)
-/// with `count` samples per loop.  Pool-parallel and deterministic;
-/// consecutive identical loops share lockstep blocks on the ensemble
-/// path.  Rejects an empty loop list with std::invalid_argument.
+/// with `count` samples per loop, one PllTransientSim per loop.
+/// Pool-parallel and deterministic.  Rejects an empty loop list,
+/// count == 0 and a zero or non-finite delta with
+/// std::invalid_argument.
 std::vector<std::vector<double>> step_response_batch(
     const std::vector<PllParameters>& loops, std::size_t count,
-    double delta, const MonteCarloOptions& mc = {},
-    ThreadPool& pool = ThreadPool::global());
+    double delta, ThreadPool& pool = ThreadPool::global());
 
 }  // namespace htmpll

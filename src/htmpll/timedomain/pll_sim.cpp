@@ -213,7 +213,7 @@ void validate_transient_setup(const ReferenceModulation& mod,
 namespace {
 
 /// Events within this fraction of T of a step's end time fire together
-/// with it (finish_step / process_edges).
+/// with it (commit_step / process_edges).
 constexpr double kCoincidenceWindow = 1e-9;
 
 /// A VCO edge search skips Newton when g = t + theta(t) - target is
@@ -278,7 +278,8 @@ double PllTransientSim::control_output() const {
 
 void PllTransientSim::set_noise_current(double sigma, unsigned seed) {
   HTMPLL_REQUIRE(!started_, "noise must be configured before run_until");
-  HTMPLL_REQUIRE(sigma >= 0.0, "noise sigma must be non-negative");
+  HTMPLL_REQUIRE(sigma >= 0.0 && std::isfinite(sigma),
+                 "noise sigma must be non-negative and finite");
   noise_sigma_ = sigma;
   noise_rng_.seed(seed);
   noise_current_ = sigma > 0.0 ? sigma * noise_dist_(noise_rng_) : 0.0;
@@ -286,6 +287,7 @@ void PllTransientSim::set_noise_current(double sigma, unsigned seed) {
 
 void PllTransientSim::set_leakage(double current, double window) {
   HTMPLL_REQUIRE(!started_, "leakage must be configured before run_until");
+  HTMPLL_REQUIRE(std::isfinite(current), "leakage current must be finite");
   HTMPLL_REQUIRE(window >= 0.0 && window < t_period_,
                  "leakage window must lie within one period");
   leak_current_ = current;
@@ -356,6 +358,7 @@ void PllTransientSim::restore(const TransientCheckpoint& cp) {
 
 void PllTransientSim::set_initial_theta(double theta0) {
   HTMPLL_REQUIRE(!started_, "initial conditions must precede run_until");
+  HTMPLL_REQUIRE(std::isfinite(theta0), "initial theta must be finite");
   RVector x = aug_.state();
   x[theta_index_] = theta0;
   aug_.set_state(std::move(x));
@@ -363,6 +366,8 @@ void PllTransientSim::set_initial_theta(double theta0) {
 
 void PllTransientSim::set_initial_frequency_offset(double relative_offset) {
   HTMPLL_REQUIRE(!started_, "initial conditions must precede run_until");
+  HTMPLL_REQUIRE(std::isfinite(relative_offset),
+                 "initial frequency offset must be finite");
   // Choose a filter state x with C x = relative_offset / kvco along the
   // minimum-norm direction, so theta' = kvco * y = relative_offset at t=0.
   const StateSpace& ss = aug_.system();
@@ -503,20 +508,6 @@ void PllTransientSim::process_edges(double t_evt, double t_ref, double t_vco) {
   }
 }
 
-void PllTransientSim::begin_run(double t_end) {
-  HTMPLL_REQUIRE(std::isfinite(t_end), "run_until: t_end must be finite");
-  started_ = true;
-  if (cfg_.record && t_end > t_) {
-    // Reserve the whole recording horizon up front instead of growing
-    // the three streams geometrically mid-run.
-    const std::size_t add = static_cast<std::size_t>(
-        (t_end - t_) / cfg_.sample_interval) + 2;
-    samples_.t.reserve(samples_.t.size() + add);
-    samples_.theta.reserve(samples_.theta.size() + add);
-    samples_.theta_ref.reserve(samples_.theta_ref.size() + add);
-  }
-}
-
 TransientStepPlan PllTransientSim::plan_step(double t_end) const {
   const bool leaking = leak_current_ != 0.0 && leak_window_ > 0.0;
   TransientStepPlan plan;
@@ -533,7 +524,9 @@ TransientStepPlan PllTransientSim::plan_step(double t_end) const {
   return plan;
 }
 
-bool PllTransientSim::finish_step(const TransientStepPlan& plan) {
+bool PllTransientSim::commit_step(const TransientStepPlan& plan) {
+  record_range(t_, plan.t_evt, plan.current);
+  aug_.advance(plan.t_evt - t_, plan.current);
   const bool leaking = leak_current_ != 0.0 && leak_window_ > 0.0;
   const double eps = kCoincidenceWindow * t_period_;
   t_ = plan.t_evt;
@@ -554,22 +547,18 @@ bool PllTransientSim::finish_step(const TransientStepPlan& plan) {
   return fired;
 }
 
-bool PllTransientSim::commit_step(const TransientStepPlan& plan) {
-  record_range(t_, plan.t_evt, plan.current);
-  aug_.advance(plan.t_evt - t_, plan.current);
-  return finish_step(plan);
-}
-
-bool PllTransientSim::commit_step_with_state(const TransientStepPlan& plan,
-                                             const double* x_next,
-                                             std::size_t stride) {
-  record_range(t_, plan.t_evt, plan.current);
-  aug_.set_state_raw(x_next, stride);
-  return finish_step(plan);
-}
-
 void PllTransientSim::run_until(double t_end) {
-  begin_run(t_end);
+  HTMPLL_REQUIRE(std::isfinite(t_end), "run_until: t_end must be finite");
+  started_ = true;
+  if (cfg_.record && t_end > t_) {
+    // Reserve the whole recording horizon up front instead of growing
+    // the three streams geometrically mid-run.
+    const std::size_t add = static_cast<std::size_t>(
+        (t_end - t_) / cfg_.sample_interval) + 2;
+    samples_.t.reserve(samples_.t.size() + add);
+    samples_.theta.reserve(samples_.theta.size() + add);
+    samples_.theta_ref.reserve(samples_.theta_ref.size() + add);
+  }
   while (t_ < t_end) {
     if (!commit_step(plan_step(t_end))) break;  // reached t_end first
   }

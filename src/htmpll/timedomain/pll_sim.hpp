@@ -175,10 +175,6 @@ void validate_transient_setup(const ReferenceModulation& mod,
 /// charge-pump current over the segment and the candidate event times,
 /// with t_evt = min(t_ref, t_vco, t_leak, t_end).  t_vco is +inf when
 /// no VCO edge can fire by the horizon min(t_ref, t_leak, t_end).
-/// plan_step computes it without touching any state, so a lockstep
-/// ensemble engine can plan every member, bucket members by step length
-/// h = t_evt - time() and advance whole buckets through one shared
-/// propagator before committing each member.
 struct TransientStepPlan {
   double current = 0.0;
   double t_ref = 0.0;
@@ -247,46 +243,14 @@ class PllTransientSim {
   const PllParameters& parameters() const { return params_; }
   double period() const { return t_period_; }
 
-  /// Advances the simulation to absolute time t_end (finite).
+  /// Advances the simulation to absolute time t_end; throws
+  /// std::invalid_argument unless t_end is finite.
   void run_until(double t_end);
   /// Advances by n reference periods.
   void run_periods(double n);
 
-  // --- lockstep step interface (EnsembleTransientEngine) ---
-  // run_until(t_end) is exactly begin_run(t_end) followed by
-  //   while (time() < t_end) if (!commit_step(plan_step(t_end))) break;
-  // The split lets an ensemble engine plan every member, advance
-  // same-h buckets through one shared propagator (batch_step_advance)
-  // and commit the precomputed states, bit-identical to the loop above.
-
-  /// Marks the run started and reserves the recording horizon; throws
-  /// std::invalid_argument unless t_end is finite.
-  void begin_run(double t_end);
-  /// Computes the next event-loop iteration without changing state.
-  TransientStepPlan plan_step(double t_end) const;
-  /// Records, advances the integrator over the planned segment and
-  /// processes the event; false when t_end was reached first.
-  bool commit_step(const TransientStepPlan& plan);
-  /// commit_step with the post-segment integrator state supplied by the
-  /// caller (`order()` doubles spaced `stride` apart): used when a
-  /// lockstep kernel already advanced the member.  The caller's state
-  /// must be bit-identical to what the integrator would compute.
-  bool commit_step_with_state(const TransientStepPlan& plan,
-                              const double* x_next, std::size_t stride = 1);
-
-  /// Serves every propagator lookup from a shared per-worker store
-  /// (nullptr reverts to the private memo).  Results never change.
-  void set_shared_propagator_store(SharedPropagatorStore* store) {
-    aug_.set_shared_store(store);
-  }
   /// Augmented integrator state [x_filter; theta] at the current time.
   const RVector& state() const { return aug_.state(); }
-  std::size_t state_order() const { return aug_.order(); }
-  /// The per-(A,B) propagator builder of the integrator.
-  const PropagatorFactory& propagator_factory() const {
-    return aug_.propagator_factory();
-  }
-
   double time() const { return t_; }
   /// Current VCO phase excursion theta(t) in seconds.
   double theta() const;
@@ -324,22 +288,26 @@ class PllTransientSim {
 
   // --- initial conditions (lock-acquisition studies) ---
   /// Sets theta(0); only valid before the first run_until call.
+  /// Throws std::invalid_argument unless theta0 is finite.
   void set_initial_theta(double theta0);
   /// Pre-charges the loop filter so the VCO starts with the given
-  /// relative frequency offset df/f.
+  /// relative frequency offset df/f.  Throws std::invalid_argument
+  /// unless the offset is finite.
   void set_initial_frequency_offset(double relative_offset);
 
   // --- charge-pump imperfection (reference-spur studies) ---
   /// Injects a periodic leakage current: `current` amperes during
   /// [n T, n T + window) every reference cycle (see noise/spurs.hpp).
-  /// Only valid before the first run_until call.
+  /// Only valid before the first run_until call.  Throws
+  /// std::invalid_argument unless `current` is finite.
   void set_leakage(double current, double window);
 
   /// Injects held white noise current: at every reference edge a fresh
   /// sample ~ N(0, sigma^2) is drawn and held until the next edge --
   /// the discrete-time stand-in for charge-pump output noise (its
   /// equivalent continuous two-sided PSD is
-  /// sigma^2 T |sinc(w T/2)|^2).  Only valid before run_until.
+  /// sigma^2 T |sinc(w T/2)|^2).  Only valid before run_until.  Throws
+  /// std::invalid_argument unless sigma is finite and >= 0.
   void set_noise_current(double sigma, unsigned seed);
 
   // --- diagnostics ---
@@ -358,6 +326,11 @@ class PllTransientSim {
   bool is_locked(double tol) const;
 
  private:
+  /// Computes the next event-loop iteration without changing state.
+  TransientStepPlan plan_step(double t_end) const;
+  /// Records, advances the integrator over the planned segment and
+  /// processes the event; false when t_end was reached first.
+  bool commit_step(const TransientStepPlan& plan);
   /// edge_time(target) clamped to the current time; the unclamped
   /// solution is kept for the next call with the same target.
   double next_reference_edge(double target) const;
@@ -366,7 +339,6 @@ class PllTransientSim {
   double next_vco_edge(double target, double current, double horizon) const;
   void record_range(double t_begin, double t_end, double current);
   void process_edges(double t_evt, double t_ref, double t_vco);
-  bool finish_step(const TransientStepPlan& plan);
 
   PllParameters params_;
   ReferenceModulation mod_;

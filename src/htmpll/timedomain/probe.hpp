@@ -48,7 +48,7 @@ void validate_probe_options(const ProbeOptions& opts);
 
 /// Settles the unmodulated loop for `settle_periods` reference periods
 /// and returns its checkpoint -- the shared warm-start state of the
-/// batched probes, exposed for benchmarks and ensemble drivers.
+/// batched probes, exposed for benchmarks and warm-started runs.
 TransientCheckpoint make_settled_checkpoint(const PllParameters& params,
                                             double settle_periods);
 

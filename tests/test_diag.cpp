@@ -363,13 +363,10 @@ TEST(CacheStats, RatiosAreZeroGuarded) {
   PropagatorCacheStats stats;
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.0);  // no lookups: no division
   EXPECT_DOUBLE_EQ(stats.miss_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.eviction_rate(), 0.0);
   stats.lookups = 10;
   stats.misses = 2;
-  stats.evictions = 1;
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.8);
   EXPECT_DOUBLE_EQ(stats.miss_rate(), 0.2);
-  EXPECT_DOUBLE_EQ(stats.eviction_rate(), 0.1);
   EXPECT_EQ(stats.hits(), 8u);
 }
 

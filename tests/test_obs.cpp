@@ -305,7 +305,6 @@ TEST(ObsIntegration, SimulationFeedsTheCountersWithoutChangingResults) {
   // The per-integrator view and the global counters tell one story.
   const PropagatorCacheStats& st = sim.propagator_cache_stats();
   EXPECT_EQ(st.hits(), st.lookups - st.misses);
-  EXPECT_LE(st.evictions, st.misses);
 }
 
 }  // namespace

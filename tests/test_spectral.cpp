@@ -255,9 +255,9 @@ TEST(SpectralPropagator, AutonomousSystem) {
 }
 
 TEST(SpectralPropagator, Gamma2FreeBuildMatchesFullBuildBitwise) {
-  // The lockstep ensemble's shared store builds propagators with
-  // want_gamma2 == false, which routes through phi1/phi2-only
-  // evaluations (real-axis Horner, tiny-integrator-pole closed form,
+  // Every integrator's propagator memo builds with want_gamma2 ==
+  // false, which routes through phi1/phi2-only evaluations
+  // (real-axis Horner, tiny-integrator-pole closed form,
   // Smith-step quotient) and the modal_cexp libm elisions.  Every one
   // of those shortcuts claims bit-identity with the full build's
   // phi_functions/batch_cexp chain; this pins the claim end to end on

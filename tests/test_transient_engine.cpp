@@ -1,10 +1,11 @@
 // Transient performance-layer suite: the propagator memo, the
 // horizon-bounded edge search (cost and bitwise exactness against a
-// reference event loop), checkpoint round-tripping, warm-start probes,
-// probe-option and non-finite input validation and the Monte Carlo
-// batch APIs.  Kept in its own binary (like test_parallel) so the whole
-// suite stays fast enough to run routinely under
-// -DHTMPLL_SANITIZE=thread.
+// reference event loop), the allocation-free steady state, checkpoint
+// round-tripping, warm-start probes, probe-option and non-finite input
+// validation and the Monte Carlo batch APIs (bit-identical across pool
+// widths and to standalone runs).  Kept in its own binary (like
+// test_parallel) so the whole suite stays fast enough to run routinely
+// under -DHTMPLL_SANITIZE=thread.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -25,6 +26,8 @@
 #include "htmpll/timedomain/montecarlo.hpp"
 #include "htmpll/timedomain/probe.hpp"
 #include "htmpll/timedomain/sample_hold_sim.hpp"
+
+#include "allocation_counter.hpp"
 
 namespace htmpll {
 namespace {
@@ -263,6 +266,42 @@ TEST(PropagatorCache, CountsHitsAndMisses) {
   }
   EXPECT_EQ(memo.cache_stats().lookups, 6u);
   EXPECT_EQ(memo.cache_stats().misses, 4u);
+}
+
+// After a warm-up leg, a recording-off run with held noise performs no
+// heap allocation at all: the propagator memo is rebuilt in place, the
+// peek and advance scratch keep their size and the pulse history is a
+// fixed ring.
+TEST(EventLoop, SteadyStateRunsAllocationFree) {
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  TransientConfig cfg;
+  cfg.record = false;
+  PllTransientSim sim(p, {}, cfg);
+  sim.set_noise_current(1e-4 * p.icp,
+                        static_cast<unsigned>(mc_stream_seed(11, 0)));
+  sim.run_periods(30.0);  // warm-up: memo and scratch sized here
+  const std::uint64_t before = heap_allocation_count();
+  sim.run_periods(30.0);
+  const std::uint64_t after = heap_allocation_count();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_GT(sim.event_count(), 100u);
+}
+
+// The leakage events of the spur studies add step lengths to the event
+// loop but no allocation.
+TEST(EventLoop, LeakageRunsAllocationFree) {
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  TransientConfig cfg;
+  cfg.record = false;
+  PllTransientSim sim(p, {}, cfg);
+  sim.set_leakage(0.02 * p.icp, 0.15 * p.period());
+  sim.run_periods(30.0);  // warm-up
+  const std::size_t events = sim.event_count();
+  const std::uint64_t before = heap_allocation_count();
+  sim.run_periods(30.0);
+  const std::uint64_t after = heap_allocation_count();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_GE(sim.event_count() - events, 60u);
 }
 
 TEST(EdgeSearch, LookupsPerEventStayFlatAcrossLoopBandwidth) {
@@ -539,6 +578,53 @@ TEST(Checkpoint, RoundTripWithLeakageAndHeldNoise) {
   EXPECT_EQ(sim.theta(), theta_end);
 }
 
+// A checkpoint carries the whole dynamic state: restored into a freshly
+// built simulator (empty memo, empty scratch) with the same leakage
+// configuration, it continues bit-identically to the simulator it was
+// taken from, in both directions.
+TEST(Checkpoint, RestoresIntoFreshSimulatorBitForBit) {
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  TransientConfig cfg;
+  cfg.record = false;
+  PllTransientSim a(p, {}, cfg), b(p, {}, cfg), c(p, {}, cfg);
+  for (PllTransientSim* s : {&a, &b, &c}) {
+    s->set_leakage(0.01 * p.icp, 0.1 * p.period());
+  }
+  a.set_noise_current(5e-5 * p.icp,
+                      static_cast<unsigned>(mc_stream_seed(5, 2)));
+  a.run_periods(20.0);
+
+  const auto expect_same_run = [](const PllTransientSim& x,
+                                  const PllTransientSim& y) {
+    EXPECT_EQ(x.time(), y.time());
+    EXPECT_EQ(x.event_count(), y.event_count());
+    ASSERT_EQ(x.state().size(), y.state().size());
+    for (std::size_t i = 0; i < x.state().size(); ++i) {
+      EXPECT_EQ(x.state()[i], y.state()[i]) << "state " << i;
+    }
+    ASSERT_EQ(x.theta_samples().size(), y.theta_samples().size());
+    for (std::size_t i = 0; i < x.theta_samples().size(); ++i) {
+      ASSERT_EQ(x.theta_samples()[i], y.theta_samples()[i]) << "sample " << i;
+    }
+  };
+
+  b.restore(a.checkpoint());
+  a.set_recording(true);
+  b.set_recording(true);
+  a.run_periods(15.0);
+  b.run_periods(15.0);
+  expect_same_run(a, b);
+  EXPECT_FALSE(a.theta_samples().empty());
+
+  // And on: a third simulator takes over from the continuation.
+  c.restore(b.checkpoint());
+  c.set_recording(true);
+  a.clear_samples();
+  a.run_periods(5.0);
+  c.run_periods(5.0);
+  expect_same_run(a, c);
+}
+
 TEST(Checkpoint, RestoreValidatesCompatibility) {
   const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
   PllTransientSim sim(p);
@@ -724,6 +810,71 @@ TEST(NonFiniteInput, EdgeToleranceRejected) {
   }
 }
 
+TEST(NonFiniteInput, InitialThetaRejected) {
+  // set_initial_theta(NaN) used to make run_periods(20) crawl: 2 s of
+  // wall time covered 2.3e-9 T.
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  for (double theta0 : {kNaN, kInf, -kInf}) {
+    PllTransientSim sim(p);
+    expect_rejected([&] { sim.set_initial_theta(theta0); },
+                    "initial theta");
+    EXPECT_EQ(sim.theta(), 0.0);
+  }
+}
+
+TEST(NonFiniteInput, InitialFrequencyOffsetRejected) {
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  for (double offset : {kNaN, kInf, -kInf}) {
+    PllTransientSim sim(p);
+    expect_rejected([&] { sim.set_initial_frequency_offset(offset); },
+                    "frequency offset");
+    EXPECT_EQ(sim.control_output(), 0.0);
+  }
+}
+
+TEST(NonFiniteInput, LeakageCurrentRejected) {
+  // set_leakage(NaN, 0.1) followed by a run used to segfault.
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  for (double current : {kNaN, kInf, -kInf}) {
+    PllTransientSim sim(p);
+    expect_rejected([&] { sim.set_leakage(current, 0.1 * p.period()); },
+                    "leakage current");
+  }
+}
+
+TEST(NonFiniteInput, NoiseSigmaRejected) {
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  for (double sigma : {kNaN, kInf, -1e-6}) {
+    PllTransientSim sim(p);
+    expect_rejected([&] { sim.set_noise_current(sigma, 1u); },
+                    "noise sigma");
+  }
+}
+
+// Each setter checks its input before it touches any state: a simulator
+// that saw every rejected call runs bit-identically to an untouched one.
+TEST(NonFiniteInput, RejectedSettersLeaveRunUnchanged) {
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  PllTransientSim ref(p);
+  PllTransientSim sim(p);
+  EXPECT_THROW(sim.set_initial_theta(kNaN), std::invalid_argument);
+  EXPECT_THROW(sim.set_initial_frequency_offset(kInf),
+               std::invalid_argument);
+  EXPECT_THROW(sim.set_leakage(kNaN, 0.1 * p.period()),
+               std::invalid_argument);
+  EXPECT_THROW(sim.set_noise_current(kInf, 7u), std::invalid_argument);
+  for (PllTransientSim* s : {&ref, &sim}) {
+    s->set_initial_theta(1e-3 * p.period());
+    s->run_periods(20.0);
+  }
+  EXPECT_EQ(sim.event_count(), ref.event_count());
+  EXPECT_EQ(sim.theta(), ref.theta());
+  ASSERT_EQ(sim.theta_samples().size(), ref.theta_samples().size());
+  for (std::size_t i = 0; i < ref.theta_samples().size(); ++i) {
+    ASSERT_EQ(sim.theta_samples()[i], ref.theta_samples()[i]) << i;
+  }
+}
+
 TEST(WarmStart, AgreesWithColdWithinSmallSignalTolerance) {
   const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
   const std::vector<double> omegas{0.12 * kW0, 0.3 * kW0};
@@ -806,13 +957,85 @@ TEST(MonteCarlo, NoiseEnsembleReproducibleAndNonDegenerate) {
   EXPECT_NE(a[0].theta_rms, a[1].theta_rms);
 }
 
+// Every member is one PllTransientSim seeded from (base_seed, index):
+// the ensemble is bit-identical at pool widths 1 and 4 for any size, and
+// its last member matches a standalone run of that seed.
+TEST(MonteCarlo, NoiseEnsembleMatchesStandaloneRunsAcrossPoolWidths) {
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  const double sigma = 1e-4 * p.icp;
+  NoiseEnsembleOptions opts;
+  opts.settle_periods = 20.0;
+  opts.measure_periods = 60.0;
+  ThreadPool one(1), four(4);
+  for (std::size_t n : {1u, 3u, 8u, 64u}) {
+    const auto ref = run_noise_ensemble(p, sigma, 42, n, opts, one);
+    const auto got = run_noise_ensemble(p, sigma, 42, n, opts, four);
+    ASSERT_EQ(ref.size(), n);
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i].theta_mean, ref[i].theta_mean);
+      EXPECT_EQ(got[i].theta_rms, ref[i].theta_rms);
+      EXPECT_EQ(got[i].theta_peak, ref[i].theta_peak);
+      EXPECT_EQ(got[i].events, ref[i].events);
+    }
+
+    const std::size_t i = n - 1;
+    TransientConfig cfg;
+    cfg.record = false;
+    PllTransientSim sim(p, {}, cfg);
+    sim.set_noise_current(sigma, static_cast<unsigned>(mc_stream_seed(42, i)));
+    sim.run_periods(opts.settle_periods);
+    sim.set_recording(true);
+    sim.clear_samples();
+    sim.run_periods(opts.measure_periods);
+    const std::vector<double>& th = sim.theta_samples();
+    ASSERT_FALSE(th.empty());
+    double mean = 0.0;
+    for (double v : th) mean += v;
+    mean /= static_cast<double>(th.size());
+    double ss = 0.0, peak = 0.0;
+    for (double v : th) {
+      const double d = v - mean;
+      ss += d * d;
+      peak = std::max(peak, std::abs(d));
+    }
+    EXPECT_EQ(ref[i].theta_mean, mean);
+    EXPECT_EQ(ref[i].theta_rms,
+              std::sqrt(ss / static_cast<double>(th.size())));
+    EXPECT_EQ(ref[i].theta_peak, peak);
+    EXPECT_EQ(ref[i].events, sim.event_count());
+  }
+}
+
+// Member i depends only on (base_seed, i): a larger ensemble extends a
+// smaller one without changing its members.
+TEST(MonteCarlo, NoiseEnsembleMembersIndependentOfEnsembleSize) {
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  const double sigma = 1e-4 * p.icp;
+  NoiseEnsembleOptions opts;
+  opts.settle_periods = 10.0;
+  opts.measure_periods = 40.0;
+  const auto small = run_noise_ensemble(p, sigma, 9, 3, opts);
+  const auto large = run_noise_ensemble(p, sigma, 9, 8, opts);
+  ASSERT_EQ(small.size(), 3u);
+  ASSERT_EQ(large.size(), 8u);
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    EXPECT_EQ(large[i].theta_mean, small[i].theta_mean) << i;
+    EXPECT_EQ(large[i].theta_rms, small[i].theta_rms) << i;
+    EXPECT_EQ(large[i].theta_peak, small[i].theta_peak) << i;
+    EXPECT_EQ(large[i].events, small[i].events) << i;
+  }
+}
+
 TEST(MonteCarlo, AcquisitionBatchMatchesSerialLoop) {
   const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
   AcquisitionOptions opts;
   opts.max_periods = 600.0;
   const std::vector<AcquisitionCase> cases{{p, 0.005}, {p, 0.02}};
-  const std::vector<double> batch = acquisition_periods(cases, opts);
+  ThreadPool one(1), four(4);
+  const std::vector<double> batch = acquisition_periods(cases, opts, one);
   ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(acquisition_periods(cases, opts, four), batch);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     // Serial re-run of the same experiment.
     PllTransientSim sim(p);
@@ -835,14 +1058,38 @@ TEST(MonteCarlo, AcquisitionBatchMatchesSerialLoop) {
   EXPECT_GE(batch[1], batch[0]);
 }
 
+// A member's lock time does not depend on the batch around it.  The mix
+// holds a zero offset, which never fills the lock detector's pulse
+// history and so runs all max_periods, next to offsets that lock after
+// different numbers of periods; each reads the same as alone.
+TEST(MonteCarlo, AcquisitionBatchIndependentOfBatchComposition) {
+  const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
+  AcquisitionOptions opts;
+  opts.max_periods = 600.0;
+  const std::vector<AcquisitionCase> cases{
+      {p, 0.0}, {p, 0.001}, {p, 0.05}, {p, 0.005}};
+  const std::vector<double> batch = acquisition_periods(cases, opts);
+  ASSERT_EQ(batch.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const std::vector<double> alone = acquisition_periods({cases[i]}, opts);
+    ASSERT_EQ(alone.size(), 1u);
+    EXPECT_EQ(batch[i], alone[0]) << "case " << i;
+  }
+  // The members finish at different polls.
+  EXPECT_NE(batch[1], batch[2]);
+  EXPECT_NE(batch[2], batch[3]);
+}
+
 TEST(MonteCarlo, StepResponseBatchMatchesSingleRun) {
   const double delta = 1e-3;
   const std::size_t count = 80;
   const std::vector<PllParameters> loops{
       make_typical_loop(0.1 * kW0, kW0),
       make_typical_loop(0.2 * kW0, kW0)};
-  const auto batch = step_response_batch(loops, count, delta);
+  ThreadPool one(1), four(4);
+  const auto batch = step_response_batch(loops, count, delta, one);
   ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(step_response_batch(loops, count, delta, four), batch);
   for (std::size_t k = 0; k < loops.size(); ++k) {
     TransientConfig cfg;
     cfg.sample_interval = loops[k].period();
@@ -856,6 +1103,71 @@ TEST(MonteCarlo, StepResponseBatchMatchesSingleRun) {
     }
     // A locked loop's normalized step response ends near 1.
     EXPECT_NEAR(batch[k].back(), 1.0, 0.05);
+  }
+}
+
+// Mixed batches: repeated and distinct loops in one call each read the
+// same as a batch of that loop alone.
+TEST(MonteCarlo, StepResponseBatchIndependentOfBatchComposition) {
+  const double delta = 1e-3;
+  const std::size_t count = 60;
+  const PllParameters a = make_typical_loop(0.1 * kW0, kW0);
+  const PllParameters b = make_typical_loop(0.2 * kW0, kW0);
+  const std::vector<PllParameters> loops{a, a, a, b, a, a};
+  const auto batch = step_response_batch(loops, count, delta);
+  const auto alone_a = step_response_batch({a}, count, delta);
+  const auto alone_b = step_response_batch({b}, count, delta);
+  ASSERT_EQ(batch.size(), loops.size());
+  for (std::size_t k = 0; k < loops.size(); ++k) {
+    const std::vector<double>& want = k == 3 ? alone_b[0] : alone_a[0];
+    EXPECT_EQ(batch[k], want) << "loop " << k;
+  }
+  EXPECT_NE(alone_a[0], alone_b[0]);
+}
+
+// --- input validation (all four Monte Carlo entry points) ---
+
+TEST(MonteCarloValidation, RejectsDegenerateInputs) {
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+
+  EXPECT_THROW(monte_carlo_map<double>(
+                   0, 1, [](std::size_t, std::uint64_t) { return 0.0; }),
+               std::invalid_argument);
+
+  NoiseEnsembleOptions nopts;
+  EXPECT_THROW(run_noise_ensemble(p, 1e-6, 1, 0, nopts),
+               std::invalid_argument);
+  nopts.settle_periods = -1.0;
+  EXPECT_THROW(run_noise_ensemble(p, 1e-6, 1, 2, nopts),
+               std::invalid_argument);
+  nopts.settle_periods = 1.0;
+  nopts.measure_periods = 0.0;
+  EXPECT_THROW(run_noise_ensemble(p, 1e-6, 1, 2, nopts),
+               std::invalid_argument);
+  nopts.measure_periods = -5.0;
+  EXPECT_THROW(run_noise_ensemble(p, 1e-6, 1, 2, nopts),
+               std::invalid_argument);
+  nopts.measure_periods = 10.0;
+  nopts.sample_interval = -0.25;
+  EXPECT_THROW(run_noise_ensemble(p, 1e-6, 1, 2, nopts),
+               std::invalid_argument);
+
+  EXPECT_THROW(acquisition_periods({}), std::invalid_argument);
+  AcquisitionOptions aopts;
+  aopts.max_periods = -1.0;
+  EXPECT_THROW(acquisition_periods({{p, 0.01}}, aopts),
+               std::invalid_argument);
+
+  EXPECT_THROW(step_response_batch({}, 10, 1e-3), std::invalid_argument);
+  EXPECT_THROW(step_response_batch({p}, 0, 1e-3), std::invalid_argument);
+  EXPECT_THROW(step_response_batch({p}, 10, 0.0), std::invalid_argument);
+
+  // Non-finite inputs throw instead of running (each of these used to
+  // hang past 20 s of wall time).
+  EXPECT_THROW(run_noise_ensemble(p, kInf, 1, 2), std::invalid_argument);
+  for (double x : {kNaN, kInf}) {
+    EXPECT_THROW(acquisition_periods({{p, x}}), std::invalid_argument);
+    EXPECT_THROW(step_response_batch({p}, 10, x), std::invalid_argument);
   }
 }
 
