@@ -1,9 +1,10 @@
 // Eval-plan / batch-kernel benchmark: the compiled evaluation plan vs
-// the scalar reference paths, plus the raw SoA kernels it is built
+// the point-wise reference calls, plus the raw SoA kernels it is built
 // from.
 //
 //   1. headline: exact-method lambda_grid over a 2000-point log grid,
-//      compiled plan vs the scalar-forced grid (use_eval_plan = false).
+//      compiled plan vs the point-wise lambda(s, kExact, 0) swept on the
+//      same pool (SweepRunner).
 //      Contract: speedup >= 1.5x and <= 1e-12 max relative error.
 //   2. micro-kernels over the same grid size: batch_cexp vs per-point
 //      std::exp, batch_horner vs Polynomial::operator(), batch_rational
@@ -14,7 +15,7 @@
 //
 // Usage: bench_kernels [output.json] [--check]
 //   --check: additionally exit non-zero if the plan speedup drops below
-//            1.5x the scalar-forced grid.
+//            1.5x the point-wise sweep.
 #include <algorithm>
 #include <cmath>
 #include <complex>
@@ -70,11 +71,7 @@ int main(int argc, char** argv) {
 
   const double w0 = 2.0 * std::numbers::pi;
   const PllParameters params = make_typical_loop(0.1 * w0, w0);
-  const SamplingPllModel plan_model(params);  // eval plan on by default
-  SamplingPllOptions scalar_opts;
-  scalar_opts.use_eval_plan = false;
-  const SamplingPllModel scalar_model(params, HarmonicCoefficients(cplx{1.0}),
-                                      scalar_opts);
+  const SamplingPllModel model(params);
 
   const std::size_t n = 2000;
   const std::vector<double> w_grid = logspace(1e-3 * w0, 0.49 * w0, n);
@@ -90,19 +87,21 @@ int main(int argc, char** argv) {
   obs::clear_trace();
   std::vector<std::pair<std::string, double>> phases;
 
-  // --- 1. headline: exact lambda_grid, plan vs scalar-forced ------------
+  // --- 1. headline: exact lambda_grid, plan vs point-wise sweep ---------
   CVector lam_scalar;
   double t_scalar = 0.0;
   bench::run_phase(phases, "lambda_grid_scalar", [&] {
     t_scalar = time_best_of(reps, [&] {
-      lam_scalar = scalar_model.lambda_grid(s_grid, LambdaMethod::kExact, 0);
+      lam_scalar = SweepRunner().run(s_grid, [&model](cplx s) {
+        return model.lambda(s, LambdaMethod::kExact, 0);
+      });
     });
   });
   CVector lam_plan;
   double t_plan = 0.0;
   bench::run_phase(phases, "lambda_grid_plan", [&] {
     t_plan = time_best_of(reps, [&] {
-      lam_plan = plan_model.lambda_grid(s_grid, LambdaMethod::kExact, 0);
+      lam_plan = model.lambda_grid(s_grid, LambdaMethod::kExact, 0);
     });
   });
   const double speedup = t_scalar / t_plan;
@@ -235,8 +234,8 @@ int main(int argc, char** argv) {
   row("pole_sums kmax=4", t_polesum_batch, t_polesum_scalar);
   row("cexp simd vs forced-scalar", t_cexp_simd, t_cexp_forced_scalar);
   table.print(std::cout);
-  std::cout << "\nplan max relative error vs scalar grid: " << plan_err
-            << "\n";
+  std::cout << "\nplan max relative error vs point-wise sweep: "
+            << plan_err << "\n";
   const bool within_tol = plan_err <= 1e-12;
   // Feed the plan-vs-scalar spot check into the manifest health gauges.
   obs::diag_gauge_max(obs::HealthGauge::kMaxPlanSpotCheckError, plan_err);
@@ -309,8 +308,8 @@ int main(int argc, char** argv) {
   if (!obs_was_enabled) obs::disable();
 
   if (!within_tol) {
-    std::cerr << "FAIL: eval-plan lambda_grid differs from the scalar "
-                 "grid by " << plan_err << " (> 1e-12 relative)\n";
+    std::cerr << "FAIL: eval-plan lambda_grid differs from the point-wise "
+                 "sweep by " << plan_err << " (> 1e-12 relative)\n";
     return 1;
   }
   if (check && speedup < 1.5) {

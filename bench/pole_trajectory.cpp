@@ -18,6 +18,7 @@
 
 #include "bench_common.hpp"
 #include "htmpll/core/pole_search.hpp"
+#include "htmpll/core/symbolic.hpp"
 #include "htmpll/design/design_sweep.hpp"
 #include "htmpll/util/table.hpp"
 

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Builds the benchmark gates in Release and verifies the engines:
 #
-#  * bench_sweep: every scalar-forced batched frequency-domain path must
-#    be bit-identical to the point-wise path, the eval-plan grids must
-#    agree with the point-wise path to <= 1e-12 relative error and run
-#    at >= 0.97x the point-wise loop, and on a machine with >= 4
-#    hardware threads the pool sweep must not be slower than the
-#    1-thread sweep (--check enforces the timing gates; bit-identity and
-#    tolerance are enforced everywhere).
+#  * bench_sweep: the 1-thread and pooled SweepRunner sweeps must be
+#    bit-identical to the point-wise loop (and the obs-on grid to the
+#    obs-off one), the eval-plan grids must agree with the point-wise
+#    path to <= 1e-12 relative error and run at >= 0.97x the point-wise
+#    loop, and with a pool >= 4 wide the pool sweep must not be slower
+#    than the 1-thread sweep (--check enforces the timing gates;
+#    bit-identity and tolerance are enforced everywhere).
 #  * bench_kernels: the compiled eval plan must evaluate the exact-method
-#    2000-point lambda sweep at >= 1.5x the scalar-forced grid with
-#    <= 1e-12 max relative error.
+#    2000-point lambda sweep at >= 1.5x the point-wise lambda swept on
+#    the same pool, with <= 1e-12 max relative error.
 #  * bench_transient: the cold Pade probe path must be bit-identical to
 #    the seed behavior (Van Loan expm propagators), the spectral default
 #    must agree with the Pade path to <= 1e-10, run the cold sweep >= 2x
@@ -46,15 +46,7 @@
 #    against a fresh baseline (exit 0), then again against itself (no
 #    regression, exit 0); the run is also appended to bench/history.jsonl.
 #
-#  * bench_stability: the batched design-space sweep (grid-first
-#    crossover + masked lockstep Newton through the eval plan) must run
-#    >= 3x the scalar probe chains on the 64-point sweep with pole /
-#    crossover parity <= 1e-9 relative, lambda_derivative_grid must
-#    agree with the scalar analytic derivative to <= 1e-12, and the
-#    scalar-forced (use_eval_plan=false) margins/poles must be
-#    bit-identical to the seed implementation.
-#
-# Usage: scripts/bench_check.sh [--smoke] [build-dir] [sweep-report.json] [transient-report.json] [kernels-report.json] [noise-report.json] [stability-report.json]
+# Usage: scripts/bench_check.sh [--smoke] [build-dir] [sweep-report.json] [transient-report.json] [kernels-report.json] [noise-report.json]
 #   --smoke: end-to-end bench-shape check for PRs -- reduced reps where
 #            supported, gates relaxed to parity / tolerance /
 #            bit-identity only (no timing gates, no overhead check, no
@@ -75,7 +67,6 @@ REPORT="${POS[1]:-BENCH_sweep.json}"
 TREPORT="${POS[2]:-BENCH_transient.json}"
 KREPORT="${POS[3]:-BENCH_kernels.json}"
 NREPORT="${POS[4]:-BENCH_noise.json}"
-SREPORT="${POS[5]:-BENCH_stability.json}"
 
 # The benches enforce parity / tolerance / bit-identity unconditionally;
 # --check adds their timing gates, which smoke mode leaves out.
@@ -84,17 +75,12 @@ if [ "$SMOKE" = 1 ]; then CHECK=""; fi
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build "$BUILD" --target bench_sweep bench_transient bench_kernels \
-      bench_noise bench_stability -j > /dev/null
+      bench_noise -j > /dev/null
 
 "$BUILD/bench/bench_sweep" "$REPORT" $CHECK
 "$BUILD/bench/bench_transient" "$TREPORT" $CHECK
 "$BUILD/bench/bench_kernels" "$KREPORT" $CHECK
 "$BUILD/bench/bench_noise" "$NREPORT" $CHECK
-if [ "$SMOKE" = 1 ]; then
-  "$BUILD/bench/bench_stability" "$SREPORT" --check --smoke
-else
-  "$BUILD/bench/bench_stability" "$SREPORT" --check
-fi
 
 # The same gates must hold with the SIMD dispatch forced to the
 # portable scalar kernels and with the obs layer live.
@@ -168,7 +154,7 @@ require_le() {
   fi
 }
 
-for f in "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT"; do
+for f in "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT"; do
   if [ ! -f "$f" ]; then
     fail "report-exists" "$f" "file written by the bench" "no such file"
   fi
@@ -194,27 +180,6 @@ if [ -f "$KREPORT" ]; then
   require_section kernels-eval-plan "$KREPORT" eval_plan
   require_section kernels-micro "$KREPORT" kernels
   require_section kernels-telemetry "$KREPORT" telemetry
-fi
-
-if [ -f "$SREPORT" ]; then
-  require_true stability-parity "$SREPORT" parity_pass
-  require_le stability-crossover-rel-err "$SREPORT" crossover_max_rel_err 1e-9
-  require_le stability-margin-rel-err "$SREPORT" margin_max_rel_err 1e-9
-  require_le stability-pole-rel-err "$SREPORT" pole_max_rel_err 1e-9
-  require_true stability-derivative-tolerance "$SREPORT" within_tolerance
-  require_le stability-derivative-impulse "$SREPORT" impulse_max_rel_err 1e-12
-  require_le stability-derivative-zoh "$SREPORT" zoh_max_rel_err 1e-12
-  require_true stability-margins-bit-identical "$SREPORT" \
-    margins_bit_identical
-  require_true stability-poles-bit-identical "$SREPORT" poles_bit_identical
-  if [ "$SMOKE" = 0 ]; then
-    require_ge stability-batched-speedup "$SREPORT" \
-      batched_speedup_vs_scalar 3
-  fi
-  require_section stability-design-sweep "$SREPORT" design_sweep
-  require_section stability-derivative "$SREPORT" derivative
-  require_section stability-scalar-fallback "$SREPORT" scalar_fallback
-  require_section stability-telemetry "$SREPORT" telemetry
 fi
 
 if [ -f "$TREPORT" ]; then
@@ -270,7 +235,7 @@ require_true noise-obs-bit-identical "$NREPORT" bit_identical
 require_section noise-obs-overhead "$NREPORT" obs_overhead
 
 # Every bench manifest must carry the diagnostics/health section.
-for f in "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT"; do
+for f in "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT"; do
   m="$f.manifest.json"
   if [ -f "$m" ]; then
     require_section manifest-health "$m" health
@@ -300,7 +265,7 @@ if [ "$FAILURES" -gt 0 ]; then
 fi
 
 if [ "$SMOKE" = 1 ]; then
-  echo "bench_check: OK [smoke] ($REPORT, $TREPORT, $KREPORT, $NREPORT, $SREPORT)"
+  echo "bench_check: OK [smoke] ($REPORT, $TREPORT, $KREPORT, $NREPORT)"
   exit 0
 fi
 
@@ -311,12 +276,12 @@ fi
 HISTORY_TMP="$(mktemp)"
 trap 'rm -f "$HISTORY_TMP"' EXIT
 python3 "$(dirname "$0")/bench_history.py" --history "$HISTORY_TMP" \
-  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT"
+  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT"
 python3 "$(dirname "$0")/bench_history.py" --history "$HISTORY_TMP" \
-  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT"
+  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT"
 # Record this run in the persistent history keyed by git describe.
 python3 "$(dirname "$0")/bench_history.py" \
-  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT" "$SREPORT"
+  "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT"
 
 # A build with the vector kernel TU compiled out entirely: the stub
 # path must link and the portable kernels must clear the same gates.
@@ -327,4 +292,4 @@ cmake --build "$NOSIMD_BUILD" --target bench_kernels bench_noise -j > /dev/null
 "$NOSIMD_BUILD/bench/bench_kernels" "${KREPORT%.json}_nosimd.json" --check
 "$NOSIMD_BUILD/bench/bench_noise" "${NREPORT%.json}_nosimd.json" --check
 
-echo "bench_check: OK ($REPORT, $TREPORT, $KREPORT, $NREPORT, $SREPORT)"
+echo "bench_check: OK ($REPORT, $TREPORT, $KREPORT, $NREPORT)"

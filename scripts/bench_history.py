@@ -44,9 +44,6 @@ GATED_METRICS = {
     "bench_noise": [
         "output_psd.grid_speedup_vs_pointwise",
     ],
-    "bench_stability": [
-        "design_sweep.batched_speedup_vs_scalar",
-    ],
 }
 
 

@@ -65,21 +65,8 @@ class AliasingSum {
   const RationalFunction& transfer() const { return a_; }
   double w0() const { return w0_; }
 
-  // ---- compiled-plan extraction (core/eval_plan) ----------------------
-  //
-  // The exact closed form is a fixed pole/residue structure; exposing it
-  // lets the evaluation-plan layer flatten every channel's terms into
-  // contiguous tables at model-construction time instead of re-walking
-  // the decomposition per grid point.
-
   /// The partial-fraction decomposition the exact path evaluates.
   const PartialFractions& partial_fractions() const { return pf_; }
-  /// d: A ~ c_d / s^d at infinity (relative degree).
-  int relative_degree() const { return rel_degree_; }
-  /// Leading Laurent coefficient c_d (tail order summed in closed form).
-  cplx laurent_leading() const { return laurent_d_; }
-  /// Next Laurent coefficient c_{d+1}.
-  cplx laurent_next() const { return laurent_d1_; }
 
   /// sum_{|m| <= M} A(s + j m w0) -- the raw truncated sum (what a
   /// finite HTM computes).  Converges only like 1/M because A ~ c/s^d.

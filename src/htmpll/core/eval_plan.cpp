@@ -147,7 +147,7 @@ std::shared_ptr<const EvalPlan> EvalPlan::build(
   for (const auto& ch : model.channels_) {
     for (const PoleTerm& term : ch.sum.partial_fractions().terms()) {
       if (term.residues.size() > 4 || term.residues.empty()) {
-        // The scalar exact path rejects multiplicity > 4 with a
+        // The point-wise exact path rejects multiplicity > 4 with a
         // REQUIRE; leaving the plan unusable routes grid calls back to
         // that path so the error behavior is unchanged.
         plan->exact_usable_ = false;
@@ -212,7 +212,7 @@ bool EvalPlan::supports(LambdaMethod method) const {
     case LambdaMethod::kTruncated:
       return true;
     case LambdaMethod::kAdaptive:
-      return false;  // per-point stopping rule stays scalar
+      return false;  // per-point stopping rule runs point-wise
   }
   return false;
 }
@@ -453,57 +453,6 @@ std::vector<CVector> EvalPlan::closed_loop_grid(
         }
       });
   return out;
-}
-
-CVector EvalPlan::vtilde(cplx s, int truncation) const {
-  HTMPLL_TRACE_SPAN("core.plan_grid");
-  plan_points_counter().add(1);
-  // The harmonic offsets are the SoA grid: slot j holds the shifted
-  // point s + j (j - mspan) w0, so ONE batched rational pass evaluates
-  // every gain the 2K+1 components need.
-  const int mspan = truncation + hmax_;
-  const std::size_t n = 2 * static_cast<std::size_t>(mspan) + 1;
-  Scratch& sc = thread_scratch();
-  sc.resize_point_planes(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    sc.s_re[j] = s.real();
-    sc.s_im[j] = s.imag() +
-                 static_cast<double>(static_cast<int>(j) - mspan) * w0_;
-  }
-  sc.g_re.resize(n);
-  sc.g_im.resize(n);
-  batch_rational(hlf_num_.data(), hlf_num_.size(), hlf_den_.data(),
-                 hlf_den_.size(), sc.s_re.data(), sc.s_im.data(), n,
-                 sc.g_re.data(), sc.g_im.data(), sc.den_re.data(),
-                 sc.den_im.data());
-  if (shape_ == PfdShape::kZeroOrderHold) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const cplx sm{sc.s_re[j], sc.s_im[j]};
-      HTMPLL_REQUIRE(std::abs(sm) > 0.0,
-                     "ZOH shape evaluated on a harmonic of w0; evaluate "
-                     "off the harmonic grid");
-      const cplx q = cplx{sc.g_re[j], sc.g_im[j]} / (sm * t_);
-      sc.g_re[j] = q.real();
-      sc.g_im[j] = q.imag();
-    }
-  }
-  const cplx pre =
-      shape_ == PfdShape::kZeroOrderHold ? 1.0 - std::exp(-s * t_)
-                                         : cplx{1.0};
-  CVector v(2 * static_cast<std::size_t>(truncation) + 1);
-  for (int band = -truncation; band <= truncation; ++band) {
-    cplx acc{0.0};
-    for (const ChannelWeight& ch : channels_) {
-      const std::size_t j = static_cast<std::size_t>(band - ch.k + mspan);
-      acc += ch.v * cplx{sc.g_re[j], sc.g_im[j]};
-    }
-    const cplx sn = s + cplx{0.0, static_cast<double>(band) * w0_};
-    HTMPLL_REQUIRE(std::abs(sn) > 0.0,
-                   "V~ evaluated on an integrator pole s = -j n w0");
-    v[static_cast<std::size_t>(band + truncation)] =
-        pre * acc * front_ / sn;
-  }
-  return v;
 }
 
 }  // namespace htmpll

@@ -1,6 +1,6 @@
 // Compiled evaluation plans for SamplingPllModel grid sweeps.
 //
-// The scalar model walks one frequency point at a time: per point it
+// The point-wise model walks one frequency point at a time: per point it
 // re-derives the partial-fraction structure of every ISF harmonic
 // channel, calls std::exp once per pole term (plus once for the ZOH
 // prefactor), and evaluates the shifted loop-filter gains through the
@@ -21,10 +21,13 @@
 //    structure of the nonzero ISF harmonics, evaluated as a
 //    shifted-gain table via batched Horner over split re/im planes.
 //
-// Numerical contract: every plan result agrees with its scalar
-// counterpart to <= 1e-12 relative error (see tests/test_eval_plan).
-// The scalar paths remain in SamplingPllModel as the reference oracle;
-// SamplingPllOptions::use_eval_plan = false forces them.
+// The plan is the only grid engine: every SamplingPllModel builds one,
+// and its lambda, lambda', V~ and closed-loop grids (and so the pole
+// polish and margin searches built on them) all run here.  Numerical
+// contract: every plan result agrees with the model's point-wise call
+// to <= 1e-12 relative error (see tests/test_eval_plan).  The
+// point-wise calls are the reference oracle, and the model falls back
+// to them, slot for slot, for what supports() rejects.
 //
 // Plans are immutable after build and shared by value-copied models
 // (shared_ptr<const EvalPlan>); grid evaluation uses per-thread scratch
@@ -42,15 +45,15 @@ namespace htmpll {
 class EvalPlan {
  public:
   /// Compiles the model's channel structure into batch tables.  Called
-  /// by the SamplingPllModel constructor (unless opted out); counts
-  /// itself under "core.plan_builds".
+  /// by the SamplingPllModel constructor; counts itself under
+  /// "core.plan_builds".
   static std::shared_ptr<const EvalPlan> build(const SamplingPllModel& model);
 
   /// True when the plan can serve grids for `method`.  kTruncated is
   /// always compiled; kExact requires every pole multiplicity <= 4
-  /// (otherwise the scalar path is used -- and throws, preserving the
-  /// scalar error behavior); kAdaptive keeps its per-point stopping
-  /// rule and stays scalar.
+  /// (otherwise the point-wise call runs -- and throws, keeping its
+  /// error message); kAdaptive keeps its per-point stopping rule and
+  /// runs point-wise.
   bool supports(LambdaMethod method) const;
 
   /// True when derivative tables were compiled: the exact method is
@@ -59,9 +62,9 @@ class EvalPlan {
   bool supports_derivative() const { return deriv_usable_; }
 
   /// Batched counterparts of the SamplingPllModel grid APIs.  Results
-  /// match the scalar evaluations to <= 1e-12 relative error; per-point
+  /// match the point-wise calls to <= 1e-12 relative error; per-point
   /// domain errors (integrator poles, ZOH on a harmonic of w0) throw
-  /// the same assertion messages as the scalar paths.
+  /// the same assertion messages as the point-wise calls.
   CVector lambda_grid(const CVector& s_grid, LambdaMethod method,
                       int truncation) const;
   std::vector<CVector> closed_loop_grid(const std::vector<int>& bands,
@@ -74,14 +77,9 @@ class EvalPlan {
   /// a second residue table (d/ds sum_k r_k S_k = sum_k -k r_k S_{k+1},
   /// sharing pole, exp(pT) and the factored/cancellation guards); the
   /// ZOH prefactor adds the product-rule term T exp(-sT) * acc from the
-  /// shared exp plane.  Requires supports_derivative(); agrees with the
-  /// scalar SamplingPllModel::lambda_derivative to <= 1e-12 relative.
+  /// shared exp plane.  Requires supports_derivative(); agrees with
+  /// SamplingPllModel::lambda_derivative to <= 1e-12 relative.
   CVector lambda_derivative_grid(const CVector& s_grid) const;
-
-  /// V~_{-K..K}(s) with the harmonic offsets themselves as the SoA
-  /// "grid": one batched rational pass over the 2(K+h)+1 shifted points
-  /// replaces 2K+1 scalar gain evaluations.
-  CVector vtilde(cplx s, int truncation) const;
 
  private:
   EvalPlan() = default;

@@ -39,28 +39,13 @@ ClosedLoopPole finish_pole(cplx s, double residual, int iterations,
 
 }  // namespace
 
-ClosedLoopPole refine_closed_loop_pole(const LambdaExpression& lambda,
-                                       cplx seed,
-                                       const PoleSearchOptions& opts) {
-  const double w0 = lambda.w0();
-  cplx s = seed;
-  int it = 0;
-  for (; it < opts.max_iterations; ++it) {
-    const cplx f = 1.0 + lambda(s);
-    const cplx df = lambda.derivative(s);
-    HTMPLL_REQUIRE(std::abs(df) > 0.0,
-                   "degenerate Newton step in pole search");
-    const cplx step = f / df;
-    s -= step;
-    if (std::abs(step) <= opts.tolerance * w0) break;
-  }
-  s = fold_to_strip(s, w0);
-  return finish_pole(s, std::abs(1.0 + lambda(s)), it, /*converged=*/true);
-}
-
 std::vector<ClosedLoopPole> refine_closed_loop_poles(
     const SamplingPllModel& model, const std::vector<cplx>& seeds,
     const PoleSearchOptions& opts) {
+  HTMPLL_REQUIRE(opts.max_iterations >= 1,
+                 "pole search needs max_iterations >= 1");
+  HTMPLL_REQUIRE(std::isfinite(opts.tolerance) && opts.tolerance > 0.0,
+                 "pole search tolerance must be finite and positive");
   const double w0 = model.w0();
   const std::size_t n = seeds.size();
   std::vector<cplx> s(seeds);
@@ -72,7 +57,8 @@ std::vector<ClosedLoopPole> refine_closed_loop_poles(
   // convergence (|step| <= tol * w0), on a degenerate/non-finite
   // derivative, or when the proposed iterate leaves the finite plane --
   // the last two drop the lane with a diag event, keeping its final
-  // finite iterate.
+  // finite iterate.  A lane still active after the last round hit the
+  // iteration cap and is reported unconverged.
   std::vector<std::size_t> lanes;
   CVector pts;
   for (int it = 0; it < opts.max_iterations; ++it) {
@@ -127,7 +113,7 @@ std::vector<ClosedLoopPole> refine_closed_loop_poles(
   const CVector res = model.lambda_grid(folded, LambdaMethod::kExact, 0);
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(finish_pole(s[i], std::abs(1.0 + res[i]), iters[i],
-                              !dropped[i]));
+                              !dropped[i] && !active[i]));
   }
   return out;
 }
@@ -149,16 +135,8 @@ std::vector<ClosedLoopPole> closed_loop_poles(const SamplingPllModel& model,
     seeds.push_back(std::log(z) / t);
   }
 
-  std::vector<ClosedLoopPole> out;
-  if (opts.use_eval_plan && model.has_eval_plan()) {
-    out = refine_closed_loop_poles(model, seeds, opts);
-  } else {
-    const LambdaExpression lambda(model.open_loop_gain(), w0);
-    out.reserve(seeds.size());
-    for (const cplx& seed : seeds) {
-      out.push_back(refine_closed_loop_pole(lambda, seed, opts));
-    }
-  }
+  std::vector<ClosedLoopPole> out =
+      refine_closed_loop_poles(model, seeds, opts);
   std::sort(out.begin(), out.end(),
             [](const ClosedLoopPole& a, const ClosedLoopPole& b) {
               return a.frequency < b.frequency;

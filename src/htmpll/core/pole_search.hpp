@@ -7,24 +7,19 @@
 //
 // Strategy: seed from the z-domain characteristic roots mapped through
 // s = ln(z)/T (exact by the Poisson identity), then polish with Newton
-// on 1 + lambda(s) using the analytic derivative.  Two engines:
-//  * batched (default with a compiled eval plan): every seed advances
-//    one iteration per lambda_grid / lambda_derivative_grid pair, with
-//    active-lane masks and per-lane convergence / divergence /
-//    iteration-cap bookkeeping.  A lane whose derivative degenerates
-//    (zero or non-finite) is dropped with a diag event
-//    (pole_search.degenerate_step) instead of throwing.
-//  * scalar (use_eval_plan = false, or no compiled plan): the symbolic
-//    coth closed form, one Newton chain per seed -- bit-identical to
-//    the original sequential implementation.
-// The Newton residual doubles as a numerical proof that the z-domain
-// and frequency-domain descriptions agree.
+// on 1 + lambda(s) using the analytic derivative.  Every seed advances
+// one iteration per lambda_grid / lambda_derivative_grid pair on the
+// model's compiled eval plan, with active-lane masks and per-lane
+// convergence / divergence / iteration-cap bookkeeping.  A lane whose
+// derivative degenerates (zero or non-finite) is dropped with a diag
+// event (pole_search.degenerate_step) instead of throwing.  The Newton
+// residual doubles as a numerical proof that the z-domain and
+// frequency-domain descriptions agree.
 #pragma once
 
 #include <vector>
 
 #include "htmpll/core/sampling_pll.hpp"
-#include "htmpll/core/symbolic.hpp"
 
 namespace htmpll {
 
@@ -34,30 +29,22 @@ struct ClosedLoopPole {
   double damping;    ///< zeta = -Re(s)/|s|; negative when unstable
   double residual;   ///< |1 + lambda(s)| after polishing
   int iterations;    ///< Newton iterations used
-  /// False when the batched engine dropped the lane (degenerate or
-  /// non-finite Newton step); the reported s is the last finite
-  /// iterate.  The scalar engine throws instead and never clears this.
+  /// True when the last Newton step fell within the tolerance.  False
+  /// when the lane was dropped (degenerate or non-finite Newton step;
+  /// the reported s is the last finite iterate) or was still moving
+  /// when max_iterations ran out.
   bool converged = true;
 };
 
 struct PoleSearchOptions {
-  int max_iterations = 60;
-  double tolerance = 1e-12;  ///< on |step| relative to w0
-  /// Route the Newton iterations through the model's compiled EvalPlan
-  /// (batched lockstep over all seeds).  False forces the scalar
-  /// symbolic path, whose results are bit-identical to the original
-  /// per-seed implementation.
-  bool use_eval_plan = true;
+  int max_iterations = 60;   ///< >= 1
+  double tolerance = 1e-12;  ///< on |step| relative to w0; finite, > 0
 };
-
-/// Newton polish of a single seed on 1 + lambda(s) = 0 (scalar engine).
-ClosedLoopPole refine_closed_loop_pole(const LambdaExpression& lambda,
-                                       cplx seed,
-                                       const PoleSearchOptions& opts = {});
 
 /// Masked lockstep Newton polish of many seeds: all active lanes advance
 /// one iteration per batched lambda / lambda-derivative evaluation.
-/// result[i] corresponds to seeds[i] (no sorting).
+/// result[i] corresponds to seeds[i] (no sorting).  Throws
+/// std::invalid_argument for invalid options.
 std::vector<ClosedLoopPole> refine_closed_loop_poles(
     const SamplingPllModel& model, const std::vector<cplx>& seeds,
     const PoleSearchOptions& opts = {});

@@ -4,7 +4,6 @@
 
 #include "htmpll/core/eval_plan.hpp"
 #include <cmath>
-#include <memory>
 #include <numbers>
 
 #include "htmpll/obs/metrics.hpp"
@@ -64,6 +63,7 @@ SamplingPllModel::SamplingPllModel(PllParameters params,
                                    RationalFunction extra_loop_dynamics)
     : params_(params), isf_(std::move(isf)), opts_(opts) {
   HTMPLL_REQUIRE(params_.w0 > 0.0, "reference frequency must be positive");
+  HTMPLL_REQUIRE(opts_.truncation >= 0, "truncation must be non-negative");
   HTMPLL_REQUIRE(std::abs(isf_[0].imag()) <=
                      1e-12 * std::max(1.0, std::abs(isf_[0])),
                  "ISF DC coefficient must be real (VCO average gain)");
@@ -88,7 +88,7 @@ SamplingPllModel::SamplingPllModel(PllParameters params,
                     params_.w0)});
   }
 
-  if (opts_.use_eval_plan) plan_ = EvalPlan::build(*this);
+  plan_ = EvalPlan::build(*this);
 }
 
 cplx SamplingPllModel::shape_factor(cplx s_m) const {
@@ -110,91 +110,13 @@ cplx SamplingPllModel::shifted_gain(cplx s_m) const {
   return hlf_(s_m) * shape_factor(s_m);
 }
 
-namespace {
-
-/// Reusable backing store for a ShiftedGainCache.  Grid sweeps construct
-/// one cache per evaluation point; without pooling that is two heap
-/// allocations per point, which dominates the cache's own benefit on
-/// small tables.  Each thread keeps a small free list of retired
-/// buffers, so steady-state sweeps allocate nothing: a cache borrows a
-/// buffer in its constructor and returns it in its destructor.  The
-/// free list is thread_local, so buffers never migrate between threads
-/// and no locking is involved.
-struct GainScratch {
-  std::vector<cplx> value;
-  std::vector<char> ready;
-};
-
-std::vector<std::unique_ptr<GainScratch>>& gain_scratch_free_list() {
-  thread_local std::vector<std::unique_ptr<GainScratch>> free_list;
-  return free_list;
-}
-
-std::unique_ptr<GainScratch> acquire_gain_scratch(std::size_t slots) {
-  auto& free_list = gain_scratch_free_list();
-  std::unique_ptr<GainScratch> s;
-  if (!free_list.empty()) {
-    s = std::move(free_list.back());
-    free_list.pop_back();
-  } else {
-    s = std::make_unique<GainScratch>();
-  }
-  s->value.assign(slots, cplx{0.0});
-  s->ready.assign(slots, 0);
-  return s;
-}
-
-void release_gain_scratch(std::unique_ptr<GainScratch> s) {
-  gain_scratch_free_list().push_back(std::move(s));
-}
-
-}  // namespace
-
-/// Lazily fills shifted_gain values for harmonic offsets |m| <= mmax of
-/// one evaluation point.  Reusing a memoized value is bit-identical to
-/// recomputing it (same inputs, same code path), so the grid APIs that
-/// share this table match the scalar APIs exactly.  One table serves one
-/// grid point and is touched by a single thread only; the backing
-/// buffers come from a per-thread free list (see GainScratch) so a
-/// sweep's point loop performs no steady-state heap allocation.
-struct SamplingPllModel::ShiftedGainCache {
-  ShiftedGainCache(const SamplingPllModel& model, cplx s, int mmax)
-      : model_(model),
-        s_(s),
-        mmax_(mmax),
-        scratch_(acquire_gain_scratch(
-            2 * static_cast<std::size_t>(mmax) + 1)) {}
-
-  ~ShiftedGainCache() { release_gain_scratch(std::move(scratch_)); }
-
-  ShiftedGainCache(const ShiftedGainCache&) = delete;
-  ShiftedGainCache& operator=(const ShiftedGainCache&) = delete;
-
-  cplx get(int m) {
-    const cplx sm =
-        s_ + cplx{0.0, static_cast<double>(m) * model_.params_.w0};
-    if (m < -mmax_ || m > mmax_) return model_.shifted_gain(sm);
-    const auto i = static_cast<std::size_t>(m + mmax_);
-    if (!scratch_->ready[i]) {
-      scratch_->value[i] = model_.shifted_gain(sm);
-      scratch_->ready[i] = 1;
-    }
-    return scratch_->value[i];
-  }
-
- private:
-  const SamplingPllModel& model_;
-  cplx s_;
-  int mmax_;
-  std::unique_ptr<GainScratch> scratch_;
-};
-
 cplx SamplingPllModel::lambda(cplx s) const {
   return lambda(s, opts_.lambda_method, opts_.truncation);
 }
 
 cplx SamplingPllModel::lambda(cplx s, LambdaMethod method,
                               int truncation) const {
+  HTMPLL_REQUIRE(truncation >= 0, "truncation must be non-negative");
   switch (method) {
     case LambdaMethod::kExact: {
       lambda_eval_counter().add();
@@ -208,8 +130,16 @@ cplx SamplingPllModel::lambda(cplx s, LambdaMethod method,
       for (const HarmonicChannel& ch : channels_) acc += ch.sum.adaptive(s);
       return shape_prefactor(s) * acc;
     }
-    case LambdaMethod::kTruncated:
-      return lambda_truncated_impl(s, truncation, nullptr);
+    case LambdaMethod::kTruncated: {
+      // Truncate the HTM row index n (lambda = sum_n V~_n), matching
+      // what a finite (2K+1)-harmonic HTM computes.
+      lambda_eval_counter().add();
+      cplx acc{0.0};
+      for (int n = -truncation; n <= truncation; ++n) {
+        acc += vtilde_element(n, s);
+      }
+      return acc;
+    }
   }
   throw_assertion_failure("unhandled LambdaMethod", __FILE__, __LINE__);
 }
@@ -246,7 +176,7 @@ cplx SamplingPllModel::lambda_derivative(cplx s) const {
 CVector SamplingPllModel::lambda_derivative_grid(const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.lambda_grid");
   require_finite_grid(s_grid);
-  if (plan_ && plan_->supports_derivative()) {
+  if (plan_->supports_derivative()) {
     return plan_->lambda_derivative_grid(s_grid);
   }
   CVector out(s_grid.size());
@@ -256,22 +186,7 @@ CVector SamplingPllModel::lambda_derivative_grid(const CVector& s_grid) const {
   return out;
 }
 
-cplx SamplingPllModel::lambda_truncated_impl(cplx s, int truncation,
-                                             ShiftedGainCache* cache) const {
-  // Truncate the HTM row index n (lambda = sum_n V~_n), matching what
-  // a finite (2K+1)-harmonic HTM computes.  Counted here (not in the
-  // public lambda()) so grid paths that call this impl directly are
-  // still accounted for, exactly once.
-  lambda_eval_counter().add();
-  cplx acc{0.0};
-  for (int n = -truncation; n <= truncation; ++n) {
-    acc += vtilde_element_impl(n, s, cache);
-  }
-  return acc;
-}
-
-cplx SamplingPllModel::vtilde_element_impl(int n, cplx s,
-                                           ShiftedGainCache* cache) const {
+cplx SamplingPllModel::vtilde_element(int n, cplx s) const {
   // V~_n(s) = (w0/2pi) / (s + j n w0) * sum_m v_{n-m} H_LF(s + j m w0),
   // the m-sum ranging over the (finitely many) non-zero ISF harmonics.
   const cplx sn = s + cplx{0.0, static_cast<double>(n) * params_.w0};
@@ -284,18 +199,14 @@ cplx SamplingPllModel::vtilde_element_impl(int n, cplx s,
   for (const HarmonicChannel& ch : channels_) {
     const int m = n - ch.k;
     const cplx sm = s + cplx{0.0, static_cast<double>(m) * params_.w0};
-    acc += ch.v_k * (cache ? cache->get(m) : shifted_gain(sm));
+    acc += ch.v_k * shifted_gain(sm);
   }
   return shape_prefactor(s) * acc * params_.w0 /
          (2.0 * std::numbers::pi) / sn;
 }
 
-cplx SamplingPllModel::vtilde_element(int n, cplx s) const {
-  return vtilde_element_impl(n, s, nullptr);
-}
-
 CVector SamplingPllModel::vtilde(cplx s, int truncation) const {
-  if (plan_) return plan_->vtilde(s, truncation);
+  HTMPLL_REQUIRE(truncation >= 0, "truncation must be non-negative");
   CVector v(2 * static_cast<std::size_t>(truncation) + 1);
   for (int n = -truncation; n <= truncation; ++n) {
     v[static_cast<std::size_t>(n + truncation)] = vtilde_element(n, s);
@@ -328,19 +239,14 @@ CVector SamplingPllModel::lambda_grid(const CVector& s_grid,
                                       LambdaMethod method,
                                       int truncation) const {
   HTMPLL_TRACE_SPAN("core.lambda_grid");
+  HTMPLL_REQUIRE(truncation >= 0, "truncation must be non-negative");
   require_finite_grid(s_grid);
-  if (plan_ && plan_->supports(method)) {
+  if (plan_->supports(method)) {
     return plan_->lambda_grid(s_grid, method, truncation);
   }
   CVector out(s_grid.size());
   ThreadPool::global().for_each_index(s_grid.size(), [&](std::size_t i) {
-    if (method == LambdaMethod::kTruncated) {
-      ShiftedGainCache cache(*this, s_grid[i],
-                             truncation + isf_.max_harmonic());
-      out[i] = lambda_truncated_impl(s_grid[i], truncation, &cache);
-    } else {
-      out[i] = lambda(s_grid[i], method, truncation);
-    }
+    out[i] = lambda(s_grid[i], method, truncation);
   });
   return out;
 }
@@ -348,27 +254,14 @@ CVector SamplingPllModel::lambda_grid(const CVector& s_grid,
 CVector SamplingPllModel::baseband_transfer_grid(const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.baseband_transfer_grid");
   require_finite_grid(s_grid);
-  const LambdaMethod method = opts_.lambda_method;
-  const int truncation = opts_.truncation;
-  if (plan_ && plan_->supports(method)) {
-    std::vector<CVector> rows =
-        plan_->closed_loop_grid({0}, s_grid, method, truncation);
+  if (plan_->supports(opts_.lambda_method)) {
+    std::vector<CVector> rows = plan_->closed_loop_grid(
+        {0}, s_grid, opts_.lambda_method, opts_.truncation);
     return std::move(rows[0]);
   }
   CVector out(s_grid.size());
   ThreadPool::global().for_each_index(s_grid.size(), [&](std::size_t i) {
-    const cplx s = s_grid[i];
-    if (method == LambdaMethod::kTruncated && !isf_.is_dc_only()) {
-      // One gain table serves the V~_0 numerator and all 2K+1 terms of
-      // the truncated lambda sum.  With a DC-only ISF the two share a
-      // single gain, so the table costs more than it saves -- use the
-      // scalar path (same arithmetic either way).
-      ShiftedGainCache cache(*this, s, truncation + isf_.max_harmonic());
-      const cplx v0 = vtilde_element_impl(0, s, &cache);
-      out[i] = v0 / (1.0 + lambda_truncated_impl(s, truncation, &cache));
-    } else {
-      out[i] = vtilde_element(0, s) / (1.0 + lambda(s, method, truncation));
-    }
+    out[i] = baseband_transfer(s_grid[i]);
   });
   return out;
 }
@@ -394,30 +287,16 @@ std::vector<CVector> SamplingPllModel::closed_loop_grid(
     const std::vector<int>& bands, const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.closed_loop_grid");
   require_finite_grid(s_grid);
-  const LambdaMethod method = opts_.lambda_method;
-  const int truncation = opts_.truncation;
-  if (plan_ && plan_->supports(method)) {
-    return plan_->closed_loop_grid(bands, s_grid, method, truncation);
+  if (plan_->supports(opts_.lambda_method)) {
+    return plan_->closed_loop_grid(bands, s_grid, opts_.lambda_method,
+                                   opts_.truncation);
   }
-  int band_max = 0;
-  for (int n : bands) band_max = std::max(band_max, std::abs(n));
-  const int table_span =
-      std::max(band_max,
-               method == LambdaMethod::kTruncated ? truncation : 0) +
-      isf_.max_harmonic();
-
   std::vector<CVector> out(bands.size(), CVector(s_grid.size()));
   ThreadPool::global().for_each_index(s_grid.size(), [&](std::size_t i) {
-    const cplx s = s_grid[i];
-    // The shifted gains overlap between bands (offsets n - k), so one
-    // lazily filled table serves every band and the truncated lambda.
-    ShiftedGainCache cache(*this, s, table_span);
-    const cplx lam = method == LambdaMethod::kTruncated
-                         ? lambda_truncated_impl(s, truncation, &cache)
-                         : lambda(s, method, truncation);
-    const cplx denom = 1.0 + lam;
+    // One lambda per point serves every band.
+    const cplx denom = 1.0 + lambda(s_grid[i]);
     for (std::size_t b = 0; b < bands.size(); ++b) {
-      out[b][i] = vtilde_element_impl(bands[b], s, &cache) / denom;
+      out[b][i] = vtilde_element(bands[b], s_grid[i]) / denom;
     }
   });
   return out;

@@ -12,11 +12,13 @@
 // aliasing sum of eq. 37; the baseband closed-loop transfer is eq. 38:
 //   H_{0,0}(s) = A(s) / (1 + lambda(s)).
 //
-// This class provides both the fast scalar path (time-invariant VCO, the
-// paper's Section 5 setting) and the general LPTV-VCO path with a
-// non-trivial impulse sensitivity function (ISF), where lambda is
-// computed per ISF harmonic through exact aliasing sums -- the "extension
-// to arbitrary ... behavior" the paper mentions.
+// This class covers both the time-invariant VCO (the paper's Section 5
+// setting) and the general LPTV VCO with a non-trivial impulse
+// sensitivity function (ISF), where lambda is computed per ISF harmonic
+// through exact aliasing sums -- the "extension to arbitrary ...
+// behavior" the paper mentions.  The point-wise calls (lambda, V~,
+// closed_loop) are the reference; the *_grid calls run the compiled
+// EvalPlan (core/eval_plan.hpp) built with every model.
 #pragma once
 
 #include <memory>
@@ -52,13 +54,8 @@ enum class PfdShape {
 
 struct SamplingPllOptions {
   LambdaMethod lambda_method = LambdaMethod::kExact;
-  int truncation = 16;  ///< K for kTruncated lambda and HTM assembly
+  int truncation = 16;  ///< K >= 0 for kTruncated lambda and HTM assembly
   PfdShape pfd_shape = PfdShape::kImpulse;
-  /// Compile an EvalPlan at construction and serve the grid APIs
-  /// through its batch kernels (<= 1e-12 relative agreement with the
-  /// scalar paths).  False forces the scalar per-point loops, whose
-  /// grid results are bit-identical to the point-wise calls.
-  bool use_eval_plan = true;
 };
 
 class EvalPlan;
@@ -83,8 +80,6 @@ class SamplingPllModel {
   const HarmonicCoefficients& isf() const { return isf_; }
   double w0() const { return params_.w0; }
   bool time_invariant_vco() const { return isf_.is_dc_only(); }
-  /// True when a compiled evaluation plan backs the grid APIs.
-  bool has_eval_plan() const { return plan_ != nullptr; }
 
   /// Continuous-time LTI open-loop gain A(s) (eq. 35), with
   /// v0 = kvco * isf_0 (includes any extra loop dynamics).
@@ -102,33 +97,26 @@ class SamplingPllModel {
   /// d/ds S_k = -k S_{k+1} applied to every channel's partial-fraction
   /// term; for the ZOH shape the prefactor contributes the product-rule
   /// term T e^{-sT} * (pole-sum).  Requires every pole multiplicity
-  /// <= 3 (S_k is implemented through k = 4).  This is the scalar
-  /// reference the batched Newton pole search polishes against.
+  /// <= 3 (S_k is implemented through k = 4).  This is the point-wise
+  /// reference for the plan's derivative tables.
   cplx lambda_derivative(cplx s) const;
 
-  /// lambda_derivative over a grid.  With a compiled plan whose
-  /// derivative tables are usable the points stream through the SoA
-  /// batch kernels (<= 1e-12 relative agreement with the scalar call);
-  /// otherwise the scalar evaluations run on the pool, bit-identical
-  /// per slot to lambda_derivative(s_grid[i]).
+  /// lambda_derivative over a grid, through the plan's derivative
+  /// tables when they are compiled (see EvalPlan::supports_derivative).
   CVector lambda_derivative_grid(const CVector& s_grid) const;
 
-  // ---- batched grid evaluation (parallel sweep engine) ----
+  // ---- grid evaluation (parallel sweep engine) ----
   //
-  // Every *_grid method evaluates its scalar counterpart over a grid of
-  // s points on the shared thread pool (HTMPLL_THREADS wide).  With the
-  // default use_eval_plan = true the points stream through the compiled
-  // EvalPlan's structure-of-arrays batch kernels (core/eval_plan.hpp):
-  // slot i agrees with the scalar call at s_grid[i] to <= 1e-12
-  // relative error, and is independent of the thread count (points
-  // never share accumulators).  With use_eval_plan = false the scalar
-  // per-point loop runs instead, hoisting per-point loop-invariant work
-  // -- the shifted loop-filter gains H_LF(s + j m w0) *
-  // shape(s + j m w0) shared between the truncated lambda sum and the
-  // V~ numerators -- into a per-point table; slot i of that path is
-  // BIT-IDENTICAL to the scalar call at s_grid[i] for every method and
-  // PFD shape.  Every grid point must be finite: a NaN or infinite s
-  // throws std::invalid_argument on both paths.
+  // Every *_grid method evaluates its point-wise counterpart over a grid
+  // of s points on the shared thread pool (HTMPLL_THREADS wide).  When
+  // the plan supports the method (EvalPlan::supports) the points stream
+  // through its structure-of-arrays batch kernels: slot i agrees with
+  // the point-wise call at s_grid[i] to <= 1e-12 relative error.
+  // Otherwise (kAdaptive, or a kExact pole multiplicity > 4) slot i IS
+  // the point-wise call, bit for bit, and throws its errors.  Either way
+  // the result is independent of the thread count (points never share
+  // accumulators).  Every grid point must be finite: a NaN or infinite s
+  // throws std::invalid_argument.
 
   /// lambda over a grid via the configured / an explicit method.
   CVector lambda_grid(const CVector& s_grid) const;
@@ -145,14 +133,13 @@ class SamplingPllModel {
   CVector baseband_error_transfer_grid(const CVector& s_grid) const;
 
   /// H_{n,0} for several output bands over one grid, sharing a single
-  /// lambda evaluation and shifted-gain table per grid point:
-  /// result[b][i] == closed_loop(bands[b], s_grid[i]) bit-identically,
-  /// at roughly 1/bands.size() of the point-wise cost.
+  /// lambda evaluation per grid point: result[b][i] approximates
+  /// closed_loop(bands[b], s_grid[i]) under the contract above.
   std::vector<CVector> closed_loop_grid(const std::vector<int>& bands,
                                         const CVector& s_grid) const;
 
   /// V~ components for |n| <= truncation (eq. 29):
-  /// result[n + truncation] = V~_n(s).
+  /// result[n + truncation] = vtilde_element(n, s).
   CVector vtilde(cplx s, int truncation) const;
   cplx vtilde_element(int n, cplx s) const;
 
@@ -191,14 +178,6 @@ class SamplingPllModel {
   /// H_LF(s_m) * shape_factor(s_m) -- the m-shifted filter gain every
   /// V~ component and truncated-lambda term is built from.
   cplx shifted_gain(cplx s_m) const;
-  /// Per-point memo of shifted_gain over the harmonic offsets; lets the
-  /// grid paths reuse one evaluation per offset without changing bits.
-  struct ShiftedGainCache;
-  /// V~_n(s) with an optional shared gain table (nullptr = compute).
-  cplx vtilde_element_impl(int n, cplx s, ShiftedGainCache* cache) const;
-  /// Truncated-HTM lambda with an optional shared gain table.
-  cplx lambda_truncated_impl(cplx s, int truncation,
-                             ShiftedGainCache* cache) const;
 
   PllParameters params_;
   HarmonicCoefficients isf_;
@@ -213,9 +192,8 @@ class SamplingPllModel {
     AliasingSum sum;
   };
   std::vector<HarmonicChannel> channels_;
-  /// Compiled batch-evaluation tables (core/eval_plan.hpp); null when
-  /// opts_.use_eval_plan is false.  Immutable and shared across model
-  /// copies.
+  /// Compiled batch-evaluation tables (core/eval_plan.hpp).  Immutable
+  /// and shared across model copies.
   std::shared_ptr<const EvalPlan> plan_;
 
   friend class EvalPlan;

@@ -24,9 +24,9 @@ struct BatchedCrossover {
 };
 
 /// Interior probes per refinement round: the bracket shrinks by a
-/// factor kRefine + 1 per batched evaluation, so reaching the scalar
-/// search's 1e-10 relative tolerance from a 600-point log grid takes
-/// ~7 rounds instead of ~30 sequential bisection steps.
+/// factor kRefine + 1 per batched evaluation, so reaching
+/// find_gain_crossover's 1e-10 relative tolerance from a 600-point log
+/// grid takes ~7 rounds instead of ~30 sequential bisection steps.
 constexpr int kRefine = 16;
 
 /// logspace(w_lo, w_hi, points), memoized per thread.  effective_margins
@@ -65,17 +65,17 @@ const std::vector<double>& scan_grid(double w_lo, double w_hi,
   return slot.grid;
 }
 
-/// Grid-first twin of find_gain_crossover on a batch-evaluable
-/// response: one chunked log-grid pass brackets the first downward
-/// |H| = 1 crossing (same grid as the scalar scan), and vectorized
+/// Grid-first find_gain_crossover on a batch-evaluable response: one
+/// chunked log-grid pass brackets the first downward |H| = 1 crossing
+/// (same grid as find_gain_crossover's scan), and vectorized
 /// interval-refinement rounds narrow it.  The phase margin
 /// is then unwrapped along the samples already in hand -- the bracket
 /// grid up to the crossing plus every refinement probe below the
 /// crossover -- so only H(j wc) itself costs an extra evaluation.
 /// `eval` maps a vector of frequencies to H(jw) samples (the model's
 /// compiled lambda plan, or the SIMD rational kernel for A).  Agrees
-/// with the scalar search to the bisection tolerance (<= 1e-9 relative
-/// in practice).
+/// with find_gain_crossover to the bisection tolerance (<= 1e-9
+/// relative in practice).
 template <class BatchEval>
 BatchedCrossover crossover_batched(const BatchEval& eval, double w_lo,
                                    double w_hi,
@@ -145,7 +145,7 @@ BatchedCrossover crossover_batched(const BatchEval& eval, double w_lo,
   // Phase margin: unwrap along the samples already evaluated -- the
   // bracket grid below the crossing, then the refinement probes below
   // wc in ascending order, then lambda(j wc) itself (the one extra
-  // point).  The walk density matches the scalar search's own scan
+  // point).  The walk density matches find_gain_crossover's own scan
   // grid, so the unwrap lands on the same branch.
   std::sort(refine_samples.begin(), refine_samples.end(),
             [](const std::pair<double, cplx>& x,
@@ -176,60 +176,41 @@ EffectiveMargins effective_margins(const SamplingPllModel& model) {
   const RationalFunction& a = model.open_loop_gain();
 
   // A has two poles at DC, so |A| -> infinity at low w; scan over a wide
-  // window around w0.  With a compiled plan both crossover hunts run
-  // grid-first: lambda through the model's batch kernels, A through the
-  // SIMD rational kernel (<= 1e-9 relative agreement with the scalar
-  // searches).  Without one (use_eval_plan = false) the scalar probe
-  // chains below are bit-identical to the original implementation.
-  if (model.has_eval_plan()) {
-    const CVector& num = a.num().coefficients();
-    const CVector& den = a.den().coefficients();
-    const auto lti_eval = [&num, &den](const std::vector<double>& ws) {
-      const std::size_t n = ws.size();
-      std::vector<double> s_re(n, 0.0), out_re(n), out_im(n), tmp_re(n),
-          tmp_im(n);
-      CVector h(n);
-      batch_rational(num.data(), num.size(), den.data(), den.size(),
-                     s_re.data(), ws.data(), n, out_re.data(),
-                     out_im.data(), tmp_re.data(), tmp_im.data());
-      join_planes(out_re.data(), out_im.data(), n, h.data());
-      return h;
-    };
-    if (const BatchedCrossover c =
-            crossover_batched(lti_eval, w0 * 1e-5, w0 * 1e3);
-        c.found) {
-      out.lti_found = true;
-      out.lti_crossover = c.frequency;
-      out.lti_phase_margin_deg = c.phase_margin_deg;
-    }
-    const auto lambda_eval = [&model](const std::vector<double>& ws) {
-      return model.lambda_grid(jw_grid(ws));
-    };
-    if (const BatchedCrossover c =
-            crossover_batched(lambda_eval, w0 * 1e-5, 0.5 * w0);
-        c.found) {
-      out.eff_found = true;
-      out.eff_crossover = c.frequency;
-      out.eff_phase_margin_deg = c.phase_margin_deg;
-    }
-    return out;
-  }
-
-  const FrequencyResponse lti = [&a](double w) { return a(cplx{0.0, w}); };
-  if (const auto c = find_gain_crossover(lti, w0 * 1e-5, w0 * 1e3)) {
+  // window around w0.  Both crossover hunts run grid-first: lambda
+  // through the model's compiled plan, A through the SIMD rational
+  // kernel (<= 1e-9 relative agreement with find_gain_crossover on the
+  // point-wise responses).
+  const CVector& num = a.num().coefficients();
+  const CVector& den = a.den().coefficients();
+  const auto lti_eval = [&num, &den](const std::vector<double>& ws) {
+    const std::size_t n = ws.size();
+    std::vector<double> s_re(n, 0.0), out_re(n), out_im(n), tmp_re(n),
+        tmp_im(n);
+    CVector h(n);
+    batch_rational(num.data(), num.size(), den.data(), den.size(),
+                   s_re.data(), ws.data(), n, out_re.data(), out_im.data(),
+                   tmp_re.data(), tmp_im.data());
+    join_planes(out_re.data(), out_im.data(), n, h.data());
+    return h;
+  };
+  if (const BatchedCrossover c =
+          crossover_batched(lti_eval, w0 * 1e-5, w0 * 1e3);
+      c.found) {
     out.lti_found = true;
-    out.lti_crossover = c->frequency;
-    out.lti_phase_margin_deg = c->phase_margin_deg;
+    out.lti_crossover = c.frequency;
+    out.lti_phase_margin_deg = c.phase_margin_deg;
   }
   // lambda is w0-periodic on the jw axis: the meaningful crossover lives
   // in (0, w0/2].
-  const FrequencyResponse eff = [&model](double w) {
-    return model.lambda(cplx{0.0, w});
+  const auto lambda_eval = [&model](const std::vector<double>& ws) {
+    return model.lambda_grid(jw_grid(ws));
   };
-  if (const auto c = find_gain_crossover(eff, w0 * 1e-5, 0.5 * w0)) {
+  if (const BatchedCrossover c =
+          crossover_batched(lambda_eval, w0 * 1e-5, 0.5 * w0);
+      c.found) {
     out.eff_found = true;
-    out.eff_crossover = c->frequency;
-    out.eff_phase_margin_deg = c->phase_margin_deg;
+    out.eff_crossover = c.frequency;
+    out.eff_phase_margin_deg = c.phase_margin_deg;
   }
   return out;
 }

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "htmpll/parallel/thread_pool.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll {
@@ -23,44 +22,6 @@ LambdaExpression::LambdaExpression(const RationalFunction& a, double w0)
                                 static_cast<int>(j) + 1});
     }
   }
-}
-
-cplx LambdaExpression::operator()(cplx s) const {
-  cplx acc{0.0};
-  for (const CothTerm& t : terms_) {
-    acc += t.residue * harmonic_pole_sum(s - t.pole, w0_, t.order);
-  }
-  return acc;
-}
-
-CVector LambdaExpression::evaluate_grid(const CVector& s_grid) const {
-  CVector out(s_grid.size());
-  ThreadPool::global().parallel_for(
-      s_grid.size(), [&](std::size_t i) { out[i] = (*this)(s_grid[i]); });
-  return out;
-}
-
-cplx LambdaExpression::derivative(cplx s) const {
-  // d/ds S_k(s - p) = -k S_{k+1}(s - p).
-  cplx acc{0.0};
-  for (const CothTerm& t : terms_) {
-    acc += t.residue * (-static_cast<double>(t.order)) *
-           harmonic_pole_sum(s - t.pole, w0_, t.order + 1);
-  }
-  return acc;
-}
-
-LambdaExpression LambdaExpression::differentiated() const {
-  LambdaExpression d;
-  d.w0_ = w0_;
-  d.terms_.reserve(terms_.size());
-  for (const CothTerm& t : terms_) {
-    HTMPLL_REQUIRE(t.order + 1 <= 4,
-                   "differentiation exceeds the implemented S_k family");
-    d.terms_.push_back(CothTerm{
-        t.residue * (-static_cast<double>(t.order)), t.pole, t.order + 1});
-  }
-  return d;
 }
 
 namespace {

@@ -9,9 +9,10 @@
 //   S_1(x) = (pi/w0) coth(pi x / w0),   S_{k+1} = -(1/k) dS_k/dx,
 //
 // a finite combination of coth/csch^2 terms.  LambdaExpression carries
-// that structure explicitly: it can pretty-print itself, evaluate, and
-// differentiate analytically (dS_k/ds = -k S_{k+1}), which powers the
-// Newton closed-loop pole search in pole_search.hpp.
+// that structure explicitly and prints it.  SamplingPllModel evaluates
+// the same sum: point-wise through AliasingSum::exact, on grids through
+// its compiled plan, which also differentiates it (dS_k/ds =
+// -k S_{k+1}) for the Newton pole search in pole_search.hpp.
 #pragma once
 
 #include <string>
@@ -32,25 +33,13 @@ struct CothTerm {
 class LambdaExpression {
  public:
   /// Builds the closed form from the open-loop gain A(s).  Requires A
-  /// strictly proper with pole multiplicities <= 3 (differentiation
-  /// raises the order by one and S_k is implemented through k = 4).
+  /// strictly proper with pole multiplicities <= 3 (the range the
+  /// analytic derivative covers: it raises the order by one, and S_k is
+  /// implemented through k = 4).
   LambdaExpression(const RationalFunction& a, double w0);
 
   double w0() const { return w0_; }
   const std::vector<CothTerm>& terms() const { return terms_; }
-
-  /// lambda(s).
-  cplx operator()(cplx s) const;
-
-  /// lambda over a grid of s points, evaluated in parallel on the shared
-  /// thread pool.  result[i] is bit-identical to operator()(s_grid[i]).
-  CVector evaluate_grid(const CVector& s_grid) const;
-
-  /// d lambda / ds, exact (no finite differences).
-  cplx derivative(cplx s) const;
-
-  /// The derivative as a new expression (term orders bumped by one).
-  LambdaExpression differentiated() const;
 
   /// Human-readable closed form, e.g.
   ///   (0.3-0.1j)*S1(s-(-2+0j)) + 1.2*S2(s-0) ...
@@ -58,7 +47,6 @@ class LambdaExpression {
   std::string to_string() const;
 
  private:
-  LambdaExpression() = default;
   double w0_ = 0.0;
   std::vector<CothTerm> terms_;
 };

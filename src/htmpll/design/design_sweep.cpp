@@ -18,10 +18,7 @@ DesignPoint evaluate_point(const DesignSpec& base, double ratio,
   pt.design.gamma = gamma;
   pt.design.params = synthesize_loop(base, ratio * base.w0, gamma);
 
-  SamplingPllOptions mopts;
-  mopts.use_eval_plan = opts.use_eval_plan;
-  const SamplingPllModel model(pt.design.params,
-                               HarmonicCoefficients(cplx{1.0}), mopts);
+  const SamplingPllModel model(pt.design.params);
   pt.design.margins = effective_margins(model);
   const ImpulseInvariantModel zmodel(model.open_loop_gain(), base.w0);
   pt.design.z_domain_stable = zmodel.is_stable();
@@ -38,9 +35,7 @@ DesignPoint evaluate_point(const DesignSpec& base, double ratio,
   pt.half_rate_stable = pt.half_rate_lambda > -1.0;
 
   if (opts.include_poles) {
-    PoleSearchOptions ps = opts.pole_search;
-    ps.use_eval_plan = ps.use_eval_plan && opts.use_eval_plan;
-    pt.poles = closed_loop_poles(model, ps);
+    pt.poles = closed_loop_poles(model, opts.pole_search);
   }
   return pt;
 }

@@ -36,9 +36,6 @@ struct DesignPoint {
 struct DesignSweepOptions {
   bool include_poles = true;
   PoleSearchOptions pole_search;
-  /// Route each point's model through a compiled EvalPlan (batched
-  /// crossover + Newton).  False forces every scalar reference path.
-  bool use_eval_plan = true;
 };
 
 /// Row-major map over the sweep grid: points[g * ratios.size() + r].

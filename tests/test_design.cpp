@@ -170,40 +170,21 @@ TEST(Design, DesignSpaceMapMatchesPointwiseEvaluation) {
                   1e-9 * ref.margins.lti_crossover);
       EXPECT_EQ(pt.design.z_domain_stable, ref.z_domain_stable);
       EXPECT_EQ(pt.half_rate_stable, pt.half_rate_lambda > -1.0);
-      // Poles included by default, sorted by ascending frequency.
+      // Poles included by default, sorted by ascending frequency, and
+      // bit for bit what closed_loop_poles gives on the point's own model.
       ASSERT_FALSE(pt.poles.empty());
       for (std::size_t i = 1; i < pt.poles.size(); ++i) {
         EXPECT_LE(pt.poles[i - 1].frequency, pt.poles[i].frequency);
       }
-    }
-  }
-}
-
-TEST(Design, DesignSpaceMapScalarForcedAgreesWithBatched) {
-  DesignSpec spec;
-  spec.w0 = kW0;
-  spec.target_w_ug = 0.1 * kW0;
-  spec.target_pm_deg = 60.0;
-  const std::vector<double> ratios{0.1, 0.22};
-  DesignSweepOptions scalar;
-  scalar.use_eval_plan = false;
-  const DesignSpaceMap b = design_space_map(spec, ratios, {4.0});
-  const DesignSpaceMap s = design_space_map(spec, ratios, {4.0}, scalar);
-  for (std::size_t r = 0; r < ratios.size(); ++r) {
-    const DesignPoint& bp = b.at(r, 0);
-    const DesignPoint& sp = s.at(r, 0);
-    EXPECT_LT(std::abs(bp.design.margins.eff_crossover -
-                       sp.design.margins.eff_crossover) /
-                  sp.design.margins.eff_crossover,
-              1e-9);
-    EXPECT_EQ(bp.half_rate_lambda, sp.half_rate_lambda);
-    ASSERT_EQ(bp.poles.size(), sp.poles.size());
-    for (const ClosedLoopPole& p : sp.poles) {
-      double best = 1e300;
-      for (const ClosedLoopPole& q : bp.poles) {
-        best = std::min(best, std::abs(q.s - p.s) / std::abs(p.s));
+      const std::vector<ClosedLoopPole> own =
+          closed_loop_poles(SamplingPllModel(pt.design.params));
+      ASSERT_EQ(pt.poles.size(), own.size());
+      for (std::size_t i = 0; i < own.size(); ++i) {
+        EXPECT_EQ(pt.poles[i].s, own[i].s);
+        EXPECT_EQ(pt.poles[i].residual, own[i].residual);
+        EXPECT_EQ(pt.poles[i].iterations, own[i].iterations);
+        EXPECT_EQ(pt.poles[i].converged, own[i].converged);
       }
-      EXPECT_LT(best, 1e-9);
     }
   }
 }

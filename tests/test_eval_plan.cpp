@@ -1,16 +1,17 @@
 // Tests for the compiled evaluation-plan layer (core/eval_plan) and the
 // batch kernels beneath it (linalg/batch_kernels).
 //
-// The contract under test: with use_eval_plan = true (the default) every
-// grid API agrees with its scalar counterpart to <= 1e-12 relative
-// error, for randomized loop parameters, random ISF harmonics, both PFD
-// shapes, every batched lambda method, and evaluation points pushed
-// arbitrarily close to the aliasing poles s = p + j n w0.  The scalar
-// paths (use_eval_plan = false) are the oracle.
+// The contract under test: every grid API the plan serves agrees with
+// the same model's point-wise call to <= 1e-12 relative error, for
+// randomized loop parameters, random ISF harmonics, both PFD shapes,
+// every batched lambda method, and evaluation points pushed arbitrarily
+// close to the aliasing poles s = p + j n w0; what the plan does not
+// serve (kAdaptive) is the point-wise call bit for bit.  The point-wise
+// calls are the oracle.
 //
 // Built as its own executable so it also runs under
-// -DHTMPLL_SANITIZE=thread, covering the per-thread scratch planes and
-// the shifted-gain free list under concurrent sweeps.
+// -DHTMPLL_SANITIZE=thread, covering the per-thread scratch planes
+// under concurrent sweeps.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -42,25 +43,6 @@ constexpr double kTol = 1e-12;
 double rel_err(cplx got, cplx want) {
   const double scale = std::max(1.0e-300, std::abs(want));
   return std::abs(got - want) / scale;
-}
-
-/// Two models over identical parameters: `plan` (default) and `scalar`
-/// (forced scalar paths -- the oracle).
-struct ModelPair {
-  SamplingPllModel plan;
-  SamplingPllModel scalar;
-};
-
-ModelPair make_pair(const PllParameters& params,
-                    const HarmonicCoefficients& isf,
-                    SamplingPllOptions opts,
-                    const RationalFunction& extra =
-                        RationalFunction::constant(1.0)) {
-  SamplingPllOptions scalar_opts = opts;
-  opts.use_eval_plan = true;
-  scalar_opts.use_eval_plan = false;
-  return ModelPair{SamplingPllModel(params, isf, opts, extra),
-                   SamplingPllModel(params, isf, scalar_opts, extra)};
 }
 
 /// Random evaluation points: mostly jw-axis sweep points, plus points
@@ -116,27 +98,23 @@ TEST_P(EvalPlanMethods, GridsMatchScalarWithinTolerance) {
             ? HarmonicCoefficients(cplx{1.0})
             : HarmonicCoefficients::real_waveform(
                   1.0, {cplx{0.25, 0.1}, cplx{0.04, -0.07}});
-    const ModelPair m =
-        make_pair(make_typical_loop(ug(rng) * w0, w0), isf, opts);
-    ASSERT_TRUE(m.plan.has_eval_plan());
-    ASSERT_FALSE(m.scalar.has_eval_plan());
+    const SamplingPllModel m(make_typical_loop(ug(rng) * w0, w0), isf, opts);
 
     const CVector s_grid = random_points(rng, w0, 128);
 
-    const CVector lam = m.plan.lambda_grid(s_grid);
-    const CVector h00 = m.plan.baseband_transfer_grid(s_grid);
+    const CVector lam = m.lambda_grid(s_grid);
+    const CVector h00 = m.baseband_transfer_grid(s_grid);
     const std::vector<int> bands = {-2, 0, 1, 3};
-    const std::vector<CVector> cl = m.plan.closed_loop_grid(bands, s_grid);
+    const std::vector<CVector> cl = m.closed_loop_grid(bands, s_grid);
 
     for (std::size_t i = 0; i < s_grid.size(); ++i) {
       const cplx s = s_grid[i];
-      EXPECT_LE(rel_err(lam[i], m.scalar.lambda(s)), kTol)
+      EXPECT_LE(rel_err(lam[i], m.lambda(s)), kTol)
           << "lambda at s=" << s << " trial " << trial;
-      EXPECT_LE(rel_err(h00[i], m.scalar.baseband_transfer(s)), kTol)
+      EXPECT_LE(rel_err(h00[i], m.baseband_transfer(s)), kTol)
           << "H00 at s=" << s << " trial " << trial;
       for (std::size_t b = 0; b < bands.size(); ++b) {
-        EXPECT_LE(rel_err(cl[b][i], m.scalar.closed_loop(bands[b], s)),
-                  kTol)
+        EXPECT_LE(rel_err(cl[b][i], m.closed_loop(bands[b], s)), kTol)
             << "H_{n,0} n=" << bands[b] << " at s=" << s;
       }
     }
@@ -151,38 +129,45 @@ INSTANTIATE_TEST_SUITE_P(
                                          PfdShape::kZeroOrderHold)));
 
 TEST(EvalPlan, AdaptiveMethodFallsBackToScalarBits) {
-  // kAdaptive keeps its per-point stopping rule: the plan-enabled model
-  // must produce bit-identical results to the scalar-forced model.
+  // kAdaptive keeps its per-point stopping rule: each grid slot is the
+  // point-wise call, bit for bit.
   const double w0 = 2.0 * std::numbers::pi;
   SamplingPllOptions opts;
   opts.lambda_method = LambdaMethod::kAdaptive;
-  const ModelPair m = make_pair(make_typical_loop(0.12 * w0, w0),
-                                HarmonicCoefficients(cplx{1.0}), opts);
+  const SamplingPllModel m(make_typical_loop(0.12 * w0, w0),
+                           HarmonicCoefficients(cplx{1.0}), opts);
   const CVector s_grid = jw_grid(logspace(1e-3 * w0, 0.49 * w0, 64));
-  const CVector lam = m.plan.lambda_grid(s_grid);
+  const CVector lam = m.lambda_grid(s_grid);
   for (std::size_t i = 0; i < s_grid.size(); ++i) {
-    EXPECT_EQ(lam[i], m.scalar.lambda(s_grid[i]));
+    EXPECT_EQ(lam[i], m.lambda(s_grid[i]));
   }
 }
 
 TEST(EvalPlan, VtildeMatchesScalarWithinTolerance) {
+  // The plan's V~_n reaches callers through closed_loop_grid (one plane
+  // quotient by 1 + lambda); over every band of a truncation-8 window it
+  // must match the point-wise V~ vector divided by the same 1 + lambda.
   std::mt19937 rng(7u);
   const double w0 = 2.0 * std::numbers::pi;
   const HarmonicCoefficients isf = HarmonicCoefficients::real_waveform(
       1.0, {cplx{0.2, 0.05}, cplx{-0.03, 0.08}});
+  const int trunc = 8;
+  std::vector<int> bands;
+  for (int n = -trunc; n <= trunc; ++n) bands.push_back(n);
   for (PfdShape shape : {PfdShape::kImpulse, PfdShape::kZeroOrderHold}) {
     SamplingPllOptions opts;
     opts.pfd_shape = shape;
-    const ModelPair m =
-        make_pair(make_typical_loop(0.08 * w0, w0), isf, opts);
-    for (const cplx s : random_points(rng, w0, 32)) {
-      const int trunc = 8;
-      const CVector got = m.plan.vtilde(s, trunc);
-      const CVector want = m.scalar.vtilde(s, trunc);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t j = 0; j < got.size(); ++j) {
-        EXPECT_LE(rel_err(got[j], want[j]), kTol)
-            << "V~_" << (static_cast<int>(j) - trunc) << " at s=" << s;
+    const SamplingPllModel m(make_typical_loop(0.08 * w0, w0), isf, opts);
+    const CVector s_grid = random_points(rng, w0, 32);
+    const std::vector<CVector> cl = m.closed_loop_grid(bands, s_grid);
+    for (std::size_t i = 0; i < s_grid.size(); ++i) {
+      const cplx s = s_grid[i];
+      const CVector v = m.vtilde(s, trunc);
+      ASSERT_EQ(v.size(), bands.size());
+      const cplx denom = 1.0 + m.lambda(s);
+      for (std::size_t b = 0; b < bands.size(); ++b) {
+        EXPECT_LE(rel_err(cl[b][i], v[b] / denom), kTol)
+            << "V~_" << bands[b] << " at s=" << s;
       }
     }
   }
@@ -190,8 +175,8 @@ TEST(EvalPlan, VtildeMatchesScalarWithinTolerance) {
 
 TEST(EvalPlan, LambdaDerivativeGridMatchesScalarAnalytic) {
   // The plan's derivative tables (order-bump rule per pole term, ZOH
-  // product rule on the prefactor) against the scalar analytic
-  // lambda_derivative -- the bench's 1e-12 contract, here over random
+  // product rule on the prefactor) against the point-wise analytic
+  // lambda_derivative -- the plan's 1e-12 contract, here over random
   // loops, both shapes, and points pushed near the aliasing poles.
   std::mt19937 rng(20260807u);
   std::uniform_real_distribution<double> ug(0.02, 0.25);
@@ -200,14 +185,12 @@ TEST(EvalPlan, LambdaDerivativeGridMatchesScalarAnalytic) {
       const double w0 = 2.0 * std::numbers::pi * (trial + 1);
       SamplingPllOptions opts;
       opts.pfd_shape = shape;
-      const ModelPair m = make_pair(make_typical_loop(ug(rng) * w0, w0),
-                                    HarmonicCoefficients(cplx{1.0}), opts);
-      ASSERT_TRUE(m.plan.has_eval_plan());
+      const SamplingPllModel m(make_typical_loop(ug(rng) * w0, w0),
+                               HarmonicCoefficients(cplx{1.0}), opts);
       const CVector s_grid = random_points(rng, w0, 96);
-      const CVector dlam = m.plan.lambda_derivative_grid(s_grid);
+      const CVector dlam = m.lambda_derivative_grid(s_grid);
       for (std::size_t i = 0; i < s_grid.size(); ++i) {
-        EXPECT_LE(rel_err(dlam[i], m.scalar.lambda_derivative(s_grid[i])),
-                  kTol)
+        EXPECT_LE(rel_err(dlam[i], m.lambda_derivative(s_grid[i])), kTol)
             << "shape " << static_cast<int>(shape) << " s=" << s_grid[i];
       }
     }
@@ -216,12 +199,12 @@ TEST(EvalPlan, LambdaDerivativeGridMatchesScalarAnalytic) {
 
 TEST(EvalPlan, LambdaDerivativeAgreesWithCentralDifference) {
   // Cross-check of the analytic derivative itself (not the batching):
-  // central differences of scalar lambda at well-conditioned jw points.
+  // central differences of point-wise lambda at well-conditioned jw
+  // points.
   const double w0 = 2.0 * std::numbers::pi;
   for (PfdShape shape : {PfdShape::kImpulse, PfdShape::kZeroOrderHold}) {
     SamplingPllOptions opts;
     opts.pfd_shape = shape;
-    opts.use_eval_plan = false;
     const SamplingPllModel m(make_typical_loop(0.1 * w0, w0),
                              HarmonicCoefficients(cplx{1.0}), opts);
     const double h = 1e-6 * w0;
@@ -249,13 +232,13 @@ TEST(EvalPlan, ExtraLoopDynamicsAndRepeatedPoles) {
     opts.lambda_method = method;
     opts.truncation = 8;
     opts.pfd_shape = PfdShape::kZeroOrderHold;
-    const ModelPair m =
-        make_pair(make_typical_loop(0.1 * w0, w0),
-                  HarmonicCoefficients(cplx{1.0}), opts, parasitic);
+    const SamplingPllModel m(make_typical_loop(0.1 * w0, w0),
+                             HarmonicCoefficients(cplx{1.0}), opts,
+                             parasitic);
     const CVector s_grid = random_points(rng, w0, 64);
-    const CVector lam = m.plan.lambda_grid(s_grid);
+    const CVector lam = m.lambda_grid(s_grid);
     for (std::size_t i = 0; i < s_grid.size(); ++i) {
-      EXPECT_LE(rel_err(lam[i], m.scalar.lambda(s_grid[i])), kTol)
+      EXPECT_LE(rel_err(lam[i], m.lambda(s_grid[i])), kTol)
           << "method " << static_cast<int>(method) << " s=" << s_grid[i];
     }
   }
@@ -264,15 +247,13 @@ TEST(EvalPlan, ExtraLoopDynamicsAndRepeatedPoles) {
 TEST(EvalPlan, ExplicitMethodOverridesUseThePlanToo) {
   const double w0 = 2.0 * std::numbers::pi;
   SamplingPllOptions opts;
-  opts.lambda_method = LambdaMethod::kAdaptive;  // default stays scalar
-  const ModelPair m = make_pair(make_typical_loop(0.1 * w0, w0),
-                                HarmonicCoefficients(cplx{1.0}), opts);
+  opts.lambda_method = LambdaMethod::kAdaptive;  // default runs point-wise
+  const SamplingPllModel m(make_typical_loop(0.1 * w0, w0),
+                           HarmonicCoefficients(cplx{1.0}), opts);
   const CVector s_grid = jw_grid(logspace(1e-2 * w0, 0.4 * w0, 40));
-  const CVector lam =
-      m.plan.lambda_grid(s_grid, LambdaMethod::kExact, 0);
+  const CVector lam = m.lambda_grid(s_grid, LambdaMethod::kExact, 0);
   for (std::size_t i = 0; i < s_grid.size(); ++i) {
-    EXPECT_LE(rel_err(lam[i],
-                      m.scalar.lambda(s_grid[i], LambdaMethod::kExact, 0)),
+    EXPECT_LE(rel_err(lam[i], m.lambda(s_grid[i], LambdaMethod::kExact, 0)),
               kTol);
   }
 }
@@ -326,17 +307,16 @@ TEST(EvalPlan, ConcurrentSweepsShareOnePlanSafely) {
   }
 }
 
-TEST(EvalPlan, ConcurrentScalarSweepsReuseGainScratchSafely) {
-  // The scalar-forced truncated path borrows its shifted-gain tables
-  // from a per-thread free list; concurrent sweeps must not share
-  // buffers (TSan-visible if they do).
+TEST(EvalPlan, ConcurrentTruncatedBandSweepsShareOnePlanSafely) {
+  // The truncated multi-band sweep with an ISF fills the plan's
+  // per-thread shifted-gain table; concurrent sweeps must not share it
+  // (TSan-visible if they do).
   const double w0 = 2.0 * std::numbers::pi;
   const HarmonicCoefficients isf =
       HarmonicCoefficients::real_waveform(1.0, {cplx{0.1, -0.04}});
   SamplingPllOptions opts;
   opts.lambda_method = LambdaMethod::kTruncated;
   opts.truncation = 8;
-  opts.use_eval_plan = false;
   const SamplingPllModel model(make_typical_loop(0.1 * w0, w0), isf, opts);
   const CVector s_grid = jw_grid(logspace(1e-2 * w0, 0.45 * w0, 64));
   const std::vector<int> bands = {-1, 0, 2};
@@ -384,15 +364,14 @@ TEST(EvalPlan, PlaneQuotientFallbackLanesMatchScalar) {
   // second-order loop keeps H_LF finite at infinity, so the bands stay
   // far above the underflow range there.
   const double w0 = 2.0 * std::numbers::pi;
-  const ModelPair m = make_pair(make_second_order_loop(0.1 * w0, w0),
-                                HarmonicCoefficients(cplx{1.0}), {});
+  const SamplingPllModel m(make_second_order_loop(0.1 * w0, w0));
   const CVector s_grid = {cplx{0.0, 0.07 * w0}, cplx{0.0, 1e140},
                           cplx{0.0, 1e150}, cplx{0.0, 0.31 * w0}};
   const std::vector<int> bands = {-1, 0, 1};
-  const std::vector<CVector> cl = m.plan.closed_loop_grid(bands, s_grid);
+  const std::vector<CVector> cl = m.closed_loop_grid(bands, s_grid);
   for (std::size_t b = 0; b < bands.size(); ++b) {
     for (std::size_t i = 0; i < s_grid.size(); ++i) {
-      const cplx want = m.scalar.closed_loop(bands[b], s_grid[i]);
+      const cplx want = m.closed_loop(bands[b], s_grid[i]);
       ASSERT_GT(std::abs(want), 1e-200) << "s=" << s_grid[i];
       EXPECT_LE(rel_err(cl[b][i], want), kTol)
           << "n=" << bands[b] << " s=" << s_grid[i];
@@ -428,8 +407,8 @@ TEST(EvalPlan, PlaneQuotientFallbackLanesAreObservable) {
 }
 
 TEST(EvalPlan, ZeroDenominatorsKeepTheScalarDomainErrors) {
-  // A zero plane-quotient denominator falls back to the scalar
-  // expression, so the plan throws the scalar path's messages.
+  // A zero plane-quotient denominator falls back to the std::complex
+  // expression, so the plan throws the point-wise calls' messages.
   const double w0 = 2.0 * std::numbers::pi;
   const PllParameters loop = make_typical_loop(0.1 * w0, w0);
   const HarmonicCoefficients dc(cplx{1.0});
@@ -460,15 +439,20 @@ TEST(EvalPlan, ZeroDenominatorsKeepTheScalarDomainErrors) {
 }
 
 TEST(EvalPlan, NonFiniteGridPointsAreRejectedOnBothPaths) {
+  // The plan (kExact) and the point-wise fallback (kAdaptive).
   const double w0 = 2.0 * std::numbers::pi;
-  const ModelPair m = make_pair(make_typical_loop(0.1 * w0, w0),
-                                HarmonicCoefficients(cplx{1.0}), {});
+  SamplingPllOptions adaptive;
+  adaptive.lambda_method = LambdaMethod::kAdaptive;
+  const SamplingPllModel planned(make_typical_loop(0.1 * w0, w0));
+  const SamplingPllModel pointwise(make_typical_loop(0.1 * w0, w0),
+                                   HarmonicCoefficients(cplx{1.0}),
+                                   adaptive);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (const cplx bad : {cplx{0.0, nan}, cplx{nan, 0.3 * w0},
                          cplx{0.0, inf}}) {
     const CVector s_grid = {cplx{0.0, 0.1 * w0}, bad};
-    for (const SamplingPllModel* model : {&m.plan, &m.scalar}) {
+    for (const SamplingPllModel* model : {&planned, &pointwise}) {
       const auto rejects = [&](auto&& call) {
         return invalid_argument_message(call).find("not finite") !=
                std::string::npos;

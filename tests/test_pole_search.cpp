@@ -1,5 +1,7 @@
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,15 @@ constexpr double kW0 = 2.0 * std::numbers::pi;
 
 SamplingPllModel make_model(double ratio) {
   return SamplingPllModel(make_typical_loop(ratio * kW0, kW0));
+}
+
+/// Seeds a few percent off each polished pole.
+std::vector<cplx> perturbed_seeds(const std::vector<ClosedLoopPole>& poles) {
+  std::vector<cplx> seeds;
+  for (const ClosedLoopPole& p : poles) {
+    seeds.push_back(p.s * cplx{1.01, -0.02});
+  }
+  return seeds;
 }
 
 TEST(PoleSearch, ResidualsVanishOnOnePlusLambda) {
@@ -81,60 +92,98 @@ TEST(PoleSearch, DampingCollapsesTowardInstability) {
   EXPECT_LT(prev, 0.2);  // near the boundary the loop is barely damped
 }
 
+TEST(PoleSearch, PolesSolveTheScalarCharacteristicEquation) {
+  // Every polished pole converged and zeroes 1 + lambda by the
+  // point-wise exact closed form (AliasingSum::exact, not the plan the
+  // Newton steps ran on), and each nonzero z-domain root yields one pole.
+  for (double ratio : {0.08, 0.15, 0.25}) {
+    SCOPED_TRACE(testing::Message() << "ratio " << ratio);
+    const SamplingPllModel m = make_model(ratio);
+    const ImpulseInvariantModel zm(m.open_loop_gain(), kW0);
+    std::size_t roots = 0;
+    for (const cplx& z : zm.closed_loop_poles()) {
+      if (std::abs(z) >= 1e-12) ++roots;
+    }
+    const auto poles = closed_loop_poles(m);
+    EXPECT_EQ(poles.size(), roots);
+    for (const ClosedLoopPole& p : poles) {
+      EXPECT_TRUE(p.converged);
+      EXPECT_LT(std::abs(1.0 + m.lambda(p.s, LambdaMethod::kExact, 0)),
+                1e-9)
+          << "pole " << p.s;
+    }
+  }
+}
+
 TEST(PoleSearch, RefineFromPerturbedSeedConverges) {
   const SamplingPllModel m = make_model(0.15);
-  const LambdaExpression lam(m.open_loop_gain(), kW0);
   const auto poles = closed_loop_poles(m);
   ASSERT_FALSE(poles.empty());
   const cplx truth = poles.back().s;
-  const ClosedLoopPole refined = refine_closed_loop_pole(
-      lam, truth * cplx{1.02, 0.01});
-  EXPECT_NEAR(std::abs(refined.s - truth) / std::abs(truth), 0.0, 1e-8);
+  const auto refined =
+      refine_closed_loop_poles(m, {truth * cplx{1.02, 0.01}});
+  ASSERT_EQ(refined.size(), 1u);
+  EXPECT_TRUE(refined[0].converged);
+  EXPECT_NEAR(std::abs(refined[0].s - truth) / std::abs(truth), 0.0, 1e-8);
 }
 
-TEST(PoleSearch, BatchedNewtonMatchesScalarEngine) {
-  // The masked lockstep Newton (eval-plan path) and the symbolic scalar
-  // fallback polish the same seeds against the same mathematical object;
-  // each refined pole must match its scalar twin to well below the
-  // 1e-9-relative bench gate.  Conjugate pairs share |s|, so the sorted
-  // outputs are compared by nearest match rather than by index.
-  for (double ratio : {0.08, 0.15, 0.25}) {
-    const SamplingPllModel m = make_model(ratio);
-    ASSERT_TRUE(m.has_eval_plan());
-    PoleSearchOptions scalar;
-    scalar.use_eval_plan = false;
-    const auto batched = closed_loop_poles(m);
-    const auto reference = closed_loop_poles(m, scalar);
-    ASSERT_EQ(batched.size(), reference.size()) << "ratio " << ratio;
-    for (const ClosedLoopPole& sp : reference) {
-      double best = 1e300;
-      for (const ClosedLoopPole& bp : batched) {
-        best = std::min(best, std::abs(bp.s - sp.s) / std::abs(sp.s));
-      }
-      EXPECT_LT(best, 1e-10) << "ratio " << ratio;
-    }
-    for (const ClosedLoopPole& bp : batched) {
-      EXPECT_TRUE(bp.converged) << "ratio " << ratio;
-      EXPECT_LT(bp.residual, 1e-9) << "ratio " << ratio;
-    }
-  }
-}
-
-TEST(PoleSearch, BatchedRefineTracksScalarFromPerturbedSeeds) {
+TEST(PoleSearch, RefineFromPerturbedSeedsConverges) {
   const SamplingPllModel m = make_model(0.18);
-  const LambdaExpression lam(m.open_loop_gain(), kW0);
   const auto poles = closed_loop_poles(m);
   ASSERT_GE(poles.size(), 2u);
-  std::vector<cplx> seeds;
-  for (const ClosedLoopPole& p : poles) {
-    seeds.push_back(p.s * cplx{1.01, -0.02});
-  }
-  const auto batched = refine_closed_loop_poles(m, seeds);
-  ASSERT_EQ(batched.size(), seeds.size());
+  const std::vector<cplx> seeds = perturbed_seeds(poles);
+  const auto refined = refine_closed_loop_poles(m, seeds);
+  ASSERT_EQ(refined.size(), seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    const ClosedLoopPole ref = refine_closed_loop_pole(lam, seeds[i]);
-    EXPECT_LT(std::abs(batched[i].s - ref.s) / std::abs(ref.s), 1e-9)
+    EXPECT_TRUE(refined[i].converged) << "seed " << i;
+    EXPECT_LT(std::abs(refined[i].s - poles[i].s) / std::abs(poles[i].s),
+              1e-9)
         << "seed " << i;
+  }
+}
+
+TEST(PoleSearch, RejectsBadOptions) {
+  const SamplingPllModel m = make_model(0.15);
+  const std::vector<cplx> seeds = {cplx{-0.5, 0.5}};
+  for (int iterations : {0, -3}) {
+    PoleSearchOptions opts;
+    opts.max_iterations = iterations;
+    EXPECT_THROW(refine_closed_loop_poles(m, seeds, opts),
+                 std::invalid_argument)
+        << "max_iterations " << iterations;
+    EXPECT_THROW(closed_loop_poles(m, opts), std::invalid_argument);
+  }
+  for (double tol : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), 0.0, -1e-12}) {
+    PoleSearchOptions opts;
+    opts.tolerance = tol;
+    EXPECT_THROW(refine_closed_loop_poles(m, seeds, opts),
+                 std::invalid_argument)
+        << "tolerance " << tol;
+    EXPECT_THROW(closed_loop_poles(m, opts), std::invalid_argument);
+  }
+}
+
+TEST(PoleSearch, CappedLaneIsNotConverged) {
+  // One Newton step from a perturbed seed leaves every lane still
+  // moving: each hit the cap and must say so.
+  const SamplingPllModel m = make_model(0.18);
+  const auto poles = closed_loop_poles(m);
+  ASSERT_FALSE(poles.empty());
+  PoleSearchOptions one_step;
+  one_step.max_iterations = 1;
+  for (const ClosedLoopPole& p :
+       refine_closed_loop_poles(m, perturbed_seeds(poles), one_step)) {
+    EXPECT_FALSE(p.converged) << "pole " << p.s;
+    EXPECT_EQ(p.iterations, 1);
+  }
+  // An unreachable tolerance: a lane that ran every iteration reports
+  // unconverged, one whose step vanished first reports converged.
+  PoleSearchOptions strict;
+  strict.tolerance = 1e-30;
+  for (const ClosedLoopPole& p : closed_loop_poles(m, strict)) {
+    EXPECT_EQ(p.converged, p.iterations < strict.max_iterations)
+        << "pole " << p.s << " iterations " << p.iterations;
   }
 }
 

@@ -45,10 +45,7 @@ TEST(SamplingPll, VtildeElementsAreShiftedA) {
   }
   const CVector v = m.vtilde(s, 3);
   ASSERT_EQ(v.size(), 7u);
-  // The batched vector path agrees with pointwise evaluation to the
-  // kernel contract (<= 1e-12 relative), not bit for bit.
-  EXPECT_NEAR(std::abs(v[3] - m.vtilde_element(0, s)), 0.0,
-              1e-12 * std::abs(v[3]));
+  EXPECT_EQ(v[3], m.vtilde_element(0, s));
 }
 
 TEST(SamplingPll, ChannelTableIterationMatchesFullHarmonicWalk) {
@@ -225,6 +222,28 @@ TEST(SamplingPll, RejectsBadIsf) {
 TEST(SamplingPll, VtildeRejectsIntegratorPole) {
   const SamplingPllModel m = make_model(0.3);
   EXPECT_THROW(m.vtilde_element(-1, j * kW0), std::invalid_argument);
+}
+
+TEST(SamplingPll, RejectsNegativeTruncation) {
+  // A negative K would silently open the loop (an empty truncated sum)
+  // or wrap a size_t resize.
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  for (LambdaMethod method : {LambdaMethod::kExact, LambdaMethod::kTruncated}) {
+    SamplingPllOptions opts;
+    opts.lambda_method = method;
+    opts.truncation = -1;
+    EXPECT_THROW(SamplingPllModel(p, HarmonicCoefficients(cplx{1.0}), opts),
+                 std::invalid_argument);
+  }
+  const SamplingPllModel m = make_model(0.1);
+  const cplx s = j * (0.1 * kW0);
+  EXPECT_THROW(m.lambda(s, LambdaMethod::kTruncated, -1),
+               std::invalid_argument);
+  EXPECT_THROW(m.lambda_grid({s}, LambdaMethod::kTruncated, -1),
+               std::invalid_argument);
+  EXPECT_THROW(m.vtilde(s, -1), std::invalid_argument);
+  // K = 0 stays valid: the baseband term alone.
+  EXPECT_EQ(m.lambda(s, LambdaMethod::kTruncated, 0), m.vtilde_element(0, s));
 }
 
 }  // namespace
