@@ -3,29 +3,27 @@
 // probes) against the seed behavior and verifies its contracts:
 //
 //   1. Multi-frequency probe sweep, single thread: the seed baseline
-//      (a replica of the probe loop with Pade propagators and a full
-//      per-point settle) vs the library's cold Pade path (must be
-//      BIT-IDENTICAL to the seed) vs the cold default path (spectral
-//      propagators when enabled; must agree within 1e-10 and run >= 2x
+//      (a replica of the probe loop with Van Loan propagators and a
+//      full per-point settle) vs the cold default path (spectral
+//      propagators; must agree with the seed within 1e-10 and run >= 2x
 //      the seed under --check) vs the warm-start path (shared settled
 //      checkpoint; must agree within the probe's small-signal
 //      tolerance).
 //   2. Raw event rate and propagator-build savings of a locked loop.
-//   3. Thread scaling of the batched probe on the global pool.
-//   4. Instrumented pass: with spectral propagators enabled, the probe
-//      sweep's "linalg.expm_evals" must collapse to ~0 (the engine
-//      factors each state matrix once instead of running one Van Loan
-//      expm per distinct step length).
+//   3. Thread scaling of the batched probe on the global pool, which
+//      must be bit-identical to the serial sweep.
+//   4. Instrumented pass: the probe sweep's "linalg.expm_evals" must
+//      collapse to ~0 (the engine factors each filter block once
+//      instead of running one Van Loan expm per distinct step length).
 //
 // Writes a machine-readable report (default BENCH_transient.json).
-// HTMPLL_SPECTRAL=0 forces the Pade path everywhere; the spectral
-// sections/gates are then skipped and recorded as disabled.
 //
 // Usage: bench_transient [output.json] [--check]
-//   --check: exit non-zero if the cold Pade path is not bit-identical
-//            to the seed behavior, if the spectral path disagrees
-//            beyond tolerance or fails its speed/expm gates, if
-//            warm-start disagrees beyond tolerance, or if warm start
+//   Always exits non-zero if the pooled sweep is not bit-identical to
+//   the serial one, or if the spectral or warm-start sweeps leave
+//   their tolerance.
+//   --check: also exit non-zero if the spectral sweep runs under 2x
+//            the seed or exceeds its expm budget, or if warm start
 //            fails to beat the seed baseline.
 #include <cmath>
 #include <cstring>
@@ -36,7 +34,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "htmpll/linalg/spectral.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/obs/report.hpp"
 #include "htmpll/obs/trace.hpp"
@@ -52,10 +49,10 @@ using bench::Json;
 using bench::time_best_of;
 
 /// Replica of the probe measurement loop with the seed's configuration:
-/// Pade (Van Loan expm) propagators.  The arithmetic is identical to
-/// run_probe's with the same settings (the exact theta bin over the
-/// measurement window, divided by theta_ref's closed-form bin), so the
-/// cold Pade probe must match its output bit-for-bit.
+/// Van Loan (Pade expm) propagators.  The arithmetic is run_probe's
+/// (the exact theta bin over the measurement window, divided by
+/// theta_ref's closed-form bin), so it differs from the cold default
+/// probe only in the propagator numerics.
 cplx probe_seed_replica(const PllParameters& params, double omega_m,
                         const ProbeOptions& opts) {
   const double t_period = params.period();
@@ -121,21 +118,16 @@ int main(int argc, char** argv) {
   ProbeOptions opts;
   opts.settle_periods = 300.0;
 
-  // Honors HTMPLL_SPECTRAL: when forced off, the spectral sections and
-  // gates are skipped and the default path IS the Pade path.
-  const bool spectral_on = spectral::enabled();
-
   const std::size_t hw = std::thread::hardware_concurrency();
   const std::size_t pool_width = ThreadPool::global().threads();
   std::cout << "=== Transient-engine benchmark: " << n_points
             << "-point probe sweep, pool width " << pool_width
-            << " (hardware " << hw << "), spectral propagators "
-            << (spectral_on ? "ON" : "OFF") << " ===\n\n";
+            << " (hardware " << hw << ") ===\n\n";
 
   const int reps = 2;
   ThreadPool serial_pool(1);
 
-  // --- 1. probe sweep: seed vs cold Pade vs cold default vs warm ------
+  // --- 1. probe sweep: seed vs cold default vs warm --------------------
   std::vector<cplx> r_seed(n_points);
   const double t_seed = time_best_of(reps, [&] {
     for (std::size_t i = 0; i < n_points; ++i) {
@@ -143,29 +135,16 @@ int main(int argc, char** argv) {
     }
   });
 
-  // The library's cold probe with the seed's Pade numerics: the
-  // bit-identity contract lives here.
-  std::vector<TransferMeasurement> m_pade;
-  spectral::set_enabled(false);
-  const double t_pade = time_best_of(reps, [&] {
-    m_pade = measure_baseband_transfer_many(params, omegas, opts,
-                                            serial_pool);
-  });
-  spectral::set_enabled(spectral_on);
-  const std::vector<cplx> r_pade = values_of(m_pade);
-  const bool default_identical = bit_identical(r_seed, r_pade);
-
-  // Cold run on the default backend (spectral when enabled).
+  // Cold run on the default (spectral) backend.
   std::vector<TransferMeasurement> m_cold;
   const double t_cold = time_best_of(reps, [&] {
     m_cold = measure_baseband_transfer_many(params, omegas, opts,
                                             serial_pool);
   });
   const std::vector<cplx> r_cold = values_of(m_cold);
-  const double spectral_rel_err =
-      spectral_on ? max_rel_err(r_cold, r_pade) : 0.0;
+  const double spectral_rel_err = max_rel_err(r_cold, r_seed);
   const double spectral_tol = 1e-10;
-  const bool spectral_ok = !spectral_on || spectral_rel_err < spectral_tol;
+  const bool spectral_ok = spectral_rel_err < spectral_tol;
 
   ProbeOptions warm_opts = opts;
   warm_opts.warm_start = true;
@@ -181,7 +160,6 @@ int main(int argc, char** argv) {
   const double warm_tol = 1e-2;
   const bool warm_ok = warm_max_rel_err < warm_tol;
 
-  const double speedup_cache = t_seed / t_pade;
   const double speedup_spectral = t_seed / t_cold;
   const double speedup_warm = t_seed / t_warm;
 
@@ -207,8 +185,8 @@ int main(int argc, char** argv) {
   // --- 4. instrumented telemetry pass ----------------------------------
   // One clean warm probe batch plus a locked-loop run with obs enabled;
   // what they count becomes the report's "telemetry" section, the
-  // Chrome trace and the run manifest.  With spectral propagators on,
-  // the probe batch must drive linalg.expm_evals to ~zero.
+  // Chrome trace and the run manifest.  The probe batch must drive
+  // linalg.expm_evals to ~zero.
   const bool obs_was_enabled = obs::enabled();
   obs::enable();
   obs::reset_counters();
@@ -229,34 +207,26 @@ int main(int argc, char** argv) {
   // handful of Van Loan exponentials (none in steady operation); the
   // seed performed one per cache miss (~10^4 - 10^5 per sweep).
   const double expm_evals_budget = 32.0;
-  const bool expm_ok = !spectral_on || probe_expm_evals <= expm_evals_budget;
+  const bool expm_ok = probe_expm_evals <= expm_evals_budget;
 
   // --- report ----------------------------------------------------------
   Table t({"case", "time_s", "vs_seed", "note"});
-  t.add_row({"seed replica (Pade, cold)", Table::fmt(t_seed),
+  t.add_row({"seed replica (Van Loan, cold)", Table::fmt(t_seed),
              Table::fmt(1.0), "baseline"});
-  t.add_row({"cold, library probe, Pade", Table::fmt(t_pade),
-             Table::fmt(speedup_cache),
-             default_identical ? "bit-identical" : "NOT IDENTICAL"});
-  t.add_row({"cold, default backend", Table::fmt(t_cold),
+  t.add_row({"cold, spectral", Table::fmt(t_cold),
              Table::fmt(speedup_spectral),
-             spectral_on
-                 ? (spectral_ok ? "spectral, within tolerance"
-                                : "spectral, OUT OF TOLERANCE")
-                 : "spectral disabled (Pade)"});
+             spectral_ok ? "within tolerance" : "OUT OF TOLERANCE"});
   t.add_row({"warm start", Table::fmt(t_warm), Table::fmt(speedup_warm),
              warm_ok ? "within tolerance" : "OUT OF TOLERANCE"});
   t.add_row({"cold, global pool", Table::fmt(t_pool),
              Table::fmt(t_seed / t_pool),
              pool_identical ? "bit-identical" : "NOT IDENTICAL"});
   t.print(std::cout);
-  if (spectral_on) {
-    std::cout << "\nspectral cold max relative error vs Pade: "
-              << spectral_rel_err << " (tolerance " << spectral_tol
-              << ")\ninstrumented probe sweep: " << probe_expm_evals
-              << " expm evals, " << probe_eig_factorizations
-              << " eig factorizations\n";
-  }
+  std::cout << "\nspectral cold max relative error vs the seed: "
+            << spectral_rel_err << " (tolerance " << spectral_tol
+            << ")\ninstrumented probe sweep: " << probe_expm_evals
+            << " expm evals, " << probe_eig_factorizations
+            << " eig factorizations\n";
   std::cout << "\nwarm-start max relative error vs cold: "
             << warm_max_rel_err << " (tolerance " << warm_tol << ")\n";
   std::cout << "locked loop: " << events_per_sec
@@ -265,14 +235,11 @@ int main(int argc, char** argv) {
             << "% saved by the memo)\n";
 
   const std::string verdict =
-      std::string(default_identical
-                      ? "Pade path bit-identical"
-                      : "PADE PATH NOT BIT-IDENTICAL") +
+      std::string(pool_identical ? "pooled sweep bit-identical"
+                                 : "POOLED SWEEP NOT BIT-IDENTICAL") +
       ", " +
-      (spectral_on
-           ? (spectral_ok ? "spectral within tolerance"
-                          : "SPECTRAL OUT OF TOLERANCE")
-           : "spectral disabled") +
+      (spectral_ok ? "spectral within tolerance"
+                   : "SPECTRAL OUT OF TOLERANCE") +
       ", " +
       (warm_ok ? "warm-start within tolerance"
                : "WARM-START OUT OF TOLERANCE");
@@ -285,11 +252,9 @@ int main(int argc, char** argv) {
   Json sweep = Json::object();
   sweep.set("points", Json::number(static_cast<double>(n_points)))
       .set("seed_single_entry_s", Json::number(t_seed))
-      .set("cold_keyed_cache_s", Json::number(t_pade))
       .set("cold_default_s", Json::number(t_cold))
       .set("warm_start_s", Json::number(t_warm))
       .set("pool_cold_s", Json::number(t_pool))
-      .set("speedup_cache_only", Json::number(speedup_cache))
       .set("speedup_cache_plus_warm", Json::number(speedup_warm))
       .set("warm_max_rel_err", Json::number(warm_max_rel_err))
       .set("warm_tolerance", Json::number(warm_tol));
@@ -302,10 +267,8 @@ int main(int argc, char** argv) {
       .set("expm_saved_fraction", Json::number(saved_fraction));
   report.set("locked_loop", lock);
   report.set("telemetry", bench::telemetry_json(phases));
-  report.set("default_bit_identical",
-             Json::boolean(default_identical && pool_identical));
+  report.set("default_bit_identical", Json::boolean(pool_identical));
   report.set("warm_within_tolerance", Json::boolean(warm_ok));
-  report.set("spectral_enabled", Json::boolean(spectral_on));
   report.set("spectral_within_tolerance", Json::boolean(spectral_ok));
   report.set("spectral_max_rel_err", Json::number(spectral_rel_err));
   report.set("spectral_cold_speedup_vs_seed",
@@ -326,20 +289,19 @@ int main(int argc, char** argv) {
   manifest.set_config("settle_periods", opts.settle_periods);
   manifest.set_config("locked_loop_periods", 500.0);
   manifest.set_config("pool_threads", static_cast<double>(pool_width));
-  manifest.set_config("spectral_enabled", spectral_on ? 1.0 : 0.0);
   const std::string manifest_path = out_path + ".manifest.json";
   manifest.write_json(manifest_path);
   std::cout << "wrote " << manifest_path << "\n";
 
   if (!obs_was_enabled) obs::disable();
 
-  if (!default_identical || !pool_identical) {
-    std::cerr << "FAIL: cold Pade probe path is not bit-identical to the "
-                 "seed behavior\n";
+  if (!pool_identical) {
+    std::cerr << "FAIL: pooled probe sweep is not bit-identical to the "
+                 "serial sweep\n";
     return 1;
   }
   if (!spectral_ok) {
-    std::cerr << "FAIL: spectral probe disagrees with the Pade probe "
+    std::cerr << "FAIL: spectral probe disagrees with the seed probe "
                  "beyond tolerance (" << spectral_rel_err << ")\n";
     return 1;
   }
@@ -353,7 +315,7 @@ int main(int argc, char** argv) {
               << "x vs the seed baseline\n";
     return 1;
   }
-  if (check && spectral_on && speedup_spectral < 2.0) {
+  if (check && speedup_spectral < 2.0) {
     std::cerr << "FAIL: spectral cold sweep only " << speedup_spectral
               << "x vs the seed baseline\n";
     return 1;
@@ -361,7 +323,7 @@ int main(int argc, char** argv) {
   if (check && !expm_ok) {
     std::cerr << "FAIL: instrumented probe sweep performed "
               << probe_expm_evals << " expm evals (budget "
-              << expm_evals_budget << ") with spectral propagators on\n";
+              << expm_evals_budget << ")\n";
     return 1;
   }
   return 0;

@@ -11,16 +11,13 @@
 #  * bench_kernels: the compiled eval plan must evaluate the exact-method
 #    2000-point lambda sweep at >= 1.5x the point-wise lambda swept on
 #    the same pool, with <= 1e-12 max relative error.
-#  * bench_transient: the cold Pade probe path must be bit-identical to
-#    the seed behavior (Van Loan expm propagators), the spectral default
-#    must agree with the Pade path to <= 1e-10, run the cold sweep >= 2x
-#    faster than the seed and drive the probe sweep's expm evaluations
-#    to ~zero, warm-start measurements must agree with cold ones within
-#    the probe tolerance, and warm start must beat the seed baseline
-#    (verdict field in BENCH_transient.json).
-#  * forced-Pade transient: bench_transient re-runs with
-#    HTMPLL_SPECTRAL=0, so the seed bit-identity contract is also gated
-#    with the spectral engine compiled in but switched off.
+#  * bench_transient: the pooled probe sweep must be bit-identical to
+#    the serial one, the spectral cold sweep must agree with the seed
+#    replica (Van Loan expm propagators) to <= 1e-10, run >= 2x faster
+#    than it and drive the probe sweep's expm evaluations to ~zero,
+#    warm-start measurements must agree with cold ones within the probe
+#    tolerance, and warm start must beat the seed baseline (verdict
+#    field in BENCH_transient.json).
 #  * report shape: both BENCH_*.json files must carry the fields the
 #    downstream tooling reads (bit-identity verdicts, telemetry,
 #    obs_overhead); a missing field fails with the gate name and the
@@ -40,8 +37,7 @@
 #  * health manifests: every bench's .manifest.json must carry the
 #    "health" section (diagnostic event tallies, gauges, span
 #    aggregates), and the reference-loop transient manifest must report
-#    zero spectral->Pade fallback events when the spectral engine is
-#    live.
+#    zero spectral->Pade fallback events.
 #  * bench history: scripts/bench_history.py must ingest the reports
 #    against a fresh baseline (exit 0), then again against itself (no
 #    regression, exit 0); the run is also appended to bench/history.jsonl.
@@ -87,12 +83,6 @@ cmake --build "$BUILD" --target bench_sweep bench_transient bench_kernels \
 HTMPLL_SIMD=0 "$BUILD/bench/bench_kernels" "${KREPORT%.json}_scalar.json" $CHECK
 HTMPLL_SIMD=0 "$BUILD/bench/bench_noise" "${NREPORT%.json}_scalar.json" $CHECK
 HTMPLL_OBS=1 "$BUILD/bench/bench_noise" "${NREPORT%.json}_obs.json" $CHECK
-
-# Forced-Pade transient run: with the spectral engine switched off the
-# default path IS the seed path, and the bit-identity gates must still
-# hold (the spectral speed gates are skipped by the bench itself).
-HTMPLL_SPECTRAL=0 "$BUILD/bench/bench_transient" \
-  "${TREPORT%.json}_nospectral.json" $CHECK
 
 FAILURES=0
 
@@ -187,36 +177,15 @@ if [ -f "$TREPORT" ]; then
   require_true transient-warm-tolerance "$TREPORT" warm_within_tolerance
   require_section transient-telemetry "$TREPORT" telemetry
   require_section transient-probe-sweep "$TREPORT" probe_sweep
-  # Spectral gates apply only when the engine is live (HTMPLL_SPECTRAL
-  # may force it off for the whole environment).
-  if [ "$(field "$TREPORT" spectral_enabled)" = "true" ]; then
-    require_true transient-spectral-tolerance "$TREPORT" \
-      spectral_within_tolerance
-    require_le transient-spectral-rel-err "$TREPORT" spectral_max_rel_err 1e-10
-    if [ "$SMOKE" = 0 ]; then
-      require_ge transient-spectral-speedup "$TREPORT" \
-        spectral_cold_speedup_vs_seed 2
-    fi
-    require_le transient-spectral-expm-evals "$TREPORT" \
-      probe_sweep_expm_evals 32
+  require_true transient-spectral-tolerance "$TREPORT" \
+    spectral_within_tolerance
+  require_le transient-spectral-rel-err "$TREPORT" spectral_max_rel_err 1e-10
+  if [ "$SMOKE" = 0 ]; then
+    require_ge transient-spectral-speedup "$TREPORT" \
+      spectral_cold_speedup_vs_seed 2
   fi
-fi
-
-# The forced-Pade re-run must report the engine off and still clear the
-# seed bit-identity and warm-start contracts.
-TNOSPEC="${TREPORT%.json}_nospectral.json"
-if [ -f "$TNOSPEC" ]; then
-  require_true transient-nospectral-bit-identical "$TNOSPEC" \
-    default_bit_identical
-  require_true transient-nospectral-warm-tolerance "$TNOSPEC" \
-    warm_within_tolerance
-  v="$(field "$TNOSPEC" spectral_enabled)"
-  if [ "$v" != "false" ]; then
-    fail transient-nospectral-disabled "$TNOSPEC" \
-      "\"spectral_enabled\": false" "\"spectral_enabled\": ${v:-missing}"
-  fi
-else
-  fail report-exists "$TNOSPEC" "file written by the bench" "no such file"
+  require_le transient-spectral-expm-evals "$TREPORT" \
+    probe_sweep_expm_evals 32
 fi
 
 for nf in "$NREPORT" "${NREPORT%.json}_scalar.json" "${NREPORT%.json}_obs.json"; do
@@ -245,18 +214,16 @@ for f in "$REPORT" "$TREPORT" "$KREPORT" "$NREPORT"; do
   fi
 done
 
-# On the reference loop with the spectral engine live, every propagator
-# factorization must succeed: any spectral->Pade fallback event in the
-# transient manifest is unexpected.
-if [ "$(field "$TREPORT" spectral_enabled)" = "true" ]; then
-  TM="$TREPORT.manifest.json"
-  if [ -f "$TM" ]; then
-    require_le transient-no-pade-defective "$TM" pade_fallback.defective 0
-    require_le transient-no-pade-not-converged "$TM" \
-      pade_fallback.not_converged 0
-    require_le transient-no-pade-ill-conditioned "$TM" \
-      pade_fallback.ill_conditioned 0
-  fi
+# On the reference loop every propagator factorization must succeed:
+# any spectral->Pade fallback event in the transient manifest is
+# unexpected.
+TM="$TREPORT.manifest.json"
+if [ -f "$TM" ]; then
+  require_le transient-no-pade-defective "$TM" pade_fallback.defective 0
+  require_le transient-no-pade-not-converged "$TM" \
+    pade_fallback.not_converged 0
+  require_le transient-no-pade-ill-conditioned "$TM" \
+    pade_fallback.ill_conditioned 0
 fi
 
 if [ "$FAILURES" -gt 0 ]; then

@@ -1,11 +1,7 @@
 #include "htmpll/linalg/spectral.hpp"
 
 #include <array>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "htmpll/linalg/batch_kernels.hpp"
@@ -15,91 +11,13 @@
 
 namespace htmpll {
 
-namespace spectral {
-
 namespace {
 
-/// HTMPLL_SPECTRAL environment policy: true means "force Pade".
-bool env_forces_pade() {
-  const char* e = std::getenv("HTMPLL_SPECTRAL");
-  if (e == nullptr || *e == '\0') return false;
-  if (std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0 ||
-      std::strcmp(e, "pade") == 0) {
-    return true;
-  }
-  if (std::strcmp(e, "1") == 0 || std::strcmp(e, "on") == 0 ||
-      std::strcmp(e, "auto") == 0) {
-    return false;
-  }
-  std::fprintf(stderr,
-               "htmpll: warning: HTMPLL_SPECTRAL='%s' is not recognized "
-               "(use 0/off/pade or 1/on/auto); keeping spectral "
-               "propagators enabled\n",
-               e);
-  return false;
-}
-
-/// Cached policy: -1 unresolved, else 0/1.  Relaxed atomics suffice
-/// because the environment read is idempotent.
-std::atomic<int> g_enabled{-1};
-
-}  // namespace
-
-bool enabled() {
-  int v = g_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = env_forces_pade() ? 0 : 1;
-    g_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void set_enabled(bool on) {
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-}  // namespace spectral
-
-namespace {
-
-/// phi1..phi3 of one complex argument, given e^z computed elsewhere.
-/// Downward the recurrence phi_k = z phi_{k+1} + 1/k! is a stable
-/// multiplication; the direct quotients (e^z - 1)/z ... are used only
-/// for |z| >= 0.5 where no leading digits cancel.
-struct PhiSet {
-  cplx phi1, phi2, phi3;
-};
-
-PhiSet phi_functions(cplx z, cplx ez) {
-  PhiSet p;
-  if (std::abs(z) < 0.5) {
-    // phi3(z) = sum_{j>=0} z^j / (j+3)!; 16 terms reach full double
-    // precision at |z| = 0.5 (0.5^16 / 19! ~ 1e-22).
-    static constexpr int kTerms = 16;
-    double inv_fact[kTerms + 1];  // 1/(j+3)! for j = 0..kTerms
-    double f = 6.0;               // 3!
-    for (int j = 0; j <= kTerms; ++j) {
-      inv_fact[j] = 1.0 / f;
-      f *= static_cast<double>(j + 4);
-    }
-    cplx acc{0.0, 0.0};
-    for (int j = kTerms; j >= 0; --j) acc = acc * z + inv_fact[j];
-    p.phi3 = acc;
-    p.phi2 = z * p.phi3 + 0.5;
-    p.phi1 = z * p.phi2 + 1.0;
-  } else {
-    p.phi1 = (ez - 1.0) / z;
-    p.phi2 = (p.phi1 - 1.0) / z;
-    p.phi3 = (p.phi2 - 0.5) / z;
-  }
-  return p;
-}
-
-/// phi1/phi2 only, bit-identical to phi_functions: same branch
-/// predicate, same series coefficients (the table below is produced by
-/// the identical loop, evaluated once), same downward recurrence.  The
-/// theta-row fast path needs no phi3, so the quotient branch saves one
-/// complex division and the series table is not rebuilt per call.
+/// phi1(z) = (e^z - 1)/z and phi2(z) = (phi1(z) - 1)/z of one complex
+/// argument.  Below |z| = 0.5 they come downward from the phi3 series by
+/// the recurrence phi_k = z phi_{k+1} + 1/k!, a stable multiplication;
+/// the direct quotients are used only above, where no leading digits
+/// cancel.
 struct Phi12 {
   cplx phi1, phi2;
 };
@@ -119,8 +37,9 @@ double phi_branch_magnitude(cplx z) {
 /// the per-iteration NaN checks disappear.  Does not need e^z, which
 /// lets callers skip the exponential entirely on this branch.
 static constexpr int kSeriesTerms = 16;
-/// 1/(j+3)! for j = 0..kSeriesTerms, the phi_functions table evaluated
-/// once.
+/// 1/(j+3)! for j = 0..kSeriesTerms: phi3(z) = sum_j z^j / (j+3)!, and
+/// 16 terms reach full double precision at |z| = 0.5 (0.5^16 / 19! ~
+/// 1e-22).  Evaluated once.
 const std::array<double, kSeriesTerms + 1>& series_inv_fact() {
   static const auto table = [] {
     std::array<double, kSeriesTerms + 1> t{};
@@ -251,8 +170,7 @@ __attribute__((always_inline)) inline Phi12 phi12_functions(cplx z, cplx ez) {
 /// exactly (pinned by randomized differential coverage in
 /// test_spectral).  Four or more modes defer to the shared kernel,
 /// whose vectorized path is the value reference at that width.
-/// Serves the Gamma2-free builds of every propagator store and the
-/// theta-row sampler; full builds keep calling batch_cexp directly.
+/// Serves every modal build and the theta-row contraction.
 void modal_cexp(const double* zre, const double* zim, std::size_t n,
                 double* ere, double* eim) {
   if (n >= 4) {
@@ -272,85 +190,40 @@ void modal_cexp(const double* zre, const double* zim, std::size_t n,
   }
 }
 
-/// acc(i,j) += Re(w * m(i,j)) over the leading rows x cols block.
-void accumulate_real(RMatrix& acc, const CMatrix& m, cplx w,
-                     std::size_t rows, std::size_t cols) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      const cplx& v = m(i, j);
-      acc(i, j) += w.real() * v.real() - w.imag() * v.imag();
-    }
-  }
-}
-
 }  // namespace
 
 PropagatorFactory::PropagatorFactory(RMatrix a, RMatrix b,
-                                     bool allow_spectral,
-                                     double max_condition)
-    : a_(std::move(a)), b_(std::move(b)) {
+                                     bool allow_spectral)
+    : a_(std::move(a)), b_(std::move(b)), requested_(allow_spectral) {
   HTMPLL_REQUIRE(a_.is_square(), "PropagatorFactory: A must be square");
-  m_ = b_.empty() ? 0 : b_.cols();
-  if (m_ > 0) {
+  if (!b_.empty()) {
     HTMPLL_REQUIRE(b_.rows() == a_.rows(),
                    "PropagatorFactory: B row count mismatch");
   }
   cond_ = std::numeric_limits<double>::infinity();
-  requested_ = allow_spectral && spectral::enabled();
-  if (requested_ && a_.rows() > 0) try_spectral(max_condition);
+  if (requested_) try_spectral();
 }
 
-void PropagatorFactory::try_spectral(double max_condition) {
+void PropagatorFactory::try_spectral() {
   const std::size_t n = a_.rows();
 
-  // Phase-augmented structure: a trailing all-zero column means the
-  // last state is a pure integral of the others (theta).  Split it off
-  // FIRST -- the full matrix then carries a defective repeated
-  // eigenvalue whenever the filter block has a pole at s = 0, and a
-  // near-defective basis can slip under the condition threshold while
-  // reconstructing garbage.
-  bool trailing_zero_column = n >= 2;
-  for (std::size_t i = 0; i < n && trailing_zero_column; ++i) {
-    trailing_zero_column = a_(i, n - 1) == 0.0;
+  // Only the phase-augmented single-input shape has a modal build: a
+  // trailing all-zero column (the last state is a pure integral of the
+  // others, theta) and one input column.  The full matrix then carries
+  // a defective repeated eigenvalue whenever the filter block has a
+  // pole at s = 0, and a near-defective basis can slip under the
+  // condition threshold while reconstructing garbage, so only the
+  // filter block is factored.
+  if (n < 2 || b_.empty() || b_.cols() != 1) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a_(i, n - 1) != 0.0) return;
+  }
+  const std::size_t nf = n - 1;
+  RMatrix block(nf, nf);
+  for (std::size_t i = 0; i < nf; ++i) {
+    for (std::size_t j = 0; j < nf; ++j) block(i, j) = a_(i, j);
   }
 
-  if (trailing_zero_column) {
-    const std::size_t nf = n - 1;
-    RMatrix block(nf, nf);
-    for (std::size_t i = 0; i < nf; ++i) {
-      for (std::size_t j = 0; j < nf; ++j) block(i, j) = a_(i, j);
-    }
-    if (!factor_block(block, max_condition)) return;
-    // Theta-row contractions c^T P_i and c^T G_i.
-    cproj_.assign(nf_, CVector(nf_, cplx{0.0, 0.0}));
-    cgmode_.assign(nf_, CVector(m_, cplx{0.0, 0.0}));
-    for (std::size_t k = 0; k < nf_; ++k) {
-      for (std::size_t j = 0; j < nf_; ++j) {
-        cplx s{0.0, 0.0};
-        for (std::size_t i = 0; i < nf_; ++i) {
-          s += a_(n - 1, i) * proj_[k](i, j);
-        }
-        cproj_[k][j] = s;
-      }
-      for (std::size_t j = 0; j < m_; ++j) {
-        cplx s{0.0, 0.0};
-        for (std::size_t i = 0; i < nf_; ++i) {
-          s += a_(n - 1, i) * gmode_[k](i, j);
-        }
-        cgmode_[k][j] = s;
-      }
-    }
-    btheta_.assign(m_, 0.0);
-    for (std::size_t j = 0; j < m_; ++j) btheta_[j] = b_(n - 1, j);
-    mode_ = Mode::kSpectralAugmented;
-    return;
-  }
-
-  if (factor_block(a_, max_condition)) mode_ = Mode::kSpectral;
-}
-
-bool PropagatorFactory::factor_block(const RMatrix& block,
-                                     double max_condition) {
   // Above ~1/eps the eigenbasis is numerically defective -- V^{-1}
   // exists in floating point but reconstructs noise -- so the fallback
   // is tagged "defective" rather than merely "ill_conditioned".
@@ -358,7 +231,7 @@ bool PropagatorFactory::factor_block(const RMatrix& block,
 
   const EigenDecomposition d = eig(block);
   cond_ = d.vector_condition;
-  if (!d.usable(max_condition)) {
+  if (!d.usable(kMaxCondition)) {
     obs::DiagReason reason = obs::DiagReason::kPadeFallbackIllConditioned;
     if (!d.qr_converged) {
       reason = obs::DiagReason::kPadeFallbackNotConverged;
@@ -367,14 +240,14 @@ bool PropagatorFactory::factor_block(const RMatrix& block,
       reason = obs::DiagReason::kPadeFallbackDefective;
     }
     obs::diag_event(reason, cond_);
-    return false;
+    return;
   }
   obs::diag_gauge_max(obs::HealthGauge::kMaxEigenbasisCondition, cond_);
 
-  nf_ = block.rows();
+  nf_ = nf;
   lambda_ = d.values;
   proj_.assign(nf_, CMatrix(nf_, nf_));
-  gmode_.assign(nf_, CMatrix(nf_, m_));
+  gmode_.assign(nf_, CVector(nf_));
   for (std::size_t k = 0; k < nf_; ++k) {
     // P_k = v_k w_k^T with w_k^T = row k of V^{-1}.
     for (std::size_t i = 0; i < nf_; ++i) {
@@ -384,141 +257,51 @@ bool PropagatorFactory::factor_block(const RMatrix& block,
       }
     }
     for (std::size_t i = 0; i < nf_; ++i) {
-      for (std::size_t j = 0; j < m_; ++j) {
-        cplx s{0.0, 0.0};
-        for (std::size_t l = 0; l < nf_; ++l) {
-          s += proj_[k](i, l) * b_(l, j);
-        }
-        gmode_[k](i, j) = s;
-      }
+      cplx s{0.0, 0.0};
+      for (std::size_t l = 0; l < nf_; ++l) s += proj_[k](i, l) * b_(l, 0);
+      gmode_[k][i] = s;
     }
   }
   for (const auto& p : proj_) {
     for (const cplx& v : p.data()) {
       if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
         obs::diag_event(obs::DiagReason::kPadeFallbackDefective, cond_);
-        return false;
+        return;
       }
     }
   }
+
+  // Theta-row contractions c^T P_i and c^T G_i.
+  cproj_.assign(nf_, CVector(nf_, cplx{0.0, 0.0}));
+  cgmode_.assign(nf_, cplx{0.0, 0.0});
+  for (std::size_t k = 0; k < nf_; ++k) {
+    for (std::size_t j = 0; j < nf_; ++j) {
+      cplx s{0.0, 0.0};
+      for (std::size_t i = 0; i < nf_; ++i) {
+        s += a_(n - 1, i) * proj_[k](i, j);
+      }
+      cproj_[k][j] = s;
+    }
+    cplx s{0.0, 0.0};
+    for (std::size_t i = 0; i < nf_; ++i) s += a_(n - 1, i) * gmode_[k][i];
+    cgmode_[k] = s;
+  }
+  btheta_ = b_(n - 1, 0);
   zre_.resize(nf_);
   zim_.resize(nf_);
   ere_.resize(nf_);
   eim_.resize(nf_);
   trow_.resize(nf_);
-  return true;
-}
-
-StepPropagator PropagatorFactory::make(double h) const {
-  StepPropagator p;
-  make_into(h, p);
-  return p;
+  spectral_ = true;
 }
 
 void PropagatorFactory::make_into(double h, StepPropagator& out) const {
-  make_into(h, out, /*want_gamma2=*/true);
-}
-
-void PropagatorFactory::make_into(double h, StepPropagator& out,
-                                  bool want_gamma2) const {
-  HTMPLL_REQUIRE(h > 0.0, "PropagatorFactory: step must be positive");
-  if (mode_ == Mode::kPade) {
+  HTMPLL_REQUIRE(h > 0.0 && std::isfinite(h),
+                 "PropagatorFactory: step must be positive and finite");
+  if (!spectral_) {
     out = make_propagator(a_, b_, h);
     return;
   }
-  make_spectral_into(h, out, want_gamma2);
-}
-
-void PropagatorFactory::make_spectral_into(double h, StepPropagator& out,
-                                           bool want_gamma2) const {
-  if (!want_gamma2 && mode_ == Mode::kSpectralAugmented && m_ == 1) {
-    make_spectral_aug_g2free_into(h, out);
-    return;
-  }
-  const std::size_t n = a_.rows();
-  const bool augmented = mode_ == Mode::kSpectralAugmented;
-
-  // n scalar exponentials through the SIMD batch kernel.  The
-  // Gamma2-free (propagator store) build takes the bit-identical
-  // real-argument shortcut; the full build keeps the kernel call.
-  for (std::size_t k = 0; k < nf_; ++k) {
-    zre_[k] = lambda_[k].real() * h;
-    zim_[k] = lambda_[k].imag() * h;
-  }
-  if (want_gamma2) {
-    batch_cexp(zre_.data(), zim_.data(), nf_, ere_.data(), eim_.data());
-  } else {
-    modal_cexp(zre_.data(), zim_.data(), nf_, ere_.data(), eim_.data());
-  }
-
-  StepPropagator& p = out;
-  p.phi0.assign_zero(n, n);
-  if (m_ > 0) {
-    p.gamma1.assign_zero(n, m_);
-    if (want_gamma2) {
-      p.gamma2.assign_zero(n, m_);
-    } else {
-      p.gamma2 = RMatrix();  // empty, not stale: misuse fails loudly
-    }
-  } else {
-    p.gamma1 = RMatrix();
-    p.gamma2 = RMatrix();
-  }
-  const double h2 = h * h;
-  const double h3 = h2 * h;
-
-  for (std::size_t k = 0; k < nf_; ++k) {
-    const cplx z{zre_[k], zim_[k]};
-    const cplx ez{ere_[k], eim_[k]};
-    // phi12_functions is bit-identical on phi1/phi2 and skips the phi3
-    // work the Gamma2-free build never uses.
-    PhiSet f;
-    if (want_gamma2) {
-      f = phi_functions(z, ez);
-    } else {
-      const Phi12 f12 = phi12_functions(z, ez);
-      f.phi1 = f12.phi1;
-      f.phi2 = f12.phi2;
-      f.phi3 = cplx{0.0, 0.0};
-    }
-
-    accumulate_real(p.phi0, proj_[k], ez, nf_, nf_);
-    if (m_ > 0) {
-      accumulate_real(p.gamma1, gmode_[k], h * f.phi1, nf_, m_);
-      if (want_gamma2) {
-        accumulate_real(p.gamma2, gmode_[k], h2 * f.phi2, nf_, m_);
-      }
-    }
-    if (augmented) {
-      const cplx w1 = h * f.phi1;
-      for (std::size_t j = 0; j < nf_; ++j) {
-        const cplx& v = cproj_[k][j];
-        p.phi0(n - 1, j) += w1.real() * v.real() - w1.imag() * v.imag();
-      }
-      if (m_ > 0) {
-        const cplx w2 = h2 * f.phi2;
-        const cplx w3 = h3 * f.phi3;
-        for (std::size_t j = 0; j < m_; ++j) {
-          const cplx& v = cgmode_[k][j];
-          p.gamma1(n - 1, j) += w2.real() * v.real() - w2.imag() * v.imag();
-          if (want_gamma2) {
-            p.gamma2(n - 1, j) += w3.real() * v.real() - w3.imag() * v.imag();
-          }
-        }
-      }
-    }
-  }
-  if (augmented) {
-    p.phi0(n - 1, n - 1) = 1.0;  // theta carries itself
-    for (std::size_t j = 0; j < m_; ++j) {
-      p.gamma1(n - 1, j) += h * btheta_[j];
-      if (want_gamma2) p.gamma2(n - 1, j) += 0.5 * h2 * btheta_[j];
-    }
-  }
-}
-
-void PropagatorFactory::make_spectral_aug_g2free_into(
-    double h, StepPropagator& out) const {
   const std::size_t n = a_.rows();
 
   for (std::size_t k = 0; k < nf_; ++k) {
@@ -533,6 +316,9 @@ void PropagatorFactory::make_spectral_aug_g2free_into(
   p.gamma2 = RMatrix();  // empty, not stale: misuse fails loudly
   const double h2 = h * h;
 
+  // The accumulation order (mode by mode, then row, then column) is part
+  // of the contract: propagate_last_row_many repeats it for the theta
+  // row bit for bit.
   double* trow = p.phi0.row(n - 1);
   double* g1 = p.gamma1.row(0);  // n x 1: column-stride 1, g1[i] = row i
   for (std::size_t k = 0; k < nf_; ++k) {
@@ -551,7 +337,7 @@ void PropagatorFactory::make_spectral_aug_g2free_into(
     const cplx w1 = h * f.phi1;
     const double w1r = w1.real();
     const double w1i = w1.imag();
-    const cplx* gm = gmode_[k].row(0);  // nf x 1, stride 1
+    const cplx* gm = gmode_[k].data();
     for (std::size_t i = 0; i < nf_; ++i) {
       g1[i] += w1r * gm[i].real() - w1i * gm[i].imag();
     }
@@ -560,18 +346,18 @@ void PropagatorFactory::make_spectral_aug_g2free_into(
       trow[j] += w1r * cp[j].real() - w1i * cp[j].imag();
     }
     const cplx w2 = h2 * f.phi2;
-    const cplx& v = cgmode_[k][0];
+    const cplx& v = cgmode_[k];
     g1[n - 1] += w2.real() * v.real() - w2.imag() * v.imag();
   }
   trow[n - 1] = 1.0;  // theta carries itself
-  g1[n - 1] += h * btheta_[0];
+  g1[n - 1] += h * btheta_;
 }
 
 void PropagatorFactory::propagate_last_row_many(const double* h,
                                                 std::size_t count,
                                                 const double* x, double u,
                                                 double* out) const {
-  HTMPLL_ASSERT(has_last_row_fast_path());
+  HTMPLL_ASSERT(spectral_);
   const std::size_t n = a_.rows();
   // At four or more modes batch_cexp's vectorized path is the value
   // reference, so every lane of an offset goes through one kernel call.
@@ -580,8 +366,9 @@ void PropagatorFactory::propagate_last_row_many(const double* h,
 
   for (std::size_t s = 0; s < count; ++s) {
     const double hs = h[s];
-    HTMPLL_REQUIRE(hs >= 0.0,
-                   "PropagatorFactory: step must be non-negative");
+    HTMPLL_REQUIRE(hs >= 0.0 && std::isfinite(hs),
+                   "PropagatorFactory: step must be non-negative and "
+                   "finite");
     if (hs == 0.0) {
       out[s] = x[n - 1];
       continue;
@@ -595,7 +382,7 @@ void PropagatorFactory::propagate_last_row_many(const double* h,
     }
 
     // Theta row of phi0 and gamma1, accumulated mode by mode in the same
-    // order as make_spectral_into (starting from the assign_zero +0.0).
+    // order as make_into (starting from the assign_zero +0.0).
     const double h2 = hs * hs;
     for (std::size_t j = 0; j < nf_; ++j) row[j] = 0.0;
     double g1 = 0.0;
@@ -626,11 +413,9 @@ void PropagatorFactory::propagate_last_row_many(const double* h,
         const cplx& v = cproj_[k][j];
         row[j] += w1.real() * v.real() - w1.imag() * v.imag();
       }
-      if (m_ > 0) {
-        const cplx w2 = h2 * f.phi2;
-        const cplx& v = cgmode_[k][0];
-        g1 += w2.real() * v.real() - w2.imag() * v.imag();
-      }
+      const cplx w2 = h2 * f.phi2;
+      const cplx& v = cgmode_[k];
+      g1 += w2.real() * v.real() - w2.imag() * v.imag();
     }
 
     // advance_into's row n-1: zero-seeded dot over all n columns (the
@@ -639,10 +424,8 @@ void PropagatorFactory::propagate_last_row_many(const double* h,
     double acc = 0.0;
     for (std::size_t j = 0; j < nf_; ++j) acc += row[j] * x[j];
     acc += 1.0 * x[n - 1];
-    if (m_ > 0) {
-      g1 += hs * btheta_[0];
-      acc += 0.0 + g1 * u;
-    }
+    g1 += hs * btheta_;
+    acc += 0.0 + g1 * u;
     out[s] = acc;
   }
 }

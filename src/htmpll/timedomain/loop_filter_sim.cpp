@@ -64,7 +64,7 @@ const StepPropagator& PiecewiseExactIntegrator::propagator(double h) const {
   } else if (factory_.spectral_requested()) {
     propagator_metrics().pade_fallbacks.add();
   }
-  factory_.make_into(h, memo_, /*want_gamma2=*/false);
+  factory_.make_into(h, memo_);
   memo_h_ = h;
   return memo_;
 }
@@ -89,7 +89,7 @@ void PiecewiseExactIntegrator::peek_into(double h, double u,
 void PiecewiseExactIntegrator::peek_last_many(const double* h,
                                               std::size_t count, double u,
                                               double* out) const {
-  if (factory_.has_last_row_fast_path()) {
+  if (factory_.is_spectral()) {
     factory_.propagate_last_row_many(h, count, x_.data(), u, out);
     return;
   }

@@ -3,10 +3,10 @@
 //
 // There is no ODE-solver step error anywhere in the transient simulator:
 // each segment is advanced with the exact discrete propagator of the
-// state matrix (spectral when the matrix admits a well-conditioned modal
-// factorization, Van Loan expm otherwise), so the comparison against the
-// HTM model (the paper's "within 2%" claim) measures modeling error, not
-// integration error.
+// state matrix (modal for the phase-augmented loop whose filter block
+// has a well-conditioned eigenbasis, Van Loan expm otherwise), so the
+// comparison against the HTM model (the paper's "within 2%" claim)
+// measures modeling error, not integration error.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +50,8 @@ struct PropagatorCacheStats {
 
 class PiecewiseExactIntegrator {
  public:
-  /// `use_spectral` false forces the Van Loan expm path for every
-  /// propagator build (bit-identical to the pre-spectral engine)
-  /// regardless of the global spectral::enabled() switch.
+  /// `use_spectral` false builds every propagator with the Van Loan
+  /// oracle, make_propagator, bit for bit.
   explicit PiecewiseExactIntegrator(StateSpace ss, bool use_spectral = true);
 
   std::size_t order() const { return ss_.order(); }
@@ -79,11 +78,10 @@ class PiecewiseExactIntegrator {
 
   /// Last state component of the peek at each of `count` offsets of one
   /// segment: out[i] is bit-identical to peek(h[i], u)[order()-1], and
-  /// an offset of 0 returns the current last component.  With a
-  /// phase-augmented spectral factorization this takes one modal
-  /// theta-row contraction per offset and no propagator lookup; other
-  /// systems take the plain peek_into path.  Throws on a negative or
-  /// NaN offset.
+  /// an offset of 0 returns the current last component.  With the modal
+  /// factorization this takes one theta-row contraction per offset and
+  /// no propagator lookup; the Van Loan path takes plain peek_into.
+  /// Throws on a negative or non-finite offset.
   void peek_last_many(const double* h, std::size_t count, double u,
                       double* out) const;
 
@@ -104,14 +102,12 @@ class PiecewiseExactIntegrator {
   RVector x_;
 
   // One-entry propagator memo: the last step length built and its
-  // Gamma2-free propagator (every peek and advance holds the input
-  // constant over the step, which never reads Gamma2).  A lookup of
-  // the same h -- typically a commit taking the step its edge search
-  // peeked last -- returns it; any other h rebuilds it in place, which
-  // on the spectral path costs n scalar exponentials and no allocation.
-  // That rebuild is cheaper than the hash index a keyed cache needs to
-  // avoid it.  NaN matches no step.  Results never depend on hits vs
-  // misses.
+  // propagator.  A lookup of the same h -- typically a commit taking
+  // the step its edge search peeked last -- returns it; any other h
+  // rebuilds it in place, which on the spectral path costs n scalar
+  // exponentials and no allocation.  That rebuild is cheaper than the
+  // hash index a keyed cache needs to avoid it.  NaN matches no step.
+  // Results never depend on hits vs misses.
   mutable double memo_h_ = std::numeric_limits<double>::quiet_NaN();
   mutable StepPropagator memo_;
   mutable PropagatorCacheStats stats_;

@@ -45,9 +45,11 @@ LptvPllTransientSim::LptvPllTransientSim(const PllParameters& params,
       x_(filter_.order(), 0.0) {
   HTMPLL_REQUIRE(cfg_.substeps_per_period >= 8,
                  "need at least 8 RK4 substeps per period");
-  HTMPLL_REQUIRE(std::abs(mod_.amplitude) < 0.25 * t_period_,
-                 "reference modulation must stay small-signal (< T/4)");
-  if (cfg_.sample_interval <= 0.0) cfg_.sample_interval = t_period_ / 8.0;
+  validate_modulation(mod_, t_period_);
+  HTMPLL_REQUIRE(cfg_.sample_interval >= 0.0 &&
+                     std::isfinite(cfg_.sample_interval),
+                 "sample_interval must be finite and non-negative");
+  if (cfg_.sample_interval == 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
 
 LptvPllTransientSim::Derivative LptvPllTransientSim::rhs(
@@ -118,6 +120,7 @@ void LptvPllTransientSim::maybe_record(double t_prev, double theta_prev,
 }
 
 void LptvPllTransientSim::run_until(double t_end) {
+  HTMPLL_REQUIRE(std::isfinite(t_end), "run_until: t_end must be finite");
   const double h_nominal =
       t_period_ / static_cast<double>(cfg_.substeps_per_period);
   const double eps = 1e-12 * t_period_;
@@ -206,7 +209,8 @@ void LptvPllTransientSim::clear_samples() {
 TransferMeasurement measure_baseband_transfer_lptv(
     const PllParameters& params, const IsfWaveform& isf, double omega_m,
     const ProbeOptions& opts) {
-  HTMPLL_REQUIRE(omega_m > 0.0, "modulation frequency must be positive");
+  HTMPLL_REQUIRE(omega_m > 0.0 && std::isfinite(omega_m),
+                 "modulation frequency must be positive and finite");
   validate_probe_options(opts);
   const double t_period = params.period();
   const double tm = 2.0 * std::numbers::pi / omega_m;

@@ -44,7 +44,8 @@ class IsfWaveform {
 
 struct LptvTransientConfig {
   int substeps_per_period = 64;  ///< RK4 steps per reference period
-  double sample_interval = 0.0;  ///< 0 selects T/8
+  /// Recording period; 0 selects T/8, negative or non-finite rejected.
+  double sample_interval = 0.0;
   bool record = true;
 };
 

@@ -196,16 +196,21 @@ void UniformSamples::record_segment(const PiecewiseExactIntegrator& integ,
                        theta.data() + first);
 }
 
-void validate_transient_setup(const ReferenceModulation& mod,
-                              const TransientConfig& cfg, double period) {
+void validate_modulation(const ReferenceModulation& mod, double period) {
   HTMPLL_REQUIRE(std::abs(mod.amplitude) < 0.25 * period,
                  "reference modulation must stay small-signal (< T/4)");
   HTMPLL_REQUIRE(std::isfinite(mod.omega),
                  "reference modulation omega must be finite");
   HTMPLL_REQUIRE(std::isfinite(mod.phase),
                  "reference modulation phase must be finite");
-  HTMPLL_REQUIRE(std::isfinite(cfg.sample_interval),
-                 "sample_interval must be finite");
+}
+
+void validate_transient_setup(const ReferenceModulation& mod,
+                              const TransientConfig& cfg, double period) {
+  validate_modulation(mod, period);
+  HTMPLL_REQUIRE(cfg.sample_interval >= 0.0 &&
+                     std::isfinite(cfg.sample_interval),
+                 "sample_interval must be finite and non-negative");
   HTMPLL_REQUIRE(cfg.edge_tolerance > 0.0 && std::isfinite(cfg.edge_tolerance),
                  "edge_tolerance must be positive and finite");
 }
@@ -266,7 +271,7 @@ PllTransientSim::PllTransientSim(const PllParameters& params,
            cfg.use_spectral_propagators),
       theta_index_(aug_.order() - 1) {
   validate_transient_setup(mod_, cfg_, t_period_);
-  if (cfg_.sample_interval <= 0.0) cfg_.sample_interval = t_period_ / 8.0;
+  if (cfg_.sample_interval == 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
 
 double PllTransientSim::theta() const { return aug_.state()[theta_index_]; }

@@ -53,17 +53,17 @@ struct ReferenceModulation {
 };
 
 struct TransientConfig {
-  /// Uniform recording period for theta samples; 0 selects T/8.
+  /// Uniform recording period for theta samples; 0 selects T/8, and a
+  /// negative or non-finite value is rejected.
   double sample_interval = 0.0;
   /// Record (t, theta, theta_ref) streams while running.
   bool record = true;
   /// Newton convergence tolerance for edge times, relative to T.
   double edge_tolerance = 1e-13;
-  /// Build step propagators from the one-time spectral factorization of
-  /// the state matrix instead of a per-step Van Loan expm (see
-  /// linalg/spectral.hpp).  False forces the expm path, bit-identical
-  /// to the pre-spectral engine; the HTMPLL_SPECTRAL environment switch
-  /// can force the same globally.
+  /// Build step propagators from the one-time modal factorization of
+  /// the filter block instead of a per-step Van Loan expm (see
+  /// linalg/spectral.hpp).  False runs the Van Loan oracle,
+  /// make_propagator, through the whole simulation.
   bool use_spectral_propagators = true;
 };
 
@@ -165,9 +165,13 @@ cplx run_theta_bin_window(ThetaBin*& slot,
 }  // namespace detail
 
 /// Throws std::invalid_argument unless the modulation is small-signal
-/// (|amplitude| < T/4) with finite omega and phase, sample_interval is
-/// finite and edge_tolerance is positive and finite.  Called by both
-/// event-driven simulators' constructors.
+/// (|amplitude| < T/4) with finite omega and phase.  Called by every
+/// transient simulator's constructor.
+void validate_modulation(const ReferenceModulation& mod, double period);
+
+/// validate_modulation, and throws unless sample_interval is finite and
+/// non-negative and edge_tolerance is positive and finite.  Called by
+/// both event-driven simulators' constructors.
 void validate_transient_setup(const ReferenceModulation& mod,
                               const TransientConfig& cfg, double period);
 

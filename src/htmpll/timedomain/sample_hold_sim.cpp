@@ -21,7 +21,7 @@ SampleHoldPllSim::SampleHoldPllSim(const PllParameters& params,
            cfg.use_spectral_propagators),
       theta_index_(aug_.order() - 1) {
   validate_transient_setup(mod_, cfg_, t_period_);
-  if (cfg_.sample_interval <= 0.0) cfg_.sample_interval = t_period_ / 8.0;
+  if (cfg_.sample_interval == 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
 
 double SampleHoldPllSim::theta() const {

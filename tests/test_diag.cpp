@@ -233,20 +233,14 @@ TEST(SpanStats, EmptyTraceAggregatesToNothing) {
 
 TEST(DiagSpectral, DefectiveMatrixEmitsTaggedPadeFallback) {
   ScopedDiagObs on(true);
-  const bool spectral_was = spectral::enabled();
-  spectral::set_enabled(true);
   obs::diag_reset();
-  // Exact 2x2 Jordan block: defective double eigenvalue at 0 with no
-  // trailing zero column, so factor_block sees the full matrix.
-  RMatrix a(2, 2);
-  a(0, 0) = 0.0;
-  a(0, 1) = 1.0;
-  a(1, 0) = 0.0;
-  a(1, 1) = 0.0;
-  PropagatorFactory factory(a, RMatrix(), true);
-  spectral::set_enabled(spectral_was);
+  // Phase-augmented system whose filter block is an exact 2x2 Jordan
+  // block: a defective double eigenvalue at 0 in the factored block.
+  const RMatrix a{{0.0, 1.0, 0.0}, {0.0, 0.0, 0.0}, {1.0, 0.0, 0.0}};
+  const RMatrix b{{0.0}, {1.0}, {0.0}};
+  PropagatorFactory factory(a, b, true);
 
-  EXPECT_EQ(factory.mode(), PropagatorFactory::Mode::kPade);
+  EXPECT_FALSE(factory.is_spectral());
   EXPECT_TRUE(factory.spectral_requested());
   const obs::DiagSnapshot s = obs::diag_snapshot();
   EXPECT_EQ(s.tally[static_cast<std::size_t>(
@@ -267,16 +261,11 @@ TEST(DiagSpectral, DefectiveMatrixEmitsTaggedPadeFallback) {
 
 TEST(DiagSpectral, HealthyFactorizationRaisesConditionGauge) {
   ScopedDiagObs on(true);
-  const bool spectral_was = spectral::enabled();
-  spectral::set_enabled(true);
   obs::diag_reset();
-  RMatrix a(2, 2);
-  a(0, 0) = -1.0;
-  a(0, 1) = 0.5;
-  a(1, 0) = 0.0;
-  a(1, 1) = -2.0;
-  PropagatorFactory factory(a, RMatrix(), true);
-  spectral::set_enabled(spectral_was);
+  // Phase-augmented system with a well-conditioned filter block.
+  const RMatrix a{{-1.0, 0.5, 0.0}, {0.0, -2.0, 0.0}, {1.0, 1.0, 0.0}};
+  const RMatrix b{{1.0}, {0.0}, {0.0}};
+  PropagatorFactory factory(a, b, true);
 
   EXPECT_TRUE(factory.is_spectral());
   const obs::DiagSnapshot s = obs::diag_snapshot();

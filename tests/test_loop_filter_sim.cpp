@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -52,6 +53,28 @@ TEST(Integrator, ZeroStepIsIdentity) {
 TEST(Integrator, NegativeStepThrows) {
   PiecewiseExactIntegrator sim(lowpass(1.0));
   EXPECT_THROW(sim.peek(-0.1, 0.0), std::invalid_argument);
+}
+
+TEST(Integrator, RejectsInfiniteStep) {
+  // An infinite step used to pass the h >= 0 check and fill the
+  // spectral state with NaN.  Both propagator paths reject it and leave
+  // the state as it was.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (bool phase_augmented : {true, false}) {
+    PiecewiseExactIntegrator sim(phase_augmented
+                                     ? augment_with_phase(lowpass(2.0), 0.5)
+                                     : lowpass(2.0));
+    EXPECT_EQ(sim.spectral_propagators(), phase_augmented);
+    sim.advance(0.3, 1.0);
+    const RVector before = sim.state();
+    RVector out;
+    double last = 0.0;
+    EXPECT_THROW(sim.advance(inf, 1.0), std::invalid_argument);
+    EXPECT_THROW(sim.peek_into(inf, 1.0, out), std::invalid_argument);
+    EXPECT_THROW(sim.peek_last_many(&inf, 1, 1.0, &last),
+                 std::invalid_argument);
+    EXPECT_EQ(sim.state(), before);
+  }
 }
 
 TEST(Integrator, SetStateValidatesDimension) {
@@ -140,17 +163,22 @@ TEST(Integrator, CacheHitRate) {
 }
 
 TEST(Integrator, SpectralOffIsAvailablePerInstance) {
-  // use_spectral = false must force the Pade path even while the global
-  // switch is on, and both paths must agree on a well-scaled system.
-  PiecewiseExactIntegrator on(lowpass(2.0), /*use_spectral=*/true);
-  PiecewiseExactIntegrator off(lowpass(2.0), /*use_spectral=*/false);
+  // use_spectral = false must force the Van Loan path on a system the
+  // modal build serves (the phase-augmented shape), and both paths must
+  // agree on a well-scaled system.
+  const StateSpace aug = augment_with_phase(lowpass(2.0), 0.5);
+  PiecewiseExactIntegrator on(aug, /*use_spectral=*/true);
+  PiecewiseExactIntegrator off(aug, /*use_spectral=*/false);
+  EXPECT_TRUE(on.spectral_propagators());
   EXPECT_FALSE(off.spectral_propagators());
   for (int k = 0; k < 10; ++k) {
     const double h = 0.05 + 0.02 * k;
     on.advance(h, 1.0);
     off.advance(h, 1.0);
   }
-  EXPECT_NEAR(on.state()[0], off.state()[0], 1e-13);
+  for (std::size_t i = 0; i < aug.order(); ++i) {
+    EXPECT_NEAR(on.state()[i], off.state()[i], 1e-13) << "state " << i;
+  }
 }
 
 }  // namespace

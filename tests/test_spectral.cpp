@@ -1,11 +1,13 @@
-// Spectral propagator factory: agreement with the Van Loan/Pade path
-// across step-length decades, structured handling of the phase-augmented
-// (defective) PLL state matrix, and the fallback + kill-switch contracts
-// the transient engine depends on.
+// Spectral propagator factory: agreement with the Van Loan/Pade oracle
+// across step-length decades on the phase-augmented shape it
+// diagonalizes, the closed forms and semigroup identity at the 2 GHz
+// scale, and the Van Loan fallback for every other shape, a defective
+// filter block and allow_spectral = false.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numbers>
 #include <random>
 #include <stdexcept>
@@ -14,17 +16,11 @@
 #include "htmpll/linalg/eig.hpp"
 #include "htmpll/linalg/spectral.hpp"
 #include "htmpll/lti/loop_filter.hpp"
+#include "htmpll/obs/metrics.hpp"
 #include "htmpll/timedomain/loop_filter_sim.hpp"
 
 namespace htmpll {
 namespace {
-
-/// Pins the process-wide spectral switch for the duration of a test.
-struct ScopedSpectral {
-  bool was = spectral::enabled();
-  explicit ScopedSpectral(bool on) { spectral::set_enabled(on); }
-  ~ScopedSpectral() { spectral::set_enabled(was); }
-};
 
 double max_abs_diff(const RMatrix& a, const RMatrix& b) {
   EXPECT_EQ(a.rows(), b.rows());
@@ -45,91 +41,114 @@ bool bitwise_equal(const RMatrix& a, const RMatrix& b) {
                      a.data().size() * sizeof(double)) == 0;
 }
 
-/// Worst absolute propagator-block difference between the factory and
-/// the direct Van Loan path, normalized per block by its max magnitude.
-double worst_block_error(const PropagatorFactory& f, const RMatrix& a,
-                         const RMatrix& b, double h) {
-  const StepPropagator s = f.make(h);
-  const StepPropagator p = make_propagator(a, b, h);
-  double worst = max_abs_diff(s.phi0, p.phi0) /
-                 std::max(1.0, p.phi0.max_abs());
-  if (!p.gamma1.empty()) {
-    worst = std::max(worst, max_abs_diff(s.gamma1, p.gamma1) /
-                                std::max(1e-300, p.gamma1.max_abs()));
-    worst = std::max(worst, max_abs_diff(s.gamma2, p.gamma2) /
-                                std::max(1e-300, p.gamma2.max_abs()));
-  }
-  return worst;
+StepPropagator build(const PropagatorFactory& f, double h) {
+  StepPropagator p;
+  f.make_into(h, p);
+  return p;
 }
 
-TEST(SpectralPropagator, MatchesPadeAcrossFourDecades) {
-  ScopedSpectral pin(true);
-  // Well-scaled stable system with one real pole and a complex pair.
+/// Every block of the factory's build equals make_propagator bit for
+/// bit (the Van Loan fallback).
+void expect_van_loan_bitwise(const PropagatorFactory& f, const RMatrix& a,
+                             const RMatrix& b, double h) {
+  const StepPropagator s = build(f, h);
+  const StepPropagator p = make_propagator(a, b, h);
+  EXPECT_TRUE(bitwise_equal(s.phi0, p.phi0)) << "h = " << h;
+  EXPECT_TRUE(bitwise_equal(s.gamma1, p.gamma1)) << "h = " << h;
+  EXPECT_TRUE(bitwise_equal(s.gamma2, p.gamma2)) << "h = " << h;
+}
+
+/// Worst absolute Phi/Gamma1 difference between the factory and the
+/// direct Van Loan path, normalized per block by its max magnitude.
+double worst_block_error(const PropagatorFactory& f, const RMatrix& a,
+                         const RMatrix& b, double h) {
+  const StepPropagator s = build(f, h);
+  const StepPropagator p = make_propagator(a, b, h);
+  EXPECT_TRUE(s.gamma2.empty());
+  return std::max(max_abs_diff(s.phi0, p.phi0) /
+                      std::max(1.0, p.phi0.max_abs()),
+                  max_abs_diff(s.gamma1, p.gamma1) /
+                      std::max(1e-300, p.gamma1.max_abs()));
+}
+
+/// Random phase-augmented system [[A_f, 0], [c^T, 0]] with one input:
+/// a stable n-1 filter block, a theta row and an input column.
+void random_augmented(std::mt19937& rng, std::size_t n, RMatrix& a,
+                      RMatrix& b) {
+  std::uniform_real_distribution<double> entry(-1.0, 1.0);
+  a = RMatrix(n, n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    for (std::size_t j = 0; j + 1 < n; ++j) a(i, j) = entry(rng);
+    a(i, i) -= 2.0;
+  }
+  for (std::size_t j = 0; j + 1 < n; ++j) a(n - 1, j) = entry(rng);
+  b = RMatrix(n, 1);
+  for (std::size_t i = 0; i < n; ++i) b(i, 0) = entry(rng);
+}
+
+/// Well-scaled phase-augmented system: a damped pair feeding theta.
+const RMatrix kAugA{{-0.3, 1.0, 0.0}, {-1.0, -0.5, 0.0}, {0.7, 0.2, 0.0}};
+const RMatrix kAugB{{0.1}, {1.0}, {0.4}};
+
+TEST(SpectralPropagator, NonAugmentedSystemBuildsVanLoanBitwise) {
+  // Well-scaled stable system with one real pole and a complex pair but
+  // no trailing zero column: the factory has no modal build for it.
   const RMatrix a{{-0.4, 1.0, 0.0},
                   {-1.0, -0.4, 0.2},
                   {0.0, 0.0, -2.0}};
   const RMatrix b{{0.0}, {1.0}, {0.5}};
   PropagatorFactory f(a, b);
-  ASSERT_EQ(f.mode(), PropagatorFactory::Mode::kSpectral);
-  EXPECT_LT(f.vector_condition(), 100.0);
+  EXPECT_FALSE(f.is_spectral());
+  EXPECT_TRUE(f.spectral_requested());
   for (double h = 1e-3; h <= 10.0 + 1e-9; h *= 10.0) {
-    EXPECT_LT(worst_block_error(f, a, b, h), 1e-12) << "h = " << h;
+    expect_van_loan_bitwise(f, a, b, h);
   }
 }
 
 TEST(SpectralPropagator, MatchesPadeOnRandomStableSystems) {
-  ScopedSpectral pin(true);
+  // n = 2..6 puts the filter block at 1..5 modes, both sides of
+  // modal_cexp's scalar tail (below 4) and the batch_cexp width.
   std::mt19937 rng(77u);
-  std::uniform_real_distribution<double> entry(-1.0, 1.0);
   int spectral_seen = 0;
+  int wide_seen = 0;
   for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 4);
-    RMatrix a(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) a(i, j) = entry(rng);
-      a(i, i) -= 2.0;
-    }
-    RMatrix b(n, 1);
-    for (std::size_t i = 0; i < n; ++i) b(i, 0) = entry(rng);
+    const std::size_t n = 2 + static_cast<std::size_t>(trial % 5);
+    RMatrix a, b;
+    random_augmented(rng, n, a, b);
     PropagatorFactory f(a, b);
     if (!f.is_spectral()) continue;  // rare ill-conditioned draws
     ++spectral_seen;
+    if (n - 1 >= 4) ++wide_seen;
     for (double h : {1e-2, 1e-1, 1.0, 4.0}) {
       EXPECT_LT(worst_block_error(f, a, b, h), 1e-12)
-          << "trial " << trial << " h " << h;
+          << "trial " << trial << " n " << n << " h " << h;
     }
   }
   EXPECT_GT(spectral_seen, 40);
+  EXPECT_GT(wide_seen, 15);
 }
 
 TEST(SpectralPropagator, StructuredModeMatchesPadeAcrossFourDecades) {
-  ScopedSpectral pin(true);
   // Trailing zero column (integrated last state) on a WELL-SCALED
   // system, so the Pade reference is trustworthy and directly validates
-  // the structured theta-row formulas (the h^2 phi2 / h^3 phi3 modal
+  // the structured theta-row formulas (the h phi1 / h^2 phi2 modal
   // sums) to full precision.
-  const RMatrix a{{-0.3, 1.0, 0.0},
-                  {-1.0, -0.5, 0.0},
-                  {0.7, 0.2, 0.0}};
-  const RMatrix b{{0.1}, {1.0}, {0.4}};
-  PropagatorFactory f(a, b);
-  ASSERT_EQ(f.mode(), PropagatorFactory::Mode::kSpectralAugmented);
+  PropagatorFactory f(kAugA, kAugB);
+  ASSERT_TRUE(f.is_spectral());
   for (double h = 1e-3; h <= 10.0 + 1e-9; h *= 10.0) {
-    EXPECT_LT(worst_block_error(f, a, b, h), 1e-12) << "h = " << h;
+    EXPECT_LT(worst_block_error(f, kAugA, kAugB, h), 1e-12) << "h = " << h;
   }
 }
 
 TEST(SpectralPropagator, AugmentedLoopUsesStructuredMode) {
-  ScopedSpectral pin(true);
   const double w0 = 2.0 * std::numbers::pi * 2e9;
   const PllParameters p = make_typical_loop(0.1 * w0, w0);
   const StateSpace aug =
       augment_with_phase(to_state_space(p.filter.impedance()), p.kvco);
   PropagatorFactory f(aug.a, aug.b);
-  EXPECT_EQ(f.mode(), PropagatorFactory::Mode::kSpectralAugmented);
   EXPECT_TRUE(f.is_spectral());
   EXPECT_TRUE(f.spectral_requested());
-  EXPECT_LT(f.vector_condition(), PropagatorFactory::kDefaultMaxCondition);
+  EXPECT_LT(f.vector_condition(), PropagatorFactory::kMaxCondition);
 }
 
 TEST(SpectralPropagator, AugmentedLoopMatchesExactTriangularEntries) {
@@ -138,7 +157,6 @@ TEST(SpectralPropagator, AugmentedLoopMatchesExactTriangularEntries) {
   // precision; the Pade reference CANNOT be used here, because the
   // Van Loan matrix has entries ~1e18 and scaling-and-squaring leaves an
   // absolute error floor of ~eps * ||M|| ~ 1e-8 in its O(1) entries.
-  ScopedSpectral pin(true);
   const double w0 = 2.0 * std::numbers::pi * 2e9;
   const PllParameters p = make_typical_loop(0.1 * w0, w0);
   const StateSpace aug =
@@ -148,7 +166,7 @@ TEST(SpectralPropagator, AugmentedLoopMatchesExactTriangularEntries) {
   PropagatorFactory f(aug.a, aug.b);
   ASSERT_TRUE(f.is_spectral());
   for (double h : {1e-12, 1e-11, 1e-10, 1e-9}) {
-    const StepPropagator s = f.make(h);
+    const StepPropagator s = build(f, h);
     // x1' = -wp x1 decouples: phi0(1,1) = e^{-wp h} exactly.
     EXPECT_NEAR(s.phi0(1, 1), std::exp(-wp * h), 1e-13 * std::exp(-wp * h))
         << "h = " << h;
@@ -162,11 +180,10 @@ TEST(SpectralPropagator, AugmentedLoopMatchesExactTriangularEntries) {
 TEST(SpectralPropagator, AugmentedLoopSatisfiesSemigroupProperty) {
   // Numerics check at the real PLL scale (state-matrix entries ~1e18):
   // one spectral step of length h must equal 64 spectral steps of h/64
-  // composed in state space, with the piecewise-linear input sampled at
-  // the slice boundaries.  The exact solution satisfies this semigroup
-  // identity; a wrong phi coefficient anywhere breaks it at O(h^3)
-  // because the defect scales differently with the slice length.
-  ScopedSpectral pin(true);
+  // composed in state space under the held charge-pump current.  The
+  // exact solution satisfies this semigroup identity; a wrong phi
+  // coefficient anywhere breaks it because the defect scales
+  // differently with the slice length.
   const double w0 = 2.0 * std::numbers::pi * 2e9;
   const PllParameters p = make_typical_loop(0.1 * w0, w0);
   const StateSpace aug =
@@ -175,19 +192,18 @@ TEST(SpectralPropagator, AugmentedLoopSatisfiesSemigroupProperty) {
   ASSERT_TRUE(f.is_spectral());
   const double h = 5e-10;
   const int slices = 64;
-  const StepPropagator fine = f.make(h / slices);
-  const StepPropagator coarse = f.make(h);
-  const double u0 = 1e-3, u1 = -0.5e-3;  // ramping charge-pump current
+  const StepPropagator fine = build(f, h / slices);
+  const StepPropagator coarse = build(f, h);
+  const double u = 1e-3;  // held charge-pump current
   RVector x(aug.a.rows(), 0.0);
   x[0] = 1e-9;  // charge on the integrating capacitor
-  RVector x_fine = x;
+  RVector x_fine = x, next;
   for (int i = 0; i < slices; ++i) {
-    const double ua = u0 + (u1 - u0) * i / slices;
-    const double ub = u0 + (u1 - u0) * (i + 1) / slices;
-    x_fine = fine.advance(x_fine, RVector{ua}, RVector{ub}, h / slices);
+    fine.advance_into(x_fine, u, u, h / slices, next);
+    x_fine.swap(next);
   }
-  const RVector x_coarse =
-      coarse.advance(x, RVector{u0}, RVector{u1}, h);
+  RVector x_coarse;
+  coarse.advance_into(x, u, u, h, x_coarse);
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double scale = std::max(std::abs(x_fine[i]), 1e-300);
     EXPECT_LT(std::abs(x_coarse[i] - x_fine[i]) / scale, 1e-12)
@@ -196,105 +212,75 @@ TEST(SpectralPropagator, AugmentedLoopSatisfiesSemigroupProperty) {
 }
 
 TEST(SpectralPropagator, DefectiveMatrixFallsBackToPadeBitwise) {
-  ScopedSpectral pin(true);
-  // Jordan block: not diagonalizable, and no trailing zero column to
-  // split off (the second column is nonzero).
-  const RMatrix a{{0.0, 1.0}, {0.0, 0.0}};
-  const RMatrix b{{0.0}, {1.0}};
+  // Phase-augmented shape whose filter block is a Jordan block: the
+  // factory factors the block, finds it defective and falls back.
+  const RMatrix a{{0.0, 1.0, 0.0}, {0.0, 0.0, 0.0}, {1.0, 0.0, 0.0}};
+  const RMatrix b{{0.0}, {1.0}, {0.0}};
+  const bool was = obs::enabled();
+  obs::enable();
+  obs::Counter& factorizations = obs::counter("linalg.eig_factorizations");
+  const std::uint64_t before = factorizations.value();
   PropagatorFactory f(a, b);
-  EXPECT_EQ(f.mode(), PropagatorFactory::Mode::kPade);
+  const std::uint64_t after = factorizations.value();
+  if (!was) obs::disable();
+  EXPECT_EQ(after - before, 1u);  // the factorization really ran
+  EXPECT_FALSE(f.is_spectral());
   EXPECT_TRUE(f.spectral_requested());
-  const double h = 0.25;
-  const StepPropagator s = f.make(h);
-  const StepPropagator p = make_propagator(a, b, h);
-  EXPECT_TRUE(bitwise_equal(s.phi0, p.phi0));
-  EXPECT_TRUE(bitwise_equal(s.gamma1, p.gamma1));
-  EXPECT_TRUE(bitwise_equal(s.gamma2, p.gamma2));
+  for (double h : {0.25, 2.0}) expect_van_loan_bitwise(f, a, b, h);
 }
 
 TEST(SpectralPropagator, AllowSpectralFalseForcesPadeBitwise) {
-  ScopedSpectral pin(true);
-  const RMatrix a{{-1.0, 0.5}, {0.0, -2.0}};
-  const RMatrix b{{1.0}, {0.0}};
-  PropagatorFactory f(a, b, /*allow_spectral=*/false);
-  EXPECT_EQ(f.mode(), PropagatorFactory::Mode::kPade);
+  ASSERT_TRUE(PropagatorFactory(kAugA, kAugB).is_spectral());
+  PropagatorFactory f(kAugA, kAugB, /*allow_spectral=*/false);
+  EXPECT_FALSE(f.is_spectral());
   EXPECT_FALSE(f.spectral_requested());
-  for (double h : {1e-3, 0.1, 2.0}) {
-    const StepPropagator s = f.make(h);
-    const StepPropagator p = make_propagator(a, b, h);
-    EXPECT_TRUE(bitwise_equal(s.phi0, p.phi0));
-    EXPECT_TRUE(bitwise_equal(s.gamma1, p.gamma1));
-    EXPECT_TRUE(bitwise_equal(s.gamma2, p.gamma2));
-  }
+  for (double h : {1e-3, 0.1, 2.0}) expect_van_loan_bitwise(f, kAugA, kAugB, h);
 }
 
-TEST(SpectralPropagator, GlobalKillSwitchForcesPade) {
-  ScopedSpectral pin(false);
-  const RMatrix a{{-1.0, 0.5}, {0.0, -2.0}};
-  const RMatrix b{{1.0}, {0.0}};
-  PropagatorFactory f(a, b);
-  EXPECT_EQ(f.mode(), PropagatorFactory::Mode::kPade);
-  EXPECT_FALSE(f.spectral_requested());
-  const StepPropagator s = f.make(0.5);
-  const StepPropagator p = make_propagator(a, b, 0.5);
-  EXPECT_TRUE(bitwise_equal(s.phi0, p.phi0));
+TEST(SpectralPropagator, TwoInputSystemBuildsVanLoanBitwise) {
+  // The augmented shape with a second input column has no modal build.
+  const RMatrix b{{0.1, 0.0}, {1.0, 0.3}, {0.4, -0.2}};
+  PropagatorFactory f(kAugA, b);
+  EXPECT_FALSE(f.is_spectral());
+  EXPECT_TRUE(f.spectral_requested());
+  for (double h : {1e-2, 0.5, 3.0}) expect_van_loan_bitwise(f, kAugA, b, h);
 }
 
 TEST(SpectralPropagator, AutonomousSystem) {
-  ScopedSpectral pin(true);
-  const RMatrix a{{-0.5, 1.0}, {-1.0, -0.5}};
-  PropagatorFactory f(a, RMatrix{});
-  ASSERT_TRUE(f.is_spectral());
+  PropagatorFactory f(kAugA, RMatrix{});
+  EXPECT_FALSE(f.is_spectral());
   for (double h : {1e-2, 1.0}) {
-    const StepPropagator s = f.make(h);
-    const StepPropagator p = make_propagator(a, RMatrix{}, h);
-    EXPECT_LT(max_abs_diff(s.phi0, p.phi0), 1e-13);
-    EXPECT_TRUE(s.gamma1.empty());
-    EXPECT_TRUE(s.gamma2.empty());
+    expect_van_loan_bitwise(f, kAugA, RMatrix{}, h);
+    EXPECT_TRUE(build(f, h).gamma1.empty());
   }
 }
 
-TEST(SpectralPropagator, Gamma2FreeBuildMatchesFullBuildBitwise) {
-  // Every integrator's propagator memo builds with want_gamma2 ==
-  // false, which routes through phi1/phi2-only evaluations
-  // (real-axis Horner, tiny-integrator-pole closed form,
-  // Smith-step quotient) and the modal_cexp libm elisions.  Every one
-  // of those shortcuts claims bit-identity with the full build's
-  // phi_functions/batch_cexp chain; this pins the claim end to end on
-  // random systems spanning both branch regimes and the sub/above-4
-  // mode widths.
-  ScopedSpectral pin(true);
+TEST(SpectralPropagator, WarmRebuildMatchesFreshBuildBitwise) {
+  // Every integrator memo rebuilds its propagator in place, into
+  // storage that last held another step -- or, after a Van Loan build,
+  // a Gamma2 block.  The warm rebuild must equal a fresh build bit for
+  // bit on random systems spanning both phi branch regimes and the
+  // sub/above-4 mode widths, and at the 2 GHz loop's step lengths.
   std::mt19937 rng(1234u);
-  std::uniform_real_distribution<double> entry(-1.0, 1.0);
   std::uniform_real_distribution<double> loghd(-3.0, 1.0);
   int spectral_seen = 0;
   for (int trial = 0; trial < 80; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 5);
-    RMatrix a(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) a(i, j) = entry(rng);
-      a(i, i) -= 2.0;
-    }
-    if (trial % 2 == 0) {
-      // Half the draws carry the trailing zero column (phase-augmented
-      // structure), exercising the specialized scalar-input builder.
-      for (std::size_t i = 0; i < n; ++i) a(i, n - 1) = 0.0;
-    }
-    RMatrix b(n, 1);
-    for (std::size_t i = 0; i < n; ++i) b(i, 0) = entry(rng);
+    const std::size_t n = 2 + static_cast<std::size_t>(rng() % 5);
+    RMatrix a, b;
+    random_augmented(rng, n, a, b);
     PropagatorFactory f(a, b);
     if (!f.is_spectral()) continue;  // rare ill-conditioned draws
     ++spectral_seen;
-    StepPropagator lean;
+    StepPropagator warm = make_propagator(a, b, 0.3);  // stale Gamma2
     for (int k = 0; k < 4; ++k) {
       const double h = std::pow(10.0, loghd(rng));
-      const StepPropagator full = f.make(h);
-      f.make_into(h, lean, /*want_gamma2=*/false);
-      EXPECT_TRUE(bitwise_equal(lean.phi0, full.phi0))
+      f.make_into(h, warm);
+      const StepPropagator fresh = build(f, h);
+      EXPECT_TRUE(bitwise_equal(warm.phi0, fresh.phi0))
           << "trial " << trial << " h " << h;
-      EXPECT_TRUE(bitwise_equal(lean.gamma1, full.gamma1))
+      EXPECT_TRUE(bitwise_equal(warm.gamma1, fresh.gamma1))
           << "trial " << trial << " h " << h;
-      EXPECT_TRUE(lean.gamma2.empty());
+      EXPECT_TRUE(warm.gamma2.empty());
     }
   }
   EXPECT_GT(spectral_seen, 50);
@@ -306,26 +292,25 @@ TEST(SpectralPropagator, Gamma2FreeBuildMatchesFullBuildBitwise) {
   const StateSpace aug =
       augment_with_phase(to_state_space(p.filter.impedance()), p.kvco);
   PropagatorFactory fpll(aug.a, aug.b);
-  ASSERT_EQ(fpll.mode(), PropagatorFactory::Mode::kSpectralAugmented);
-  StepPropagator lean;
+  ASSERT_TRUE(fpll.is_spectral());
+  StepPropagator warm;
   std::uniform_real_distribution<double> loghp(-12.0, -8.0);
   for (int k = 0; k < 40; ++k) {
     const double h = std::pow(10.0, loghp(rng));
-    const StepPropagator full = fpll.make(h);
-    fpll.make_into(h, lean, /*want_gamma2=*/false);
-    EXPECT_TRUE(bitwise_equal(lean.phi0, full.phi0)) << "h " << h;
-    EXPECT_TRUE(bitwise_equal(lean.gamma1, full.gamma1)) << "h " << h;
+    fpll.make_into(h, warm);
+    const StepPropagator fresh = build(fpll, h);
+    EXPECT_TRUE(bitwise_equal(warm.phi0, fresh.phi0)) << "h " << h;
+    EXPECT_TRUE(bitwise_equal(warm.gamma1, fresh.gamma1)) << "h " << h;
   }
 }
 
 TEST(SpectralPropagator, LastRowFastPathMatchesFullAdvanceBitwise) {
   // propagate_last_row_many replaces the O(n^2) build + advance with a
   // modal theta-row contraction per offset; the record paths lean on it
-  // being bit-identical to the full chain for every h the samplers
-  // request.  Each case's step-length range puts |lambda h| on both
-  // sides of the phi series/quotient switch at 0.5, and the 4-mode
+  // being bit-identical to make_into + advance_into for every h the
+  // samplers request.  Each case's step-length range puts |lambda h| on
+  // both sides of the phi series/quotient switch at 0.5, and the 4-mode
   // system takes the batch_cexp branch.
-  ScopedSpectral pin(true);
   std::mt19937 rng(4321u);
   std::uniform_real_distribution<double> entry(-1.0, 1.0);
 
@@ -354,12 +339,13 @@ TEST(SpectralPropagator, LastRowFastPathMatchesFullAdvanceBitwise) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
   };
   for (Case& c : cases) {
-    ASSERT_EQ(c.f.mode(), PropagatorFactory::Mode::kSpectralAugmented);
-    ASSERT_TRUE(c.f.has_last_row_fast_path());
+    ASSERT_TRUE(c.f.is_spectral());
     const std::size_t n = c.f.order();
     RVector x(n), out(n);
+    StepPropagator prop;
     const auto full_last = [&](double h, double u) {
-      c.f.make(h).advance_into(x, u, u, h, out);
+      c.f.make_into(h, prop);
+      prop.advance_into(x, u, u, h, out);
       return out[n - 1];
     };
     std::uniform_real_distribution<double> logh(c.logh_lo, c.logh_hi);
@@ -389,11 +375,13 @@ TEST(SpectralPropagator, LastRowFastPathMatchesFullAdvanceBitwise) {
       EXPECT_TRUE(same(got[k], want))
           << "n " << n << " offset " << k << " h " << hs[k];
     }
-    const double negative = -1e-3;
     double unused = 0.0;
-    EXPECT_THROW(
-        c.f.propagate_last_row_many(&negative, 1, x.data(), u, &unused),
-        std::invalid_argument);
+    for (double bad : {-1e-3, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+      EXPECT_THROW(
+          c.f.propagate_last_row_many(&bad, 1, x.data(), u, &unused),
+          std::invalid_argument);
+    }
   }
 }
 
@@ -495,14 +483,20 @@ TEST(SpectralPropagator, PhiShortcutIdentitiesMatchLibraryOps) {
 }
 
 TEST(SpectralPropagator, RejectsBadArguments) {
-  ScopedSpectral pin(true);
   EXPECT_THROW(PropagatorFactory(RMatrix(2, 3), RMatrix{}),
                std::invalid_argument);
   EXPECT_THROW(PropagatorFactory(RMatrix(2, 2), RMatrix(3, 1)),
                std::invalid_argument);
-  PropagatorFactory f(RMatrix{{-1.0}}, RMatrix{{1.0}});
-  EXPECT_THROW(f.make(0.0), std::invalid_argument);
-  EXPECT_THROW(f.make(-1.0), std::invalid_argument);
+  // Both the modal build and the Van Loan fallback take a finite h > 0.
+  for (const PropagatorFactory& f :
+       {PropagatorFactory(kAugA, kAugB),
+        PropagatorFactory(RMatrix{{-1.0}}, RMatrix{{1.0}})}) {
+    StepPropagator p;
+    for (double h : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+      EXPECT_THROW(f.make_into(h, p), std::invalid_argument) << h;
+    }
+  }
 }
 
 }  // namespace

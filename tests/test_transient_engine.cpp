@@ -19,10 +19,10 @@
 
 #include <gtest/gtest.h>
 
-#include "htmpll/linalg/spectral.hpp"
 #include "htmpll/obs/diag.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
+#include "htmpll/timedomain/lptv_vco_sim.hpp"
 #include "htmpll/timedomain/montecarlo.hpp"
 #include "htmpll/timedomain/probe.hpp"
 #include "htmpll/timedomain/sample_hold_sim.hpp"
@@ -34,13 +34,6 @@ namespace {
 
 constexpr double kW0 = 2.0 * std::numbers::pi;  // T = 1
 
-/// Pins the process-wide spectral switch for the duration of a test.
-struct ScopedSpectral {
-  bool was = spectral::enabled();
-  explicit ScopedSpectral(bool on) { spectral::set_enabled(on); }
-  ~ScopedSpectral() { spectral::set_enabled(was); }
-};
-
 /// Enables obs for one test and restores the prior state after.
 struct ScopedDiagObs {
   bool was_enabled = obs::enabled();
@@ -51,9 +44,9 @@ struct ScopedDiagObs {
 /// Test oracle: PllTransientSim's event loop as it stood before the
 /// edge search was bounded by the step horizon.  Every VCO edge is
 /// solved to convergence (Newton, then the expanding-bracket bisection),
-/// every peek -- samples included -- applies a full propagator build,
-/// and edges, leakage, held noise and recording follow the simulator's
-/// rules operation for operation.
+/// every peek -- samples included -- applies a propagator built fresh
+/// for its step, and edges, leakage, held noise and recording follow
+/// the simulator's rules operation for operation.
 class ReferenceEventLoop {
  public:
   ReferenceEventLoop(const PllParameters& p, ReferenceModulation mod,
@@ -145,15 +138,16 @@ class ReferenceEventLoop {
   const std::vector<double>& theta_samples() const { return sample_theta_; }
 
  private:
-  /// Full-build propagation from the current state (peek_into's rule).
+  /// Fresh-build propagation from the current state (peek_into's rule).
   void peek(double h, double u, RVector& out) {
     if (h == 0.0) {
       out = x_;
       return;
     }
-    auto it = full_builds_.find(h);
-    if (it == full_builds_.end()) {
-      it = full_builds_.emplace(h, integ_.propagator_factory().make(h)).first;
+    auto it = builds_.find(h);
+    if (it == builds_.end()) {
+      it = builds_.emplace(h, StepPropagator{}).first;
+      integ_.propagator_factory().make_into(h, it->second);
     }
     it->second.advance_into(x_, u, u, h, out);
   }
@@ -231,7 +225,7 @@ class ReferenceEventLoop {
   RVector x_, scratch_;
   std::size_t theta_index_;
   double sample_interval_;
-  std::unordered_map<double, StepPropagator> full_builds_;
+  std::unordered_map<double, StepPropagator> builds_;
   TriStatePfd pfd_;
   double t_ = 0.0;
   std::int64_t n_ref_ = 1, n_vco_ = 1, n_leak_ = 0, next_sample_ = 1;
@@ -359,7 +353,7 @@ TEST(EdgeSearch, BisectionFallbackIsObservable) {
 
 TEST(EdgeSearch, MatchesUnboundedReferenceLoopBitwise) {
   // Differential check of the horizon-bounded edge search, the theta-row
-  // sampler and the Gamma2-free cache builds against the reference
+  // sampler and the in-place memo rebuilds against the reference
   // loop, on random loops across the whole stable range with
   // modulation, held noise, leakage and acquisition offsets (frequency
   // up to 3e-2, phase up to ~T).  Every fourth run starts a slow loop
@@ -447,7 +441,6 @@ TEST(SpectralEngine, SimulationAgreesWithPadeWithinTolerance) {
   // theta trajectories must agree to the 1e-10 relative level of the
   // bench contract.  (T = 1 normalization keeps the Van Loan matrix
   // well scaled, so the Pade reference itself is trustworthy here.)
-  ScopedSpectral pin(true);
   const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
   ReferenceModulation mod;
   mod.amplitude = 2e-3;
@@ -474,37 +467,35 @@ TEST(SpectralEngine, SimulationAgreesWithPadeWithinTolerance) {
   }
 }
 
-TEST(SpectralEngine, ConfigOffMatchesGlobalOffBitwise) {
-  // TransientConfig::use_spectral_propagators = false and the global
-  // kill switch must select the same (Pade) numerics exactly.
+TEST(SpectralEngine, ConfigOffRunsTheVanLoanOracle) {
+  // TransientConfig::use_spectral_propagators = false runs every step
+  // through make_propagator: the simulator then equals the reference
+  // loop on the Van Loan oracle bit for bit.
   const PllParameters p = make_typical_loop(0.12 * kW0, kW0);
   ReferenceModulation mod;
   mod.amplitude = 1e-3;
   mod.omega = 0.3 * kW0;
-  std::vector<double> via_config, via_global;
-  {
-    ScopedSpectral pin(true);
-    TransientConfig cfg;
-    cfg.use_spectral_propagators = false;
-    PllTransientSim sim(p, mod, cfg);
-    sim.run_periods(30.0);
-    via_config = sim.theta_samples();
-  }
-  {
-    ScopedSpectral pin(false);
-    PllTransientSim sim(p, mod, {});
-    EXPECT_FALSE(sim.spectral_propagators());
-    sim.run_periods(30.0);
-    via_global = sim.theta_samples();
-  }
-  ASSERT_EQ(via_config.size(), via_global.size());
-  for (std::size_t i = 0; i < via_config.size(); ++i) {
-    EXPECT_EQ(via_config[i], via_global[i]) << "sample " << i;
+  TransientConfig cfg;
+  cfg.use_spectral_propagators = false;
+  PllTransientSim sim(p, mod, cfg);
+  EXPECT_FALSE(sim.spectral_propagators());
+  ReferenceEventLoop ref(p, mod, /*use_spectral=*/false);
+  sim.run_periods(30.0);
+  ref.run_until(30.0 * p.period());
+  EXPECT_EQ(sim.event_count(), ref.event_count());
+  const double theta_sim = sim.theta();
+  const double theta_ref = ref.theta();
+  EXPECT_EQ(std::memcmp(&theta_sim, &theta_ref, sizeof(double)), 0);
+  ASSERT_EQ(sim.theta_samples().size(), ref.theta_samples().size());
+  for (std::size_t i = 0; i < ref.theta_samples().size(); ++i) {
+    ASSERT_EQ(std::memcmp(&sim.theta_samples()[i], &ref.theta_samples()[i],
+                          sizeof(double)),
+              0)
+        << "sample " << i;
   }
 }
 
 TEST(SpectralEngine, CountsSpectralBuilds) {
-  ScopedSpectral pin(true);
   const bool was = obs::enabled();
   obs::enable();
   obs::Counter& spectral_builds =
@@ -707,9 +698,15 @@ void expect_rejected(F&& f, const std::string& what) {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Flat ISF: the LPTV simulator's loop equals the time-invariant one.
+IsfWaveform flat_isf(const PllParameters& p) {
+  return IsfWaveform(HarmonicCoefficients(cplx{1.0}), p.kvco, p.w0);
+}
+
 TEST(NonFiniteInput, ModulationOmegaRejected) {
   // A NaN or infinite omega used to make run_periods(5) never return:
-  // NaN event times never pass record_range's ts > t_end break.
+  // NaN event times never pass record_range's ts > t_end break (the
+  // LPTV simulator's edge loop likewise).
   const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
   for (double omega : {kNaN, kInf, -kInf}) {
     ReferenceModulation mod;
@@ -717,10 +714,13 @@ TEST(NonFiniteInput, ModulationOmegaRejected) {
     mod.omega = omega;
     expect_rejected([&] { PllTransientSim sim(p, mod); }, "omega");
     expect_rejected([&] { SampleHoldPllSim sim(p, mod); }, "omega");
+    expect_rejected([&] { LptvPllTransientSim sim(p, flat_isf(p), mod); },
+                    "omega");
   }
 }
 
 TEST(NonFiniteInput, ModulationPhaseRejected) {
+  // An infinite phase made the LPTV simulator's run_periods(5) hang.
   const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
   for (double phase : {kNaN, kInf}) {
     ReferenceModulation mod;
@@ -729,6 +729,8 @@ TEST(NonFiniteInput, ModulationPhaseRejected) {
     mod.phase = phase;
     expect_rejected([&] { PllTransientSim sim(p, mod); }, "phase");
     expect_rejected([&] { SampleHoldPllSim sim(p, mod); }, "phase");
+    expect_rejected([&] { LptvPllTransientSim sim(p, flat_isf(p), mod); },
+                    "phase");
   }
 }
 
@@ -744,6 +746,10 @@ TEST(NonFiniteInput, RunUntilRejectsNonFiniteEnd) {
     SampleHoldPllSim sh(p);
     expect_rejected([&] { sh.run_until(t_end); }, "t_end");
     EXPECT_EQ(sh.time(), 0.0);
+    LptvPllTransientSim lptv(p, flat_isf(p));
+    expect_rejected([&] { lptv.run_until(t_end); }, "t_end");
+    expect_rejected([&] { lptv.run_periods(t_end); }, "t_end");
+    EXPECT_EQ(lptv.time(), 0.0);
   }
 }
 
@@ -771,6 +777,10 @@ TEST(NonFiniteInput, ModulationFrequencyRejected) {
   expect_rejected(
       [&] { measure_baseband_transfer_sample_hold(p, kInf); },
       "modulation frequency");
+  // The LPTV probe never returned.
+  expect_rejected(
+      [&] { measure_baseband_transfer_lptv(p, flat_isf(p), kInf); },
+      "modulation frequency");
 }
 
 TEST(NonFiniteInput, SingleBinFrequencyRejected) {
@@ -786,14 +796,23 @@ TEST(NonFiniteInput, SingleBinFrequencyRejected) {
 }
 
 TEST(NonFiniteInput, SampleIntervalRejected) {
-  // A NaN sample_interval used to surface as a bare vector::reserve.
+  // A NaN sample_interval used to surface as a bare vector::reserve (the
+  // LPTV simulator recorded no samples), and a negative one silently
+  // meant T/8 like 0.
   const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
-  TransientConfig cfg;
-  cfg.sample_interval = kNaN;
-  expect_rejected([&] { PllTransientSim sim(p, {}, cfg); },
-                  "sample_interval");
-  expect_rejected([&] { SampleHoldPllSim sim(p, {}, cfg); },
-                  "sample_interval");
+  for (double interval : {kNaN, kInf, -0.5}) {
+    TransientConfig cfg;
+    cfg.sample_interval = interval;
+    expect_rejected([&] { PllTransientSim sim(p, {}, cfg); },
+                    "sample_interval");
+    expect_rejected([&] { SampleHoldPllSim sim(p, {}, cfg); },
+                    "sample_interval");
+    LptvTransientConfig lcfg;
+    lcfg.sample_interval = interval;
+    expect_rejected(
+        [&] { LptvPllTransientSim sim(p, flat_isf(p), {}, lcfg); },
+        "sample_interval");
+  }
 }
 
 TEST(NonFiniteInput, EdgeToleranceRejected) {
