@@ -11,7 +11,6 @@
 #include <iostream>
 #include <numbers>
 
-#include "bench_common.hpp"
 #include "htmpll/lti/bode.hpp"
 #include "htmpll/lti/loop_filter.hpp"
 #include "htmpll/parallel/sweep.hpp"
@@ -52,6 +51,9 @@ int main(int argc, char** argv) {
             << " deg (analytic " << typical_loop_lti_phase_margin_deg()
             << " deg)\n";
 
-  bench::maybe_write_csv(t, argc, argv);
+  if (argc > 1) {
+    t.write_csv_file(argv[1]);
+    std::cout << "wrote " << argv[1] << "\n";
+  }
   return 0;
 }

@@ -12,7 +12,6 @@
 #include <iostream>
 #include <numbers>
 
-#include "bench_common.hpp"
 #include "htmpll/core/sampling_pll.hpp"
 #include "htmpll/lti/bode.hpp"
 #include "htmpll/parallel/sweep.hpp"
@@ -85,6 +84,9 @@ int main(int argc, char** argv) {
   std::cout << "\nworst HTM-vs-simulation relative error: " << worst_err
             << "  (paper: 'both are within 2%')\n";
 
-  bench::maybe_write_csv(t, argc, argv);
+  if (argc > 1) {
+    t.write_csv_file(argv[1]);
+    std::cout << "wrote " << argv[1] << "\n";
+  }
   return 0;
 }

@@ -19,7 +19,6 @@
 #include <numbers>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "htmpll/core/stability.hpp"
 #include "htmpll/design/design_sweep.hpp"
 #include "htmpll/util/table.hpp"
@@ -82,6 +81,9 @@ int main(int argc, char** argv) {
             << "w_UG/w0 = " << 0.5 * (lo + hi)
             << "   [LTI analysis predicts stability for ALL ratios]\n";
 
-  bench::maybe_write_csv(t, argc, argv);
+  if (argc > 1) {
+    t.write_csv_file(argv[1]);
+    std::cout << "wrote " << argv[1] << "\n";
+  }
   return 0;
 }

@@ -10,7 +10,6 @@
 #include <numbers>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "htmpll/core/sampling_pll.hpp"
 #include "htmpll/lti/bode.hpp"
 #include "htmpll/parallel/sweep.hpp"
@@ -46,6 +45,9 @@ int main(int argc, char** argv) {
                "baseband response) -- the crosstalk that limits "
                "measurement accuracy near the Nyquist edge.\n";
 
-  bench::maybe_write_csv(t, argc, argv);
+  if (argc > 1) {
+    t.write_csv_file(argv[1]);
+    std::cout << "wrote " << argv[1] << "\n";
+  }
   return 0;
 }

@@ -12,7 +12,6 @@
 #include <numbers>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "htmpll/design/design.hpp"
 #include "htmpll/parallel/sweep.hpp"
 #include "htmpll/timedomain/montecarlo.hpp"
@@ -92,6 +91,9 @@ int main(int argc, char** argv) {
               << " (linear-loop check, expect ~2)\n";
   }
 
-  bench::maybe_write_csv(t, argc, argv);
+  if (argc > 1) {
+    t.write_csv_file(argv[1]);
+    std::cout << "wrote " << argv[1] << "\n";
+  }
   return 0;
 }

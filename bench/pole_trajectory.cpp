@@ -16,7 +16,6 @@
 #include <numbers>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "htmpll/core/pole_search.hpp"
 #include "htmpll/core/symbolic.hpp"
 #include "htmpll/design/design_sweep.hpp"
@@ -61,6 +60,9 @@ int main(int argc, char** argv) {
                "and Re(s) crossing zero past the boundary: the loop fails "
                "by oscillating at half the reference rate.\n";
 
-  bench::maybe_write_csv(t, argc, argv);
+  if (argc > 1) {
+    t.write_csv_file(argv[1]);
+    std::cout << "wrote " << argv[1] << "\n";
+  }
   return 0;
 }

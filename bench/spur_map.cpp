@@ -10,7 +10,6 @@
 #include <numbers>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "htmpll/core/sampling_pll.hpp"
 #include "htmpll/lti/bode.hpp"
 #include "htmpll/timedomain/probe.hpp"
@@ -66,6 +65,9 @@ int main(int argc, char** argv) {
                "predicts every sideband, not just the baseband "
                "response.\n";
 
-  bench::maybe_write_csv(t, argc, argv);
+  if (argc > 1) {
+    t.write_csv_file(argv[1]);
+    std::cout << "wrote " << argv[1] << "\n";
+  }
   return 0;
 }

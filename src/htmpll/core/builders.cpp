@@ -1,27 +1,11 @@
 #include "htmpll/core/builders.hpp"
 
 #include <cmath>
-#include <cstdint>
 #include <numbers>
 
-#include "htmpll/obs/metrics.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll {
-
-namespace {
-
-/// One HTM block constructed; the companion histogram records the
-/// truncation order, so telemetry shows the matrix-size distribution
-/// and not just a raw build count.
-void count_htm_build(int truncation) {
-  static obs::Counter& builds = obs::counter("core.htm_builds");
-  static obs::Histogram& order = obs::histogram("core.htm_build_order");
-  builds.add();
-  order.observe(static_cast<std::uint64_t>(truncation < 0 ? 0 : truncation));
-}
-
-}  // namespace
 
 HarmonicCoefficients::HarmonicCoefficients(cplx dc) : j_(0), c_{dc} {}
 
@@ -64,8 +48,6 @@ Htm lti_htm(const RationalFunction& h, int truncation, double w0, cplx s) {
 
 Htm lti_htm(const std::function<cplx(cplx)>& h, int truncation, double w0,
             cplx s) {
-  // The rational overload delegates here, so each build counts once.
-  count_htm_build(truncation);
   Htm out(truncation, w0, s);
   for (int m = -truncation; m <= truncation; ++m) {
     const cplx sm = s + cplx{0.0, static_cast<double>(m) * w0};
@@ -76,7 +58,6 @@ Htm lti_htm(const std::function<cplx(cplx)>& h, int truncation, double w0,
 
 Htm multiplier_htm(const HarmonicCoefficients& p, int truncation, double w0,
                    cplx s) {
-  count_htm_build(truncation);
   Htm out(truncation, w0, s);
   for (int n = -truncation; n <= truncation; ++n) {
     for (int m = -truncation; m <= truncation; ++m) {
@@ -87,7 +68,6 @@ Htm multiplier_htm(const HarmonicCoefficients& p, int truncation, double w0,
 }
 
 Htm sampling_pfd_htm(int truncation, double w0, cplx s) {
-  count_htm_build(truncation);
   Htm out(truncation, w0, s);
   const cplx v = w0 / (2.0 * std::numbers::pi);
   for (int n = -truncation; n <= truncation; ++n) {
@@ -100,7 +80,6 @@ Htm sampling_pfd_htm(int truncation, double w0, cplx s) {
 
 Htm vco_htm(const HarmonicCoefficients& isf, int truncation, double w0,
             cplx s) {
-  count_htm_build(truncation);
   Htm out(truncation, w0, s);
   for (int n = -truncation; n <= truncation; ++n) {
     const cplx sn = s + cplx{0.0, static_cast<double>(n) * w0};

@@ -3,31 +3,10 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "htmpll/obs/metrics.hpp"
-
 namespace htmpll {
-
-namespace {
-
-// Shared by both template instantiations; one registry entry each.
-obs::Counter& lu_factorization_counter() {
-  static obs::Counter& c = obs::counter("linalg.lu_factorizations");
-  return c;
-}
-
-// Counts right-hand sides substituted (a matrix solve with k columns
-// adds k), the unit the factorization's O(n^2) back-solve cost scales
-// with.
-obs::Counter& lu_solve_counter() {
-  static obs::Counter& c = obs::counter("linalg.lu_solves");
-  return c;
-}
-
-}  // namespace
 
 template <class T>
 LuDecomposition<T>::LuDecomposition(DenseMatrix<T> a) : lu_(std::move(a)) {
-  lu_factorization_counter().add();
   HTMPLL_REQUIRE(lu_.is_square(), "LU requires a square matrix");
   const std::size_t n = lu_.rows();
   perm_.resize(n);
@@ -83,7 +62,6 @@ void LuDecomposition<T>::substitute(T* x) const {
 
 template <class T>
 std::vector<T> LuDecomposition<T>::solve(std::vector<T> b) const {
-  lu_solve_counter().add();
   const std::size_t n = order();
   HTMPLL_REQUIRE(b.size() == n, "LU solve: rhs length mismatch");
   std::vector<T> x(n);
@@ -94,7 +72,6 @@ std::vector<T> LuDecomposition<T>::solve(std::vector<T> b) const {
 
 template <class T>
 DenseMatrix<T> LuDecomposition<T>::solve(const DenseMatrix<T>& b) const {
-  lu_solve_counter().add(b.cols());
   const std::size_t n = order();
   HTMPLL_REQUIRE(b.rows() == n, "LU solve: rhs row count mismatch");
   // Transposed-RHS kernel: each right-hand side becomes one contiguous

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "htmpll/linalg/batch_kernels_simd.hpp"
-#include "htmpll/obs/metrics.hpp"
 
 namespace htmpll::simd {
 
@@ -43,11 +42,6 @@ Isa resolve_isa() {
 /// resolve_isa() is idempotent (racing first calls agree).
 std::atomic<int> g_isa{-1};
 
-void record_isa_gauge(Isa isa) {
-  obs::gauge("linalg.simd_lane_width")
-      .set(static_cast<double>(lane_width(isa)));
-}
-
 }  // namespace
 
 bool compiled() { return detail::simd_kernels_compiled(); }
@@ -59,7 +53,6 @@ Isa active_isa() {
   if (v < 0) {
     const Isa isa = resolve_isa();
     g_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
-    record_isa_gauge(isa);
     return isa;
   }
   return static_cast<Isa>(v);
@@ -78,7 +71,6 @@ void set_isa(Isa isa) {
     }
   }
   g_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
-  record_isa_gauge(isa);
 }
 
 const char* isa_name(Isa isa) {

@@ -13,11 +13,6 @@ namespace htmpll {
 
 namespace {
 
-obs::Counter& psd_grid_points_counter() {
-  static obs::Counter& ctr = obs::counter("noise.psd_grid_points");
-  return ctr;
-}
-
 obs::Counter& fold_terms_counter() {
   static obs::Counter& ctr = obs::counter("noise.fold_terms");
   return ctr;
@@ -425,7 +420,6 @@ std::vector<double> NoiseAnalysis::output_psd_from_reference_grid(
   require_grid(w_grid);
   require_psd(s_ref, "s_ref");
   HTMPLL_TRACE_SPAN("noise.psd_grid");
-  psd_grid_points_counter().add(w_grid.size());
   const CVector h00 = model_.baseband_transfer_grid(jw_grid(w_grid));
   std::vector<double> out(w_grid.size(), 0.0);
   psd_reference_into(h00, w_grid, s_ref, out);
@@ -437,7 +431,6 @@ std::vector<double> NoiseAnalysis::output_psd_from_vco_grid(
   require_grid(w_grid);
   require_psd(s_vco, "s_vco");
   HTMPLL_TRACE_SPAN("noise.psd_grid");
-  psd_grid_points_counter().add(w_grid.size());
   const CVector h00 = model_.baseband_transfer_grid(jw_grid(w_grid));
   std::vector<double> out(w_grid.size(), 0.0);
   psd_vco_into(h00, w_grid, s_vco, out);
@@ -449,7 +442,6 @@ std::vector<double> NoiseAnalysis::output_psd_from_charge_pump_grid(
   require_grid(w_grid);
   require_psd(s_icp, "s_icp");
   HTMPLL_TRACE_SPAN("noise.psd_grid");
-  psd_grid_points_counter().add(w_grid.size());
   const CVector tracking =
       model_.closed_loop_grid({0}, jw_grid(w_grid))[0];
   std::vector<double> out(w_grid.size(), 0.0);
@@ -465,7 +457,6 @@ std::vector<double> NoiseAnalysis::output_psd_grid(
   require_psd(s_vco, "s_vco");
   require_psd(s_icp, "s_icp");
   HTMPLL_TRACE_SPAN("noise.psd_grid");
-  psd_grid_points_counter().add(w_grid.size());
   const CVector s_grid = jw_grid(w_grid);
   // One shared plane serves every source: the charge-pump tracking
   // factor V~_0/(1+lambda) is exactly the band-0 closed loop, i.e.

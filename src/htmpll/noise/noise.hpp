@@ -96,9 +96,8 @@ class NoiseAnalysis {
   //
   // result[i] agrees with the pointwise call at w_grid[i] to <= 1e-10
   // relative error.  Grids must be non-empty and PSD functions
-  // non-null (std::invalid_argument otherwise).  Counters:
-  // `noise.psd_grid_points` (points evaluated) and `noise.fold_terms`
-  // ((harmonic, point) pairs folded).
+  // non-null (std::invalid_argument otherwise).  Counter:
+  // `noise.fold_terms` ((harmonic, point) pairs folded).
 
   std::vector<double> output_psd_from_reference_grid(
       const std::vector<double>& w_grid, const PsdFunction& s_ref) const;

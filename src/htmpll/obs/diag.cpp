@@ -33,7 +33,6 @@ static_assert(sizeof(kReasonNames) / sizeof(kReasonNames[0]) ==
 constexpr const char* kGaugeNames[kHealthGaugeCount] = {
     "max_eigenbasis_condition",   // kMaxEigenbasisCondition
     "max_eigenpair_residual",     // kMaxEigenpairResidual
-    "max_plan_spot_check_error",  // kMaxPlanSpotCheckError
 };
 static_assert(sizeof(kGaugeNames) / sizeof(kGaugeNames[0]) ==
               kHealthGaugeCount);

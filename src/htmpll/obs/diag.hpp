@@ -58,7 +58,7 @@ inline constexpr std::size_t kDiagReasonCount =
     static_cast<std::size_t>(DiagReason::kCount);
 
 /// Stable dotted identifier ("pade_fallback.defective", ...) used as
-/// the JSON key of the reason's tally in health reports.
+/// the JSON key of the reason's tally in perfbench reports.
 const char* diag_reason_name(DiagReason reason);
 
 /// Inverse of diag_reason_name().  Returns false (and leaves `out`
@@ -69,7 +69,6 @@ bool diag_reason_from_name(std::string_view name, DiagReason& out);
 enum class HealthGauge : std::uint8_t {
   kMaxEigenbasisCondition = 0,  ///< worst accepted kappa_inf(V)
   kMaxEigenpairResidual,        ///< worst ||A v - lambda v|| / ||A||
-  kMaxPlanSpotCheckError,       ///< worst plan-vs-scalar relative error
   kCount,
 };
 

@@ -30,12 +30,11 @@ struct EnvInit {
 } env_init;
 
 /// Name -> metric maps.  unique_ptr values keep addresses stable across
-/// rehashing, so references handed out by counter()/gauge()/histogram()
-/// stay valid forever.  Guarded by registry_mutex().
+/// rehashing, so references handed out by counter()/gauge() stay valid
+/// forever.  Guarded by registry_mutex().
 struct Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
 std::mutex& registry_mutex() {
@@ -52,10 +51,8 @@ void require_unregistered(const Registry& r, const std::string& name,
                           MetricKind want) {
   const bool as_counter = r.counters.count(name) != 0;
   const bool as_gauge = r.gauges.count(name) != 0;
-  const bool as_histogram = r.histograms.count(name) != 0;
   const bool clash = (as_counter && want != MetricKind::kCounter) ||
-                     (as_gauge && want != MetricKind::kGauge) ||
-                     (as_histogram && want != MetricKind::kHistogram);
+                     (as_gauge && want != MetricKind::kGauge);
   HTMPLL_REQUIRE(!clash,
                  "obs metric '" + name +
                      "' is already registered as a different kind");
@@ -65,14 +62,6 @@ void require_unregistered(const Registry& r, const std::string& name,
 
 void enable() { detail::g_enabled.store(true, std::memory_order_relaxed); }
 void disable() { detail::g_enabled.store(false, std::memory_order_relaxed); }
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(~0ull, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
 
 Counter& counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(registry_mutex());
@@ -92,17 +81,6 @@ Gauge& gauge(const std::string& name) {
   if (it == r.gauges.end()) {
     require_unregistered(r, name, MetricKind::kGauge);
     it = r.gauges.emplace(name, std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
-Histogram& histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  Registry& r = registry();
-  auto it = r.histograms.find(name);
-  if (it == r.histograms.end()) {
-    require_unregistered(r, name, MetricKind::kHistogram);
-    it = r.histograms.emplace(name, std::make_unique<Histogram>()).first;
   }
   return *it->second;
 }
@@ -128,8 +106,7 @@ MetricsSnapshot snapshot() {
   std::lock_guard<std::mutex> lock(registry_mutex());
   const Registry& r = registry();
   MetricsSnapshot out;
-  out.samples.reserve(r.counters.size() + r.gauges.size() +
-                      r.histograms.size());
+  out.samples.reserve(r.counters.size() + r.gauges.size());
   for (const auto& [name, c] : r.counters) {
     MetricSample s;
     s.name = name;
@@ -144,20 +121,6 @@ MetricsSnapshot snapshot() {
     s.value = g->value();
     out.samples.push_back(std::move(s));
   }
-  for (const auto& [name, h] : r.histograms) {
-    MetricSample s;
-    s.name = name;
-    s.kind = MetricKind::kHistogram;
-    s.count = h->count();
-    s.value = static_cast<double>(h->sum());
-    s.hist_min = h->min();
-    s.hist_max = h->max();
-    for (std::uint64_t b = 0; b <= Histogram::kMaxTracked; ++b) {
-      const std::uint64_t n = h->bucket(b);
-      if (n != 0) s.buckets.emplace_back(b, n);
-    }
-    out.samples.push_back(std::move(s));
-  }
   std::sort(out.samples.begin(), out.samples.end(),
             [](const MetricSample& a, const MetricSample& b) {
               return a.name < b.name;
@@ -170,11 +133,10 @@ void reset_counters() {
     std::lock_guard<std::mutex> lock(registry_mutex());
     Registry& r = registry();
     for (auto& [name, c] : r.counters) c->reset();
-    for (auto& [name, h] : r.histograms) h->reset();
   }
-  // The diagnostic tallies are counters too: a bench that resets
-  // between phases expects the health section to cover the same window
-  // as the metrics snapshot.
+  // The diagnostic tallies are counters too: a caller that resets
+  // between phases expects diag_snapshot() to cover the same window as
+  // the metrics snapshot.
   diag_reset();
 }
 

@@ -1,21 +1,21 @@
-// Process-wide metrics registry: named counters, gauges and histograms
-// with a relaxed-atomic hot path.
+// Process-wide metrics registry: named counters and gauges with a
+// relaxed-atomic hot path.
 //
 // The registry is the measurement substrate of the library: the linalg,
-// parallel, core and timedomain layers increment counters for their
-// expensive primitives (expm evaluations, LU factorizations/solves,
-// propagator-cache traffic, HTM block builds, PFD events, thread-pool
-// jobs/chunks), and benches/run manifests snapshot them to explain
-// where a sweep or an ensemble spent its work.
+// parallel, core, noise and timedomain layers increment counters for
+// their expensive primitives (expm evaluations, eigen-factorizations,
+// lambda(s) evaluations, plan grid points, noise fold terms,
+// propagator-cache traffic, PFD events, thread-pool jobs), and perfbench
+// snapshots them to split a pass's time across the layers.
 //
 // Cost model:
 //  * disabled (the default): every instrumentation site is one relaxed
 //    atomic load of a process-wide flag plus an untaken branch -- no
-//    stores, no contention.  scripts/check_overhead.sh gates this path
-//    at < 1% on bench_sweep.
+//    stores, no contention.  perfbench times every pass with obs
+//    disabled, so this cost sits inside its end-to-end pass times.
 //  * enabled (HTMPLL_OBS=1 or obs::enable()): relaxed fetch_add per
 //    event.  Instrumented sites are coarse (one per matrix factorization
-//    or pool chunk, never per matrix element), so even the enabled path
+//    or pool job, never per matrix element), so even the enabled path
 //    stays in the noise of the work it measures.
 //
 // Thread safety: metric objects are plain atomics (TSan-clean under the
@@ -71,76 +71,23 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Linear histogram over small non-negative integer observations
-/// (HTM truncation orders, cache depths): one bucket per value in
-/// [0, kMaxTracked], plus an overflow bucket, plus count/sum/min/max.
-class Histogram {
- public:
-  static constexpr std::uint64_t kMaxTracked = 128;
-
-  void observe(std::uint64_t v) {
-    if (!enabled()) return;
-    const std::uint64_t b = v < kMaxTracked ? v : kMaxTracked;
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    // min/max via relaxed CAS loops; contention is negligible at the
-    // coarse observation rates this class is used for.
-    std::uint64_t cur = min_.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-    cur = max_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  /// Smallest/largest observed value; 0 when empty.
-  std::uint64_t min() const {
-    return count() == 0 ? 0 : min_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  /// Occurrences of value v (v > kMaxTracked reports the overflow bin).
-  std::uint64_t bucket(std::uint64_t v) const {
-    return buckets_[v < kMaxTracked ? v : kMaxTracked].load(
-        std::memory_order_relaxed);
-  }
-  void reset();
-
- private:
-  std::atomic<std::uint64_t> buckets_[kMaxTracked + 1] = {};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> min_{~0ull};
-  std::atomic<std::uint64_t> max_{0};
-};
-
-enum class MetricKind { kCounter, kGauge, kHistogram };
+enum class MetricKind { kCounter, kGauge };
 
 /// Point-in-time copy of one metric, ordered by name in a snapshot.
 struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
-  std::uint64_t count = 0;  ///< counter value / histogram count
-  double value = 0.0;       ///< gauge value / histogram sum
-  std::uint64_t hist_min = 0;
-  std::uint64_t hist_max = 0;
-  /// Non-empty buckets of a histogram as (value, occurrences) pairs.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
+  std::uint64_t count = 0;  ///< counter value
+  double value = 0.0;       ///< gauge value
 };
 
 struct MetricsSnapshot {
   std::vector<MetricSample> samples;
 
   const MetricSample* find(const std::string& name) const;
-  /// Counter value (or histogram count) by name; 0 when absent.
+  /// Counter value by name; 0 when absent.
   std::uint64_t counter_value(const std::string& name) const;
-  /// Gauge value (or histogram sum) by name; 0.0 when absent.
+  /// Gauge value by name; 0.0 when absent.
   double gauge_value(const std::string& name) const;
 };
 
@@ -150,7 +97,6 @@ struct MetricsSnapshot {
 /// different kinds throws std::invalid_argument.
 Counter& counter(const std::string& name);
 Gauge& gauge(const std::string& name);
-Histogram& histogram(const std::string& name);
 
 /// Consistent point-in-time copy of every registered metric, sorted by
 /// name.  ("Consistent" per metric: each sample is atomic per field; the
@@ -158,9 +104,9 @@ Histogram& histogram(const std::string& name);
 /// can be registered halfway through.)
 MetricsSnapshot snapshot();
 
-/// Zeroes every counter and histogram (gauges keep their configuration
-/// values) and resets the diagnostic event log (obs/diag.hpp).  Benches
-/// call this between measurement phases.
+/// Zeroes every counter (gauges keep their configuration values) and
+/// resets the diagnostic event log (obs/diag.hpp).  perfbench calls this
+/// before each traced pass.
 void reset_counters();
 
 }  // namespace htmpll::obs

@@ -1,64 +1,6 @@
 #include "htmpll/obs/report.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <ctime>
-#include <fstream>
-#include <thread>
-
-#include "htmpll/util/check.hpp"
-
 namespace htmpll::obs {
-
-namespace {
-
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-void append_number(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-/// JSON has no Infinity/NaN literals; diagnostic payloads carry them
-/// legitimately (kappa(V) of a defective basis is +inf).  Clamp to a
-/// representable sentinel so the document stays parseable.
-void append_finite_number(std::string& out, double v) {
-  if (std::isnan(v)) {
-    out += "0";
-    return;
-  }
-  if (std::isinf(v)) {
-    out += v > 0 ? "1e308" : "-1e308";
-    return;
-  }
-  append_number(out, v);
-}
-
-}  // namespace
 
 std::string git_describe() {
 #ifdef HTMPLL_GIT_DESCRIBE
@@ -66,252 +8,6 @@ std::string git_describe() {
 #else
   return "unknown";
 #endif
-}
-
-RunReport::RunReport(std::string run_name)
-    : run_name_(std::move(run_name)) {}
-
-void RunReport::set_config(const std::string& key, double value) {
-  for (auto& [k, v] : config_numbers_) {
-    if (k == key) {
-      v = value;
-      return;
-    }
-  }
-  config_numbers_.emplace_back(key, value);
-}
-
-void RunReport::set_config(const std::string& key,
-                           const std::string& value) {
-  for (auto& [k, v] : config_strings_) {
-    if (k == key) {
-      v = value;
-      return;
-    }
-  }
-  config_strings_.emplace_back(key, value);
-}
-
-void RunReport::add_phase(const std::string& phase, double seconds) {
-  phases_.emplace_back(phase, seconds);
-}
-
-void RunReport::capture() {
-  metrics_ = snapshot();
-  spans_ = span_summary();
-  span_aggregates_ = aggregate_spans();
-  diag_ = diag_snapshot();
-  trace_dropped_ = trace_dropped();
-  captured_ = true;
-}
-
-std::string RunReport::to_json() const {
-  std::string out;
-  out += "{\n  \"run\": ";
-  append_quoted(out, run_name_);
-  out += ",\n  \"git\": ";
-  append_quoted(out, git_describe());
-  char stamp[64] = "unknown";
-  const std::time_t now = std::time(nullptr);
-  std::tm tm_utc{};
-  if (gmtime_r(&now, &tm_utc) != nullptr) {
-    std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  }
-  out += ",\n  \"timestamp\": ";
-  append_quoted(out, stamp);
-  out += ",\n  \"hardware_threads\": ";
-  append_u64(out, std::thread::hardware_concurrency());
-  out += ",\n  \"obs_enabled\": ";
-  out += enabled() ? "true" : "false";
-
-  out += ",\n  \"config\": {";
-  bool first = true;
-  for (const auto& [k, v] : config_strings_) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_quoted(out, k);
-    out += ": ";
-    append_quoted(out, v);
-  }
-  for (const auto& [k, v] : config_numbers_) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_quoted(out, k);
-    out += ": ";
-    append_number(out, v);
-  }
-  out += first ? "}" : "\n  }";
-
-  out += ",\n  \"phases_s\": {";
-  first = true;
-  for (const auto& [k, v] : phases_) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_quoted(out, k);
-    out += ": ";
-    append_number(out, v);
-  }
-  out += first ? "}" : "\n  }";
-
-  out += ",\n  \"metrics\": {";
-  first = true;
-  for (const MetricSample& s : metrics_.samples) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_quoted(out, s.name);
-    out += ": ";
-    switch (s.kind) {
-      case MetricKind::kCounter:
-        append_u64(out, s.count);
-        break;
-      case MetricKind::kGauge:
-        append_number(out, s.value);
-        break;
-      case MetricKind::kHistogram: {
-        out += "{\"count\": ";
-        append_u64(out, s.count);
-        out += ", \"sum\": ";
-        append_number(out, s.value);
-        out += ", \"min\": ";
-        append_u64(out, s.hist_min);
-        out += ", \"max\": ";
-        append_u64(out, s.hist_max);
-        out += ", \"buckets\": {";
-        bool bfirst = true;
-        for (const auto& [value, n] : s.buckets) {
-          if (!bfirst) out += ", ";
-          bfirst = false;
-          char key[32];
-          std::snprintf(key, sizeof key, "\"%llu\"",
-                        static_cast<unsigned long long>(value));
-          out += key;
-          out += ": ";
-          append_u64(out, n);
-        }
-        out += "}}";
-        break;
-      }
-    }
-  }
-  out += first ? "}" : "\n  }";
-
-  out += ",\n  \"spans\": {";
-  first = true;
-  for (const SpanStats& s : spans_) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_quoted(out, s.name);
-    out += ": {\"count\": ";
-    append_u64(out, s.count);
-    out += ", \"total_s\": ";
-    append_number(out, static_cast<double>(s.total_ns) * 1e-9);
-    out += ", \"max_s\": ";
-    append_number(out, static_cast<double>(s.max_ns) * 1e-9);
-    out += "}";
-  }
-  out += first ? "}" : "\n  }";
-
-  // Numerical-health section: per-reason degradation tallies (every
-  // reason present, zero or not, so downstream gates can assert on
-  // absence), health gauges, a bounded sample of recent events with
-  // their payloads, and per-span-name aggregates with the drop count
-  // they must be read against.
-  out += ",\n  \"health\": {\n    \"events\": {";
-  first = true;
-  for (std::size_t i = 0; i < kDiagReasonCount; ++i) {
-    out += first ? "\n      " : ",\n      ";
-    first = false;
-    append_quoted(out, diag_reason_name(static_cast<DiagReason>(i)));
-    out += ": ";
-    append_u64(out, diag_.tally[i]);
-  }
-  out += "\n    },\n    \"events_total\": ";
-  append_u64(out, diag_.total());
-  out += ",\n    \"diag_events_dropped\": ";
-  append_u64(out, diag_.dropped);
-  out += ",\n    \"sampled_events\": [";
-  constexpr std::size_t kMaxSampledEvents = 32;
-  const std::size_t n_events = diag_.events.size();
-  const std::size_t skip =
-      n_events > kMaxSampledEvents ? n_events - kMaxSampledEvents : 0;
-  first = true;
-  for (std::size_t i = skip; i < n_events; ++i) {
-    const DiagEvent& e = diag_.events[i];
-    out += first ? "\n      " : ",\n      ";
-    first = false;
-    out += "{\"reason\": ";
-    append_quoted(out, diag_reason_name(e.reason));
-    out += ", \"payload\": ";
-    append_finite_number(out, e.payload);
-    out += ", \"tid\": ";
-    append_u64(out, static_cast<std::uint64_t>(e.tid));
-    out += "}";
-  }
-  out += first ? "]" : "\n    ]";
-  out += ",\n    \"gauges\": {";
-  first = true;
-  for (std::size_t i = 0; i < kHealthGaugeCount; ++i) {
-    out += first ? "\n      " : ",\n      ";
-    first = false;
-    append_quoted(out, health_gauge_name(static_cast<HealthGauge>(i)));
-    out += ": ";
-    append_finite_number(out, diag_.gauge[i]);
-  }
-  out += "\n    },\n    \"spans\": {";
-  first = true;
-  for (const SpanAggregate& a : span_aggregates_) {
-    out += first ? "\n      " : ",\n      ";
-    first = false;
-    append_quoted(out, a.name);
-    out += ": {\"count\": ";
-    append_u64(out, a.count);
-    out += ", \"total_s\": ";
-    append_number(out, static_cast<double>(a.total_ns) * 1e-9);
-    out += ", \"self_s\": ";
-    append_number(out, static_cast<double>(a.self_ns) * 1e-9);
-    out += ", \"min_s\": ";
-    append_number(out, static_cast<double>(a.min_ns) * 1e-9);
-    out += ", \"p50_s\": ";
-    append_number(out, static_cast<double>(a.p50_ns) * 1e-9);
-    out += ", \"p95_s\": ";
-    append_number(out, static_cast<double>(a.p95_ns) * 1e-9);
-    out += ", \"max_s\": ";
-    append_number(out, static_cast<double>(a.max_ns) * 1e-9);
-    out += "}";
-  }
-  out += first ? "}" : "\n    }";
-  out += ",\n    \"trace_spans_dropped\": ";
-  append_u64(out, trace_dropped_);
-  out += "\n  }";
-
-  out += ",\n  \"trace_spans_dropped\": ";
-  append_u64(out, trace_dropped_);
-  out += ",\n  \"captured\": ";
-  out += captured_ ? "true" : "false";
-  out += "\n}\n";
-  return out;
-}
-
-void RunReport::write_json(const std::string& path) const {
-  if (trace_dropped_ > 0) {
-    std::fprintf(stderr,
-                 "htmpll: warning: manifest '%s' is missing %llu trace "
-                 "span(s) dropped to ring wrap-around; raise "
-                 "HTMPLL_TRACE_CAP to retain them\n",
-                 path.c_str(),
-                 static_cast<unsigned long long>(trace_dropped_));
-  }
-  if (diag_.dropped > 0) {
-    std::fprintf(stderr,
-                 "htmpll: warning: manifest '%s' is missing %llu "
-                 "diagnostic event(s) dropped to ring wrap-around (the "
-                 "per-reason tallies stay exact)\n",
-                 path.c_str(),
-                 static_cast<unsigned long long>(diag_.dropped));
-  }
-  std::ofstream os(path);
-  HTMPLL_REQUIRE(os.good(), "cannot open manifest output file: " + path);
-  os << to_json();
 }
 
 }  // namespace htmpll::obs

@@ -1,65 +1,14 @@
-// Run manifests: one structured JSON document per run that records what
-// was executed (tool name, git describe, hardware), how it was
-// configured (threads, truncation order, grid sizes), how long each
-// phase took, and what the instrumentation saw (metrics snapshot + span
-// summary).  Benches write one next to their BENCH_*.json so a timing
-// number can always be traced back to the workload that produced it.
+// Build provenance for reports: the source revision a binary was built
+// from, so a recorded number can be traced back to the code that
+// produced it.
 #pragma once
 
 #include <string>
-#include <utility>
-#include <vector>
-
-#include "htmpll/obs/diag.hpp"
-#include "htmpll/obs/metrics.hpp"
-#include "htmpll/obs/span_stats.hpp"
-#include "htmpll/obs/trace.hpp"
 
 namespace htmpll::obs {
 
 /// Build-time `git describe --always --dirty` of the source tree
 /// ("unknown" when the build was configured outside a git checkout).
 std::string git_describe();
-
-class RunReport {
- public:
-  explicit RunReport(std::string run_name);
-
-  /// Configuration facts (insertion-ordered in the JSON output).
-  void set_config(const std::string& key, double value);
-  void set_config(const std::string& key, const std::string& value);
-
-  /// Wall time of one named phase of the run, in seconds.
-  void add_phase(const std::string& phase, double seconds);
-
-  /// Captures the current metrics snapshot, span summary, span
-  /// aggregates and diagnostic state (the "health" section).  Call once
-  /// at the end of the run (a later call overwrites the first).
-  void capture();
-
-  const MetricsSnapshot& metrics() const { return metrics_; }
-  const std::vector<SpanStats>& spans() const { return spans_; }
-  const DiagSnapshot& diagnostics() const { return diag_; }
-  const std::vector<SpanAggregate>& span_aggregates() const {
-    return span_aggregates_;
-  }
-
-  std::string to_json() const;
-  /// Writes to_json() to `path`; warns on stderr when trace spans or
-  /// diagnostic events were dropped to ring wrap-around.
-  void write_json(const std::string& path) const;
-
- private:
-  std::string run_name_;
-  std::vector<std::pair<std::string, std::string>> config_strings_;
-  std::vector<std::pair<std::string, double>> config_numbers_;
-  std::vector<std::pair<std::string, double>> phases_;
-  MetricsSnapshot metrics_;
-  std::vector<SpanStats> spans_;
-  std::vector<SpanAggregate> span_aggregates_;
-  DiagSnapshot diag_;
-  std::uint64_t trace_dropped_ = 0;
-  bool captured_ = false;
-};
 
 }  // namespace htmpll::obs

@@ -1,7 +1,7 @@
 // Per-name aggregation of the span trace rings: count, total and SELF
-// time, min/p50/p95/max durations.  Manifests embed these so "where did
-// the time go" is answerable without opening the Chrome trace in
-// Perfetto.
+// time, min/p50/p95/max durations.  perfbench splits each pass by layer
+// from these, so "where did the time go" is answerable without opening
+// the Chrome trace in Perfetto.
 //
 // Self time subtracts the durations of directly nested child spans on
 // the same thread (e.g. "core.plan_grid" inside "sweep.run"), so the

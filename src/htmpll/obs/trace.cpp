@@ -1,12 +1,10 @@
 #include "htmpll/obs/trace.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 
@@ -194,22 +192,6 @@ void clear_trace() {
   for (const auto& b : buffers()) b->clear();
 }
 
-std::vector<SpanStats> span_summary() {
-  std::map<std::string, SpanStats> agg;
-  for (const TraceEventView& e : collect_trace()) {
-    SpanStats& s = agg[e.name];
-    if (s.count == 0) s.name = e.name;
-    const std::uint64_t dur = e.end_ns - e.begin_ns;
-    ++s.count;
-    s.total_ns += dur;
-    s.max_ns = std::max(s.max_ns, dur);
-  }
-  std::vector<SpanStats> out;
-  out.reserve(agg.size());
-  for (auto& [name, s] : agg) out.push_back(std::move(s));
-  return out;
-}
-
 std::string chrome_trace_json() {
   const std::vector<TraceEventView> events = collect_trace();
   std::string out;
@@ -247,6 +229,8 @@ void write_chrome_trace(const std::string& path) {
   std::ofstream os(path);
   HTMPLL_REQUIRE(os.good(), "cannot open trace output file: " + path);
   os << chrome_trace_json();
+  os.flush();
+  HTMPLL_REQUIRE(os.good(), "cannot write trace output file: " + path);
 }
 
 }  // namespace htmpll::obs

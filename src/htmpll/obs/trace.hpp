@@ -12,8 +12,9 @@
 // only writer; slot fields are relaxed atomics published by a release
 // store of the ring head, so concurrent export is TSan-clean.  When a
 // ring wraps, the oldest spans are overwritten and counted as dropped
-// (write_chrome_trace and run manifests warn when that happened; raise
-// HTMPLL_TRACE_CAP to size the rings for longer runs).
+// (write_chrome_trace warns when that happened and trace_dropped()
+// reports the count; raise HTMPLL_TRACE_CAP to size the rings for
+// longer runs).
 //
 // Spans share the obs::enabled() switch with the metrics registry: a
 // TraceSpan constructed while disabled records nothing and costs one
@@ -93,20 +94,12 @@ std::size_t trace_event_count();
 /// bench phases; only safe at quiescence.
 void clear_trace();
 
-/// Aggregate per-name span statistics over the retained spans.
-struct SpanStats {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t max_ns = 0;
-};
-std::vector<SpanStats> span_summary();
-
 /// The retained spans as a Chrome trace-event JSON document
 /// (chrome://tracing and https://ui.perfetto.dev load it directly).
 std::string chrome_trace_json();
 
-/// Writes chrome_trace_json() to `path`.
+/// Writes chrome_trace_json() to `path`; throws std::invalid_argument
+/// naming the path when the file cannot be opened or the write fails.
 void write_chrome_trace(const std::string& path);
 
 }  // namespace htmpll::obs

@@ -18,7 +18,7 @@ namespace {
 /// from inside a worker run inline instead of deadlocking on the pool.
 thread_local bool t_inside_worker = false;
 
-/// Pool instrumentation.  Jobs/chunks are counted per dispatch (coarse);
+/// Pool instrumentation.  Jobs are counted per dispatch (coarse);
 /// busy/width nanoseconds let telemetry derive pool utilization as
 /// busy_ns / width_ns without assuming a single pool width per process.
 struct PoolMetrics {
@@ -26,8 +26,6 @@ struct PoolMetrics {
   obs::Counter& jobs_inline = obs::counter("parallel.pool_jobs_inline");
   obs::Counter& jobs_contended =
       obs::counter("parallel.pool_jobs_contended");
-  obs::Counter& chunks = obs::counter("parallel.pool_chunks");
-  obs::Counter& indices = obs::counter("parallel.pool_indices");
   obs::Counter& busy_ns = obs::counter("parallel.pool_busy_ns");
   obs::Counter& width_ns = obs::counter("parallel.pool_width_ns");
 };
@@ -113,8 +111,6 @@ void ThreadPool::run_chunks() {
   const std::function<void(std::size_t)>& fn = *job_fn_;
   const bool instrumented = obs::enabled();
   const std::uint64_t t0 = instrumented ? obs::now_ns() : 0;
-  std::size_t chunks_run = 0;
-  std::size_t indices_run = 0;
   for (;;) {
     const std::size_t chunk =
         next_chunk_.fetch_add(1, std::memory_order_relaxed);
@@ -129,15 +125,8 @@ void ThreadPool::run_chunks() {
       if (!error_) error_ = std::current_exception();
       failed_.store(true, std::memory_order_relaxed);
     }
-    ++chunks_run;
-    indices_run += end - begin;
   }
-  if (instrumented) {
-    PoolMetrics& m = pool_metrics();
-    m.chunks.add(chunks_run);
-    m.indices.add(indices_run);
-    m.busy_ns.add(obs::now_ns() - t0);
-  }
+  if (instrumented) pool_metrics().busy_ns.add(obs::now_ns() - t0);
 }
 
 void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
@@ -154,7 +143,6 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
     if (obs::enabled()) {
       PoolMetrics& m = pool_metrics();
       m.jobs_inline.add();
-      m.indices.add(n);
       if (contended) m.jobs_contended.add();
     }
     for (std::size_t i = 0; i < n; ++i) fn(i);
@@ -208,12 +196,8 @@ bool ThreadPool::would_run_inline(std::size_t n, std::size_t grain) const {
   return workers_.empty() || n <= grain || t_inside_worker;
 }
 
-void ThreadPool::note_inline_job(std::size_t n) {
-  if (obs::enabled()) {
-    PoolMetrics& m = pool_metrics();
-    m.jobs_inline.add();
-    m.indices.add(n);
-  }
+void ThreadPool::note_inline_job() {
+  if (obs::enabled()) pool_metrics().jobs_inline.add();
 }
 
 namespace {

@@ -84,7 +84,7 @@ class ThreadPool {
     HTMPLL_REQUIRE(grain >= 1, "parallel_for grain must be >= 1");
     if (n == 0) return;
     if (would_run_inline(n, grain)) {
-      note_inline_job(n);
+      note_inline_job();
       for (std::size_t i = 0; i < n; ++i) fn(i);
       return;
     }
@@ -112,7 +112,7 @@ class ThreadPool {
     HTMPLL_REQUIRE(grain >= 1, "for_each_chunk grain must be >= 1");
     if (n == 0) return;
     if (would_run_inline(n, grain)) {
-      note_inline_job(n);
+      note_inline_job();
       for (std::size_t b = 0; b < n; b += grain) {
         body(b, std::min(n, b + grain));
       }
@@ -139,9 +139,9 @@ class ThreadPool {
   void worker_loop();
   /// Claims and runs chunks of the current job; records the first error.
   void run_chunks();
-  /// Metrics hook for the templated inline paths (counts the job and its
-  /// indices like the type-erased inline path does).
-  static void note_inline_job(std::size_t n);
+  /// Metrics hook for the templated inline paths (counts the job in
+  /// parallel.pool_jobs_inline like the type-erased inline path does).
+  static void note_inline_job();
 
   std::vector<std::thread> workers_;
 

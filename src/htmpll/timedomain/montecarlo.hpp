@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "htmpll/obs/metrics.hpp"
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
 #include "htmpll/timedomain/pll_sim.hpp"
@@ -37,11 +36,9 @@ std::vector<T> monte_carlo_map(std::size_t n_runs, std::uint64_t base_seed,
                                F&& fn,
                                ThreadPool& pool = ThreadPool::global()) {
   HTMPLL_REQUIRE(n_runs >= 1, "monte_carlo_map needs at least one run");
-  static obs::Counter& runs = obs::counter("timedomain.mc_runs");
   std::vector<T> out(n_runs);
   pool.parallel_for(n_runs, 1, [&](std::size_t i) {
     HTMPLL_TRACE_SPAN("mc.run");
-    runs.add();
     out[i] = fn(i, mc_stream_seed(base_seed, i));
   });
   return out;

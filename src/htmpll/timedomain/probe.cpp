@@ -3,21 +3,11 @@
 #include <cmath>
 #include <numbers>
 
-#include "htmpll/obs/metrics.hpp"
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll {
-
-namespace {
-
-obs::Counter& probe_point_counter() {
-  static obs::Counter& c = obs::counter("timedomain.probe_points");
-  return c;
-}
-
-}  // namespace
 
 cplx single_bin_ratio(const std::vector<double>& t,
                       const std::vector<double>& y, double omega_y,
@@ -98,7 +88,6 @@ TransferMeasurement run_probe(const PllParameters& params, double omega_m,
                               double omega_out, const ProbeOptions& opts,
                               const TransientCheckpoint* warm) {
   HTMPLL_TRACE_SPAN("probe.point");
-  probe_point_counter().add();
   HTMPLL_REQUIRE(omega_m > 0.0 && std::isfinite(omega_m),
                  "modulation frequency must be positive and finite");
   validate_probe_options(opts);

@@ -70,6 +70,8 @@ void Table::write_csv_file(const std::string& path) const {
   std::ofstream os(path);
   HTMPLL_REQUIRE(os.good(), "cannot open CSV output file: " + path);
   write_csv(os);
+  os.flush();
+  HTMPLL_REQUIRE(os.good(), "cannot write CSV output file: " + path);
 }
 
 }  // namespace htmpll

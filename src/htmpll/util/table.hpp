@@ -31,6 +31,8 @@ class Table {
 
   /// RFC-4180-ish CSV (no quoting needed for our numeric content).
   void write_csv(std::ostream& os) const;
+  /// write_csv() into `path`; throws std::invalid_argument naming the
+  /// path when the file cannot be opened or the write fails.
   void write_csv_file(const std::string& path) const;
 
   static std::string fmt(double v);

@@ -1,8 +1,8 @@
 // Diagnostic-layer suite: reason-code round trips, concurrent event
 // emission (exact tallies under TSan), monotonic health gauges, span
-// aggregation (percentiles + self time) on synthetic traces, the
-// manifest "health" section, HTMPLL_TRACE_CAP parsing, and the
-// bit-identity contract (instrumentation must never change a result).
+// aggregation (percentiles + self time) on synthetic traces,
+// HTMPLL_TRACE_CAP parsing, and the bit-identity contract
+// (instrumentation must never change a result).
 //
 // Compiled into the test_obs binary (tests/CMakeLists.txt) so the whole
 // observability layer runs under -DHTMPLL_SANITIZE=thread together.
@@ -19,9 +19,9 @@
 
 #include "htmpll/core/sampling_pll.hpp"
 #include "htmpll/linalg/spectral.hpp"
+#include "htmpll/noise/noise.hpp"
 #include "htmpll/obs/diag.hpp"
 #include "htmpll/obs/metrics.hpp"
-#include "htmpll/obs/report.hpp"
 #include "htmpll/obs/span_stats.hpp"
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/parallel/sweep.hpp"
@@ -140,7 +140,7 @@ TEST(DiagEvents, ConcurrentEmissionKeepsTalliesExact) {
 TEST(DiagGauges, MaxIsMonotonicAndIgnoresNan) {
   ScopedDiagObs on(true);
   obs::diag_reset();
-  const auto g = obs::HealthGauge::kMaxPlanSpotCheckError;
+  const auto g = obs::HealthGauge::kMaxEigenpairResidual;
   obs::diag_gauge_max(g, 1e-13);
   obs::diag_gauge_max(g, 1e-15);  // lower: must not regress
   obs::diag_gauge_max(g, std::numeric_limits<double>::quiet_NaN());
@@ -278,62 +278,6 @@ TEST(DiagSpectral, HealthyFactorizationRaisesConditionGauge) {
   EXPECT_DOUBLE_EQ(cond, factory.vector_condition());
 }
 
-TEST(DiagReport, ManifestCarriesHealthSection) {
-  ScopedDiagObs on(true);
-  obs::diag_reset();
-  obs::diag_event(obs::DiagReason::kPadeFallbackDefective,
-                  std::numeric_limits<double>::infinity());
-  obs::diag_gauge_max(obs::HealthGauge::kMaxPlanSpotCheckError, 3e-13);
-  obs::RunReport report("test_diag_manifest");
-  report.capture();
-  const std::string json = report.to_json();
-
-  EXPECT_NE(json.find("\"health\""), std::string::npos);
-  // Every reason appears (zero or not) so gates can assert on absence.
-  for (std::size_t i = 0; i < obs::kDiagReasonCount; ++i) {
-    const std::string key =
-        std::string("\"") +
-        obs::diag_reason_name(static_cast<obs::DiagReason>(i)) + "\":";
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
-  EXPECT_NE(json.find("\"pade_fallback.defective\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"events_total\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"max_plan_spot_check_error\": 3e-13"),
-            std::string::npos);
-  // The infinite kappa payload is clamped to a parseable sentinel.
-  EXPECT_NE(json.find("\"payload\": 1e308"), std::string::npos);
-  EXPECT_EQ(json.find("\"payload\": inf"), std::string::npos);
-  EXPECT_NE(json.find("\"sampled_events\""), std::string::npos);
-  EXPECT_NE(json.find("\"trace_spans_dropped\""), std::string::npos);
-  const obs::DiagSnapshot& d = report.diagnostics();
-  EXPECT_EQ(d.total(), 1u);
-}
-
-TEST(DiagReport, SpanAggregatesReachTheManifest) {
-  ScopedDiagObs on(true);
-  obs::clear_trace();
-  {
-    HTMPLL_TRACE_SPAN("test.diag_outer");
-    HTMPLL_TRACE_SPAN("test.diag_inner");
-  }
-  obs::RunReport report("test_diag_spans");
-  report.capture();
-  const std::string json = report.to_json();
-  EXPECT_NE(json.find("\"test.diag_outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"self_s\""), std::string::npos);
-  EXPECT_NE(json.find("\"p95_s\""), std::string::npos);
-  bool outer_found = false;
-  for (const obs::SpanAggregate& a : report.span_aggregates()) {
-    if (a.name == "test.diag_outer") {
-      outer_found = true;
-      EXPECT_EQ(a.count, 1u);
-      EXPECT_LE(a.self_ns, a.total_ns);
-    }
-  }
-  EXPECT_TRUE(outer_found);
-  obs::clear_trace();
-}
-
 TEST(TraceCap, ParsesClampsAndRejectsGarbage) {
   constexpr std::size_t kFallback = 16384;
   EXPECT_EQ(obs::detail::parse_trace_cap(nullptr, kFallback), kFallback);
@@ -377,6 +321,27 @@ TEST(DiagIdentity, InstrumentationDoesNotChangeGridResults) {
   ASSERT_EQ(off_result.size(), on_result.size());
   EXPECT_EQ(std::memcmp(off_result.data(), on_result.data(),
                         off_result.size() * sizeof(cplx)),
+            0);
+
+  // The folded noise grid: plan planes, fold loops and their counters.
+  const NoiseAnalysis na(model, 16);
+  const PowerLawPsd s_ref{1e-14, 1e-13, 0.0};
+  const PowerLawPsd s_vco{0.0, 0.0, 1e-8};
+  const PowerLawPsd s_icp{1e-20, 1e-21, 0.0};
+  const std::vector<double> w = logspace(1e-3 * w0, 0.49 * w0, 256);
+  std::vector<double> psd_off;
+  {
+    ScopedDiagObs off(false);
+    psd_off = na.output_psd_grid(w, s_ref, s_vco, s_icp);
+  }
+  std::vector<double> psd_on;
+  {
+    ScopedDiagObs on(true);
+    psd_on = na.output_psd_grid(w, s_ref, s_vco, s_icp);
+  }
+  ASSERT_EQ(psd_off.size(), psd_on.size());
+  EXPECT_EQ(std::memcmp(psd_off.data(), psd_on.data(),
+                        psd_off.size() * sizeof(double)),
             0);
 }
 

@@ -8,6 +8,7 @@
 // -DHTMPLL_SANITIZE=thread, where the whole suite would be too slow.
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <numbers>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "htmpll/core/sampling_pll.hpp"
+#include "htmpll/obs/metrics.hpp"
 #include "htmpll/parallel/sweep.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
 #include "htmpll/util/grid.hpp"
@@ -131,6 +133,49 @@ TEST(ThreadPool, ConcurrentCallersEachCoverEveryIndexOnce) {
   }
   for (std::thread& t : callers) t.join();
   EXPECT_EQ(bad_jobs.load(), 0);
+}
+
+TEST(ThreadPool, ContendedCallerRunsInlineAndIsCounted) {
+  // One thread's job is held in flight at index 0; a second caller then
+  // finds the pool busy, runs its own job inline, and is counted once
+  // as contended and once as inline.
+  const bool was = obs::enabled();
+  obs::enable();
+  ThreadPool pool(4);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    pool.parallel_for(4, 1, [&](std::size_t i) {
+      if (i != 0) return;
+      holding.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+
+  obs::Counter& contended = obs::counter("parallel.pool_jobs_contended");
+  obs::Counter& inline_jobs = obs::counter("parallel.pool_jobs_inline");
+  const std::uint64_t c0 = contended.value();
+  const std::uint64_t i0 = inline_jobs.value();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(64);
+  std::atomic<bool> all_on_caller{true};
+  pool.parallel_for(hits.size(), 1, [&](std::size_t i) {
+    hits[i]++;
+    if (std::this_thread::get_id() != caller) all_on_caller.store(false);
+  });
+  const std::uint64_t c1 = contended.value();
+  const std::uint64_t i1 = inline_jobs.value();
+  release.store(true);
+  holder.join();
+  if (!was) obs::disable();
+
+  EXPECT_TRUE(all_on_caller);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+  EXPECT_EQ(c1 - c0, 1u);
+  EXPECT_EQ(i1 - i0, 1u);
 }
 
 TEST(ThreadPool, RejectsZeroGrainAndAcceptsEmptyRange) {

@@ -59,7 +59,9 @@ TEST_P(RandomAlgebra, DivmodReconstruction) {
     const cplx back = (q * d + r)(s);
     EXPECT_NEAR(std::abs(back - n(s)), 0.0,
                 1e-8 * std::max(1.0, std::abs(n(s))));
-    if (!q.is_zero() && d.degree() > 0) EXPECT_LT(r.degree(), d.degree());
+    if (!q.is_zero() && d.degree() > 0) {
+      EXPECT_LT(r.degree(), d.degree());
+    }
   }
 }
 

@@ -501,14 +501,30 @@ TEST(SpectralEngine, CountsSpectralBuilds) {
   obs::Counter& spectral_builds =
       obs::counter("timedomain.spectral_propagators");
   obs::Counter& fallbacks = obs::counter("timedomain.pade_fallbacks");
+  obs::Counter& expm_evals = obs::counter("linalg.expm_evals");
   const std::uint64_t s0 = spectral_builds.value();
   const std::uint64_t f0 = fallbacks.value();
+  const std::uint64_t e0 = expm_evals.value();
   const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
   PllTransientSim sim(p);
   sim.set_recording(false);
   sim.run_periods(10.0);
   EXPECT_GT(spectral_builds.value(), s0);
   EXPECT_EQ(fallbacks.value(), f0);  // typical loop never falls back
+  EXPECT_EQ(expm_evals.value(), e0);
+
+  // A warm probe batch, the shape of a Fig. 6 sweep, builds every step
+  // propagator spectrally too: no Pade fallback and no expm at all.
+  ProbeOptions warm;
+  warm.settle_periods = 150.0;
+  warm.measure_periods = 12;
+  warm.warm_start = true;
+  const std::vector<double> omegas{0.12 * kW0, 0.3 * kW0};
+  const auto m = measure_baseband_transfer_many(
+      make_typical_loop(0.2 * kW0, kW0), omegas, warm);
+  EXPECT_EQ(m.size(), omegas.size());
+  EXPECT_EQ(fallbacks.value(), f0);
+  EXPECT_EQ(expm_evals.value(), e0);
   if (!was) obs::disable();
 }
 

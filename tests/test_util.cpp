@@ -1,4 +1,8 @@
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -72,6 +76,23 @@ TEST(Table, RejectsRaggedRow) {
   Table t({"a", "b", "c"});
   EXPECT_THROW(t.add_row(std::vector<std::string>{"1", "2"}),
                std::invalid_argument);
+}
+
+TEST(Table, WriteCsvFileReportsWriteFailure) {
+  // /dev/full opens fine and fails every write: the failure must
+  // surface as an exception naming the path, not a silent success.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  Table t({"w", "mag_db"});
+  t.add_row(std::vector<double>{1.0, -3.0103});
+  try {
+    t.write_csv_file("/dev/full");
+    FAIL() << "write_csv_file to /dev/full did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Check, RequireThrowsInvalidArgument) {
