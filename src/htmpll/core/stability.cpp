@@ -1,14 +1,12 @@
 #include "htmpll/core/stability.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <numbers>
-#include <utility>
+#include <optional>
+#include <vector>
 
-#include "htmpll/linalg/batch_kernels.hpp"
 #include "htmpll/lti/bode.hpp"
-#include "htmpll/obs/metrics.hpp"
 #include "htmpll/parallel/sweep.hpp"
 #include "htmpll/util/check.hpp"
 #include "htmpll/util/grid.hpp"
@@ -17,155 +15,104 @@ namespace htmpll {
 
 namespace {
 
-struct BatchedCrossover {
-  bool found = false;
-  double frequency = 0.0;
-  double phase_margin_deg = 0.0;
-};
+/// Bracket-pass density in grid points per decade of w.  The pass has
+/// to isolate the first downward |H| = 1 crossing in one grid interval
+/// and keep consecutive phase samples within pi of each other for the
+/// unwrap.  On typical, second-order, Pade-delayed, LPTV-ISF, ZOH and
+/// truncated-lambda loops with w_UG/w0 from 0.002 to 0.48, even one
+/// point per decade brackets the same crossing as find_gain_crossover's
+/// 600-point scan, but its phase steps reach 78 deg; at 8 the largest
+/// step is 20 deg, a ninth of pi.  Anywhere from 1 to 12 points per
+/// decade, effective_margins takes the same 9-11 us per loop.
+constexpr double kPointsPerDecade = 8.0;
 
-/// Interior probes per refinement round: the bracket shrinks by a
-/// factor kRefine + 1 per batched evaluation, so reaching
-/// find_gain_crossover's 1e-10 relative tolerance from a 600-point log
-/// grid takes ~7 rounds instead of ~30 sequential bisection steps.
-constexpr int kRefine = 16;
+/// Bracket-pass points per evaluation: one decade, so the pass stops at
+/// most a decade past the crossing.
+constexpr std::size_t kChunk = 8;
 
-/// logspace(w_lo, w_hi, points), memoized per thread.  effective_margins
-/// scans two windows that depend only on w0, and design sweeps call it
-/// for many loops at one w0, so each thread keeps its two most recently
-/// used grids; a hit returns the vector logspace built, bit for bit.
-/// The reference stays valid until this thread's second later miss.
-/// Builds count under "core.margin_scan_grids".
-const std::vector<double>& scan_grid(double w_lo, double w_hi,
-                                     std::size_t points) {
-  struct Slot {
-    double w_lo = 0.0;
-    double w_hi = 0.0;
-    std::vector<double> grid;  // empty until first filled
-  };
-  thread_local std::array<Slot, 2> slots;
-  thread_local std::size_t last_used = 0;
-  for (std::size_t k = 0; k < slots.size(); ++k) {
-    Slot& slot = slots[k];
-    if (slot.grid.size() == points && slot.w_lo == w_lo &&
-        slot.w_hi == w_hi) {
-      last_used = k;
-      return slot.grid;
-    }
-  }
-  // Built before a slot is touched, so a throwing logspace leaves the
-  // memo as it was.
-  std::vector<double> grid = logspace(w_lo, w_hi, points);
-  static obs::Counter& builds = obs::counter("core.margin_scan_grids");
-  builds.add();
-  last_used = 1 - last_used;
-  Slot& slot = slots[last_used];
-  slot.w_lo = w_lo;
-  slot.w_hi = w_hi;
-  slot.grid = std::move(grid);
-  return slot.grid;
-}
+/// The solve stops once the bracket is this narrow in ln w, i.e. 1e-12
+/// relative in w: 100x inside find_gain_crossover's default 1e-10
+/// bisection tolerance.
+constexpr double kSolveTol = 1e-12;
 
-/// Grid-first find_gain_crossover on a batch-evaluable response: one
-/// chunked log-grid pass brackets the first downward |H| = 1 crossing
-/// (same grid as find_gain_crossover's scan), and vectorized
-/// interval-refinement rounds narrow it.  The phase margin
-/// is then unwrapped along the samples already in hand -- the bracket
-/// grid up to the crossing plus every refinement probe below the
-/// crossover -- so only H(j wc) itself costs an extra evaluation.
-/// `eval` maps a vector of frequencies to H(jw) samples (the model's
-/// compiled lambda plan, or the SIMD rational kernel for A).  Agrees
-/// with find_gain_crossover to the bisection tolerance (<= 1e-9
-/// relative in practice).
+/// Backstop on solve steps, which take 4 to 10 on the loops above.
+constexpr int kMaxSolveSteps = 100;
+
+/// find_gain_crossover on a batch-evaluable response, in u = ln w.  A
+/// log grid of kPointsPerDecade over [w_lo, w_hi], evaluated in chunks
+/// with early exit, brackets the first downward |H| = 1 crossing.  The
+/// Illinois variant of regula falsi then solves g(u) = ln|H(j e^u)| = 0
+/// in the bracket, keeping |H(a)| >= 1 > |H(b)|; it needs no
+/// derivative, so every lambda method takes the same path.  The phase
+/// margin unwraps the phase along the grid samples below the crossing
+/// and ends on H(j wc) from the last solve step, so it costs no extra
+/// evaluation.  `eval` maps a vector of frequencies to H(jw) samples
+/// (the model's compiled lambda plan, or A point-wise).
 template <class BatchEval>
-BatchedCrossover crossover_batched(const BatchEval& eval, double w_lo,
-                                   double w_hi,
-                                   const MarginOptions& opts = {}) {
-  BatchedCrossover out;
-  const std::vector<double>& grid =
-      scan_grid(w_lo, w_hi, opts.grid_points);
-
-  // Bracket pass in plan-block-sized chunks with early exit at the
-  // first downward |lambda| = 1 crossing: the crossover sits below the
-  // top of the scan for every stable loop, so the tail of the grid
-  // never needs evaluating.  The samples seen agree point-for-point
-  // with a whole-grid pass (chunking never changes values).  The
-  // crossing tests compare |lambda|^2 with 1, which needs no hypot.
-  constexpr std::size_t kChunk = 128;
-  CVector lam;
-  lam.reserve(grid.size());
+std::optional<CrossoverResult> crossover_batched(const BatchEval& eval,
+                                                 double w_lo, double w_hi) {
+  const double u_lo = std::log(w_lo);
+  const auto steps = static_cast<std::size_t>(
+      std::ceil(std::log10(w_hi / w_lo) * kPointsPerDecade));
+  const double du = (std::log(w_hi) - u_lo) / static_cast<double>(steps);
+  const auto u_at = [u_lo, du](std::size_t i) {
+    return u_lo + du * static_cast<double>(i);
+  };
+  CVector h;
+  std::vector<double> ws;
   std::size_t hit = 0;
-  double prev_mag2 = 0.0;
-  for (std::size_t base = 0; base < grid.size() && hit == 0;
-       base += kChunk) {
-    const std::size_t end = std::min(grid.size(), base + kChunk);
-    const std::vector<double> part(grid.begin() + base, grid.begin() + end);
-    const CVector lp = eval(part);
-    lam.insert(lam.end(), lp.begin(), lp.end());
-    for (std::size_t i = base == 0 ? 1 : base; i < end; ++i) {
-      const double mag2 = std::norm(lam[i]);
-      if (i == 1) prev_mag2 = std::norm(lam[0]);
-      if (prev_mag2 >= 1.0 && mag2 < 1.0) {
+  for (std::size_t base = 0; base <= steps && hit == 0; base += kChunk) {
+    const std::size_t end = std::min(steps + 1, base + kChunk);
+    ws.clear();
+    for (std::size_t i = base; i < end; ++i) ws.push_back(std::exp(u_at(i)));
+    const CVector part = eval(ws);
+    h.insert(h.end(), part.begin(), part.end());
+    for (std::size_t i = std::max<std::size_t>(base, 1); i < end; ++i) {
+      if (std::norm(h[i - 1]) >= 1.0 && std::norm(h[i]) < 1.0) {
         hit = i;
         break;
       }
-      prev_mag2 = mag2;
     }
   }
-  if (hit == 0) return out;
+  if (hit == 0) return std::nullopt;
 
-  // Refinement: split [a, b] with kRefine interior log-spaced probes
-  // per round; |lambda(a)| >= 1 > |lambda(b)| is the loop invariant.
-  double a = grid[hit - 1], b = grid[hit];
-  std::vector<double> probes(kRefine);
-  std::vector<std::pair<double, cplx>> refine_samples;
-  for (int round = 0; round < 200 && (b - a) > opts.tolerance * b;
-       ++round) {
-    const double step = std::pow(b / a, 1.0 / (kRefine + 1));
-    double w = a;
-    for (int j = 0; j < kRefine; ++j) {
-      w *= step;
-      probes[j] = w;
+  // Illinois: a regula falsi step replaces the end on its side; when
+  // the same end moves twice running, the other end's g is halved so
+  // the next step lands across the root.  A NaN step (an overflowed or
+  // zero |H| at an end) bisects instead, and every step keeps
+  // kSolveTol / 2 from both ends, so once one end sits on the root the
+  // next step closes the bracket from the other side.
+  const auto log_mag = [](cplx z) { return 0.5 * std::log(std::norm(z)); };
+  double ua = u_at(hit - 1), ub = u_at(hit);
+  double ga = log_mag(h[hit - 1]), gb = log_mag(h[hit]);
+  double wc = std::exp(ub);
+  cplx hc = h[hit];
+  int last_moved = 0;  // -1: a, +1: b
+  for (int step = 0; step < kMaxSolveSteps && ub - ua > kSolveTol; ++step) {
+    double uc = ua + (ub - ua) * ga / (ga - gb);
+    if (std::isnan(uc)) uc = 0.5 * (ua + ub);
+    uc = std::clamp(uc, ua + 0.5 * kSolveTol, ub - 0.5 * kSolveTol);
+    wc = std::exp(uc);
+    hc = eval(std::vector<double>{wc})[0];
+    if (std::norm(hc) >= 1.0) {
+      ua = uc;
+      ga = log_mag(hc);
+      if (last_moved == -1) gb *= 0.5;
+      last_moved = -1;
+    } else {
+      ub = uc;
+      gb = log_mag(hc);
+      if (last_moved == 1) ga *= 0.5;
+      last_moved = 1;
     }
-    const CVector lp = eval(probes);
-    double na = a, nb = b;
-    for (int j = 0; j < kRefine; ++j) {
-      refine_samples.emplace_back(probes[static_cast<std::size_t>(j)],
-                                  lp[static_cast<std::size_t>(j)]);
-      if (std::norm(lp[static_cast<std::size_t>(j)]) < 1.0) {
-        nb = probes[static_cast<std::size_t>(j)];
-        break;
-      }
-      na = probes[static_cast<std::size_t>(j)];
-    }
-    a = na;
-    b = nb;
   }
-  const double wc = std::sqrt(a * b);
 
-  // Phase margin: unwrap along the samples already evaluated -- the
-  // bracket grid below the crossing, then the refinement probes below
-  // wc in ascending order, then lambda(j wc) itself (the one extra
-  // point).  The walk density matches find_gain_crossover's own scan
-  // grid, so the unwrap lands on the same branch.
-  std::sort(refine_samples.begin(), refine_samples.end(),
-            [](const std::pair<double, cplx>& x,
-               const std::pair<double, cplx>& y) {
-              return x.first < y.first;
-            });
-  const CVector lam_wc = eval(std::vector<double>{wc});
   std::vector<double> raw;
-  raw.reserve(hit + refine_samples.size() + 1);
-  for (std::size_t i = 0; i < hit; ++i) raw.push_back(std::arg(lam[i]));
-  for (const auto& [w, lw] : refine_samples) {
-    if (w < wc) raw.push_back(std::arg(lw));
-  }
-  raw.push_back(std::arg(lam_wc[0]));
-  const std::vector<double> un = unwrap_phase(raw);
-
-  out.found = true;
-  out.frequency = wc;
-  out.phase_margin_deg = 180.0 + un.back() * 180.0 / std::numbers::pi;
-  return out;
+  raw.reserve(hit + 1);
+  for (std::size_t i = 0; i < hit; ++i) raw.push_back(std::arg(h[i]));
+  raw.push_back(std::arg(hc));
+  const double phase = unwrap_phase(raw).back();
+  return CrossoverResult{wc, 180.0 + phase * 180.0 / std::numbers::pi};
 }
 
 }  // namespace
@@ -175,42 +122,27 @@ EffectiveMargins effective_margins(const SamplingPllModel& model) {
   const double w0 = model.w0();
   const RationalFunction& a = model.open_loop_gain();
 
-  // A has two poles at DC, so |A| -> infinity at low w; scan over a wide
-  // window around w0.  Both crossover hunts run grid-first: lambda
-  // through the model's compiled plan, A through the SIMD rational
-  // kernel (<= 1e-9 relative agreement with find_gain_crossover on the
-  // point-wise responses).
-  const CVector& num = a.num().coefficients();
-  const CVector& den = a.den().coefficients();
-  const auto lti_eval = [&num, &den](const std::vector<double>& ws) {
-    const std::size_t n = ws.size();
-    std::vector<double> s_re(n, 0.0), out_re(n), out_im(n), tmp_re(n),
-        tmp_im(n);
-    CVector h(n);
-    batch_rational(num.data(), num.size(), den.data(), den.size(),
-                   s_re.data(), ws.data(), n, out_re.data(), out_im.data(),
-                   tmp_re.data(), tmp_im.data());
-    join_planes(out_re.data(), out_im.data(), n, h.data());
+  // A has two poles at DC, so |A| -> infinity at low w; search a wide
+  // window around w0, evaluating the rational A point-wise.
+  const auto lti_eval = [&a](const std::vector<double>& ws) {
+    CVector h(ws.size());
+    for (std::size_t i = 0; i < ws.size(); ++i) h[i] = a(cplx{0.0, ws[i]});
     return h;
   };
-  if (const BatchedCrossover c =
-          crossover_batched(lti_eval, w0 * 1e-5, w0 * 1e3);
-      c.found) {
+  if (const auto c = crossover_batched(lti_eval, w0 * 1e-5, w0 * 1e3)) {
     out.lti_found = true;
-    out.lti_crossover = c.frequency;
-    out.lti_phase_margin_deg = c.phase_margin_deg;
+    out.lti_crossover = c->frequency;
+    out.lti_phase_margin_deg = c->phase_margin_deg;
   }
   // lambda is w0-periodic on the jw axis: the meaningful crossover lives
-  // in (0, w0/2].
+  // in (0, w0/2].  It runs through the model's compiled plan.
   const auto lambda_eval = [&model](const std::vector<double>& ws) {
     return model.lambda_grid(jw_grid(ws));
   };
-  if (const BatchedCrossover c =
-          crossover_batched(lambda_eval, w0 * 1e-5, 0.5 * w0);
-      c.found) {
+  if (const auto c = crossover_batched(lambda_eval, w0 * 1e-5, 0.5 * w0)) {
     out.eff_found = true;
-    out.eff_crossover = c.frequency;
-    out.eff_phase_margin_deg = c.phase_margin_deg;
+    out.eff_crossover = c->frequency;
+    out.eff_phase_margin_deg = c->phase_margin_deg;
   }
   return out;
 }

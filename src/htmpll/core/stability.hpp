@@ -25,8 +25,15 @@ struct EffectiveMargins {
   bool eff_found = false;
 };
 
-/// Gain crossovers and phase margins of A and lambda.  The lambda search
-/// runs over (~1e-4 w0, w0/2); `lti_crossover` seeds the scan density.
+/// Gain crossovers and phase margins of A and lambda: the first
+/// downward |H(jw)| = 1 crossing, as find_gain_crossover defines it,
+/// over [1e-5, 1e3] w0 for A and [1e-5, 0.5] w0 for lambda.  Each is
+/// bracketed on a log grid of 8 points per decade and solved to 1e-12
+/// relative in w by a derivative-free bracketed root solve of
+/// ln|H| = 0 in ln w (lambda through the model's compiled plan, A
+/// point-wise); the phase margin unwraps the phase along the bracket
+/// grid from the window's low end.  Agrees with find_gain_crossover to
+/// its 1e-10 tolerance; a loop with no such crossing reports not found.
 EffectiveMargins effective_margins(const SamplingPllModel& model);
 
 struct ClosedLoopSummary {

@@ -85,6 +85,10 @@ struct AcquisitionOptions {
 
 /// Periods until phase lock for every case (-1 when max_periods is
 /// exhausted), one PllTransientSim per case, distributed over the pool.
+/// Lock is PllTransientSim::is_locked at tol_fraction * T, polled every
+/// chunk_periods.  Coincident edges count as zero-width pulses, so a
+/// case that starts in lock (a zero or sub-1e-9 offset) reads locked at
+/// the first poll after PulseHistory::kCapacity (8) periods, not -1.
 /// The simulations are noise-free and independent, so the batch is
 /// deterministic.  Rejects an empty case list, non-positive options and
 /// a non-finite offset with std::invalid_argument.

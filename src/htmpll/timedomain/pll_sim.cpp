@@ -502,7 +502,10 @@ void PllTransientSim::process_edges(double t_evt, double t_ref, double t_vco) {
     pfd_event_counter().add();
   }
   const TriStatePfd::State after = pfd_.state();
-  // Track charge-pump pulse widths for lock detection.
+  // Track charge-pump pulse widths for lock detection.  Both edges
+  // inside the coincidence window take the PFD from idle straight back
+  // to idle: a zero-width pulse, so a loop in lock still fills the
+  // history.
   if (before == TriStatePfd::State::kIdle &&
       after != TriStatePfd::State::kIdle) {
     pulse_active_ = true;
@@ -510,6 +513,8 @@ void PllTransientSim::process_edges(double t_evt, double t_ref, double t_vco) {
   } else if (pulse_active_ && after == TriStatePfd::State::kIdle) {
     pulse_active_ = false;
     recent_pulse_widths_.push(t_evt - pulse_start_);
+  } else if (before == TriStatePfd::State::kIdle) {
+    recent_pulse_widths_.push(0.0);
   }
 }
 

@@ -326,7 +326,11 @@ class PllTransientSim {
   /// Largest |charge-pump pulse width| among the last few pulses, in
   /// seconds; ~0 when phase-locked with no modulation.
   double max_recent_pulse_width() const;
-  /// True once recent pulse widths are below `tol` seconds.
+  /// True once the last PulseHistory::kCapacity pulse widths are all
+  /// below `tol` seconds.  A cycle whose reference and VCO edges fall
+  /// within the event loop's coincidence window (1e-9 T) counts as a
+  /// zero-width pulse, so a loop that starts in lock reads locked after
+  /// kCapacity periods.
   bool is_locked(double tol) const;
 
  private:

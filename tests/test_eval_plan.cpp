@@ -477,8 +477,8 @@ TEST(EvalPlan, NonFiniteGridPointsAreRejectedOnBothPaths) {
 
 TEST(EvalPlan, ConcurrentMarginSearchesMatchSerial) {
   // Four threads each run effective_margins on their own w0: the
-  // per-thread scan-grid memo and plan scratch keep them independent
-  // (bit-exact here, race-free under TSan).
+  // per-thread plan scratch keeps them independent (bit-exact here,
+  // race-free under TSan).
   std::vector<SamplingPllModel> models;
   for (const double w0 : {2.0 * std::numbers::pi, 2.0e3 * std::numbers::pi,
                           2.0e6 * std::numbers::pi,

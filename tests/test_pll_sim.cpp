@@ -21,6 +21,8 @@ TEST(PllSim, PerfectLockStaysQuiescent) {
   EXPECT_NEAR(sim.control_output(), 0.0, 1e-9);
   EXPECT_LT(sim.max_recent_pulse_width(), 1e-9);
   EXPECT_GE(sim.event_count(), 99u);  // ~2 edges per period
+  // Coincident edges count as zero-width pulses, so it reads locked.
+  EXPECT_TRUE(sim.is_locked(1e-12));
 }
 
 TEST(PllSim, InitialPhaseOffsetIsPulledIn) {

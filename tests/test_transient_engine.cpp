@@ -1094,9 +1094,10 @@ TEST(MonteCarlo, AcquisitionBatchMatchesSerialLoop) {
 }
 
 // A member's lock time does not depend on the batch around it.  The mix
-// holds a zero offset, which never fills the lock detector's pulse
-// history and so runs all max_periods, next to offsets that lock after
-// different numbers of periods; each reads the same as alone.
+// holds a zero offset, which starts in lock and fills the lock
+// detector's pulse history with zero-width (coincident-edge) pulses,
+// next to offsets that lock after different numbers of periods; each
+// reads the same as alone.
 TEST(MonteCarlo, AcquisitionBatchIndependentOfBatchComposition) {
   const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
   AcquisitionOptions opts;
@@ -1110,6 +1111,8 @@ TEST(MonteCarlo, AcquisitionBatchIndependentOfBatchComposition) {
     ASSERT_EQ(alone.size(), 1u);
     EXPECT_EQ(batch[i], alone[0]) << "case " << i;
   }
+  // The loop that starts in lock reads locked, not -1.
+  EXPECT_GE(batch[0], 0.0);
   // The members finish at different polls.
   EXPECT_NE(batch[1], batch[2]);
   EXPECT_NE(batch[2], batch[3]);
