@@ -140,19 +140,12 @@ std::shared_ptr<const EvalPlan> EvalPlan::build(
   }
 
   // Flatten the exact closed form: every channel's partial-fraction
-  // pole terms, in the scalar evaluation order (channels outer, terms
-  // inner), each carrying exp(p T) for the shared-exponential
-  // factorization exp(-2u) = exp(-sT) exp(pT).
-  plan->exact_usable_ = true;
+  // pole terms (multiplicity 1..4, checked by the model), in the scalar
+  // evaluation order (channels outer, terms inner), each carrying
+  // exp(p T) for the shared-exponential factorization
+  // exp(-2u) = exp(-sT) exp(pT).
   for (const auto& ch : model.channels_) {
     for (const PoleTerm& term : ch.sum.partial_fractions().terms()) {
-      if (term.residues.size() > 4 || term.residues.empty()) {
-        // The point-wise exact path rejects multiplicity > 4 with a
-        // REQUIRE; leaving the plan unusable routes grid calls back to
-        // that path so the error behavior is unchanged.
-        plan->exact_usable_ = false;
-        break;
-      }
       PoleSumTerm t;
       t.pole = term.pole;
       t.kmax = static_cast<int>(term.residues.size());
@@ -172,12 +165,6 @@ std::shared_ptr<const EvalPlan> EvalPlan::build(
       }
       plan->exact_terms_.push_back(t);
     }
-    if (!plan->exact_usable_) break;
-  }
-  if (!plan->exact_usable_) {
-    obs::diag_event(obs::DiagReason::kPlanScalarFallback,
-                    static_cast<double>(plan->exact_terms_.size()));
-    plan->exact_terms_.clear();
   }
 
   // Derivative tables: d/ds sum_k r_k S_k(c(s-p)) = sum_k -k r_k
@@ -185,7 +172,7 @@ std::shared_ptr<const EvalPlan> EvalPlan::build(
   // PoleSumTerm with the same pole / exp(pT) / factored flag and the
   // residue table shifted one order up.  Requires headroom for the
   // order bump: multiplicity <= 3.
-  plan->deriv_usable_ = plan->exact_usable_;
+  plan->deriv_usable_ = true;
   for (const PoleSumTerm& t : plan->exact_terms_) {
     if (t.kmax > 3) {
       plan->deriv_usable_ = false;
@@ -205,23 +192,9 @@ std::shared_ptr<const EvalPlan> EvalPlan::build(
   return plan;
 }
 
-bool EvalPlan::supports(LambdaMethod method) const {
-  switch (method) {
-    case LambdaMethod::kExact:
-      return exact_usable_;
-    case LambdaMethod::kTruncated:
-      return true;
-    case LambdaMethod::kAdaptive:
-      return false;  // per-point stopping rule runs point-wise
-  }
-  return false;
-}
-
-void EvalPlan::load_block(const cplx* s, std::size_t n, bool need_exp,
-                          Scratch& sc) const {
+void EvalPlan::load_block(const cplx* s, std::size_t n, Scratch& sc) const {
   sc.resize_point_planes(n);
   split_planes(s, n, sc.s_re.data(), sc.s_im.data());
-  if (!need_exp) return;
   for (std::size_t i = 0; i < n; ++i) {
     sc.arg_re[i] = -t_ * sc.s_re[i];
     sc.arg_im[i] = -t_ * sc.s_im[i];
@@ -286,8 +259,8 @@ void EvalPlan::gains_block(std::size_t n, int mspan, Scratch& sc) const {
   }
 }
 
-void EvalPlan::vtilde_block(std::size_t n, int mspan, int band,
-                            bool close_loop, Scratch& sc) const {
+void EvalPlan::closed_loop_block(std::size_t n, int mspan, int band,
+                                 Scratch& sc) const {
   // Numerator pre * sum_k v_k g_{band-k} * w0/(2 pi), channel-outer in
   // real arithmetic: the std::complex products' operations without
   // their NaN-recovery branches, so the loops vectorize.
@@ -313,21 +286,16 @@ void EvalPlan::vtilde_block(std::size_t n, int mspan, int band,
     sc.num_re[i] = (pr * ar - pi * ai) * front_;
     sc.num_im[i] = (pr * ai + pi * ar) * front_;
   }
-  // Denominator s_n = s + j band w0, times (1 + lambda) when closing the
-  // loop: one quotient per point instead of two.
+  // Denominator s_n (1 + lambda), s_n = s + j band w0: one quotient per
+  // point instead of two.
   const double shift = static_cast<double>(band) * w0_;
   for (std::size_t i = 0; i < n; ++i) {
     const double sr = sc.s_re[i];
     const double si = sc.s_im[i] + shift;
-    if (close_loop) {
-      const double lr = 1.0 + sc.lam[i].real();
-      const double li = sc.lam[i].imag();
-      sc.den_re[i] = sr * lr - si * li;
-      sc.den_im[i] = sr * li + si * lr;
-    } else {
-      sc.den_re[i] = sr;
-      sc.den_im[i] = si;
-    }
+    const double lr = 1.0 + sc.lam[i].real();
+    const double li = sc.lam[i].imag();
+    sc.den_re[i] = sr * lr - si * li;
+    sc.den_im[i] = sr * li + si * lr;
   }
   divide_planes(sc.num_re.data(), sc.num_im.data(), sc.den_re.data(),
                 sc.den_im.data(), n, [&](std::size_t i, cplx num) {
@@ -335,43 +303,21 @@ void EvalPlan::vtilde_block(std::size_t n, int mspan, int band,
                   HTMPLL_REQUIRE(std::abs(sn) > 0.0,
                                  "V~ evaluated on an integrator pole s = "
                                  "-j n w0");
-                  const cplx v = num / sn;
-                  return close_loop ? v / (1.0 + sc.lam[i]) : v;
+                  return num / sn / (1.0 + sc.lam[i]);
                 });
 }
 
-void EvalPlan::truncated_lambda_block(std::size_t n, int mspan,
-                                      int truncation, Scratch& sc) const {
-  std::fill_n(sc.lam.data(), n, cplx{0.0});
-  for (int band = -truncation; band <= truncation; ++band) {
-    vtilde_block(n, mspan, band, /*close_loop=*/false, sc);
-    for (std::size_t i = 0; i < n; ++i) {
-      sc.lam[i] += cplx{sc.num_re[i], sc.num_im[i]};
-    }
-  }
-}
-
-CVector EvalPlan::lambda_grid(const CVector& s_grid, LambdaMethod method,
-                              int truncation) const {
-  HTMPLL_ASSERT(supports(method));
+CVector EvalPlan::lambda_grid(const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.plan_grid");
   plan_points_counter().add(s_grid.size());
-  const bool exact = method == LambdaMethod::kExact;
-  const bool need_exp = exact || shape_ == PfdShape::kZeroOrderHold;
   CVector out(s_grid.size());
   ThreadPool::global().for_each_chunk(
       s_grid.size(), kBlock, [&](std::size_t b, std::size_t e) {
         Scratch& sc = thread_scratch();
         const std::size_t n = e - b;
-        load_block(s_grid.data() + b, n, need_exp, sc);
+        load_block(s_grid.data() + b, n, sc);
         prefactor_block(n, sc);
-        if (exact) {
-          exact_lambda_block(n, sc);
-        } else {
-          const int mspan = truncation + hmax_;
-          gains_block(n, mspan, sc);
-          truncated_lambda_block(n, mspan, truncation, sc);
-        }
+        exact_lambda_block(n, sc);
         std::copy_n(sc.lam.data(), n, out.data() + b);
       });
   return out;
@@ -387,7 +333,7 @@ CVector EvalPlan::lambda_derivative_grid(const CVector& s_grid) const {
       s_grid.size(), kBlock, [&](std::size_t b, std::size_t e) {
         Scratch& sc = thread_scratch();
         const std::size_t n = e - b;
-        load_block(s_grid.data() + b, n, /*need_exp=*/true, sc);
+        load_block(s_grid.data() + b, n, sc);
         std::fill_n(sc.dacc_re.data(), n, 0.0);
         std::fill_n(sc.dacc_im.data(), n, 0.0);
         for (const PoleSumTerm& term : deriv_terms_) {
@@ -422,32 +368,23 @@ CVector EvalPlan::lambda_derivative_grid(const CVector& s_grid) const {
 }
 
 std::vector<CVector> EvalPlan::closed_loop_grid(
-    const std::vector<int>& bands, const CVector& s_grid,
-    LambdaMethod method, int truncation) const {
-  HTMPLL_ASSERT(supports(method));
+    const std::vector<int>& bands, const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.plan_grid");
   plan_points_counter().add(s_grid.size());
-  const bool exact = method == LambdaMethod::kExact;
-  const bool need_exp = exact || shape_ == PfdShape::kZeroOrderHold;
   int band_max = 0;
   for (int band : bands) band_max = std::max(band_max, std::abs(band));
-  const int mspan =
-      std::max(band_max, exact ? 0 : truncation) + hmax_;
+  const int mspan = band_max + hmax_;
   std::vector<CVector> out(bands.size(), CVector(s_grid.size()));
   ThreadPool::global().for_each_chunk(
       s_grid.size(), kBlock, [&](std::size_t b, std::size_t e) {
         Scratch& sc = thread_scratch();
         const std::size_t n = e - b;
-        load_block(s_grid.data() + b, n, need_exp, sc);
+        load_block(s_grid.data() + b, n, sc);
         prefactor_block(n, sc);
         gains_block(n, mspan, sc);
-        if (exact) {
-          exact_lambda_block(n, sc);
-        } else {
-          truncated_lambda_block(n, mspan, truncation, sc);
-        }
+        exact_lambda_block(n, sc);
         for (std::size_t bi = 0; bi < bands.size(); ++bi) {
-          vtilde_block(n, mspan, bands[bi], /*close_loop=*/true, sc);
+          closed_loop_block(n, mspan, bands[bi], sc);
           join_planes(sc.num_re.data(), sc.num_im.data(), n,
                       out[bi].data() + b);
         }

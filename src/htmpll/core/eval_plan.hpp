@@ -16,18 +16,17 @@
 //    feeds the coth/csch^2 kernels of EVERY pole (exp(-2u) =
 //    exp(-sT) exp(pT) for u = (pi/w0)(s-p)) AND the ZOH shape
 //    prefactor 1 - exp(-sT);
-//  * truncated lambda / V~ / closed-loop bands: the loop-filter
-//    numerator/denominator coefficient vectors plus the (k, v_k) index
-//    structure of the nonzero ISF harmonics, evaluated as a
-//    shifted-gain table via batched Horner over split re/im planes.
+//  * V~ / closed-loop bands: the loop-filter numerator/denominator
+//    coefficient vectors plus the (k, v_k) index structure of the
+//    nonzero ISF harmonics, evaluated as a shifted-gain table via
+//    batched Horner over split re/im planes.
 //
 // The plan is the only grid engine: every SamplingPllModel builds one,
 // and its lambda, lambda', V~ and closed-loop grids (and so the pole
 // polish and margin searches built on them) all run here.  Numerical
 // contract: every plan result agrees with the model's point-wise call
 // to <= 1e-12 relative error (see tests/test_eval_plan).  The
-// point-wise calls are the reference oracle, and the model falls back
-// to them, slot for slot, for what supports() rejects.
+// point-wise calls are the reference oracle.
 //
 // Plans are immutable after build and shared by value-copied models
 // (shared_ptr<const EvalPlan>); grid evaluation uses per-thread scratch
@@ -49,28 +48,19 @@ class EvalPlan {
   /// "core.plan_builds".
   static std::shared_ptr<const EvalPlan> build(const SamplingPllModel& model);
 
-  /// True when the plan can serve grids for `method`.  kTruncated is
-  /// always compiled; kExact requires every pole multiplicity <= 4
-  /// (otherwise the point-wise call runs -- and throws, keeping its
-  /// error message); kAdaptive keeps its per-point stopping rule and
-  /// runs point-wise.
-  bool supports(LambdaMethod method) const;
-
-  /// True when derivative tables were compiled: the exact method is
-  /// usable AND every pole multiplicity is <= 3 (d/ds S_k = -k S_{k+1}
-  /// raises each order by one, and S_k is implemented through k = 4).
+  /// True when derivative tables were compiled: every pole
+  /// multiplicity is <= 3 (d/ds S_k = -k S_{k+1} raises each order by
+  /// one, and S_k is implemented through k = 4).
   bool supports_derivative() const { return deriv_usable_; }
 
-  /// Batched counterparts of the SamplingPllModel grid APIs.  Results
-  /// match the point-wise calls to <= 1e-12 relative error; per-point
-  /// domain errors (integrator poles, ZOH on a harmonic of w0) throw
-  /// the same assertion messages as the point-wise calls.
-  CVector lambda_grid(const CVector& s_grid, LambdaMethod method,
-                      int truncation) const;
+  /// Batched counterparts of the SamplingPllModel grid APIs (exact
+  /// lambda).  Results match the point-wise calls to <= 1e-12 relative
+  /// error; per-point domain errors (integrator poles, ZOH on a
+  /// harmonic of w0) throw the same assertion messages as the
+  /// point-wise calls.
+  CVector lambda_grid(const CVector& s_grid) const;
   std::vector<CVector> closed_loop_grid(const std::vector<int>& bands,
-                                        const CVector& s_grid,
-                                        LambdaMethod method,
-                                        int truncation) const;
+                                        const CVector& s_grid) const;
 
   /// d lambda / ds of the exact closed form, streamed through the same
   /// block machinery as lambda_grid.  Each pole term differentiates via
@@ -93,25 +83,19 @@ class EvalPlan {
   struct Scratch;
   static Scratch& thread_scratch();
 
-  /// Splits a block into planes and (when `need_exp`) computes the
-  /// shared exp(-sT) plane.
-  void load_block(const cplx* s, std::size_t n, bool need_exp,
-                  Scratch& sc) const;
+  /// Splits a block into planes and computes the shared exp(-sT) plane.
+  void load_block(const cplx* s, std::size_t n, Scratch& sc) const;
   /// Exact lambda over a loaded block (requires the exp plane).
   void exact_lambda_block(std::size_t n, Scratch& sc) const;
   /// Shifted-gain table for offsets |m| <= mspan over a loaded block.
   void gains_block(std::size_t n, int mspan, Scratch& sc) const;
   /// ZOH prefactor plane (1 - exp(-sT)), or all-ones for impulse.
   void prefactor_block(std::size_t n, Scratch& sc) const;
-  /// V~_band over the loaded block from the gain table, left in the
-  /// scratch numerator planes; with `close_loop` it is divided by
-  /// 1 + lambda (the block's lambda plane) in the same plane quotient.
-  void vtilde_block(std::size_t n, int mspan, int band, bool close_loop,
-                    Scratch& sc) const;
-  /// Truncated lambda = sum_{|n| <= truncation} V~_n into the block's
-  /// lambda plane (requires the gain table).
-  void truncated_lambda_block(std::size_t n, int mspan, int truncation,
-                              Scratch& sc) const;
+  /// H_{band,0} = V~_band / (1 + lambda) over the loaded block from the
+  /// gain table and the block's lambda plane, one plane quotient per
+  /// point, left in the scratch numerator planes.
+  void closed_loop_block(std::size_t n, int mspan, int band,
+                         Scratch& sc) const;
 
   double w0_ = 0.0;
   double t_ = 0.0;      ///< T = 2 pi / w0
@@ -119,8 +103,7 @@ class EvalPlan {
   double front_ = 0.0;  ///< w0 / (2 pi)
   PfdShape shape_ = PfdShape::kImpulse;
 
-  // Exact-method tables (empty when !exact_usable_).
-  bool exact_usable_ = false;
+  // Exact-lambda tables.
   std::vector<PoleSumTerm> exact_terms_;
   // Differentiated twins of exact_terms_ (empty when !deriv_usable_):
   // same pole / exp(pT) / factored flag, residue table shifted one
@@ -128,7 +111,7 @@ class EvalPlan {
   bool deriv_usable_ = false;
   std::vector<PoleSumTerm> deriv_terms_;
 
-  // Truncated / V~ structure.
+  // V~ structure.
   std::vector<ChannelWeight> channels_;
   int hmax_ = 0;  ///< max |k| over nonzero ISF harmonics
   CVector hlf_num_, hlf_den_;  ///< H_LF coefficients (ascending)

@@ -16,12 +16,13 @@ bool finite(cplx z) {
   return std::isfinite(z.real()) && std::isfinite(z.imag());
 }
 
-/// Fold Im(s) into the fundamental strip (-w0/2, w0/2].
+/// Fold Im(s) into the fundamental strip (-w0/2, w0/2].  std::remainder
+/// is exact (IEEE 754), so the fold neither drifts nor stalls however
+/// far up the axis s lies; it returns [-w0/2, w0/2], and -w0/2 maps to
+/// the strip's closed end.
 cplx fold_to_strip(cplx s, double w0) {
-  const double half = 0.5 * w0;
-  double im = s.imag();
-  while (im > half) im -= w0;
-  while (im <= -half) im += w0;
+  double im = std::remainder(s.imag(), w0);
+  if (im == -0.5 * w0) im = 0.5 * w0;
   return cplx{s.real(), im};
 }
 
@@ -69,7 +70,7 @@ std::vector<ClosedLoopPole> refine_closed_loop_poles(
     if (lanes.empty()) break;
     pts.resize(lanes.size());
     for (std::size_t j = 0; j < lanes.size(); ++j) pts[j] = s[lanes[j]];
-    const CVector lam = model.lambda_grid(pts, LambdaMethod::kExact, 0);
+    const CVector lam = model.lambda_grid(pts);
     const CVector dlam = model.lambda_derivative_grid(pts);
     for (std::size_t j = 0; j < lanes.size(); ++j) {
       const std::size_t i = lanes[j];
@@ -110,7 +111,7 @@ std::vector<ClosedLoopPole> refine_closed_loop_poles(
   std::vector<ClosedLoopPole> out;
   out.reserve(n);
   if (n == 0) return out;
-  const CVector res = model.lambda_grid(folded, LambdaMethod::kExact, 0);
+  const CVector res = model.lambda_grid(folded);
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(finish_pole(s[i], std::abs(1.0 + res[i]), iters[i],
                               !dropped[i] && !active[i]));

@@ -63,7 +63,6 @@ SamplingPllModel::SamplingPllModel(PllParameters params,
                                    RationalFunction extra_loop_dynamics)
     : params_(params), isf_(std::move(isf)), opts_(opts) {
   HTMPLL_REQUIRE(params_.w0 > 0.0, "reference frequency must be positive");
-  HTMPLL_REQUIRE(opts_.truncation >= 0, "truncation must be non-negative");
   HTMPLL_REQUIRE(std::abs(isf_[0].imag()) <=
                      1e-12 * std::max(1.0, std::abs(isf_[0])),
                  "ISF DC coefficient must be real (VCO average gain)");
@@ -81,11 +80,15 @@ SamplingPllModel::SamplingPllModel(PllParameters params,
   for (int k = -isf_.max_harmonic(); k <= isf_.max_harmonic(); ++k) {
     const cplx v_k = params_.kvco * isf_[k];
     if (v_k == cplx{0.0}) continue;
-    channels_.push_back(HarmonicChannel{
-        k, v_k,
-        AliasingSum(harmonic_channel_tf(hlf_, params_.w0, k, v_k,
-                                        opts_.pfd_shape),
-                    params_.w0)});
+    AliasingSum sum(
+        harmonic_channel_tf(hlf_, params_.w0, k, v_k, opts_.pfd_shape),
+        params_.w0);
+    for (const PoleTerm& term : sum.partial_fractions().terms()) {
+      HTMPLL_REQUIRE(term.residues.size() <= 4,
+                     "loop gain has a pole of multiplicity above 4; the "
+                     "exact lambda supports pole multiplicities 1..4");
+    }
+    channels_.push_back(HarmonicChannel{k, v_k, std::move(sum)});
   }
 
   plan_ = EvalPlan::build(*this);
@@ -111,7 +114,7 @@ cplx SamplingPllModel::shifted_gain(cplx s_m) const {
 }
 
 cplx SamplingPllModel::lambda(cplx s) const {
-  return lambda(s, opts_.lambda_method, opts_.truncation);
+  return lambda(s, LambdaMethod::kExact, 0);
 }
 
 cplx SamplingPllModel::lambda(cplx s, LambdaMethod method,
@@ -176,14 +179,10 @@ cplx SamplingPllModel::lambda_derivative(cplx s) const {
 CVector SamplingPllModel::lambda_derivative_grid(const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.lambda_grid");
   require_finite_grid(s_grid);
-  if (plan_->supports_derivative()) {
-    return plan_->lambda_derivative_grid(s_grid);
-  }
-  CVector out(s_grid.size());
-  ThreadPool::global().for_each_index(s_grid.size(), [&](std::size_t i) {
-    out[i] = lambda_derivative(s_grid[i]);
-  });
-  return out;
+  HTMPLL_REQUIRE(plan_->supports_derivative(),
+                 "analytic lambda derivative requires pole "
+                 "multiplicity <= 3 (S_k implemented through k = 4)");
+  return plan_->lambda_derivative_grid(s_grid);
 }
 
 cplx SamplingPllModel::vtilde_element(int n, cplx s) const {
@@ -232,38 +231,16 @@ cplx SamplingPllModel::baseband_error_transfer(cplx s) const {
 }
 
 CVector SamplingPllModel::lambda_grid(const CVector& s_grid) const {
-  return lambda_grid(s_grid, opts_.lambda_method, opts_.truncation);
-}
-
-CVector SamplingPllModel::lambda_grid(const CVector& s_grid,
-                                      LambdaMethod method,
-                                      int truncation) const {
   HTMPLL_TRACE_SPAN("core.lambda_grid");
-  HTMPLL_REQUIRE(truncation >= 0, "truncation must be non-negative");
   require_finite_grid(s_grid);
-  if (plan_->supports(method)) {
-    return plan_->lambda_grid(s_grid, method, truncation);
-  }
-  CVector out(s_grid.size());
-  ThreadPool::global().for_each_index(s_grid.size(), [&](std::size_t i) {
-    out[i] = lambda(s_grid[i], method, truncation);
-  });
-  return out;
+  return plan_->lambda_grid(s_grid);
 }
 
 CVector SamplingPllModel::baseband_transfer_grid(const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.baseband_transfer_grid");
   require_finite_grid(s_grid);
-  if (plan_->supports(opts_.lambda_method)) {
-    std::vector<CVector> rows = plan_->closed_loop_grid(
-        {0}, s_grid, opts_.lambda_method, opts_.truncation);
-    return std::move(rows[0]);
-  }
-  CVector out(s_grid.size());
-  ThreadPool::global().for_each_index(s_grid.size(), [&](std::size_t i) {
-    out[i] = baseband_transfer(s_grid[i]);
-  });
-  return out;
+  std::vector<CVector> rows = plan_->closed_loop_grid({0}, s_grid);
+  return std::move(rows[0]);
 }
 
 CVector SamplingPllModel::lti_baseband_transfer_grid(
@@ -287,19 +264,7 @@ std::vector<CVector> SamplingPllModel::closed_loop_grid(
     const std::vector<int>& bands, const CVector& s_grid) const {
   HTMPLL_TRACE_SPAN("core.closed_loop_grid");
   require_finite_grid(s_grid);
-  if (plan_->supports(opts_.lambda_method)) {
-    return plan_->closed_loop_grid(bands, s_grid, opts_.lambda_method,
-                                   opts_.truncation);
-  }
-  std::vector<CVector> out(bands.size(), CVector(s_grid.size()));
-  ThreadPool::global().for_each_index(s_grid.size(), [&](std::size_t i) {
-    // One lambda per point serves every band.
-    const cplx denom = 1.0 + lambda(s_grid[i]);
-    for (std::size_t b = 0; b < bands.size(); ++b) {
-      out[b][i] = vtilde_element(bands[b], s_grid[i]) / denom;
-    }
-  });
-  return out;
+  return plan_->closed_loop_grid(bands, s_grid);
 }
 
 Htm SamplingPllModel::open_loop_htm(cplx s, int truncation) const {

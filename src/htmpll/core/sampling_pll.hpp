@@ -31,6 +31,9 @@
 
 namespace htmpll {
 
+/// Evaluation methods of the explicit point-wise lambda(s, method, K),
+/// the reference and truncation-ablation entry point.  The model itself
+/// (lambda(s) and every grid) always uses kExact.
 enum class LambdaMethod {
   kExact,      ///< coth closed form (no truncation error)
   kAdaptive,   ///< symmetric pairs with tail stopping rule
@@ -53,8 +56,6 @@ enum class PfdShape {
 };
 
 struct SamplingPllOptions {
-  LambdaMethod lambda_method = LambdaMethod::kExact;
-  int truncation = 16;  ///< K >= 0 for kTruncated lambda and HTM assembly
   PfdShape pfd_shape = PfdShape::kImpulse;
 };
 
@@ -68,7 +69,9 @@ class SamplingPllModel {
   /// time-invariant VCO of the paper's Section 5.
   /// `extra_loop_dynamics` multiplies the loop-filter transfer function
   /// -- use it for loop delay (lti/delay.hpp), parasitic poles, or any
-  /// additional LTI stage in the PFD->VCO path.
+  /// additional LTI stage in the PFD->VCO path.  Throws
+  /// std::invalid_argument when a harmonic channel's loop gain has a
+  /// pole of multiplicity above 4, the limit of the exact lambda.
   explicit SamplingPllModel(
       PllParameters params,
       HarmonicCoefficients isf = HarmonicCoefficients(cplx{1.0}),
@@ -88,40 +91,38 @@ class SamplingPllModel {
   /// H_LF(s) as the model uses it: Icp * Z_LF(s) * extra dynamics.
   const RationalFunction& loop_filter_tf() const { return hlf_; }
 
-  /// Effective open-loop gain lambda(s) via the configured method.
+  /// Effective open-loop gain lambda(s) (eq. 37), exact closed form.
   cplx lambda(cplx s) const;
+  /// lambda(s) by an explicit method: the reference oracle and the
+  /// truncation ablation's entry point.  `truncation` (K >= 0) is read
+  /// by kTruncated only.
   cplx lambda(cplx s, LambdaMethod method, int truncation) const;
 
-  /// Analytic d lambda / ds of the EXACT closed form (independent of
-  /// the configured lambda_method), via the order-bump rule
-  /// d/ds S_k = -k S_{k+1} applied to every channel's partial-fraction
-  /// term; for the ZOH shape the prefactor contributes the product-rule
-  /// term T e^{-sT} * (pole-sum).  Requires every pole multiplicity
-  /// <= 3 (S_k is implemented through k = 4).  This is the point-wise
-  /// reference for the plan's derivative tables.
+  /// Analytic d lambda / ds of the exact closed form, via the order-bump
+  /// rule d/ds S_k = -k S_{k+1} applied to every channel's
+  /// partial-fraction term; for the ZOH shape the prefactor contributes
+  /// the product-rule term T e^{-sT} * (pole-sum).  Requires every pole
+  /// multiplicity <= 3 (S_k is implemented through k = 4).  This is the
+  /// point-wise reference for the plan's derivative tables.
   cplx lambda_derivative(cplx s) const;
 
   /// lambda_derivative over a grid, through the plan's derivative
-  /// tables when they are compiled (see EvalPlan::supports_derivative).
+  /// tables; throws std::invalid_argument, as lambda_derivative does,
+  /// when a pole multiplicity is 4 (the plan compiles no tables then).
   CVector lambda_derivative_grid(const CVector& s_grid) const;
 
   // ---- grid evaluation (parallel sweep engine) ----
   //
   // Every *_grid method evaluates its point-wise counterpart over a grid
-  // of s points on the shared thread pool (HTMPLL_THREADS wide).  When
-  // the plan supports the method (EvalPlan::supports) the points stream
-  // through its structure-of-arrays batch kernels: slot i agrees with
-  // the point-wise call at s_grid[i] to <= 1e-12 relative error.
-  // Otherwise (kAdaptive, or a kExact pole multiplicity > 4) slot i IS
-  // the point-wise call, bit for bit, and throws its errors.  Either way
-  // the result is independent of the thread count (points never share
-  // accumulators).  Every grid point must be finite: a NaN or infinite s
-  // throws std::invalid_argument.
+  // of s points on the shared thread pool (HTMPLL_THREADS wide); the
+  // points stream through the plan's structure-of-arrays batch kernels,
+  // and slot i agrees with the point-wise call at s_grid[i] to <= 1e-12
+  // relative error.  The result is independent of the thread count
+  // (points never share accumulators).  Every grid point must be
+  // finite: a NaN or infinite s throws std::invalid_argument.
 
-  /// lambda over a grid via the configured / an explicit method.
+  /// lambda over a grid.
   CVector lambda_grid(const CVector& s_grid) const;
-  CVector lambda_grid(const CVector& s_grid, LambdaMethod method,
-                      int truncation) const;
 
   /// H_{0,0} (eq. 38) over a grid.
   CVector baseband_transfer_grid(const CVector& s_grid) const;
@@ -176,7 +177,7 @@ class SamplingPllModel {
   /// The T-periodic (harmonic-independent) prefactor of the PFD shape.
   cplx shape_prefactor(cplx s) const;
   /// H_LF(s_m) * shape_factor(s_m) -- the m-shifted filter gain every
-  /// V~ component and truncated-lambda term is built from.
+  /// V~ component is built from.
   cplx shifted_gain(cplx s_m) const;
 
   PllParameters params_;

@@ -18,12 +18,12 @@ namespace {
 /// Bracket-pass density in grid points per decade of w.  The pass has
 /// to isolate the first downward |H| = 1 crossing in one grid interval
 /// and keep consecutive phase samples within pi of each other for the
-/// unwrap.  On typical, second-order, Pade-delayed, LPTV-ISF, ZOH and
-/// truncated-lambda loops with w_UG/w0 from 0.002 to 0.48, even one
-/// point per decade brackets the same crossing as find_gain_crossover's
-/// 600-point scan, but its phase steps reach 78 deg; at 8 the largest
-/// step is 20 deg, a ninth of pi.  Anywhere from 1 to 12 points per
-/// decade, effective_margins takes the same 9-11 us per loop.
+/// unwrap.  On typical, second-order, Pade-delayed, LPTV-ISF and ZOH
+/// loops with w_UG/w0 from 0.002 to 0.48, even one point per decade
+/// brackets the same crossing as find_gain_crossover's 600-point scan,
+/// but its phase steps reach 78 deg; at 8 the largest step is 20 deg, a
+/// ninth of pi.  Anywhere from 1 to 12 points per decade,
+/// effective_margins takes the same 9-11 us per loop.
 constexpr double kPointsPerDecade = 8.0;
 
 /// Bracket-pass points per evaluation: one decade, so the pass stops at
@@ -43,7 +43,8 @@ constexpr int kMaxSolveSteps = 100;
 /// with early exit, brackets the first downward |H| = 1 crossing.  The
 /// Illinois variant of regula falsi then solves g(u) = ln|H(j e^u)| = 0
 /// in the bracket, keeping |H(a)| >= 1 > |H(b)|; it needs no
-/// derivative, so every lambda method takes the same path.  The phase
+/// derivative, so A and lambda take the same path, also at the pole
+/// multiplicity 4 the plan compiles no derivative tables for.  The phase
 /// margin unwraps the phase along the grid samples below the crossing
 /// and ends on H(j wc) from the last solve step, so it costs no extra
 /// evaluation.  `eval` maps a vector of frequencies to H(jw) samples

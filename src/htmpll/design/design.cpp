@@ -33,12 +33,11 @@ PllParameters synthesize_loop(const DesignSpec& spec, double w_ug,
   return p;
 }
 
-DesignResult evaluate_design(const DesignSpec& spec, double w_ug,
-                             double gamma) {
+DesignResult measure_design(const DesignSpec& spec,
+                            const SamplingPllModel& model, double gamma) {
   DesignResult out;
   out.gamma = gamma;
-  out.params = synthesize_loop(spec, w_ug, gamma);
-  const SamplingPllModel model(out.params);
+  out.params = model.parameters();
   out.margins = effective_margins(model);
   const ImpulseInvariantModel zmodel(model.open_loop_gain(), spec.w0);
   out.z_domain_stable = zmodel.is_stable();
@@ -53,13 +52,11 @@ DesignResult evaluate_design(const DesignSpec& spec, double w_ug,
   return out;
 }
 
-namespace {
-
-DesignResult evaluate(const DesignSpec& spec, double w_ug, double gamma) {
-  return evaluate_design(spec, w_ug, gamma);
+DesignResult evaluate_design(const DesignSpec& spec, double w_ug,
+                             double gamma) {
+  return measure_design(
+      spec, SamplingPllModel(synthesize_loop(spec, w_ug, gamma)), gamma);
 }
-
-}  // namespace
 
 DesignResult design_classical(const DesignSpec& spec) {
   HTMPLL_REQUIRE(spec.w0 > 0.0 && spec.target_w_ug > 0.0,
@@ -67,25 +64,25 @@ DesignResult design_classical(const DesignSpec& spec) {
   HTMPLL_REQUIRE(spec.target_w_ug < 0.5 * spec.w0,
                  "crossover beyond w0/2 cannot be sampled-stable");
   const double gamma = gamma_for_phase_margin(spec.target_pm_deg);
-  return evaluate(spec, spec.target_w_ug, gamma);
+  return evaluate_design(spec, spec.target_w_ug, gamma);
 }
 
 DesignResult design_time_varying_aware(const DesignSpec& spec,
                                        const AwareDesignOptions& opts) {
   const double gamma = gamma_for_phase_margin(spec.target_pm_deg);
-  DesignResult at_target = evaluate(spec, spec.target_w_ug, gamma);
+  DesignResult at_target = evaluate_design(spec, spec.target_w_ug, gamma);
   if (at_target.meets_spec_effective) return at_target;
 
   // The effective PM decreases monotonically with bandwidth over the
   // usable range; bisect w_ug downward until the spec holds.
   double lo = spec.target_w_ug * 1e-3;
   double hi = spec.target_w_ug;
-  DesignResult best = evaluate(spec, lo, gamma);
+  DesignResult best = evaluate_design(spec, lo, gamma);
   HTMPLL_REQUIRE(best.meets_spec_effective,
                  "spec unreachable even at 1000x reduced bandwidth");
   for (int it = 0; it < opts.max_iterations; ++it) {
     const double mid = std::sqrt(lo * hi);
-    DesignResult r = evaluate(spec, mid, gamma);
+    DesignResult r = evaluate_design(spec, mid, gamma);
     if (r.meets_spec_effective) {
       best = r;
       lo = mid;
@@ -153,7 +150,7 @@ class JitterQuadrature {
       psd[i] = h2 * s_ref_[i] + std::norm(1.0 - h[i]) * s_vco_[i] +
                h2 * folded_[i];
     }
-    return rms(psd);
+    return trapezoid_rms(w_, psd);
   }
 
   /// Classical transfers: |A/(1+A)|^2 S_ref + |1/(1+A)|^2 S_vco, no
@@ -167,20 +164,10 @@ class JitterQuadrature {
       const cplx h = av / (1.0 + av);
       psd[i] = std::norm(h) * s_ref_[i] + std::norm(1.0 - h) * s_vco_[i];
     }
-    return rms(psd);
+    return trapezoid_rms(w_, psd);
   }
 
  private:
-  /// sqrt((1/pi) * trapezoid of psd over the grid), summed in the
-  /// order NoiseAnalysis::integrated_rms uses.
-  double rms(const std::vector<double>& psd) const {
-    double integral = 0.0;
-    for (std::size_t i = 1; i < w_.size(); ++i) {
-      integral += 0.5 * (psd[i] + psd[i - 1]) * (w_[i] - w_[i - 1]);
-    }
-    return std::sqrt(integral / std::numbers::pi);
-  }
-
   const JitterOptimizationSpec& spec_;
   std::vector<double> w_;
   CVector s_;
@@ -246,7 +233,7 @@ std::vector<DesignResult> sweep_crossover_ratios(
   out.reserve(ratios.size());
   const double gamma = gamma_for_phase_margin(base.target_pm_deg);
   for (double r : ratios) {
-    out.push_back(evaluate(base, r * base.w0, gamma));
+    out.push_back(evaluate_design(base, r * base.w0, gamma));
   }
   return out;
 }

@@ -54,6 +54,12 @@ PllParameters synthesize_loop(const DesignSpec& spec, double w_ug,
 DesignResult evaluate_design(const DesignSpec& spec, double w_ug,
                              double gamma);
 
+/// The measurement half of evaluate_design, on a model already built
+/// from synthesize_loop(spec, w_ug, gamma); the result records the
+/// model's parameters and `gamma`.
+DesignResult measure_design(const DesignSpec& spec,
+                            const SamplingPllModel& model, double gamma);
+
 /// Pure LTI synthesis at the requested crossover.
 DesignResult design_classical(const DesignSpec& spec);
 

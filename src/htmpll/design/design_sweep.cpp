@@ -12,25 +12,14 @@ namespace {
 
 DesignPoint evaluate_point(const DesignSpec& base, double ratio,
                            double gamma, const DesignSweepOptions& opts) {
+  // One model per point serves the design verdicts, the half-rate
+  // lambda and the poles.
+  const SamplingPllModel model(
+      synthesize_loop(base, ratio * base.w0, gamma));
   DesignPoint pt;
   pt.ratio = ratio;
   pt.gamma = gamma;
-  pt.design.gamma = gamma;
-  pt.design.params = synthesize_loop(base, ratio * base.w0, gamma);
-
-  const SamplingPllModel model(pt.design.params);
-  pt.design.margins = effective_margins(model);
-  const ImpulseInvariantModel zmodel(model.open_loop_gain(), base.w0);
-  pt.design.z_domain_stable = zmodel.is_stable();
-  pt.design.meets_spec_lti =
-      pt.design.margins.lti_found &&
-      pt.design.margins.lti_phase_margin_deg >=
-          base.target_pm_deg - base.pm_slack_deg;
-  pt.design.meets_spec_effective =
-      pt.design.margins.eff_found &&
-      pt.design.margins.eff_phase_margin_deg >=
-          base.target_pm_deg - base.pm_slack_deg;
-
+  pt.design = measure_design(base, model, gamma);
   pt.half_rate_lambda = half_rate_lambda(model);
   pt.half_rate_stable = pt.half_rate_lambda > -1.0;
 

@@ -1,7 +1,6 @@
 #include "htmpll/fracn/fracn_noise.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "htmpll/fracn/sigma_delta.hpp"
 #include "htmpll/util/check.hpp"
@@ -24,16 +23,11 @@ double fracn_output_rms(const SamplingPllModel& model, double t_vco,
                         std::size_t points) {
   HTMPLL_REQUIRE(points >= 2, "quadrature needs at least two points");
   const std::vector<double> grid = logspace(w_lo, w_hi, points);
-  double integral = 0.0;
-  double prev_w = grid[0];
-  double prev_s = fracn_output_psd(model, prev_w, t_vco, order);
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    const double s = fracn_output_psd(model, grid[i], t_vco, order);
-    integral += 0.5 * (s + prev_s) * (grid[i] - prev_w);
-    prev_w = grid[i];
-    prev_s = s;
+  std::vector<double> psd(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    psd[i] = fracn_output_psd(model, grid[i], t_vco, order);
   }
-  return std::sqrt(integral / std::numbers::pi);
+  return trapezoid_rms(grid, psd);
 }
 
 }  // namespace htmpll

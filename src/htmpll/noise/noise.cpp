@@ -1,7 +1,6 @@
 #include "htmpll/noise/noise.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "htmpll/linalg/batch_kernels.hpp"
 #include "htmpll/obs/metrics.hpp"
@@ -196,16 +195,9 @@ double NoiseAnalysis::integrated_rms(
     std::size_t points) const {
   HTMPLL_REQUIRE(points >= 2, "quadrature needs at least two points");
   const std::vector<double> grid = logspace(w_lo, w_hi, points);
-  double integral = 0.0;
-  double prev_w = grid[0];
-  double prev_s = s_out(prev_w);
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    const double s = s_out(grid[i]);
-    integral += 0.5 * (s + prev_s) * (grid[i] - prev_w);
-    prev_w = grid[i];
-    prev_s = s;
-  }
-  return std::sqrt(integral / std::numbers::pi);
+  std::vector<double> psd(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) psd[i] = s_out(grid[i]);
+  return trapezoid_rms(grid, psd);
 }
 
 // ---- batched grids ----------------------------------------------------
@@ -506,13 +498,7 @@ double NoiseAnalysis::integrated_jitter(double w_lo, double w_hi,
                                         std::size_t points) const {
   HTMPLL_REQUIRE(points >= 2, "quadrature needs at least two points");
   const std::vector<double> grid = logspace(w_lo, w_hi, points);
-  const std::vector<double> psd =
-      output_psd_grid(grid, s_ref, s_vco, s_icp);
-  double integral = 0.0;
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    integral += 0.5 * (psd[i] + psd[i - 1]) * (grid[i] - grid[i - 1]);
-  }
-  return std::sqrt(integral / std::numbers::pi);
+  return trapezoid_rms(grid, output_psd_grid(grid, s_ref, s_vco, s_icp));
 }
 
 }  // namespace htmpll

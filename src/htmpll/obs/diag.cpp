@@ -21,7 +21,6 @@ constexpr const char* kReasonNames[kDiagReasonCount] = {
     "simd_bailout.guard_trip",      // kSimdBailoutGuardTrip
     "eval_plan.cancellation_recompute",  // kPlanCancellationRecompute
     "eval_plan.exp_overflow_fallback",   // kPlanExpOverflowFallback
-    "eval_plan.scalar_fallback",    // kPlanScalarFallback
     "htm.truncation_saturated",     // kHtmTruncationSaturated
     "pole_search.degenerate_step",  // kPoleSearchDegenerateStep
     "pole_search.diverged",         // kPoleSearchDiverged

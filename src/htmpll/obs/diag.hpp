@@ -46,7 +46,6 @@ enum class DiagReason : std::uint8_t {
   kSimdBailoutGuardTrip,        ///< pole-sum / rational-div guard lane
   kPlanCancellationRecompute,   ///< eval-plan near-pole recompute
   kPlanExpOverflowFallback,     ///< exp(pT) left the normal range
-  kPlanScalarFallback,          ///< plan unusable (multiplicity > 4)
   kHtmTruncationSaturated,      ///< adaptive aliasing sum hit max_pairs
   kPoleSearchDegenerateStep,    ///< Newton lane dropped: df zero/non-finite
   kPoleSearchDiverged,          ///< Newton lane dropped: step left R^2

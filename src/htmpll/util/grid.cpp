@@ -1,6 +1,7 @@
 #include "htmpll/util/grid.hpp"
 
 #include <cmath>
+#include <numbers>
 
 #include "htmpll/util/check.hpp"
 
@@ -52,6 +53,17 @@ std::vector<double> log_grid_per_decade(double lo, double hi,
   const auto n = static_cast<std::size_t>(
       std::ceil(decades * static_cast<double>(points_per_decade))) + 1;
   return logspace(lo, hi, n < 2 ? 2 : n);
+}
+
+double trapezoid_rms(const std::vector<double>& w,
+                     const std::vector<double>& psd) {
+  HTMPLL_REQUIRE(psd.size() == w.size(),
+                 "trapezoid_rms: psd and grid differ in length");
+  double integral = 0.0;
+  for (std::size_t i = 1; i < w.size(); ++i) {
+    integral += 0.5 * (psd[i] + psd[i - 1]) * (w[i] - w[i - 1]);
+  }
+  return std::sqrt(integral / std::numbers::pi);
 }
 
 }  // namespace htmpll

@@ -28,4 +28,10 @@ std::vector<double> geomspace(double lo, double hi, std::size_t n);
 std::vector<double> log_grid_per_decade(double lo, double hi,
                                         std::size_t points_per_decade);
 
+/// RMS phase from a PSD sampled on a grid: sqrt((1/pi) * integral of
+/// psd dw), the integral by the trapezoid rule summed from w.front()
+/// up.  Requires psd.size() == w.size().
+double trapezoid_rms(const std::vector<double>& w,
+                     const std::vector<double>& psd);
+
 }  // namespace htmpll

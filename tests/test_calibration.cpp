@@ -16,12 +16,16 @@ constexpr double kW0 = 2.0 * std::numbers::pi;
 /// Synthetic "measurement" from the model itself, optionally noisy.
 CVector synth_data(const std::vector<double>& w, double w_ug, double gamma,
                    double noise, unsigned seed) {
-  std::mt19937 rng(seed);
-  std::normal_distribution<double> g(0.0, noise);
   CVector h(w.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
     h[i] = fitted_model_response(w_ug, gamma, kW0, w[i], false);
-    h[i] += cplx{g(rng), g(rng)};
+  }
+  // std::normal_distribution requires a positive standard deviation, so
+  // noise-free data draw nothing.
+  if (noise > 0.0) {
+    std::mt19937 rng(seed);
+    std::normal_distribution<double> g(0.0, noise);
+    for (cplx& x : h) x += cplx{g(rng), g(rng)};
   }
   return h;
 }

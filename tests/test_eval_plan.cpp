@@ -1,13 +1,11 @@
 // Tests for the compiled evaluation-plan layer (core/eval_plan) and the
 // batch kernels beneath it (linalg/batch_kernels).
 //
-// The contract under test: every grid API the plan serves agrees with
-// the same model's point-wise call to <= 1e-12 relative error, for
-// randomized loop parameters, random ISF harmonics, both PFD shapes,
-// every batched lambda method, and evaluation points pushed arbitrarily
-// close to the aliasing poles s = p + j n w0; what the plan does not
-// serve (kAdaptive) is the point-wise call bit for bit.  The point-wise
-// calls are the oracle.
+// The contract under test: every grid API agrees with the same model's
+// point-wise call to <= 1e-12 relative error, for randomized loop
+// parameters, DC-only and LPTV ISFs, both PFD shapes, and evaluation
+// points pushed arbitrarily close to the aliasing poles s = p + j n w0.
+// The point-wise calls are the oracle.
 //
 // Built as its own executable so it also runs under
 // -DHTMPLL_SANITIZE=thread, covering the per-thread scratch planes
@@ -45,6 +43,18 @@ double rel_err(cplx got, cplx want) {
   return std::abs(got - want) / scale;
 }
 
+/// Runs `call` and returns the std::invalid_argument message it threw
+/// ("" when it threw nothing).
+template <class F>
+std::string invalid_argument_message(F&& call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 /// Random evaluation points: mostly jw-axis sweep points, plus points
 /// off the axis and points a few parts in 1e8..1e12 away from the
 /// aliasing poles s = j n w0 (where the factorized exponential must
@@ -77,27 +87,23 @@ CVector random_points(std::mt19937& rng, double w0, std::size_t n) {
   return pts;
 }
 
-class EvalPlanMethods
-    : public ::testing::TestWithParam<std::tuple<LambdaMethod, PfdShape>> {
-};
+/// Parameter: (LPTV ISF instead of the DC-only one, PFD shape).
+class EvalPlanGrids
+    : public ::testing::TestWithParam<std::tuple<bool, PfdShape>> {};
 
-TEST_P(EvalPlanMethods, GridsMatchScalarWithinTolerance) {
-  const auto [method, shape] = GetParam();
+TEST_P(EvalPlanGrids, GridsMatchScalarWithinTolerance) {
+  const auto [lptv, shape] = GetParam();
   std::mt19937 rng(20260806u);
   std::uniform_real_distribution<double> ug(0.02, 0.25);
+  const HarmonicCoefficients isf =
+      lptv ? HarmonicCoefficients::real_waveform(
+                 1.0, {cplx{0.25, 0.1}, cplx{0.04, -0.07}})
+           : HarmonicCoefficients(cplx{1.0});
 
   for (int trial = 0; trial < 4; ++trial) {
     const double w0 = 2.0 * std::numbers::pi * (trial + 1);
     SamplingPllOptions opts;
-    opts.lambda_method = method;
-    opts.truncation = 10;
     opts.pfd_shape = shape;
-
-    const HarmonicCoefficients isf =
-        trial % 2 == 0
-            ? HarmonicCoefficients(cplx{1.0})
-            : HarmonicCoefficients::real_waveform(
-                  1.0, {cplx{0.25, 0.1}, cplx{0.04, -0.07}});
     const SamplingPllModel m(make_typical_loop(ug(rng) * w0, w0), isf, opts);
 
     const CVector s_grid = random_points(rng, w0, 128);
@@ -122,26 +128,10 @@ TEST_P(EvalPlanMethods, GridsMatchScalarWithinTolerance) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BatchedMethodsAndShapes, EvalPlanMethods,
-    ::testing::Combine(::testing::Values(LambdaMethod::kExact,
-                                         LambdaMethod::kTruncated),
+    IsfsAndShapes, EvalPlanGrids,
+    ::testing::Combine(::testing::Bool(),
                        ::testing::Values(PfdShape::kImpulse,
                                          PfdShape::kZeroOrderHold)));
-
-TEST(EvalPlan, AdaptiveMethodFallsBackToScalarBits) {
-  // kAdaptive keeps its per-point stopping rule: each grid slot is the
-  // point-wise call, bit for bit.
-  const double w0 = 2.0 * std::numbers::pi;
-  SamplingPllOptions opts;
-  opts.lambda_method = LambdaMethod::kAdaptive;
-  const SamplingPllModel m(make_typical_loop(0.12 * w0, w0),
-                           HarmonicCoefficients(cplx{1.0}), opts);
-  const CVector s_grid = jw_grid(logspace(1e-3 * w0, 0.49 * w0, 64));
-  const CVector lam = m.lambda_grid(s_grid);
-  for (std::size_t i = 0; i < s_grid.size(); ++i) {
-    EXPECT_EQ(lam[i], m.lambda(s_grid[i]));
-  }
-}
 
 TEST(EvalPlan, VtildeMatchesScalarWithinTolerance) {
   // The plan's V~_n reaches callers through closed_loop_grid (one plane
@@ -218,44 +208,41 @@ TEST(EvalPlan, LambdaDerivativeAgreesWithCentralDifference) {
 }
 
 TEST(EvalPlan, ExtraLoopDynamicsAndRepeatedPoles) {
-  // A parasitic pole pushes the channel transfer to higher relative
-  // degree and (with the ZOH 1/s factor) multiplicity-3 poles at the
-  // origin -- exercising the S_3/S_4 kernel branches.
+  // With the ZOH 1/s factor, a parasitic pole gives multiplicity-3 poles
+  // at the origin and a second integrator multiplicity 4 -- exercising
+  // the S_3/S_4 kernel branches.  Multiplicity 4 leaves no headroom for
+  // the derivative's order bump, so its derivative grid throws the
+  // point-wise call's message.
   const double w0 = 2.0 * std::numbers::pi;
   const RationalFunction parasitic(
       Polynomial::constant(cplx{1.0}),
       Polynomial(CVector{cplx{1.0}, cplx{1.0 / (0.7 * w0)}}));
   std::mt19937 rng(99u);
-  for (LambdaMethod method :
-       {LambdaMethod::kExact, LambdaMethod::kTruncated}) {
-    SamplingPllOptions opts;
-    opts.lambda_method = method;
-    opts.truncation = 8;
-    opts.pfd_shape = PfdShape::kZeroOrderHold;
+  SamplingPllOptions zoh;
+  zoh.pfd_shape = PfdShape::kZeroOrderHold;
+  const RationalFunction extras[] = {parasitic,
+                                     RationalFunction::integrator(1.0)};
+  for (const RationalFunction& extra : extras) {
     const SamplingPllModel m(make_typical_loop(0.1 * w0, w0),
-                             HarmonicCoefficients(cplx{1.0}), opts,
-                             parasitic);
+                             HarmonicCoefficients(cplx{1.0}), zoh, extra);
     const CVector s_grid = random_points(rng, w0, 64);
     const CVector lam = m.lambda_grid(s_grid);
     for (std::size_t i = 0; i < s_grid.size(); ++i) {
       EXPECT_LE(rel_err(lam[i], m.lambda(s_grid[i])), kTol)
-          << "method " << static_cast<int>(method) << " s=" << s_grid[i];
+          << "extra dynamics " << (&extra - extras) << " s=" << s_grid[i];
     }
   }
-}
-
-TEST(EvalPlan, ExplicitMethodOverridesUseThePlanToo) {
-  const double w0 = 2.0 * std::numbers::pi;
-  SamplingPllOptions opts;
-  opts.lambda_method = LambdaMethod::kAdaptive;  // default runs point-wise
-  const SamplingPllModel m(make_typical_loop(0.1 * w0, w0),
-                           HarmonicCoefficients(cplx{1.0}), opts);
-  const CVector s_grid = jw_grid(logspace(1e-2 * w0, 0.4 * w0, 40));
-  const CVector lam = m.lambda_grid(s_grid, LambdaMethod::kExact, 0);
-  for (std::size_t i = 0; i < s_grid.size(); ++i) {
-    EXPECT_LE(rel_err(lam[i], m.lambda(s_grid[i], LambdaMethod::kExact, 0)),
-              kTol);
-  }
+  const SamplingPllModel fourfold(make_typical_loop(0.1 * w0, w0),
+                                  HarmonicCoefficients(cplx{1.0}), zoh,
+                                  RationalFunction::integrator(1.0));
+  const cplx s{0.0, 0.2 * w0};
+  const std::string pointwise = invalid_argument_message(
+      [&] { (void)fourfold.lambda_derivative(s); });
+  ASSERT_NE(pointwise.find("multiplicity <= 3"), std::string::npos);
+  const std::string grid = invalid_argument_message(
+      [&] { (void)fourfold.lambda_derivative_grid({s}); });
+  EXPECT_EQ(grid.substr(0, grid.find(" [")),
+            pointwise.substr(0, pointwise.find(" [")));
 }
 
 TEST(EvalPlan, CountersRecordBuildsAndGridPoints) {
@@ -284,9 +271,7 @@ TEST(EvalPlan, ConcurrentSweepsShareOnePlanSafely) {
   const double w0 = 2.0 * std::numbers::pi;
   const HarmonicCoefficients isf =
       HarmonicCoefficients::real_waveform(1.0, {cplx{0.15, 0.02}});
-  SamplingPllOptions opts;
-  opts.lambda_method = LambdaMethod::kExact;
-  const SamplingPllModel model(make_typical_loop(0.1 * w0, w0), isf, opts);
+  const SamplingPllModel model(make_typical_loop(0.1 * w0, w0), isf);
   // <= one chunk per sweep, so each thread's sweep runs inline on that
   // thread instead of contending for the shared pool.
   const CVector s_grid = jw_grid(logspace(1e-3 * w0, 0.49 * w0, 200));
@@ -307,17 +292,14 @@ TEST(EvalPlan, ConcurrentSweepsShareOnePlanSafely) {
   }
 }
 
-TEST(EvalPlan, ConcurrentTruncatedBandSweepsShareOnePlanSafely) {
-  // The truncated multi-band sweep with an ISF fills the plan's
-  // per-thread shifted-gain table; concurrent sweeps must not share it
+TEST(EvalPlan, ConcurrentLptvBandSweepsShareOnePlanSafely) {
+  // The multi-band sweep with an ISF fills the plan's per-thread
+  // shifted-gain table; concurrent sweeps must not share it
   // (TSan-visible if they do).
   const double w0 = 2.0 * std::numbers::pi;
   const HarmonicCoefficients isf =
       HarmonicCoefficients::real_waveform(1.0, {cplx{0.1, -0.04}});
-  SamplingPllOptions opts;
-  opts.lambda_method = LambdaMethod::kTruncated;
-  opts.truncation = 8;
-  const SamplingPllModel model(make_typical_loop(0.1 * w0, w0), isf, opts);
+  const SamplingPllModel model(make_typical_loop(0.1 * w0, w0), isf);
   const CVector s_grid = jw_grid(logspace(1e-2 * w0, 0.45 * w0, 64));
   const std::vector<int> bands = {-1, 0, 2};
   const std::vector<CVector> reference =
@@ -338,18 +320,6 @@ TEST(EvalPlan, ConcurrentTruncatedBandSweepsShareOnePlanSafely) {
       }
     }
   }
-}
-
-/// Runs `call` and returns the std::invalid_argument message it threw
-/// ("" when it threw nothing).
-template <class F>
-std::string invalid_argument_message(F&& call) {
-  try {
-    call();
-  } catch (const std::invalid_argument& e) {
-    return e.what();
-  }
-  return "";
 }
 
 std::uint64_t guard_trip_tally() {
@@ -413,18 +383,16 @@ TEST(EvalPlan, ZeroDenominatorsKeepTheScalarDomainErrors) {
   const PllParameters loop = make_typical_loop(0.1 * w0, w0);
   const HarmonicCoefficients dc(cplx{1.0});
   const SamplingPllModel impulse(loop);
-  // Band 1 at s = -j w0 sits on its integrator pole s = -j n w0.
+  // Band 1 at s = -j w0 sits on its integrator pole s = -j n w0; the
+  // truncated sum's band -2 does so at s = 2 j w0.
   EXPECT_NE(invalid_argument_message([&] {
               (void)impulse.closed_loop_grid(
                   {-1, 0, 1}, {cplx{0.0, 0.2 * w0}, cplx{0.0, -w0}});
             }).find("V~ evaluated on an integrator pole s = -j n w0"),
             std::string::npos);
-  SamplingPllOptions trunc;
-  trunc.lambda_method = LambdaMethod::kTruncated;
-  trunc.truncation = 4;
-  const SamplingPllModel truncated(loop, dc, trunc);
   EXPECT_NE(invalid_argument_message([&] {
-              (void)truncated.lambda_grid({cplx{0.0, 2.0 * w0}});
+              (void)impulse.lambda(cplx{0.0, 2.0 * w0},
+                                   LambdaMethod::kTruncated, 4);
             }).find("V~ evaluated on an integrator pole s = -j n w0"),
             std::string::npos);
   // The ZOH quotient g / (s_m T) on a harmonic of w0.
@@ -439,39 +407,30 @@ TEST(EvalPlan, ZeroDenominatorsKeepTheScalarDomainErrors) {
 }
 
 TEST(EvalPlan, NonFiniteGridPointsAreRejectedOnBothPaths) {
-  // The plan (kExact) and the point-wise fallback (kAdaptive).
+  // The plan's grids and the point-wise map of A/(1 + A).
   const double w0 = 2.0 * std::numbers::pi;
-  SamplingPllOptions adaptive;
-  adaptive.lambda_method = LambdaMethod::kAdaptive;
-  const SamplingPllModel planned(make_typical_loop(0.1 * w0, w0));
-  const SamplingPllModel pointwise(make_typical_loop(0.1 * w0, w0),
-                                   HarmonicCoefficients(cplx{1.0}),
-                                   adaptive);
+  const SamplingPllModel model(make_typical_loop(0.1 * w0, w0));
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (const cplx bad : {cplx{0.0, nan}, cplx{nan, 0.3 * w0},
                          cplx{0.0, inf}}) {
     const CVector s_grid = {cplx{0.0, 0.1 * w0}, bad};
-    for (const SamplingPllModel* model : {&planned, &pointwise}) {
-      const auto rejects = [&](auto&& call) {
-        return invalid_argument_message(call).find("not finite") !=
-               std::string::npos;
-      };
-      EXPECT_TRUE(rejects([&] { (void)model->lambda_grid(s_grid); }))
-          << "s=" << bad;
-      EXPECT_TRUE(
-          rejects([&] { (void)model->baseband_transfer_grid(s_grid); }))
-          << "s=" << bad;
-      EXPECT_TRUE(rejects(
-          [&] { (void)model->closed_loop_grid({-1, 0}, s_grid); }))
-          << "s=" << bad;
-      EXPECT_TRUE(
-          rejects([&] { (void)model->lambda_derivative_grid(s_grid); }))
-          << "s=" << bad;
-      EXPECT_TRUE(rejects(
-          [&] { (void)model->lti_baseband_transfer_grid(s_grid); }))
-          << "s=" << bad;
-    }
+    const auto rejects = [&](auto&& call) {
+      return invalid_argument_message(call).find("not finite") !=
+             std::string::npos;
+    };
+    EXPECT_TRUE(rejects([&] { (void)model.lambda_grid(s_grid); }))
+        << "s=" << bad;
+    EXPECT_TRUE(rejects([&] { (void)model.baseband_transfer_grid(s_grid); }))
+        << "s=" << bad;
+    EXPECT_TRUE(
+        rejects([&] { (void)model.closed_loop_grid({-1, 0}, s_grid); }))
+        << "s=" << bad;
+    EXPECT_TRUE(rejects([&] { (void)model.lambda_derivative_grid(s_grid); }))
+        << "s=" << bad;
+    EXPECT_TRUE(
+        rejects([&] { (void)model.lti_baseband_transfer_grid(s_grid); }))
+        << "s=" << bad;
   }
 }
 

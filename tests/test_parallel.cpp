@@ -1,8 +1,8 @@
 // Tests for the parallel sweep engine: thread-pool semantics
 // (coverage, determinism, exception propagation, nesting), the
 // HTMPLL_THREADS configuration, and agreement between the batched
-// *_grid model APIs and their point-wise counterparts for every lambda
-// method and PFD shape.
+// *_grid model APIs and their point-wise counterparts across loop
+// families and PFD shapes.
 //
 // Built as its own executable so it can also run under
 // -DHTMPLL_SANITIZE=thread, where the whole suite would be too slow.
@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "htmpll/core/sampling_pll.hpp"
+#include "htmpll/lti/delay.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/parallel/sweep.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
@@ -255,21 +256,27 @@ TEST(Sweep, JwGrid) {
   }
 }
 
-// ---- batched model APIs vs point-wise, all methods x shapes -----------
+// ---- batched model APIs vs point-wise, loops x shapes -----------------
+
+enum class Loop { kTypical, kSecondOrder, kPadeDelayed };
 
 class GridApiTest
-    : public ::testing::TestWithParam<std::tuple<LambdaMethod, PfdShape>> {};
+    : public ::testing::TestWithParam<std::tuple<Loop, PfdShape>> {};
 
 TEST_P(GridApiTest, GridsMatchPointwiseCalls) {
-  const auto [method, shape] = GetParam();
+  const auto [loop, shape] = GetParam();
   const double w0 = 2.0 * std::numbers::pi;
 
   SamplingPllOptions opts;
-  opts.lambda_method = method;
-  opts.truncation = 12;
   opts.pfd_shape = shape;
-  const SamplingPllModel model(make_typical_loop(0.1 * w0, w0),
-                               HarmonicCoefficients(cplx{1.0}), opts);
+  const PllParameters params = loop == Loop::kSecondOrder
+                                   ? make_second_order_loop(0.1 * w0, w0)
+                                   : make_typical_loop(0.1 * w0, w0);
+  const RationalFunction extra =
+      loop == Loop::kPadeDelayed ? pade_delay(0.05 * params.period(), 3)
+                                 : RationalFunction::constant(1.0);
+  const SamplingPllModel model(params, HarmonicCoefficients(cplx{1.0}), opts,
+                               extra);
 
   const CVector s_grid = jw_grid(logspace(1e-3 * w0, 0.49 * w0, 200));
 
@@ -281,17 +288,11 @@ TEST_P(GridApiTest, GridsMatchPointwiseCalls) {
   const std::vector<CVector> cl = model.closed_loop_grid(bands, s_grid);
   ASSERT_EQ(cl.size(), bands.size());
 
-  // kAdaptive runs the point-wise call per slot, bit for bit; kExact and
-  // kTruncated run the compiled plan to <= 1e-12 relative.  1 - H00
-  // cancels at low w, so its error is bounded against |H00| instead.
-  const bool pointwise = method == LambdaMethod::kAdaptive;
+  // The compiled plan holds <= 1e-12 relative.  1 - H00 cancels at low
+  // w, so its error is bounded against |H00| instead.
   const auto expect_match = [&](cplx got, cplx want, double scale,
                                 const char* what, std::size_t i) {
-    if (pointwise) {
-      EXPECT_EQ(got, want) << what << " i=" << i;
-    } else {
-      EXPECT_LE(std::abs(got - want), 1e-12 * scale) << what << " i=" << i;
-    }
+    EXPECT_LE(std::abs(got - want), 1e-12 * scale) << what << " i=" << i;
   };
   for (std::size_t i = 0; i < s_grid.size(); ++i) {
     const cplx s = s_grid[i];
@@ -310,10 +311,9 @@ TEST_P(GridApiTest, GridsMatchPointwiseCalls) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllMethodsAndShapes, GridApiTest,
-    ::testing::Combine(::testing::Values(LambdaMethod::kExact,
-                                         LambdaMethod::kAdaptive,
-                                         LambdaMethod::kTruncated),
+    LoopsAndShapes, GridApiTest,
+    ::testing::Combine(::testing::Values(Loop::kTypical, Loop::kSecondOrder,
+                                         Loop::kPadeDelayed),
                        ::testing::Values(PfdShape::kImpulse,
                                          PfdShape::kZeroOrderHold)));
 
@@ -325,10 +325,7 @@ TEST(GridApi, LptvVcoGridsMatchScalar) {
   const HarmonicCoefficients isf =
       HarmonicCoefficients::real_waveform(1.0, {cplx{0.2, 0.1},
                                                 cplx{0.05, -0.02}});
-  SamplingPllOptions opts;
-  opts.lambda_method = LambdaMethod::kTruncated;
-  opts.truncation = 10;
-  const SamplingPllModel model(make_typical_loop(0.1 * w0, w0), isf, opts);
+  const SamplingPllModel model(make_typical_loop(0.1 * w0, w0), isf);
 
   const CVector s_grid = jw_grid(logspace(1e-2 * w0, 0.45 * w0, 60));
   const CVector lam = model.lambda_grid(s_grid);

@@ -187,6 +187,35 @@ TEST(PoleSearch, CappedLaneIsNotConverged) {
   }
 }
 
+TEST(PoleSearch, FarSeedsFoldExactlyIntoTheStrip) {
+  // Iterates far up the jw axis fold into (-w0/2, w0/2] in one exact
+  // step: no stall once ulp(Im s) exceeds 2 w0 (about 5.7e16 here), no
+  // rounding drift per period below that.
+  const SamplingPllModel m = make_model(0.1);
+  PoleSearchOptions three;
+  three.max_iterations = 3;
+  for (const double im : {1e17, -1e17, 1e9}) {
+    const auto p = refine_closed_loop_poles(m, {cplx{-0.1, im}}, three);
+    ASSERT_EQ(p.size(), 1u);
+    EXPECT_TRUE(std::isfinite(p[0].s.real())) << "Im " << im;
+    EXPECT_GT(p[0].s.imag(), -0.5 * kW0) << "Im " << im;
+    EXPECT_LE(p[0].s.imag(), 0.5 * kW0) << "Im " << im;
+  }
+  // A pole seeded a million periods up its ladder folds back onto the
+  // strip's pole to within the seed's own rounding.
+  const auto poles = closed_loop_poles(m);
+  ASSERT_FALSE(poles.empty());
+  for (const ClosedLoopPole& pole : poles) {
+    const cplx seed = pole.s + cplx{0.0, 1e6 * kW0};
+    const double ulp =
+        std::nextafter(seed.imag(), 2.0 * seed.imag()) - seed.imag();
+    const auto far = refine_closed_loop_poles(m, {seed});
+    ASSERT_EQ(far.size(), 1u);
+    EXPECT_LE(std::abs(far[0].s - pole.s), 4.0 * ulp)
+        << "pole " << pole.s << " folded " << far[0].s;
+  }
+}
+
 TEST(PoleSearch, RequiresTimeInvariantVco) {
   const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
   const SamplingPllModel m(

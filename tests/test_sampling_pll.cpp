@@ -1,4 +1,6 @@
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,12 +12,8 @@ namespace {
 const cplx j{0.0, 1.0};
 constexpr double kW0 = 2.0 * std::numbers::pi;  // T = 1
 
-SamplingPllModel make_model(double ratio,
-                            LambdaMethod method = LambdaMethod::kExact) {
-  SamplingPllOptions opts;
-  opts.lambda_method = method;
-  return SamplingPllModel(make_typical_loop(ratio * kW0, kW0),
-                          HarmonicCoefficients(cplx{1.0}), opts);
+SamplingPllModel make_model(double ratio) {
+  return SamplingPllModel(make_typical_loop(ratio * kW0, kW0));
 }
 
 TEST(SamplingPll, LambdaEqualsAliasingSumOfA) {
@@ -227,23 +225,34 @@ TEST(SamplingPll, VtildeRejectsIntegratorPole) {
 TEST(SamplingPll, RejectsNegativeTruncation) {
   // A negative K would silently open the loop (an empty truncated sum)
   // or wrap a size_t resize.
-  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
-  for (LambdaMethod method : {LambdaMethod::kExact, LambdaMethod::kTruncated}) {
-    SamplingPllOptions opts;
-    opts.lambda_method = method;
-    opts.truncation = -1;
-    EXPECT_THROW(SamplingPllModel(p, HarmonicCoefficients(cplx{1.0}), opts),
-                 std::invalid_argument);
-  }
   const SamplingPllModel m = make_model(0.1);
   const cplx s = j * (0.1 * kW0);
   EXPECT_THROW(m.lambda(s, LambdaMethod::kTruncated, -1),
                std::invalid_argument);
-  EXPECT_THROW(m.lambda_grid({s}, LambdaMethod::kTruncated, -1),
-               std::invalid_argument);
   EXPECT_THROW(m.vtilde(s, -1), std::invalid_argument);
   // K = 0 stays valid: the baseband term alone.
   EXPECT_EQ(m.lambda(s, LambdaMethod::kTruncated, 0), m.vtilde_element(0, s));
+}
+
+TEST(SamplingPll, RejectsPoleMultiplicityAboveFour) {
+  // The exact lambda sums poles of multiplicity 1..4.  Three extra
+  // integrators on the typical loop's double pole at DC make five: the
+  // constructor rejects the model, naming the limit, instead of leaving
+  // every lambda call to throw.  Two make four, which still evaluates.
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  const HarmonicCoefficients dc(cplx{1.0});
+  std::string message;
+  try {
+    SamplingPllModel(p, dc, {}, RationalFunction::integrator(1.0, 3));
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("multiplicities 1..4"), std::string::npos)
+      << message;
+  const SamplingPllModel four(p, dc, {}, RationalFunction::integrator(1.0, 2));
+  const cplx s = j * (0.2 * kW0);
+  const cplx want = four.lambda(s, LambdaMethod::kTruncated, 2000);
+  EXPECT_LT(std::abs(four.lambda(s) - want), 1e-9 * std::abs(want));
 }
 
 }  // namespace

@@ -121,10 +121,9 @@ TEST(Stability, BatchedCrossoverMatchesScalarSearch) {
   }
 
   // Loops whose lambda the typical impulse loop does not cover: extra
-  // Pade delay, an LPTV ISF, the second-order loop, and the truncated
-  // and adaptive lambda methods (the solve uses no derivative, so they
-  // all take the same path).  Every one of them has an effective
-  // crossover; unstable loops are BatchedCrossoverHandlesUnstableLoop's.
+  // Pade delay, an LPTV ISF and the second-order loop.  Every one of
+  // them has an effective crossover; unstable loops are
+  // BatchedCrossoverHandlesUnstableLoop's.
   const HarmonicCoefficients dc_isf(cplx{1.0});
   const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
   for (const double tau : {0.02, 0.05, 0.1}) {
@@ -151,25 +150,6 @@ TEST(Stability, BatchedCrossoverMatchesScalarSearch) {
     const SamplingPllModel model(make_second_order_loop(ratio * kW0, kW0));
     EXPECT_TRUE(expect_matches_oracle(model).eff_found);
   }
-  for (const double ratio : {0.05, 0.2}) {
-    for (const int truncation : {4, 16}) {
-      SCOPED_TRACE(testing::Message()
-                   << "ratio " << ratio << " truncated lambda, K = "
-                   << truncation);
-      SamplingPllOptions opts;
-      opts.lambda_method = LambdaMethod::kTruncated;
-      opts.truncation = truncation;
-      const SamplingPllModel model(make_typical_loop(ratio * kW0, kW0),
-                                   dc_isf, opts);
-      EXPECT_TRUE(expect_matches_oracle(model).eff_found);
-    }
-  }
-  SCOPED_TRACE("adaptive lambda");
-  SamplingPllOptions adaptive;
-  adaptive.lambda_method = LambdaMethod::kAdaptive;
-  const SamplingPllModel model(make_typical_loop(0.1 * kW0, kW0), dc_isf,
-                               adaptive);
-  EXPECT_TRUE(expect_matches_oracle(model).eff_found);
 }
 
 TEST(Stability, MarginSearchSpendsFewPlanPoints) {

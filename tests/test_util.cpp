@@ -1,4 +1,6 @@
+#include <cmath>
 #include <filesystem>
+#include <numbers>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -53,6 +55,18 @@ TEST(Grid, PerDecadeCount) {
   EXPECT_EQ(g.size(), 31u);  // 3 decades * 10 + 1
   EXPECT_DOUBLE_EQ(g.front(), 1.0);
   EXPECT_DOUBLE_EQ(g.back(), 1000.0);
+}
+
+TEST(Grid, TrapezoidRmsIsExactOnLinearPsd) {
+  // The trapezoid rule integrates a linear PSD exactly on any grid:
+  // integral of (1 + w) over [1, 3] is 6, so the rms is sqrt(6 / pi).
+  const std::vector<double> w = {1.0, 1.5, 2.25, 3.0};
+  std::vector<double> psd;
+  for (double x : w) psd.push_back(1.0 + x);
+  EXPECT_NEAR(trapezoid_rms(w, psd), std::sqrt(6.0 / std::numbers::pi),
+              1e-15);
+  psd.pop_back();
+  EXPECT_THROW(trapezoid_rms(w, psd), std::invalid_argument);
 }
 
 TEST(Table, AlignedPrintAndCsv) {
