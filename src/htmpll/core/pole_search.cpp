@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "htmpll/obs/diag.hpp"
@@ -24,6 +25,12 @@ cplx fold_to_strip(cplx s, double w0) {
   double im = std::remainder(s.imag(), w0);
   if (im == -0.5 * w0) im = 0.5 * w0;
   return cplx{s.real(), im};
+}
+
+/// Spacing of the doubles at |x|.
+double ulp(double x) {
+  const double a = std::abs(x);
+  return std::nextafter(a, std::numeric_limits<double>::infinity()) - a;
 }
 
 ClosedLoopPole finish_pole(cplx s, double residual, int iterations,
@@ -55,11 +62,13 @@ std::vector<ClosedLoopPole> refine_closed_loop_poles(
 
   // Lockstep Newton: one batched lambda / lambda-derivative pair per
   // round advances every still-active lane.  Lanes retire on
-  // convergence (|step| <= tol * w0), on a degenerate/non-finite
-  // derivative, or when the proposed iterate leaves the finite plane --
-  // the last two drop the lane with a diag event, keeping its final
-  // finite iterate.  A lane still active after the last round hit the
-  // iteration cap and is reported unconverged.
+  // convergence (|step| <= max(tol * w0, 4 ulp(|s|)): far up the jw
+  // axis no step is shorter than the spacing of the doubles at s, so
+  // tol * w0 alone would never retire such a lane), on a
+  // degenerate/non-finite derivative, or when the proposed iterate
+  // leaves the finite plane -- the last two drop the lane with a diag
+  // event, keeping its final finite iterate.  A lane still active after
+  // the last round hit the iteration cap and is reported unconverged.
   std::vector<std::size_t> lanes;
   CVector pts;
   for (int it = 0; it < opts.max_iterations; ++it) {
@@ -95,7 +104,8 @@ std::vector<ClosedLoopPole> refine_closed_loop_poles(
         continue;
       }
       s[i] = next;
-      if (std::abs(step) <= opts.tolerance * w0) {
+      if (std::abs(step) <=
+          std::max(opts.tolerance * w0, 4.0 * ulp(std::abs(next)))) {
         active[i] = 0;
         iters[i] = it;
       }

@@ -38,7 +38,9 @@ struct ClosedLoopPole {
 
 struct PoleSearchOptions {
   int max_iterations = 60;   ///< >= 1
-  double tolerance = 1e-12;  ///< on |step| relative to w0; finite, > 0
+  /// On |step| relative to w0; finite, > 0.  A step within 4 ulp(|s|)
+  /// also converges, since none can be shorter far up the jw axis.
+  double tolerance = 1e-12;
 };
 
 /// Masked lockstep Newton polish of many seeds: all active lanes advance

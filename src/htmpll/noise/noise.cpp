@@ -1,12 +1,27 @@
 #include "htmpll/noise/noise.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "htmpll/linalg/batch_kernels.hpp"
+#include "htmpll/noise/noise_detail.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/util/check.hpp"
 #include "htmpll/util/grid.hpp"
+
+// The fold kernel is compiled twice: for the baseline ISA and, when the
+// AVX2 kernels are built, under target("avx2").  FMA stays out of that
+// target: C++ lets GCC contract a*b + c, and a fused multiply-add would
+// change the bits of the baseline build.
+#if defined(HTMPLL_SIMD_COMPILED) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define HTMPLL_FOLD_AVX2 1
+#else
+#define HTMPLL_FOLD_AVX2 0
+#endif
 
 namespace htmpll {
 
@@ -31,33 +46,6 @@ void require_power_law(const PowerLawPsd& p) {
   HTMPLL_REQUIRE(ok(p.white) && ok(p.flicker) && ok(p.walk),
                  "power-law PSD coefficients must be finite and "
                  "non-negative");
-}
-
-/// psd[i] = f(|w[i] + shift|) for every lane off DC.  DC lanes hold no
-/// PSD value (inf/NaN or unwritten) and the fold loops skip them.  A
-/// PowerLawPsd held by `f` (the PSD type of every driver) is evaluated
-/// inline with the expression of PowerLawPsd::operator(), so the values
-/// are bitwise those of the per-point call without its std::function
-/// dispatch, on every lane so the loop vectorizes; any other callable
-/// is called per point, off DC only.
-void fold_psd_plane(const PsdFunction& f, const double* w, double shift,
-                    std::size_t n, double* psd) {
-  if (const PowerLawPsd* p = f.target<PowerLawPsd>()) {
-    require_power_law(*p);
-    const double white = p->white;
-    const double flicker = p->flicker;
-    const double walk = p->walk;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double wm = std::abs(w[i] + shift);
-      psd[i] = white + flicker / wm + walk / (wm * wm);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const double wm = std::abs(w[i] + shift);
-    if (wm == 0.0) continue;
-    psd[i] = f(wm);
-  }
 }
 
 CVector jw_grid(const std::vector<double>& w_grid) {
@@ -88,7 +76,443 @@ void even_odd_split(const CVector& c, std::vector<double>& even,
   }
 }
 
+// ---- the point-blocked fold kernel ------------------------------------
+//
+// The grid is folded in blocks of kBlock points whose planes live in
+// stack arrays.  Per block the kernel adds the reference term, then the
+// VCO terms for m = -F..F, then the charge-pump terms for m = -F..F: the
+// order in which the per-point sums add them, so each lane runs the
+// operations of the per-point fold, in its order.  Loops run over all
+// kBlock lanes so they vectorize; a short last block repeats its last
+// point in the spare lanes and stores only the real ones.  Callables,
+// the scaling-safe |Z|^2 fallback and batch_rational see only the real
+// lanes.
+
+constexpr std::size_t kBlock = 64;
+
+// The kernel's helpers inline into both builds: one compiled out of
+// line would run baseline-ISA code inside the AVX2 build.
+#define HTMPLL_FOLD_INLINE inline __attribute__((always_inline))
+
+/// One folded source: the callable, and the PowerLawPsd it holds (null
+/// for any other callable).
+struct FoldSource {
+  const PsdFunction* f = nullptr;
+  const PowerLawPsd* law = nullptr;
+};
+
+FoldSource fold_source(const PsdFunction* f) {
+  FoldSource src;
+  src.f = f;
+  if (f != nullptr) {
+    src.law = f->target<PowerLawPsd>();
+    if (src.law != nullptr) require_power_law(*src.law);
+  }
+  return src;
+}
+
+/// A nonzero ISF tap v_k = a + j b.
+struct IsfTap {
+  int k;
+  double a, b;
+};
+
+/// What the kernel reads that no block changes.
+struct FoldPlan {
+  const double* w = nullptr;
+  const cplx* h00 = nullptr;
+  const cplx* tracking = nullptr;
+  const PsdFunction* ref = nullptr;
+  FoldSource vco, icp;
+  double w0 = 0.0;
+  int fold = 0;
+  // Charge pump: current noise sees Z = loop_filter_tf/Icp, entering
+  // only through |Z(s_m)|^2 = |N(jx)|^2/|D(jx)|^2 (even/odd Horner
+  // chains for real coefficients, batch_rational otherwise).
+  const RationalFunction* hlf = nullptr;
+  bool real_tf = false;
+  std::vector<double> num_even, num_odd, den_even, den_odd;
+  double inv_icp2 = 0.0;
+  std::vector<IsfTap> taps;
+  /// Components of v_{-m}/s = (Im v_{-m} - j Re v_{-m})/w, per m + fold.
+  std::vector<double> vm_re, vm_im;
+  int bmax = 0;  ///< fold + ISF max harmonic: the reciprocal-row range
+};
+
+/// Scratch of one call for an ISF with other than one tap: per block,
+/// the tap planes g_k = (V~_0/(1+lambda)) (-j v_k) and the reciprocal
+/// rows 1/(w + b w0), b = -bmax..bmax.
+std::size_t scratch_size(const FoldPlan& p) {
+  if (p.icp.f == nullptr || p.taps.size() == 1) return 0;
+  return (2 * p.taps.size() + 2 * static_cast<std::size_t>(p.bmax) + 1) *
+         kBlock;
+}
+
+/// Shift of fold band b, written as the per-point sums write it.
+HTMPLL_FOLD_INLINE double band_shift(int b, double w0) {
+  return static_cast<double>(b) * w0;
+}
+
+/// acc[i] += term[i] off DC.  The per-point sums skip a DC term (x ==
+/// 0); acc is never -0.0, so adding +0.0 there is the skip, bit for
+/// bit.  The terms come in stored: selected where they are computed,
+/// their divisions would sink into the branch and keep the loop from
+/// vectorizing.
+HTMPLL_FOLD_INLINE void add_off_dc(const double* x, const double* term,
+                                   double* acc) {
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    const double t = term[i];
+    acc[i] += x[i] != 0.0 ? t : 0.0;
+  }
+}
+
+/// dst = c(y) by Horner, coefficient-outer over the block.
+HTMPLL_FOLD_INLINE void horner_block(const std::vector<double>& c,
+                                     const double* y, double* dst) {
+  const double top = c.empty() ? 0.0 : c.back();
+  for (std::size_t i = 0; i < kBlock; ++i) dst[i] = top;
+  for (std::size_t k = c.size() > 0 ? c.size() - 1 : 0; k-- > 0;) {
+    const double ck = c[k];
+    for (std::size_t i = 0; i < kBlock; ++i) dst[i] = dst[i] * y[i] + ck;
+  }
+}
+
+// The PSD of a folded source, as the fused loops read it: psd(i, wm) is
+// S(wm) at lane i, wm = |w + m w0|, after prepare() for that harmonic.
+// DC lanes may read inf, NaN or 0; the fold skips them.
+
+/// A PowerLawPsd, evaluated inline with the expression of
+/// PowerLawPsd::operator() -- bitwise the per-point call without its
+/// std::function dispatch.
+struct LawPsd {
+  double white, flicker, walk;
+  HTMPLL_FOLD_INLINE void prepare(const double*, double, std::size_t) const {}
+  HTMPLL_FOLD_INLINE double operator()(std::size_t, double wm) const {
+    return white + flicker / wm + walk / (wm * wm);
+  }
+};
+
+/// Any other callable: called once per real lane off DC by prepare().
+struct CallablePsd {
+  const PsdFunction* f;
+  double* table;  ///< kBlock values; DC and spare lanes hold 0
+  HTMPLL_FOLD_INLINE void prepare(const double* w, double shift,
+                                  std::size_t nb) const {
+    for (std::size_t i = 0; i < nb; ++i) {
+      const double wm = std::abs(w[i] + shift);
+      table[i] = wm == 0.0 ? 0.0 : (*f)(wm);
+    }
+  }
+  HTMPLL_FOLD_INLINE double operator()(std::size_t i, double) const {
+    return table[i];
+  }
+};
+
+/// Everything a block folds: its points, padded to kBlock lanes.
+struct Block {
+  std::size_t i0, nb;
+  double w[kBlock];
+};
+
+/// The VCO term of fold band m with transfer gain |T_{0,m}|^2 = gain.
+template <class Psd>
+HTMPLL_FOLD_INLINE void vco_band(int m, const FoldPlan& p, const Block& b,
+                                 const Psd& psd, const double* gain,
+                                 double* acc) {
+  const double shift = band_shift(m, p.w0);
+  psd.prepare(b.w, shift, b.nb);
+  double x[kBlock], term[kBlock];
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    x[i] = b.w[i] + shift;
+    term[i] = gain[i] * psd(i, std::abs(x[i]));
+  }
+  add_off_dc(x, term, acc);
+}
+
+/// VCO noise: |delta_{m0} - H_00|^2 is |1 - H_00|^2 at m = 0 and
+/// |H_00|^2 on every other band (each band gets its own loop, so no
+/// per-lane select between the two planes).
+template <class Psd>
+HTMPLL_FOLD_INLINE void fold_vco(const FoldPlan& p, const Block& b,
+                                 const Psd& psd, const double* g_base,
+                                 const double* h2, double* acc) {
+  for (int m = -p.fold; m < 0; ++m) vco_band(m, p, b, psd, h2, acc);
+  vco_band(0, p, b, psd, g_base, acc);
+  for (int m = 1; m <= p.fold; ++m) vco_band(m, p, b, psd, h2, acc);
+}
+
+/// z2 = |Z(j x)|^2 Icp^2 = |N(j x)|^2 / |D(j x)|^2 over the block.
+HTMPLL_FOLD_INLINE void impedance_block(const FoldPlan& p, const double* x,
+                                        std::size_t nb, double* z2) {
+  if (p.real_tf) {
+    double y[kBlock], ne[kBlock], no[kBlock], de[kBlock], dd[kBlock];
+    for (std::size_t i = 0; i < kBlock; ++i) y[i] = -x[i] * x[i];
+    horner_block(p.num_even, y, ne);
+    horner_block(p.num_odd, y, no);
+    horner_block(p.den_even, y, de);
+    horner_block(p.den_odd, y, dd);
+    // z - z is +0.0 for finite z and NaN otherwise: `bad` collects the
+    // bits of the non-finite lanes.
+    std::uint64_t bad = 0;
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      const double ni = x[i] * no[i];
+      const double zn = ne[i] * ne[i] + ni * ni;  // |N(jx)|^2
+      const double di = x[i] * dd[i];
+      z2[i] = zn / (de[i] * de[i] + di * di);  // over |D(jx)|^2
+      bad |= std::bit_cast<std::uint64_t>(z2[i] - z2[i]);
+    }
+    if (bad == 0) return;
+    // Over/underflowed squared magnitudes: redo the point with the
+    // scaling-safe complex evaluator.
+    for (std::size_t i = 0; i < nb; ++i) {
+      if (!std::isfinite(z2[i])) z2[i] = std::norm((*p.hlf)(cplx{0.0, x[i]}));
+    }
+    return;
+  }
+  const CVector& num = p.hlf->num().coefficients();
+  const CVector& den = p.hlf->den().coefficients();
+  double zero[kBlock] = {}, z_re[kBlock], z_im[kBlock], t_re[kBlock],
+         t_im[kBlock];
+  batch_rational(num.data(), num.size(), den.data(), den.size(), zero, x, nb,
+                 z_re, z_im, t_re, t_im);
+  for (std::size_t i = 0; i < nb; ++i) {
+    z2[i] = z_re[i] * z_re[i] + z_im[i] * z_im[i];
+  }
+  for (std::size_t i = nb; i < kBlock; ++i) z2[i] = 0.0;
+}
+
+// Charge-pump noise, general LPTV form:
+//   T_{0,m} = Z(s_m) [ v_{-m}/s - (V~_0/(1+lambda)) sum_k v_k/(s + j(m+k) w0) ].
+// On the jw axis every folding denominator s + j b w0 is imaginary, so
+// v/(s + j b w0) = (Im v)/x - j (Re v)/x with x = w + b w0 and the
+// bracket is real multiply-adds on reciprocals 1/(w + b w0), weighted by
+// the tap planes g_k = (V~_0/(1+lambda)) (-j v_k).
+template <class Psd>
+HTMPLL_FOLD_INLINE void fold_charge_pump(const FoldPlan& p, const Block& b,
+                                         const Psd& psd, double* scratch,
+                                         double* acc) {
+  const std::size_t ntaps = p.taps.size();
+  const double w0 = p.w0;
+  const double* w = b.w;
+  double g_re[kBlock], g_im[kBlock];  // the single tap's plane
+  for (std::size_t t = 0; t < ntaps; ++t) {
+    const double a = p.taps[t].a;
+    const double v = p.taps[t].b;
+    double* gr = ntaps == 1 ? g_re : scratch + 2 * t * kBlock;
+    double* gi = ntaps == 1 ? g_im : gr + kBlock;
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      const cplx tr = p.tracking[b.i0 + std::min(i, b.nb - 1)];
+      gr[i] = tr.real() * v + tr.imag() * a;
+      gi[i] = tr.imag() * v - tr.real() * a;
+    }
+  }
+  // 1/w is the b = 0 reciprocal row.
+  double inv_w0[kBlock];
+  const double* inv_w = inv_w0;
+  double* rows = nullptr;
+  if (ntaps == 1) {
+    const double shift0 = band_shift(0, w0);
+    for (std::size_t i = 0; i < kBlock; ++i) inv_w0[i] = 1.0 / (w[i] + shift0);
+  } else {
+    rows = scratch + 2 * ntaps * kBlock;
+    for (int k = -p.bmax; k <= p.bmax; ++k) {
+      double* row = rows + static_cast<std::size_t>(k + p.bmax) * kBlock;
+      const double shift = band_shift(k, w0);
+      for (std::size_t i = 0; i < kBlock; ++i) row[i] = 1.0 / (w[i] + shift);
+    }
+    inv_w = rows + static_cast<std::size_t>(p.bmax) * kBlock;
+  }
+  const double inv_icp2 = p.inv_icp2;
+  double x[kBlock], z2[kBlock], term[kBlock], row_re[kBlock], row_im[kBlock];
+  for (int m = -p.fold; m <= p.fold; ++m) {
+    const double shift = band_shift(m, w0);
+    for (std::size_t i = 0; i < kBlock; ++i) x[i] = w[i] + shift;
+    impedance_block(p, x, b.nb, z2);
+    psd.prepare(w, shift, b.nb);
+    const double vm_re = p.vm_re[static_cast<std::size_t>(m + p.fold)];
+    const double vm_im = p.vm_im[static_cast<std::size_t>(m + p.fold)];
+    if (ntaps == 1) {
+      // DC-only ISF (the common case): one tap, fused into the sum --
+      // bracket = v_{-m}/s - g_k / (w + (m + k) w0).
+      const double shift_b = band_shift(m + p.taps[0].k, w0);
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        const double inv = 1.0 / (w[i] + shift_b);
+        const double br = vm_re * inv_w[i] - g_re[i] * inv;
+        const double bi = vm_im * inv_w[i] - g_im[i] * inv;
+        term[i] =
+            z2[i] * inv_icp2 * (br * br + bi * bi) * psd(i, std::abs(x[i]));
+      }
+      add_off_dc(x, term, acc);
+      continue;
+    }
+    // The tracking * row_sum plane over the ISF window.
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      row_re[i] = 0.0;
+      row_im[i] = 0.0;
+    }
+    for (std::size_t t = 0; t < ntaps; ++t) {
+      const double* inv =
+          rows + static_cast<std::size_t>(m + p.taps[t].k + p.bmax) * kBlock;
+      const double* gr = scratch + 2 * t * kBlock;
+      const double* gi = gr + kBlock;
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        row_re[i] += gr[i] * inv[i];
+        row_im[i] += gi[i] * inv[i];
+      }
+    }
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      const double br = vm_re * inv_w[i] - row_re[i];
+      const double bi = vm_im * inv_w[i] - row_im[i];
+      term[i] =
+          z2[i] * inv_icp2 * (br * br + bi * bi) * psd(i, std::abs(x[i]));
+    }
+    add_off_dc(x, term, acc);
+  }
+}
+
+/// Folds the block of nb <= kBlock points at i0 into out[i0 ..].
+HTMPLL_FOLD_INLINE void fold_block(const FoldPlan& p, std::size_t i0,
+                                   std::size_t nb, double* scratch,
+                                   double* out) {
+  Block b;
+  b.i0 = i0;
+  b.nb = nb;
+  double acc[kBlock], table[kBlock];
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    b.w[i] = p.w[i0 + std::min(i, nb - 1)];
+    acc[i] = 0.0;
+    table[i] = 0.0;
+  }
+
+  if (p.ref != nullptr || p.vco.f != nullptr) {
+    double h2[kBlock], g_base[kBlock];
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      const cplx h = p.h00[i0 + std::min(i, nb - 1)];
+      const double hr = h.real();
+      const double hi = h.imag();
+      h2[i] = hr * hr + hi * hi;  // |H_00|^2
+      const double br = 1.0 - hr;
+      const double bi = 0.0 - hi;
+      g_base[i] = br * br + bi * bi;  // |1 - H_00|^2
+    }
+    // Reference noise is a baseband quantity in the paper's convention;
+    // only H_{0,0} applies, and every point calls s_ref.
+    if (p.ref != nullptr) {
+      for (std::size_t i = 0; i < nb; ++i) {
+        acc[i] += h2[i] * (*p.ref)(std::abs(b.w[i]));
+      }
+    }
+    if (const PowerLawPsd* law = p.vco.law) {
+      fold_vco(p, b, LawPsd{law->white, law->flicker, law->walk}, g_base, h2,
+               acc);
+    } else if (p.vco.f != nullptr) {
+      fold_vco(p, b, CallablePsd{p.vco.f, table}, g_base, h2, acc);
+    }
+  }
+
+  if (const PowerLawPsd* law = p.icp.law) {
+    fold_charge_pump(p, b, LawPsd{law->white, law->flicker, law->walk},
+                     scratch, acc);
+  } else if (p.icp.f != nullptr) {
+    fold_charge_pump(p, b, CallablePsd{p.icp.f, table}, scratch, acc);
+  }
+
+  for (std::size_t i = 0; i < nb; ++i) out[i0 + i] = acc[i];
+}
+
+void fold_grid_baseline(const FoldPlan& p, std::size_t n, double* scratch,
+                        double* out) {
+  for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
+    fold_block(p, i0, std::min(kBlock, n - i0), scratch, out);
+  }
+}
+
+#if HTMPLL_FOLD_AVX2
+__attribute__((target("avx2"))) void fold_grid_avx2(const FoldPlan& p,
+                                                    std::size_t n,
+                                                    double* scratch,
+                                                    double* out) {
+  for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
+    fold_block(p, i0, std::min(kBlock, n - i0), scratch, out);
+  }
+}
+#endif
+
+#undef HTMPLL_FOLD_INLINE
+
 }  // namespace
+
+namespace detail {
+
+std::vector<double> fold_noise_grid(const SamplingPllModel& model,
+                                    int fold_harmonics,
+                                    const std::vector<double>& w_grid,
+                                    const cplx* h00, const cplx* tracking,
+                                    const NoiseSources& sources,
+                                    simd::Isa isa) {
+  HTMPLL_REQUIRE(fold_harmonics >= 0, "fold_harmonics must be >= 0");
+  HTMPLL_REQUIRE((sources.ref == nullptr && sources.vco == nullptr) ||
+                     h00 != nullptr,
+                 "reference and VCO folds need the H_00 plane");
+  HTMPLL_REQUIRE(sources.icp == nullptr || tracking != nullptr,
+                 "the charge-pump fold needs the tracking plane");
+  const std::size_t n = w_grid.size();
+  FoldPlan p;
+  p.w = w_grid.data();
+  p.h00 = h00;
+  p.tracking = tracking;
+  p.ref = sources.ref;
+  p.vco = fold_source(sources.vco);
+  p.icp = fold_source(sources.icp);
+  p.w0 = model.w0();
+  p.fold = fold_harmonics;
+  if (p.icp.f != nullptr) {
+    const PllParameters& params = model.parameters();
+    p.hlf = &model.loop_filter_tf();
+    const CVector& num = p.hlf->num().coefficients();
+    const CVector& den = p.hlf->den().coefficients();
+    p.real_tf = all_real(num) && all_real(den);
+    if (p.real_tf) {
+      even_odd_split(num, p.num_even, p.num_odd);
+      even_odd_split(den, p.den_even, p.den_odd);
+    }
+    const double inv_icp = 1.0 / params.icp;
+    p.inv_icp2 = inv_icp * inv_icp;
+    const HarmonicCoefficients& isf = model.isf();
+    const int jmax = isf.max_harmonic();
+    for (int k = -jmax; k <= jmax; ++k) {
+      const cplx v_k = params.kvco * isf[k];
+      if (v_k == cplx{0.0}) continue;
+      p.taps.push_back({k, v_k.real(), v_k.imag()});
+    }
+    for (int m = -fold_harmonics; m <= fold_harmonics; ++m) {
+      const cplx v_minus_m = params.kvco * isf[-m];
+      p.vm_re.push_back(v_minus_m.imag());
+      p.vm_im.push_back(-v_minus_m.real());
+    }
+    p.bmax = fold_harmonics + jmax;
+  }
+
+  std::vector<double> out(n);
+  std::vector<double> scratch(scratch_size(p));
+#if HTMPLL_FOLD_AVX2
+  if (isa == simd::Isa::kAvx2Fma) {
+    fold_grid_avx2(p, n, scratch.data(), out.data());
+  } else {
+    fold_grid_baseline(p, n, scratch.data(), out.data());
+  }
+#else
+  (void)isa;
+  fold_grid_baseline(p, n, scratch.data(), out.data());
+#endif
+  const std::size_t terms =
+      (2 * static_cast<std::size_t>(fold_harmonics) + 1) * n;
+  if (p.vco.f != nullptr) fold_terms_counter().add(terms);
+  if (p.icp.f != nullptr) fold_terms_counter().add(terms);
+  return out;
+}
+
+}  // namespace detail
 
 double PowerLawPsd::operator()(double w) const {
   require_power_law(*this);
@@ -202,220 +626,15 @@ double NoiseAnalysis::integrated_rms(
 
 // ---- batched grids ----------------------------------------------------
 
-void NoiseAnalysis::psd_reference_into(const CVector& h00,
-                                       const std::vector<double>& w_grid,
-                                       const PsdFunction& s_ref,
-                                       std::vector<double>& out) const {
-  for (std::size_t i = 0; i < w_grid.size(); ++i) {
-    out[i] += std::norm(h00[i]) * s_ref(std::abs(w_grid[i]));
-  }
-}
-
-void NoiseAnalysis::psd_vco_into(const CVector& h00,
-                                 const std::vector<double>& w_grid,
-                                 const PsdFunction& s_vco,
-                                 std::vector<double>& out) const {
-  const double w0 = model_.w0();
-  const std::size_t n = w_grid.size();
-  // |delta_{m0} - H_00| takes only two values per grid point; hoist
-  // both squared magnitudes out of the fold loop so the band sweep is
-  // one multiply-add plus the PSD lookup per term.
-  std::vector<double> gain_base(n), gain_fold(n), psd(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    gain_base[i] = std::norm(cplx{1.0} - h00[i]);
-    gain_fold[i] = std::norm(h00[i]);
-  }
-  for (int m = -fold_; m <= fold_; ++m) {
-    const double shift = static_cast<double>(m) * w0;
-    const double* gain = (m == 0 ? gain_base : gain_fold).data();
-    fold_psd_plane(s_vco, w_grid.data(), shift, n, psd.data());
-    // DC lanes add +0.0 instead of their term: out[i] is never -0.0,
-    // so that is the skip, bit for bit, and the loop vectorizes.
-    for (std::size_t i = 0; i < n; ++i) {
-      const double term = gain[i] * psd[i];
-      out[i] += w_grid[i] + shift == 0.0 ? 0.0 : term;
-    }
-    fold_terms_counter().add(n);
-  }
-}
-
-void NoiseAnalysis::psd_charge_pump_into(const CVector& tracking,
-                                         const std::vector<double>& w_grid,
-                                         const PsdFunction& s_icp,
-                                         std::vector<double>& out) const {
-  const std::size_t n = w_grid.size();
-  const double w0 = model_.w0();
-  const PllParameters& p = model_.parameters();
-  const RationalFunction& hlf = model_.loop_filter_tf();
-  const CVector& num = hlf.num().coefficients();
-  const CVector& den = hlf.den().coefficients();
-  const HarmonicCoefficients& isf = model_.isf();
-  const int jmax = isf.max_harmonic();
-
-  // Per-band filter-impedance column Z(s + j m w0)/Icp, evaluated as
-  // one batch_rational plane per fold harmonic; the expensive tracking
-  // factor V~_0/(1+lambda) comes in precomputed and m-independent.
-  //
-  // On the jw axis every folding denominator s + j b w0 is purely
-  // imaginary, so v/(s + j b w0) = (Im v)/x - j (Re v)/x with
-  // x = w + b w0.  Each reciprocal plane is shared by every fold
-  // harmonic whose ISF window b = m + k covers it, which turns the
-  // per-point complex divisions of the pointwise loop into one real
-  // reciprocal plane per band plus multiply-adds.
-  const double inv_icp = 1.0 / p.icp;
-  const int bmax = fold_ + jmax;
-  std::vector<double> inv_band(static_cast<std::size_t>(2 * bmax + 1) * n);
-  for (int b = -bmax; b <= bmax; ++b) {
-    double* row = inv_band.data() + static_cast<std::size_t>(b + bmax) * n;
-    const double shift = static_cast<double>(b) * w0;
-    for (std::size_t i = 0; i < n; ++i) {
-      row[i] = 1.0 / (w_grid[i] + shift);
-    }
-  }
-  const double* inv_w =
-      inv_band.data() + static_cast<std::size_t>(bmax) * n;  // 1/w plane
-
-  // Tracking-weighted ISF taps g_k = (V~_0/(1+lambda)) (-j v_k), one
-  // complex plane per nonzero tap, built once: the per-band row term
-  // tracking * sum_k v_k/(s + j(m+k) w0) then reduces to real
-  // multiply-adds  sum_k g_k[i] * inv_band[m+k][i].
-  struct Tap {
-    int k;
-    std::vector<double> g_re, g_im;
-  };
-  std::vector<Tap> taps;
-  for (int k = -jmax; k <= jmax; ++k) {
-    const cplx v_k = p.kvco * isf[k];
-    if (v_k == cplx{0.0}) continue;
-    Tap tap;
-    tap.k = k;
-    tap.g_re.resize(n);
-    tap.g_im.resize(n);
-    const double a = v_k.real();
-    const double b = v_k.imag();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double tr = tracking[i].real();
-      const double ti = tracking[i].imag();
-      tap.g_re[i] = tr * b + ti * a;
-      tap.g_im[i] = ti * b - tr * a;
-    }
-    taps.push_back(std::move(tap));
-  }
-
-  // The impedance column only enters the PSD through its squared
-  // magnitude: |Z(s_m) B|^2 = |Z(s_m)|^2 |B|^2, so no complex division
-  // is needed -- only |N(jx)|^2 / |D(jx)|^2, one real division per
-  // point.  For real filter coefficients (the physical case) each
-  // |P(jx)|^2 = E(-x^2)^2 + x^2 O(-x^2)^2 costs two half-degree real
-  // Horner chains; otherwise fall back to the complex batch_rational
-  // plane and take its magnitude.
-  const bool real_tf = all_real(num) && all_real(den);
-  std::vector<double> num_even, num_odd, den_even, den_odd;
-  if (real_tf) {
-    even_odd_split(num, num_even, num_odd);
-    even_odd_split(den, den_even, den_odd);
-  }
-  const double inv_icp2 = inv_icp * inv_icp;
-
-  std::vector<double> sm_re(n, 0.0), sm_im(n), z_re(n), z_im(n), t_re(n),
-      t_im(n), z2(n), y_pl(n), ev_pl(n), od_pl(n), row_re(n), row_im(n),
-      psd(n);
-  // Coefficient-outer Horner pass over a whole plane: amortizes the
-  // tiny-degree loop overhead and lets the compiler vectorize.
-  const auto horner_plane = [&](const std::vector<double>& c, double* dst) {
-    const double top = c.empty() ? 0.0 : c.back();
-    for (std::size_t i = 0; i < n; ++i) dst[i] = top;
-    for (std::size_t k = c.size() > 0 ? c.size() - 1 : 0; k-- > 0;) {
-      const double ck = c[k];
-      for (std::size_t i = 0; i < n; ++i) dst[i] = dst[i] * y_pl[i] + ck;
-    }
-  };
-  for (int m = -fold_; m <= fold_; ++m) {
-    const double shift = static_cast<double>(m) * w0;
-    for (std::size_t i = 0; i < n; ++i) sm_im[i] = w_grid[i] + shift;
-    if (real_tf) {
-      for (std::size_t i = 0; i < n; ++i) y_pl[i] = -sm_im[i] * sm_im[i];
-      horner_plane(num_even, ev_pl.data());
-      horner_plane(num_odd, od_pl.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        const double ni = sm_im[i] * od_pl[i];
-        z_re[i] = ev_pl[i] * ev_pl[i] + ni * ni;  // |N(jx)|^2
-      }
-      horner_plane(den_even, ev_pl.data());
-      horner_plane(den_odd, od_pl.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        const double di = sm_im[i] * od_pl[i];
-        z_im[i] = ev_pl[i] * ev_pl[i] + di * di;  // |D(jx)|^2
-      }
-      for (std::size_t i = 0; i < n; ++i) z2[i] = z_re[i] / z_im[i];
-      for (std::size_t i = 0; i < n; ++i) {
-        // Over/underflowed squared magnitudes: redo the point with the
-        // scaling-safe complex evaluator.
-        if (!std::isfinite(z2[i])) {
-          z2[i] = std::norm(hlf(cplx{0.0, sm_im[i]}));
-        }
-      }
-    } else {
-      batch_rational(num.data(), num.size(), den.data(), den.size(),
-                     sm_re.data(), sm_im.data(), n, z_re.data(),
-                     z_im.data(), t_re.data(), t_im.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        z2[i] = z_re[i] * z_re[i] + z_im[i] * z_im[i];
-      }
-    }
-    fold_psd_plane(s_icp, w_grid.data(), shift, n, psd.data());
-    const cplx v_minus_m = p.kvco * isf[-m];
-    const double vm_re = v_minus_m.imag();  // components of v_{-m}/s
-    const double vm_im = -v_minus_m.real();
-    if (taps.size() == 1) {
-      // DC-only ISF (the common case): one tap, fused into the PSD
-      // accumulation -- bracket = v_{-m}/s - g_0 / (w + m w0).
-      const double* inv =
-          inv_band.data() + static_cast<std::size_t>(m + taps[0].k + bmax) * n;
-      const double* gr = taps[0].g_re.data();
-      const double* gi = taps[0].g_im.data();
-      for (std::size_t i = 0; i < n; ++i) {
-        const double br = vm_re * inv_w[i] - gr[i] * inv[i];
-        const double bi = vm_im * inv_w[i] - gi[i] * inv[i];
-        const double term = z2[i] * inv_icp2 * (br * br + bi * bi) * psd[i];
-        out[i] += sm_im[i] == 0.0 ? 0.0 : term;  // DC skip, as above
-      }
-    } else {
-      // tracking * row_sum plane over the ISF window.
-      std::fill(row_re.begin(), row_re.end(), 0.0);
-      std::fill(row_im.begin(), row_im.end(), 0.0);
-      for (const Tap& tap : taps) {
-        const double* inv =
-            inv_band.data() +
-            static_cast<std::size_t>(m + tap.k + bmax) * n;
-        const double* gr = tap.g_re.data();
-        const double* gi = tap.g_im.data();
-        for (std::size_t i = 0; i < n; ++i) {
-          row_re[i] += gr[i] * inv[i];
-          row_im[i] += gi[i] * inv[i];
-        }
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        // bracket = v_{-m}/s - tracking * row_sum
-        const double br = vm_re * inv_w[i] - row_re[i];
-        const double bi = vm_im * inv_w[i] - row_im[i];
-        const double term = z2[i] * inv_icp2 * (br * br + bi * bi) * psd[i];
-        out[i] += sm_im[i] == 0.0 ? 0.0 : term;  // DC skip, as above
-      }
-    }
-    fold_terms_counter().add(n);
-  }
-}
-
 std::vector<double> NoiseAnalysis::output_psd_from_reference_grid(
     const std::vector<double>& w_grid, const PsdFunction& s_ref) const {
   require_grid(w_grid);
   require_psd(s_ref, "s_ref");
   HTMPLL_TRACE_SPAN("noise.psd_grid");
   const CVector h00 = model_.baseband_transfer_grid(jw_grid(w_grid));
-  std::vector<double> out(w_grid.size(), 0.0);
-  psd_reference_into(h00, w_grid, s_ref, out);
-  return out;
+  return detail::fold_noise_grid(model_, fold_, w_grid, h00.data(), nullptr,
+                                 {&s_ref, nullptr, nullptr},
+                                 simd::active_isa());
 }
 
 std::vector<double> NoiseAnalysis::output_psd_from_vco_grid(
@@ -424,9 +643,9 @@ std::vector<double> NoiseAnalysis::output_psd_from_vco_grid(
   require_psd(s_vco, "s_vco");
   HTMPLL_TRACE_SPAN("noise.psd_grid");
   const CVector h00 = model_.baseband_transfer_grid(jw_grid(w_grid));
-  std::vector<double> out(w_grid.size(), 0.0);
-  psd_vco_into(h00, w_grid, s_vco, out);
-  return out;
+  return detail::fold_noise_grid(model_, fold_, w_grid, h00.data(), nullptr,
+                                 {nullptr, &s_vco, nullptr},
+                                 simd::active_isa());
 }
 
 std::vector<double> NoiseAnalysis::output_psd_from_charge_pump_grid(
@@ -436,9 +655,9 @@ std::vector<double> NoiseAnalysis::output_psd_from_charge_pump_grid(
   HTMPLL_TRACE_SPAN("noise.psd_grid");
   const CVector tracking =
       model_.closed_loop_grid({0}, jw_grid(w_grid))[0];
-  std::vector<double> out(w_grid.size(), 0.0);
-  psd_charge_pump_into(tracking, w_grid, s_icp, out);
-  return out;
+  return detail::fold_noise_grid(model_, fold_, w_grid, nullptr,
+                                 tracking.data(), {nullptr, nullptr, &s_icp},
+                                 simd::active_isa());
 }
 
 std::vector<double> NoiseAnalysis::output_psd_grid(
@@ -449,16 +668,12 @@ std::vector<double> NoiseAnalysis::output_psd_grid(
   require_psd(s_vco, "s_vco");
   require_psd(s_icp, "s_icp");
   HTMPLL_TRACE_SPAN("noise.psd_grid");
-  const CVector s_grid = jw_grid(w_grid);
-  // One shared plane serves every source: the charge-pump tracking
-  // factor V~_0/(1+lambda) is exactly the band-0 closed loop, i.e.
-  // H_00 itself.
-  const CVector h00 = model_.baseband_transfer_grid(s_grid);
-  std::vector<double> out(w_grid.size(), 0.0);
-  psd_reference_into(h00, w_grid, s_ref, out);
-  psd_vco_into(h00, w_grid, s_vco, out);
-  psd_charge_pump_into(h00, w_grid, s_icp, out);
-  return out;
+  // One plane serves every source: the charge-pump tracking factor
+  // V~_0/(1+lambda) is exactly the band-0 closed loop, i.e. H_00 itself.
+  const CVector h00 = model_.baseband_transfer_grid(jw_grid(w_grid));
+  return detail::fold_noise_grid(model_, fold_, w_grid, h00.data(),
+                                 h00.data(), {&s_ref, &s_vco, &s_icp},
+                                 simd::active_isa());
 }
 
 std::vector<std::vector<double>> NoiseAnalysis::spur_map_grid(

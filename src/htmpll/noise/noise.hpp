@@ -44,6 +44,10 @@ class NoiseAnalysis {
   /// (unfolded) term of every sum.
   explicit NoiseAnalysis(const SamplingPllModel& model,
                          int fold_harmonics = 16);
+  /// The analysis keeps a reference to the model, so a temporary one
+  /// would dangle: binding one does not compile.
+  NoiseAnalysis(const SamplingPllModel&& model,
+                int fold_harmonics = 16) = delete;
 
   int fold_harmonics() const { return fold_; }
 
@@ -86,13 +90,16 @@ class NoiseAnalysis {
   // --- batched output-PSD grids (eval-plan backed) ---
   //
   // Grid variants of the pointwise PSDs above.  The shared transfer
-  // planes -- H_00, the tracking factor V~_0/(1+lambda), and the
-  // per-fold-band filter-impedance columns Z(s + j m w0) -- are
-  // evaluated ONCE over the whole grid through the model's compiled
-  // eval plan (one exp(-sT) plane per block, SIMD batch kernels
-  // underneath) and reused across all 2*fold_harmonics+1 fold
-  // harmonics, instead of re-deriving lambda and the folding sum per
-  // (harmonic, frequency) pair like the pointwise calls.
+  // planes -- H_00 and the tracking factor V~_0/(1+lambda) -- come from
+  // the model's compiled eval plan, once per grid.  One point-blocked
+  // kernel then folds every source: per block of 64 points held in
+  // stack arrays it adds the reference term, the VCO terms and the
+  // charge-pump terms for m = -fold_harmonics..fold_harmonics, each
+  // harmonic costing one Horner pass per filter polynomial for
+  // |Z(s + j m w0)|^2 and one fused loop for the ISF bracket and the
+  // PSD.  Each point runs the operations of the pointwise fold in its
+  // order, and the AVX2 build of the kernel (selected with the batch
+  // kernels' ISA) gives the same bits as the baseline one.
   //
   // result[i] agrees with the pointwise call at w_grid[i] to <= 1e-10
   // relative error.  Grids must be non-empty and PSD functions
@@ -139,20 +146,6 @@ class NoiseAnalysis {
   /// V~_0/(1+lambda) supplied by the caller, so folding loops evaluate
   /// it once instead of per harmonic.
   cplx charge_pump_transfer_impl(int m, double w, cplx tracking) const;
-
-  // Accumulating per-source grid kernels behind the public grid APIs;
-  // `h00` / `tracking` are the shared planes at s = j w_grid[i].
-  void psd_reference_into(const CVector& h00,
-                          const std::vector<double>& w_grid,
-                          const PsdFunction& s_ref,
-                          std::vector<double>& out) const;
-  void psd_vco_into(const CVector& h00, const std::vector<double>& w_grid,
-                    const PsdFunction& s_vco,
-                    std::vector<double>& out) const;
-  void psd_charge_pump_into(const CVector& tracking,
-                            const std::vector<double>& w_grid,
-                            const PsdFunction& s_icp,
-                            std::vector<double>& out) const;
 
   const SamplingPllModel& model_;
   int fold_;

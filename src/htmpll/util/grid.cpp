@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <sstream>
 
 #include "htmpll/util/check.hpp"
 
@@ -49,9 +50,21 @@ std::vector<double> geomspace(double lo, double hi, std::size_t n) {
 std::vector<double> log_grid_per_decade(double lo, double hi,
                                         std::size_t points_per_decade) {
   HTMPLL_REQUIRE(points_per_decade >= 1, "need at least one point per decade");
-  const double decades = std::log10(hi / lo);
-  const auto n = static_cast<std::size_t>(
-      std::ceil(decades * static_cast<double>(points_per_decade))) + 1;
+  const auto range = [lo, hi] {
+    std::ostringstream os;
+    os << "[" << lo << ", " << hi << "]";
+    return os.str();
+  };
+  HTMPLL_REQUIRE(std::isfinite(lo) && std::isfinite(hi) && 0.0 < lo && lo < hi,
+                 "log_grid_per_decade needs finite 0 < lo < hi, got " +
+                     range());
+  // Check the count before the cast: converting a double that does not
+  // fit std::size_t is undefined behaviour.
+  const double count = std::ceil(std::log10(hi / lo) *
+                                 static_cast<double>(points_per_decade));
+  HTMPLL_REQUIRE(count < 0x1p63,
+                 "log_grid_per_decade: too many points over " + range());
+  const auto n = static_cast<std::size_t>(count) + 1;
   return logspace(lo, hi, n < 2 ? 2 : n);
 }
 

@@ -24,7 +24,8 @@ std::vector<double> logspace(double lo, double hi, std::size_t n);
 std::vector<double> geomspace(double lo, double hi, std::size_t n);
 
 /// Points per decade over [lo, hi]; convenience wrapper around logspace
-/// that picks the count from the span.
+/// that picks the count from the span.  Requires finite 0 < lo < hi and
+/// a count below 2^63 (std::invalid_argument naming the range otherwise).
 std::vector<double> log_grid_per_decade(double lo, double hi,
                                         std::size_t points_per_decade);
 

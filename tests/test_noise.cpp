@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,13 @@ const cplx j{0.0, 1.0};
 SamplingPllModel make_model(double ratio) {
   return SamplingPllModel(make_typical_loop(ratio * kW0, kW0));
 }
+
+// A NoiseAnalysis keeps a reference to its model: binding a temporary
+// one, which would dangle, must not compile.
+static_assert(!std::is_constructible_v<NoiseAnalysis, SamplingPllModel, int>);
+static_assert(!std::is_constructible_v<NoiseAnalysis, SamplingPllModel>);
+static_assert(
+    std::is_constructible_v<NoiseAnalysis, const SamplingPllModel&, int>);
 
 TEST(PowerLawPsd, Shapes) {
   const PowerLawPsd psd{1e-12, 1e-9, 1e-6};
@@ -346,6 +354,31 @@ TEST(Noise, InlinePowerLawPsdsMatchWrappedCallablesBitwise) {
         na.integrated_jitter(0.01 * kW0, 0.45 * kW0, ref_w, vco_w, icp_w);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(jit),
               std::bit_cast<std::uint64_t>(jit_w));
+  }
+}
+
+TEST(Noise, GridRedoesOverflowedImpedanceScalingSafe) {
+  // At w0 = 2 pi 1e100 the filter coefficients reach 1e100, so on every
+  // fold band |N(jx)|^2 and |D(jx)|^2 both overflow and their quotient
+  // is inf/inf.  The grid must redo those lanes with the scaling-safe
+  // evaluator and land on the pointwise fold.
+  const double w0 = 2.0 * std::numbers::pi * 1e100;
+  const SamplingPllModel m(make_typical_loop(0.1 * w0, w0));
+  const NoiseAnalysis na(m, 2);
+  const PowerLawPsd icp{1e-20, 1e-21, 0.0};
+  const RationalFunction& hlf = m.loop_filter_tf();
+  const std::vector<double> w{0.05 * w0, 0.2 * w0, 0.45 * w0};
+  const auto grid = na.output_psd_from_charge_pump_grid(w, icp);
+  ASSERT_EQ(grid.size(), w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    for (int k = -2; k <= 2; ++k) {
+      const cplx s{0.0, w[i] + k * w0};
+      ASSERT_TRUE(std::isinf(std::norm(hlf.num()(s)))) << "i=" << i;
+      ASSERT_TRUE(std::isinf(std::norm(hlf.den()(s)))) << "i=" << i;
+    }
+    const double want = na.output_psd_from_charge_pump(w[i], icp);
+    ASSERT_TRUE(std::isfinite(want) && want > 0.0) << "i=" << i;
+    EXPECT_NEAR(grid[i], want, 1e-10 * want) << "i=" << i;
   }
 }
 

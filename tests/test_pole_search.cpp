@@ -201,18 +201,26 @@ TEST(PoleSearch, FarSeedsFoldExactlyIntoTheStrip) {
     EXPECT_GT(p[0].s.imag(), -0.5 * kW0) << "Im " << im;
     EXPECT_LE(p[0].s.imag(), 0.5 * kW0) << "Im " << im;
   }
-  // A pole seeded a million periods up its ladder folds back onto the
-  // strip's pole to within the seed's own rounding.
+  // A pole seeded a hundred thousand or a million periods up its ladder
+  // folds back onto the strip's pole to within the seed's own rounding,
+  // and retires as converged: there no Newton step can be shorter than
+  // the spacing of the doubles, far above tolerance * w0.
   const auto poles = closed_loop_poles(m);
   ASSERT_FALSE(poles.empty());
+  const PoleSearchOptions defaults;
   for (const ClosedLoopPole& pole : poles) {
-    const cplx seed = pole.s + cplx{0.0, 1e6 * kW0};
-    const double ulp =
-        std::nextafter(seed.imag(), 2.0 * seed.imag()) - seed.imag();
-    const auto far = refine_closed_loop_poles(m, {seed});
-    ASSERT_EQ(far.size(), 1u);
-    EXPECT_LE(std::abs(far[0].s - pole.s), 4.0 * ulp)
-        << "pole " << pole.s << " folded " << far[0].s;
+    for (const double periods : {1e5, 1e6}) {
+      const cplx seed = pole.s + cplx{0.0, periods * kW0};
+      const double ulp =
+          std::nextafter(seed.imag(), 2.0 * seed.imag()) - seed.imag();
+      const auto far = refine_closed_loop_poles(m, {seed});
+      ASSERT_EQ(far.size(), 1u);
+      EXPECT_LE(std::abs(far[0].s - pole.s), 4.0 * ulp)
+          << "pole " << pole.s << " folded " << far[0].s;
+      EXPECT_TRUE(far[0].converged) << "pole " << pole.s << " " << periods;
+      EXPECT_LT(far[0].iterations, defaults.max_iterations)
+          << "pole " << pole.s << " " << periods;
+    }
   }
 }
 

@@ -1,9 +1,11 @@
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <numbers>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,6 +57,29 @@ TEST(Grid, PerDecadeCount) {
   EXPECT_EQ(g.size(), 31u);  // 3 decades * 10 + 1
   EXPECT_DOUBLE_EQ(g.front(), 1.0);
   EXPECT_DOUBLE_EQ(g.back(), 1000.0);
+}
+
+TEST(Grid, PerDecadeRejectsBadRange) {
+  // Each of these used to reach the double-to-size_t cast with a negative,
+  // NaN or infinite count, which is undefined behaviour.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [lo, hi] : std::vector<std::pair<double, double>>{
+           {2.0, 1.0}, {1.0, 1.0}, {0.0, 1.0}, {-1.0, 1.0}, {nan, 1.0},
+           {1.0, nan}, {1.0, inf}, {1e-300, 1e300}}) {
+    EXPECT_THROW(log_grid_per_decade(lo, hi, 10), std::invalid_argument)
+        << "[" << lo << ", " << hi << "]";
+  }
+  // A count that does not fit std::size_t is rejected, not cast.
+  EXPECT_THROW(log_grid_per_decade(1.0, 10.0, std::size_t{1} << 63),
+               std::invalid_argument);
+  try {
+    log_grid_per_decade(2.0, 1.0, 10);
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("[2, 1]"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Grid, TrapezoidRmsIsExactOnLinearPsd) {
