@@ -13,8 +13,6 @@
 
 #include "htmpll/lti/bode.hpp"
 #include "htmpll/lti/loop_filter.hpp"
-#include "htmpll/parallel/sweep.hpp"
-#include "htmpll/util/grid.hpp"
 #include "htmpll/util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -31,11 +29,7 @@ int main(int argc, char** argv) {
   const FrequencyResponse resp = [&a](double w) {
     return a(cplx{0.0, w});
   };
-  // Evaluate the grid on the sweep engine, then unwrap serially.
-  const std::vector<double> grid = logspace(1e-2 * w_ug, 1e2 * w_ug, 33);
-  const CVector samples =
-      SweepRunner().run_jw(grid, [&a](cplx s) { return a(s); });
-  const auto sweep = bode_points_from_samples(grid, samples);
+  const auto sweep = bode_sweep(resp, 1e-2 * w_ug, 1e2 * w_ug, 33);
 
   Table t({"w/w_UG", "mag_dB", "phase_deg"});
   t.reserve(sweep.size());

@@ -7,9 +7,8 @@
 //  * BM_HtmFullSweep    -- a complete 33-point Fig. 6 curve
 //  * BM_HtmMatrixSolve  -- one truncated-HTM rank-one closed-loop solve
 //  * BM_TransientProbe  -- one simulator measurement at one frequency
-//  * BM_TransientProbeManyCold/Warm -- the batched multi-frequency probe
-//    (measure_baseband_transfer_many), cold per-point settling vs the
-//    shared warm-start checkpoint
+//  * BM_TransientProbeManyCold -- the batched multi-frequency probe
+//    (measure_baseband_transfer_many), each point settled from rest
 //
 // The expected outcome is the paper's, only more extreme on modern
 // hardware: the frequency-domain model is many orders of magnitude
@@ -85,22 +84,6 @@ void BM_TransientProbeManyCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransientProbeManyCold)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
-
-void BM_TransientProbeManyWarm(benchmark::State& state) {
-  using namespace htmpll;
-  const PllParameters params = make_typical_loop(0.2 * kW0, kW0);
-  const std::vector<double> omegas = logspace(0.05 * kW0, 0.45 * kW0, 8);
-  ProbeOptions opts;
-  opts.settle_periods = 300.0;
-  opts.warm_start = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        measure_baseband_transfer_many(params, omegas, opts));
-  }
-}
-BENCHMARK(BM_TransientProbeManyWarm)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(2);
 

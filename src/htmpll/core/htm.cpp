@@ -61,17 +61,11 @@ CVector Htm::apply(const CVector& u) const {
 
 CVector Htm::ones() const { return CVector(dim(), cplx{1.0}); }
 
-ClosedLoopSolver::ClosedLoopSolver(const Htm& g)
-    : k_(g.truncation()),
-      w0_(g.w0()),
-      s_(g.s()),
-      lu_(CMatrix::identity(g.dim()) + g.matrix()),
-      closed_(k_, w0_, s_) {
-  closed_.matrix() = lu_.solve(g.matrix());
-}
-
 Htm closed_loop_dense(const Htm& g) {
-  return ClosedLoopSolver(g).closed_loop();
+  Htm out(g.truncation(), g.w0(), g.s());
+  out.matrix() =
+      CLu(CMatrix::identity(g.dim()) + g.matrix()).solve(g.matrix());
+  return out;
 }
 
 Htm closed_loop_rank_one(const CVector& v, const Htm& prototype) {

@@ -12,7 +12,6 @@
 // is addition (eq. 10).
 #pragma once
 
-#include "htmpll/linalg/lu.hpp"
 #include "htmpll/linalg/matrix.hpp"
 
 namespace htmpll {
@@ -82,37 +81,6 @@ class Htm {
 /// implementation the rank-one closed form (eqs. 31-34) is checked
 /// against.
 Htm closed_loop_dense(const Htm& g);
-
-/// Cached-LU resolve path for the dense reference solve: factors
-/// (I + G) once at one evaluation point and reuses the factorization
-/// for the closed-loop HTM and any number of additional right-hand
-/// sides (injection vectors, per-band columns), instead of refactoring
-/// per solve.
-class ClosedLoopSolver {
- public:
-  explicit ClosedLoopSolver(const Htm& g);
-
-  int truncation() const { return k_; }
-  double w0() const { return w0_; }
-  cplx s() const { return s_; }
-
-  /// (I + G)^{-1} G, computed once through the cached factors.
-  const Htm& closed_loop() const { return closed_; }
-
-  /// (I + G)^{-1} rhs for an arbitrary stacked harmonic vector.
-  CVector solve(CVector rhs) const { return lu_.solve(std::move(rhs)); }
-
-  /// (I + G)^{-1} B for a block of right-hand sides (transposed-RHS
-  /// kernel underneath).
-  CMatrix solve(const CMatrix& rhs) const { return lu_.solve(rhs); }
-
- private:
-  int k_;
-  double w0_;
-  cplx s_;
-  CLu lu_;     ///< factors of (I + G)
-  Htm closed_;
-};
 
 /// Sherman-Morrison closed form for rank-one G = v * l^T (eq. 32-34):
 /// returns (I + v l^T)^{-1} (v l^T) = v l^T / (1 + l^T v).

@@ -62,7 +62,7 @@ SamplingPllModel::SamplingPllModel(PllParameters params,
                                    SamplingPllOptions opts,
                                    RationalFunction extra_loop_dynamics)
     : params_(params), isf_(std::move(isf)), opts_(opts) {
-  HTMPLL_REQUIRE(params_.w0 > 0.0, "reference frequency must be positive");
+  validate_pll_parameters(params_);
   HTMPLL_REQUIRE(std::abs(isf_[0].imag()) <=
                      1e-12 * std::max(1.0, std::abs(isf_[0])),
                  "ISF DC coefficient must be real (VCO average gain)");

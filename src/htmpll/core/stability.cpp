@@ -31,8 +31,8 @@ constexpr double kPointsPerDecade = 8.0;
 constexpr std::size_t kChunk = 8;
 
 /// The solve stops once the bracket is this narrow in ln w, i.e. 1e-12
-/// relative in w: 100x inside find_gain_crossover's default 1e-10
-/// bisection tolerance.
+/// relative in w: 100x inside find_gain_crossover's 1e-10 bisection
+/// tolerance.
 constexpr double kSolveTol = 1e-12;
 
 /// Backstop on solve steps, which take 4 to 10 on the loops above.

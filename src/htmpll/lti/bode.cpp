@@ -34,6 +34,11 @@ std::vector<double> unwrap_phase(const std::vector<double>& radians) {
 
 namespace {
 
+/// Log-grid scan density of the margin searches.
+constexpr std::size_t kScanPoints = 600;
+/// Relative bisection tolerance on w of the margin searches.
+constexpr double kTolerance = 1e-10;
+
 /// Phase of h(w) unwrapped continuously from a reference frequency by
 /// walking a fine grid from w_ref to w.
 double unwrapped_phase_at(const FrequencyResponse& h, double w_ref, double w,
@@ -51,10 +56,9 @@ double unwrapped_phase_at(const FrequencyResponse& h, double w_ref, double w,
 }  // namespace
 
 std::optional<CrossoverResult> find_gain_crossover(const FrequencyResponse& h,
-                                                   double w_lo, double w_hi,
-                                                   const MarginOptions& opts) {
+                                                   double w_lo, double w_hi) {
   HTMPLL_REQUIRE(w_lo > 0.0 && w_hi > w_lo, "need 0 < w_lo < w_hi");
-  const std::vector<double> grid = logspace(w_lo, w_hi, opts.grid_points);
+  const std::vector<double> grid = logspace(w_lo, w_hi, kScanPoints);
   double prev_mag = std::abs(h(grid[0]));
   for (std::size_t i = 1; i < grid.size(); ++i) {
     const double mag = std::abs(h(grid[i]));
@@ -68,11 +72,10 @@ std::optional<CrossoverResult> find_gain_crossover(const FrequencyResponse& h,
         } else {
           b = mid;
         }
-        if ((b - a) <= opts.tolerance * b) break;
+        if ((b - a) <= kTolerance * b) break;
       }
       const double wc = std::sqrt(a * b);
-      const double ph =
-          unwrapped_phase_at(h, w_lo, wc, opts.grid_points);
+      const double ph = unwrapped_phase_at(h, w_lo, wc, kScanPoints);
       // Normalize the reference so that the phase at w_lo uses its
       // principal value; for open-loop PLL gains (two poles at DC) that
       // starts near -180 deg, as in the paper's Fig. 5.
@@ -84,10 +87,9 @@ std::optional<CrossoverResult> find_gain_crossover(const FrequencyResponse& h,
 }
 
 std::optional<GainMarginResult> find_gain_margin(const FrequencyResponse& h,
-                                                 double w_lo, double w_hi,
-                                                 const MarginOptions& opts) {
+                                                 double w_lo, double w_hi) {
   HTMPLL_REQUIRE(w_lo > 0.0 && w_hi > w_lo, "need 0 < w_lo < w_hi");
-  const std::vector<double> grid = logspace(w_lo, w_hi, opts.grid_points);
+  const std::vector<double> grid = logspace(w_lo, w_hi, kScanPoints);
   std::vector<double> raw;
   raw.reserve(grid.size());
   for (double w : grid) raw.push_back(std::arg(h(w)));
@@ -111,7 +113,7 @@ std::optional<GainMarginResult> find_gain_margin(const FrequencyResponse& h,
       } else {
         b = mid;
       }
-      if ((b - a) <= opts.tolerance * b) break;
+      if ((b - a) <= kTolerance * b) break;
     }
     const double wc = std::sqrt(a * b);
     return GainMarginResult{wc, -magnitude_db(h(wc))};

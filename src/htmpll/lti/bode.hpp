@@ -29,19 +29,13 @@ struct CrossoverResult {
   double phase_margin_deg;  ///< 180 deg + unwrapped arg H at the crossing
 };
 
-struct MarginOptions {
-  std::size_t grid_points = 600;  ///< coarse log-grid scan density
-  double tolerance = 1e-10;       ///< relative bisection tolerance on w
-};
-
 /// Finds the first downward |H(jw)| = 1 crossing in [w_lo, w_hi] by a
-/// log-grid scan plus bisection.  The phase margin is computed with the
-/// phase unwrapped along the scan path from w_lo, so loops whose raw
-/// principal-value phase wraps (e.g. two integrator poles plus sampling
-/// delay) are handled correctly.
+/// 600-point log-grid scan plus bisection to 1e-10 relative in w.  The
+/// phase margin is computed with the phase unwrapped along the scan
+/// path from w_lo, so loops whose raw principal-value phase wraps (e.g.
+/// two integrator poles plus sampling delay) are handled correctly.
 std::optional<CrossoverResult> find_gain_crossover(
-    const FrequencyResponse& h, double w_lo, double w_hi,
-    const MarginOptions& opts = {});
+    const FrequencyResponse& h, double w_lo, double w_hi);
 
 struct GainMarginResult {
   double frequency;       ///< rad/s where unwrapped phase hits -180 deg
@@ -49,10 +43,10 @@ struct GainMarginResult {
 };
 
 /// Finds the first -180 deg crossing of the unwrapped phase (relative to
-/// the phase at w_lo having its principal value).
+/// the phase at w_lo having its principal value), on the same scan and
+/// bisection as find_gain_crossover.
 std::optional<GainMarginResult> find_gain_margin(
-    const FrequencyResponse& h, double w_lo, double w_hi,
-    const MarginOptions& opts = {});
+    const FrequencyResponse& h, double w_lo, double w_hi);
 
 /// One Bode row: w, |H| dB, unwrapped phase deg.
 struct BodePoint {
@@ -66,9 +60,8 @@ std::vector<BodePoint> bode_sweep(const FrequencyResponse& h, double w_lo,
                                   double w_hi, std::size_t points);
 
 /// Converts precomputed response samples h[i] = H(j w_grid[i]) into
-/// Bode rows with the phase unwrapped along the grid.  Pairs with the
-/// parallel sweep engine: evaluate the grid with a SweepRunner (order
-/// is deterministic), then unwrap here serially.
+/// Bode rows with the phase unwrapped along the grid, e.g. samples
+/// evaluated on the pool with parallel_map (parallel/sweep.hpp).
 std::vector<BodePoint> bode_points_from_samples(
     const std::vector<double>& w_grid, const CVector& h);
 

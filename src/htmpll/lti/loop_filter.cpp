@@ -59,6 +59,20 @@ RationalFunction PllParameters::lti_closed_loop() const {
 
 double PllParameters::period() const { return 2.0 * std::numbers::pi / w0; }
 
+const PllParameters& validate_pll_parameters(const PllParameters& p) {
+  HTMPLL_REQUIRE(p.w0 > 0.0 && std::isfinite(p.w0),
+                 "PllParameters w0 must be positive and finite");
+  HTMPLL_REQUIRE(std::isfinite(p.icp), "PllParameters icp must be finite");
+  HTMPLL_REQUIRE(std::isfinite(p.kvco), "PllParameters kvco must be finite");
+  HTMPLL_REQUIRE(std::isfinite(p.filter.r),
+                 "PllParameters filter.r must be finite");
+  HTMPLL_REQUIRE(std::isfinite(p.filter.c1),
+                 "PllParameters filter.c1 must be finite");
+  HTMPLL_REQUIRE(std::isfinite(p.filter.c2),
+                 "PllParameters filter.c2 must be finite");
+  return p;
+}
+
 PllParameters make_typical_loop(double w_ug, double w0, double gamma) {
   HTMPLL_REQUIRE(w_ug > 0.0 && w0 > 0.0, "frequencies must be positive");
   HTMPLL_REQUIRE(gamma > 1.0, "zero/pole split gamma must exceed 1");

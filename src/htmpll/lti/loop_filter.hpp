@@ -53,6 +53,13 @@ struct PllParameters {
   double period() const;  ///< T = 2pi/w0
 };
 
+/// Throws std::invalid_argument, naming the field, unless w0 is positive
+/// and finite and icp, kvco and the filter's R, C1 and C2 are finite.
+/// Returns `p`, so a constructor can check it in its first member
+/// initializer.  Called by SamplingPllModel and every transient
+/// simulator.
+const PllParameters& validate_pll_parameters(const PllParameters& p);
+
 /// Builds the paper's typical loop: zero at w_ug/gamma, parasitic pole at
 /// gamma*w_ug, charge-pump current scaled so |A(j w_ug)| = 1 exactly.
 /// `w_ug` and `w0` are rad/s; gamma = 4 reproduces Fig. 5 (classical

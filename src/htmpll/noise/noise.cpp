@@ -9,6 +9,7 @@
 #include "htmpll/noise/noise_detail.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/obs/trace.hpp"
+#include "htmpll/parallel/sweep.hpp"
 #include "htmpll/util/check.hpp"
 #include "htmpll/util/grid.hpp"
 
@@ -46,14 +47,6 @@ void require_power_law(const PowerLawPsd& p) {
   HTMPLL_REQUIRE(ok(p.white) && ok(p.flicker) && ok(p.walk),
                  "power-law PSD coefficients must be finite and "
                  "non-negative");
-}
-
-CVector jw_grid(const std::vector<double>& w_grid) {
-  CVector s(w_grid.size());
-  for (std::size_t i = 0; i < w_grid.size(); ++i) {
-    s[i] = cplx{0.0, w_grid[i]};
-  }
-  return s;
 }
 
 bool all_real(const CVector& c) {

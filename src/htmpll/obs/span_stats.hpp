@@ -4,7 +4,7 @@
 // the Chrome trace in Perfetto.
 //
 // Self time subtracts the durations of directly nested child spans on
-// the same thread (e.g. "core.plan_grid" inside "sweep.run"), so the
+// the same thread (e.g. "probe.settle" inside "probe.point"), so the
 // per-name totals of a deep trace still add up to wall time instead of
 // multiply counting every nesting level.
 //

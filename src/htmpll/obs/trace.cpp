@@ -68,11 +68,6 @@ class TraceBuffer {
     return h > capacity_ ? h - capacity_ : 0;
   }
 
-  std::uint64_t size() const {
-    return std::min<std::uint64_t>(head_.load(std::memory_order_acquire),
-                                   capacity_);
-  }
-
   void clear() { head_.store(0, std::memory_order_release); }
 
  private:
@@ -178,13 +173,6 @@ std::uint64_t trace_dropped() {
   std::uint64_t n = 0;
   for (const auto& b : buffers()) n += b->dropped();
   return n;
-}
-
-std::size_t trace_event_count() {
-  std::lock_guard<std::mutex> lock(trace_mutex());
-  std::uint64_t n = 0;
-  for (const auto& b : buffers()) n += b->size();
-  return static_cast<std::size_t>(n);
 }
 
 void clear_trace() {

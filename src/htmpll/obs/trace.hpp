@@ -87,9 +87,6 @@ std::vector<TraceEventView> collect_trace();
 /// Spans lost to ring wrap-around since the last clear_trace().
 std::uint64_t trace_dropped();
 
-/// Total spans currently retained across all rings.
-std::size_t trace_event_count();
-
 /// Drops all retained spans (rings stay registered).  Call between
 /// bench phases; only safe at quiescence.
 void clear_trace();

@@ -1,34 +1,11 @@
 #include "htmpll/parallel/sweep.hpp"
 
-#include "htmpll/obs/trace.hpp"
-
 namespace htmpll {
 
 std::vector<cplx> jw_grid(const std::vector<double>& w) {
   std::vector<cplx> s(w.size());
   for (std::size_t i = 0; i < w.size(); ++i) s[i] = cplx{0.0, w[i]};
   return s;
-}
-
-std::vector<cplx> SweepRunner::run(
-    const std::vector<cplx>& s_grid,
-    const std::function<cplx(cplx)>& evaluator) const {
-  HTMPLL_TRACE_SPAN("sweep.run");
-  std::vector<cplx> out(s_grid.size());
-  pool_->for_each_index(s_grid.size(),
-                        [&](std::size_t i) { out[i] = evaluator(s_grid[i]); });
-  return out;
-}
-
-std::vector<cplx> SweepRunner::run_jw(
-    const std::vector<double>& w_grid,
-    const std::function<cplx(cplx)>& evaluator) const {
-  HTMPLL_TRACE_SPAN("sweep.run_jw");
-  std::vector<cplx> out(w_grid.size());
-  pool_->for_each_index(w_grid.size(), [&](std::size_t i) {
-    out[i] = evaluator(cplx{0.0, w_grid[i]});
-  });
-  return out;
 }
 
 }  // namespace htmpll

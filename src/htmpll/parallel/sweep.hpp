@@ -1,14 +1,13 @@
-// Frequency-sweep driver on top of the thread pool.
+// Frequency-sweep helpers on top of the thread pool.
 //
-// A SweepRunner maps a grid of complex frequencies through any
-// cplx(cplx s) evaluator with deterministic output ordering: slot i of
-// the result is always evaluator(grid[i]), regardless of thread count.
-// Evaluators must be safe to call concurrently from several threads on
-// distinct points (every const method of the model layer is).
+// parallel_map evaluates any index -> value function over a grid with
+// deterministic output ordering: slot i of the result is always fn(i),
+// regardless of thread count.  Functions must be safe to call
+// concurrently from several threads on distinct points (every const
+// method of the model layer is).
 #pragma once
 
 #include <complex>
-#include <functional>
 #include <vector>
 
 #include "htmpll/parallel/thread_pool.hpp"
@@ -34,26 +33,5 @@ std::vector<T> parallel_map(std::size_t n, F&& fn) {
 
 /// s = j w for every w of a real frequency grid.
 std::vector<cplx> jw_grid(const std::vector<double>& w);
-
-class SweepRunner {
- public:
-  /// Uses the shared pool by default; pass a specific pool to control
-  /// the width (e.g. a 1-thread pool for a guaranteed-serial baseline).
-  explicit SweepRunner(ThreadPool& pool = ThreadPool::global())
-      : pool_(&pool) {}
-
-  std::size_t threads() const { return pool_->threads(); }
-
-  /// result[i] = evaluator(s_grid[i]).
-  std::vector<cplx> run(const std::vector<cplx>& s_grid,
-                        const std::function<cplx(cplx)>& evaluator) const;
-
-  /// result[i] = evaluator(j * w_grid[i]).
-  std::vector<cplx> run_jw(const std::vector<double>& w_grid,
-                           const std::function<cplx(cplx)>& evaluator) const;
-
- private:
-  ThreadPool* pool_;
-};
 
 }  // namespace htmpll

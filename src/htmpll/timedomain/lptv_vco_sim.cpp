@@ -35,7 +35,7 @@ LptvPllTransientSim::LptvPllTransientSim(const PllParameters& params,
                                          IsfWaveform isf,
                                          ReferenceModulation mod,
                                          LptvTransientConfig cfg)
-    : params_(params),
+    : params_(validate_pll_parameters(params)),
       isf_(std::move(isf)),
       mod_(mod),
       cfg_(cfg),

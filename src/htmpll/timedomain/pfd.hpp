@@ -30,12 +30,6 @@ class TriStatePfd {
 
   void reset();
 
-  /// Forces the flip-flop pair to a recorded state (checkpoint restore).
-  void restore(bool up, bool down) {
-    up_ = up;
-    down_ = down;
-  }
-
  private:
   bool up_ = false;
   bool down_ = false;

@@ -241,23 +241,9 @@ double PulseHistory::max_abs() const {
   return m;
 }
 
-std::deque<double> PulseHistory::to_deque() const {
-  std::deque<double> d;
-  for (std::size_t i = 0; i < size_; ++i) {
-    d.push_back(buf_[(head_ + kCapacity - size_ + i) % kCapacity]);
-  }
-  return d;
-}
-
-void PulseHistory::assign(const std::deque<double>& d) {
-  head_ = 0;
-  size_ = 0;
-  for (double w : d) push(w);
-}
-
 PllTransientSim::PllTransientSim(const PllParameters& params,
                                  ReferenceModulation mod, TransientConfig cfg)
-    : params_(params),
+    : params_(validate_pll_parameters(params)),
       mod_(mod),
       cfg_(cfg),
       t_period_(params.period()),
@@ -300,66 +286,6 @@ void PllTransientSim::set_leakage(double current, double window) {
 }
 
 void PllTransientSim::clear_samples() { samples_.clear(); }
-
-TransientCheckpoint PllTransientSim::checkpoint() const {
-  TransientCheckpoint cp;
-  cp.state = aug_.state();
-  cp.period = t_period_;
-  cp.t = t_;
-  cp.n_ref = n_ref_;
-  cp.n_vco = n_vco_;
-  cp.n_leak = n_leak_;
-  cp.events = events_;
-  cp.pfd_up = pfd_.up();
-  cp.pfd_down = pfd_.down();
-  cp.pulse_start = pulse_start_;
-  cp.pulse_active = pulse_active_;
-  cp.recent_pulse_widths = recent_pulse_widths_.to_deque();
-  cp.leak_on = leak_on_;
-  cp.noise_sigma = noise_sigma_;
-  cp.noise_current = noise_current_;
-  // The serialized stream captures the engine AND the distribution's
-  // internal spare-Gaussian cache, so restored runs replay the exact
-  // noise sample sequence.
-  std::ostringstream os;
-  os << noise_rng_ << ' ' << noise_dist_;
-  cp.noise_rng = os.str();
-  cp.sample_interval = cfg_.sample_interval;
-  cp.next_sample = next_sample_;
-  cp.started = started_;
-  return cp;
-}
-
-void PllTransientSim::restore(const TransientCheckpoint& cp) {
-  HTMPLL_REQUIRE(cp.state.size() == aug_.order(),
-                 "checkpoint is for a different loop filter order");
-  HTMPLL_REQUIRE(cp.period == t_period_,
-                 "checkpoint is for a different reference period");
-  aug_.set_state(cp.state);
-  t_ = cp.t;
-  n_ref_ = cp.n_ref;
-  n_vco_ = cp.n_vco;
-  n_leak_ = cp.n_leak;
-  events_ = cp.events;
-  pfd_.restore(cp.pfd_up, cp.pfd_down);
-  pulse_start_ = cp.pulse_start;
-  pulse_active_ = cp.pulse_active;
-  recent_pulse_widths_.assign(cp.recent_pulse_widths);
-  leak_on_ = cp.leak_on;
-  noise_sigma_ = cp.noise_sigma;
-  noise_current_ = cp.noise_current;
-  std::istringstream is(cp.noise_rng);
-  is >> noise_rng_ >> noise_dist_;
-  if (cfg_.sample_interval == cp.sample_interval) {
-    next_sample_ = cp.next_sample;
-  } else {
-    // Different recording grid: resume at the first sample instant
-    // strictly beyond t, matching what record_range would have tracked.
-    next_sample_ = static_cast<std::int64_t>(
-                       std::floor(t_ / cfg_.sample_interval)) + 1;
-  }
-  started_ = cp.started;
-}
 
 void PllTransientSim::set_initial_theta(double theta0) {
   HTMPLL_REQUIRE(!started_, "initial conditions must precede run_until");

@@ -14,10 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "htmpll/lti/loop_filter.hpp"
@@ -201,41 +199,11 @@ class PulseHistory {
   }
   std::size_t size() const { return size_; }
   double max_abs() const;
-  std::deque<double> to_deque() const;          ///< oldest first
-  void assign(const std::deque<double>& d);     ///< keeps the last kCapacity
 
  private:
   double buf_[kCapacity] = {};
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-};
-
-/// Complete dynamic state of a PllTransientSim at one instant: the
-/// augmented integrator state, PFD flip-flops, edge/leak counters,
-/// lock-detector history and the held-noise RNG stream (serialized, so a
-/// restored run replays the *same* noise samples).  Checkpoints are only
-/// meaningful for a simulator built from the same PllParameters; restore
-/// validates the state dimension and reference period.
-struct TransientCheckpoint {
-  RVector state;             ///< augmented integrator state [x_f; theta]
-  double period = 0.0;       ///< reference period, restore sanity check
-  double t = 0.0;
-  std::int64_t n_ref = 1;
-  std::int64_t n_vco = 1;
-  std::int64_t n_leak = 0;
-  std::size_t events = 0;
-  bool pfd_up = false;
-  bool pfd_down = false;
-  double pulse_start = 0.0;
-  bool pulse_active = false;
-  std::deque<double> recent_pulse_widths;
-  bool leak_on = false;
-  double noise_sigma = 0.0;
-  double noise_current = 0.0;
-  std::string noise_rng;     ///< serialized engine + distribution state
-  double sample_interval = 0.0;
-  std::int64_t next_sample = 1;
-  bool started = false;
 };
 
 class PllTransientSim {
@@ -278,17 +246,6 @@ class PllTransientSim {
   /// as usual.  Throws std::invalid_argument as ThetaBin does, before
   /// simulating.
   cplx measure_theta_bin(double omega, double width);
-
-  // --- checkpointing (warm starts, ensemble restarts) ---
-  /// Captures the full dynamic state.  Recorded sample streams are NOT
-  /// part of the checkpoint -- manage them with clear_samples().
-  TransientCheckpoint checkpoint() const;
-  /// Restores a checkpoint taken from a simulator with the same
-  /// PllParameters (modulation and recording config may differ; the
-  /// sampling cursor is re-derived when the recording interval differs).
-  /// Unlike the set_* initial-condition calls, restore is valid at any
-  /// time, including after run_until.
-  void restore(const TransientCheckpoint& cp);
 
   // --- initial conditions (lock-acquisition studies) ---
   /// Sets theta(0); only valid before the first run_until call.
@@ -360,8 +317,8 @@ class PllTransientSim {
   mutable RVector peek_scratch_;  ///< edge-solver peek staging
   // Last reference-edge solve.  plan_step runs once per step and a
   // reference edge usually spans two (a VCO edge falls in between); the
-  // solution depends only on the target, so keying on it stays valid
-  // across restore().  NaN matches no target.
+  // solution depends only on the target, so it is keyed on the target.
+  // NaN matches no target.
   mutable double ref_edge_target_ = std::numeric_limits<double>::quiet_NaN();
   mutable double ref_edge_time_ = 0.0;
 

@@ -1,10 +1,12 @@
 #include "htmpll/timedomain/probe.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
+#include "htmpll/timedomain/sample_hold_sim.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll {
@@ -59,34 +61,17 @@ void validate_probe_options(const ProbeOptions& opts) {
                      std::isfinite(opts.settle_periods),
                  "settle period count must be non-negative and finite");
   HTMPLL_REQUIRE(opts.measure_periods >= 1, "need >= 1 measurement period");
-  HTMPLL_REQUIRE(opts.warm_resettle_periods >= 0.0 &&
-                     std::isfinite(opts.warm_resettle_periods),
-                 "warm re-settle period count must be non-negative and "
-                 "finite");
-}
-
-TransientCheckpoint make_settled_checkpoint(const PllParameters& params,
-                                            double settle_periods) {
-  HTMPLL_REQUIRE(settle_periods >= 0.0,
-                 "settle period count must be non-negative");
-  HTMPLL_TRACE_SPAN("probe.warm_settle");
-  TransientConfig cfg;
-  cfg.record = false;
-  PllTransientSim sim(params, {}, cfg);
-  sim.run_periods(settle_periods);
-  return sim.checkpoint();
 }
 
 namespace {
 
-/// Shared probe core: runs the modulated simulation to steady state and
-/// returns the ratio of theta's exact Hann-windowed bin at omega_out to
-/// theta_ref's at omega_m over the same window.  With a warm checkpoint
-/// the full settle is replaced by restoring the settled unmodulated
-/// state and a short re-settle under modulation.
+/// The probe core of both event-driven simulators: runs the modulated
+/// simulation from rest to steady state and returns the ratio of
+/// theta's exact Hann-windowed bin at omega_out to theta_ref's at
+/// omega_m over the same window.
+template <class Sim>
 TransferMeasurement run_probe(const PllParameters& params, double omega_m,
-                              double omega_out, const ProbeOptions& opts,
-                              const TransientCheckpoint* warm) {
+                              double omega_out, const ProbeOptions& opts) {
   HTMPLL_TRACE_SPAN("probe.point");
   HTMPLL_REQUIRE(omega_m > 0.0 && std::isfinite(omega_m),
                  "modulation frequency must be positive and finite");
@@ -103,18 +88,10 @@ TransferMeasurement run_probe(const PllParameters& params, double omega_m,
   TransientConfig cfg;
   cfg.record = false;
 
-  PllTransientSim sim(params, mod, cfg);
-  double settle;
-  if (warm != nullptr) {
-    sim.restore(*warm);
-    settle = sim.time() + std::max(opts.warm_resettle_periods * t_period,
-                                   4.0 * tm);
-  } else {
-    settle = std::max(opts.settle_periods * t_period, 4.0 * tm);
-  }
+  Sim sim(params, mod, cfg);
   {
     HTMPLL_TRACE_SPAN("probe.settle");
-    sim.run_until(settle);
+    sim.run_until(std::max(opts.settle_periods * t_period, 4.0 * tm));
   }
 
   const double t0 = sim.time();
@@ -132,53 +109,28 @@ TransferMeasurement run_probe(const PllParameters& params, double omega_m,
   return out;
 }
 
-TransferMeasurement baseband_probe(const PllParameters& params,
-                                   double omega_m, const ProbeOptions& opts,
-                                   const TransientCheckpoint* warm) {
-  return run_probe(params, omega_m, omega_m, opts, warm);
-}
-
-TransferMeasurement band_probe(const PllParameters& params, int band,
-                               double omega_m, const ProbeOptions& opts,
-                               const TransientCheckpoint* warm) {
-  HTMPLL_REQUIRE(band >= -8 && band <= 8,
-                 "band transfer probe supports |n| <= 8");
-  // The output component may sit at a negative frequency (n < 0); the
-  // exact bin measures it there directly, phase included.
-  const double omega_out = static_cast<double>(band) * params.w0 + omega_m;
-  return run_probe(params, omega_m, omega_out, opts, warm);
-}
-
-/// Settles the shared warm-start checkpoint when requested (and only
-/// then -- the cold batched path must not simulate anything extra).
-struct WarmState {
-  TransientCheckpoint checkpoint;
-  const TransientCheckpoint* ptr = nullptr;
-
-  WarmState(const PllParameters& params, const ProbeOptions& opts) {
-    if (opts.warm_start) {
-      checkpoint = make_settled_checkpoint(params, opts.settle_periods);
-      ptr = &checkpoint;
-    }
-  }
-};
-
 }  // namespace
 
 TransferMeasurement measure_baseband_transfer(const PllParameters& params,
                                               double omega_m,
                                               const ProbeOptions& opts) {
-  validate_probe_options(opts);
-  const WarmState warm(params, opts);
-  return baseband_probe(params, omega_m, opts, warm.ptr);
+  return run_probe<PllTransientSim>(params, omega_m, omega_m, opts);
+}
+
+TransferMeasurement measure_baseband_transfer_sample_hold(
+    const PllParameters& params, double omega_m, const ProbeOptions& opts) {
+  return run_probe<SampleHoldPllSim>(params, omega_m, omega_m, opts);
 }
 
 TransferMeasurement measure_band_transfer(const PllParameters& params,
                                           int band, double omega_m,
                                           const ProbeOptions& opts) {
-  validate_probe_options(opts);
-  const WarmState warm(params, opts);
-  return band_probe(params, band, omega_m, opts, warm.ptr);
+  HTMPLL_REQUIRE(band >= -8 && band <= 8,
+                 "band transfer probe supports |n| <= 8");
+  // The output component may sit at a negative frequency (n < 0); the
+  // exact bin measures it there directly, phase included.
+  const double omega_out = static_cast<double>(band) * params.w0 + omega_m;
+  return run_probe<PllTransientSim>(params, omega_m, omega_out, opts);
 }
 
 std::vector<TransferMeasurement> measure_baseband_transfer_many(
@@ -192,12 +144,11 @@ std::vector<TransferMeasurement> measure_baseband_transfer_many(
     const PllParameters& params, const std::vector<double>& omegas,
     const ProbeOptions& opts, ThreadPool& pool) {
   validate_probe_options(opts);
-  const WarmState warm(params, opts);
   std::vector<TransferMeasurement> out(omegas.size());
   // Grain 1: each probe is a full transient simulation, far heavier
   // than the dispatch overhead.
   pool.parallel_for(omegas.size(), 1, [&](std::size_t i) {
-    out[i] = baseband_probe(params, omegas[i], opts, warm.ptr);
+    out[i] = measure_baseband_transfer(params, omegas[i], opts);
   });
   return out;
 }
@@ -213,11 +164,10 @@ std::vector<TransferMeasurement> measure_band_transfer_many(
     const PllParameters& params, const std::vector<BandProbePoint>& points,
     const ProbeOptions& opts, ThreadPool& pool) {
   validate_probe_options(opts);
-  const WarmState warm(params, opts);
   std::vector<TransferMeasurement> out(points.size());
   pool.parallel_for(points.size(), 1, [&](std::size_t i) {
-    out[i] = band_probe(params, points[i].band, points[i].omega_m, opts,
-                        warm.ptr);
+    out[i] = measure_band_transfer(params, points[i].band, points[i].omega_m,
+                                   opts);
   });
   return out;
 }

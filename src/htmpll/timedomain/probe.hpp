@@ -22,35 +22,21 @@ class ThreadPool;
 struct ProbeOptions {
   /// theta_ref modulation amplitude as a fraction of T (small-signal).
   double amplitude_fraction = 1e-3;
-  /// Reference periods simulated (recording off) before measuring.
+  /// Reference periods simulated from rest (recording off) before
+  /// measuring; the settle always spans at least four modulation
+  /// periods.
   double settle_periods = 300.0;
   /// Integer number of modulation periods in the measurement window.
   /// A baseband probe needs >= 2: with one period the Hann window's
   /// lower frequency w_m - 2 pi / width sits at DC, which the bin
   /// rejects.
   int measure_periods = 24;
-  /// Warm start: settle the *unmodulated* loop once (settle_periods),
-  /// checkpoint it, and reuse that checkpoint for every probe frequency
-  /// with only a short per-point re-settle.  Off by default -- the cold
-  /// path is bit-identical to the historical per-point full settle; warm
-  /// measurements agree within the probe's small-signal tolerance.
-  bool warm_start = false;
-  /// Reference periods of per-point re-settle after restoring the warm
-  /// checkpoint (the 4-modulation-period floor still applies).
-  double warm_resettle_periods = 20.0;
 };
 
 /// Throws std::invalid_argument unless amplitude_fraction > 0,
-/// settle_periods >= 0 (finite), measure_periods >= 1 and
-/// warm_resettle_periods >= 0 (finite).
+/// settle_periods >= 0 (finite) and measure_periods >= 1.
 /// Called by every probe entry point.
 void validate_probe_options(const ProbeOptions& opts);
-
-/// Settles the unmodulated loop for `settle_periods` reference periods
-/// and returns its checkpoint -- the shared warm-start state of the
-/// batched probes, exposed for benchmarks and warm-started runs.
-TransientCheckpoint make_settled_checkpoint(const PllParameters& params,
-                                            double settle_periods);
 
 struct TransferMeasurement {
   cplx value;              ///< measured H_{0,0}(j w_m) (H_{n,0}: band probe)
@@ -83,8 +69,7 @@ TransferMeasurement measure_band_transfer(const PllParameters& params,
 /// the given thread pool (global pool by default).  Each simulation is
 /// independent, so results are identical to calling
 /// measure_baseband_transfer point by point, regardless of thread
-/// count.  With opts.warm_start the settle phase runs once up front and
-/// its checkpoint seeds every point.  out[i] corresponds to omegas[i].
+/// count.  out[i] corresponds to omegas[i].
 std::vector<TransferMeasurement> measure_baseband_transfer_many(
     const PllParameters& params, const std::vector<double>& omegas,
     const ProbeOptions& opts = {});
@@ -98,8 +83,8 @@ struct BandProbePoint {
   double omega_m;
 };
 
-/// Batched band-transfer probe; same determinism and warm-start
-/// semantics as measure_baseband_transfer_many.
+/// Batched band-transfer probe; same determinism as
+/// measure_baseband_transfer_many.
 std::vector<TransferMeasurement> measure_band_transfer_many(
     const PllParameters& params, const std::vector<BandProbePoint>& points,
     const ProbeOptions& opts = {});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "htmpll/util/check.hpp"
 
@@ -11,7 +10,7 @@ namespace htmpll {
 SampleHoldPllSim::SampleHoldPllSim(const PllParameters& params,
                                    ReferenceModulation mod,
                                    TransientConfig cfg)
-    : params_(params),
+    : params_(validate_pll_parameters(params)),
       mod_(mod),
       cfg_(cfg),
       t_period_(params.period()),
@@ -75,35 +74,6 @@ cplx SampleHoldPllSim::measure_theta_bin(double omega, double width) {
   return detail::run_theta_bin_window(
       bin_, aug_, t_, omega, width,
       [this](double t_end) { run_until(t_end); });
-}
-
-TransferMeasurement measure_baseband_transfer_sample_hold(
-    const PllParameters& params, double omega_m, const ProbeOptions& opts) {
-  HTMPLL_REQUIRE(omega_m > 0.0 && std::isfinite(omega_m),
-                 "modulation frequency must be positive and finite");
-  validate_probe_options(opts);
-  const double t_period = params.period();
-  const double tm = 2.0 * std::numbers::pi / omega_m;
-
-  ReferenceModulation mod;
-  mod.amplitude = opts.amplitude_fraction * t_period;
-  mod.omega = omega_m;
-
-  TransientConfig cfg;
-  cfg.record = false;
-
-  SampleHoldPllSim sim(params, mod, cfg);
-  const double settle = std::max(opts.settle_periods * t_period, 4.0 * tm);
-  sim.run_until(settle);
-  const double t0 = sim.time();
-  const double width = static_cast<double>(opts.measure_periods) * tm;
-  const cplx theta_bin = sim.measure_theta_bin(omega_m, width);
-
-  TransferMeasurement out;
-  out.value = theta_bin / mod.hann_bin(omega_m, t0, width);
-  out.simulated_time = sim.time();
-  out.events = sim.event_count();
-  return out;
 }
 
 }  // namespace htmpll

@@ -70,7 +70,9 @@ class SampleHoldPllSim {
   ThetaBin* bin_ = nullptr;  ///< open measure_theta_bin window, if any
 };
 
-/// Small-signal baseband transfer measured on the sample-and-hold loop.
+/// Small-signal baseband transfer measured on the sample-and-hold loop:
+/// measure_baseband_transfer's probe, with this simulator in place of
+/// PllTransientSim.
 TransferMeasurement measure_baseband_transfer_sample_hold(
     const PllParameters& params, double omega_m,
     const ProbeOptions& opts = {});

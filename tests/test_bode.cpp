@@ -1,3 +1,4 @@
+#include <cmath>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -68,6 +69,30 @@ TEST(Bode, GainMarginOfThirdOrderLoop) {
   ASSERT_TRUE(g.has_value());
   EXPECT_NEAR(g->frequency, std::sqrt(3.0), 1e-4);
   EXPECT_NEAR(g->gain_margin_db, 0.0, 1e-3);
+}
+
+TEST(Bode, MarginSearchesResolveToTheBisectionTolerance) {
+  // Both searches bisect to 1e-10 relative in w.  H = 2/(s(s+1)) crosses
+  // |H| = 1 where w^2 = (sqrt(17) - 1)/2, with PM = 90 - atan(w) deg;
+  // 8/(s+1)^3 reaches -180 deg at w = sqrt(3).
+  const RationalFunction h1(Polynomial::constant(2.0),
+                            Polynomial::from_real({0.0, 1.0, 1.0}));
+  const FrequencyResponse f1 = [&h1](double w) { return h1(w * j); };
+  const auto c = find_gain_crossover(f1, 0.01, 100.0);
+  ASSERT_TRUE(c.has_value());
+  const double wc = std::sqrt((std::sqrt(17.0) - 1.0) / 2.0);
+  EXPECT_NEAR(c->frequency / wc, 1.0, 1e-9);
+  EXPECT_NEAR(c->phase_margin_deg,
+              90.0 - std::atan(wc) * 180.0 / std::numbers::pi, 1e-7);
+
+  const RationalFunction h3(
+      Polynomial::constant(8.0),
+      Polynomial::from_roots({cplx{-1.0}, cplx{-1.0}, cplx{-1.0}}));
+  const FrequencyResponse f3 = [&h3](double w) { return h3(w * j); };
+  const auto g = find_gain_margin(f3, 0.01, 100.0);
+  ASSERT_TRUE(g.has_value());
+  EXPECT_NEAR(g->frequency / std::sqrt(3.0), 1.0, 1e-9);
+  EXPECT_NEAR(g->gain_margin_db, 0.0, 1e-8);
 }
 
 TEST(Bode, SweepShapesLowpass) {

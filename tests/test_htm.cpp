@@ -1,3 +1,4 @@
+#include <cmath>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -164,6 +165,29 @@ TEST(Htm, RankOneClosedFormMatchesDenseSolve) {
   const Htm closed = closed_loop_rank_one(v, proto);
   const Htm dense = closed_loop_dense(g);
   EXPECT_LT((closed.matrix() - dense.matrix()).max_abs(), 1e-12);
+}
+
+TEST(Htm, DenseClosedLoopSolvesTheFeedbackEquation) {
+  // A full (not rank-one) G: H = (I + G)^{-1} G must satisfy
+  // (I + G) H = G and keep G's truncation, w0 and s.
+  const int k = 4;
+  const cplx s{0.3, 1.7};
+  Htm g(k, kW0, s);
+  for (std::size_t r = 0; r < g.dim(); ++r) {
+    for (std::size_t c = 0; c < g.dim(); ++c) {
+      const double x = static_cast<double>(r) + 0.5;
+      const double y = static_cast<double>(c) + 1.0;
+      g.matrix()(r, c) = cplx{std::sin(1.3 * x * y), 0.4 * std::cos(x - y)} /
+                         (r == c ? 1.0 : x + y);
+    }
+  }
+  const Htm h = closed_loop_dense(g);
+  EXPECT_EQ(h.truncation(), k);
+  EXPECT_EQ(h.w0(), kW0);
+  EXPECT_EQ(h.s(), s);
+  const CMatrix residual =
+      (CMatrix::identity(g.dim()) + g.matrix()) * h.matrix() - g.matrix();
+  EXPECT_LT(residual.max_abs(), 1e-12 * g.max_abs());
 }
 
 TEST(Htm, ApplyStackedVector) {

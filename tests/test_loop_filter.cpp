@@ -1,4 +1,7 @@
+#include <limits>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -121,6 +124,55 @@ TEST(TypicalLoop, PeriodConsistent) {
   const double w0 = 4.0;
   const PllParameters p = make_typical_loop(1.0, w0);
   EXPECT_NEAR(p.period(), 2.0 * std::numbers::pi / w0, 1e-15);
+}
+
+TEST(PllParameters, ValidationNamesTheNonFiniteField) {
+  // The check every model and simulator constructor runs first.  It
+  // passes a valid loop through by reference and rejects a non-finite
+  // (or, for w0, non-positive) field by name.
+  const double w0 = 2.0 * std::numbers::pi * 1e6;
+  const PllParameters good = make_typical_loop(0.1 * w0, w0);
+  EXPECT_EQ(&validate_pll_parameters(good), &good);
+  // C2 = 0 (no ripple capacitor) is a valid loop.
+  EXPECT_NO_THROW(
+      validate_pll_parameters(make_second_order_loop(0.1 * w0, w0)));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejection = [](const PllParameters& p) {
+    try {
+      validate_pll_parameters(p);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const auto expect_named = [&](double PllParameters::*field, double bad,
+                                const std::string& what) {
+    PllParameters p = good;
+    p.*field = bad;
+    EXPECT_NE(rejection(p).find(what), std::string::npos)
+        << what << " = " << bad << ": " << rejection(p);
+  };
+  const auto expect_filter_named = [&](double ChargePumpFilter::*field,
+                                       double bad, const std::string& what) {
+    PllParameters p = good;
+    p.filter.*field = bad;
+    EXPECT_NE(rejection(p).find(what), std::string::npos)
+        << what << " = " << bad << ": " << rejection(p);
+  };
+  for (double bad : {0.0, -w0, inf, nan}) {
+    expect_named(&PllParameters::w0, bad, "w0 must be positive and finite");
+  }
+  for (double bad : {inf, -inf, nan}) {
+    expect_named(&PllParameters::icp, bad, "icp must be finite");
+    expect_named(&PllParameters::kvco, bad, "kvco must be finite");
+    expect_filter_named(&ChargePumpFilter::r, bad, "filter.r must be finite");
+    expect_filter_named(&ChargePumpFilter::c1, bad,
+                        "filter.c1 must be finite");
+    expect_filter_named(&ChargePumpFilter::c2, bad,
+                        "filter.c2 must be finite");
+  }
 }
 
 }  // namespace

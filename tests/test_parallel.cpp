@@ -18,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include "htmpll/core/sampling_pll.hpp"
+#include "htmpll/lti/bode.hpp"
 #include "htmpll/lti/delay.hpp"
+#include "htmpll/lti/loop_filter.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/parallel/sweep.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
@@ -227,32 +229,46 @@ TEST(Sweep, ParallelMapPreservesOrder) {
   }
 }
 
-TEST(Sweep, RunnerMatchesSerialBitwise) {
-  const auto eval = [](cplx s) {
-    return (s + cplx{1.0, 0.5}) / (s * s + cplx{2.0});
-  };
-  const std::vector<double> w = logspace(1e-2, 1e2, 333);
-  const CVector s_grid = jw_grid(w);
-
-  ThreadPool serial(1);
-  ThreadPool wide(7);
-  const CVector a = SweepRunner(serial).run(s_grid, eval);
-  const CVector b = SweepRunner(wide).run(s_grid, eval);
-  const CVector c = SweepRunner(wide).run_jw(w, eval);
-  ASSERT_EQ(a.size(), s_grid.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]);
-    EXPECT_EQ(a[i], c[i]);
-    EXPECT_EQ(a[i], eval(s_grid[i]));
-  }
-}
-
 TEST(Sweep, JwGrid) {
   const std::vector<double> w = {0.5, 2.0, 7.5};
   const CVector s = jw_grid(w);
   ASSERT_EQ(s.size(), 3u);
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_EQ(s[i], (cplx{0.0, w[i]}));
+  }
+}
+
+// A pooled Bode sweep -- A(jw) evaluated over jw_grid with parallel_map,
+// its phase unwrapped serially by bode_points_from_samples -- gives the
+// serial bode_sweep's rows bit for bit at every pool width.  fig5's
+// open-loop table is the serial sweep of the same response.
+TEST(Sweep, PooledBodeSamplesMatchSerialSweepBitwise) {
+  const double w0 = 2.0 * std::numbers::pi;
+  const double w_ug = 0.1 * w0;
+  const RationalFunction a = make_typical_loop(w_ug, w0).open_loop_gain();
+  const FrequencyResponse resp = [&a](double w) {
+    return a(cplx{0.0, w});
+  };
+  const std::size_t n = 333;
+  const std::vector<BodePoint> serial =
+      bode_sweep(resp, 1e-2 * w_ug, 1e2 * w_ug, n);
+  ASSERT_EQ(serial.size(), n);
+
+  const std::vector<double> w = logspace(1e-2 * w_ug, 1e2 * w_ug, n);
+  const CVector s = jw_grid(w);
+  for (std::size_t threads : {1u, 7u}) {
+    ThreadPool pool(threads);
+    const CVector samples = parallel_map<cplx>(
+        pool, s.size(), [&](std::size_t i) { return a(s[i]); });
+    const std::vector<BodePoint> pooled = bode_points_from_samples(w, samples);
+    ASSERT_EQ(pooled.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(pooled[i].w, serial[i].w) << threads << " threads, " << i;
+      EXPECT_EQ(pooled[i].mag_db, serial[i].mag_db)
+          << threads << " threads, " << i;
+      EXPECT_EQ(pooled[i].phase_deg, serial[i].phase_deg)
+          << threads << " threads, " << i;
+    }
   }
 }
 

@@ -1,3 +1,5 @@
+#include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <string>
@@ -215,6 +217,34 @@ TEST(SamplingPll, RejectsBadIsf) {
                std::invalid_argument);
   EXPECT_THROW(SamplingPllModel(p, HarmonicCoefficients(cplx{0.0})),
                std::invalid_argument);
+}
+
+TEST(SamplingPll, RejectsNonFiniteParameters) {
+  // Each of these loops used to build a model whose transfers and noise
+  // grids read NaN.  At w0 = 2 pi 1e155 the typical loop's Icp overflows
+  // to +inf.
+  const auto rejection = [](const PllParameters& p) {
+    try {
+      const SamplingPllModel m(p);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const double w0 = 2.0 * std::numbers::pi * 1e155;
+  const PllParameters huge = make_typical_loop(0.1 * w0, w0);
+  ASSERT_TRUE(std::isinf(huge.icp));
+  EXPECT_NE(rejection(huge).find("icp must be finite"), std::string::npos)
+      << rejection(huge);
+
+  PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  p.icp = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(rejection(p).find("icp must be finite"), std::string::npos)
+      << rejection(p);
+  p = make_typical_loop(0.1 * kW0, kW0);
+  p.kvco = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(rejection(p).find("kvco must be finite"), std::string::npos)
+      << rejection(p);
 }
 
 TEST(SamplingPll, VtildeRejectsIntegratorPole) {

@@ -1,11 +1,11 @@
 // Transient performance-layer suite: the propagator memo, the
 // horizon-bounded edge search (cost and bitwise exactness against a
-// reference event loop), the allocation-free steady state, checkpoint
-// round-tripping, warm-start probes, probe-option and non-finite input
-// validation and the Monte Carlo batch APIs (bit-identical across pool
-// widths and to standalone runs).  Kept in its own binary (like
-// test_parallel) so the whole suite stays fast enough to run routinely
-// under -DHTMPLL_SANITIZE=thread.
+// reference event loop), the allocation-free steady state, the probe
+// core both event-driven simulators share, probe batches, probe-option
+// and non-finite input validation and the Monte Carlo batch APIs
+// (bit-identical across pool widths and to standalone runs).  Kept in
+// its own binary (like test_parallel) so the whole suite stays fast
+// enough to run routinely under -DHTMPLL_SANITIZE=thread.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -513,159 +513,18 @@ TEST(SpectralEngine, CountsSpectralBuilds) {
   EXPECT_EQ(fallbacks.value(), f0);  // typical loop never falls back
   EXPECT_EQ(expm_evals.value(), e0);
 
-  // A warm probe batch, the shape of a Fig. 6 sweep, builds every step
+  // A probe batch, the shape of a Fig. 6 sweep, builds every step
   // propagator spectrally too: no Pade fallback and no expm at all.
-  ProbeOptions warm;
-  warm.settle_periods = 150.0;
-  warm.measure_periods = 12;
-  warm.warm_start = true;
+  ProbeOptions opts;
+  opts.settle_periods = 150.0;
+  opts.measure_periods = 12;
   const std::vector<double> omegas{0.12 * kW0, 0.3 * kW0};
   const auto m = measure_baseband_transfer_many(
-      make_typical_loop(0.2 * kW0, kW0), omegas, warm);
+      make_typical_loop(0.2 * kW0, kW0), omegas, opts);
   EXPECT_EQ(m.size(), omegas.size());
   EXPECT_EQ(fallbacks.value(), f0);
   EXPECT_EQ(expm_evals.value(), e0);
   if (!was) obs::disable();
-}
-
-TEST(Checkpoint, RoundTripReproducesTrajectoryBitForBit) {
-  const PllParameters p = make_typical_loop(0.12 * kW0, kW0);
-  ReferenceModulation mod;
-  mod.amplitude = 2e-3;
-  mod.omega = 0.17 * kW0;
-  PllTransientSim sim(p, mod);
-  sim.set_recording(false);
-  sim.run_periods(30.0);
-  const TransientCheckpoint cp = sim.checkpoint();
-
-  sim.set_recording(true);
-  sim.clear_samples();
-  sim.run_periods(20.0);
-  const std::vector<double> t_ref = sim.sample_times();
-  const std::vector<double> th_ref = sim.theta_samples();
-  const double theta_end = sim.theta();
-  const std::size_t events_end = sim.event_count();
-
-  sim.restore(cp);
-  sim.clear_samples();
-  sim.run_periods(20.0);
-  ASSERT_EQ(sim.sample_times().size(), t_ref.size());
-  for (std::size_t i = 0; i < t_ref.size(); ++i) {
-    EXPECT_EQ(sim.sample_times()[i], t_ref[i]);
-    EXPECT_EQ(sim.theta_samples()[i], th_ref[i]);
-  }
-  EXPECT_EQ(sim.theta(), theta_end);
-  EXPECT_EQ(sim.event_count(), events_end);
-}
-
-TEST(Checkpoint, RoundTripWithLeakageAndHeldNoise) {
-  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
-  PllTransientSim sim(p);
-  sim.set_leakage(0.02 * p.icp, 0.15 * p.period());
-  sim.set_noise_current(1e-4 * p.icp, 4242);
-  sim.set_recording(false);
-  sim.run_periods(25.0);
-  const TransientCheckpoint cp = sim.checkpoint();
-
-  sim.set_recording(true);
-  sim.clear_samples();
-  sim.run_periods(30.0);
-  const std::vector<double> th_ref = sim.theta_samples();
-  const double theta_end = sim.theta();
-
-  // The RNG stream (engine + the distribution's spare-Gaussian cache)
-  // is part of the checkpoint, so the replay sees the same noise draws.
-  sim.restore(cp);
-  sim.clear_samples();
-  sim.run_periods(30.0);
-  ASSERT_EQ(sim.theta_samples().size(), th_ref.size());
-  for (std::size_t i = 0; i < th_ref.size(); ++i) {
-    EXPECT_EQ(sim.theta_samples()[i], th_ref[i]);
-  }
-  EXPECT_EQ(sim.theta(), theta_end);
-}
-
-// A checkpoint carries the whole dynamic state: restored into a freshly
-// built simulator (empty memo, empty scratch) with the same leakage
-// configuration, it continues bit-identically to the simulator it was
-// taken from, in both directions.
-TEST(Checkpoint, RestoresIntoFreshSimulatorBitForBit) {
-  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
-  TransientConfig cfg;
-  cfg.record = false;
-  PllTransientSim a(p, {}, cfg), b(p, {}, cfg), c(p, {}, cfg);
-  for (PllTransientSim* s : {&a, &b, &c}) {
-    s->set_leakage(0.01 * p.icp, 0.1 * p.period());
-  }
-  a.set_noise_current(5e-5 * p.icp,
-                      static_cast<unsigned>(mc_stream_seed(5, 2)));
-  a.run_periods(20.0);
-
-  const auto expect_same_run = [](const PllTransientSim& x,
-                                  const PllTransientSim& y) {
-    EXPECT_EQ(x.time(), y.time());
-    EXPECT_EQ(x.event_count(), y.event_count());
-    ASSERT_EQ(x.state().size(), y.state().size());
-    for (std::size_t i = 0; i < x.state().size(); ++i) {
-      EXPECT_EQ(x.state()[i], y.state()[i]) << "state " << i;
-    }
-    ASSERT_EQ(x.theta_samples().size(), y.theta_samples().size());
-    for (std::size_t i = 0; i < x.theta_samples().size(); ++i) {
-      ASSERT_EQ(x.theta_samples()[i], y.theta_samples()[i]) << "sample " << i;
-    }
-  };
-
-  b.restore(a.checkpoint());
-  a.set_recording(true);
-  b.set_recording(true);
-  a.run_periods(15.0);
-  b.run_periods(15.0);
-  expect_same_run(a, b);
-  EXPECT_FALSE(a.theta_samples().empty());
-
-  // And on: a third simulator takes over from the continuation.
-  c.restore(b.checkpoint());
-  c.set_recording(true);
-  a.clear_samples();
-  a.run_periods(5.0);
-  c.run_periods(5.0);
-  expect_same_run(a, c);
-}
-
-TEST(Checkpoint, RestoreValidatesCompatibility) {
-  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
-  PllTransientSim sim(p);
-  sim.run_periods(5.0);
-  TransientCheckpoint cp = sim.checkpoint();
-
-  // Different reference period.
-  PllTransientSim other_period(make_typical_loop(0.05 * kW0, 2.0 * kW0));
-  EXPECT_THROW(other_period.restore(cp), std::invalid_argument);
-
-  // Different filter order.
-  PllTransientSim other_order(make_second_order_loop(0.1 * kW0, kW0));
-  EXPECT_THROW(other_order.restore(cp), std::invalid_argument);
-}
-
-TEST(Checkpoint, SettledCheckpointTransfersAcrossConfigs) {
-  const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
-  const TransientCheckpoint cp = make_settled_checkpoint(p, 60.0);
-  EXPECT_NEAR(cp.t, 60.0 * p.period(), 1e-9);
-
-  // Restore into a sim with a different recording grid and modulation.
-  ReferenceModulation mod;
-  mod.amplitude = 1e-3;
-  mod.omega = 0.2 * kW0;
-  TransientConfig cfg;
-  cfg.sample_interval = p.period() / 16.0;
-  PllTransientSim sim(p, mod, cfg);
-  sim.restore(cp);
-  sim.clear_samples();
-  sim.run_periods(10.0);
-  // Still locked and recording on the new grid from t onward.
-  ASSERT_FALSE(sim.sample_times().empty());
-  EXPECT_GT(sim.sample_times().front(), cp.t);
-  EXPECT_LT(std::abs(sim.theta()), 0.01 * p.period());
 }
 
 TEST(ProbeOptionsValidation, RejectsOutOfRangeFields) {
@@ -690,10 +549,6 @@ TEST(ProbeOptionsValidation, RejectsOutOfRangeFields) {
   EXPECT_THROW(measure_band_transfer(p, 1, 0.2 * kW0, bad),
                std::invalid_argument);
 
-  bad = {};
-  bad.warm_resettle_periods = -0.5;
-  EXPECT_THROW(measure_baseband_transfer(p, 0.2 * kW0, bad),
-               std::invalid_argument);
 
   EXPECT_NO_THROW(validate_probe_options(ProbeOptions{}));
 }
@@ -750,6 +605,32 @@ TEST(NonFiniteInput, ModulationPhaseRejected) {
   }
 }
 
+TEST(NonFiniteInput, LoopParametersRejected) {
+  // A NaN Icp built simulators that ran on NaN pump currents, and an
+  // infinite R passed the filter's sign check.  Each simulator now
+  // rejects the loop before building any state, naming the field.
+  const PllParameters good = make_typical_loop(0.1 * kW0, kW0);
+  const IsfWaveform isf = flat_isf(good);
+  const auto expect_all_reject = [&](const PllParameters& p,
+                                     const std::string& what) {
+    expect_rejected([&] { PllTransientSim sim(p); }, what);
+    expect_rejected([&] { SampleHoldPllSim sim(p); }, what);
+    expect_rejected([&] { LptvPllTransientSim sim(p, isf); }, what);
+  };
+  PllParameters p = good;
+  p.icp = kNaN;
+  expect_all_reject(p, "icp must be finite");
+  p = good;
+  p.kvco = kInf;
+  expect_all_reject(p, "kvco must be finite");
+  p = good;
+  p.filter.r = kInf;
+  expect_all_reject(p, "filter.r must be finite");
+  p = good;
+  p.w0 = kInf;
+  expect_all_reject(p, "w0 must be positive and finite");
+}
+
 TEST(NonFiniteInput, RunUntilRejectsNonFiniteEnd) {
   // run_until(+inf) never returned; run_until(NaN) returned at t = 0
   // without a word.
@@ -777,9 +658,6 @@ TEST(NonFiniteInput, SettlePeriodsRejected) {
   expect_rejected([&] { validate_probe_options(bad); }, "settle period");
   expect_rejected([&] { measure_baseband_transfer(p, 0.2 * kW0, bad); },
                   "settle period");
-  bad = {};
-  bad.warm_resettle_periods = kInf;
-  expect_rejected([&] { validate_probe_options(bad); }, "re-settle");
 }
 
 TEST(NonFiniteInput, ModulationFrequencyRejected) {
@@ -910,45 +788,152 @@ TEST(NonFiniteInput, RejectedSettersLeaveRunUnchanged) {
   }
 }
 
-TEST(WarmStart, AgreesWithColdWithinSmallSignalTolerance) {
-  const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
-  const std::vector<double> omegas{0.12 * kW0, 0.3 * kW0};
-  ProbeOptions cold;
-  cold.settle_periods = 150.0;
-  cold.measure_periods = 12;
-  ProbeOptions warm = cold;
-  warm.warm_start = true;
-
-  const auto mc = measure_baseband_transfer_many(p, omegas, cold);
-  const auto mw = measure_baseband_transfer_many(p, omegas, warm);
-  ASSERT_EQ(mc.size(), mw.size());
-  for (std::size_t i = 0; i < mc.size(); ++i) {
-    EXPECT_LT(std::abs(mw[i].value - mc[i].value) / std::abs(mc[i].value),
-              1e-2)
-        << "w_m/w0 = " << omegas[i] / kW0;
-    // Warm runs must actually be cheaper in simulated time per point.
-    EXPECT_LT(mw[i].simulated_time - 150.0,
-              mc[i].simulated_time);
-  }
+/// Bitwise equality of two probe results: value, events and simulated
+/// time.
+void expect_same_measurement(const TransferMeasurement& a,
+                             const TransferMeasurement& b,
+                             const std::string& what) {
+  EXPECT_EQ(std::memcmp(&a.value, &b.value, sizeof(cplx)), 0) << what;
+  EXPECT_EQ(a.events, b.events) << what;
+  EXPECT_EQ(std::memcmp(&a.simulated_time, &b.simulated_time,
+                        sizeof(double)),
+            0)
+      << what;
 }
 
-TEST(WarmStart, DeterministicAcrossPoolWidths) {
+// The pooled probe batches, in probe_verify's shape (a baseband batch
+// and one sideband probe per band -2..2), give the same bits at every
+// pool width, and each entry equals its point-wise probe.
+TEST(ProbeBatch, DeterministicAcrossPoolWidths) {
   const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
+  ProbeOptions opts;
+  opts.settle_periods = 40.0;
+  opts.measure_periods = 4;
   const std::vector<double> omegas{0.15 * kW0, 0.25 * kW0, 0.4 * kW0};
-  ProbeOptions warm;
-  warm.settle_periods = 80.0;
-  warm.measure_periods = 8;
-  warm.warm_start = true;
+  std::vector<BandProbePoint> points;
+  for (int n = -2; n <= 2; ++n) {
+    points.push_back({n, (0.08 + 0.025 * (n + 2)) * kW0});
+  }
+
+  std::vector<TransferMeasurement> base_ref, band_ref;
+  for (double w : omegas) {
+    base_ref.push_back(measure_baseband_transfer(p, w, opts));
+  }
+  for (const BandProbePoint& q : points) {
+    band_ref.push_back(measure_band_transfer(p, q.band, q.omega_m, opts));
+  }
 
   ThreadPool one(1);
   ThreadPool four(4);
-  const auto a = measure_baseband_transfer_many(p, omegas, warm, one);
-  const auto b = measure_baseband_transfer_many(p, omegas, warm, four);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].value.real(), b[i].value.real());
-    EXPECT_EQ(a[i].value.imag(), b[i].value.imag());
-    EXPECT_EQ(a[i].events, b[i].events);
+  for (ThreadPool* pool : {&one, &four}) {
+    const std::string width =
+        "pool width " + std::to_string(pool->threads());
+    const auto base = measure_baseband_transfer_many(p, omegas, opts, *pool);
+    ASSERT_EQ(base.size(), omegas.size());
+    for (std::size_t i = 0; i < omegas.size(); ++i) {
+      expect_same_measurement(base[i], base_ref[i],
+                              width + ", baseband point " +
+                                  std::to_string(i));
+    }
+    const auto bands = measure_band_transfer_many(p, points, opts, *pool);
+    ASSERT_EQ(bands.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      expect_same_measurement(
+          bands[i], band_ref[i],
+          width + ", band " + std::to_string(points[i].band));
+    }
+  }
+}
+
+// The sample-and-hold probe runs on the same probe core as the
+// baseband and band probes, so it rejects the same options by name.
+TEST(ProbeOptionsValidation, SampleHoldProbeRejectsOutOfRangeFields) {
+  const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
+  const double wm = 0.1 * kW0;
+  ProbeOptions bad;
+  bad.amplitude_fraction = 0.0;
+  expect_rejected([&] { measure_baseband_transfer_sample_hold(p, wm, bad); },
+                  "amplitude");
+  bad = {};
+  bad.settle_periods = -1.0;
+  expect_rejected([&] { measure_baseband_transfer_sample_hold(p, wm, bad); },
+                  "settle period");
+  bad = {};
+  bad.measure_periods = 0;
+  expect_rejected([&] { measure_baseband_transfer_sample_hold(p, wm, bad); },
+                  "measurement period");
+  for (double w : {0.0, -wm, kNaN}) {
+    expect_rejected([&] { measure_baseband_transfer_sample_hold(p, w); },
+                    "modulation frequency");
+  }
+}
+
+// Both simulators' probes settle for max(settle_periods T, 4 T_m) and
+// then measure over measure_periods T_m, so a probe's simulated time is
+// the sum of the two.
+TEST(ProbeCore, SettleSpansAtLeastFourModulationPeriods) {
+  const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
+  ProbeOptions opts;
+  opts.settle_periods = 30.0;
+  opts.measure_periods = 3;
+  // T_m = 20 T: four modulation periods (80 T) outlast the 30 T settle.
+  // T_m = 10/3 T: the 30 T settle outlasts four modulation periods.
+  for (double wm : {0.05 * kW0, 0.3 * kW0}) {
+    const double tm = 2.0 * std::numbers::pi / wm;
+    const double expected =
+        std::max(opts.settle_periods * p.period(), 4.0 * tm) +
+        opts.measure_periods * tm;
+    const TransferMeasurement pulse = measure_baseband_transfer(p, wm, opts);
+    const TransferMeasurement held =
+        measure_baseband_transfer_sample_hold(p, wm, opts);
+    EXPECT_NEAR(pulse.simulated_time, expected, 1e-12 * expected)
+        << "w_m/w0 = " << wm / kW0;
+    EXPECT_NEAR(held.simulated_time, expected, 1e-12 * expected)
+        << "w_m/w0 = " << wm / kW0;
+    EXPECT_GT(pulse.events, 0u);
+    EXPECT_GT(held.events, 0u);
+  }
+}
+
+/// The probe written out on one simulator: settle from rest with
+/// recording off, take theta's exact bin over the window and divide by
+/// the modulation's own bin over the same window.
+template <class Sim>
+TransferMeasurement probe_by_hand(const PllParameters& p, double omega_m,
+                                  const ProbeOptions& opts) {
+  ReferenceModulation mod;
+  mod.amplitude = opts.amplitude_fraction * p.period();
+  mod.omega = omega_m;
+  TransientConfig cfg;
+  cfg.record = false;
+  Sim sim(p, mod, cfg);
+  const double tm = 2.0 * std::numbers::pi / omega_m;
+  sim.run_until(std::max(opts.settle_periods * p.period(), 4.0 * tm));
+  const double t0 = sim.time();
+  const double width = static_cast<double>(opts.measure_periods) * tm;
+  const cplx bin = sim.measure_theta_bin(omega_m, width);
+  TransferMeasurement out;
+  out.value = bin / mod.hann_bin(omega_m, t0, width);
+  out.simulated_time = sim.time();
+  out.events = sim.event_count();
+  return out;
+}
+
+// One probe core serves both event-driven simulators: each probe gives
+// the bits of its simulator driven by hand through the same steps.
+TEST(ProbeCore, MatchesAHandDrivenSimulatorBitwise) {
+  const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
+  ProbeOptions opts;
+  opts.settle_periods = 30.0;
+  opts.measure_periods = 3;
+  for (double wm : {0.05 * kW0, 0.3 * kW0}) {
+    const std::string at = "w_m/w0 = " + std::to_string(wm / kW0);
+    expect_same_measurement(measure_baseband_transfer(p, wm, opts),
+                            probe_by_hand<PllTransientSim>(p, wm, opts),
+                            "pulse probe, " + at);
+    expect_same_measurement(measure_baseband_transfer_sample_hold(p, wm, opts),
+                            probe_by_hand<SampleHoldPllSim>(p, wm, opts),
+                            "sample-hold probe, " + at);
   }
 }
 
