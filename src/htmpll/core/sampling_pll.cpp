@@ -76,6 +76,13 @@ SamplingPllModel::SamplingPllModel(PllParameters params,
   const double v0 = params_.kvco * isf_[0].real();
   a_ = RationalFunction::constant(params_.w0 / (2.0 * std::numbers::pi)) *
        RationalFunction::integrator(v0) * hlf_;
+  for (const Polynomial* poly : {&a_.num(), &a_.den()}) {
+    for (const cplx& c : poly->coefficients()) {
+      HTMPLL_REQUIRE(std::isfinite(c.real()) && std::isfinite(c.imag()),
+                     "open-loop gain A(s) has a non-finite coefficient: "
+                     "the loop is outside the double range");
+    }
+  }
 
   for (int k = -isf_.max_harmonic(); k <= isf_.max_harmonic(); ++k) {
     const cplx v_k = params_.kvco * isf_[k];

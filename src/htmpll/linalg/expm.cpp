@@ -68,10 +68,9 @@ StepPropagator make_propagator(const RMatrix& a, const RMatrix& b, double h) {
   }
 
   // Augmented Van Loan matrix, scaled by h:
-  //   [ A  B  0 ]
-  //   [ 0  0  I ]
-  //   [ 0  0  0 ]
-  const std::size_t dim = n + 2 * m;
+  //   [ A  B ]
+  //   [ 0  0 ]
+  const std::size_t dim = n + m;
   RMatrix aug(dim, dim);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) aug(i, j) = a(i, j) * h;
@@ -79,7 +78,6 @@ StepPropagator make_propagator(const RMatrix& a, const RMatrix& b, double h) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < m; ++j) aug(i, n + j) = b(i, j) * h;
   }
-  for (std::size_t i = 0; i < m; ++i) aug(n + i, n + m + i) = h;
 
   const RMatrix e = expm(aug);
 
@@ -90,39 +88,24 @@ StepPropagator make_propagator(const RMatrix& a, const RMatrix& b, double h) {
   }
   if (m > 0) {
     p.gamma1 = RMatrix(n, m);
-    p.gamma2 = RMatrix(n, m);
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        p.gamma1(i, j) = e(i, n + j);
-        p.gamma2(i, j) = e(i, n + m + j);
-      }
+      for (std::size_t j = 0; j < m; ++j) p.gamma1(i, j) = e(i, n + j);
     }
   }
   return p;
 }
 
-RVector StepPropagator::advance(const RVector& x0, const RVector& u0,
-                                const RVector& u1, double h) const {
+RVector StepPropagator::advance(const RVector& x0, const RVector& u) const {
   RVector x = phi0 * x0;
   if (!gamma1.empty()) {
-    const RVector a = gamma1 * u0;
+    const RVector a = gamma1 * u;
     for (std::size_t i = 0; i < x.size(); ++i) x[i] += a[i];
-    RVector du(u0.size());
-    bool any = false;
-    for (std::size_t i = 0; i < u0.size(); ++i) {
-      du[i] = (u1[i] - u0[i]) / h;
-      any = any || du[i] != 0.0;
-    }
-    if (any) {
-      const RVector c = gamma2 * du;
-      for (std::size_t i = 0; i < x.size(); ++i) x[i] += c[i];
-    }
   }
   return x;
 }
 
-void StepPropagator::advance_into(const RVector& x0, double u0, double u1,
-                                  double h, RVector& out) const {
+void StepPropagator::advance_into(const RVector& x0, double u,
+                                  RVector& out) const {
   HTMPLL_ASSERT(gamma1.empty() || gamma1.cols() == 1);
   const std::size_t n = phi0.rows();
   out.resize(n);
@@ -137,18 +120,7 @@ void StepPropagator::advance_into(const RVector& x0, double u0, double u1,
     // matrix-vector product in advance(); without it a -0.0 product
     // would flip the sign bit of a -0.0 state entry.
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] += 0.0 + gamma1.row(i)[0] * u0;
-    }
-    // u1 == u0 makes du a signed zero, so the gamma2 block is skipped
-    // either way; testing the inputs first spares the common
-    // piecewise-constant step the division.
-    if (u1 != u0) {
-      const double du = (u1 - u0) / h;
-      if (du != 0.0) {
-        for (std::size_t i = 0; i < n; ++i) {
-          out[i] += 0.0 + gamma2.row(i)[0] * du;
-        }
-      }
+      out[i] += 0.0 + gamma1.row(i)[0] * u;
     }
   }
 }

@@ -2,13 +2,13 @@
 //
 // The behavioral PLL simulator propagates the loop-filter (plus VCO phase)
 // state exactly between charge-pump events, where the driving current is
-// piecewise constant / piecewise linear:
+// held constant:
 //
-//   x(h) = e^{Ah} x0 + h*phi1(Ah) B u0 + h^2*phi2(Ah) B (u1-u0)/h
+//   x(h) = e^{Ah} x0 + h*phi1(Ah) B u
 //
-// The phi blocks are extracted from one exponential of the augmented
-// matrix [[A,B,0],[0,0,I],[0,0,0]] (Van Loan, 1978), so no invertibility
-// of A is required (our filters have poles at s = 0).
+// Both blocks are extracted from one exponential of the augmented matrix
+// [[A,B],[0,0]] (Van Loan, 1978), so no invertibility of A is required
+// (our filters have poles at s = 0).
 #pragma once
 
 #include "htmpll/linalg/matrix.hpp"
@@ -23,28 +23,24 @@ namespace htmpll {
 RMatrix expm(const RMatrix& a);
 
 /// Exact discrete propagator over a step of length h for
-/// x' = A x + B u(t) with u piecewise linear on the step.
+/// x' = A x + B u with u held constant on the step.
 struct StepPropagator {
-  RMatrix phi0;   ///< e^{Ah}                       (n x n)
-  RMatrix gamma1; ///< h*phi1(Ah)*B, weight of u0   (n x m)
-  RMatrix gamma2; ///< h^2*phi2(Ah)*B, weight of du (n x m), du = (u1-u0)/h
+  RMatrix phi0;   ///< e^{Ah}                     (n x n)
+  RMatrix gamma1; ///< h*phi1(Ah)*B, weight of u  (n x m)
 
-  /// x1 = phi0*x0 + gamma1*u0 + gamma2*(u1-u0)/h  -- callers with
-  /// piecewise-constant input pass u1 == u0.
-  RVector advance(const RVector& x0, const RVector& u0, const RVector& u1,
-                  double h) const;
+  /// x1 = phi0*x0 + gamma1*u.
+  RVector advance(const RVector& x0, const RVector& u) const;
 
   /// Scalar-input (m == 1) variant writing into caller-owned storage:
   /// no temporaries, so hot per-step callers (integrator peeks, Newton
-  /// edge solves) stop allocating three vectors per call.  Arithmetic is
-  /// bit-identical to advance(x0, {u0}, {u1}, h).  `out` is resized to
-  /// the state order and must not alias x0.
-  void advance_into(const RVector& x0, double u0, double u1, double h,
-                    RVector& out) const;
+  /// edge solves) stop allocating two vectors per call.  Arithmetic is
+  /// bit-identical to advance(x0, {u}).  `out` is resized to the state
+  /// order and must not alias x0.
+  void advance_into(const RVector& x0, double u, RVector& out) const;
 };
 
 /// Builds the propagator for step length h.  B may be empty (autonomous
-/// system), in which case gamma1/gamma2 are empty too.
+/// system), in which case gamma1 is empty too.
 StepPropagator make_propagator(const RMatrix& a, const RMatrix& b, double h);
 
 }  // namespace htmpll

@@ -14,11 +14,18 @@ RationalFunction ChargePumpFilter::impedance() const {
   // Z(s) = (1 + s R C1) / (s (C1+C2) + s^2 R C1 C2);
   // C2 = 0 gives the biproper (1 + s R C1)/(s C1).
   const Polynomial num = Polynomial::from_real({1.0, r * c1});
-  if (c2 == 0.0) {
-    return RationalFunction(num, Polynomial::from_real({0.0, c1}));
-  }
-  const Polynomial den = Polynomial::from_real({0.0, c1 + c2, r * c1 * c2});
-  return RationalFunction(num, den);
+  const RationalFunction z =
+      c2 == 0.0
+          ? RationalFunction(num, Polynomial::from_real({0.0, c1}))
+          : RationalFunction(num, Polynomial::from_real(
+                                      {0.0, c1 + c2, r * c1 * c2}));
+  // A coefficient that underflows below Polynomial's trim (R C1 C2 of a
+  // loop near w0 ~ 1e125) would silently drop the pole at -wp.
+  HTMPLL_REQUIRE(z.num().degree() == 1 &&
+                     z.den().degree() == (c2 == 0.0 ? 1u : 2u),
+                 "filter impedance lost a pole or zero: R C1 or R C1 C2 "
+                 "is outside the double range");
+  return z;
 }
 
 double ChargePumpFilter::zero_freq() const { return 1.0 / (r * c1); }

@@ -27,8 +27,13 @@ struct StateSpace {
   double output(const RVector& x, double u) const;
 };
 
-/// Controllable canonical realization.  Requires a proper transfer
-/// function with (numerically) real coefficients.
+/// Controllable canonical realization: A is the companion matrix of the
+/// monic denominator s^n + a_{n-1} s^{n-1} + ... + a_0, with ones on the
+/// superdiagonal and -a_0 ... -a_{n-1} in the last row, and B = e_n.
+/// PropagatorFactory relies on this layout: it reads the filter's modes
+/// as the roots of that denominator and its eigenvectors as the
+/// Vandermonde columns (1, lambda, ..., lambda^(n-1)).  Requires a
+/// proper transfer function with (numerically) real coefficients.
 StateSpace to_state_space(const RationalFunction& h);
 
 }  // namespace htmpll

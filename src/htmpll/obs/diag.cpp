@@ -14,7 +14,6 @@ namespace {
 /// the enum exactly (static_assert below).
 constexpr const char* kReasonNames[kDiagReasonCount] = {
     "pade_fallback.defective",      // kPadeFallbackDefective
-    "pade_fallback.not_converged",  // kPadeFallbackNotConverged
     "pade_fallback.ill_conditioned",// kPadeFallbackIllConditioned
     "simd_bailout.out_of_range",    // kSimdBailoutOutOfRange
     "simd_bailout.non_finite",      // kSimdBailoutNonFinite

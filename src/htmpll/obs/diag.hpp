@@ -39,7 +39,6 @@ namespace htmpll::obs {
 /// diag_reason_name(); add new reasons at the end (before kCount).
 enum class DiagReason : std::uint8_t {
   kPadeFallbackDefective = 0,   ///< eigenbasis numerically defective
-  kPadeFallbackNotConverged,    ///< Francis QR hit its sweep limit
   kPadeFallbackIllConditioned,  ///< kappa(V) above max_condition
   kSimdBailoutOutOfRange,       ///< cexp lane outside the poly range
   kSimdBailoutNonFinite,        ///< cexp lane carried NaN/Inf input

@@ -72,8 +72,7 @@ const StepPropagator& PiecewiseExactIntegrator::propagator(double h) const {
 RVector PiecewiseExactIntegrator::peek(double h, double u) const {
   HTMPLL_REQUIRE(h >= 0.0, "cannot propagate backwards");
   if (h == 0.0) return x_;
-  const RVector uu{u};
-  return propagator(h).advance(x_, uu, uu, h);
+  return propagator(h).advance(x_, {u});
 }
 
 void PiecewiseExactIntegrator::peek_into(double h, double u,
@@ -83,7 +82,7 @@ void PiecewiseExactIntegrator::peek_into(double h, double u,
     out = x_;
     return;
   }
-  propagator(h).advance_into(x_, u, u, h, out);
+  propagator(h).advance_into(x_, u, out);
 }
 
 void PiecewiseExactIntegrator::peek_last_many(const double* h,

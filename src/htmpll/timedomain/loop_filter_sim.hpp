@@ -3,10 +3,13 @@
 //
 // There is no ODE-solver step error anywhere in the transient simulator:
 // each segment is advanced with the exact discrete propagator of the
-// state matrix (modal for the phase-augmented loop whose filter block
-// has a well-conditioned eigenbasis, Van Loan expm otherwise), so the
-// comparison against the HTM model (the paper's "within 2%" claim)
-// measures modeling error, not integration error.
+// state matrix, so the comparison against the HTM model (the paper's
+// "within 2%" claim) measures modeling error, not integration error.
+// The propagator is modal (PropagatorFactory) for the phase-augmented
+// loop: its filter block is to_state_space's companion matrix, whose
+// modes are the roots of the filter's denominator.  Any other system,
+// or a denominator with a repeated or near-repeated root, takes the
+// Van Loan expm.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +17,8 @@
 #include <vector>
 
 #include "htmpll/linalg/expm.hpp"
-#include "htmpll/linalg/spectral.hpp"
 #include "htmpll/lti/state_space.hpp"
+#include "htmpll/timedomain/spectral.hpp"
 
 namespace htmpll {
 

@@ -60,7 +60,7 @@ struct TransientConfig {
   double edge_tolerance = 1e-13;
   /// Build step propagators from the one-time modal factorization of
   /// the filter block instead of a per-step Van Loan expm (see
-  /// linalg/spectral.hpp).  False runs the Van Loan oracle,
+  /// timedomain/spectral.hpp).  False runs the Van Loan oracle,
   /// make_propagator, through the whole simulation.
   bool use_spectral_propagators = true;
 };

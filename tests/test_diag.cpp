@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "htmpll/core/sampling_pll.hpp"
-#include "htmpll/linalg/spectral.hpp"
 #include "htmpll/noise/noise.hpp"
 #include "htmpll/obs/diag.hpp"
 #include "htmpll/obs/metrics.hpp"
@@ -26,6 +25,7 @@
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/parallel/sweep.hpp"
 #include "htmpll/timedomain/loop_filter_sim.hpp"
+#include "htmpll/timedomain/spectral.hpp"
 #include "htmpll/util/grid.hpp"
 
 namespace htmpll {
@@ -259,12 +259,52 @@ TEST(DiagSpectral, DefectiveMatrixEmitsTaggedPadeFallback) {
   EXPECT_TRUE(found);
 }
 
+TEST(DiagSpectral, NearRepeatedRootsEmitFallbackTaggedByCondition) {
+  ScopedDiagObs on(true);
+  // Companion block of s (s + delta): the unit Vandermonde columns of the
+  // modes 0 and -delta are nearly parallel, kappa_inf(V) ~ 2 / delta.
+  // Above kMaxCondition the factory rejects the basis as ill
+  // conditioned, and above 1e14, where V^{-1} reconstructs rounding
+  // noise, as numerically defective.  The event carries the kappa.
+  using obs::DiagReason;
+  struct Case {
+    double delta;
+    DiagReason reason, other;
+  };
+  for (const Case& c :
+       {Case{1e-9, DiagReason::kPadeFallbackIllConditioned,
+             DiagReason::kPadeFallbackDefective},
+        Case{1e-15, DiagReason::kPadeFallbackDefective,
+             DiagReason::kPadeFallbackIllConditioned}}) {
+    obs::diag_reset();
+    const RMatrix a{{0.0, 1.0, 0.0}, {0.0, -c.delta, 0.0}, {1.0, 0.0, 0.0}};
+    const RMatrix b{{0.0}, {1.0}, {0.0}};
+    PropagatorFactory factory(a, b, true);
+
+    EXPECT_FALSE(factory.is_spectral()) << c.delta;
+    const double kappa = factory.vector_condition();
+    EXPECT_GT(kappa, 1.0 / c.delta);
+    EXPECT_LT(kappa, 4.0 / c.delta);
+    EXPECT_EQ(tally_of(c.reason), 1u) << obs::diag_reason_name(c.reason);
+    EXPECT_EQ(tally_of(c.other), 0u) << obs::diag_reason_name(c.other);
+    bool found = false;
+    for (const obs::DiagEvent& e : obs::diag_snapshot().events) {
+      if (e.reason == c.reason) {
+        found = true;
+        EXPECT_EQ(e.payload, kappa);
+      }
+    }
+    EXPECT_TRUE(found) << c.delta;
+  }
+}
+
 TEST(DiagSpectral, HealthyFactorizationRaisesConditionGauge) {
   ScopedDiagObs on(true);
   obs::diag_reset();
-  // Phase-augmented system with a well-conditioned filter block.
-  const RMatrix a{{-1.0, 0.5, 0.0}, {0.0, -2.0, 0.0}, {1.0, 1.0, 0.0}};
-  const RMatrix b{{1.0}, {0.0}, {0.0}};
+  // Phase-augmented system with a well-conditioned companion filter
+  // block: s^2 + 0.8 s + 1.15, modes -0.4 +- 0.995j.
+  const RMatrix a{{0.0, 1.0, 0.0}, {-1.15, -0.8, 0.0}, {1.0, 1.0, 0.0}};
+  const RMatrix b{{0.0}, {1.0}, {0.0}};
   PropagatorFactory factory(a, b, true);
 
   EXPECT_TRUE(factory.is_spectral());
@@ -276,6 +316,12 @@ TEST(DiagSpectral, HealthyFactorizationRaisesConditionGauge) {
       obs::HealthGauge::kMaxEigenbasisCondition)];
   EXPECT_GE(cond, 1.0);
   EXPECT_DOUBLE_EQ(cond, factory.vector_condition());
+  // The Vandermonde columns (1, lambda) are eigenvectors up to the
+  // rounding of the roots, which the residual gauge records.
+  const double residual = s.gauge[static_cast<std::size_t>(
+      obs::HealthGauge::kMaxEigenpairResidual)];
+  EXPECT_GT(residual, 0.0);
+  EXPECT_LT(residual, 1e-15);
 }
 
 TEST(TraceCap, ParsesClampsAndRejectsGarbage) {

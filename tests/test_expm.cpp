@@ -2,7 +2,6 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -70,7 +69,7 @@ TEST(Propagator, ScalarDecayWithConstantInput) {
   const RMatrix am{{-a}};
   const RMatrix bm{{1.0}};
   const StepPropagator p = make_propagator(am, bm, h);
-  const RVector x = p.advance({x0}, {u}, {u}, h);
+  const RVector x = p.advance({x0}, {u});
   const double expected = std::exp(-a * h) * x0 +
                           (1.0 - std::exp(-a * h)) * u / a;
   EXPECT_NEAR(x[0], expected, 1e-13);
@@ -82,18 +81,8 @@ TEST(Propagator, PureIntegratorWithConstantInput) {
   const RMatrix bm{{1.0}};
   const double h = 0.7;
   const StepPropagator p = make_propagator(am, bm, h);
-  const RVector x = p.advance({2.0}, {3.0}, {3.0}, h);
+  const RVector x = p.advance({2.0}, {3.0});
   EXPECT_NEAR(x[0], 2.0 + 3.0 * h, 1e-13);
-}
-
-TEST(Propagator, PureIntegratorWithRampInput) {
-  // x' = u(t), u ramps u0 -> u1: x(h) = x0 + h (u0+u1)/2.
-  const RMatrix am{{0.0}};
-  const RMatrix bm{{1.0}};
-  const double h = 0.5;
-  const StepPropagator p = make_propagator(am, bm, h);
-  const RVector x = p.advance({0.0}, {1.0}, {3.0}, h);
-  EXPECT_NEAR(x[0], 0.5 * (1.0 + 3.0) * h, 1e-13);
 }
 
 TEST(Propagator, DoubleIntegratorChain) {
@@ -102,7 +91,7 @@ TEST(Propagator, DoubleIntegratorChain) {
   const RMatrix bm{{1.0}, {0.0}};
   const double h = 2.0, u = 1.0;
   const StepPropagator p = make_propagator(am, bm, h);
-  const RVector x = p.advance({0.0, 0.0}, {u}, {u}, h);
+  const RVector x = p.advance({0.0, 0.0}, {u});
   EXPECT_NEAR(x[0], u * h, 1e-12);
   EXPECT_NEAR(x[1], 0.5 * u * h * h, 1e-12);
 }
@@ -110,7 +99,7 @@ TEST(Propagator, DoubleIntegratorChain) {
 TEST(Propagator, AutonomousSystemAllowed) {
   const RMatrix am{{-1.0}};
   const StepPropagator p = make_propagator(am, RMatrix(), 1.0);
-  const RVector x = p.advance({1.0}, {}, {}, 1.0);
+  const RVector x = p.advance({1.0}, {});
   EXPECT_NEAR(x[0], std::exp(-1.0), 1e-12);
 }
 
@@ -138,11 +127,10 @@ TEST(Propagator, AdvanceIntoMatchesAdvanceBitwise) {
   const double h = 0.37;
   const StepPropagator p = make_propagator(am, bm, h);
   const RVector x0{0.25, -1.5};
-  for (const auto& [u0, u1] : std::vector<std::pair<double, double>>{
-           {0.8, 0.8}, {0.8, -0.3}, {0.0, 0.0}, {-1.0, 1.0}}) {
-    const RVector a = p.advance(x0, {u0}, {u1}, h);
+  for (const double u : {0.8, 0.0}) {
+    const RVector a = p.advance(x0, {u});
     RVector b;
-    p.advance_into(x0, u0, u1, h, b);
+    p.advance_into(x0, u, b);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       // Bit-level equality, not EXPECT_DOUBLE_EQ: the transient engine's
@@ -157,9 +145,9 @@ TEST(Propagator, AdvanceIntoReusesScratchAcrossCalls) {
   const RMatrix bm{{1.0}};
   const StepPropagator p = make_propagator(am, bm, 1.0);
   RVector scratch(7, 123.0);  // wrong size on purpose
-  p.advance_into({2.0}, 0.5, 0.5, 1.0, scratch);
+  p.advance_into({2.0}, 0.5, scratch);
   ASSERT_EQ(scratch.size(), 1u);
-  const RVector ref = p.advance({2.0}, {0.5}, {0.5}, 1.0);
+  const RVector ref = p.advance({2.0}, {0.5});
   EXPECT_EQ(scratch[0], ref[0]);
 }
 
@@ -167,7 +155,7 @@ TEST(Propagator, AdvanceIntoAutonomous) {
   const RMatrix am{{-1.0}};
   const StepPropagator p = make_propagator(am, RMatrix(), 1.0);
   RVector out;
-  p.advance_into({1.0}, 0.0, 0.0, 1.0, out);
+  p.advance_into({1.0}, 0.0, out);
   EXPECT_NEAR(out[0], std::exp(-1.0), 1e-12);
 }
 

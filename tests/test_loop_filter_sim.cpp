@@ -137,7 +137,7 @@ TEST(Integrator, PropagatorMemoStaysExact) {
   const std::vector<double> pinned{0.125, 0.25, 0.5};
   const auto direct = [&](double h) {
     return make_propagator(sim.system().a, sim.system().b, h)
-        .advance(sim.state(), {0.3}, {0.3}, h)[0];
+        .advance(sim.state(), {0.3})[0];
   };
   for (int k = 0; k < 80; ++k) {
     const double h = step(rng);

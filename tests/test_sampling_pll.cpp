@@ -247,6 +247,46 @@ TEST(SamplingPll, RejectsNonFiniteParameters) {
       << rejection(p);
 }
 
+TEST(SamplingPll, RejectsLoopsOutsideTheCoefficientRange) {
+  // make_typical_loop(0.1 w0, w0) is scale-invariant: H00(j 0.05 w0)
+  // reads the same at every w0 whose coefficients fit in a double.  From
+  // w0 = 2 pi 1e103 the s^1 numerator coefficient of A(s), which grows
+  // like w0^3, overflows, and the model read NaN.  From 2 pi 1e125
+  // R C1 C2 falls below Polynomial's trim, and the impedance silently
+  // lost its pole at -wp: the model read (1.01039, -0.499943).
+  const auto at = [](double decade) {
+    const double w0 = 2.0 * std::numbers::pi * std::pow(10.0, decade);
+    return make_typical_loop(0.1 * w0, w0);
+  };
+  const auto rejection = [](const PllParameters& p) {
+    try {
+      const SamplingPllModel m(p);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const cplx ref = make_model(0.1).baseband_transfer(j * (0.05 * kW0));
+  EXPECT_NEAR(ref.real(), 1.0899, 1e-4);
+  EXPECT_NEAR(ref.imag(), -0.460132, 1e-6);
+  const PllParameters edge = at(100.0);
+  const cplx h = SamplingPllModel(edge).baseband_transfer(
+      j * (0.05 * edge.w0));
+  EXPECT_LT(std::abs(h - ref), 1e-12 * std::abs(ref)) << h;
+
+  for (double decade : {103.0, 110.0, 124.0}) {
+    EXPECT_NE(rejection(at(decade)).find("A(s) has a non-finite"),
+              std::string::npos)
+        << decade << ": " << rejection(at(decade));
+  }
+  for (double decade : {125.0, 140.0, 154.0}) {
+    const PllParameters p = at(decade);
+    EXPECT_NE(rejection(p).find("impedance lost a pole"), std::string::npos)
+        << decade << ": " << rejection(p);
+    EXPECT_THROW(p.filter.impedance(), std::invalid_argument) << decade;
+  }
+}
+
 TEST(SamplingPll, VtildeRejectsIntegratorPole) {
   const SamplingPllModel m = make_model(0.3);
   EXPECT_THROW(m.vtilde_element(-1, j * kW0), std::invalid_argument);

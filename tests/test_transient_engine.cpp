@@ -149,7 +149,7 @@ class ReferenceEventLoop {
       it = builds_.emplace(h, StepPropagator{}).first;
       integ_.propagator_factory().make_into(h, it->second);
     }
-    it->second.advance_into(x_, u, u, h, out);
+    it->second.advance_into(x_, u, out);
   }
 
   double next_reference_edge(double target) const {
@@ -629,6 +629,18 @@ TEST(NonFiniteInput, LoopParametersRejected) {
   p = good;
   p.w0 = kInf;
   expect_all_reject(p, "w0 must be positive and finite");
+}
+
+TEST(NonFiniteInput, LoopOutsideTheCoefficientRangeRejected) {
+  // Every parameter of the typical loop at w0 = 2 pi 1e125 is finite,
+  // but R C1 C2 falls below Polynomial's trim: the simulators used to
+  // integrate a filter without its pole at -wp.  Each now rejects it.
+  const double w0 = 2.0 * std::numbers::pi * 1e125;
+  const PllParameters p = make_typical_loop(0.1 * w0, w0);
+  const std::string what = "impedance lost a pole";
+  expect_rejected([&] { PllTransientSim sim(p); }, what);
+  expect_rejected([&] { SampleHoldPllSim sim(p); }, what);
+  expect_rejected([&] { LptvPllTransientSim sim(p, flat_isf(p)); }, what);
 }
 
 TEST(NonFiniteInput, RunUntilRejectsNonFiniteEnd) {
