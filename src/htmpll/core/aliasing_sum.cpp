@@ -3,39 +3,20 @@
 #include <cmath>
 #include <numbers>
 
+#include "htmpll/linalg/batch_kernels_detail.hpp"
 #include "htmpll/obs/diag.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll {
 
-namespace {
-
-// Shared building blocks: every public entry point is assembled from
-// these so values derived from one exp(-2z) are bit-identical to values
-// computed standalone (same expressions, same operation order).
-
-inline cplx coth_from_e(cplx e) {
-  return (1.0 + e) / (1.0 - e);  // |e| <= 1 since Re z >= 0
-}
-
-inline cplx csch2_from_e(cplx e) {
-  const cplx d = 1.0 - e;
-  return 4.0 * e / (d * d);
-}
-
-// coth z = 1/z + z/3 - z^3/45 + O(z^5)
-inline cplx coth_series(cplx z) {
-  const cplx z2 = z * z;
-  return 1.0 / z + z * (1.0 / 3.0 - z2 / 45.0);
-}
-
-// csch^2 z = 1/z^2 - 1/3 + z^2/15 + O(z^4)
-inline cplx csch2_series(cplx z) {
-  const cplx z2 = z * z;
-  return 1.0 / z2 - 1.0 / 3.0 + z2 / 15.0;
-}
-
-}  // namespace
+// The coth/csch^2 building blocks are the batch kernels' own
+// (linalg/batch_kernels_detail.hpp): every public entry point here is
+// assembled from them, so values derived from one exp(-2z) -- here or in
+// a kernel -- are bit-identical to values computed standalone.
+using detail::coth_from_e;
+using detail::coth_series;
+using detail::csch2_from_e;
+using detail::csch2_series;
 
 cplx stable_coth(cplx z) {
   if (z.real() < 0.0) return -stable_coth(-z);

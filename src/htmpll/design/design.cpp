@@ -1,6 +1,7 @@
 #include "htmpll/design/design.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "htmpll/util/check.hpp"
@@ -110,9 +111,12 @@ class JitterQuadrature {
  public:
   explicit JitterQuadrature(const JitterOptimizationSpec& spec)
       : spec_(spec) {
-    HTMPLL_REQUIRE(static_cast<bool>(spec.s_ref) &&
-                       static_cast<bool>(spec.s_vco),
-                   "noise PSDs must be provided");
+    const auto silent = [](const PowerLawPsd& p) {
+      return p.white == 0.0 && p.flicker == 0.0 && p.walk == 0.0;
+    };
+    HTMPLL_REQUIRE(!(silent(spec.s_ref) && silent(spec.s_vco)),
+                   "noise PSDs must be provided: s_ref and s_vco are both "
+                   "zero");
     HTMPLL_REQUIRE(spec.w0 > 0.0, "reference rate must be positive");
     HTMPLL_REQUIRE(spec.fold_harmonics >= 0,
                    "fold_harmonics must be >= 0 (zero keeps only the "
@@ -139,10 +143,14 @@ class JitterQuadrature {
   }
 
   /// |H00|^2 S_ref + |1 - H00|^2 S_vco + |H00|^2 F, with H00 the
-  /// sampled loop's baseband transfer (eq. 38).
+  /// sampled loop's baseband transfer (eq. 38); +inf for a loop the
+  /// half-rate criterion predicts unstable.
   double tv(double w_ug) const {
     const SamplingPllModel model(
         make_typical_loop(w_ug, spec_.w0, spec_.gamma));
+    if (predicts_half_rate_instability(model)) {
+      return std::numeric_limits<double>::infinity();
+    }
     const CVector h = model.baseband_transfer_grid(s_);
     std::vector<double> psd(w_.size());
     for (std::size_t i = 0; i < w_.size(); ++i) {
@@ -201,19 +209,51 @@ double golden_min(F f, double lo, double hi, int iterations = 60) {
 
 }  // namespace
 
+HalfRateBracket bisect_half_rate_boundary(LoopBuilder make, double w0,
+                                          double gamma, double ratio_lo,
+                                          double ratio_hi, int iterations) {
+  HTMPLL_REQUIRE(make != nullptr, "loop builder must be provided");
+  HTMPLL_REQUIRE(ratio_lo > 0.0 && ratio_hi > ratio_lo,
+                 "boundary search range is empty");
+  HalfRateBracket b{ratio_lo, ratio_hi};
+  for (int it = 0; it < iterations; ++it) {
+    const double mid = 0.5 * (b.stable + b.unstable);
+    const SamplingPllModel m(make(mid * w0, w0, gamma));
+    (half_rate_lambda(m) > -1.0 ? b.stable : b.unstable) = mid;
+  }
+  return b;
+}
+
 JitterOptimizationResult optimize_bandwidth_for_jitter(
     const JitterOptimizationSpec& spec) {
   HTMPLL_REQUIRE(spec.ratio_min > 0.0 && spec.ratio_max > spec.ratio_min,
                  "bandwidth search range is empty");
   const JitterQuadrature q(spec);
+  const auto unstable = [&](double ratio) {
+    return predicts_half_rate_instability(SamplingPllModel(
+        make_typical_loop(ratio * spec.w0, spec.w0, spec.gamma)));
+  };
+  HTMPLL_REQUIRE(!unstable(spec.ratio_min),
+                 "the loop at ratio_min is already half-rate unstable");
+  // Golden-section search cannot cross the +inf rms of unstable loops
+  // (two +inf probes send it right), so the TV search stops at the
+  // half-rate boundary.
+  double tv_ratio_max = spec.ratio_max;
+  if (unstable(spec.ratio_max)) {
+    tv_ratio_max = bisect_half_rate_boundary(make_typical_loop, spec.w0,
+                                             spec.gamma, spec.ratio_min,
+                                             spec.ratio_max)
+                       .stable;
+  }
   const double lo = spec.ratio_min * spec.w0;
-  const double hi = spec.ratio_max * spec.w0;
 
   JitterOptimizationResult out;
-  out.w_ug_tv = golden_min([&](double w) { return q.tv(w); }, lo, hi);
+  out.w_ug_tv = golden_min([&](double w) { return q.tv(w); }, lo,
+                           tv_ratio_max * spec.w0);
   out.rms_tv = q.tv(out.w_ug_tv);
 
-  out.w_ug_lti = golden_min([&](double w) { return q.lti(w); }, lo, hi);
+  out.w_ug_lti = golden_min([&](double w) { return q.lti(w); }, lo,
+                            spec.ratio_max * spec.w0);
   out.rms_at_lti_pick = q.tv(out.w_ug_lti);
   out.penalty = out.rms_at_lti_pick / out.rms_tv;
   return out;
@@ -225,17 +265,6 @@ double output_jitter_tv(const JitterOptimizationSpec& spec, double w_ug) {
 
 double output_jitter_lti(const JitterOptimizationSpec& spec, double w_ug) {
   return JitterQuadrature(spec).lti(w_ug);
-}
-
-std::vector<DesignResult> sweep_crossover_ratios(
-    const DesignSpec& base, const std::vector<double>& ratios) {
-  std::vector<DesignResult> out;
-  out.reserve(ratios.size());
-  const double gamma = gamma_for_phase_margin(base.target_pm_deg);
-  for (double r : ratios) {
-    out.push_back(evaluate_design(base, r * base.w0, gamma));
-  }
-  return out;
 }
 
 }  // namespace htmpll

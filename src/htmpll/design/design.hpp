@@ -74,22 +74,38 @@ struct AwareDesignOptions {
 DesignResult design_time_varying_aware(const DesignSpec& spec,
                                        const AwareDesignOptions& opts = {});
 
-/// Design-space sweep: for each w_ug/w0 ratio, the classical design and
-/// its effective margins (the data behind Fig. 7 seen as a design chart).
-std::vector<DesignResult> sweep_crossover_ratios(
-    const DesignSpec& base, const std::vector<double>& ratios);
+/// A loop-family builder with the make_typical_loop /
+/// make_second_order_loop signature.
+using LoopBuilder = PllParameters (*)(double w_ug, double w0, double gamma);
+
+/// Bracket of the half-rate stability boundary lambda(j w0/2) = -1 of
+/// one loop family at one gamma, in w_UG/w0: `iterations` bisection
+/// steps on [ratio_lo, ratio_hi].  Each midpoint replaces `stable` when
+/// its loop has lambda(j w0/2) > -1 and `unstable` otherwise, so an end
+/// no midpoint lands on keeps its input value.
+struct HalfRateBracket {
+  double stable = 0.0;
+  double unstable = 0.0;
+};
+
+HalfRateBracket bisect_half_rate_boundary(LoopBuilder make, double w0,
+                                          double gamma, double ratio_lo,
+                                          double ratio_hi,
+                                          int iterations = 45);
 
 // ---- jitter-optimal bandwidth selection -------------------------------
 
+/// The default spec has no noise: at least one of s_ref and s_vco must
+/// be nonzero (std::invalid_argument otherwise).
 struct JitterOptimizationSpec {
   double w0;                 ///< reference rate, rad/s
-  PsdFunction s_ref;         ///< reference phase PSD
-  PsdFunction s_vco;         ///< VCO phase PSD
+  PowerLawPsd s_ref;         ///< reference phase PSD
+  PowerLawPsd s_vco;         ///< VCO phase PSD
   double gamma = 4.0;        ///< zero/pole split of the loop family
   double w_lo_frac = 1e-3;   ///< integration band, fractions of w0
   double w_hi_frac = 0.49;
   double ratio_min = 0.002;  ///< bandwidth search range, fractions of w0
-  double ratio_max = 0.26;   ///< keep inside the sampled stability range
+  double ratio_max = 0.26;   ///< inside the half-rate boundary for gamma 2-6
   int fold_harmonics = 12;   ///< sideband folding depth (TV model)
   std::size_t quadrature_points = 300;
 };
@@ -107,10 +123,18 @@ struct JitterOptimizationResult {
 /// once with the classical LTI transfers and once with the time-varying
 /// (folded, peaked) transfers.  The penalty quantifies what an LTI-based
 /// bandwidth choice costs in real output jitter.
+///
+/// The TV search runs on the half-rate-stable part of [ratio_min,
+/// ratio_max] (bisect_half_rate_boundary when the loop at ratio_max is
+/// unstable) and throws if the loop at ratio_min is already unstable.
+/// The LTI search, blind to sampling, keeps the whole range: when it
+/// picks an unstable loop, rms_at_lti_pick and penalty read +inf.
 JitterOptimizationResult optimize_bandwidth_for_jitter(
     const JitterOptimizationSpec& spec);
 
-/// Output phase rms of the loop at a specific crossover, per model.
+/// Output phase rms of the loop at a specific crossover, per model.  The
+/// TV rms reads +inf for a loop the half-rate criterion predicts
+/// unstable (predicts_half_rate_instability).
 double output_jitter_tv(const JitterOptimizationSpec& spec, double w_ug);
 double output_jitter_lti(const JitterOptimizationSpec& spec, double w_ug);
 

@@ -62,29 +62,19 @@ StabilityBoundary max_stable_crossover_ratio(LoopBuilder make, double w0,
                                              double gamma, double ratio_lo,
                                              double ratio_hi,
                                              int iterations) {
-  HTMPLL_REQUIRE(make != nullptr, "loop builder must be provided");
-  HTMPLL_REQUIRE(ratio_lo > 0.0 && ratio_hi > ratio_lo,
-                 "boundary search range is empty");
+  const HalfRateBracket b =
+      bisect_half_rate_boundary(make, w0, gamma, ratio_lo, ratio_hi,
+                                iterations);
   StabilityBoundary out;
-  {
-    double lo = ratio_lo, hi = ratio_hi;
-    for (int it = 0; it < iterations; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      const SamplingPllModel m(make(mid * w0, w0, gamma));
-      (half_rate_lambda(m) > -1.0 ? lo : hi) = mid;
-    }
-    out.lambda_ratio = 0.5 * (lo + hi);
+  out.lambda_ratio = 0.5 * (b.stable + b.unstable);
+  double lo = ratio_lo, hi = ratio_hi;
+  for (int it = 0; it < iterations; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    const ImpulseInvariantModel zm(make(mid * w0, w0, gamma).open_loop_gain(),
+                                   w0);
+    (zm.is_stable() ? lo : hi) = mid;
   }
-  {
-    double lo = ratio_lo, hi = ratio_hi;
-    for (int it = 0; it < iterations; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      const ImpulseInvariantModel zm(make(mid * w0, w0, gamma).open_loop_gain(),
-                                     w0);
-      (zm.is_stable() ? lo : hi) = mid;
-    }
-    out.zdomain_ratio = 0.5 * (lo + hi);
-  }
+  out.zdomain_ratio = 0.5 * (lo + hi);
   return out;
 }
 

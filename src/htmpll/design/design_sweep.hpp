@@ -61,16 +61,14 @@ DesignSpaceMap design_space_map(const DesignSpec& base,
                                 const DesignSweepOptions& opts = {});
 
 /// Maximum stable w_UG/w0 for one loop family at one gamma, per the
-/// half-rate criterion lambda(j w0/2) = -1 and per the z-domain
+/// half-rate criterion lambda(j w0/2) = -1 (the midpoint of
+/// bisect_half_rate_boundary's bracket) and per the z-domain
 /// closed-loop poles (the two agree to bisection accuracy -- same
-/// object via Poisson summation).  `make` is a loop builder with the
-/// make_typical_loop / make_second_order_loop signature.
+/// object via Poisson summation).
 struct StabilityBoundary {
   double lambda_ratio = 0.0;   ///< half-rate criterion boundary
   double zdomain_ratio = 0.0;  ///< z-domain pole-radius boundary
 };
-
-using LoopBuilder = PllParameters (*)(double w_ug, double w0, double gamma);
 
 StabilityBoundary max_stable_crossover_ratio(LoopBuilder make, double w0,
                                              double gamma,

@@ -2,12 +2,11 @@
 // (batch_kernels.cpp) and the guard/fallback lanes of the AVX2 kernels
 // (batch_kernels_simd.cpp).
 //
-// The coth/csch^2 expressions are kept expression-for-expression
-// identical to core/aliasing_sum.cpp (stable_coth / stable_csch2): when
-// a kernel recomputes exp(-2u) directly, the derived values match the
-// scalar aliasing-sum path bit for bit.  Keeping them in ONE header is
-// what lets the vector kernels promise scalar-identical behavior on
-// their guard lanes.
+// The coth/csch^2 expressions are also the ones core/aliasing_sum.cpp
+// (stable_coth / stable_csch2) evaluates: when a kernel recomputes
+// exp(-2u) directly, the derived values match the scalar aliasing-sum
+// path bit for bit.  Keeping them in ONE header is what lets the vector
+// kernels promise scalar-identical behavior on their guard lanes.
 #pragma once
 
 #include <cmath>
@@ -44,6 +43,7 @@ void accumulate_pole_sums_scalar(const PoleSumTerm& term, double c,
                                  std::size_t n, double* acc_re,
                                  double* acc_im);
 
+/// coth z from e = exp(-2z), |e| <= 1 (Re z >= 0).
 inline cplx coth_from_e(cplx e) { return (1.0 + e) / (1.0 - e); }
 
 inline cplx csch2_from_e(cplx e) {
@@ -51,11 +51,13 @@ inline cplx csch2_from_e(cplx e) {
   return 4.0 * e / (d * d);
 }
 
+/// coth z = 1/z + z/3 - z^3/45 + O(z^5)
 inline cplx coth_series(cplx z) {
   const cplx z2 = z * z;
   return 1.0 / z + z * (1.0 / 3.0 - z2 / 45.0);
 }
 
+/// csch^2 z = 1/z^2 - 1/3 + z^2/15 + O(z^4)
 inline cplx csch2_series(cplx z) {
   const cplx z2 = z * z;
   return 1.0 / z2 - 1.0 / 3.0 + z2 / 15.0;

@@ -37,11 +37,6 @@ void require_grid(const std::vector<double>& w_grid) {
   HTMPLL_REQUIRE(!w_grid.empty(), "PSD grid must hold at least one point");
 }
 
-void require_psd(const PsdFunction& f, const char* name) {
-  HTMPLL_REQUIRE(static_cast<bool>(f),
-                 std::string("PSD function '") + name + "' is null");
-}
-
 void require_power_law(const PowerLawPsd& p) {
   const auto ok = [](double c) { return std::isfinite(c) && c >= 0.0; };
   HTMPLL_REQUIRE(ok(p.white) && ok(p.flicker) && ok(p.walk),
@@ -77,32 +72,15 @@ void even_odd_split(const CVector& c, std::vector<double>& even,
 // order in which the per-point sums add them, so each lane runs the
 // operations of the per-point fold, in its order.  Loops run over all
 // kBlock lanes so they vectorize; a short last block repeats its last
-// point in the spare lanes and stores only the real ones.  Callables,
-// the scaling-safe |Z|^2 fallback and batch_rational see only the real
-// lanes.
+// point in the spare lanes and stores only the real ones.  The
+// reference PSD's per-point call, the scaling-safe |Z|^2 fallback and
+// batch_rational see only the real lanes.
 
 constexpr std::size_t kBlock = 64;
 
 // The kernel's helpers inline into both builds: one compiled out of
 // line would run baseline-ISA code inside the AVX2 build.
 #define HTMPLL_FOLD_INLINE inline __attribute__((always_inline))
-
-/// One folded source: the callable, and the PowerLawPsd it holds (null
-/// for any other callable).
-struct FoldSource {
-  const PsdFunction* f = nullptr;
-  const PowerLawPsd* law = nullptr;
-};
-
-FoldSource fold_source(const PsdFunction* f) {
-  FoldSource src;
-  src.f = f;
-  if (f != nullptr) {
-    src.law = f->target<PowerLawPsd>();
-    if (src.law != nullptr) require_power_law(*src.law);
-  }
-  return src;
-}
 
 /// A nonzero ISF tap v_k = a + j b.
 struct IsfTap {
@@ -113,10 +91,8 @@ struct IsfTap {
 /// What the kernel reads that no block changes.
 struct FoldPlan {
   const double* w = nullptr;
-  const cplx* h00 = nullptr;
-  const cplx* tracking = nullptr;
-  const PsdFunction* ref = nullptr;
-  FoldSource vco, icp;
+  const cplx* h00 = nullptr;  ///< also the tracking factor V~_0/(1+lambda)
+  PowerLawPsd ref, vco, icp;
   double w0 = 0.0;
   int fold = 0;
   // Charge pump: current noise sees Z = loop_filter_tf/Icp, entering
@@ -136,7 +112,7 @@ struct FoldPlan {
 /// the tap planes g_k = (V~_0/(1+lambda)) (-j v_k) and the reciprocal
 /// rows 1/(w + b w0), b = -bmax..bmax.
 std::size_t scratch_size(const FoldPlan& p) {
-  if (p.icp.f == nullptr || p.taps.size() == 1) return 0;
+  if (p.taps.size() == 1) return 0;
   return (2 * p.taps.size() + 2 * static_cast<std::size_t>(p.bmax) + 1) *
          kBlock;
 }
@@ -170,34 +146,14 @@ HTMPLL_FOLD_INLINE void horner_block(const std::vector<double>& c,
   }
 }
 
-// The PSD of a folded source, as the fused loops read it: psd(i, wm) is
-// S(wm) at lane i, wm = |w + m w0|, after prepare() for that harmonic.
-// DC lanes may read inf, NaN or 0; the fold skips them.
-
-/// A PowerLawPsd, evaluated inline with the expression of
-/// PowerLawPsd::operator() -- bitwise the per-point call without its
-/// std::function dispatch.
+/// A folded source's PowerLawPsd as the fused loops read it: psd(wm) is
+/// S(wm) at wm = |w + m w0|, with the expression of
+/// PowerLawPsd::operator() (bitwise the per-point call, without its
+/// checks).  DC lanes may read inf or NaN; the fold skips them.
 struct LawPsd {
   double white, flicker, walk;
-  HTMPLL_FOLD_INLINE void prepare(const double*, double, std::size_t) const {}
-  HTMPLL_FOLD_INLINE double operator()(std::size_t, double wm) const {
+  HTMPLL_FOLD_INLINE double operator()(double wm) const {
     return white + flicker / wm + walk / (wm * wm);
-  }
-};
-
-/// Any other callable: called once per real lane off DC by prepare().
-struct CallablePsd {
-  const PsdFunction* f;
-  double* table;  ///< kBlock values; DC and spare lanes hold 0
-  HTMPLL_FOLD_INLINE void prepare(const double* w, double shift,
-                                  std::size_t nb) const {
-    for (std::size_t i = 0; i < nb; ++i) {
-      const double wm = std::abs(w[i] + shift);
-      table[i] = wm == 0.0 ? 0.0 : (*f)(wm);
-    }
-  }
-  HTMPLL_FOLD_INLINE double operator()(std::size_t i, double) const {
-    return table[i];
   }
 };
 
@@ -208,16 +164,14 @@ struct Block {
 };
 
 /// The VCO term of fold band m with transfer gain |T_{0,m}|^2 = gain.
-template <class Psd>
 HTMPLL_FOLD_INLINE void vco_band(int m, const FoldPlan& p, const Block& b,
-                                 const Psd& psd, const double* gain,
+                                 const LawPsd& psd, const double* gain,
                                  double* acc) {
   const double shift = band_shift(m, p.w0);
-  psd.prepare(b.w, shift, b.nb);
   double x[kBlock], term[kBlock];
   for (std::size_t i = 0; i < kBlock; ++i) {
     x[i] = b.w[i] + shift;
-    term[i] = gain[i] * psd(i, std::abs(x[i]));
+    term[i] = gain[i] * psd(std::abs(x[i]));
   }
   add_off_dc(x, term, acc);
 }
@@ -225,9 +179,8 @@ HTMPLL_FOLD_INLINE void vco_band(int m, const FoldPlan& p, const Block& b,
 /// VCO noise: |delta_{m0} - H_00|^2 is |1 - H_00|^2 at m = 0 and
 /// |H_00|^2 on every other band (each band gets its own loop, so no
 /// per-lane select between the two planes).
-template <class Psd>
 HTMPLL_FOLD_INLINE void fold_vco(const FoldPlan& p, const Block& b,
-                                 const Psd& psd, const double* g_base,
+                                 const LawPsd& psd, const double* g_base,
                                  const double* h2, double* acc) {
   for (int m = -p.fold; m < 0; ++m) vco_band(m, p, b, psd, h2, acc);
   vco_band(0, p, b, psd, g_base, acc);
@@ -280,9 +233,8 @@ HTMPLL_FOLD_INLINE void impedance_block(const FoldPlan& p, const double* x,
 // v/(s + j b w0) = (Im v)/x - j (Re v)/x with x = w + b w0 and the
 // bracket is real multiply-adds on reciprocals 1/(w + b w0), weighted by
 // the tap planes g_k = (V~_0/(1+lambda)) (-j v_k).
-template <class Psd>
 HTMPLL_FOLD_INLINE void fold_charge_pump(const FoldPlan& p, const Block& b,
-                                         const Psd& psd, double* scratch,
+                                         const LawPsd& psd, double* scratch,
                                          double* acc) {
   const std::size_t ntaps = p.taps.size();
   const double w0 = p.w0;
@@ -294,7 +246,7 @@ HTMPLL_FOLD_INLINE void fold_charge_pump(const FoldPlan& p, const Block& b,
     double* gr = ntaps == 1 ? g_re : scratch + 2 * t * kBlock;
     double* gi = ntaps == 1 ? g_im : gr + kBlock;
     for (std::size_t i = 0; i < kBlock; ++i) {
-      const cplx tr = p.tracking[b.i0 + std::min(i, b.nb - 1)];
+      const cplx tr = p.h00[b.i0 + std::min(i, b.nb - 1)];
       gr[i] = tr.real() * v + tr.imag() * a;
       gi[i] = tr.imag() * v - tr.real() * a;
     }
@@ -321,7 +273,6 @@ HTMPLL_FOLD_INLINE void fold_charge_pump(const FoldPlan& p, const Block& b,
     const double shift = band_shift(m, w0);
     for (std::size_t i = 0; i < kBlock; ++i) x[i] = w[i] + shift;
     impedance_block(p, x, b.nb, z2);
-    psd.prepare(w, shift, b.nb);
     const double vm_re = p.vm_re[static_cast<std::size_t>(m + p.fold)];
     const double vm_im = p.vm_im[static_cast<std::size_t>(m + p.fold)];
     if (ntaps == 1) {
@@ -333,7 +284,7 @@ HTMPLL_FOLD_INLINE void fold_charge_pump(const FoldPlan& p, const Block& b,
         const double br = vm_re * inv_w[i] - g_re[i] * inv;
         const double bi = vm_im * inv_w[i] - g_im[i] * inv;
         term[i] =
-            z2[i] * inv_icp2 * (br * br + bi * bi) * psd(i, std::abs(x[i]));
+            z2[i] * inv_icp2 * (br * br + bi * bi) * psd(std::abs(x[i]));
       }
       add_off_dc(x, term, acc);
       continue;
@@ -357,7 +308,7 @@ HTMPLL_FOLD_INLINE void fold_charge_pump(const FoldPlan& p, const Block& b,
       const double br = vm_re * inv_w[i] - row_re[i];
       const double bi = vm_im * inv_w[i] - row_im[i];
       term[i] =
-          z2[i] * inv_icp2 * (br * br + bi * bi) * psd(i, std::abs(x[i]));
+          z2[i] * inv_icp2 * (br * br + bi * bi) * psd(std::abs(x[i]));
     }
     add_off_dc(x, term, acc);
   }
@@ -370,45 +321,27 @@ HTMPLL_FOLD_INLINE void fold_block(const FoldPlan& p, std::size_t i0,
   Block b;
   b.i0 = i0;
   b.nb = nb;
-  double acc[kBlock], table[kBlock];
+  double acc[kBlock], h2[kBlock], g_base[kBlock];
   for (std::size_t i = 0; i < kBlock; ++i) {
     b.w[i] = p.w[i0 + std::min(i, nb - 1)];
     acc[i] = 0.0;
-    table[i] = 0.0;
+    const cplx h = p.h00[i0 + std::min(i, nb - 1)];
+    const double hr = h.real();
+    const double hi = h.imag();
+    h2[i] = hr * hr + hi * hi;  // |H_00|^2
+    const double br = 1.0 - hr;
+    const double bi = 0.0 - hi;
+    g_base[i] = br * br + bi * bi;  // |1 - H_00|^2
   }
-
-  if (p.ref != nullptr || p.vco.f != nullptr) {
-    double h2[kBlock], g_base[kBlock];
-    for (std::size_t i = 0; i < kBlock; ++i) {
-      const cplx h = p.h00[i0 + std::min(i, nb - 1)];
-      const double hr = h.real();
-      const double hi = h.imag();
-      h2[i] = hr * hr + hi * hi;  // |H_00|^2
-      const double br = 1.0 - hr;
-      const double bi = 0.0 - hi;
-      g_base[i] = br * br + bi * bi;  // |1 - H_00|^2
-    }
-    // Reference noise is a baseband quantity in the paper's convention;
-    // only H_{0,0} applies, and every point calls s_ref.
-    if (p.ref != nullptr) {
-      for (std::size_t i = 0; i < nb; ++i) {
-        acc[i] += h2[i] * (*p.ref)(std::abs(b.w[i]));
-      }
-    }
-    if (const PowerLawPsd* law = p.vco.law) {
-      fold_vco(p, b, LawPsd{law->white, law->flicker, law->walk}, g_base, h2,
-               acc);
-    } else if (p.vco.f != nullptr) {
-      fold_vco(p, b, CallablePsd{p.vco.f, table}, g_base, h2, acc);
-    }
+  // Reference noise is a baseband quantity in the paper's convention;
+  // only H_{0,0} applies, and every point calls s_ref.
+  for (std::size_t i = 0; i < nb; ++i) {
+    acc[i] += h2[i] * p.ref(std::abs(b.w[i]));
   }
-
-  if (const PowerLawPsd* law = p.icp.law) {
-    fold_charge_pump(p, b, LawPsd{law->white, law->flicker, law->walk},
-                     scratch, acc);
-  } else if (p.icp.f != nullptr) {
-    fold_charge_pump(p, b, CallablePsd{p.icp.f, table}, scratch, acc);
-  }
+  fold_vco(p, b, LawPsd{p.vco.white, p.vco.flicker, p.vco.walk}, g_base, h2,
+           acc);
+  fold_charge_pump(p, b, LawPsd{p.icp.white, p.icp.flicker, p.icp.walk},
+                   scratch, acc);
 
   for (std::size_t i = 0; i < nb; ++i) out[i0 + i] = acc[i];
 }
@@ -440,51 +373,46 @@ namespace detail {
 std::vector<double> fold_noise_grid(const SamplingPllModel& model,
                                     int fold_harmonics,
                                     const std::vector<double>& w_grid,
-                                    const cplx* h00, const cplx* tracking,
-                                    const NoiseSources& sources,
-                                    simd::Isa isa) {
+                                    const cplx* h00, const PowerLawPsd& s_ref,
+                                    const PowerLawPsd& s_vco,
+                                    const PowerLawPsd& s_icp, simd::Isa isa) {
   HTMPLL_REQUIRE(fold_harmonics >= 0, "fold_harmonics must be >= 0");
-  HTMPLL_REQUIRE((sources.ref == nullptr && sources.vco == nullptr) ||
-                     h00 != nullptr,
-                 "reference and VCO folds need the H_00 plane");
-  HTMPLL_REQUIRE(sources.icp == nullptr || tracking != nullptr,
-                 "the charge-pump fold needs the tracking plane");
+  require_power_law(s_ref);
+  require_power_law(s_vco);
+  require_power_law(s_icp);
   const std::size_t n = w_grid.size();
   FoldPlan p;
   p.w = w_grid.data();
   p.h00 = h00;
-  p.tracking = tracking;
-  p.ref = sources.ref;
-  p.vco = fold_source(sources.vco);
-  p.icp = fold_source(sources.icp);
+  p.ref = s_ref;
+  p.vco = s_vco;
+  p.icp = s_icp;
   p.w0 = model.w0();
   p.fold = fold_harmonics;
-  if (p.icp.f != nullptr) {
-    const PllParameters& params = model.parameters();
-    p.hlf = &model.loop_filter_tf();
-    const CVector& num = p.hlf->num().coefficients();
-    const CVector& den = p.hlf->den().coefficients();
-    p.real_tf = all_real(num) && all_real(den);
-    if (p.real_tf) {
-      even_odd_split(num, p.num_even, p.num_odd);
-      even_odd_split(den, p.den_even, p.den_odd);
-    }
-    const double inv_icp = 1.0 / params.icp;
-    p.inv_icp2 = inv_icp * inv_icp;
-    const HarmonicCoefficients& isf = model.isf();
-    const int jmax = isf.max_harmonic();
-    for (int k = -jmax; k <= jmax; ++k) {
-      const cplx v_k = params.kvco * isf[k];
-      if (v_k == cplx{0.0}) continue;
-      p.taps.push_back({k, v_k.real(), v_k.imag()});
-    }
-    for (int m = -fold_harmonics; m <= fold_harmonics; ++m) {
-      const cplx v_minus_m = params.kvco * isf[-m];
-      p.vm_re.push_back(v_minus_m.imag());
-      p.vm_im.push_back(-v_minus_m.real());
-    }
-    p.bmax = fold_harmonics + jmax;
+  const PllParameters& params = model.parameters();
+  p.hlf = &model.loop_filter_tf();
+  const CVector& num = p.hlf->num().coefficients();
+  const CVector& den = p.hlf->den().coefficients();
+  p.real_tf = all_real(num) && all_real(den);
+  if (p.real_tf) {
+    even_odd_split(num, p.num_even, p.num_odd);
+    even_odd_split(den, p.den_even, p.den_odd);
   }
+  const double inv_icp = 1.0 / params.icp;
+  p.inv_icp2 = inv_icp * inv_icp;
+  const HarmonicCoefficients& isf = model.isf();
+  const int jmax = isf.max_harmonic();
+  for (int k = -jmax; k <= jmax; ++k) {
+    const cplx v_k = params.kvco * isf[k];
+    if (v_k == cplx{0.0}) continue;
+    p.taps.push_back({k, v_k.real(), v_k.imag()});
+  }
+  for (int m = -fold_harmonics; m <= fold_harmonics; ++m) {
+    const cplx v_minus_m = params.kvco * isf[-m];
+    p.vm_re.push_back(v_minus_m.imag());
+    p.vm_im.push_back(-v_minus_m.real());
+  }
+  p.bmax = fold_harmonics + jmax;
 
   std::vector<double> out(n);
   std::vector<double> scratch(scratch_size(p));
@@ -498,10 +426,9 @@ std::vector<double> fold_noise_grid(const SamplingPllModel& model,
   (void)isa;
   fold_grid_baseline(p, n, scratch.data(), out.data());
 #endif
-  const std::size_t terms =
-      (2 * static_cast<std::size_t>(fold_harmonics) + 1) * n;
-  if (p.vco.f != nullptr) fold_terms_counter().add(terms);
-  if (p.icp.f != nullptr) fold_terms_counter().add(terms);
+  // The VCO and the charge-pump bands.
+  fold_terms_counter().add(
+      2 * (2 * static_cast<std::size_t>(fold_harmonics) + 1) * n);
   return out;
 }
 
@@ -564,14 +491,14 @@ cplx NoiseAnalysis::charge_pump_transfer_impl(int m, double w,
 }
 
 double NoiseAnalysis::output_psd_from_reference(
-    double w, const PsdFunction& s_ref) const {
+    double w, const PowerLawPsd& s_ref) const {
   // Reference noise is a baseband quantity in the paper's convention;
   // only H_{0,0} applies.
   return std::norm(reference_transfer(w)) * s_ref(std::abs(w));
 }
 
 double NoiseAnalysis::output_psd_from_vco(double w,
-                                          const PsdFunction& s_vco) const {
+                                          const PowerLawPsd& s_vco) const {
   const double w0 = model_.w0();
   // vco_transfer(m, w) = delta_{m0} - H_00(jw): hoist the (expensive)
   // H_00 evaluation out of the folding loop -- it does not depend on m.
@@ -587,7 +514,7 @@ double NoiseAnalysis::output_psd_from_vco(double w,
 }
 
 double NoiseAnalysis::output_psd_from_charge_pump(
-    double w, const PsdFunction& s_icp) const {
+    double w, const PowerLawPsd& s_icp) const {
   const double w0 = model_.w0();
   const cplx tracking = model_.closed_loop(0, cplx{0.0, w});
   double acc = 0.0;
@@ -599,9 +526,9 @@ double NoiseAnalysis::output_psd_from_charge_pump(
   return acc;
 }
 
-double NoiseAnalysis::output_psd_total(double w, const PsdFunction& s_ref,
-                                       const PsdFunction& s_vco,
-                                       const PsdFunction& s_icp) const {
+double NoiseAnalysis::output_psd_total(double w, const PowerLawPsd& s_ref,
+                                       const PowerLawPsd& s_vco,
+                                       const PowerLawPsd& s_icp) const {
   return output_psd_from_reference(w, s_ref) +
          output_psd_from_vco(w, s_vco) +
          output_psd_from_charge_pump(w, s_icp);
@@ -617,92 +544,22 @@ double NoiseAnalysis::integrated_rms(
   return trapezoid_rms(grid, psd);
 }
 
-// ---- batched grids ----------------------------------------------------
-
-std::vector<double> NoiseAnalysis::output_psd_from_reference_grid(
-    const std::vector<double>& w_grid, const PsdFunction& s_ref) const {
-  require_grid(w_grid);
-  require_psd(s_ref, "s_ref");
-  HTMPLL_TRACE_SPAN("noise.psd_grid");
-  const CVector h00 = model_.baseband_transfer_grid(jw_grid(w_grid));
-  return detail::fold_noise_grid(model_, fold_, w_grid, h00.data(), nullptr,
-                                 {&s_ref, nullptr, nullptr},
-                                 simd::active_isa());
-}
-
-std::vector<double> NoiseAnalysis::output_psd_from_vco_grid(
-    const std::vector<double>& w_grid, const PsdFunction& s_vco) const {
-  require_grid(w_grid);
-  require_psd(s_vco, "s_vco");
-  HTMPLL_TRACE_SPAN("noise.psd_grid");
-  const CVector h00 = model_.baseband_transfer_grid(jw_grid(w_grid));
-  return detail::fold_noise_grid(model_, fold_, w_grid, h00.data(), nullptr,
-                                 {nullptr, &s_vco, nullptr},
-                                 simd::active_isa());
-}
-
-std::vector<double> NoiseAnalysis::output_psd_from_charge_pump_grid(
-    const std::vector<double>& w_grid, const PsdFunction& s_icp) const {
-  require_grid(w_grid);
-  require_psd(s_icp, "s_icp");
-  HTMPLL_TRACE_SPAN("noise.psd_grid");
-  const CVector tracking =
-      model_.closed_loop_grid({0}, jw_grid(w_grid))[0];
-  return detail::fold_noise_grid(model_, fold_, w_grid, nullptr,
-                                 tracking.data(), {nullptr, nullptr, &s_icp},
-                                 simd::active_isa());
-}
+// ---- batched grid -----------------------------------------------------
 
 std::vector<double> NoiseAnalysis::output_psd_grid(
-    const std::vector<double>& w_grid, const PsdFunction& s_ref,
-    const PsdFunction& s_vco, const PsdFunction& s_icp) const {
+    const std::vector<double>& w_grid, const PowerLawPsd& s_ref,
+    const PowerLawPsd& s_vco, const PowerLawPsd& s_icp) const {
   require_grid(w_grid);
-  require_psd(s_ref, "s_ref");
-  require_psd(s_vco, "s_vco");
-  require_psd(s_icp, "s_icp");
   HTMPLL_TRACE_SPAN("noise.psd_grid");
-  // One plane serves every source: the charge-pump tracking factor
-  // V~_0/(1+lambda) is exactly the band-0 closed loop, i.e. H_00 itself.
   const CVector h00 = model_.baseband_transfer_grid(jw_grid(w_grid));
-  return detail::fold_noise_grid(model_, fold_, w_grid, h00.data(),
-                                 h00.data(), {&s_ref, &s_vco, &s_icp},
-                                 simd::active_isa());
-}
-
-std::vector<std::vector<double>> NoiseAnalysis::spur_map_grid(
-    const std::vector<double>& offsets, int max_harmonic,
-    const PsdFunction& s_ref, const PsdFunction& s_vco,
-    const PsdFunction& s_icp) const {
-  require_grid(offsets);
-  HTMPLL_REQUIRE(max_harmonic >= 1,
-                 "spur map needs at least the first harmonic");
-  const double w0 = model_.w0();
-  // Flatten the (harmonic, offset) map into one batched grid so every
-  // transfer plane is built once for all rows.
-  std::vector<double> w_grid;
-  w_grid.reserve(static_cast<std::size_t>(max_harmonic) * offsets.size());
-  for (int k = 1; k <= max_harmonic; ++k) {
-    for (const double off : offsets) {
-      w_grid.push_back(static_cast<double>(k) * w0 + off);
-    }
-  }
-  const std::vector<double> flat =
-      output_psd_grid(w_grid, s_ref, s_vco, s_icp);
-  std::vector<std::vector<double>> map(
-      static_cast<std::size_t>(max_harmonic));
-  for (int k = 0; k < max_harmonic; ++k) {
-    const std::size_t base = static_cast<std::size_t>(k) * offsets.size();
-    map[static_cast<std::size_t>(k)].assign(
-        flat.begin() + static_cast<std::ptrdiff_t>(base),
-        flat.begin() + static_cast<std::ptrdiff_t>(base + offsets.size()));
-  }
-  return map;
+  return detail::fold_noise_grid(model_, fold_, w_grid, h00.data(), s_ref,
+                                 s_vco, s_icp, simd::active_isa());
 }
 
 double NoiseAnalysis::integrated_jitter(double w_lo, double w_hi,
-                                        const PsdFunction& s_ref,
-                                        const PsdFunction& s_vco,
-                                        const PsdFunction& s_icp,
+                                        const PowerLawPsd& s_ref,
+                                        const PowerLawPsd& s_vco,
+                                        const PowerLawPsd& s_icp,
                                         std::size_t points) const {
   HTMPLL_REQUIRE(points >= 2, "quadrature needs at least two points");
   const std::vector<double> grid = logspace(w_lo, w_hi, points);

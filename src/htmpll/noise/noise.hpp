@@ -23,9 +23,11 @@
 namespace htmpll {
 
 /// One-sided phase PSD model S(w) = white + flicker/w + walk/w^2
-/// (w in rad/s; units follow the caller's phase convention).  The
-/// coefficients must be finite and non-negative; evaluating one that is
-/// not throws std::invalid_argument, as does evaluating at DC.
+/// (w in rad/s; units follow the caller's phase convention) -- the PSD
+/// type of every noise source below.  The coefficients must be finite
+/// and non-negative; evaluating one that is not throws
+/// std::invalid_argument, as does evaluating at DC or passing one to a
+/// NoiseAnalysis call.  PowerLawPsd{} is a silent source.
 struct PowerLawPsd {
   double white = 0.0;
   double flicker = 0.0;
@@ -33,8 +35,6 @@ struct PowerLawPsd {
 
   double operator()(double w) const;
 };
-
-using PsdFunction = std::function<double(double)>;
 
 class NoiseAnalysis {
  public:
@@ -71,15 +71,15 @@ class NoiseAnalysis {
 
   // --- folded output PSDs at baseband ---
 
-  double output_psd_from_reference(double w, const PsdFunction& s_ref) const;
-  double output_psd_from_vco(double w, const PsdFunction& s_vco) const;
+  double output_psd_from_reference(double w, const PowerLawPsd& s_ref) const;
+  double output_psd_from_vco(double w, const PowerLawPsd& s_vco) const;
   double output_psd_from_charge_pump(double w,
-                                     const PsdFunction& s_icp) const;
+                                     const PowerLawPsd& s_icp) const;
 
   /// Total output PSD from all three sources (assumed independent).
-  double output_psd_total(double w, const PsdFunction& s_ref,
-                          const PsdFunction& s_vco,
-                          const PsdFunction& s_icp) const;
+  double output_psd_total(double w, const PowerLawPsd& s_ref,
+                          const PowerLawPsd& s_vco,
+                          const PowerLawPsd& s_icp) const;
 
   /// RMS phase over [w_lo, w_hi]: sqrt((1/pi) * integral of S_out dw)
   /// via log-trapezoid quadrature on `points` samples.
@@ -87,48 +87,30 @@ class NoiseAnalysis {
                         double w_lo, double w_hi,
                         std::size_t points = 400) const;
 
-  // --- batched output-PSD grids (eval-plan backed) ---
+  // --- batched output-PSD grid (eval-plan backed) ---
   //
-  // Grid variants of the pointwise PSDs above.  The shared transfer
-  // planes -- H_00 and the tracking factor V~_0/(1+lambda) -- come from
-  // the model's compiled eval plan, once per grid.  One point-blocked
-  // kernel then folds every source: per block of 64 points held in
-  // stack arrays it adds the reference term, the VCO terms and the
+  // The grid variant of output_psd_total.  The H_00 plane comes from
+  // the model's compiled eval plan, once per grid, and serves every
+  // source: the charge-pump tracking factor V~_0/(1+lambda) is the
+  // band-0 closed loop, i.e. H_00 itself.  One point-blocked kernel then
+  // folds all three sources: per block of 64 points held in stack
+  // arrays it adds the reference term, the VCO terms and the
   // charge-pump terms for m = -fold_harmonics..fold_harmonics, each
   // harmonic costing one Horner pass per filter polynomial for
   // |Z(s + j m w0)|^2 and one fused loop for the ISF bracket and the
   // PSD.  Each point runs the operations of the pointwise fold in its
   // order, and the AVX2 build of the kernel (selected with the batch
-  // kernels' ISA) gives the same bits as the baseline one.
+  // kernels' ISA) gives the same bits as the baseline one.  A source
+  // set to PowerLawPsd{} adds zeros.
   //
-  // result[i] agrees with the pointwise call at w_grid[i] to <= 1e-10
-  // relative error.  Grids must be non-empty and PSD functions
-  // non-null (std::invalid_argument otherwise).  Counter:
-  // `noise.fold_terms` ((harmonic, point) pairs folded).
-
-  std::vector<double> output_psd_from_reference_grid(
-      const std::vector<double>& w_grid, const PsdFunction& s_ref) const;
-  std::vector<double> output_psd_from_vco_grid(
-      const std::vector<double>& w_grid, const PsdFunction& s_vco) const;
-  std::vector<double> output_psd_from_charge_pump_grid(
-      const std::vector<double>& w_grid, const PsdFunction& s_icp) const;
-
-  /// Total output PSD from all three sources over a grid; the H_00 and
-  /// tracking planes are shared between the sources.
+  // result[i] agrees with output_psd_total at w_grid[i] to <= 1e-10
+  // relative error.  The grid must be non-empty and every PSD valid
+  // (std::invalid_argument otherwise).  Counter: `noise.fold_terms`
+  // ((harmonic, point) pairs folded, VCO and charge pump).
   std::vector<double> output_psd_grid(const std::vector<double>& w_grid,
-                                      const PsdFunction& s_ref,
-                                      const PsdFunction& s_vco,
-                                      const PsdFunction& s_icp) const;
-
-  /// Noise-PSD map around the first `max_harmonic` reference spurs:
-  /// row k-1 holds the total output PSD at w = k w0 + offsets[i], so a
-  /// plotter gets the folded-noise skirt under every spur.  All
-  /// max_harmonic * offsets.size() points are evaluated as ONE batched
-  /// grid.
-  std::vector<std::vector<double>> spur_map_grid(
-      const std::vector<double>& offsets, int max_harmonic,
-      const PsdFunction& s_ref, const PsdFunction& s_vco,
-      const PsdFunction& s_icp) const;
+                                      const PowerLawPsd& s_ref,
+                                      const PowerLawPsd& s_vco,
+                                      const PowerLawPsd& s_icp) const;
 
   /// RMS output phase over [w_lo, w_hi] (paper time units: seconds of
   /// jitter when the input PSDs describe absolute jitter):
@@ -136,9 +118,9 @@ class NoiseAnalysis {
   /// grid, with S_out evaluated through one output_psd_grid call
   /// instead of the pointwise integrated_rms functional.
   double integrated_jitter(double w_lo, double w_hi,
-                           const PsdFunction& s_ref,
-                           const PsdFunction& s_vco,
-                           const PsdFunction& s_icp,
+                           const PowerLawPsd& s_ref,
+                           const PowerLawPsd& s_vco,
+                           const PowerLawPsd& s_icp,
                            std::size_t points = 400) const;
 
  private:

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -11,6 +12,7 @@ namespace htmpll {
 namespace {
 
 constexpr double kW0 = 2.0 * std::numbers::pi * 1e6;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(Design, GammaFromPhaseMarginInvertsAnalyticFormula) {
   for (double pm : {20.0, 45.0, 61.9275, 75.0}) {
@@ -130,11 +132,14 @@ TEST(Design, AwareDesignRejectsUnreachableSpec) {
 TEST(Design, SweepProducesMonotoneEffectiveMargins) {
   DesignSpec spec;
   spec.w0 = kW0;
-  spec.target_w_ug = 0.1 * kW0;  // overwritten by the sweep ratios
+  spec.target_w_ug = 0.1 * kW0;  // unused: each ratio sets the crossover
   spec.target_pm_deg = 60.0;
+  const double gamma = gamma_for_phase_margin(spec.target_pm_deg);
   const std::vector<double> ratios{0.03, 0.06, 0.1, 0.15, 0.2};
-  const auto results = sweep_crossover_ratios(spec, ratios);
-  ASSERT_EQ(results.size(), ratios.size());
+  std::vector<DesignResult> results;
+  for (const double r : ratios) {
+    results.push_back(evaluate_design(spec, r * kW0, gamma));
+  }
   for (std::size_t i = 1; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].margins.eff_found);
     EXPECT_LT(results[i].margins.eff_phase_margin_deg,
@@ -256,7 +261,7 @@ TEST(Design, JitterOptimizerValidatesInput) {
   JitterOptimizationSpec spec;
   spec.w0 = kW0;
   EXPECT_THROW(optimize_bandwidth_for_jitter(spec),
-               std::invalid_argument);  // missing PSDs
+               std::invalid_argument);  // no noise: both PSDs all-zero
   spec.s_ref = PowerLawPsd{1e-20, 0.0, 0.0};
   spec.s_vco = PowerLawPsd{0.0, 0.0, 1e-10};
   spec.ratio_min = 0.3;
@@ -364,13 +369,15 @@ void expect_jitter_objectives_reject(const JitterOptimizationSpec& spec) {
 const PowerLawPsd kRefPsd{1e-20, 0.0, 0.0};
 const PowerLawPsd kVcoPsd{0.0, 0.0, 1e-10};
 
-TEST(Design, JitterObjectivesRejectNullPsds) {
-  JitterOptimizationSpec spec = jitter_spec(kRefPsd, kVcoPsd);
-  spec.s_ref = nullptr;
-  expect_jitter_objectives_reject(spec);
-  spec = jitter_spec(kRefPsd, kVcoPsd);
-  spec.s_vco = nullptr;
-  expect_jitter_objectives_reject(spec);
+TEST(Design, JitterObjectivesRejectAllZeroPsds) {
+  // A spec without noise -- the default one -- has nothing to optimize.
+  const JitterOptimizationSpec silent = jitter_spec({}, {});
+  expect_jitter_objectives_reject(silent);
+  EXPECT_THROW(optimize_bandwidth_for_jitter(silent), std::invalid_argument);
+  // One silent source is a valid spec.
+  const double w_ug = 0.05 * kW0;
+  EXPECT_GT(output_jitter_tv(jitter_spec({}, kVcoPsd), w_ug), 0.0);
+  EXPECT_GT(output_jitter_lti(jitter_spec(kRefPsd, {}), w_ug), 0.0);
 }
 
 TEST(Design, JitterObjectivesRejectNonPositiveReferenceRate) {
@@ -393,6 +400,106 @@ TEST(Design, JitterObjectivesRejectTooFewQuadraturePoints) {
   expect_jitter_objectives_reject(spec);
   spec.quadrature_points = 0;
   expect_jitter_objectives_reject(spec);
+}
+
+// ---- jitter search vs the half-rate stability boundary ---------------
+
+/// jitter_bandwidth's spec: a 10 MHz reference, white reference noise
+/// and VCO random walk crossing it at 0.3 w0, gamma 4.
+JitterOptimizationSpec jitter_bandwidth_spec() {
+  const double w0 = 2.0 * std::numbers::pi * 10e6;
+  const double ref_white = 1e-24;
+  JitterOptimizationSpec spec;
+  spec.w0 = w0;
+  spec.s_ref = PowerLawPsd{ref_white, 0.0, 0.0};
+  spec.s_vco = PowerLawPsd{0.0, 0.0, ref_white * (0.3 * w0) * (0.3 * w0)};
+  return spec;
+}
+
+bool half_rate_unstable(const JitterOptimizationSpec& spec, double w_ug) {
+  return predicts_half_rate_instability(
+      SamplingPllModel(make_typical_loop(w_ug, spec.w0, spec.gamma)));
+}
+
+TEST(Design, HalfRateBracketStraddlesTheBoundary) {
+  const JitterOptimizationSpec spec = jitter_bandwidth_spec();
+  const HalfRateBracket b = bisect_half_rate_boundary(
+      make_typical_loop, spec.w0, spec.gamma, 0.02, 0.9);
+  EXPECT_FALSE(half_rate_unstable(spec, b.stable * spec.w0));
+  EXPECT_TRUE(half_rate_unstable(spec, b.unstable * spec.w0));
+  EXPECT_LE(b.unstable - b.stable, 0.88 * std::ldexp(1.0, -45));
+  EXPECT_NEAR(b.stable, 0.276169, 1e-6);
+  // max_stable_crossover_ratio reports the bracket's midpoint.
+  EXPECT_EQ(max_stable_crossover_ratio(make_typical_loop, spec.w0,
+                                       spec.gamma)
+                .lambda_ratio,
+            0.5 * (b.stable + b.unstable));
+  EXPECT_THROW(bisect_half_rate_boundary(nullptr, spec.w0, spec.gamma, 0.02,
+                                         0.9, 45),
+               std::invalid_argument);
+  EXPECT_THROW(bisect_half_rate_boundary(make_typical_loop, spec.w0,
+                                         spec.gamma, 0.3, 0.3, 45),
+               std::invalid_argument);
+}
+
+TEST(Design, JitterTvObjectiveIsInfiniteForHalfRateUnstableLoops) {
+  // A loop past the half-rate boundary (0.2762 w0 at gamma 4) has no
+  // steady-state jitter; the LTI model, blind to sampling, still
+  // reports a finite one.
+  const JitterOptimizationSpec spec = jitter_bandwidth_spec();
+  for (const double ratio : {0.28, 0.3, 0.4, 0.45, 0.49}) {
+    const double w_ug = ratio * spec.w0;
+    ASSERT_TRUE(half_rate_unstable(spec, w_ug)) << "ratio " << ratio;
+    EXPECT_EQ(output_jitter_tv(spec, w_ug), kInf) << "ratio " << ratio;
+    EXPECT_TRUE(std::isfinite(output_jitter_lti(spec, w_ug)))
+        << "ratio " << ratio;
+  }
+  for (const double ratio : {0.26, 0.27}) {
+    const double w_ug = ratio * spec.w0;
+    ASSERT_FALSE(half_rate_unstable(spec, w_ug)) << "ratio " << ratio;
+    EXPECT_TRUE(std::isfinite(output_jitter_tv(spec, w_ug)))
+        << "ratio " << ratio;
+  }
+}
+
+TEST(Design, JitterOptimizerLtiPickPastTheBoundaryHasInfinitePenalty) {
+  // With ratio_max past the boundary the LTI search still lands on
+  // ratio_max, an unstable loop: its true rms and the penalty are +inf
+  // (they read 0.847, 0.768 and 0.728 before, below the promised 1).
+  // The TV pick stays stable.
+  JitterOptimizationSpec spec = jitter_bandwidth_spec();
+  for (const double ratio_max : {0.4, 0.45, 0.49}) {
+    spec.ratio_max = ratio_max;
+    const JitterOptimizationResult r = optimize_bandwidth_for_jitter(spec);
+    EXPECT_TRUE(half_rate_unstable(spec, r.w_ug_lti)) << ratio_max;
+    EXPECT_EQ(r.rms_at_lti_pick, kInf) << ratio_max;
+    EXPECT_EQ(r.penalty, kInf) << ratio_max;
+    EXPECT_FALSE(half_rate_unstable(spec, r.w_ug_tv)) << ratio_max;
+    EXPECT_TRUE(std::isfinite(r.rms_tv)) << ratio_max;
+  }
+}
+
+TEST(Design, JitterOptimizerSearchesOnlyTheStableRange) {
+  // On (0.2, 0.49) the TV search used to end at 0.49 w0, an unstable
+  // loop whose finite "rms" undercut the stable optimum.  It must stay
+  // below the boundary, where no loop beats the optimum of the default
+  // range.
+  JitterOptimizationSpec spec = jitter_bandwidth_spec();
+  const double stable_optimum = optimize_bandwidth_for_jitter(spec).rms_tv;
+  spec.ratio_min = 0.2;
+  spec.ratio_max = 0.49;
+  const JitterOptimizationResult r = optimize_bandwidth_for_jitter(spec);
+  EXPECT_FALSE(half_rate_unstable(spec, r.w_ug_tv));
+  EXPECT_TRUE(std::isfinite(r.rms_tv));
+  EXPECT_GE(r.rms_tv, stable_optimum);
+  EXPECT_EQ(r.rms_tv, output_jitter_tv(spec, r.w_ug_tv));
+}
+
+TEST(Design, JitterOptimizerRejectsUnstableLowerEnd) {
+  JitterOptimizationSpec spec = jitter_bandwidth_spec();
+  spec.ratio_min = 0.3;
+  spec.ratio_max = 0.45;
+  EXPECT_THROW(optimize_bandwidth_for_jitter(spec), std::invalid_argument);
 }
 
 TEST(Design, RejectsCrossoverBeyondNyquist) {

@@ -1,5 +1,3 @@
-#include <bit>
-#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <type_traits>
@@ -7,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "htmpll/design/design.hpp"
 #include "htmpll/noise/noise.hpp"
 
 namespace htmpll {
@@ -36,8 +35,8 @@ TEST(PowerLawPsd, Shapes) {
 
 TEST(PowerLawPsd, RejectsNegativeOrNonFiniteCoefficients) {
   // A negative coefficient made a negative PSD and a NaN jitter; a NaN
-  // or infinite one a NaN PSD.  Both the per-point call and the fold
-  // loops' inline evaluation reject them.
+  // or infinite one a NaN PSD.  The per-point call, every slot of the
+  // fold grid and both PSDs of a jitter spec reject them.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const SamplingPllModel m = make_model(0.1);
@@ -49,9 +48,11 @@ TEST(PowerLawPsd, RejectsNegativeOrNonFiniteCoefficients) {
         PowerLawPsd{0.0, 0.0, -1e-8}, PowerLawPsd{nan, 0.0, 0.0},
         PowerLawPsd{0.0, inf, 0.0}, PowerLawPsd{0.0, 0.0, nan}}) {
     EXPECT_THROW(bad(1.0), std::invalid_argument);
-    EXPECT_THROW(na.output_psd_from_vco_grid(w, bad),
+    EXPECT_THROW(na.output_psd_grid(w, bad, good, good),
                  std::invalid_argument);
-    EXPECT_THROW(na.output_psd_from_charge_pump_grid(w, bad),
+    EXPECT_THROW(na.output_psd_grid(w, good, bad, good),
+                 std::invalid_argument);
+    EXPECT_THROW(na.output_psd_grid(w, good, good, bad),
                  std::invalid_argument);
     EXPECT_THROW(
         na.integrated_jitter(0.01 * kW0, 0.4 * kW0, good, bad, good),
@@ -59,6 +60,19 @@ TEST(PowerLawPsd, RejectsNegativeOrNonFiniteCoefficients) {
     EXPECT_THROW(
         na.integrated_jitter(0.01 * kW0, 0.4 * kW0, bad, good, good),
         std::invalid_argument);
+    for (PowerLawPsd JitterOptimizationSpec::*slot :
+         {&JitterOptimizationSpec::s_ref, &JitterOptimizationSpec::s_vco}) {
+      JitterOptimizationSpec spec;
+      spec.w0 = kW0;
+      spec.s_ref = good;
+      spec.s_vco = good;
+      spec.*slot = bad;
+      EXPECT_THROW(output_jitter_tv(spec, 0.05 * kW0), std::invalid_argument);
+      EXPECT_THROW(output_jitter_lti(spec, 0.05 * kW0),
+                   std::invalid_argument);
+      EXPECT_THROW(optimize_bandwidth_for_jitter(spec),
+                   std::invalid_argument);
+    }
   }
 }
 
@@ -202,40 +216,14 @@ TEST(Noise, GridApisValidateInputs) {
   const SamplingPllModel m = make_model(0.2);
   const NoiseAnalysis na(m, 4);
   const PowerLawPsd psd{1e-14, 0.0, 0.0};
-  const std::vector<double> w{0.05 * kW0, 0.1 * kW0};
   const std::vector<double> empty;
-  const PsdFunction null_psd;
-  EXPECT_THROW(na.output_psd_from_reference_grid(empty, psd),
-               std::invalid_argument);
-  EXPECT_THROW(na.output_psd_from_reference_grid(w, null_psd),
-               std::invalid_argument);
-  EXPECT_THROW(na.output_psd_from_vco_grid(empty, psd),
-               std::invalid_argument);
-  EXPECT_THROW(na.output_psd_from_vco_grid(w, null_psd),
-               std::invalid_argument);
-  EXPECT_THROW(na.output_psd_from_charge_pump_grid(empty, psd),
-               std::invalid_argument);
-  EXPECT_THROW(na.output_psd_from_charge_pump_grid(w, null_psd),
-               std::invalid_argument);
   EXPECT_THROW(na.output_psd_grid(empty, psd, psd, psd),
-               std::invalid_argument);
-  EXPECT_THROW(na.output_psd_grid(w, null_psd, psd, psd),
-               std::invalid_argument);
-  EXPECT_THROW(na.output_psd_grid(w, psd, null_psd, psd),
-               std::invalid_argument);
-  EXPECT_THROW(na.output_psd_grid(w, psd, psd, null_psd),
-               std::invalid_argument);
-  EXPECT_THROW(na.spur_map_grid(empty, 3, psd, psd, psd),
-               std::invalid_argument);
-  EXPECT_THROW(na.spur_map_grid(w, 0, psd, psd, psd),
                std::invalid_argument);
   EXPECT_THROW(na.integrated_jitter(1.0, 10.0, psd, psd, psd, 1),
                std::invalid_argument);
 }
 
 TEST(Noise, GridMatchesPointwisePerSource) {
-  const SamplingPllModel m = make_model(0.2);
-  const NoiseAnalysis na(m, 8);
   const PowerLawPsd ref{1e-14, 1e-13, 0.0};
   const PowerLawPsd vco{0.0, 0.0, 1e-8};
   const PowerLawPsd icp{1e-20, 1e-21, 0.0};
@@ -243,17 +231,27 @@ TEST(Noise, GridMatchesPointwisePerSource) {
   for (int i = 0; i < 60; ++i) {
     w.push_back((0.01 + 0.013 * i) * kW0);
   }
-  const auto g_ref = na.output_psd_from_reference_grid(w, ref);
-  const auto g_vco = na.output_psd_from_vco_grid(w, vco);
-  const auto g_icp = na.output_psd_from_charge_pump_grid(w, icp);
-  ASSERT_EQ(g_ref.size(), w.size());
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const double p_ref = na.output_psd_from_reference(w[i], ref);
-    const double p_vco = na.output_psd_from_vco(w[i], vco);
-    const double p_icp = na.output_psd_from_charge_pump(w[i], icp);
-    EXPECT_NEAR(g_ref[i], p_ref, 1e-10 * p_ref) << "i=" << i;
-    EXPECT_NEAR(g_vco[i], p_vco, 1e-10 * p_vco) << "i=" << i;
-    EXPECT_NEAR(g_icp[i], p_icp, 1e-10 * p_icp) << "i=" << i;
+  // A DC-only ISF (one fused charge-pump tap) and an LPTV one (the tap
+  // window).
+  const SamplingPllModel lptv(
+      make_typical_loop(0.15 * kW0, kW0),
+      HarmonicCoefficients::real_waveform(1.0, {cplx{0.2, -0.05}}));
+  for (const SamplingPllModel& m : {make_model(0.2), lptv}) {
+    const NoiseAnalysis na(m, 8);
+    // One source at a time: the other two are silent.
+    const PowerLawPsd none{};
+    const auto g_ref = na.output_psd_grid(w, ref, none, none);
+    const auto g_vco = na.output_psd_grid(w, none, vco, none);
+    const auto g_icp = na.output_psd_grid(w, none, none, icp);
+    ASSERT_EQ(g_ref.size(), w.size());
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      const double p_ref = na.output_psd_from_reference(w[i], ref);
+      const double p_vco = na.output_psd_from_vco(w[i], vco);
+      const double p_icp = na.output_psd_from_charge_pump(w[i], icp);
+      EXPECT_NEAR(g_ref[i], p_ref, 1e-10 * p_ref) << "i=" << i;
+      EXPECT_NEAR(g_vco[i], p_vco, 1e-10 * p_vco) << "i=" << i;
+      EXPECT_NEAR(g_icp[i], p_icp, 1e-10 * p_icp) << "i=" << i;
+    }
   }
 }
 
@@ -269,91 +267,18 @@ TEST(Noise, TotalGridMatchesPointwiseTotal) {
     // points whose folds land near reference multiples.
     w.push_back((0.02 + 0.09 * i) * kW0);
   }
+  // The noise skirts under the first three reference spurs, k w0 +
+  // offset, and the spurs themselves: at k w0 a fold band lands exactly
+  // on DC, and the skipped DC lane must leave the pointwise sum.
+  for (int k = 1; k <= 3; ++k) {
+    for (const double off : {-0.1, -0.03, 0.0, 0.03, 0.1}) {
+      w.push_back(k * kW0 + off * kW0);
+    }
+  }
   const auto grid = na.output_psd_grid(w, ref, vco, icp);
   for (std::size_t i = 0; i < w.size(); ++i) {
     const double want = na.output_psd_total(w[i], ref, vco, icp);
     EXPECT_NEAR(grid[i], want, 1e-10 * want) << "i=" << i;
-  }
-}
-
-TEST(Noise, SpurMapGridMatchesPsdRows) {
-  const SamplingPllModel m = make_model(0.2);
-  const NoiseAnalysis na(m, 4);
-  const PowerLawPsd ref{1e-14, 0.0, 0.0};
-  const PowerLawPsd vco{0.0, 0.0, 1e-8};
-  const PowerLawPsd icp{1e-20, 0.0, 0.0};
-  const std::vector<double> offsets{-0.1 * kW0, -0.03 * kW0, 0.03 * kW0,
-                                    0.1 * kW0};
-  const int harmonics = 3;
-  const auto map = na.spur_map_grid(offsets, harmonics, ref, vco, icp);
-  ASSERT_EQ(map.size(), static_cast<std::size_t>(harmonics));
-  for (int k = 1; k <= harmonics; ++k) {
-    ASSERT_EQ(map[k - 1].size(), offsets.size());
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-      const double w = k * kW0 + offsets[i];
-      const double want = na.output_psd_total(w, ref, vco, icp);
-      EXPECT_NEAR(map[k - 1][i], want, 1e-10 * want)
-          << "k=" << k << " i=" << i;
-    }
-  }
-}
-
-TEST(Noise, InlinePowerLawPsdsMatchWrappedCallablesBitwise) {
-  // The fold loops evaluate a held PowerLawPsd inline; wrapping each PSD
-  // in a lambda hides the type (target<PowerLawPsd>() is null) and
-  // forces the per-point call.  Both must agree bit for bit, for a
-  // DC-only ISF (one fused tap) and an LPTV one (the tap window).
-  const PowerLawPsd ref{1e-14, 1e-13, 0.0};
-  const PowerLawPsd vco{1e-16, 1e-12, 1e-8};
-  const PowerLawPsd icp{1e-20, 1e-21, 1e-19};
-  const auto wrap = [](const PowerLawPsd& p) {
-    return PsdFunction([p](double w) { return p(w); });
-  };
-  const PsdFunction ref_w = wrap(ref), vco_w = wrap(vco), icp_w = wrap(icp);
-  ASSERT_EQ(vco_w.target<PowerLawPsd>(), nullptr);
-  const auto same = [](const std::vector<double>& a,
-                       const std::vector<double>& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
-                std::bit_cast<std::uint64_t>(b[i]))
-          << "i=" << i << ": " << a[i] << " vs " << b[i];
-    }
-  };
-  const SamplingPllModel lptv(
-      make_typical_loop(0.15 * kW0, kW0),
-      HarmonicCoefficients::real_waveform(1.0, {cplx{0.2, -0.05}}));
-  for (const SamplingPllModel& m : {make_model(0.2), lptv}) {
-    const NoiseAnalysis na(m, 12);
-    std::vector<double> w;
-    for (int i = 0; i < 50; ++i) w.push_back((0.004 + 0.031 * i) * kW0);
-    same(na.output_psd_grid(w, ref, vco, icp),
-         na.output_psd_grid(w, ref_w, vco_w, icp_w));
-    same(na.output_psd_from_vco_grid(w, vco),
-         na.output_psd_from_vco_grid(w, vco_w));
-    same(na.output_psd_from_charge_pump_grid(w, icp),
-         na.output_psd_from_charge_pump_grid(w, icp_w));
-    // Offset 0 puts a fold band exactly on DC, where both paths skip
-    // (the LPTV charge-pump taps are singular there, so it gets -0.01).
-    const double mid = m.time_invariant_vco() ? 0.0 : -0.01 * kW0;
-    const std::vector<double> offsets{-0.2 * kW0, mid, 0.07 * kW0};
-    const auto map = na.spur_map_grid(offsets, 3, ref, vco, icp);
-    const auto map_w = na.spur_map_grid(offsets, 3, ref_w, vco_w, icp_w);
-    ASSERT_EQ(map.size(), map_w.size());
-    for (std::size_t k = 0; k < map.size(); ++k) {
-      same(map[k], map_w[k]);
-      if (mid != 0.0) continue;
-      // On a harmonic the skipped DC lane must leave the pointwise sum.
-      const double want = na.output_psd_total(
-          static_cast<double>(k + 1) * kW0, ref, vco, icp);
-      EXPECT_NEAR(map[k][1], want, 1e-10 * want) << "harmonic " << k + 1;
-    }
-    const double jit =
-        na.integrated_jitter(0.01 * kW0, 0.45 * kW0, ref, vco, icp);
-    const double jit_w =
-        na.integrated_jitter(0.01 * kW0, 0.45 * kW0, ref_w, vco_w, icp_w);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(jit),
-              std::bit_cast<std::uint64_t>(jit_w));
   }
 }
 
@@ -368,7 +293,7 @@ TEST(Noise, GridRedoesOverflowedImpedanceScalingSafe) {
   const PowerLawPsd icp{1e-20, 1e-21, 0.0};
   const RationalFunction& hlf = m.loop_filter_tf();
   const std::vector<double> w{0.05 * w0, 0.2 * w0, 0.45 * w0};
-  const auto grid = na.output_psd_from_charge_pump_grid(w, icp);
+  const auto grid = na.output_psd_grid(w, {}, {}, icp);
   ASSERT_EQ(grid.size(), w.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
     for (int k = -2; k <= 2; ++k) {

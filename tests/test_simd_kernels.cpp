@@ -512,23 +512,26 @@ TEST(SimdPoleSums, UnfactoredTermIsBitIdenticalToScalar) {
 
 // ---- noise fold kernel ------------------------------------------------
 
-// The noise grids take their transfer planes from the eval plan, whose
-// exp/sincos differ per ISA in the last bits, so the public grids
-// differ across ISAs.  The fold kernel does not: under each ISA, every
-// public grid must equal the other build of the kernel fed the planes
-// that ISA's plan gives.
+// The noise grid takes its H_00 plane from the eval plan, whose
+// exp/sincos differ per ISA in the last bits, so the public grid
+// differs across ISAs.  The fold kernel does not: under each ISA, the
+// public grid must equal the other build of the kernel fed the plane
+// that ISA's plan gives -- with all three sources and with each alone.
 TEST(SimdNoiseFold, BaselineAndAvx2BuildsAgreeBitwise) {
   if (!vector_path_available()) GTEST_SKIP() << "no AVX2+FMA";
   const double w0 = 2.0 * std::numbers::pi;
   const PowerLawPsd ref{1e-14, 1e-13, 0.0};
   const PowerLawPsd vco{1e-16, 1e-12, 1e-8};
   const PowerLawPsd icp{1e-20, 1e-21, 1e-19};
-  // Wrapped, the same PSDs take the per-point callable path.
-  const auto wrap = [](const PowerLawPsd& p) {
-    return PsdFunction([p](double w) { return p(w); });
+  const PowerLawPsd none{};
+  struct Sources {
+    const char* what;
+    PowerLawPsd ref, vco, icp;
   };
-  const PsdFunction law[3] = {ref, vco, icp};
-  const PsdFunction called[3] = {wrap(ref), wrap(vco), wrap(icp)};
+  const Sources sources[] = {{"total", ref, vco, icp},
+                             {"reference", ref, none, none},
+                             {"vco", none, vco, none},
+                             {"charge pump", none, none, icp}};
   const SamplingPllModel dc_only(make_typical_loop(0.1 * w0, w0));
   const SamplingPllModel lptv(
       make_typical_loop(0.15 * w0, w0),
@@ -545,6 +548,25 @@ TEST(SimdNoiseFold, BaselineAndAvx2BuildsAgreeBitwise) {
   };
   for (const SamplingPllModel* m : {&dc_only, &lptv}) {
     const NoiseAnalysis na(*m, 12);
+    // Under each ISA, the public grid against the other build of the
+    // kernel on that ISA's H_00 plane.
+    const auto expect_builds_agree = [&](const std::vector<double>& w,
+                                         const Sources& src) {
+      CVector s(w.size());
+      for (std::size_t i = 0; i < w.size(); ++i) s[i] = cplx{0.0, w[i]};
+      for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2Fma}) {
+        ScopedIsa pin(isa);
+        const simd::Isa other = isa == simd::Isa::kScalar
+                                    ? simd::Isa::kAvx2Fma
+                                    : simd::Isa::kScalar;
+        const CVector h00 = m->baseband_transfer_grid(s);
+        expect_same(na.output_psd_grid(w, src.ref, src.vco, src.icp),
+                    detail::fold_noise_grid(*m, na.fold_harmonics(), w,
+                                            h00.data(), src.ref, src.vco,
+                                            src.icp, other),
+                    src.what, w.size());
+      }
+    };
     // A DC lane (w = 2 w0 folds onto DC at m = -2) for the DC-only ISF;
     // the LPTV taps are singular there, so that grid stays off it.
     const bool dc_lane = m->time_invariant_vco();
@@ -552,60 +574,17 @@ TEST(SimdNoiseFold, BaselineAndAvx2BuildsAgreeBitwise) {
       std::vector<double> w = logspace(1e-3 * w0, 3.3 * w0, n + 1);
       w.resize(n);
       if (dc_lane) w[n / 2] = 2.0 * w0;
-      CVector s(n);
-      for (std::size_t i = 0; i < n; ++i) s[i] = cplx{0.0, w[i]};
-      for (const PsdFunction* psd : {law, called}) {
-        const PsdFunction &r = psd[0], &v = psd[1], &c = psd[2];
-        for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2Fma}) {
-          ScopedIsa pin(isa);
-          const simd::Isa other = isa == simd::Isa::kScalar
-                                      ? simd::Isa::kAvx2Fma
-                                      : simd::Isa::kScalar;
-          const CVector h00 = m->baseband_transfer_grid(s);
-          const CVector tracking = m->closed_loop_grid({0}, s)[0];
-          const auto fold = [&](const cplx* h, const cplx* t,
-                                detail::NoiseSources src) {
-            return detail::fold_noise_grid(*m, na.fold_harmonics(), w, h, t,
-                                           src, other);
-          };
-          expect_same(na.output_psd_grid(w, r, v, c),
-                      fold(h00.data(), h00.data(), {&r, &v, &c}), "total", n);
-          expect_same(na.output_psd_from_reference_grid(w, r),
-                      fold(h00.data(), nullptr, {&r, nullptr, nullptr}),
-                      "reference", n);
-          expect_same(na.output_psd_from_vco_grid(w, v),
-                      fold(h00.data(), nullptr, {nullptr, &v, nullptr}), "vco",
-                      n);
-          expect_same(na.output_psd_from_charge_pump_grid(w, c),
-                      fold(nullptr, tracking.data(), {nullptr, nullptr, &c}),
-                      "charge pump", n);
-        }
+      for (const Sources& src : sources) expect_builds_agree(w, src);
+    }
+    // The noise skirts under the first three reference spurs; offset 0
+    // puts a DC lane on each harmonic.
+    std::vector<double> skirts;
+    for (int k = 1; k <= 3; ++k) {
+      for (const double off : {-0.2, dc_lane ? 0.0 : -0.01, 0.07}) {
+        skirts.push_back(k * w0 + off * w0);
       }
     }
-    // The spur map is output_psd_grid on its flattened (harmonic,
-    // offset) grid; offset 0 puts a DC lane on each harmonic.
-    const std::vector<double> offsets{-0.2 * w0, dc_lane ? 0.0 : -0.01 * w0,
-                                      0.07 * w0};
-    std::vector<double> flat;
-    for (int k = 1; k <= 3; ++k) {
-      for (const double off : offsets) flat.push_back(k * w0 + off);
-    }
-    CVector s(flat.size());
-    for (std::size_t i = 0; i < flat.size(); ++i) s[i] = cplx{0.0, flat[i]};
-    for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2Fma}) {
-      ScopedIsa pin(isa);
-      const simd::Isa other = isa == simd::Isa::kScalar ? simd::Isa::kAvx2Fma
-                                                        : simd::Isa::kScalar;
-      const CVector h00 = m->baseband_transfer_grid(s);
-      const auto map = na.spur_map_grid(offsets, 3, ref, vco, icp);
-      const PsdFunction &r = law[0], &v = law[1], &c = law[2];
-      const std::vector<double> want = detail::fold_noise_grid(
-          *m, na.fold_harmonics(), flat, h00.data(), h00.data(),
-          {&r, &v, &c}, other);
-      std::vector<double> got;
-      for (const auto& row : map) got.insert(got.end(), row.begin(), row.end());
-      expect_same(got, want, "spur map", flat.size());
-    }
+    expect_builds_agree(skirts, sources[0]);
   }
 }
 
