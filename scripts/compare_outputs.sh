@@ -9,15 +9,22 @@
 #    HTMPLL_THREADS=1 and 4;
 #  * perfbench's output hashes (--mode setup) of fd_design, probe_verify
 #    and mc_ensemble at seeds 1 and 7919 and pool widths 1 and 4, and of
-#    fd_design under HTMPLL_SIMD=0 (the portable kernels).
+#    fd_design under HTMPLL_SIMD=0 (the portable kernels);
+#  * the work behind those outputs: one traced perfbench run per
+#    workload (--mode trace --seconds 1, seed 1, HTMPLL_THREADS=1), whose
+#    per-layer metrics of unit "count" in BENCHMARK.json, except
+#    parallel.* (pool scheduling), must be equal.  Each is a mean over a
+#    time-budgeted number of passes, so they are compared to 12
+#    significant digits.
 #
 # Usage: scripts/compare_outputs.sh <base-ref>
 #
 # The base tree is extracted with git archive, so nothing is registered
 # in the repository.  Sources, builds and outputs live in one temporary
 # directory under ${TMPDIR:-/tmp}, removed on exit.  The script prints
-# one line per difference and exits 1 if there is any, 0 if every output
-# is byte-identical, and 2 on a usage or build error.
+# one line per difference and exits 1 if there is any or if a program
+# failed on both sides, 0 if every output is byte-identical, and 2 on a
+# usage or build error.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -104,6 +111,9 @@ run() {
     HTMPLL_THREADS=1 HTMPLL_SIMD=0 perfbench_hash "$pb" fd_design "$s" \
       > "$out/perfbench.fd_design.seed$s.simd0.hash"
   done
+  for w in "${workloads[@]}"; do
+    HTMPLL_THREADS=1 perfbench_counts "$pb" "$w" > "$out/perfbench.$w.counts"
+  done
 }
 
 # perfbench_hash <binary> <workload> <seed>: the "hash" of its record.
@@ -112,6 +122,25 @@ perfbench_hash() {
   if record="$("$1" --workload "$2" --seed "$3" --mode setup --seconds 1 |
                tail -n 1)"; then
     sed -n 's/.*"hash": *"\([0-9a-f]*\)".*/\1/p' <<< "$record"
+  else
+    echo "perfbench exited with status $?"
+  fi
+}
+
+# perfbench_counts <binary> <workload>: "name value" per compared count
+# metric of one traced run.
+perfbench_counts() {
+  local record
+  if record="$("$1" --workload "$2" --seed 1 --mode trace --seconds 1 |
+               tail -n 1)"; then
+    python3 -c '
+import json, sys
+layers = json.loads(sys.stdin.read())["layers"]
+for m in json.load(open(sys.argv[1]))["per_layer"]:
+    name = m["name"]
+    if m["unit"] == "count" and not name.startswith("parallel."):
+        print(name, "%.12g" % layers[name] if name in layers else "missing")
+' "$root/BENCHMARK.json" <<< "$record"
   else
     echo "perfbench exited with status $?"
   fi
@@ -135,16 +164,28 @@ for f in "$work/head/out"/* "$work/base/out"/*; do
     case "$name" in
       *.hash) echo "DIFFERS: $name: $(cat "$work/base/out/$name") ->" \
                    "$(cat "$work/head/out/$name")" ;;
+      *.counts) paste -d ' ' "$work/base/out/$name" "$work/head/out/$name" |
+                  awk -v f="$name" '$2 != $4 {
+                    print "DIFFERS: " f ": " $1 ": " $2 " -> " $4 }' ;;
       *) echo "DIFFERS: $name" ;;
     esac
+    differences=$((differences + 1))
+  elif grep -q -e '^exit status ' -e '^perfbench exited with status ' "$f"
+  then
+    # Equal, but only because the program failed the same way twice.
+    echo "FAILED: $name: the program failed on both sides"
     differences=$((differences + 1))
   fi
 done
 for f in "$work/head/out"/perfbench.*.hash; do
   echo "$(basename "$f" .hash | sed 's/^perfbench\.//'): $(cat "$f")"
 done
+for f in "$work/head/out"/perfbench.*.counts; do
+  echo "$(basename "$f" .counts | sed 's/^perfbench\.//') counts:" \
+       "$(tr ' ' '=' < "$f" | tr '\n' ' ')"
+done
 echo "compare_outputs: ${#drivers[@]} drivers and ${#examples[@]} examples" \
-     "at HTMPLL_THREADS=${widths[*]}, perfbench hashes;" \
+     "at HTMPLL_THREADS=${widths[*]}, perfbench hashes and work counts;" \
      "$compared outputs compared against" \
      "$(git -C "$root" rev-parse --short "$base"): $differences differ"
 ((differences == 0))

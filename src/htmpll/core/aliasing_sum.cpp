@@ -117,7 +117,10 @@ cplx AliasingSum::truncated(cplx s, int max_harmonic) const {
   return acc;
 }
 
-cplx AliasingSum::adaptive(cplx s, const AliasingSumOptions& opts) const {
+cplx AliasingSum::adaptive(cplx s) const {
+  constexpr int kMaxPairs = 100000;
+  constexpr double kRelTol = 1e-13;
+  constexpr int kQuietPairs = 4;
   // Orders whose tails we can sum in closed form (harmonic_pole_sum
   // supports k <= 4).
   const int k1 = rel_degree_;
@@ -136,7 +139,7 @@ cplx AliasingSum::adaptive(cplx s, const AliasingSumOptions& opts) const {
   cplx partial2 = corr2 ? pole_pow(s, k2) : cplx{0.0};
   int quiet = 0;
   bool settled = false;
-  for (int m = 1; m <= opts.max_pairs; ++m) {
+  for (int m = 1; m <= kMaxPairs; ++m) {
     const cplx jm{0.0, static_cast<double>(m) * w0_};
     const cplx pair = a_(s + jm) + a_(s - jm);
     acc += pair;
@@ -154,8 +157,8 @@ cplx AliasingSum::adaptive(cplx s, const AliasingSumOptions& opts) const {
       residual -= laurent_d1_ * p2;
     }
     if (std::abs(residual) <=
-        opts.rel_tol * std::max(1e-300, std::abs(acc))) {
-      if (++quiet >= opts.quiet_pairs) {
+        kRelTol * std::max(1e-300, std::abs(acc))) {
+      if (++quiet >= kQuietPairs) {
         settled = true;
         break;
       }
@@ -165,9 +168,9 @@ cplx AliasingSum::adaptive(cplx s, const AliasingSumOptions& opts) const {
   }
   if (!settled) {
     // Ran out of pairs before the stopping rule fired: the truncation
-    // error at this point is not bounded by rel_tol.
+    // error at this point is not bounded by kRelTol.
     obs::diag_event(obs::DiagReason::kHtmTruncationSaturated,
-                    static_cast<double>(opts.max_pairs));
+                    static_cast<double>(kMaxPairs));
   }
   // Tail corrections: orders k1 and k2 = k1 + 1 share one exp(-2z) when
   // both are active (bit-identical to two standalone calls).

@@ -23,12 +23,6 @@
 
 namespace htmpll {
 
-struct AliasingSumOptions {
-  int max_pairs = 100000;      ///< hard cap on symmetric pairs
-  double rel_tol = 1e-13;      ///< pair contribution below this stops...
-  int quiet_pairs = 4;         ///< ...after this many consecutive pairs
-};
-
 /// S_k(x) = sum_{m in Z} 1/(x + j m w0)^k for k = 1..4 (principal value
 /// for k = 1), via the coth closed form.  Throws for k outside [1, 4].
 cplx harmonic_pole_sum(cplx x, double w0, int k);
@@ -75,8 +69,10 @@ class AliasingSum {
   /// Symmetric-pair summation accelerated by an analytic tail
   /// correction: the first two Laurent coefficients of A at infinity are
   /// summed in closed form (via harmonic_pole_sum), so the remaining
-  /// numeric tail decays like 1/M^3 instead of 1/M.
-  cplx adaptive(cplx s, const AliasingSumOptions& opts = {}) const;
+  /// numeric tail decays like 1/M^3 instead of 1/M.  Stops after 4
+  /// consecutive pairs whose remainder is below 1e-13 of the sum, or
+  /// at 100,000 pairs (recorded as htm.truncation_saturated).
+  cplx adaptive(cplx s) const;
 
   /// Exact closed form; requires every pole multiplicity <= 4.
   cplx exact(cplx s) const;

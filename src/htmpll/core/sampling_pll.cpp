@@ -254,9 +254,13 @@ CVector SamplingPllModel::lti_baseband_transfer_grid(
     const CVector& s_grid) const {
   require_finite_grid(s_grid);
   CVector out(s_grid.size());
-  ThreadPool::global().for_each_index(s_grid.size(), [&](std::size_t i) {
-    out[i] = lti_baseband_transfer(s_grid[i]);
-  });
+  ThreadPool& pool = ThreadPool::global();
+  pool.for_each_chunk(s_grid.size(), pool.auto_grain(s_grid.size()),
+                      [&](std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i) {
+                          out[i] = lti_baseband_transfer(s_grid[i]);
+                        }
+                      });
   return out;
 }
 

@@ -24,7 +24,7 @@ DesignPoint evaluate_point(const DesignSpec& base, double ratio,
   pt.half_rate_stable = pt.half_rate_lambda > -1.0;
 
   if (opts.include_poles) {
-    pt.poles = closed_loop_poles(model, opts.pole_search);
+    pt.poles = closed_loop_poles(model);
   }
   return pt;
 }

@@ -34,8 +34,7 @@ struct DesignPoint {
 };
 
 struct DesignSweepOptions {
-  bool include_poles = true;
-  PoleSearchOptions pole_search;
+  bool include_poles = true;  ///< closed_loop_poles with default options
 };
 
 /// Row-major map over the sweep grid: points[g * ratios.size() + r].

@@ -34,9 +34,9 @@ std::vector<double> unwrap_phase(const std::vector<double>& radians) {
 
 namespace {
 
-/// Log-grid scan density of the margin searches.
+/// Log-grid scan density of the crossover search.
 constexpr std::size_t kScanPoints = 600;
-/// Relative bisection tolerance on w of the margin searches.
+/// Relative bisection tolerance on w of the crossover search.
 constexpr double kTolerance = 1e-10;
 
 /// Phase of h(w) unwrapped continuously from a reference frequency by
@@ -82,41 +82,6 @@ std::optional<CrossoverResult> find_gain_crossover(const FrequencyResponse& h,
       return CrossoverResult{wc, 180.0 + ph * 180.0 / std::numbers::pi};
     }
     prev_mag = mag;
-  }
-  return std::nullopt;
-}
-
-std::optional<GainMarginResult> find_gain_margin(const FrequencyResponse& h,
-                                                 double w_lo, double w_hi) {
-  HTMPLL_REQUIRE(w_lo > 0.0 && w_hi > w_lo, "need 0 < w_lo < w_hi");
-  const std::vector<double> grid = logspace(w_lo, w_hi, kScanPoints);
-  std::vector<double> raw;
-  raw.reserve(grid.size());
-  for (double w : grid) raw.push_back(std::arg(h(w)));
-  const std::vector<double> ph = unwrap_phase(raw);
-  const double target = -std::numbers::pi;
-  for (std::size_t i = 1; i < grid.size(); ++i) {
-    const bool crossed = (ph[i - 1] > target && ph[i] <= target) ||
-                         (ph[i - 1] < target && ph[i] >= target);
-    if (!crossed) continue;
-    double a = grid[i - 1], b = grid[i];
-    double pa = ph[i - 1];
-    for (int it = 0; it < 200; ++it) {
-      const double mid = std::sqrt(a * b);
-      // Local unwrap relative to the endpoint keeps continuity.
-      double pm = std::arg(h(mid));
-      while (pm - pa > std::numbers::pi) pm -= 2.0 * std::numbers::pi;
-      while (pm - pa < -std::numbers::pi) pm += 2.0 * std::numbers::pi;
-      if ((pa > target) == (pm > target)) {
-        a = mid;
-        pa = pm;
-      } else {
-        b = mid;
-      }
-      if ((b - a) <= kTolerance * b) break;
-    }
-    const double wc = std::sqrt(a * b);
-    return GainMarginResult{wc, -magnitude_db(h(wc))};
   }
   return std::nullopt;
 }

@@ -1,7 +1,7 @@
 // Frequency-response utilities: dB/phase helpers, phase unwrapping, and
-// crossover / stability-margin searches on arbitrary responses.
+// the gain-crossover / phase-margin search on arbitrary responses.
 //
-// The searches take a std::function so they work both for rational LTI
+// The search takes a std::function so it works both for rational LTI
 // responses A(jw) and for the time-varying effective open-loop gain
 // lambda(jw) of eq. 37, which is not rational.
 #pragma once
@@ -35,17 +35,6 @@ struct CrossoverResult {
 /// path from w_lo, so loops whose raw principal-value phase wraps (e.g.
 /// two integrator poles plus sampling delay) are handled correctly.
 std::optional<CrossoverResult> find_gain_crossover(
-    const FrequencyResponse& h, double w_lo, double w_hi);
-
-struct GainMarginResult {
-  double frequency;       ///< rad/s where unwrapped phase hits -180 deg
-  double gain_margin_db;  ///< -|H| in dB at that frequency
-};
-
-/// Finds the first -180 deg crossing of the unwrapped phase (relative to
-/// the phase at w_lo having its principal value), on the same scan and
-/// bisection as find_gain_crossover.
-std::optional<GainMarginResult> find_gain_margin(
     const FrequencyResponse& h, double w_lo, double w_hi);
 
 /// One Bode row: w, |H| dB, unwrapped phase deg.

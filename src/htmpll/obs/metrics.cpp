@@ -1,13 +1,12 @@
 #include "htmpll/obs/metrics.hpp"
 
 #include <algorithm>
-
-#include "htmpll/obs/diag.hpp"
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "htmpll/obs/diag.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll::obs {
@@ -133,11 +132,11 @@ void reset_counters() {
     std::lock_guard<std::mutex> lock(registry_mutex());
     Registry& r = registry();
     for (auto& [name, c] : r.counters) c->reset();
+    for (auto& [name, g] : r.gauges) g->reset();
   }
-  // The diagnostic tallies are counters too: a caller that resets
-  // between phases expects diag_snapshot() to cover the same window as
-  // the metrics snapshot.
-  diag_reset();
+  // The events' tallies were among the counters; drop the events too,
+  // so diag_snapshot() covers the same window as snapshot().
+  detail::clear_diag_events();
 }
 
 }  // namespace htmpll::obs

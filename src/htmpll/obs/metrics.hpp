@@ -1,12 +1,16 @@
 // Process-wide metrics registry: named counters and gauges with a
 // relaxed-atomic hot path.
 //
-// The registry is the measurement substrate of the library: the linalg,
-// parallel, core, noise and timedomain layers increment counters for
-// their expensive primitives (expm evaluations, eigen-factorizations,
-// lambda(s) evaluations, plan grid points, noise fold terms,
-// propagator-cache traffic, PFD events, thread-pool jobs), and perfbench
-// snapshots them to split a pass's time across the layers.
+// The registry is the measurement substrate of the library and holds
+// every number obs keeps: the linalg, parallel, core, noise and
+// timedomain layers increment counters for their expensive primitives
+// (expm evaluations, eigen-factorizations, lambda(s) evaluations, plan
+// grid points, noise fold terms, propagator-memo traffic, PFD events,
+// thread-pool jobs), the diagnostic log (obs/diag.hpp) keeps one counter
+// per degradation reason, and health gauges keep the worst value of a
+// numerical-health measure (timedomain.max_eigenbasis_condition,
+// timedomain.max_eigenpair_residual).  perfbench snapshots them to
+// split a pass's time across the layers.
 //
 // Cost model:
 //  * disabled (the default): every instrumentation site is one relaxed
@@ -25,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -58,12 +63,17 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Last-written configuration value (pool width, truncation order...).
-/// Unlike Counter, set() is NOT gated on enabled(): gauges record rare
-/// configuration facts that must survive enabling obs after the fact.
+/// Health gauge: the largest value raised since the last reset (0
+/// before any).  raise() is a no-op while disabled and ignores NaN.
 class Gauge {
  public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
+  void raise(double v) {
+    if (!enabled() || std::isnan(v)) return;
+    double cur = v_.load(std::memory_order_relaxed);
+    while (v > cur && !v_.compare_exchange_weak(cur, v,
+                                                std::memory_order_relaxed)) {
+    }
+  }
   double value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0.0, std::memory_order_relaxed); }
 
@@ -104,9 +114,9 @@ Gauge& gauge(const std::string& name);
 /// can be registered halfway through.)
 MetricsSnapshot snapshot();
 
-/// Zeroes every counter (gauges keep their configuration values) and
-/// resets the diagnostic event log (obs/diag.hpp).  perfbench calls this
-/// before each traced pass.
+/// Zeroes every counter and gauge and drops the retained diagnostic
+/// events (obs/diag.hpp).  perfbench calls this before each traced
+/// pass; only safe at quiescence.
 void reset_counters();
 
 }  // namespace htmpll::obs

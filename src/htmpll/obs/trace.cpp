@@ -5,9 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
-#include <mutex>
 
+#include "htmpll/obs/ring.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll::obs {
@@ -25,80 +24,30 @@ namespace {
 
 constexpr std::size_t kDefaultTraceCapacity = 1 << 14;  // 16384 spans
 
-/// Per-thread span ring.  Single writer (the owning thread); readers
-/// acquire `head` and then load the published slots relaxed, so export
-/// races neither with writes nor with TSan.
-class TraceBuffer {
- public:
-  struct Slot {
-    std::atomic<const char*> name{nullptr};
-    std::atomic<std::uint64_t> begin_ns{0};
-    std::atomic<std::uint64_t> end_ns{0};
-  };
+/// One span: relaxed-atomic fields of the ring slot (obs/ring.hpp).
+struct SpanSlot {
+  std::atomic<const char*> name{nullptr};
+  std::atomic<std::uint64_t> begin_ns{0};
+  std::atomic<std::uint64_t> end_ns{0};
 
-  TraceBuffer(int tid, std::size_t capacity)
-      : tid_(tid), capacity_(capacity), slots_(capacity) {}
-
-  void record(const char* name, std::uint64_t begin_ns,
-              std::uint64_t end_ns) {
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    Slot& s = slots_[h % capacity_];
-    s.name.store(name, std::memory_order_relaxed);
-    s.begin_ns.store(begin_ns, std::memory_order_relaxed);
-    s.end_ns.store(end_ns, std::memory_order_relaxed);
-    head_.store(h + 1, std::memory_order_release);
+  void store(const char* n, std::uint64_t b, std::uint64_t e) {
+    name.store(n, std::memory_order_relaxed);
+    begin_ns.store(b, std::memory_order_relaxed);
+    end_ns.store(e, std::memory_order_relaxed);
   }
-
-  void collect_into(std::vector<TraceEventView>& out) const {
-    const std::uint64_t h = head_.load(std::memory_order_acquire);
-    const std::uint64_t n = std::min<std::uint64_t>(h, capacity_);
-    for (std::uint64_t i = h - n; i < h; ++i) {
-      const Slot& s = slots_[i % capacity_];
-      TraceEventView e;
-      e.name = s.name.load(std::memory_order_relaxed);
-      e.begin_ns = s.begin_ns.load(std::memory_order_relaxed);
-      e.end_ns = s.end_ns.load(std::memory_order_relaxed);
-      e.tid = tid_;
-      if (e.name != nullptr) out.push_back(e);
-    }
+  bool load(TraceEventView& out) const {
+    out.name = name.load(std::memory_order_relaxed);
+    out.begin_ns = begin_ns.load(std::memory_order_relaxed);
+    out.end_ns = end_ns.load(std::memory_order_relaxed);
+    return out.name != nullptr;
   }
-
-  std::uint64_t dropped() const {
-    const std::uint64_t h = head_.load(std::memory_order_acquire);
-    return h > capacity_ ? h - capacity_ : 0;
-  }
-
-  void clear() { head_.store(0, std::memory_order_release); }
-
- private:
-  int tid_;
-  std::size_t capacity_;
-  std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> head_{0};
 };
 
-std::mutex& trace_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-/// All rings ever registered; shared ownership with each thread's local
-/// handle so a ring survives its thread (its spans stay exportable).
-/// Leaked so exports work during late static destruction.
-std::vector<std::shared_ptr<TraceBuffer>>& buffers() {
-  static auto* v = new std::vector<std::shared_ptr<TraceBuffer>>();
-  return *v;
-}
-
-TraceBuffer& local_buffer() {
-  thread_local std::shared_ptr<TraceBuffer> buf = [] {
-    std::lock_guard<std::mutex> lock(trace_mutex());
-    auto b = std::make_shared<TraceBuffer>(
-        static_cast<int>(buffers().size()), trace_capacity());
-    buffers().push_back(b);
-    return b;
-  }();
-  return *buf;
+/// The span rings, trace_capacity() spans per thread.  Leaked so
+/// exports work during late static destruction.
+detail::RingSet<SpanSlot>& span_rings() {
+  static auto* rings = new detail::RingSet<SpanSlot>(trace_capacity());
+  return *rings;
 }
 
 void append_escaped(std::string& out, const char* s) {
@@ -123,7 +72,7 @@ namespace detail {
 
 void record_span(const char* name, std::uint64_t begin_ns,
                  std::uint64_t end_ns) {
-  local_buffer().record(name, begin_ns, end_ns);
+  span_rings().local().record(name, begin_ns, end_ns);
 }
 
 std::size_t parse_trace_cap(const char* env, std::size_t fallback) {
@@ -156,10 +105,7 @@ std::size_t trace_capacity() {
 
 std::vector<TraceEventView> collect_trace() {
   std::vector<TraceEventView> out;
-  {
-    std::lock_guard<std::mutex> lock(trace_mutex());
-    for (const auto& b : buffers()) b->collect_into(out);
-  }
+  span_rings().collect_into(out);
   std::sort(out.begin(), out.end(),
             [](const TraceEventView& a, const TraceEventView& b) {
               return a.begin_ns != b.begin_ns ? a.begin_ns < b.begin_ns
@@ -168,17 +114,9 @@ std::vector<TraceEventView> collect_trace() {
   return out;
 }
 
-std::uint64_t trace_dropped() {
-  std::lock_guard<std::mutex> lock(trace_mutex());
-  std::uint64_t n = 0;
-  for (const auto& b : buffers()) n += b->dropped();
-  return n;
-}
+std::uint64_t trace_dropped() { return span_rings().dropped(); }
 
-void clear_trace() {
-  std::lock_guard<std::mutex> lock(trace_mutex());
-  for (const auto& b : buffers()) b->clear();
-}
+void clear_trace() { span_rings().clear(); }
 
 std::string chrome_trace_json() {
   const std::vector<TraceEventView> events = collect_trace();

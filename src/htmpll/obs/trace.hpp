@@ -8,7 +8,8 @@
 //   obs::write_chrome_trace("sweep.trace.json");
 //
 // Each thread owns a fixed-capacity ring of completed spans (name,
-// begin, end in steady-clock nanoseconds).  The owning thread is the
+// begin, end in steady-clock nanoseconds; obs/ring.hpp, the same ring
+// the diagnostic log keeps its events in).  The owning thread is the
 // only writer; slot fields are relaxed atomics published by a release
 // store of the ring head, so concurrent export is TSan-clean.  When a
 // ring wraps, the oldest spans are overwritten and counted as dropped
@@ -45,7 +46,7 @@ std::size_t parse_trace_cap(const char* env, std::size_t fallback);
 }  // namespace detail
 
 /// Per-thread span-ring capacity: HTMPLL_TRACE_CAP when set (resolved
-/// once, at the first ring registration), 16384 spans otherwise.
+/// once, at the first use of the tracer), 16384 spans otherwise.
 std::size_t trace_capacity();
 
 /// RAII span: times the enclosing scope when obs is enabled, does

@@ -200,20 +200,8 @@ void ThreadPool::note_inline_job() {
   if (obs::enabled()) pool_metrics().jobs_inline.add();
 }
 
-namespace {
-
-std::size_t resolved_global_width() {
-  const std::size_t width = configured_thread_count();
-  // Gauges record configuration unconditionally, so the resolved width
-  // is visible even when obs is enabled after pool creation.
-  obs::gauge("parallel.pool_width").set(static_cast<double>(width));
-  return width;
-}
-
-}  // namespace
-
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(resolved_global_width());
+  static ThreadPool pool(configured_thread_count());
   return pool;
 }
 

@@ -16,8 +16,8 @@
 // The worker count of the shared pool is HTMPLL_THREADS when set to a
 // valid positive integer (clamped to 256 with a warning above that);
 // non-numeric, zero or negative values are rejected with a warning on
-// stderr and fall back to std::thread::hardware_concurrency().  The
-// resolved width is surfaced as the obs gauge "parallel.pool_width".
+// stderr and fall back to std::thread::hardware_concurrency().
+// ThreadPool::global().threads() reports the resolved width.
 // HTMPLL_THREADS=1 runs every parallel_for inline on the calling thread.
 #pragma once
 
@@ -74,32 +74,6 @@ class ThreadPool {
   /// chunk, or a nested call from inside a pool worker.
   bool would_run_inline(std::size_t n, std::size_t grain) const;
 
-  /// Templated parallel_for: identical semantics, but when the job runs
-  /// inline (always true on a width-1 pool) `fn` is invoked directly --
-  /// no std::function construction, no type-erased call per index, no
-  /// chunk bookkeeping -- so a 1-core grid sweep pays exactly the cost
-  /// of the plain scalar loop.
-  template <class F>
-  void for_each_index(std::size_t n, std::size_t grain, F&& fn) {
-    HTMPLL_REQUIRE(grain >= 1, "parallel_for grain must be >= 1");
-    if (n == 0) return;
-    if (would_run_inline(n, grain)) {
-      note_inline_job();
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-      return;
-    }
-    const std::function<void(std::size_t)> erased =
-        [&fn](std::size_t i) { fn(i); };
-    parallel_for(n, grain, erased);
-  }
-
-  /// for_each_index with the automatic grain of parallel_for(n, fn).
-  template <class F>
-  void for_each_index(std::size_t n, F&& fn) {
-    const std::size_t grain = auto_grain(n);
-    for_each_index(n, grain, static_cast<F&&>(fn));
-  }
-
   /// Chunk-level map: body(begin, end) over a partition of [0, n) into
   /// blocks of `grain` indices (the last block may be short).  This is
   /// the plan-aware entry point: batch kernels want whole contiguous
@@ -139,7 +113,7 @@ class ThreadPool {
   void worker_loop();
   /// Claims and runs chunks of the current job; records the first error.
   void run_chunks();
-  /// Metrics hook for the templated inline paths (counts the job in
+  /// Metrics hook for for_each_chunk's inline path (counts the job in
   /// parallel.pool_jobs_inline like the type-erased inline path does).
   static void note_inline_job();
 

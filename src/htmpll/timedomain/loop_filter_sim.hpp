@@ -12,7 +12,6 @@
 // Van Loan expm.
 #pragma once
 
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -26,30 +25,6 @@ namespace htmpll {
 /// theta' = kvco * (C_f x + D_f i); the output row reports the filter
 /// output y (the VCO control).  Shared by the transient simulators.
 StateSpace augment_with_phase(const StateSpace& filter, double kvco);
-
-/// Hit/miss counters of an integrator's one-entry step-propagator
-/// memo.  Every miss costs one propagator construction (a Van Loan
-/// matrix exponential on the Pade path, n scalar exponentials on the
-/// spectral path) and `lookups - misses` is the number saved.  This is
-/// a thin per-integrator view; when instrumentation is enabled
-/// (HTMPLL_OBS=1) the same events also feed the process-wide obs
-/// counters "timedomain.propagator_{lookups,misses}".
-struct PropagatorCacheStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t hits() const { return lookups - misses; }
-  /// hits / lookups; 0 before the first lookup.
-  double hit_rate() const { return ratio(lookups - misses); }
-  /// misses / lookups; 0 before the first lookup.
-  double miss_rate() const { return ratio(misses); }
-
- private:
-  double ratio(std::uint64_t part) const {
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(part) /
-                              static_cast<double>(lookups);
-  }
-};
 
 class PiecewiseExactIntegrator {
  public:
@@ -94,9 +69,6 @@ class PiecewiseExactIntegrator {
   /// Commit: advance the state by `h` under constant input `u`.
   void advance(double h, double u);
 
-  /// Lookup/build counters of the propagator memo.
-  const PropagatorCacheStats& cache_stats() const { return stats_; }
-
  private:
   const StepPropagator& propagator(double h) const;
 
@@ -110,10 +82,10 @@ class PiecewiseExactIntegrator {
   // rebuilds it in place, which on the spectral path costs n scalar
   // exponentials and no allocation.  That rebuild is cheaper than the
   // hash index a keyed cache needs to avoid it.  NaN matches no step.
-  // Results never depend on hits vs misses.
+  // Results never depend on hits vs misses; while obs records, the
+  // counters timedomain.propagator_{lookups,misses} count them.
   mutable double memo_h_ = std::numeric_limits<double>::quiet_NaN();
   mutable StepPropagator memo_;
-  mutable PropagatorCacheStats stats_;
   mutable RVector scratch_;  ///< advance() staging, swapped into x_
 };
 

@@ -64,14 +64,11 @@ std::vector<NoiseRunStats> run_noise_ensemble(const PllParameters& params,
                  "noise sigma must be non-negative and finite");
   HTMPLL_REQUIRE(opts.settle_periods >= 0.0 && opts.measure_periods > 0.0,
                  "noise ensemble needs settle >= 0 and measure > 0 periods");
-  HTMPLL_REQUIRE(opts.sample_interval >= 0.0,
-                 "noise ensemble sample interval must be >= 0 (0 = T/8)");
 
   return monte_carlo_map<NoiseRunStats>(
       n_runs, base_seed,
       [&](std::size_t, std::uint64_t seed) {
         TransientConfig cfg;
-        cfg.sample_interval = opts.sample_interval;
         cfg.record = false;
         PllTransientSim sim(params, {}, cfg);
         sim.set_noise_current(sigma, static_cast<unsigned>(seed));
@@ -85,14 +82,10 @@ std::vector<NoiseRunStats> run_noise_ensemble(const PllParameters& params,
 }
 
 std::vector<double> acquisition_periods(
-    const std::vector<AcquisitionCase>& cases,
-    const AcquisitionOptions& opts, ThreadPool& pool) {
+    const std::vector<AcquisitionCase>& cases, ThreadPool& pool) {
   HTMPLL_TRACE_SPAN("mc.acquisition_batch");
   HTMPLL_REQUIRE(!cases.empty(),
                  "acquisition batch needs at least one case");
-  HTMPLL_REQUIRE(opts.tol_fraction > 0.0 && opts.chunk_periods > 0.0 &&
-                     opts.max_periods > 0.0,
-                 "acquisition options must be positive");
   std::vector<double> out(cases.size());
 
   pool.parallel_for(cases.size(), 1, [&](std::size_t i) {
@@ -100,12 +93,12 @@ std::vector<double> acquisition_periods(
     PllTransientSim sim(c.params);
     sim.set_recording(false);
     sim.set_initial_frequency_offset(c.rel_offset);
-    const double tol = opts.tol_fraction * c.params.period();
+    const double tol = kAcquisitionTolerance * c.params.period();
     double elapsed = 0.0;
     double locked_at = -1.0;
-    while (elapsed < opts.max_periods) {
-      sim.run_periods(opts.chunk_periods);
-      elapsed += opts.chunk_periods;
+    while (elapsed < kAcquisitionMaxPeriods) {
+      sim.run_periods(kAcquisitionPollPeriods);
+      elapsed += kAcquisitionPollPeriods;
       if (sim.is_locked(tol)) {
         locked_at = elapsed;
         break;

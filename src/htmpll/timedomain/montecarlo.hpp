@@ -55,16 +55,15 @@ struct NoiseRunStats {
 
 struct NoiseEnsembleOptions {
   double settle_periods = 200.0;   ///< recording off
-  double measure_periods = 2000.0; ///< recording on
-  double sample_interval = 0.0;    ///< 0 selects T/8; negative rejected
+  double measure_periods = 2000.0; ///< recording on, theta every T/8
 };
 
 /// Runs n_runs independent simulations of `params` with held white
 /// charge-pump noise of the given sigma; run i is one PllTransientSim
 /// seeded with mc_stream_seed(base_seed, i).  Pool-parallel and
 /// bit-identical for any thread count.  Rejects n_runs == 0, a negative
-/// or non-finite sigma, negative settle/non-positive measure horizons
-/// and negative sample intervals with std::invalid_argument.
+/// or non-finite sigma and negative settle/non-positive measure horizons
+/// with std::invalid_argument.
 std::vector<NoiseRunStats> run_noise_ensemble(
     const PllParameters& params, double sigma, std::uint64_t base_seed,
     std::size_t n_runs, const NoiseEnsembleOptions& opts = {},
@@ -77,24 +76,26 @@ struct AcquisitionCase {
   double rel_offset = 0.0;
 };
 
-struct AcquisitionOptions {
-  double tol_fraction = 1e-6;   ///< lock when |pulse| < tol_fraction * T
-  double max_periods = 3000.0;  ///< give up after this many periods
-  double chunk_periods = 5.0;   ///< lock-detector polling granularity
-};
+/// acquisition_periods' lock detector: locked once the recent pulses
+/// are all below kAcquisitionTolerance * T, polled every
+/// kAcquisitionPollPeriods periods, given up after
+/// kAcquisitionMaxPeriods.
+inline constexpr double kAcquisitionTolerance = 1e-6;
+inline constexpr double kAcquisitionPollPeriods = 5.0;
+inline constexpr double kAcquisitionMaxPeriods = 3000.0;
 
-/// Periods until phase lock for every case (-1 when max_periods is
-/// exhausted), one PllTransientSim per case, distributed over the pool.
-/// Lock is PllTransientSim::is_locked at tol_fraction * T, polled every
-/// chunk_periods.  Coincident edges count as zero-width pulses, so a
-/// case that starts in lock (a zero or sub-1e-9 offset) reads locked at
-/// the first poll after PulseHistory::kCapacity (8) periods, not -1.
-/// The simulations are noise-free and independent, so the batch is
-/// deterministic.  Rejects an empty case list, non-positive options and
-/// a non-finite offset with std::invalid_argument.
+/// Periods until phase lock for every case (-1 when the loop has not
+/// locked after kAcquisitionMaxPeriods), one PllTransientSim per case,
+/// distributed over the pool.  Lock is PllTransientSim::is_locked at
+/// kAcquisitionTolerance * T, polled every kAcquisitionPollPeriods.
+/// Coincident edges count as zero-width pulses, so a case that starts
+/// in lock (a zero or sub-1e-9 offset) reads locked at the first poll
+/// after PulseHistory::kCapacity (8) periods, not -1.  The simulations
+/// are noise-free and independent, so the batch is deterministic.
+/// Rejects an empty case list and a non-finite offset with
+/// std::invalid_argument.
 std::vector<double> acquisition_periods(
     const std::vector<AcquisitionCase>& cases,
-    const AcquisitionOptions& opts = {},
     ThreadPool& pool = ThreadPool::global());
 
 /// Simulated reference-phase-step responses, one loop per entry:

@@ -211,8 +211,6 @@ void validate_transient_setup(const ReferenceModulation& mod,
   HTMPLL_REQUIRE(cfg.sample_interval >= 0.0 &&
                      std::isfinite(cfg.sample_interval),
                  "sample_interval must be finite and non-negative");
-  HTMPLL_REQUIRE(cfg.edge_tolerance > 0.0 && std::isfinite(cfg.edge_tolerance),
-                 "edge_tolerance must be positive and finite");
 }
 
 namespace {
@@ -315,7 +313,7 @@ void PllTransientSim::set_initial_frequency_offset(double relative_offset) {
 double PllTransientSim::next_reference_edge(double target) const {
   if (target != ref_edge_target_) {
     ref_edge_time_ =
-        mod_.edge_time(target, cfg_.edge_tolerance * t_period_);
+        mod_.edge_time(target, kEdgeTolerance * t_period_);
     ref_edge_target_ = target;
   }
   return std::max(ref_edge_time_, t_);
@@ -359,7 +357,7 @@ double PllTransientSim::next_vco_edge(double target, double current,
     dt = -g / gp;
     t += dt;
     if (t < t_) t = t_;
-    if (std::abs(dt) <= cfg_.edge_tolerance * t_period_) {
+    if (std::abs(dt) <= kEdgeTolerance * t_period_) {
       converged = true;
       break;
     }
@@ -390,7 +388,7 @@ double PllTransientSim::next_vco_edge(double target, double current,
       } else {
         hi = mid;
       }
-      if (hi - lo <= cfg_.edge_tolerance * t_period_) break;
+      if (hi - lo <= kEdgeTolerance * t_period_) break;
     }
     t = 0.5 * (lo + hi);
   }

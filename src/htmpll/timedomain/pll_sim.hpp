@@ -50,14 +50,16 @@ struct ReferenceModulation {
   cplx hann_bin(double omega_bin, double t0, double width) const;
 };
 
+/// Newton convergence tolerance of the event-driven simulators' edge
+/// times, relative to T.
+inline constexpr double kEdgeTolerance = 1e-13;
+
 struct TransientConfig {
   /// Uniform recording period for theta samples; 0 selects T/8, and a
   /// negative or non-finite value is rejected.
   double sample_interval = 0.0;
   /// Record (t, theta, theta_ref) streams while running.
   bool record = true;
-  /// Newton convergence tolerance for edge times, relative to T.
-  double edge_tolerance = 1e-13;
   /// Build step propagators from the one-time modal factorization of
   /// the filter block instead of a per-step Van Loan expm (see
   /// timedomain/spectral.hpp).  False runs the Van Loan oracle,
@@ -168,8 +170,7 @@ cplx run_theta_bin_window(ThetaBin*& slot,
 void validate_modulation(const ReferenceModulation& mod, double period);
 
 /// validate_modulation, and throws unless sample_interval is finite and
-/// non-negative and edge_tolerance is positive and finite.  Called by
-/// both event-driven simulators' constructors.
+/// non-negative.  Called by both event-driven simulators' constructors.
 void validate_transient_setup(const ReferenceModulation& mod,
                               const TransientConfig& cfg, double period);
 
@@ -273,11 +274,6 @@ class PllTransientSim {
 
   // --- diagnostics ---
   std::size_t event_count() const { return events_; }
-  /// Step-propagator memo counters of the exact integrator; misses
-  /// equal propagator constructions performed, hits constructions saved.
-  const PropagatorCacheStats& propagator_cache_stats() const {
-    return aug_.cache_stats();
-  }
   /// True when propagator builds use the spectral (modal) path.
   bool spectral_propagators() const { return aug_.spectral_propagators(); }
   /// Largest |charge-pump pulse width| among the last few pulses, in

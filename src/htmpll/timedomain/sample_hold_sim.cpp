@@ -43,7 +43,7 @@ void SampleHoldPllSim::run_until(double t_end) {
   while (t_ < t_end) {
     const double t_ref = std::max(
         mod_.edge_time(static_cast<double>(n_ref_) * t_period_,
-                       cfg_.edge_tolerance * t_period_),
+                       kEdgeTolerance * t_period_),
         t_);
     const double t_evt = std::min(t_ref, t_end);
 

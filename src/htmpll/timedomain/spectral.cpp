@@ -238,6 +238,10 @@ void PropagatorFactory::try_spectral() {
     }
   }
   static obs::Counter& c_factor = obs::counter("linalg.eig_factorizations");
+  static obs::Gauge& g_residual =
+      obs::gauge("timedomain.max_eigenpair_residual");
+  static obs::Gauge& g_condition =
+      obs::gauge("timedomain.max_eigenbasis_condition");
   c_factor.add();
 
   // The modes are the roots of the monic denominator
@@ -280,8 +284,7 @@ void PropagatorFactory::try_spectral() {
         worst = std::max(worst, std::abs(av - modes[k] * v(i, k)));
       }
     }
-    obs::diag_gauge_max(obs::HealthGauge::kMaxEigenpairResidual,
-                        worst / std::max(scale, 1e-300));
+    g_residual.raise(worst / std::max(scale, 1e-300));
   }
 
   // A repeated root makes V singular.  Above ~1/eps the basis is
@@ -304,7 +307,7 @@ void PropagatorFactory::try_spectral() {
                     cond_);
     return;
   }
-  obs::diag_gauge_max(obs::HealthGauge::kMaxEigenbasisCondition, cond_);
+  g_condition.raise(cond_);
 
   nf_ = nf;
   lambda_ = modes;

@@ -1,8 +1,8 @@
-// Diagnostic-layer suite: reason-code round trips, concurrent event
-// emission (exact tallies under TSan), monotonic health gauges, span
-// aggregation (percentiles + self time) on synthetic traces,
-// HTMPLL_TRACE_CAP parsing, and the bit-identity contract
-// (instrumentation must never change a result).
+// Diagnostic-layer suite: reason names and their registry counters,
+// concurrent event emission (exact tallies under TSan), ring wrap-around,
+// monotonic health gauges, span aggregation (percentiles + self time) on
+// synthetic traces, HTMPLL_TRACE_CAP parsing, and the bit-identity
+// contract (instrumentation must never change a result).
 //
 // Compiled into the test_obs binary (tests/CMakeLists.txt) so the whole
 // observability layer runs under -DHTMPLL_SANITIZE=thread together.
@@ -24,19 +24,13 @@
 #include "htmpll/obs/span_stats.hpp"
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/parallel/sweep.hpp"
-#include "htmpll/timedomain/loop_filter_sim.hpp"
 #include "htmpll/timedomain/spectral.hpp"
 #include "htmpll/util/grid.hpp"
 
+#include "obs_scope.hpp"
+
 namespace htmpll {
 namespace {
-
-/// Enables obs for one test and restores the prior state after.
-struct ScopedDiagObs {
-  bool was_enabled = obs::enabled();
-  explicit ScopedDiagObs(bool on) { on ? obs::enable() : obs::disable(); }
-  ~ScopedDiagObs() { was_enabled ? obs::enable() : obs::disable(); }
-};
 
 std::uint64_t tally_of(obs::DiagReason reason) {
   return obs::diag_snapshot()
@@ -44,6 +38,10 @@ std::uint64_t tally_of(obs::DiagReason reason) {
 }
 
 TEST(DiagReasons, NamesRoundTripAndAreUnique) {
+  // Each reason's name is unique and names its counter in the registry,
+  // so the name read back from a snapshot identifies the reason.
+  (void)obs::diag_snapshot();  // registers the reasons' counters
+  const obs::MetricsSnapshot snap = obs::snapshot();
   std::set<std::string> seen;
   for (std::size_t i = 0; i < obs::kDiagReasonCount; ++i) {
     const auto reason = static_cast<obs::DiagReason>(i);
@@ -52,33 +50,15 @@ TEST(DiagReasons, NamesRoundTripAndAreUnique) {
     EXPECT_STRNE(name, "unknown") << "reason " << i;
     EXPECT_TRUE(seen.insert(name).second)
         << "duplicate reason name: " << name;
-    obs::DiagReason back = obs::DiagReason::kCount;
-    EXPECT_TRUE(obs::diag_reason_from_name(name, back)) << name;
-    EXPECT_EQ(back, reason);
+    const obs::MetricSample* m = snap.find(name);
+    ASSERT_NE(m, nullptr) << name;
+    EXPECT_EQ(m->kind, obs::MetricKind::kCounter) << name;
   }
-  obs::DiagReason out = obs::DiagReason::kCount;
-  EXPECT_TRUE(obs::diag_reason_from_name("vco_edge.bisection_fallback", out));
-  EXPECT_EQ(out, obs::DiagReason::kVcoEdgeBisectionFallback);
-  out = obs::DiagReason::kCount;
-  EXPECT_FALSE(obs::diag_reason_from_name("no.such.reason", out));
-  EXPECT_EQ(out, obs::DiagReason::kCount);  // untouched on failure
   EXPECT_STREQ(obs::diag_reason_name(obs::DiagReason::kCount), "unknown");
 }
 
-TEST(DiagReasons, GaugeNamesAreUnique) {
-  std::set<std::string> seen;
-  for (std::size_t i = 0; i < obs::kHealthGaugeCount; ++i) {
-    const char* name =
-        obs::health_gauge_name(static_cast<obs::HealthGauge>(i));
-    ASSERT_NE(name, nullptr);
-    EXPECT_STRNE(name, "unknown") << "gauge " << i;
-    EXPECT_TRUE(seen.insert(name).second)
-        << "duplicate gauge name: " << name;
-  }
-}
-
 TEST(DiagEvents, DisabledEmissionIsANoOp) {
-  ScopedDiagObs off(false);
+  ScopedObs off(false);
   const std::uint64_t before =
       tally_of(obs::DiagReason::kHtmTruncationSaturated);
   obs::diag_event(obs::DiagReason::kHtmTruncationSaturated, 64.0);
@@ -86,8 +66,8 @@ TEST(DiagEvents, DisabledEmissionIsANoOp) {
 }
 
 TEST(DiagEvents, EnabledEmissionRecordsTallyAndPayload) {
-  ScopedDiagObs on(true);
-  obs::diag_reset();
+  ScopedObs on(true);
+  obs::reset_counters();
   obs::diag_event(obs::DiagReason::kVcoEdgeBisectionFallback, 2.5e-9);
   obs::diag_event(obs::DiagReason::kVcoEdgeBisectionFallback, 3.5e-9);
   const obs::DiagSnapshot s = obs::diag_snapshot();
@@ -104,19 +84,19 @@ TEST(DiagEvents, EnabledEmissionRecordsTallyAndPayload) {
 }
 
 TEST(DiagEvents, ConcurrentEmissionKeepsTalliesExact) {
-  ScopedDiagObs on(true);
-  obs::diag_reset();
+  ScopedObs on(true);
+  obs::reset_counters();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
+  obs::Gauge& gauge = obs::gauge("test.concurrent_gauge");
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([t] {
+    workers.emplace_back([t, &gauge] {
       for (int i = 0; i < kPerThread; ++i) {
         obs::diag_event(obs::DiagReason::kSimdBailoutGuardTrip,
                         static_cast<double>(t));
-        obs::diag_gauge_max(obs::HealthGauge::kMaxEigenbasisCondition,
-                            static_cast<double>(i));
+        gauge.raise(static_cast<double>(i));
       }
     });
   }
@@ -126,41 +106,89 @@ TEST(DiagEvents, ConcurrentEmissionKeepsTalliesExact) {
   EXPECT_EQ(s.tally[static_cast<std::size_t>(
                 obs::DiagReason::kSimdBailoutGuardTrip)],
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_GT(s.dropped, 0u);  // 10000 events > 1024-slot rings
-  EXPECT_EQ(s.dropped, obs::diag_dropped());
-  EXPECT_FALSE(s.events.empty());
-  EXPECT_DOUBLE_EQ(s.gauge[static_cast<std::size_t>(
-                       obs::HealthGauge::kMaxEigenbasisCondition)],
-                   static_cast<double>(kPerThread - 1));
-  obs::diag_reset();
-  EXPECT_EQ(obs::diag_snapshot().total(), 0u);
-  EXPECT_EQ(obs::diag_dropped(), 0u);
+  // 10000 events per thread against 1024-slot rings.
+  EXPECT_EQ(s.dropped,
+            static_cast<std::uint64_t>(kThreads) * (kPerThread - 1024));
+  EXPECT_EQ(s.events.size(), static_cast<std::size_t>(kThreads) * 1024);
+  EXPECT_DOUBLE_EQ(gauge.value(), static_cast<double>(kPerThread - 1));
+  obs::reset_counters();
+  const obs::DiagSnapshot cleared = obs::diag_snapshot();
+  EXPECT_EQ(cleared.total(), 0u);
+  EXPECT_EQ(cleared.dropped, 0u);
+  EXPECT_TRUE(cleared.events.empty());
+  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
+}
+
+TEST(DiagEvents, WrappedRingKeepsTheNewestEvents) {
+  // One thread's ring holds its last 1024 events, oldest first; the
+  // older ones count as dropped while the tally counts them all.
+  ScopedObs on(true);
+  obs::reset_counters();
+  constexpr int kEvents = 1024 + 10;
+  std::thread writer([] {
+    for (int i = 0; i < kEvents; ++i) {
+      obs::diag_event(obs::DiagReason::kPoleSearchDiverged,
+                      static_cast<double>(i));
+    }
+  });
+  writer.join();
+  const obs::DiagSnapshot s = obs::diag_snapshot();
+  EXPECT_EQ(s.tally[static_cast<std::size_t>(
+                obs::DiagReason::kPoleSearchDiverged)],
+            static_cast<std::uint64_t>(kEvents));
+  EXPECT_EQ(s.dropped, 10u);
+  ASSERT_EQ(s.events.size(), 1024u);
+  for (std::size_t k = 0; k < s.events.size(); ++k) {
+    EXPECT_EQ(s.events[k].reason, obs::DiagReason::kPoleSearchDiverged);
+    EXPECT_EQ(s.events[k].payload, static_cast<double>(k + 10)) << k;
+  }
+}
+
+TEST(DiagEvents, TalliesAreTheReasonsRegistryCounters) {
+  // Every reason's tally is the registry counter named by the reason,
+  // so snapshot() and diag_snapshot() read the same count.
+  ScopedObs on(true);
+  obs::reset_counters();
+  for (std::size_t r = 0; r < obs::kDiagReasonCount; ++r) {
+    for (std::size_t k = 0; k <= r; ++k) {
+      obs::diag_event(static_cast<obs::DiagReason>(r), 1.0);
+    }
+  }
+  const obs::DiagSnapshot d = obs::diag_snapshot();
+  const obs::MetricsSnapshot m = obs::snapshot();
+  for (std::size_t r = 0; r < obs::kDiagReasonCount; ++r) {
+    const char* name = obs::diag_reason_name(static_cast<obs::DiagReason>(r));
+    EXPECT_EQ(d.tally[r], r + 1) << name;
+    EXPECT_EQ(m.counter_value(name), d.tally[r]) << name;
+    EXPECT_EQ(obs::counter(name).value(), d.tally[r]) << name;
+  }
 }
 
 TEST(DiagGauges, MaxIsMonotonicAndIgnoresNan) {
-  ScopedDiagObs on(true);
-  obs::diag_reset();
-  const auto g = obs::HealthGauge::kMaxEigenpairResidual;
-  obs::diag_gauge_max(g, 1e-13);
-  obs::diag_gauge_max(g, 1e-15);  // lower: must not regress
-  obs::diag_gauge_max(g, std::numeric_limits<double>::quiet_NaN());
+  ScopedObs on(true);
+  obs::reset_counters();
+  obs::Gauge& g = obs::gauge("timedomain.max_eigenpair_residual");
+  g.raise(1e-13);
+  g.raise(1e-15);  // lower: must not regress
+  g.raise(std::numeric_limits<double>::quiet_NaN());
   EXPECT_DOUBLE_EQ(
-      obs::diag_snapshot().gauge[static_cast<std::size_t>(g)], 1e-13);
-  obs::diag_gauge_max(g, std::numeric_limits<double>::infinity());
+      obs::snapshot().gauge_value("timedomain.max_eigenpair_residual"),
+      1e-13);
+  g.raise(std::numeric_limits<double>::infinity());
   EXPECT_TRUE(std::isinf(
-      obs::diag_snapshot().gauge[static_cast<std::size_t>(g)]));
+      obs::snapshot().gauge_value("timedomain.max_eigenpair_residual")));
 }
 
 TEST(DiagGauges, ResetCountersAlsoResetsDiagnostics) {
-  ScopedDiagObs on(true);
+  ScopedObs on(true);
   obs::diag_event(obs::DiagReason::kHtmTruncationSaturated, 64.0);
-  obs::diag_gauge_max(obs::HealthGauge::kMaxEigenpairResidual, 1.0);
+  obs::gauge("timedomain.max_eigenpair_residual").raise(1.0);
   obs::reset_counters();
   const obs::DiagSnapshot s = obs::diag_snapshot();
   EXPECT_EQ(s.total(), 0u);
-  EXPECT_DOUBLE_EQ(s.gauge[static_cast<std::size_t>(
-                       obs::HealthGauge::kMaxEigenpairResidual)],
-                   0.0);
+  EXPECT_TRUE(s.events.empty());
+  EXPECT_DOUBLE_EQ(
+      obs::snapshot().gauge_value("timedomain.max_eigenpair_residual"), 0.0);
 }
 
 TEST(SpanStats, PercentilesUseNearestRank) {
@@ -232,8 +260,8 @@ TEST(SpanStats, EmptyTraceAggregatesToNothing) {
 }
 
 TEST(DiagSpectral, DefectiveMatrixEmitsTaggedPadeFallback) {
-  ScopedDiagObs on(true);
-  obs::diag_reset();
+  ScopedObs on(true);
+  obs::reset_counters();
   // Phase-augmented system whose filter block is an exact 2x2 Jordan
   // block: a defective double eigenvalue at 0 in the factored block.
   const RMatrix a{{0.0, 1.0, 0.0}, {0.0, 0.0, 0.0}, {1.0, 0.0, 0.0}};
@@ -260,7 +288,7 @@ TEST(DiagSpectral, DefectiveMatrixEmitsTaggedPadeFallback) {
 }
 
 TEST(DiagSpectral, NearRepeatedRootsEmitFallbackTaggedByCondition) {
-  ScopedDiagObs on(true);
+  ScopedObs on(true);
   // Companion block of s (s + delta): the unit Vandermonde columns of the
   // modes 0 and -delta are nearly parallel, kappa_inf(V) ~ 2 / delta.
   // Above kMaxCondition the factory rejects the basis as ill
@@ -276,7 +304,7 @@ TEST(DiagSpectral, NearRepeatedRootsEmitFallbackTaggedByCondition) {
              DiagReason::kPadeFallbackDefective},
         Case{1e-15, DiagReason::kPadeFallbackDefective,
              DiagReason::kPadeFallbackIllConditioned}}) {
-    obs::diag_reset();
+    obs::reset_counters();
     const RMatrix a{{0.0, 1.0, 0.0}, {0.0, -c.delta, 0.0}, {1.0, 0.0, 0.0}};
     const RMatrix b{{0.0}, {1.0}, {0.0}};
     PropagatorFactory factory(a, b, true);
@@ -299,8 +327,8 @@ TEST(DiagSpectral, NearRepeatedRootsEmitFallbackTaggedByCondition) {
 }
 
 TEST(DiagSpectral, HealthyFactorizationRaisesConditionGauge) {
-  ScopedDiagObs on(true);
-  obs::diag_reset();
+  ScopedObs on(true);
+  obs::reset_counters();
   // Phase-augmented system with a well-conditioned companion filter
   // block: s^2 + 0.8 s + 1.15, modes -0.4 +- 0.995j.
   const RMatrix a{{0.0, 1.0, 0.0}, {-1.15, -0.8, 0.0}, {1.0, 1.0, 0.0}};
@@ -312,14 +340,13 @@ TEST(DiagSpectral, HealthyFactorizationRaisesConditionGauge) {
   EXPECT_EQ(s.tally[static_cast<std::size_t>(
                 obs::DiagReason::kPadeFallbackDefective)],
             0u);
-  const double cond = s.gauge[static_cast<std::size_t>(
-      obs::HealthGauge::kMaxEigenbasisCondition)];
+  const obs::MetricsSnapshot m = obs::snapshot();
+  const double cond = m.gauge_value("timedomain.max_eigenbasis_condition");
   EXPECT_GE(cond, 1.0);
   EXPECT_DOUBLE_EQ(cond, factory.vector_condition());
   // The Vandermonde columns (1, lambda) are eigenvectors up to the
   // rounding of the roots, which the residual gauge records.
-  const double residual = s.gauge[static_cast<std::size_t>(
-      obs::HealthGauge::kMaxEigenpairResidual)];
+  const double residual = m.gauge_value("timedomain.max_eigenpair_residual");
   EXPECT_GT(residual, 0.0);
   EXPECT_LT(residual, 1e-15);
 }
@@ -338,17 +365,6 @@ TEST(TraceCap, ParsesClampsAndRejectsGarbage) {
   EXPECT_GE(obs::trace_capacity(), 64u);
 }
 
-TEST(CacheStats, RatiosAreZeroGuarded) {
-  PropagatorCacheStats stats;
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.0);  // no lookups: no division
-  EXPECT_DOUBLE_EQ(stats.miss_rate(), 0.0);
-  stats.lookups = 10;
-  stats.misses = 2;
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.8);
-  EXPECT_DOUBLE_EQ(stats.miss_rate(), 0.2);
-  EXPECT_EQ(stats.hits(), 8u);
-}
-
 TEST(DiagIdentity, InstrumentationDoesNotChangeGridResults) {
   const double w0 = 2.0 * std::numbers::pi;
   const SamplingPllModel model(make_typical_loop(0.1 * w0, w0));
@@ -356,12 +372,12 @@ TEST(DiagIdentity, InstrumentationDoesNotChangeGridResults) {
 
   CVector off_result;
   {
-    ScopedDiagObs off(false);
+    ScopedObs off(false);
     off_result = model.baseband_transfer_grid(s);
   }
   CVector on_result;
   {
-    ScopedDiagObs on(true);
+    ScopedObs on(true);
     on_result = model.baseband_transfer_grid(s);
   }
   ASSERT_EQ(off_result.size(), on_result.size());
@@ -377,12 +393,12 @@ TEST(DiagIdentity, InstrumentationDoesNotChangeGridResults) {
   const std::vector<double> w = logspace(1e-3 * w0, 0.49 * w0, 256);
   std::vector<double> psd_off;
   {
-    ScopedDiagObs off(false);
+    ScopedObs off(false);
     psd_off = na.output_psd_grid(w, s_ref, s_vco, s_icp);
   }
   std::vector<double> psd_on;
   {
-    ScopedDiagObs on(true);
+    ScopedObs on(true);
     psd_on = na.output_psd_grid(w, s_ref, s_vco, s_icp);
   }
   ASSERT_EQ(psd_off.size(), psd_on.size());

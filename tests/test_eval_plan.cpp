@@ -355,7 +355,7 @@ TEST(EvalPlan, PlaneQuotientFallbackLanesAreObservable) {
   // starts above 2e-3 w0, below which the pole-sum kernel's own
   // small-|u| guards trip.)
   obs::enable();
-  obs::diag_reset();
+  obs::reset_counters();
   const double w0 = 2.0 * std::numbers::pi;
   const SamplingPllModel model(make_second_order_loop(0.1 * w0, w0));
   (void)model.closed_loop_grid(

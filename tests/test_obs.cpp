@@ -11,10 +11,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numbers>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "htmpll/obs/metrics.hpp"
@@ -23,16 +26,12 @@
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
 #include "htmpll/timedomain/pll_sim.hpp"
+#include "htmpll/timedomain/spectral.hpp"
+
+#include "obs_scope.hpp"
 
 namespace htmpll {
 namespace {
-
-/// Enables obs for one test and restores the prior state after.
-struct ScopedObs {
-  bool was_enabled = obs::enabled();
-  explicit ScopedObs(bool on) { on ? obs::enable() : obs::disable(); }
-  ~ScopedObs() { was_enabled ? obs::enable() : obs::disable(); }
-};
 
 TEST(ObsMetrics, CounterCountsOnlyWhileEnabled) {
   obs::Counter& c = obs::counter("test.gating_counter");
@@ -59,12 +58,25 @@ TEST(ObsMetrics, RegistryReturnsStableReferences) {
   EXPECT_THROW(obs::gauge("test.stable"), std::logic_error);
 }
 
-TEST(ObsMetrics, GaugeRecordsWhileDisabled) {
-  // Gauges hold configuration facts; they must survive obs being
-  // enabled only after the fact (like the pool width at first use).
-  ScopedObs off(false);
-  obs::gauge("test.config_gauge").set(17.5);
-  EXPECT_DOUBLE_EQ(obs::gauge("test.config_gauge").value(), 17.5);
+TEST(ObsMetrics, GaugeRaisesOnlyWhileEnabled) {
+  // A gauge keeps the worst value of a health measure seen while obs
+  // records; with obs off, raise() stores nothing.
+  obs::Gauge& g = obs::gauge("test.gated_gauge");
+  {
+    ScopedObs off(false);
+    g.raise(17.5);
+    EXPECT_DOUBLE_EQ(g.value(), 0.0);
+  }
+  ScopedObs on(true);
+  g.raise(17.5);
+  g.raise(3.0);  // lower: the maximum stays
+  g.raise(std::numeric_limits<double>::quiet_NaN());  // ignored
+  EXPECT_DOUBLE_EQ(g.value(), 17.5);
+  {
+    ScopedObs off(false);
+    g.raise(40.0);
+  }
+  EXPECT_DOUBLE_EQ(g.value(), 17.5);
 }
 
 TEST(ObsMetrics, CountsAreExactUnderThePool) {
@@ -80,7 +92,7 @@ TEST(ObsMetrics, CountsAreExactUnderThePool) {
 TEST(ObsMetrics, SnapshotFindsEveryKind) {
   ScopedObs on(true);
   obs::counter("test.snap_counter").add(5);
-  obs::gauge("test.snap_gauge").set(2.5);
+  obs::gauge("test.snap_gauge").raise(2.5);
   const obs::MetricsSnapshot snap = obs::snapshot();
   ASSERT_NE(snap.find("test.snap_counter"), nullptr);
   EXPECT_EQ(snap.find("test.snap_counter")->kind, obs::MetricKind::kCounter);
@@ -96,23 +108,42 @@ TEST(ObsMetrics, SnapshotFindsEveryKind) {
   }
 }
 
-TEST(ObsMetrics, ResetCountersKeepsGauges) {
+TEST(ObsMetrics, ResetCountersZeroesGauges) {
+  // reset_counters() opens a new window for every number obs keeps, so
+  // a gauge read after it holds the worst value of that window only.
   ScopedObs on(true);
   obs::counter("test.reset_counter").add(3);
-  obs::gauge("test.reset_gauge").set(11.0);
+  obs::gauge("test.reset_gauge").raise(11.0);
   obs::reset_counters();
   EXPECT_EQ(obs::counter("test.reset_counter").value(), 0u);
-  EXPECT_DOUBLE_EQ(obs::gauge("test.reset_gauge").value(), 11.0);
+  EXPECT_DOUBLE_EQ(obs::gauge("test.reset_gauge").value(), 0.0);
+  obs::gauge("test.reset_gauge").raise(2.0);
+  EXPECT_DOUBLE_EQ(obs::gauge("test.reset_gauge").value(), 2.0);
 }
 
-TEST(ObsMetrics, PoolWidthGaugeMatchesGlobalPool) {
-  const double width = obs::gauge("parallel.pool_width").value();
-  // The gauge is set when the global pool is first created; touch it to
-  // make sure that has happened.
-  ThreadPool::global().parallel_for(1, [](std::size_t) {});
-  EXPECT_DOUBLE_EQ(obs::gauge("parallel.pool_width").value(),
-                   static_cast<double>(ThreadPool::global().threads()));
-  (void)width;
+TEST(ObsMetrics, HealthGaugesAreTheOnlyLibraryGauges) {
+  // Every gauge the library registers is a health gauge; the pool width
+  // is read from ThreadPool::threads(), not from a gauge.
+  ScopedObs on(true);
+  ThreadPool::global().parallel_for(4, [](std::size_t) {});
+  const RMatrix a{{0.0, 1.0, 0.0}, {-1.15, -0.8, 0.0}, {1.0, 1.0, 0.0}};
+  const RMatrix b{{0.0}, {1.0}, {0.0}};
+  const PropagatorFactory factory(a, b);
+  ASSERT_TRUE(factory.is_spectral());
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  const std::set<std::string> health{"timedomain.max_eigenbasis_condition",
+                                     "timedomain.max_eigenpair_residual"};
+  std::set<std::string> seen;
+  for (const obs::MetricSample& m : snap.samples) {
+    if (m.kind != obs::MetricKind::kGauge || m.name.rfind("test.", 0) == 0) {
+      continue;
+    }
+    EXPECT_EQ(health.count(m.name), 1u) << m.name;
+    seen.insert(m.name);
+  }
+  EXPECT_EQ(seen, health);
+  EXPECT_EQ(snap.find("parallel.pool_width"), nullptr);
+  EXPECT_GE(snap.gauge_value("timedomain.max_eigenbasis_condition"), 1.0);
 }
 
 TEST(ObsTrace, SpansNestAndOrder) {
@@ -181,6 +212,29 @@ TEST(ObsTrace, SpansFromPoolWorkersAreCollected) {
     if (std::string(e.name) == "test.worker_span") ++seen;
   }
   EXPECT_EQ(seen, n);
+  EXPECT_EQ(obs::trace_dropped(), 0u);
+}
+
+TEST(ObsTrace, WrappedRingCountsDroppedSpans) {
+  // A thread that records more spans than its ring holds keeps the
+  // newest trace_capacity() of them and counts the rest as dropped.
+  ScopedObs on(true);
+  obs::clear_trace();
+  const std::size_t cap = obs::trace_capacity();
+  const std::size_t extra = 37;
+  std::thread writer([&] {
+    for (std::size_t i = 0; i < cap + extra; ++i) {
+      HTMPLL_TRACE_SPAN("test.wrapping_span");
+    }
+  });
+  writer.join();
+  EXPECT_EQ(obs::trace_dropped(), extra);
+  std::size_t kept = 0;
+  for (const obs::TraceEventView& e : obs::collect_trace()) {
+    if (std::string(e.name) == "test.wrapping_span") ++kept;
+  }
+  EXPECT_EQ(kept, cap);
+  obs::clear_trace();
   EXPECT_EQ(obs::trace_dropped(), 0u);
 }
 
@@ -278,9 +332,6 @@ TEST(ObsIntegration, SimulationFeedsTheCountersWithoutChangingResults) {
   EXPECT_EQ(pfd.value() - pfd0, sim.event_count());
   EXPECT_GE(lookups.value(), lk0 + sim.event_count());
   EXPECT_GE(lookups.value(), misses.value());
-  // The per-integrator view and the global counters tell one story.
-  const PropagatorCacheStats& st = sim.propagator_cache_stats();
-  EXPECT_EQ(st.hits(), st.lookups - st.misses);
 }
 
 }  // namespace

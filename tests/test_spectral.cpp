@@ -511,15 +511,14 @@ TEST(SpectralPropagator, EigenpairResidualStaysAtRoundingLevel) {
     const std::size_t n = 2 + static_cast<std::size_t>(trial % 5);
     RMatrix a, b;
     random_augmented(rng, n, a, b);
-    obs::diag_reset();
+    obs::reset_counters();
     const PropagatorFactory f(a, b);
     const double residual =
-        obs::diag_snapshot().gauge[static_cast<std::size_t>(
-            obs::HealthGauge::kMaxEigenpairResidual)];
+        obs::gauge("timedomain.max_eigenpair_residual").value();
     EXPECT_LT(residual, 1e-14) << "trial " << trial << " n " << n;
     worst = std::max(worst, residual);
   }
-  obs::diag_reset();
+  obs::reset_counters();
   if (!was) obs::disable();
   EXPECT_GT(worst, 0.0);  // the gauge was recorded
 }
@@ -592,7 +591,7 @@ TEST(SpectralPropagator, EveryLibraryLoopFamilyIsModal) {
   };
   const bool was = obs::enabled();
   obs::enable();
-  obs::diag_reset();
+  obs::reset_counters();
   int loops = 0;
   for (double f0 : {1.0, 1e6, 2e9, 1e12}) {
     const double w0 = 2.0 * std::numbers::pi * f0;
