@@ -49,16 +49,16 @@ int main(int argc, char** argv) {
   // Stability boundary (half-rate criterion) vs delay.
   std::cout << "\nstability boundary w_UG/w0 vs tau/T:\n";
   for (double tau_frac : {0.0, 0.05, 0.1, 0.2}) {
-    double lo = 0.05, hi = 0.5;
-    for (int it = 0; it < 40; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      const SamplingPllModel model(
-          make_typical_loop(mid * w0, w0), HarmonicCoefficients(cplx{1.0}),
-          {}, pade_delay(tau_frac * t_ref, 3));
-      (half_rate_lambda(model) > -1.0 ? lo : hi) = mid;
-    }
+    const StabilityBracket b = bisect_stability_boundary(
+        [&](double r) {
+          const SamplingPllModel model(
+              make_typical_loop(r * w0, w0), HarmonicCoefficients(cplx{1.0}),
+              {}, pade_delay(tau_frac * t_ref, 3));
+          return half_rate_lambda(model) > -1.0;
+        },
+        0.05, 0.5, 40);
     std::cout << "  tau/T = " << tau_frac << "  ->  boundary "
-              << 0.5 * (lo + hi) << "\n";
+              << b.midpoint() << "\n";
   }
 
   if (argc > 1) {

@@ -44,9 +44,8 @@ int main(int argc, char** argv) {
   opts.measure_periods = 20;
   const std::vector<TransferMeasurement> meas =
       parallel_map<TransferMeasurement>(ripples.size(), [&](std::size_t k) {
-        return measure_baseband_transfer_lptv(
-            params, IsfWaveform(isf_of(ripples[k]), params.kvco, params.w0),
-            wm, opts);
+        return measure_baseband_transfer_lptv(params, isf_of(ripples[k]), wm,
+                                              opts);
       });
 
   Table t({"c1", "|H00| sim", "|H00| LPTV model", "|H00| TI model",

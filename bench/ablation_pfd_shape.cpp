@@ -52,12 +52,12 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   auto boundary = [&](PfdShape shape) {
-    double lo = 0.05, hi = 0.6;
-    for (int it = 0; it < 40; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      (half_rate_lambda(model(mid, shape)) > -1.0 ? lo : hi) = mid;
-    }
-    return 0.5 * (lo + hi);
+    return bisect_stability_boundary(
+               [&](double r) {
+                 return half_rate_lambda(model(r, shape)) > -1.0;
+               },
+               0.05, 0.6, 40)
+        .midpoint();
   };
   std::cout << "\nstability boundary: impulse "
             << boundary(PfdShape::kImpulse) << ", ZOH "

@@ -65,15 +65,15 @@ int main(int argc, char** argv) {
   t2.print(std::cout);
 
   // Boundary via z-domain pole bisection.
-  double lo = 0.2, hi = 0.5;
-  for (int it = 0; it < 40; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    const ImpulseInvariantModel zm(
-        make_typical_loop(mid * w0, w0).open_loop_gain(), w0);
-    (zm.is_stable() ? lo : hi) = mid;
-  }
-  std::cout << "\nz-domain stability boundary: w_UG/w0 = " << 0.5 * (lo + hi)
-            << "\n";
+  const StabilityBracket boundary = bisect_stability_boundary(
+      [w0](double r) {
+        return ImpulseInvariantModel(
+                   make_typical_loop(r * w0, w0).open_loop_gain(), w0)
+            .is_stable();
+      },
+      0.2, 0.5, 40);
+  std::cout << "\nz-domain stability boundary: w_UG/w0 = "
+            << boundary.midpoint() << "\n";
 
   std::cout << "\n3) what the z-model cannot express: continuous-time "
                "baseband response and inter-band transfers.\n"

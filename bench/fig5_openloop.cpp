@@ -11,6 +11,7 @@
 #include <iostream>
 #include <numbers>
 
+#include "htmpll/core/stability.hpp"
 #include "htmpll/lti/bode.hpp"
 #include "htmpll/lti/loop_filter.hpp"
 #include "htmpll/util/table.hpp"
@@ -38,10 +39,10 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  const auto cross = find_gain_crossover(resp, 1e-3 * w_ug, 1e3 * w_ug);
-  std::cout << "\nunity-gain crossover: w/w_UG = "
-            << cross->frequency / w_ug
-            << ",  classical phase margin = " << cross->phase_margin_deg
+  // The crossover solver Fig. 7 uses, on A alone.
+  const EffectiveMargins m = effective_margins(SamplingPllModel(params));
+  std::cout << "\nunity-gain crossover: w/w_UG = " << m.lti_crossover / w_ug
+            << ",  classical phase margin = " << m.lti_phase_margin_deg
             << " deg (analytic " << typical_loop_lti_phase_margin_deg()
             << " deg)\n";
 

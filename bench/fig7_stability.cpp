@@ -67,18 +67,14 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   // Locate the stability boundary: bisection on lambda(j w0/2) = -1.
-  double lo = 0.2, hi = 0.5;
-  for (int it = 0; it < 50; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    const SamplingPllModel model(make_typical_loop(mid * w0, w0));
-    if (half_rate_lambda(model) > -1.0) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
+  const StabilityBracket boundary = bisect_stability_boundary(
+      [w0](double r) {
+        return half_rate_lambda(
+                   SamplingPllModel(make_typical_loop(r * w0, w0))) > -1.0;
+      },
+      0.2, 0.5, 50);
   std::cout << "\nsampled-loop stability boundary (lambda(j w0/2) = -1): "
-            << "w_UG/w0 = " << 0.5 * (lo + hi)
+            << "w_UG/w0 = " << boundary.midpoint()
             << "   [LTI analysis predicts stability for ALL ratios]\n";
 
   if (argc > 1) {

@@ -22,9 +22,10 @@
 # The base tree is extracted with git archive, so nothing is registered
 # in the repository.  Sources, builds and outputs live in one temporary
 # directory under ${TMPDIR:-/tmp}, removed on exit.  The script prints
-# one line per difference and exits 1 if there is any or if a program
-# failed on both sides, 0 if every output is byte-identical, and 2 on a
-# usage or build error.
+# one line per difference (a differing CSV, console or standard output
+# is followed by the first 20 lines of its diff from base to head) and
+# exits 1 if there is any or if a program failed on both sides, 0 if
+# every output is byte-identical, and 2 on a usage or build error.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -167,7 +168,10 @@ for f in "$work/head/out"/* "$work/base/out"/*; do
       *.counts) paste -d ' ' "$work/base/out/$name" "$work/head/out/$name" |
                   awk -v f="$name" '$2 != $4 {
                     print "DIFFERS: " f ": " $1 ": " $2 " -> " $4 }' ;;
-      *) echo "DIFFERS: $name" ;;
+      *) echo "DIFFERS: $name"
+         # The first lines of the change itself, base (<) to head (>).
+         diff "$work/base/out/$name" "$work/head/out/$name" |
+           head -n 20 | sed 's/^/    /' || true ;;
     esac
     differences=$((differences + 1))
   elif grep -q -e '^exit status ' -e '^perfbench exited with status ' "$f"

@@ -192,7 +192,30 @@ double half_rate_lambda(const SamplingPllModel& model) {
 }
 
 bool predicts_half_rate_instability(const SamplingPllModel& model) {
-  return half_rate_lambda(model) <= -1.0;
+  return !(half_rate_lambda(model) > -1.0);
+}
+
+StabilityBracket bisect_stability_boundary(
+    const std::function<bool(double)>& stable_at, double lo, double hi,
+    int iterations) {
+  HTMPLL_REQUIRE(static_cast<bool>(stable_at),
+                 "boundary search needs a stability predicate");
+  HTMPLL_REQUIRE(std::isfinite(lo) && std::isfinite(hi) && lo > 0.0 &&
+                     hi > lo,
+                 "boundary search range is empty");
+  HTMPLL_REQUIRE(iterations >= 1, "boundary search needs a step");
+  HTMPLL_REQUIRE(stable_at(lo),
+                 "boundary search range: the loop at its low end is "
+                 "unstable");
+  HTMPLL_REQUIRE(!stable_at(hi),
+                 "boundary search range: the loop at its high end is "
+                 "stable");
+  StabilityBracket b{lo, hi};
+  for (int it = 0; it < iterations; ++it) {
+    const double mid = b.midpoint();
+    (stable_at(mid) ? b.stable : b.unstable) = mid;
+  }
+  return b;
 }
 
 }  // namespace htmpll

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 
 #include "htmpll/core/sampling_pll.hpp"
 
@@ -55,7 +56,29 @@ ClosedLoopSummary closed_loop_summary(const SamplingPllModel& model,
 /// -1 (the time-varying analogue of Gardner's stability limit).
 double half_rate_lambda(const SamplingPllModel& model);
 
-/// True when the half-rate criterion alone already predicts instability.
+/// True when the half-rate criterion alone already predicts instability:
+/// the negation of half_rate_lambda(model) > -1, so a NaN lambda reads
+/// unstable.
 bool predicts_half_rate_instability(const SamplingPllModel& model);
+
+/// Bracket of a stability boundary in w_UG/w0: the loop is stable at
+/// `stable` and unstable at `unstable`.
+struct StabilityBracket {
+  double stable = 0.0;
+  double unstable = 0.0;
+
+  double midpoint() const { return 0.5 * (stable + unstable); }
+};
+
+/// The one stability-boundary search: `iterations` bisection steps of
+/// the predicate `stable_at` on the ratio w_UG/w0 over [lo, hi].  Each
+/// midpoint replaces the stable end when stable_at(mid) holds and the
+/// unstable end otherwise.  Requires a non-empty predicate, finite
+/// 0 < lo < hi, iterations >= 1, and a range that brackets a boundary:
+/// stable_at(lo) true and stable_at(hi) false (std::invalid_argument
+/// otherwise), so an end of the range is never reported as a boundary.
+StabilityBracket bisect_stability_boundary(
+    const std::function<bool(double)>& stable_at, double lo, double hi,
+    int iterations);
 
 }  // namespace htmpll

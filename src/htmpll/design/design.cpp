@@ -209,40 +209,24 @@ double golden_min(F f, double lo, double hi, int iterations = 60) {
 
 }  // namespace
 
-HalfRateBracket bisect_half_rate_boundary(LoopBuilder make, double w0,
-                                          double gamma, double ratio_lo,
-                                          double ratio_hi, int iterations) {
-  HTMPLL_REQUIRE(make != nullptr, "loop builder must be provided");
-  HTMPLL_REQUIRE(ratio_lo > 0.0 && ratio_hi > ratio_lo,
-                 "boundary search range is empty");
-  HalfRateBracket b{ratio_lo, ratio_hi};
-  for (int it = 0; it < iterations; ++it) {
-    const double mid = 0.5 * (b.stable + b.unstable);
-    const SamplingPllModel m(make(mid * w0, w0, gamma));
-    (half_rate_lambda(m) > -1.0 ? b.stable : b.unstable) = mid;
-  }
-  return b;
-}
-
 JitterOptimizationResult optimize_bandwidth_for_jitter(
     const JitterOptimizationSpec& spec) {
   HTMPLL_REQUIRE(spec.ratio_min > 0.0 && spec.ratio_max > spec.ratio_min,
                  "bandwidth search range is empty");
   const JitterQuadrature q(spec);
-  const auto unstable = [&](double ratio) {
-    return predicts_half_rate_instability(SamplingPllModel(
-        make_typical_loop(ratio * spec.w0, spec.w0, spec.gamma)));
+  const auto stable = [&](double ratio) {
+    return half_rate_lambda(SamplingPllModel(make_typical_loop(
+               ratio * spec.w0, spec.w0, spec.gamma))) > -1.0;
   };
-  HTMPLL_REQUIRE(!unstable(spec.ratio_min),
+  HTMPLL_REQUIRE(stable(spec.ratio_min),
                  "the loop at ratio_min is already half-rate unstable");
   // Golden-section search cannot cross the +inf rms of unstable loops
   // (two +inf probes send it right), so the TV search stops at the
   // half-rate boundary.
   double tv_ratio_max = spec.ratio_max;
-  if (unstable(spec.ratio_max)) {
-    tv_ratio_max = bisect_half_rate_boundary(make_typical_loop, spec.w0,
-                                             spec.gamma, spec.ratio_min,
-                                             spec.ratio_max)
+  if (!stable(spec.ratio_max)) {
+    tv_ratio_max = bisect_stability_boundary(stable, spec.ratio_min,
+                                             spec.ratio_max, 45)
                        .stable;
   }
   const double lo = spec.ratio_min * spec.w0;

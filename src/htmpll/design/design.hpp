@@ -74,25 +74,6 @@ struct AwareDesignOptions {
 DesignResult design_time_varying_aware(const DesignSpec& spec,
                                        const AwareDesignOptions& opts = {});
 
-/// A loop-family builder with the make_typical_loop /
-/// make_second_order_loop signature.
-using LoopBuilder = PllParameters (*)(double w_ug, double w0, double gamma);
-
-/// Bracket of the half-rate stability boundary lambda(j w0/2) = -1 of
-/// one loop family at one gamma, in w_UG/w0: `iterations` bisection
-/// steps on [ratio_lo, ratio_hi].  Each midpoint replaces `stable` when
-/// its loop has lambda(j w0/2) > -1 and `unstable` otherwise, so an end
-/// no midpoint lands on keeps its input value.
-struct HalfRateBracket {
-  double stable = 0.0;
-  double unstable = 0.0;
-};
-
-HalfRateBracket bisect_half_rate_boundary(LoopBuilder make, double w0,
-                                          double gamma, double ratio_lo,
-                                          double ratio_hi,
-                                          int iterations = 45);
-
 // ---- jitter-optimal bandwidth selection -------------------------------
 
 /// The default spec has no noise: at least one of s_ref and s_vco must
@@ -125,7 +106,7 @@ struct JitterOptimizationResult {
 /// bandwidth choice costs in real output jitter.
 ///
 /// The TV search runs on the half-rate-stable part of [ratio_min,
-/// ratio_max] (bisect_half_rate_boundary when the loop at ratio_max is
+/// ratio_max] (bisect_stability_boundary when the loop at ratio_max is
 /// unstable) and throws if the loop at ratio_min is already unstable.
 /// The LTI search, blind to sampling, keeps the whole range: when it
 /// picks an unstable loop, rms_at_lti_pick and penalty read +inf.

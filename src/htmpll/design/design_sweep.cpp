@@ -1,5 +1,7 @@
 #include "htmpll/design/design_sweep.hpp"
 
+#include <functional>
+
 #include "htmpll/core/stability.hpp"
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/parallel/sweep.hpp"
@@ -59,22 +61,33 @@ DesignSpaceMap design_space_map(const DesignSpec& base,
 }
 
 StabilityBoundary max_stable_crossover_ratio(LoopBuilder make, double w0,
-                                             double gamma, double ratio_lo,
-                                             double ratio_hi,
-                                             int iterations) {
-  const HalfRateBracket b =
-      bisect_half_rate_boundary(make, w0, gamma, ratio_lo, ratio_hi,
-                                iterations);
+                                             double gamma) {
+  HTMPLL_REQUIRE(make != nullptr, "loop builder must be provided");
+  // The search starts on [0.02, 0.9] and doubles its high end while the
+  // loop there is still stable (the second-order loop at gamma 8 and
+  // 12); the cap stops a loop that never goes unstable.
+  constexpr double kRatioLo = 0.02;
+  constexpr double kRatioHi = 0.9;
+  constexpr double kRatioCap = 8.0;
+  constexpr int kIterations = 45;
+  const auto boundary = [](const std::function<bool(double)>& stable_at) {
+    double hi = kRatioHi;
+    while (stable_at(hi)) {
+      hi *= 2.0;
+      HTMPLL_REQUIRE(hi <= kRatioCap,
+                     "no stability boundary below w_UG/w0 = 8");
+    }
+    return bisect_stability_boundary(stable_at, kRatioLo, hi, kIterations)
+        .midpoint();
+  };
   StabilityBoundary out;
-  out.lambda_ratio = 0.5 * (b.stable + b.unstable);
-  double lo = ratio_lo, hi = ratio_hi;
-  for (int it = 0; it < iterations; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    const ImpulseInvariantModel zm(make(mid * w0, w0, gamma).open_loop_gain(),
-                                   w0);
-    (zm.is_stable() ? lo : hi) = mid;
-  }
-  out.zdomain_ratio = 0.5 * (lo + hi);
+  out.lambda_ratio = boundary([&](double r) {
+    return half_rate_lambda(SamplingPllModel(make(r * w0, w0, gamma))) > -1.0;
+  });
+  out.zdomain_ratio = boundary([&](double r) {
+    return ImpulseInvariantModel(make(r * w0, w0, gamma).open_loop_gain(), w0)
+        .is_stable();
+  });
   return out;
 }
 

@@ -59,21 +59,24 @@ DesignSpaceMap design_space_map(const DesignSpec& base,
                                 const std::vector<double>& gammas,
                                 const DesignSweepOptions& opts = {});
 
+/// A loop-family builder with the make_typical_loop /
+/// make_second_order_loop signature.
+using LoopBuilder = PllParameters (*)(double w_ug, double w0, double gamma);
+
 /// Maximum stable w_UG/w0 for one loop family at one gamma, per the
-/// half-rate criterion lambda(j w0/2) = -1 (the midpoint of
-/// bisect_half_rate_boundary's bracket) and per the z-domain
+/// half-rate criterion lambda(j w0/2) = -1 and per the z-domain
 /// closed-loop poles (the two agree to bisection accuracy -- same
-/// object via Poisson summation).
+/// object via Poisson summation).  Each is the midpoint of a 45-step
+/// bisect_stability_boundary bracket over [0.02, hi]: hi starts at 0.9
+/// and doubles while the loop there is still stable, up to 7.2
+/// (std::invalid_argument beyond).
 struct StabilityBoundary {
   double lambda_ratio = 0.0;   ///< half-rate criterion boundary
   double zdomain_ratio = 0.0;  ///< z-domain pole-radius boundary
 };
 
 StabilityBoundary max_stable_crossover_ratio(LoopBuilder make, double w0,
-                                             double gamma,
-                                             double ratio_lo = 0.02,
-                                             double ratio_hi = 0.9,
-                                             int iterations = 45);
+                                             double gamma);
 
 /// Gardner-chart row: boundaries of the classic second-order loop and
 /// the paper's third-order loop at one gamma.

@@ -7,6 +7,22 @@
 
 namespace htmpll {
 
+namespace {
+
+/// One accumulator step acc += in mod modulus, returning the carry.
+/// With acc, in < modulus, it compares against modulus - in before
+/// adding, so acc + in never wraps past 2^64 for a modulus above 2^63.
+int accumulate(std::uint64_t& acc, std::uint64_t in, std::uint64_t modulus) {
+  if (acc >= modulus - in) {
+    acc -= modulus - in;
+    return 1;
+  }
+  acc += in;
+  return 0;
+}
+
+}  // namespace
+
 AccumulatorModulator::AccumulatorModulator(std::uint64_t word,
                                            std::uint64_t modulus)
     : word_(word), modulus_(modulus) {
@@ -14,14 +30,7 @@ AccumulatorModulator::AccumulatorModulator(std::uint64_t word,
   HTMPLL_REQUIRE(word_ < modulus_, "word must be below the modulus");
 }
 
-int AccumulatorModulator::next() {
-  acc_ += word_;
-  if (acc_ >= modulus_) {
-    acc_ -= modulus_;
-    return 1;
-  }
-  return 0;
-}
+int AccumulatorModulator::next() { return accumulate(acc_, word_, modulus_); }
 
 double AccumulatorModulator::mean() const {
   return static_cast<double>(word_) / static_cast<double>(modulus_);
@@ -34,17 +43,9 @@ Mash111::Mash111(std::uint64_t word, std::uint64_t modulus)
 }
 
 int Mash111::next() {
-  auto step = [this](std::uint64_t& acc, std::uint64_t in) -> int {
-    acc += in;
-    if (acc >= modulus_) {
-      acc -= modulus_;
-      return 1;
-    }
-    return 0;
-  };
-  const int c1 = step(acc1_, word_);
-  const int c2 = step(acc2_, acc1_);
-  const int c3 = step(acc3_, acc2_);
+  const int c1 = accumulate(acc1_, word_, modulus_);
+  const int c2 = accumulate(acc2_, acc1_, modulus_);
+  const int c3 = accumulate(acc3_, acc2_, modulus_);
   const int y = c1 + (c2 - c2_prev_) + (c3 - 2 * c3_prev_ + c3_prev2_);
   c2_prev_ = c2;
   c3_prev2_ = c3_prev_;

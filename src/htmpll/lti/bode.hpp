@@ -34,6 +34,9 @@ struct CrossoverResult {
 /// phase margin is computed with the phase unwrapped along the scan
 /// path from w_lo, so loops whose raw principal-value phase wraps (e.g.
 /// two integrator poles plus sampling delay) are handled correctly.
+/// The figure drivers take their margins from effective_margins
+/// (core/stability.hpp); this scan is the reference test_stability
+/// checks that solver against.
 std::optional<CrossoverResult> find_gain_crossover(
     const FrequencyResponse& h, double w_lo, double w_hi);
 

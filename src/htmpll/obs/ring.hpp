@@ -67,10 +67,12 @@ class Ring {
 
 /// Every thread's ring of one Slot type, each of `capacity` slots.  A
 /// thread registers its ring (under the set's mutex) at its first
-/// local() call; its tid is its registration index.  The thread-local
-/// handle is per Slot type, so a process keeps one RingSet per Slot
-/// type, and never destroys it (rings stay readable after their thread
-/// exits and during late static destruction).
+/// local() call and takes the next tid of a counter, so no two threads
+/// ever share one.  At thread exit the ring is marked orphaned; its
+/// records stay readable until the next clear(), which frees it.  The
+/// thread-local handle is per Slot type, so a process keeps one RingSet
+/// per Slot type, and never destroys it (rings stay readable during
+/// late static destruction, and exiting threads still mark theirs).
 template <class Slot>
 class RingSet {
  public:
@@ -78,41 +80,75 @@ class RingSet {
 
   /// The calling thread's ring.
   Ring<Slot>& local() {
-    thread_local Ring<Slot>* ring = [this] {
-      std::lock_guard<std::mutex> lock(mu_);
-      rings_.push_back(std::make_unique<Ring<Slot>>(
-          static_cast<int>(rings_.size()), capacity_));
-      return rings_.back().get();
-    }();
-    return *ring;
+    thread_local const Owner owner(*this);
+    return *owner.ring;
   }
 
   /// Appends every ring's retained records, ring by ring, oldest first.
   template <class Record>
   void collect_into(std::vector<Record>& out) const {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& r : rings_) r->collect_into(out);
+    for (const Entry& e : rings_) e.ring->collect_into(out);
   }
 
   /// Records lost to wrap-around since the last clear(), over all rings.
   std::uint64_t dropped() const {
     std::lock_guard<std::mutex> lock(mu_);
     std::uint64_t n = 0;
-    for (const auto& r : rings_) n += r->dropped();
+    for (const Entry& e : rings_) n += e.ring->dropped();
     return n;
   }
 
-  /// Drops every retained record (rings stay registered).  Only safe at
-  /// quiescence.
+  /// Rings registered and not yet freed: one per live thread that has
+  /// recorded, plus the orphaned rings of exited threads.
+  std::size_t ring_count() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return rings_.size();
+  }
+
+  /// Drops every retained record and frees the rings of exited threads
+  /// (live threads keep theirs).  Only safe at quiescence.
   void clear() {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& r : rings_) r->clear();
+    std::erase_if(rings_, [](const Entry& e) { return e.orphaned; });
+    for (const Entry& e : rings_) e.ring->clear();
   }
 
  private:
+  struct Entry {
+    std::unique_ptr<Ring<Slot>> ring;
+    bool orphaned = false;
+  };
+
+  /// The thread-local handle: registers the thread's ring on
+  /// construction and marks it orphaned when the thread exits.
+  struct Owner {
+    explicit Owner(RingSet& s) : set(s), ring(s.add_ring()) {}
+    ~Owner() { set.orphan(ring); }
+    Owner(const Owner&) = delete;
+    Owner& operator=(const Owner&) = delete;
+
+    RingSet& set;
+    Ring<Slot>* ring;
+  };
+
+  Ring<Slot>* add_ring() {
+    std::lock_guard<std::mutex> lock(mu_);
+    rings_.push_back({std::make_unique<Ring<Slot>>(next_tid_++, capacity_)});
+    return rings_.back().ring.get();
+  }
+
+  void orphan(const Ring<Slot>* ring) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Entry& e : rings_) {
+      if (e.ring.get() == ring) e.orphaned = true;
+    }
+  }
+
   std::size_t capacity_;
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Ring<Slot>>> rings_;
+  std::vector<Entry> rings_;  // registration order
+  int next_tid_ = 0;
 };
 
 }  // namespace htmpll::obs::detail

@@ -10,7 +10,9 @@ namespace htmpll {
 
 IsfWaveform::IsfWaveform(HarmonicCoefficients isf, double kvco, double w0)
     : isf_(std::move(isf)), kvco_(kvco), w0_(w0) {
-  HTMPLL_REQUIRE(w0_ > 0.0, "ISF waveform needs w0 > 0");
+  HTMPLL_REQUIRE(w0_ > 0.0 && std::isfinite(w0_),
+                 "ISF waveform needs a finite w0 > 0");
+  HTMPLL_REQUIRE(std::isfinite(kvco_), "ISF waveform needs a finite kvco");
   // A physical ISF is real: coefficients must be conjugate-symmetric.
   for (int k = 0; k <= isf_.max_harmonic(); ++k) {
     const cplx diff = isf_[k] - std::conj(isf_[-k]);
@@ -32,11 +34,11 @@ double IsfWaveform::operator()(double t) const {
 }
 
 LptvPllTransientSim::LptvPllTransientSim(const PllParameters& params,
-                                         IsfWaveform isf,
+                                         HarmonicCoefficients isf,
                                          ReferenceModulation mod,
                                          LptvTransientConfig cfg)
     : params_(validate_pll_parameters(params)),
-      isf_(std::move(isf)),
+      isf_(std::move(isf), params_.kvco, params_.w0),
       mod_(mod),
       cfg_(cfg),
       t_period_(params.period()),
@@ -207,8 +209,8 @@ void LptvPllTransientSim::clear_samples() {
 }
 
 TransferMeasurement measure_baseband_transfer_lptv(
-    const PllParameters& params, const IsfWaveform& isf, double omega_m,
-    const ProbeOptions& opts) {
+    const PllParameters& params, const HarmonicCoefficients& isf,
+    double omega_m, const ProbeOptions& opts) {
   HTMPLL_REQUIRE(omega_m > 0.0 && std::isfinite(omega_m),
                  "modulation frequency must be positive and finite");
   validate_probe_options(opts);

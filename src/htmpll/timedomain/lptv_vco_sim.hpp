@@ -27,14 +27,13 @@
 namespace htmpll {
 
 /// Real periodic ISF v(t) = kvco * sum_k isf_k e^{j k w0 t}.  Requires a
-/// conjugate-symmetric coefficient set (real waveform).
+/// conjugate-symmetric coefficient set (real waveform), a finite kvco
+/// and a finite w0 > 0.
 class IsfWaveform {
  public:
   IsfWaveform(HarmonicCoefficients isf, double kvco, double w0);
 
   double operator()(double t) const;
-  const HarmonicCoefficients& coefficients() const { return isf_; }
-  double kvco() const { return kvco_; }
 
  private:
   HarmonicCoefficients isf_;
@@ -49,9 +48,12 @@ struct LptvTransientConfig {
   bool record = true;
 };
 
+/// The loop of `params` with the VCO ISF `isf`, whose waveform is
+/// IsfWaveform(isf, params.kvco, params.w0) -- the same ISF coefficients
+/// SamplingPllModel takes.
 class LptvPllTransientSim {
  public:
-  LptvPllTransientSim(const PllParameters& params, IsfWaveform isf,
+  LptvPllTransientSim(const PllParameters& params, HarmonicCoefficients isf,
                       ReferenceModulation mod = {},
                       LptvTransientConfig cfg = {});
 
@@ -112,7 +114,7 @@ class LptvPllTransientSim {
 /// min(T_m / 16, T / 8.618...), a rate no multiple of w0 -- RK4 has no
 /// closed-form bin.
 TransferMeasurement measure_baseband_transfer_lptv(
-    const PllParameters& params, const IsfWaveform& isf, double omega_m,
-    const ProbeOptions& opts = {});
+    const PllParameters& params, const HarmonicCoefficients& isf,
+    double omega_m, const ProbeOptions& opts = {});
 
 }  // namespace htmpll

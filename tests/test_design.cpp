@@ -1,6 +1,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -421,10 +422,13 @@ bool half_rate_unstable(const JitterOptimizationSpec& spec, double w_ug) {
       SamplingPllModel(make_typical_loop(w_ug, spec.w0, spec.gamma)));
 }
 
-TEST(Design, HalfRateBracketStraddlesTheBoundary) {
+TEST(Design, StabilityBracketStraddlesTheHalfRateBoundary) {
   const JitterOptimizationSpec spec = jitter_bandwidth_spec();
-  const HalfRateBracket b = bisect_half_rate_boundary(
-      make_typical_loop, spec.w0, spec.gamma, 0.02, 0.9);
+  const auto stable_at = [&](double ratio) {
+    return !half_rate_unstable(spec, ratio * spec.w0);
+  };
+  const StabilityBracket b = bisect_stability_boundary(stable_at, 0.02, 0.9,
+                                                       45);
   EXPECT_FALSE(half_rate_unstable(spec, b.stable * spec.w0));
   EXPECT_TRUE(half_rate_unstable(spec, b.unstable * spec.w0));
   EXPECT_LE(b.unstable - b.stable, 0.88 * std::ldexp(1.0, -45));
@@ -433,13 +437,68 @@ TEST(Design, HalfRateBracketStraddlesTheBoundary) {
   EXPECT_EQ(max_stable_crossover_ratio(make_typical_loop, spec.w0,
                                        spec.gamma)
                 .lambda_ratio,
-            0.5 * (b.stable + b.unstable));
-  EXPECT_THROW(bisect_half_rate_boundary(nullptr, spec.w0, spec.gamma, 0.02,
-                                         0.9, 45),
+            b.midpoint());
+  EXPECT_THROW(bisect_stability_boundary({}, 0.02, 0.9, 45),
                std::invalid_argument);
-  EXPECT_THROW(bisect_half_rate_boundary(make_typical_loop, spec.w0,
-                                         spec.gamma, 0.3, 0.3, 45),
+  EXPECT_THROW(bisect_stability_boundary(stable_at, 0.3, 0.3, 45),
                std::invalid_argument);
+}
+
+TEST(Design, StabilitySearchRejectsRangesThatDoNotBracket) {
+  // The gamma = 4 loop turns unstable at 0.2762 w0: [0.02, 0.2] is
+  // stable at both ends, [0.3, 0.9] unstable at both.  Bisecting either
+  // would report an end of the range as the boundary.
+  const JitterOptimizationSpec spec = jitter_bandwidth_spec();
+  const auto stable_at = [&](double ratio) {
+    return !half_rate_unstable(spec, ratio * spec.w0);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(bisect_stability_boundary(stable_at, 0.02, 0.2, 45),
+               std::invalid_argument);
+  EXPECT_THROW(bisect_stability_boundary(stable_at, 0.3, 0.9, 45),
+               std::invalid_argument);
+  EXPECT_THROW(bisect_stability_boundary(stable_at, nan, 0.9, 45),
+               std::invalid_argument);
+  EXPECT_THROW(bisect_stability_boundary(stable_at, 0.02, nan, 45),
+               std::invalid_argument);
+  EXPECT_THROW(bisect_stability_boundary(stable_at, 0.02, kInf, 45),
+               std::invalid_argument);
+  EXPECT_THROW(bisect_stability_boundary(stable_at, 0.02, 0.9, 0),
+               std::invalid_argument);
+}
+
+TEST(Design, GardnerChartBoundariesAreWhereStabilityChanges) {
+  // The second-order loop is still stable at 0.9 w0 for gamma 8 and 12
+  // (lambda(j w0/2) = -0.9916 and -0.8196 there); its boundaries lie
+  // past the search's initial ceiling, which the chart used to print.
+  const std::vector<double> gammas = {1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0};
+  const std::vector<GardnerRow> rows = gardner_stability_rows(kW0, gammas);
+  ASSERT_EQ(rows.size(), gammas.size());
+  for (const GardnerRow& row : rows) {
+    const std::pair<LoopBuilder, StabilityBoundary> families[] = {
+        {make_second_order_loop, row.second_order},
+        {make_typical_loop, row.third_order}};
+    for (const auto& [make, b] : families) {
+      const auto lambda_stable = [&](double r) {
+        return half_rate_lambda(SamplingPllModel(
+                   make(r * kW0, kW0, row.gamma))) > -1.0;
+      };
+      const auto z_stable = [&](double r) {
+        return ImpulseInvariantModel(
+                   make(r * kW0, kW0, row.gamma).open_loop_gain(), kW0)
+            .is_stable();
+      };
+      EXPECT_TRUE(lambda_stable(b.lambda_ratio - 1e-9)) << row.gamma;
+      EXPECT_FALSE(lambda_stable(b.lambda_ratio + 1e-9)) << row.gamma;
+      EXPECT_TRUE(z_stable(b.zdomain_ratio - 1e-9)) << row.gamma;
+      EXPECT_FALSE(z_stable(b.zdomain_ratio + 1e-9)) << row.gamma;
+      EXPECT_NEAR(b.lambda_ratio, b.zdomain_ratio, 1e-9) << row.gamma;
+    }
+  }
+  EXPECT_NEAR(rows[5].second_order.lambda_ratio, 0.903813, 1e-6);
+  EXPECT_NEAR(rows[5].second_order.zdomain_ratio, 0.903813, 1e-6);
+  EXPECT_NEAR(rows[6].second_order.lambda_ratio, 1.104567, 1e-6);
+  EXPECT_NEAR(rows[6].second_order.zdomain_ratio, 1.104567, 1e-6);
 }
 
 TEST(Design, JitterTvObjectiveIsInfiniteForHalfRateUnstableLoops) {

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -14,18 +15,11 @@ constexpr double kW0 = 2.0 * std::numbers::pi;  // T = 1
 
 PllParameters loop(double ratio) { return make_typical_loop(ratio * kW0, kW0); }
 
-IsfWaveform flat_isf(const PllParameters& p) {
-  return IsfWaveform(HarmonicCoefficients(cplx{1.0}), p.kvco, p.w0);
-}
-
-IsfWaveform wavy_isf(const PllParameters& p, cplx c1) {
-  return IsfWaveform(HarmonicCoefficients::real_waveform(1.0, {c1}),
-                     p.kvco, p.w0);
-}
+HarmonicCoefficients flat_isf() { return HarmonicCoefficients(cplx{1.0}); }
 
 TEST(IsfWaveformTest, DcOnlyIsConstant) {
   const PllParameters p = loop(0.1);
-  const IsfWaveform v = flat_isf(p);
+  const IsfWaveform v(flat_isf(), p.kvco, p.w0);
   EXPECT_NEAR(v(0.0), p.kvco, 1e-15);
   EXPECT_NEAR(v(0.37), p.kvco, 1e-15);
 }
@@ -33,7 +27,8 @@ TEST(IsfWaveformTest, DcOnlyIsConstant) {
 TEST(IsfWaveformTest, HarmonicWaveformShape) {
   const PllParameters p = loop(0.1);
   // v(t) = kvco (1 + 2*0.25*cos(w0 t)).
-  const IsfWaveform v = wavy_isf(p, cplx{0.25});
+  const IsfWaveform v(HarmonicCoefficients::real_waveform(1.0, {cplx{0.25}}),
+                      p.kvco, p.w0);
   EXPECT_NEAR(v(0.0), p.kvco * 1.5, 1e-12);
   EXPECT_NEAR(v(0.5), p.kvco * 0.5, 1e-12);  // cos(pi) = -1 at T/2
   // Periodicity.
@@ -47,9 +42,18 @@ TEST(IsfWaveformTest, RejectsNonRealWaveform) {
                std::invalid_argument);
 }
 
+TEST(IsfWaveformTest, RejectsNonFiniteScale) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(IsfWaveform(flat_isf(), nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(IsfWaveform(flat_isf(), inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(IsfWaveform(flat_isf(), 1.0, nan), std::invalid_argument);
+  EXPECT_THROW(IsfWaveform(flat_isf(), 1.0, inf), std::invalid_argument);
+}
+
 TEST(LptvSim, QuiescentWhenLocked) {
   const PllParameters p = loop(0.15);
-  LptvPllTransientSim sim(p, flat_isf(p));
+  LptvPllTransientSim sim(p, flat_isf());
   sim.run_periods(40.0);
   EXPECT_NEAR(sim.theta(), 0.0, 1e-9);
   EXPECT_GE(sim.event_count(), 79u);
@@ -65,7 +69,7 @@ TEST(LptvSim, MatchesExactSimulatorForTiVco) {
 
   LptvTransientConfig cfg;
   cfg.substeps_per_period = 128;
-  LptvPllTransientSim rk(p, flat_isf(p), mod, cfg);
+  LptvPllTransientSim rk(p, flat_isf(), mod, cfg);
   PllTransientSim exact(p, mod);
   rk.run_periods(120.0);
   exact.run_until(rk.time());
@@ -94,7 +98,7 @@ TEST(LptvSim, ProbeMatchesHtmModelTiCase) {
   opts.measure_periods = 16;
   const double wm = 0.1 * kW0;
   const TransferMeasurement meas =
-      measure_baseband_transfer_lptv(p, flat_isf(p), wm, opts);
+      measure_baseband_transfer_lptv(p, flat_isf(), wm, opts);
   const cplx predicted = model.baseband_transfer(j * wm);
   // Measured 4.5e-4.
   EXPECT_NEAR(std::abs(meas.value - predicted) / std::abs(predicted), 0.0,
@@ -117,7 +121,7 @@ TEST(LptvSim, DcIsfProbeMatchesExactProbe) {
     opts.measure_periods = 16;
     const double wm = m.f * kW0;
     const TransferMeasurement rk =
-        measure_baseband_transfer_lptv(p, flat_isf(p), wm, opts);
+        measure_baseband_transfer_lptv(p, flat_isf(), wm, opts);
     const TransferMeasurement exact = measure_baseband_transfer(p, wm, opts);
     EXPECT_LT(std::abs(rk.value - exact.value) / std::abs(exact.value),
               m.tol)
@@ -141,8 +145,8 @@ TEST(LptvSim, ProbeMatchesHtmModelLptvCase) {
   opts.settle_periods = 300.0;
   opts.measure_periods = 20;
   const double wm = 0.12 * kW0;
-  const TransferMeasurement meas = measure_baseband_transfer_lptv(
-      p, IsfWaveform(isf_coeffs, p.kvco, p.w0), wm, opts);
+  const TransferMeasurement meas =
+      measure_baseband_transfer_lptv(p, isf_coeffs, wm, opts);
 
   const cplx lptv_pred = lptv_model.baseband_transfer(j * wm);
   const cplx ti_pred = ti_model.baseband_transfer(j * wm);
@@ -176,17 +180,17 @@ TEST(LptvSim, ValidatesConfiguration) {
   const PllParameters p = loop(0.1);
   LptvTransientConfig cfg;
   cfg.substeps_per_period = 4;
-  EXPECT_THROW(LptvPllTransientSim(p, flat_isf(p), {}, cfg),
+  EXPECT_THROW(LptvPllTransientSim(p, flat_isf(), {}, cfg),
                std::invalid_argument);
   ReferenceModulation mod;
   mod.amplitude = 0.3;
-  EXPECT_THROW(LptvPllTransientSim(p, flat_isf(p), mod),
+  EXPECT_THROW(LptvPllTransientSim(p, flat_isf(), mod),
                std::invalid_argument);
 }
 
 TEST(LptvSim, RecordingControls) {
   const PllParameters p = loop(0.1);
-  LptvPllTransientSim sim(p, flat_isf(p));
+  LptvPllTransientSim sim(p, flat_isf());
   sim.set_recording(false);
   sim.run_periods(5.0);
   EXPECT_TRUE(sim.sample_times().empty());

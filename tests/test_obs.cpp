@@ -8,6 +8,8 @@
 // its own named metrics (unique per test) or resets explicitly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +24,7 @@
 
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/obs/report.hpp"
+#include "htmpll/obs/ring.hpp"
 #include "htmpll/obs/span_stats.hpp"
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
@@ -236,6 +239,75 @@ TEST(ObsTrace, WrappedRingCountsDroppedSpans) {
   EXPECT_EQ(kept, cap);
   obs::clear_trace();
   EXPECT_EQ(obs::trace_dropped(), 0u);
+}
+
+/// A ring slot of the test's own RingSet, so the ring set the library
+/// keeps for spans is left alone.
+struct TestRecord {
+  int value = 0;
+  int tid = -1;
+};
+
+struct TestSlot {
+  std::atomic<int> value{-1};
+
+  void store(int v) { value.store(v, std::memory_order_relaxed); }
+  bool load(TestRecord& out) const {
+    out.value = value.load(std::memory_order_relaxed);
+    return out.value >= 0;
+  }
+};
+
+/// Leaked like the library's sets: exiting threads mark their rings.
+obs::detail::RingSet<TestSlot>& test_rings() {
+  static auto* rings = new obs::detail::RingSet<TestSlot>(4);
+  return *rings;
+}
+
+std::vector<TestRecord> collect_test_records() {
+  std::vector<TestRecord> out;
+  test_rings().collect_into(out);
+  return out;
+}
+
+TEST(ObsRing, ClearFreesTheRingsOfExitedThreads) {
+  // Short-lived threads (a pool built and destroyed per job) each leave
+  // a ring behind.  Their records stay readable until clear(), which
+  // frees their rings and keeps the live threads' ones.
+  obs::detail::RingSet<TestSlot>& rings = test_rings();
+  rings.clear();
+  const std::size_t live = rings.ring_count();
+  constexpr int kThreads = 40;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([i] { test_rings().local().record(i); });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::vector<TestRecord> records = collect_test_records();
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kThreads));
+  std::set<int> values, tids;
+  for (const TestRecord& r : records) {
+    values.insert(r.value);
+    tids.insert(r.tid);
+  }
+  EXPECT_EQ(values.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(rings.ring_count(), live + kThreads);
+
+  // The calling thread stays alive: its ring survives the clear.
+  rings.local().record(kThreads);
+  rings.clear();
+  EXPECT_EQ(rings.ring_count(), std::max<std::size_t>(live, 1));
+  EXPECT_TRUE(collect_test_records().empty());
+
+  // A new thread never takes the tid of a freed ring.
+  std::thread([] { test_rings().local().record(kThreads + 1); }).join();
+  records = collect_test_records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_GT(records[0].tid, *tids.rbegin());
+  rings.clear();
+  EXPECT_EQ(rings.ring_count(), std::max<std::size_t>(live, 1));
 }
 
 TEST(ObsTrace, ChromeTraceJsonIsWellFormed) {

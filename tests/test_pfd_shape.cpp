@@ -84,16 +84,17 @@ TEST(PfdShape, ZohRaisesHalfRateBoundary) {
   // so the hard lambda(j w0/2) = -1 boundary moves UP, not down.
   // Bisection on the half-rate criterion for both shapes.
   auto boundary = [](PfdShape shape) {
-    double lo = 0.05, hi = 0.5;
-    for (int it = 0; it < 40; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      SamplingPllOptions opts;
-      opts.pfd_shape = shape;
-      const SamplingPllModel m(make_typical_loop(mid * kW0, kW0),
-                               HarmonicCoefficients(cplx{1.0}), opts);
-      (half_rate_lambda(m) > -1.0 ? lo : hi) = mid;
-    }
-    return 0.5 * (lo + hi);
+    return bisect_stability_boundary(
+               [shape](double r) {
+                 SamplingPllOptions opts;
+                 opts.pfd_shape = shape;
+                 const SamplingPllModel m(make_typical_loop(r * kW0, kW0),
+                                          HarmonicCoefficients(cplx{1.0}),
+                                          opts);
+                 return half_rate_lambda(m) > -1.0;
+               },
+               0.05, 0.5, 40)
+        .midpoint();
   };
   const double b_imp = boundary(PfdShape::kImpulse);
   const double b_zoh = boundary(PfdShape::kZeroOrderHold);

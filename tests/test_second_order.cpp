@@ -86,13 +86,13 @@ TEST(SecondOrder, BoundaryIsHigherThanThirdOrder) {
   // Without the parasitic pole's extra lag the sampled loop survives to
   // larger w_UG/w0 than the gamma = 4 third-order loop (0.276).
   auto boundary = [](auto make) {
-    double lo = 0.1, hi = 0.8;
-    for (int it = 0; it < 40; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      const SamplingPllModel m(make(mid * kW0, kW0, 4.0));
-      (half_rate_lambda(m) > -1.0 ? lo : hi) = mid;
-    }
-    return 0.5 * (lo + hi);
+    return bisect_stability_boundary(
+               [make](double r) {
+                 const SamplingPllModel m(make(r * kW0, kW0, 4.0));
+                 return half_rate_lambda(m) > -1.0;
+               },
+               0.1, 0.8, 40)
+        .midpoint();
   };
   const double b2 = boundary(make_second_order_loop);
   const double b3 = boundary(make_typical_loop);
@@ -106,12 +106,7 @@ TEST(SecondOrder, HalfWeightZModelMatchesLambdaBoundary) {
   // boundary at the same ratio -- which the transient simulator brackets
   // in (0.64, 0.65) for gamma = 4.
   auto boundary = [](auto stable) {
-    double lo = 0.3, hi = 0.9;
-    for (int it = 0; it < 40; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      (stable(mid) ? lo : hi) = mid;
-    }
-    return 0.5 * (lo + hi);
+    return bisect_stability_boundary(stable, 0.3, 0.9, 40).midpoint();
   };
   const double b_lambda = boundary([](double r) {
     const SamplingPllModel m(make_second_order_loop(r * kW0, kW0));

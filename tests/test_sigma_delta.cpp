@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -32,6 +33,23 @@ TEST(Accumulator, PeriodicForRationalWord) {
     EXPECT_EQ(acc.next(), 0);
     EXPECT_EQ(acc.next(), 1);
   }
+}
+
+TEST(Accumulator, CarriesPastTwoToTheSixtyThree) {
+  // With a modulus above 2^63, acc + word overflows 64 bits: adding
+  // before comparing lost every carry and both modulators averaged 0.
+  const std::uint64_t modulus = ~std::uint64_t{0};  // 2^64 - 1
+  const std::uint64_t word = std::uint64_t{1} << 63;
+  AccumulatorModulator acc(word, modulus);
+  Mash111 mash(word, modulus);
+  const int steps = 1 << 16;
+  double acc_sum = 0.0, mash_sum = 0.0;
+  for (int n = 0; n < steps; ++n) {
+    acc_sum += acc.next();
+    mash_sum += mash.next();
+  }
+  EXPECT_NEAR(acc_sum / steps, acc.mean(), 1e-3);
+  EXPECT_NEAR(mash_sum / steps, mash.mean(), 1e-3);
 }
 
 TEST(Mash, MeanMatchesWord) {

@@ -567,9 +567,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Flat ISF: the LPTV simulator's loop equals the time-invariant one.
-IsfWaveform flat_isf(const PllParameters& p) {
-  return IsfWaveform(HarmonicCoefficients(cplx{1.0}), p.kvco, p.w0);
-}
+HarmonicCoefficients flat_isf() { return HarmonicCoefficients(cplx{1.0}); }
 
 TEST(NonFiniteInput, ModulationOmegaRejected) {
   // A NaN or infinite omega used to make run_periods(5) never return:
@@ -582,7 +580,7 @@ TEST(NonFiniteInput, ModulationOmegaRejected) {
     mod.omega = omega;
     expect_rejected([&] { PllTransientSim sim(p, mod); }, "omega");
     expect_rejected([&] { SampleHoldPllSim sim(p, mod); }, "omega");
-    expect_rejected([&] { LptvPllTransientSim sim(p, flat_isf(p), mod); },
+    expect_rejected([&] { LptvPllTransientSim sim(p, flat_isf(), mod); },
                     "omega");
   }
 }
@@ -597,7 +595,7 @@ TEST(NonFiniteInput, ModulationPhaseRejected) {
     mod.phase = phase;
     expect_rejected([&] { PllTransientSim sim(p, mod); }, "phase");
     expect_rejected([&] { SampleHoldPllSim sim(p, mod); }, "phase");
-    expect_rejected([&] { LptvPllTransientSim sim(p, flat_isf(p), mod); },
+    expect_rejected([&] { LptvPllTransientSim sim(p, flat_isf(), mod); },
                     "phase");
   }
 }
@@ -607,7 +605,7 @@ TEST(NonFiniteInput, LoopParametersRejected) {
   // infinite R passed the filter's sign check.  Each simulator now
   // rejects the loop before building any state, naming the field.
   const PllParameters good = make_typical_loop(0.1 * kW0, kW0);
-  const IsfWaveform isf = flat_isf(good);
+  const HarmonicCoefficients isf = flat_isf();
   const auto expect_all_reject = [&](const PllParameters& p,
                                      const std::string& what) {
     expect_rejected([&] { PllTransientSim sim(p); }, what);
@@ -637,7 +635,7 @@ TEST(NonFiniteInput, LoopOutsideTheCoefficientRangeRejected) {
   const std::string what = "impedance lost a pole";
   expect_rejected([&] { PllTransientSim sim(p); }, what);
   expect_rejected([&] { SampleHoldPllSim sim(p); }, what);
-  expect_rejected([&] { LptvPllTransientSim sim(p, flat_isf(p)); }, what);
+  expect_rejected([&] { LptvPllTransientSim sim(p, flat_isf()); }, what);
 }
 
 TEST(NonFiniteInput, RunUntilRejectsNonFiniteEnd) {
@@ -652,7 +650,7 @@ TEST(NonFiniteInput, RunUntilRejectsNonFiniteEnd) {
     SampleHoldPllSim sh(p);
     expect_rejected([&] { sh.run_until(t_end); }, "t_end");
     EXPECT_EQ(sh.time(), 0.0);
-    LptvPllTransientSim lptv(p, flat_isf(p));
+    LptvPllTransientSim lptv(p, flat_isf());
     expect_rejected([&] { lptv.run_until(t_end); }, "t_end");
     expect_rejected([&] { lptv.run_periods(t_end); }, "t_end");
     EXPECT_EQ(lptv.time(), 0.0);
@@ -682,7 +680,7 @@ TEST(NonFiniteInput, ModulationFrequencyRejected) {
       "modulation frequency");
   // The LPTV probe never returned.
   expect_rejected(
-      [&] { measure_baseband_transfer_lptv(p, flat_isf(p), kInf); },
+      [&] { measure_baseband_transfer_lptv(p, flat_isf(), kInf); },
       "modulation frequency");
 }
 
@@ -713,7 +711,7 @@ TEST(NonFiniteInput, SampleIntervalRejected) {
     LptvTransientConfig lcfg;
     lcfg.sample_interval = interval;
     expect_rejected(
-        [&] { LptvPllTransientSim sim(p, flat_isf(p), {}, lcfg); },
+        [&] { LptvPllTransientSim sim(p, flat_isf(), {}, lcfg); },
         "sample_interval");
   }
 }
