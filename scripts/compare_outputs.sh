@@ -17,7 +17,7 @@
 #    time-budgeted number of passes, so they are compared to 12
 #    significant digits.
 #
-# Usage: scripts/compare_outputs.sh <base-ref>
+# Usage: scripts/compare_outputs.sh [--max-rel <bound>] <base-ref>
 #
 # The base tree is extracted with git archive, so nothing is registered
 # in the repository.  Sources, builds and outputs live in one temporary
@@ -26,10 +26,29 @@
 # is followed by the first 20 lines of its diff from base to head) and
 # exits 1 if there is any or if a program failed on both sides, 0 if
 # every output is byte-identical, and 2 on a usage or build error.
+#
+# --max-rel <bound> is for changes that move output bits on purpose.
+# Each differing CSV, console or standard output is then compared token
+# by token instead of diffed: the script prints the largest relative
+# change |head - base| / max(|base|, |head|) over its numeric tokens,
+# with that line from both sides, and a STRUCTURE: line when a
+# non-numeric token or the line count differs.  It exits 1 only on such
+# a structural difference, on a relative change above <bound> or on a
+# program that failed on both sides; differing hashes and work counts
+# are reported as without the option but do not change the exit status.
 set -euo pipefail
 
+max_rel=""
+if [[ $# -eq 3 && "$1" == "--max-rel" ]]; then
+  max_rel="$2"
+  shift 2
+  if ! python3 -c 'import math, sys; b = float(sys.argv[1]); sys.exit(0 if math.isfinite(b) and b >= 0 else 1)' "$max_rel" 2> /dev/null; then
+    echo "compare_outputs: --max-rel needs a finite bound >= 0, got '$max_rel'" >&2
+    exit 2
+  fi
+fi
 if [[ $# -ne 1 ]]; then
-  echo "usage: $0 <base-ref>" >&2
+  echo "usage: $0 [--max-rel <bound>] <base-ref>" >&2
   exit 2
 fi
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
@@ -147,12 +166,61 @@ for m in json.load(open(sys.argv[1]))["per_layer"]:
   fi
 }
 
+# max_rel_report <base file> <head file>: the --max-rel report of one
+# differing text output; exits 1 on a structural difference or a
+# relative change above $max_rel.
+max_rel_report() {
+  python3 - "$max_rel" "$1" "$2" <<'PY'
+import math, re, sys
+bound = float(sys.argv[1])
+number = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|(?<![a-z])[-+]?(?:inf|nan)(?![a-z])", re.IGNORECASE)
+def split(line):
+    """The text between the numbers (runs of blanks as one: a table pads
+    its columns to the width of its numbers), and the numbers."""
+    text = [" ".join(t.split()) for t in number.split(line)]
+    return text, [float(t) for t in number.findall(line)]
+base = open(sys.argv[2]).read().splitlines()
+head = open(sys.argv[3]).read().splitlines()
+status = 0
+if len(base) != len(head):
+    print(f"    STRUCTURE: {len(base)} lines -> {len(head)} lines")
+    status = 1
+worst, where = 0.0, None
+for i, (b, h) in enumerate(zip(base, head), start=1):
+    if b == h:
+        continue
+    (bt, bn), (ht, hn) = split(b), split(h)
+    if bt != ht or len(bn) != len(hn):
+        print(f"    STRUCTURE: line {i}:\n      < {b}\n      > {h}")
+        status = 1
+        continue
+    for x, y in zip(bn, hn):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        scale = max(abs(x), abs(y))
+        rel = abs(y - x) / scale if math.isfinite(scale) else math.inf
+        if math.isnan(rel):
+            rel = math.inf
+        if rel > worst:
+            worst, where = rel, (i, b, h)
+if where is not None:
+    i, b, h = where
+    print(f"    max rel {worst:.3g} at line {i}:\n      < {b}\n      > {h}")
+    if worst > bound:
+        print(f"    ABOVE BOUND: {worst:.3g} > {bound:.3g}")
+        status = 1
+sys.exit(status)
+PY
+}
+
 build base "$work/base-src"
 build head "$root"
 run base
 run head
 
 differences=0
+failures=0  # what fails a --max-rel run
 compared=0
 for f in "$work/head/out"/* "$work/base/out"/*; do
   name="$(basename "$f")"
@@ -169,9 +237,14 @@ for f in "$work/head/out"/* "$work/base/out"/*; do
                   awk -v f="$name" '$2 != $4 {
                     print "DIFFERS: " f ": " $1 ": " $2 " -> " $4 }' ;;
       *) echo "DIFFERS: $name"
-         # The first lines of the change itself, base (<) to head (>).
-         diff "$work/base/out/$name" "$work/head/out/$name" |
-           head -n 20 | sed 's/^/    /' || true ;;
+         if [[ -n "$max_rel" ]]; then
+           max_rel_report "$work/base/out/$name" "$work/head/out/$name" ||
+             failures=$((failures + 1))
+         else
+           # The first lines of the change itself, base (<) to head (>).
+           diff "$work/base/out/$name" "$work/head/out/$name" |
+             head -n 20 | sed 's/^/    /' || true
+         fi ;;
     esac
     differences=$((differences + 1))
   elif grep -q -e '^exit status ' -e '^perfbench exited with status ' "$f"
@@ -179,6 +252,7 @@ for f in "$work/head/out"/* "$work/base/out"/*; do
     # Equal, but only because the program failed the same way twice.
     echo "FAILED: $name: the program failed on both sides"
     differences=$((differences + 1))
+    failures=$((failures + 1))
   fi
 done
 for f in "$work/head/out"/perfbench.*.hash; do
@@ -192,4 +266,10 @@ echo "compare_outputs: ${#drivers[@]} drivers and ${#examples[@]} examples" \
      "at HTMPLL_THREADS=${widths[*]}, perfbench hashes and work counts;" \
      "$compared outputs compared against" \
      "$(git -C "$root" rev-parse --short "$base"): $differences differ"
-((differences == 0))
+if [[ -n "$max_rel" ]]; then
+  echo "compare_outputs: --max-rel $max_rel: $failures above the bound," \
+       "structural or failed on both sides"
+  ((failures == 0))
+else
+  ((differences == 0))
+fi

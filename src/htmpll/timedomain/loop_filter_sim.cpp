@@ -1,5 +1,7 @@
 #include "htmpll/timedomain/loop_filter_sim.hpp"
 
+#include <cmath>
+
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/util/check.hpp"
 
@@ -7,10 +9,10 @@ namespace htmpll {
 
 namespace {
 
-/// Propagator-memo traffic of every integrator: each miss costs one
-/// propagator construction (a Van Loan matrix exponential, or n scalar
-/// exponentials on the modal path), and lookups - misses is the number
-/// saved.  Counter::add is a no-op unless instrumentation is enabled.
+/// Step-memo traffic of every integrator: each miss costs one
+/// evaluation (a Van Loan matrix exponential, or one scalar set per mode
+/// on the modal path), and lookups - misses is the number saved.
+/// Counter::add is a no-op unless instrumentation is enabled.
 struct PropagatorMetrics {
   obs::Counter& lookups = obs::counter("timedomain.propagator_lookups");
   obs::Counter& misses = obs::counter("timedomain.propagator_misses");
@@ -21,6 +23,11 @@ struct PropagatorMetrics {
 PropagatorMetrics& propagator_metrics() {
   static PropagatorMetrics m;
   return m;
+}
+
+void require_step(double h) {
+  HTMPLL_REQUIRE(h >= 0.0, "cannot propagate backwards");
+  HTMPLL_REQUIRE(std::isfinite(h), "step length must be finite");
 }
 
 }  // namespace
@@ -55,52 +62,80 @@ void PiecewiseExactIntegrator::set_state(RVector x) {
   x_ = std::move(x);
 }
 
-const StepPropagator& PiecewiseExactIntegrator::propagator(double h) const {
+void PiecewiseExactIntegrator::lookup(double h) const {
   propagator_metrics().lookups.add();
-  if (h == memo_h_) return memo_;
+  if (h == memo_h_) return;
   propagator_metrics().misses.add();
   if (factory_.is_spectral()) {
     propagator_metrics().spectral.add();
-  } else if (factory_.spectral_requested()) {
-    propagator_metrics().pade_fallbacks.add();
+    factory_.evaluate(h, step_);
+  } else {
+    if (factory_.spectral_requested()) {
+      propagator_metrics().pade_fallbacks.add();
+    }
+    factory_.make_into(h, memo_);
   }
-  factory_.make_into(h, memo_);
   memo_h_ = h;
-  return memo_;
 }
 
 RVector PiecewiseExactIntegrator::peek(double h, double u) const {
-  HTMPLL_REQUIRE(h >= 0.0, "cannot propagate backwards");
-  if (h == 0.0) return x_;
-  return propagator(h).advance(x_, {u});
+  RVector out;
+  peek_into(h, u, out);
+  return out;
 }
 
 void PiecewiseExactIntegrator::peek_into(double h, double u,
                                          RVector& out) const {
-  HTMPLL_REQUIRE(h >= 0.0, "cannot propagate backwards");
+  require_step(h);
   if (h == 0.0) {
     out = x_;
     return;
   }
-  propagator(h).advance_into(x_, u, out);
+  lookup(h);
+  if (factory_.is_spectral()) {
+    out.resize(x_.size());
+    factory_.advance(step_, x_.data(), u, out.data());
+  } else {
+    memo_.advance_into(x_, u, out);
+  }
 }
 
 void PiecewiseExactIntegrator::peek_last_many(const double* h,
                                               std::size_t count, double u,
                                               double* out) const {
-  if (factory_.is_spectral()) {
-    factory_.propagate_last_row_many(h, count, x_.data(), u, out);
-    return;
-  }
+  const std::size_t last = ss_.order() - 1;
   for (std::size_t i = 0; i < count; ++i) {
-    peek_into(h[i], u, scratch_);
-    out[i] = scratch_[ss_.order() - 1];
+    require_step(h[i]);
+    if (h[i] == 0.0) {
+      out[i] = x_[last];
+    } else if (factory_.is_spectral()) {
+      factory_.evaluate(h[i], sample_step_);
+      out[i] = factory_.theta(sample_step_, x_.data(), u);
+    } else {
+      peek_into(h[i], u, scratch_);
+      out[i] = scratch_[last];
+    }
   }
 }
 
-double PiecewiseExactIntegrator::peek_output(double h, double u) const {
-  peek_into(h, u, scratch_);
-  return ss_.output(scratch_, u);
+double PiecewiseExactIntegrator::last_rate(const RVector& x,
+                                           double u) const {
+  const std::size_t last = ss_.order() - 1;
+  const double* row = ss_.a.row(last);
+  double acc = 0.0;
+  for (std::size_t j = 0; j <= last; ++j) acc += row[j] * x[j];
+  return acc + ss_.b(last, 0) * u;
+}
+
+ThetaRows PiecewiseExactIntegrator::peek_theta(double h, double u) const {
+  require_step(h);
+  HTMPLL_REQUIRE(ss_.b.cols() == 1, "peek_theta needs one input column");
+  const std::size_t last = ss_.order() - 1;
+  if (h == 0.0) return {x_[last], last_rate(x_, u)};
+  lookup(h);
+  if (factory_.is_spectral()) return factory_.theta_rows(step_, x_.data(), u);
+  memo_.advance_into(x_, u, scratch_);
+  return {scratch_[last], last_rate(scratch_, u)};
 }
 
 void PiecewiseExactIntegrator::advance(double h, double u) {

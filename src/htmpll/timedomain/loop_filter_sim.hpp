@@ -5,11 +5,11 @@
 // each segment is advanced with the exact discrete propagator of the
 // state matrix, so the comparison against the HTM model (the paper's
 // "within 2%" claim) measures modeling error, not integration error.
-// The propagator is modal (PropagatorFactory) for the phase-augmented
-// loop: its filter block is to_state_space's companion matrix, whose
-// modes are the roots of the filter's denominator.  Any other system,
-// or a denominator with a repeated or near-repeated root, takes the
-// Van Loan expm.
+// The step is modal (PropagatorFactory) for the phase-augmented loop:
+// its filter block is to_state_space's companion matrix, whose modes are
+// the roots of the filter's denominator.  Any other system, or a
+// denominator with a repeated or near-repeated root, takes the Van Loan
+// expm.
 #pragma once
 
 #include <limits>
@@ -26,19 +26,22 @@ namespace htmpll {
 /// output y (the VCO control).  Shared by the transient simulators.
 StateSpace augment_with_phase(const StateSpace& filter, double kvco);
 
+/// Exact stepping of x' = A x + B u under a held scalar input.  Every
+/// step length must be finite and non-negative: peek, peek_into,
+/// peek_last_many, peek_theta and advance throw std::invalid_argument
+/// otherwise and leave the state as it was.
 class PiecewiseExactIntegrator {
  public:
-  /// `use_spectral` false builds every propagator with the Van Loan
-  /// oracle, make_propagator, bit for bit.
+  /// `use_spectral` false builds every step's propagator with the Van
+  /// Loan oracle, make_propagator, bit for bit.
   explicit PiecewiseExactIntegrator(StateSpace ss, bool use_spectral = true);
 
   std::size_t order() const { return ss_.order(); }
   const StateSpace& system() const { return ss_; }
 
-  /// True when propagator builds are served by the one-time modal
-  /// factorization instead of a per-step expm.
+  /// True when steps are served by the one-time modal factorization
+  /// instead of a per-step expm.
   bool spectral_propagators() const { return factory_.is_spectral(); }
-  const PropagatorFactory& propagator_factory() const { return factory_; }
 
   const RVector& state() const { return x_; }
   void set_state(RVector x);
@@ -57,36 +60,48 @@ class PiecewiseExactIntegrator {
   /// Last state component of the peek at each of `count` offsets of one
   /// segment: out[i] is bit-identical to peek(h[i], u)[order()-1], and
   /// an offset of 0 returns the current last component.  With the modal
-  /// factorization this takes one theta-row contraction per offset and
-  /// no propagator lookup; the Van Loan path takes plain peek_into.
-  /// Throws on a negative or non-finite offset.
+  /// factorization each offset takes its own scalar set, outside the
+  /// step memo, and the theta row alone; the Van Loan path takes plain
+  /// peek_into.
   void peek_last_many(const double* h, std::size_t count, double u,
                       double* out) const;
 
-  /// Output at the peeked state.
-  double peek_output(double h, double u) const;
+  /// The last state component and its rate, (A x + B u)_last, at the
+  /// peek: the two rows a VCO-edge Newton iterate reads.  The theta is
+  /// bit-identical to peek(h, u)[order()-1]; with the modal
+  /// factorization no state vector is written.  Requires one input
+  /// column.
+  ThetaRows peek_theta(double h, double u) const;
 
   /// Commit: advance the state by `h` under constant input `u`.
   void advance(double h, double u);
 
+
  private:
-  const StepPropagator& propagator(double h) const;
+  /// Memo lookup of a step h > 0: on a miss, evaluates the modal scalars
+  /// or builds the Van Loan propagator of h into the memo.
+  void lookup(double h) const;
+  /// (A x + B u)_last at the state x.
+  double last_rate(const RVector& x, double u) const;
 
   StateSpace ss_;
   PropagatorFactory factory_;
   RVector x_;
 
-  // One-entry propagator memo: the last step length built and its
-  // propagator.  A lookup of the same h -- typically a commit taking
-  // the step its edge search peeked last -- returns it; any other h
-  // rebuilds it in place, which on the spectral path costs n scalar
-  // exponentials and no allocation.  That rebuild is cheaper than the
-  // hash index a keyed cache needs to avoid it.  NaN matches no step.
-  // Results never depend on hits vs misses; while obs records, the
-  // counters timedomain.propagator_{lookups,misses} count them.
+  // One-entry step memo: the last step length requested and its modal
+  // scalars (or, on the Van Loan path, its propagator).  A lookup of the
+  // same h -- typically a commit taking the step its edge search
+  // evaluated last -- returns it; any other h re-evaluates it in place,
+  // which on the modal path costs one scalar set per mode and no
+  // allocation.  That is cheaper than the hash index a keyed cache needs
+  // to avoid it.  NaN matches no step.  Results never depend on hits vs
+  // misses; while obs records, the counters
+  // timedomain.propagator_{lookups,misses} count them.
   mutable double memo_h_ = std::numeric_limits<double>::quiet_NaN();
+  mutable ModalStep step_;
   mutable StepPropagator memo_;
-  mutable RVector scratch_;  ///< advance() staging, swapped into x_
+  mutable ModalStep sample_step_;  ///< peek_last_many's per-offset scalars
+  mutable RVector scratch_;        ///< advance() and Van Loan peek staging
 };
 
 }  // namespace htmpll

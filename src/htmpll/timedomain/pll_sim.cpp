@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "htmpll/linalg/lu.hpp"
 #include "htmpll/obs/diag.hpp"
@@ -25,21 +26,47 @@ double ReferenceModulation::slope(double t) const {
   return amplitude * omega * std::cos(omega * t + phase);
 }
 
+namespace {
+
+/// Stop rule of every edge search: a Newton step (or bisection bracket)
+/// within `tolerance` seconds, or within 4 ulp of the target time once
+/// that is coarser -- past t ~ 128 T, kEdgeTolerance T is finer than the
+/// spacing of the doubles there and could never be met.
+double edge_search_tolerance(double tolerance, double target) {
+  const double a = std::abs(target);
+  const double ulp =
+      std::nextafter(a, std::numeric_limits<double>::infinity()) - a;
+  return std::max(tolerance, 4.0 * ulp);
+}
+
+}  // namespace
+
 double ReferenceModulation::edge_time(double target, double tolerance) const {
   // |theta_ref| << T makes this a contraction around t = target.  With
   // no modulation the loop below returns target (its first step is -0).
   if (amplitude == 0.0) return target;
-  double t = target - value(target);
+  // Newton on d = t - target from one phasor at the target: the angle of
+  // t is (omega target + phase) + omega d, so each step rotates
+  // (s0, c0) by the small-angle sincos of omega d instead of reducing a
+  // large argument again.
+  double s0, c0;
+  __builtin_sincos(omega * target + phase, &s0, &c0);
+  const double tol = edge_search_tolerance(tolerance, target);
+  double d = -amplitude * s0;
   for (int it = 0; it < 50; ++it) {
-    double s, c;
-    __builtin_sincos(omega * t + phase, &s, &c);
-    const double g = t + amplitude * s - target;
+    double sd, cd;
+    __builtin_sincos(omega * d, &sd, &cd);
+    const double s = s0 * cd + c0 * sd;
+    const double c = c0 * cd - s0 * sd;
+    const double g = d + amplitude * s;
     const double gp = 1.0 + amplitude * omega * c;
-    const double dt = -g / gp;
-    t += dt;
-    if (std::abs(dt) <= tolerance) break;
+    const double step = -g / gp;
+    // Unlike the VCO edge below, the last step is taken: no step memo
+    // waits on the evaluated point, and the step costs nothing.
+    d += step;
+    if (std::abs(step) <= tol) break;
   }
-  return t;
+  return target + d;
 }
 
 namespace {
@@ -321,78 +348,68 @@ double PllTransientSim::next_reference_edge(double target) const {
 
 double PllTransientSim::next_vco_edge(double target, double current,
                                       double horizon) const {
-  // Solve t + theta(t) = target with theta propagated exactly from the
-  // segment start under the held charge-pump current.
-  const double theta_now = theta();
-  double t = std::max(t_, target - theta_now);
+  // Solve g(t) = t + theta(t) - target = 0 with theta propagated exactly
+  // from the segment start under the held charge-pump current.  One
+  // peek_theta gives g and g' = 1 + theta' = 1 + (A x + B u)_theta.
+  const auto g_at = [&](double t) {
+    const ThetaRows r = aug_.peek_theta(t - t_, current);
+    return std::pair{t + r.theta - target, 1.0 + r.slope};
+  };
+  double t = std::max(t_, target - theta());
   if (t > horizon && horizon >= t_) {
-    // Newton would start past the step's next event.  One peek at the
-    // horizon (the step the commit then takes, so the commit reuses its
-    // propagator) decides: with the VCO phase still advancing and
-    // clearly short of the target there, the edge cannot fire in this
-    // step and the search is skipped.  Searching anyway is what made
-    // DOWN-state steps expensive: far past the horizon 1 + kvco y drops
-    // toward zero and Newton diverges into the bisection fallback.
-    aug_.peek_into(horizon - t_, current, peek_scratch_);
-    const double g = horizon + peek_scratch_[theta_index_] - target;
-    const double gp =
-        1.0 + kvco_ * aug_.system().output(peek_scratch_, current);
+    // Newton would start past the step's next event.  One evaluation at
+    // the horizon (the step the commit takes when the search is skipped)
+    // decides: with the VCO phase still advancing and clearly short of
+    // the target there, the edge cannot fire in this step and the search
+    // is skipped.  Searching anyway is what made DOWN-state steps
+    // expensive: far past the horizon 1 + kvco y drops toward zero and
+    // Newton diverges into the bisection fallback.
+    const auto [g, gp] = g_at(horizon);
     if (gp > 0.0 &&
         g < -kHorizonMargin * t_period_ * std::max(1.0, gp)) {
       return std::numeric_limits<double>::infinity();
     }
   }
-  bool converged = false;
+  // Newton returns the last point it evaluated, so the commit finds that
+  // step's scalars in the memo.
+  const double tol =
+      edge_search_tolerance(kEdgeTolerance * t_period_, target);
   double dt = 0.0;
   for (int it = 0; it < 60; ++it) {
-    const double h = std::max(0.0, t - t_);
-    aug_.peek_into(h, current, peek_scratch_);
-    const RVector& x = peek_scratch_;
-    const double g = t + x[theta_index_] - target;
-    const double y = aug_.system().output(x, current);
-    double gp = 1.0 + kvco_ * y;
+    auto [g, gp] = g_at(t);
     // theta' <= -1 would mean non-positive instantaneous VCO frequency;
     // treat as a degenerate large transient and damp the step.
     if (gp < 0.1) gp = 1.0;
     dt = -g / gp;
-    t += dt;
-    if (t < t_) t = t_;
-    if (std::abs(dt) <= kEdgeTolerance * t_period_) {
-      converged = true;
-      break;
-    }
+    if (std::abs(dt) <= tol) return t;
+    const double next = std::max(t + dt, t_);
+    if (!std::isfinite(next)) break;  // diverged: never evaluate there
+    t = next;
   }
-  if (!converged) {
-    // Payload: the last Newton step in periods (NaN once it diverged).
-    obs::diag_event(obs::DiagReason::kVcoEdgeBisectionFallback,
-                    std::abs(dt) / t_period_);
-    // Bisection fallback on g(t) = t + theta(t) - target over an
-    // expanding bracket; g is continuous and eventually positive.
-    double lo = t_;
-    aug_.peek_into(0.0, current, peek_scratch_);
-    double g_lo = lo + peek_scratch_[theta_index_] - target;
-    if (g_lo >= 0.0) return t_;  // edge is (numerically) overdue
-    double hi = t_ + t_period_;
-    for (int grow = 0; grow < 64; ++grow) {
-      aug_.peek_into(hi - t_, current, peek_scratch_);
-      const double g_hi = hi + peek_scratch_[theta_index_] - target;
-      if (g_hi >= 0.0) break;
-      hi = t_ + 2.0 * (hi - t_);
-    }
-    for (int it = 0; it < 200; ++it) {
-      const double mid = 0.5 * (lo + hi);
-      aug_.peek_into(mid - t_, current, peek_scratch_);
-      const double g_mid = mid + peek_scratch_[theta_index_] - target;
-      if (g_mid < 0.0) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-      if (hi - lo <= kEdgeTolerance * t_period_) break;
-    }
-    t = 0.5 * (lo + hi);
+  // Payload: the last Newton step in periods (inf or NaN once it
+  // diverged).
+  obs::diag_event(obs::DiagReason::kVcoEdgeBisectionFallback,
+                  std::abs(dt) / t_period_);
+  // Bisection fallback on g over an expanding bracket; g is continuous
+  // and eventually positive.
+  double lo = t_;
+  if (g_at(lo).first >= 0.0) return t_;  // edge is (numerically) overdue
+  double hi = t_ + t_period_;
+  for (int grow = 0; grow < 64; ++grow) {
+    if (g_at(hi).first >= 0.0) break;
+    hi = t_ + 2.0 * (hi - t_);
   }
-  return std::max(t, t_);
+  double mid = lo;
+  for (int it = 0; it < 200; ++it) {
+    mid = 0.5 * (lo + hi);
+    if (g_at(mid).first < 0.0) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+    if (hi - lo <= tol) break;
+  }
+  return mid;
 }
 
 void PllTransientSim::record_range(double t_begin, double t_end,

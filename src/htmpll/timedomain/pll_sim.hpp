@@ -37,9 +37,10 @@ struct ReferenceModulation {
 
   /// Reference edge for `target` = n T: solves t + value(t) = target by
   /// Newton from t = target - value(target), stopping once a step is
-  /// within `tolerance` seconds (at most 50 steps), and returns t
-  /// unclamped.  Each step takes value and slope from one sincos of
-  /// omega t + phase, bit-identical to value(t) and slope(t).
+  /// within max(`tolerance`, 4 ulp(target)) seconds (at most 50 steps),
+  /// and returns t unclamped.  One sincos of omega target + phase is
+  /// taken; each step rotates it by the small-angle sincos of
+  /// omega (t - target).
   double edge_time(double target, double tolerance) const;
 
   /// Hann-windowed bin of value(t) at `omega_bin` over the window
@@ -310,7 +311,6 @@ class PllTransientSim {
 
   PiecewiseExactIntegrator aug_;  ///< filter states + theta (last state)
   std::size_t theta_index_;
-  mutable RVector peek_scratch_;  ///< edge-solver peek staging
   // Last reference-edge solve.  plan_step runs once per step and a
   // reference edge usually spans two (a VCO edge falls in between); the
   // solution depends only on the target, so it is keyed on the target.

@@ -41,7 +41,8 @@ TEST(Integrator, PeekDoesNotCommit) {
   const RVector peeked = sim.peek(0.5, 1.0);
   EXPECT_NE(peeked[0], before[0]);
   EXPECT_EQ(sim.state()[0], before[0]);
-  EXPECT_NEAR(sim.peek_output(0.5, 1.0), peeked[0], 1e-15);
+  EXPECT_EQ(sim.peek_theta(0.5, 1.0).theta, peeked[0]);
+  EXPECT_EQ(sim.state()[0], before[0]);
 }
 
 TEST(Integrator, ZeroStepIsIdentity) {
@@ -75,6 +76,8 @@ TEST(Integrator, RejectsInfiniteStep) {
     EXPECT_THROW(sim.peek_into(inf, 1.0, out), std::invalid_argument);
     EXPECT_THROW(sim.peek_last_many(&inf, 1, 1.0, &last),
                  std::invalid_argument);
+    EXPECT_THROW(sim.peek_theta(inf, 1.0), std::invalid_argument);
+    EXPECT_THROW(sim.peek(inf, 1.0), std::invalid_argument);
     EXPECT_EQ(sim.state(), before);
   }
 }

@@ -1,5 +1,7 @@
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -107,6 +109,49 @@ TEST(PllSim, ReferenceModulationValueAndSlope) {
   const ReferenceModulation off{};
   EXPECT_EQ(off.value(5.0), 0.0);
   EXPECT_EQ(off.slope(5.0), 0.0);
+}
+
+TEST(PllSim, ReferenceEdgeSolvesItsEquation) {
+  // edge_time solves t + a sin(w t + p) = n T from one phasor at the
+  // target.  Against a long double Newton solve, over random small-signal
+  // modulations and targets from 1 to 1e6 periods, the edge agrees to
+  // the stop rule max(tol, 4 ulp(target)) plus the rounding of the
+  // double phase w n T + p itself (which any double evaluation of the
+  // modulation at that time carries), and with no modulation it is the
+  // target itself.
+  std::mt19937 rng(314u);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const double tol = kEdgeTolerance;
+  const auto ulp = [](double x) {
+    const double a = std::abs(x);
+    return std::nextafter(a, std::numeric_limits<double>::infinity()) - a;
+  };
+  for (int i = 0; i < 400; ++i) {
+    ReferenceModulation mod;
+    mod.amplitude = (i % 2 == 0 ? 1e-3 : 0.2) * (unit(rng) - 0.5);
+    mod.omega = (0.01 + 0.5 * unit(rng)) * kW0;
+    mod.phase = 6.0 * unit(rng);
+    const double target =
+        std::round(std::pow(10.0, 6.0 * unit(rng)));  // n T, T = 1
+    const double t = mod.edge_time(target, tol);
+    using ld = long double;
+    ld tl = target;
+    for (int it = 0; it < 60; ++it) {
+      const ld arg = static_cast<ld>(mod.omega) * tl + mod.phase;
+      const ld g = tl + static_cast<ld>(mod.amplitude) * std::sin(arg) -
+                   static_cast<ld>(target);
+      const ld gp = 1.0L + static_cast<ld>(mod.amplitude) * mod.omega *
+                               std::cos(arg);
+      tl -= g / gp;
+    }
+    const double phase_rounding =
+        std::abs(mod.amplitude) * ulp(mod.omega * target + mod.phase);
+    EXPECT_LE(std::abs(static_cast<ld>(t) - tl),
+              std::max(tol, 4.0 * ulp(target)) + 2.0 * phase_rounding)
+        << "target " << target << " a " << mod.amplitude << " w "
+        << mod.omega;
+  }
+  EXPECT_EQ(ReferenceModulation{}.edge_time(12345.0, tol), 12345.0);
 }
 
 TEST(PllSim, RunUntilIsIncremental) {

@@ -1,10 +1,13 @@
-// Spectral propagator factory: agreement with the Van Loan/Pade oracle
-// across step-length decades on the phase-augmented companion shape it
-// diagonalizes, its modes and basis taken from the denominator's roots
+// Modal step evaluation: agreement with the Van Loan/Pade oracle across
+// step-length decades on the phase-augmented companion shape it
+// diagonalizes (Phi and Gamma1 read back from advance() on unit
+// vectors), its modes and basis taken from the denominator's roots
 // (closed forms of 1x1 blocks, a real pair and an undamped pair, and the
 // eigenpair residual), every loop family the library builds on the
 // modal path, the closed forms and semigroup identity at the 2 GHz
-// scale, the Van Loan fallback for every other shape, a repeated root
+// scale, the theta and theta' rows, the step memo and the sampler's
+// bit-identity with the commit, the real-axis series against long
+// double, the Van Loan fallback for every other shape, a repeated root
 // and allow_spectral = false, and the rejection of non-finite input.
 #include <gtest/gtest.h>
 
@@ -29,6 +32,8 @@
 #include "htmpll/timedomain/loop_filter_sim.hpp"
 #include "htmpll/timedomain/spectral.hpp"
 
+#include "obs_scope.hpp"
+
 namespace htmpll {
 namespace {
 
@@ -51,17 +56,36 @@ bool bitwise_equal(const RMatrix& a, const RMatrix& b) {
                      a.data().size() * sizeof(double)) == 0;
 }
 
+/// Phi and Gamma1 of the modal step h, read back from advance(): column
+/// j of Phi is the step of the unit state e_j under u = 0, Gamma1 the
+/// step of the zero state under u = 1.
 StepPropagator build(const PropagatorFactory& f, double h) {
+  EXPECT_TRUE(f.is_spectral());
+  const std::size_t n = f.order();
+  ModalStep s;
+  f.evaluate(h, s);
   StepPropagator p;
-  f.make_into(h, p);
+  p.phi0 = RMatrix(n, n);
+  p.gamma1 = RMatrix(n, 1);
+  std::vector<double> x(n, 0.0), out(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    x[j] = 1.0;
+    f.advance(s, x.data(), 0.0, out.data());
+    for (std::size_t i = 0; i < n; ++i) p.phi0(i, j) = out[i];
+    x[j] = 0.0;
+  }
+  f.advance(s, x.data(), 1.0, out.data());
+  for (std::size_t i = 0; i < n; ++i) p.gamma1(i, 0) = out[i];
   return p;
 }
 
-/// Every block of the factory's build equals make_propagator bit for
-/// bit (the Van Loan fallback).
+/// The factory has no modal form for the system, and its propagator is
+/// make_propagator bit for bit (the Van Loan fallback).
 void expect_van_loan_bitwise(const PropagatorFactory& f, const RMatrix& a,
                              const RMatrix& b, double h) {
-  const StepPropagator s = build(f, h);
+  EXPECT_FALSE(f.is_spectral());
+  StepPropagator s;
+  f.make_into(h, s);
   const StepPropagator p = make_propagator(a, b, h);
   EXPECT_TRUE(bitwise_equal(s.phi0, p.phi0)) << "h = " << h;
   EXPECT_TRUE(bitwise_equal(s.gamma1, p.gamma1)) << "h = " << h;
@@ -82,7 +106,7 @@ double worst_block_error(const PropagatorFactory& f, const RMatrix& a,
   return block_error(build(f, h), make_propagator(a, b, h));
 }
 
-/// The modal build's error model (spectral.hpp): eps * kappa(V), above
+/// The modal step's error model (spectral.hpp): eps * kappa(V), above
 /// the Van Loan reference's own floor.
 double modal_bound(const PropagatorFactory& f) {
   return std::max(1e-12, 2e-14 * f.vector_condition());
@@ -250,8 +274,7 @@ TEST(SpectralPropagator, NonAugmentedSystemBuildsVanLoanBitwise) {
 }
 
 TEST(SpectralPropagator, MatchesPadeOnRandomStableSystems) {
-  // n = 2..6 puts the filter block at 1..5 modes, both sides of
-  // modal_cexp's scalar tail (below 4) and the batch_cexp width.
+  // n = 2..6 puts the filter block at 1..5 modes, real and complex.
   std::mt19937 rng(77u);
   int spectral_seen = 0;
   int wide_seen = 0;
@@ -650,19 +673,36 @@ TEST(SpectralPropagator, AutonomousSystem) {
   EXPECT_FALSE(f.is_spectral());
   for (double h : {1e-2, 1.0}) {
     expect_van_loan_bitwise(f, kAugA, RMatrix{}, h);
-    EXPECT_TRUE(build(f, h).gamma1.empty());
+    StepPropagator p;
+    f.make_into(h, p);
+    EXPECT_TRUE(p.gamma1.empty());
   }
 }
 
-TEST(SpectralPropagator, WarmRebuildMatchesFreshBuildBitwise) {
-  // Every integrator memo rebuilds its propagator in place, into
-  // storage that last held another step or a Van Loan build.  The warm
-  // rebuild must equal a fresh build bit for bit on random companion
-  // systems spanning both phi branch regimes and the sub/above-4 mode
-  // widths, and at the 2 GHz loop's step lengths.
+/// Every scalar of two evaluations, bit for bit.
+bool same_step(const ModalStep& a, const ModalStep& b) {
+  const auto same = [](const std::vector<cplx>& x,
+                       const std::vector<cplx>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(cplx)) == 0;
+  };
+  return a.h == b.h && same(a.e, b.e) && same(a.g1, b.g1) &&
+         same(a.g2, b.g2);
+}
+
+TEST(SpectralPropagator, MemoHitMatchesFreshEvaluationBitwise) {
+  // Every integrator memo re-evaluates its scalars in place, into
+  // storage that last held another step (or another system's modes),
+  // and serves repeats of the same h from it.  The warm evaluation must
+  // equal a fresh one bit for bit on random companion systems spanning
+  // both phi branch regimes and 1..5 modes, and at the 2 GHz loop's
+  // step lengths; an integrator's memo hit must equal a fresh
+  // integrator's miss.
   std::mt19937 rng(1234u);
   std::uniform_real_distribution<double> loghd(-3.0, 1.0);
+  std::uniform_real_distribution<double> entry(-1.0, 1.0);
   int spectral_seen = 0;
+  ModalStep warm;
   for (int trial = 0; trial < 80; ++trial) {
     const std::size_t n = 2 + static_cast<std::size_t>(rng() % 5);
     RMatrix a, b;
@@ -670,118 +710,176 @@ TEST(SpectralPropagator, WarmRebuildMatchesFreshBuildBitwise) {
     PropagatorFactory f(a, b);
     if (!f.is_spectral()) continue;  // rare ill-conditioned draws
     ++spectral_seen;
-    StepPropagator warm = make_propagator(a, b, 0.3);
     for (int k = 0; k < 4; ++k) {
       const double h = std::pow(10.0, loghd(rng));
-      f.make_into(h, warm);
-      const StepPropagator fresh = build(f, h);
-      EXPECT_TRUE(bitwise_equal(warm.phi0, fresh.phi0))
-          << "trial " << trial << " h " << h;
-      EXPECT_TRUE(bitwise_equal(warm.gamma1, fresh.gamma1))
-          << "trial " << trial << " h " << h;
+      f.evaluate(h, warm);
+      ModalStep fresh;
+      f.evaluate(h, fresh);
+      EXPECT_TRUE(same_step(warm, fresh)) << "trial " << trial << " h " << h;
     }
   }
   EXPECT_GT(spectral_seen, 50);
 
   // The real PLL loop: near-zero integrator pole (tiny-argument fast
-  // paths) at hardware step lengths.
+  // path) at hardware step lengths, through the integrator's memo.
   const double w0 = 2.0 * std::numbers::pi * 2e9;
   const PllParameters p = make_typical_loop(0.1 * w0, w0);
-  const StateSpace aug =
-      augment_with_phase(to_state_space(p.filter.impedance()), p.kvco);
-  PropagatorFactory fpll(aug.a, aug.b);
-  ASSERT_TRUE(fpll.is_spectral());
-  StepPropagator warm;
+  const StateSpace aug = loop_system(p);
+  PiecewiseExactIntegrator memo(aug);
+  ASSERT_TRUE(memo.spectral_propagators());
+  memo.set_state({1e-9, -2e-10, 3e-11});
   std::uniform_real_distribution<double> loghp(-12.0, -8.0);
+  const auto same = [](const RVector& x, const RVector& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  const PropagatorMemoCounts st;
   for (int k = 0; k < 40; ++k) {
     const double h = std::pow(10.0, loghp(rng));
-    fpll.make_into(h, warm);
-    const StepPropagator fresh = build(fpll, h);
-    EXPECT_TRUE(bitwise_equal(warm.phi0, fresh.phi0)) << "h " << h;
-    EXPECT_TRUE(bitwise_equal(warm.gamma1, fresh.gamma1)) << "h " << h;
+    const RVector miss = memo.peek(h, 1e-3);
+    const RVector hit = memo.peek(h, 1e-3);
+    PiecewiseExactIntegrator fresh(aug);
+    fresh.set_state(memo.state());
+    EXPECT_TRUE(same(hit, miss)) << "h " << h;
+    EXPECT_TRUE(same(hit, fresh.peek(h, 1e-3))) << "h " << h;
   }
+  EXPECT_EQ(st.hits(), 40u);
 }
 
-TEST(SpectralPropagator, LastRowFastPathMatchesFullAdvanceBitwise) {
-  // propagate_last_row_many replaces the O(n^2) build + advance with a
-  // modal theta-row contraction per offset; the record paths lean on it
-  // being bit-identical to make_into + advance_into for every h the
-  // samplers request.  Each case's step-length range puts |lambda h| on
-  // both sides of the phi series/quotient switch at 0.5, and the 4-mode
-  // system takes the batch_cexp branch.
+TEST(SpectralPropagator, SamplerThetaMatchesCommittedAdvanceBitwise) {
+  // The record paths take theta at a segment's sample offsets from
+  // peek_last_many, one scalar set and the theta row per offset, and the
+  // VCO-edge Newton from peek_theta; the event loop then commits with
+  // advance.  All three must give the same theta bit for bit for every
+  // h.  Each case's step-length range puts |lambda h| on both sides of
+  // the phi series/quotient switch at 0.5, and the 4-mode system
+  // carries a complex pair.
   std::mt19937 rng(4321u);
   std::uniform_real_distribution<double> entry(-1.0, 1.0);
 
   const double w0 = 2.0 * std::numbers::pi * 2e9;
-  const PllParameters p = make_typical_loop(0.1 * w0, w0);
-  const StateSpace aug =
-      augment_with_phase(to_state_space(p.filter.impedance()), p.kvco);
+  const StateSpace pll = loop_system(make_typical_loop(0.1 * w0, w0));
   // Modes -0.4 +- 0.995j, -2 and -0.8:
   // (s^2 + 0.8 s + 1.15)(s^2 + 2.8 s + 1.6).
-  const RMatrix quad_a =
+  StateSpace quad;
+  quad.a =
       augmented_companion({1.84, 4.5, 4.99, 3.6, 1.0}, {0.7, 0.2, 0.3, 0.1});
-  const RMatrix quad_b{{0.1}, {1.0}, {0.5}, {0.2}, {0.4}};
+  quad.b = RMatrix{{0.1}, {1.0}, {0.5}, {0.2}, {0.4}};
+  StateSpace damped;
+  damped.a = kAugA;
+  damped.b = kAugB;
+  for (StateSpace* ss : {&quad, &damped}) {
+    ss->c = RMatrix(1, ss->a.rows());
+    ss->c(0, 0) = 1.0;
+  }
   struct Case {
-    PropagatorFactory f;
+    const StateSpace& ss;
     double logh_lo, logh_hi, xscale;
   };
-  Case cases[] = {{PropagatorFactory(aug.a, aug.b), -12.0, -8.0, 1e-9},
-                  {PropagatorFactory(kAugA, kAugB), -3.0, 1.0, 1.0},
-                  {PropagatorFactory(quad_a, quad_b), -3.0, 1.0, 1.0}};
+  const Case cases[] = {{pll, -12.0, -8.0, 1e-9},
+                        {damped, -3.0, 1.0, 1.0},
+                        {quad, -3.0, 1.0, 1.0}};
   const auto same = [](double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
   };
-  for (Case& c : cases) {
-    ASSERT_TRUE(c.f.is_spectral());
-    const std::size_t n = c.f.order();
-    RVector x(n), out(n);
-    StepPropagator prop;
-    const auto full_last = [&](double h, double u) {
-      c.f.make_into(h, prop);
-      prop.advance_into(x, u, out);
-      return out[n - 1];
-    };
+  for (const Case& c : cases) {
+    PiecewiseExactIntegrator sampler(c.ss);
+    ASSERT_TRUE(sampler.spectral_propagators());
+    const std::size_t n = c.ss.order();
     std::uniform_real_distribution<double> logh(c.logh_lo, c.logh_hi);
-    // One offset per call, each with its own state and input.
-    for (int k = 0; k < 60; ++k) {
-      const double h = std::pow(10.0, logh(rng));
-      for (std::size_t i = 0; i < n; ++i) x[i] = entry(rng) * c.xscale;
-      const double u = entry(rng) * 1e-3;
-      double fast = 0.0;
-      c.f.propagate_last_row_many(&h, 1, x.data(), u, &fast);
-      const double full = full_last(h, u);
-      EXPECT_TRUE(same(fast, full))
-          << "n " << n << " h " << h << " fast " << fast << " full " << full;
-    }
-    // The record paths' shape: a segment's 60 offsets in one call
-    // sharing state and input, an offset of 0 among them.
+    // A segment's 60 offsets in one call sharing state and input, an
+    // offset of 0 among them.
     std::vector<double> hs(61);
     for (double& h : hs) h = std::pow(10.0, logh(rng));
     hs[30] = 0.0;
-    for (std::size_t i = 0; i < n; ++i) x[i] = entry(rng) * c.xscale;
+    RVector x(n);
+    for (double& v : x) v = entry(rng) * c.xscale;
+    sampler.set_state(x);
     const double u = entry(rng) * 1e-3;
     std::vector<double> got(hs.size());
-    c.f.propagate_last_row_many(hs.data(), hs.size(), x.data(), u,
-                                got.data());
+    sampler.peek_last_many(hs.data(), hs.size(), u, got.data());
     for (std::size_t k = 0; k < hs.size(); ++k) {
-      const double want = hs[k] == 0.0 ? x[n - 1] : full_last(hs[k], u);
-      EXPECT_TRUE(same(got[k], want))
+      PiecewiseExactIntegrator committed(c.ss);
+      committed.set_state(x);
+      committed.advance(hs[k], u);
+      EXPECT_TRUE(same(got[k], committed.state()[n - 1]))
+          << "n " << n << " offset " << k << " h " << hs[k];
+      EXPECT_TRUE(same(sampler.peek_theta(hs[k], u).theta, got[k]))
           << "n " << n << " offset " << k << " h " << hs[k];
     }
     double unused = 0.0;
     for (double bad : {-1e-3, std::numeric_limits<double>::infinity(),
                        std::numeric_limits<double>::quiet_NaN()}) {
-      EXPECT_THROW(
-          c.f.propagate_last_row_many(&bad, 1, x.data(), u, &unused),
-          std::invalid_argument);
+      EXPECT_THROW(sampler.peek_last_many(&bad, 1, u, &unused),
+                   std::invalid_argument);
     }
   }
 }
 
+TEST(SpectralPropagator, ThetaRowsMatchVanLoanAndTheStateRate) {
+  // peek_theta's two rows, theta(h) and theta'(h) = (A x(h) + B u)_theta,
+  // against the last entry and the last row of A x + B u of a Van Loan
+  // peek, and theta' against the last row of A x + B u at the modal
+  // advance's own state, on random companion systems of 1..5 modes
+  // (complex pairs included) at step lengths on both sides of the phi
+  // series/quotient switch.  Bound: the modal step's max(1e-12,
+  // 2e-14 kappa(V)), relative to the size of the terms summed.
+  std::mt19937 rng(97531u);
+  std::uniform_real_distribution<double> entry(-1.0, 1.0);
+  std::uniform_real_distribution<double> logh(-3.0, 0.6);
+  int spectral_seen = 0;
+  int complex_seen = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 2 + static_cast<std::size_t>(trial % 5);
+    RMatrix a, b;
+    random_augmented(rng, n, a, b);
+    const PropagatorFactory f(a, b);
+    if (!f.is_spectral()) continue;  // rare ill-conditioned draws
+    ++spectral_seen;
+    const CVector modes = [&] {
+      std::vector<double> den(n, 1.0);
+      for (std::size_t j = 0; j + 1 < n; ++j) den[j] = -a(n - 2, j);
+      return find_roots(Polynomial::from_real(den));
+    }();
+    for (const cplx& m : modes) {
+      if (m.imag() != 0.0) {
+        ++complex_seen;
+        break;
+      }
+    }
+    const auto rate = [&](const RVector& x, double u) {
+      double r = b(n - 1, 0) * u;
+      for (std::size_t j = 0; j < n; ++j) r += a(n - 1, j) * x[j];
+      return r;
+    };
+    for (int k = 0; k < 6; ++k) {
+      const double h = std::pow(10.0, logh(rng));
+      RVector x(n);
+      for (double& v : x) v = entry(rng);
+      const double u = entry(rng);
+      ModalStep s;
+      f.evaluate(h, s);
+      const ThetaRows rows = f.theta_rows(s, x.data(), u);
+      RVector modal(n);
+      f.advance(s, x.data(), u, modal.data());
+      const RVector vl = make_propagator(a, b, h).advance(x, {u});
+      const double scale = 1.0 + h;  // |x|, |u| <= 1; Phi, Gamma1 ~ 1 + h
+      const double bound = modal_bound(f) * scale;
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " n " << n
+                                      << " h " << h);
+      EXPECT_LT(std::abs(rows.theta - vl[n - 1]), bound);
+      EXPECT_LT(std::abs(rows.slope - rate(vl, u)), bound);
+      EXPECT_LT(std::abs(rows.slope - rate(modal, u)), bound);
+    }
+  }
+  EXPECT_GT(spectral_seen, 40);
+  EXPECT_GT(complex_seen, 20);
+}
+
 TEST(SpectralPropagator, PhiShortcutIdentitiesMatchLibraryOps) {
   // Randomized differential pins for the floating-point identities the
-  // phi1/phi2 shortcuts rely on.  Each check replicates the exact flop
-  // DAG of the production shortcut and of the library op sequence it
+  // real-axis scalars rely on.  Each check replicates the flop DAG of
+  // the production shortcut and of the library op sequence it
   // replaces, and demands bitwise agreement.
   std::mt19937_64 rng(99u);
   std::uniform_real_distribution<double> expo_tiny(-320.0, -60.01);
@@ -792,9 +890,10 @@ TEST(SpectralPropagator, PhiShortcutIdentitiesMatchLibraryOps) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
   };
 
-  // exp(x) == 1.0 exactly below 2^-60 (modal_cexp's integrator-pole
-  // elision), and the real-axis cexp collapse m*cos(+-0) == m,
-  // m*sin(+-0) == m*(+-0).
+  // exp(x) == 1.0 exactly below 2^-60, the constant the integrator
+  // pole's e^z takes there, and the real-axis cexp collapse
+  // m*cos(+-0) == m, m*sin(+-0) == m*(+-0) behind evaluating a real
+  // mode's e^z with one exp.
   for (int i = 0; i < 50000; ++i) {
     const double x = std::copysign(
         std::ldexp(mant(rng),
@@ -810,45 +909,10 @@ TEST(SpectralPropagator, PhiShortcutIdentitiesMatchLibraryOps) {
   EXPECT_EQ(std::exp(0.0), 1.0);
   EXPECT_EQ(std::exp(-0.0), 1.0);
 
-  // Real-axis series Horner vs the complex-Horner DAG, 2^-60 <= |zr|
-  // < 0.5, both signs of zr and of the zero imaginary part.
-  double inv_fact[17];
-  double fct = 6.0;
-  for (int j = 0; j <= 16; ++j) {
-    inv_fact[j] = 1.0 / fct;
-    fct *= static_cast<double>(j + 4);
-  }
-  for (int i = 0; i < 200000; ++i) {
-    double zr = std::ldexp(mant(rng), static_cast<int>(expo_series(rng)));
-    if (zr >= 0.5) continue;
-    zr = std::copysign(zr, uni(rng));
-    const double zi = std::copysign(0.0, uni(rng));
-    // Reference: the exact complex-Horner flop DAG.
-    double ar = 0.0, ai = 0.0;
-    for (int j = 16; j >= 0; --j) {
-      const double tr = ar * zr - ai * zi;
-      ai = ar * zi + ai * zr;
-      ar = tr + inv_fact[j];
-    }
-    const double rp2r = (zr * ar - zi * ai) + 0.5;
-    const double rp2i = zr * ai + zi * ar;
-    const double rp1r = (zr * rp2r - zi * rp2i) + 1.0;
-    const double rp1i = zr * rp2i + zi * rp2r;
-    // Shortcut: real Horner + closed-form signed zeros.
-    double a = 0.0;
-    for (int j = 16; j >= 0; --j) a = a * zr + inv_fact[j];
-    const double sai = (std::signbit(zi) && std::signbit(zr)) ? -0.0 : 0.0;
-    const double sp2r = zr * a + 0.5;
-    const double sp2i = zr * sai + zi * a;
-    const double sp1r = zr * sp2r + 1.0;
-    const double sp1i = zr * sp2i + zi * sp2r;
-    EXPECT_TRUE(same(sp1r, rp1r) && same(sp1i, rp1i) &&
-                same(sp2r, rp2r) && same(sp2i, rp2i))
-        << "zr " << zr << " zi " << (std::signbit(zi) ? "-0" : "+0");
-  }
-
   // Quotient shortcut (Smith step with ratio = 0) vs the library
-  // complex division, real z with 0.5 <= |z| <= 50.
+  // complex division, real z with 0.5 <= |z| <= 50: on a real argument
+  // the library division reduces to the real quotients (e^z - 1) / z
+  // and (phi1 - 1) / z the real branch takes.
   for (int i = 0; i < 200000; ++i) {
     const double zr = std::copysign(0.5 + 49.5 * std::fabs(uni(rng)),
                                     uni(rng));
@@ -875,19 +939,101 @@ TEST(SpectralPropagator, PhiShortcutIdentitiesMatchLibraryOps) {
   }
 }
 
+TEST(SpectralPropagator, RealSeriesMatchesLongDoubleReference) {
+  // The real-axis series branch, 2^-60 <= |z| < 0.5, takes the shortest
+  // phi3 Horner whose tail stays below 2^-56 phi3, and e^z = 1 + z phi1
+  // instead of exp.  Against long double series of e^z, phi1 and phi2,
+  // its worst relative error over random z of both signs across every
+  // binade stays within the worst error of the full 17-term Horner it
+  // replaced (phi1, phi2 and 1 + z phi1 from it).  Read through the
+  // public path: a 1x1 filter block [[lambda]], lambda in [1, 2) of
+  // either sign, at h = 2^e, so z = lambda h and the scalars
+  // e, g1 / h = phi1 and g2 / h^2 = phi2 are exact.
+  using ld = long double;
+  const auto series = [](ld z, int k) {  // sum_j z^j / (j + k)!
+    ld fact = 1.0L;
+    for (int i = 2; i <= k; ++i) fact *= i;
+    std::vector<ld> c(40);
+    for (std::size_t j = 0; j < c.size(); ++j) {
+      c[j] = 1.0L / fact;
+      fact *= static_cast<ld>(j) + static_cast<ld>(k) + 1.0L;
+    }
+    ld acc = 0.0L;
+    for (std::size_t j = c.size(); j-- > 0;) acc = acc * z + c[j];
+    return acc;
+  };
+  double inv_fact[17];
+  double fct = 6.0;
+  for (int j = 0; j <= 16; ++j) {
+    inv_fact[j] = 1.0 / fct;
+    fct *= static_cast<double>(j + 4);
+  }
+  std::mt19937_64 rng(99u);
+  std::uniform_real_distribution<double> mant(1.0, 2.0);
+  const auto rel = [](double got, ld want) {
+    return static_cast<double>(std::fabs((static_cast<ld>(got) - want) / want));
+  };
+  double worst[3] = {0.0, 0.0, 0.0};  // e, phi1, phi2 of the branch
+  double worst17[3] = {0.0, 0.0, 0.0};
+  int samples = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const double lambda = (i % 2 == 0 ? 1.0 : -1.0) * mant(rng);
+    const PropagatorFactory f(RMatrix{{lambda, 0.0}, {1.0, 0.0}},
+                              RMatrix{{1.0}, {0.0}});
+    ASSERT_TRUE(f.is_spectral());
+    ModalStep s;
+    for (int e = -61; e <= -1; ++e) {
+      const double h = std::ldexp(1.0, e);
+      const double z = lambda * h;
+      if (std::fabs(z) < 0x1p-60 || std::fabs(z) >= 0.5) continue;
+      ++samples;
+      f.evaluate(h, s);
+      const ld zl = z;
+      const ld want[3] = {std::exp(zl), series(zl, 1), series(zl, 2)};
+      const double got[3] = {s.e[0].real(), s.g1[0].real() / h,
+                             s.g2[0].real() / (h * h)};
+      // The 17-term Horner of phi3, phi2 = z phi3 + 1/2,
+      // phi1 = z phi2 + 1, and e^z = 1 + z phi1 from it.
+      double a = 0.0;
+      for (int j = 16; j >= 0; --j) a = a * z + inv_fact[j];
+      const double p2 = z * a + 0.5;
+      const double p1 = z * p2 + 1.0;
+      const double full[3] = {z * p1 + 1.0, p1, p2};
+      for (int q = 0; q < 3; ++q) {
+        worst[q] = std::max(worst[q], rel(got[q], want[q]));
+        worst17[q] = std::max(worst17[q], rel(full[q], want[q]));
+      }
+      EXPECT_EQ(s.e[0].imag(), 0.0);
+      EXPECT_EQ(s.g1[0].imag(), 0.0);
+      EXPECT_EQ(s.g2[0].imag(), 0.0);
+    }
+  }
+  EXPECT_GT(samples, 80000);
+  const char* names[3] = {"e^z", "phi1", "phi2"};
+  for (int q = 0; q < 3; ++q) {
+    EXPECT_LE(worst[q], worst17[q]) << names[q];
+    EXPECT_LT(worst17[q], 0x1p-51) << names[q];  // the reference itself
+  }
+}
+
 TEST(SpectralPropagator, RejectsBadArguments) {
   EXPECT_THROW(PropagatorFactory(RMatrix(2, 3), RMatrix{}),
                std::invalid_argument);
   EXPECT_THROW(PropagatorFactory(RMatrix(2, 2), RMatrix(3, 1)),
                std::invalid_argument);
-  // Both the modal build and the Van Loan fallback take a finite h > 0.
+  // Both the modal evaluation and the Van Loan build take a finite
+  // h > 0.
   for (const PropagatorFactory& f :
        {PropagatorFactory(kAugA, kAugB),
         PropagatorFactory(RMatrix{{-1.0}}, RMatrix{{1.0}})}) {
     StepPropagator p;
+    ModalStep s;
     for (double h : {0.0, -1.0, std::numeric_limits<double>::infinity(),
                      std::numeric_limits<double>::quiet_NaN()}) {
       EXPECT_THROW(f.make_into(h, p), std::invalid_argument) << h;
+      if (f.is_spectral()) {
+        EXPECT_THROW(f.evaluate(h, s), std::invalid_argument) << h;
+      }
     }
   }
 }

@@ -1,11 +1,11 @@
-// Transient performance-layer suite: the propagator memo, the
-// horizon-bounded edge search (cost and bitwise exactness against a
-// reference event loop), the allocation-free steady state, the probe
-// core both event-driven simulators share, probe batches, probe-option
-// and non-finite input validation and the Monte Carlo batch APIs
-// (bit-identical across pool widths and to standalone runs).  Kept in
-// its own binary (like test_parallel) so the whole suite stays fast
-// enough to run routinely under -DHTMPLL_SANITIZE=thread.
+// Transient performance-layer suite: the step memo, the
+// horizon-bounded edge search (cost, and agreement with a reference
+// event loop on the Van Loan oracle), the allocation-free steady state,
+// the probe core both event-driven simulators share, probe batches,
+// probe-option and non-finite input validation and the Monte Carlo
+// batch APIs (bit-identical across pool widths and to standalone runs).
+// Kept in its own binary (like test_parallel) so the whole suite stays
+// fast enough to run routinely under -DHTMPLL_SANITIZE=thread.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -37,32 +37,32 @@ constexpr double kW0 = 2.0 * std::numbers::pi;  // T = 1
 
 /// Test oracle: PllTransientSim's event loop as it stood before the
 /// edge search was bounded by the step horizon.  Every VCO edge is
-/// solved to convergence (Newton, then the expanding-bracket bisection),
-/// every peek -- samples included -- applies a propagator built fresh
-/// for its step, and edges, leakage, held noise and recording follow
-/// the simulator's rules operation for operation.
+/// solved to convergence (Newton, then the expanding-bracket bisection,
+/// with the simulator's stop rule), every peek -- samples included --
+/// applies a Van Loan propagator, make_propagator, built fresh for its
+/// step, and edges, leakage, held noise and recording follow the
+/// simulator's rules operation for operation.
 class ReferenceEventLoop {
  public:
-  ReferenceEventLoop(const PllParameters& p, ReferenceModulation mod,
-                     bool use_spectral)
+  ReferenceEventLoop(const PllParameters& p, ReferenceModulation mod)
       : mod_(mod),
         t_period_(p.period()),
         icp_(p.icp),
         kvco_(p.kvco),
-        integ_(augment_with_phase(to_state_space(p.filter.impedance()),
-                                  p.kvco),
-               use_spectral),
-        x_(integ_.state()),
+        ss_(augment_with_phase(to_state_space(p.filter.impedance()),
+                               p.kvco)),
+        x_(ss_.order(), 0.0),
         theta_index_(x_.size() - 1),
         sample_interval_(t_period_ / 8.0) {}
 
   void set_initial_frequency_offset(double relative_offset) {
-    const StateSpace& ss = integ_.system();
     double cc = 0.0;
-    for (std::size_t j = 0; j < ss.order(); ++j) cc += ss.c(0, j) * ss.c(0, j);
+    for (std::size_t j = 0; j < ss_.order(); ++j) {
+      cc += ss_.c(0, j) * ss_.c(0, j);
+    }
     const double target_y = relative_offset / kvco_;
-    for (std::size_t j = 0; j < ss.order(); ++j) {
-      x_[j] = ss.c(0, j) * target_y / cc;
+    for (std::size_t j = 0; j < ss_.order(); ++j) {
+      x_[j] = ss_.c(0, j) * target_y / cc;
     }
   }
   void set_initial_theta(double theta0) { x_[theta_index_] = theta0; }
@@ -140,64 +140,62 @@ class ReferenceEventLoop {
     }
     auto it = builds_.find(h);
     if (it == builds_.end()) {
-      it = builds_.emplace(h, StepPropagator{}).first;
-      integ_.propagator_factory().make_into(h, it->second);
+      it = builds_.emplace(h, make_propagator(ss_.a, ss_.b, h)).first;
     }
     it->second.advance_into(x_, u, out);
   }
 
-  double next_reference_edge(double target) const {
-    double t = target - mod_.value(target);
-    for (int it = 0; it < 50; ++it) {
-      const double g = t + mod_.value(t) - target;
-      const double dt = -g / (1.0 + mod_.slope(t));
-      t += dt;
-      if (std::abs(dt) <= 1e-13 * t_period_) break;
+  /// g = t + theta(t) - target and g' = 1 + (A x + B u)_theta at t.
+  std::pair<double, double> g_at(double t, double target, double u) {
+    peek(t - t_, u, scratch_);
+    double rate = 0.0;
+    for (std::size_t j = 0; j <= theta_index_; ++j) {
+      rate += ss_.a(theta_index_, j) * scratch_[j];
     }
-    return std::max(t, t_);
+    rate += ss_.b(theta_index_, 0) * u;
+    return {t + scratch_[theta_index_] - target, 1.0 + rate};
+  }
+
+  double next_reference_edge(double target) const {
+    return std::max(mod_.edge_time(target, kEdgeTolerance * t_period_), t_);
   }
 
   double next_vco_edge(double target, double current) {
-    const double tol = 1e-13 * t_period_;
+    const double a = std::abs(target);
+    const double tol =
+        std::max(kEdgeTolerance * t_period_,
+                 4.0 * (std::nextafter(
+                            a, std::numeric_limits<double>::infinity()) -
+                        a));
     double t = std::max(t_, target - x_[theta_index_]);
-    bool converged = false;
     for (int it = 0; it < 60; ++it) {
-      peek(std::max(0.0, t - t_), current, scratch_);
-      const double g = t + scratch_[theta_index_] - target;
-      double gp = 1.0 + kvco_ * integ_.system().output(scratch_, current);
+      auto [g, gp] = g_at(t, target, current);
       if (gp < 0.1) gp = 1.0;
       const double dt = -g / gp;
-      t += dt;
-      if (t < t_) t = t_;
-      if (std::abs(dt) <= tol) {
-        converged = true;
-        break;
-      }
+      if (std::abs(dt) <= tol) return t;
+      const double next = std::max(t + dt, t_);
+      if (!std::isfinite(next)) break;
+      t = next;
     }
-    if (!converged) {
-      ++bisections_;
-      double lo = t_;
-      peek(0.0, current, scratch_);
-      if (lo + scratch_[theta_index_] - target >= 0.0) return t_;
-      double hi = t_ + t_period_;
-      for (int grow = 0; grow < 64; ++grow) {
-        peek(hi - t_, current, scratch_);
-        if (hi + scratch_[theta_index_] - target >= 0.0) break;
-        hi = t_ + 2.0 * (hi - t_);
-      }
-      for (int it = 0; it < 200; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        peek(mid - t_, current, scratch_);
-        if (mid + scratch_[theta_index_] - target < 0.0) {
-          lo = mid;
-        } else {
-          hi = mid;
-        }
-        if (hi - lo <= tol) break;
-      }
-      t = 0.5 * (lo + hi);
+    ++bisections_;
+    double lo = t_;
+    if (g_at(lo, target, current).first >= 0.0) return t_;
+    double hi = t_ + t_period_;
+    for (int grow = 0; grow < 64; ++grow) {
+      if (g_at(hi, target, current).first >= 0.0) break;
+      hi = t_ + 2.0 * (hi - t_);
     }
-    return std::max(t, t_);
+    double mid = lo;
+    for (int it = 0; it < 200; ++it) {
+      mid = 0.5 * (lo + hi);
+      if (g_at(mid, target, current).first < 0.0) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+      if (hi - lo <= tol) break;
+    }
+    return mid;
   }
 
   void record_range(double t_begin, double t_end, double current) {
@@ -215,7 +213,7 @@ class ReferenceEventLoop {
 
   ReferenceModulation mod_;
   double t_period_, icp_, kvco_;
-  PiecewiseExactIntegrator integ_;  ///< only its system and factory
+  StateSpace ss_;
   RVector x_, scratch_;
   std::size_t theta_index_;
   double sample_interval_;
@@ -300,7 +298,9 @@ TEST(EdgeSearch, LookupsPerEventStayFlatAcrossLoopBandwidth) {
   // searches for VCO edges that cannot fire before the next reference
   // edge drove Newton into divergence and the bisection bracket never
   // closed (~60 propagator lookups per PFD event at 0.15 vs ~8 at 0.05).
-  // Bounding the search by the step horizon keeps ~3 at every ratio.
+  // Bounding the search by the step horizon keeps ~3 at every ratio
+  // (2.8-3.2 since Newton returns its last evaluated point, which the
+  // commit then finds in the memo).
   for (double ratio : {0.05, 0.1, 0.101, 0.15, 0.27}) {
     const PllParameters p = make_typical_loop(ratio * kW0, kW0);
     ReferenceModulation mod;
@@ -310,51 +310,68 @@ TEST(EdgeSearch, LookupsPerEventStayFlatAcrossLoopBandwidth) {
     const PropagatorMemoCounts st;
     sim.run_periods(80.0);
     ASSERT_GT(sim.event_count(), 100u) << "ratio " << ratio;
-    EXPECT_LE(st.lookups(), 4 * sim.event_count()) << "ratio " << ratio;
+    EXPECT_LE(st.lookups(), 3.5 * static_cast<double>(sim.event_count()))
+        << "ratio " << ratio;
   }
 }
 
 TEST(EdgeSearch, BisectionFallbackIsObservable) {
-  // The Fig. 6 probe at w_UG/w0 = 0.01, 0.3 w_UG runs past t = 8192 T,
-  // where doubles near t are ~1.8e-12 T apart: the 1e-13 T Newton
-  // tolerance is unreachable for an edge whose residual never rounds to
-  // zero, and the bisection fallback takes over.  The diag event reports
-  // each such search with the stalled Newton step (in periods) as its
-  // payload.
   ScopedObs on(true);
-  const PllParameters p = make_typical_loop(0.01 * kW0, kW0);
-  ReferenceModulation mod;
-  mod.amplitude = ProbeOptions{}.amplitude_fraction * p.period();
-  mod.omega = 0.3 * 0.01 * kW0;
-  TransientConfig cfg;
-  cfg.record = false;
-  PllTransientSim sim(p, mod, cfg);
+  const auto fallbacks = [] {
+    return obs::diag_snapshot().tally[static_cast<std::size_t>(
+        obs::DiagReason::kVcoEdgeBisectionFallback)];
+  };
+  // The Fig. 6 probe at w_UG/w0 = 0.01, 0.3 w_UG runs past t = 8192 T,
+  // where doubles near t are ~1.8e-12 T apart.  A Newton tolerance of
+  // 1e-13 T alone is unreachable there for an edge whose residual never
+  // rounds to zero, and used to send two searches of this run into the
+  // bisection fallback; the stop at 4 ulp of the target time converges
+  // every search.
+  {
+    const PllParameters p = make_typical_loop(0.01 * kW0, kW0);
+    ReferenceModulation mod;
+    mod.amplitude = ProbeOptions{}.amplitude_fraction * p.period();
+    mod.omega = 0.3 * 0.01 * kW0;
+    TransientConfig cfg;
+    cfg.record = false;
+    PllTransientSim sim(p, mod, cfg);
+    obs::reset_counters();
+    const double tm = 2.0 * std::numbers::pi / mod.omega;
+    const double settle = std::max(400.0 * p.period(), 4.0 * tm);
+    sim.run_until(settle);
+    sim.run_until(settle + 24.0 * tm);  // the probe's schedule
+    ASSERT_GT(sim.time(), 8192.0 * p.period());
+    EXPECT_EQ(fallbacks(), 0u);
+  }
+  // A fast loop acquiring from a VCO 50 % fast still drives one Newton
+  // search into divergence (the damped step of a non-positive g'); the
+  // bisection finds that edge, the loop locks, and the diag event
+  // reports the search with its last Newton step as payload: NaN once
+  // it diverged.
+  const PllParameters p = make_typical_loop(0.27 * kW0, kW0);
+  PllTransientSim sim(p);
+  sim.set_initial_frequency_offset(0.5);
   obs::reset_counters();
-  const double tm = 2.0 * std::numbers::pi / mod.omega;
-  const double settle = std::max(400.0 * p.period(), 4.0 * tm);
-  sim.run_until(settle);
-  sim.run_until(settle + 24.0 * tm);  // the probe's schedule
-  const obs::DiagSnapshot s = obs::diag_snapshot();
-  const std::uint64_t fallbacks = s.tally[static_cast<std::size_t>(
-      obs::DiagReason::kVcoEdgeBisectionFallback)];
-  EXPECT_GE(fallbacks, 1u);
+  sim.run_periods(200.0);
+  EXPECT_TRUE(sim.is_locked(1e-6 * p.period()));
+  EXPECT_GE(fallbacks(), 1u);
   std::uint64_t seen = 0;
-  for (const obs::DiagEvent& e : s.events) {
+  for (const obs::DiagEvent& e : obs::diag_snapshot().events) {
     if (e.reason != obs::DiagReason::kVcoEdgeBisectionFallback) continue;
     ++seen;
-    EXPECT_GT(e.payload, 1e-13);     // above the Newton tolerance...
-    EXPECT_LT(e.payload, 0x1p-39);   // ...below one double spacing at 8192
+    EXPECT_TRUE(std::isnan(e.payload)) << e.payload;
   }
-  EXPECT_EQ(seen, fallbacks);
+  EXPECT_EQ(seen, fallbacks());
 }
 
-TEST(EdgeSearch, MatchesUnboundedReferenceLoopBitwise) {
+TEST(EdgeSearch, MatchesUnboundedReferenceLoop) {
   // Differential check of the horizon-bounded edge search, the theta-row
-  // sampler and the in-place memo rebuilds against the reference
-  // loop, on random loops across the whole stable range with
-  // modulation, held noise, leakage and acquisition offsets (frequency
-  // up to 3e-2, phase up to ~T).  Every fourth run starts a slow loop
-  // almost a cycle behind and below frequency, so it slips a cycle.
+  // sampler and the in-place memo re-evaluations against the reference
+  // loop on the Van Loan oracle, on random loops across the whole
+  // stable range with modulation, held noise, leakage and acquisition
+  // offsets (frequency up to 3e-2, phase up to ~T).  Every fourth run
+  // starts a slow loop almost a cycle behind and below frequency, so it
+  // slips a cycle.
   // Quiet runs (no modulation, noise or leakage) on fast loops settle
   // until reference and VCO edges coincide within the 1e-9 T window,
   // which is what the horizon margin must respect.  run_until stops at
@@ -392,7 +409,7 @@ TEST(EdgeSearch, MatchesUnboundedReferenceLoopBitwise) {
     TransientConfig cfg;
     cfg.use_spectral_propagators = spectral;
     PllTransientSim sim(p, mod, cfg);
-    ReferenceEventLoop ref(p, mod, spectral);
+    ReferenceEventLoop ref(p, mod);
     sim.set_initial_frequency_offset(offset);  // before theta0: it
     ref.set_initial_frequency_offset(offset);  // rewrites the whole state
     sim.set_initial_theta(theta0);
@@ -416,15 +433,24 @@ TEST(EdgeSearch, MatchesUnboundedReferenceLoopBitwise) {
                                     << " gamma " << gamma << " offset "
                                     << offset << " theta0 " << theta0);
     EXPECT_EQ(sim.event_count(), ref.event_count());
-    const double theta_sim = sim.theta();
-    const double theta_ref = ref.theta();
-    EXPECT_EQ(std::memcmp(&theta_sim, &theta_ref, sizeof(double)), 0);
     ASSERT_EQ(sim.theta_samples().size(), ref.theta_samples().size());
+    // The Van Loan simulator follows the oracle bit for bit.  The modal
+    // one may differ by the spectral-versus-Van Loan contract (1e-10 of
+    // theta's scale) plus, per PFD event so far, one edge tolerance:
+    // each edge lies within kEdgeTolerance T of its crossing on either
+    // side, and a pulse-width change of d moves theta by at most about d
+    // in a stable loop (w_UG T < 2).  Measured: at most 5.7e-14 T.
+    double scale = std::abs(ref.theta());
+    for (double th : ref.theta_samples()) scale = std::max(scale, std::abs(th));
+    const double bound =
+        spectral ? 1e-10 * scale + static_cast<double>(ref.event_count()) *
+                                       kEdgeTolerance * p.period()
+                 : 0.0;
+    EXPECT_LE(std::abs(sim.theta() - ref.theta()), bound);
     for (std::size_t i = 0; i < ref.theta_samples().size(); ++i) {
       ASSERT_EQ(sim.sample_times()[i], ref.sample_times()[i]) << "sample " << i;
-      ASSERT_EQ(std::memcmp(&sim.theta_samples()[i], &ref.theta_samples()[i],
-                            sizeof(double)),
-                0)
+      ASSERT_LE(std::abs(sim.theta_samples()[i] - ref.theta_samples()[i]),
+                bound)
           << "sample " << i;
     }
   }
@@ -476,7 +502,7 @@ TEST(SpectralEngine, ConfigOffRunsTheVanLoanOracle) {
   cfg.use_spectral_propagators = false;
   PllTransientSim sim(p, mod, cfg);
   EXPECT_FALSE(sim.spectral_propagators());
-  ReferenceEventLoop ref(p, mod, /*use_spectral=*/false);
+  ReferenceEventLoop ref(p, mod);
   sim.run_periods(30.0);
   ref.run_until(30.0 * p.period());
   EXPECT_EQ(sim.event_count(), ref.event_count());
