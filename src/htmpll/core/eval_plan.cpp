@@ -133,6 +133,9 @@ std::shared_ptr<const EvalPlan> EvalPlan::build(
   plan->shape_ = model.opts_.pfd_shape;
   plan->hlf_num_ = model.hlf_.num().coefficients();
   plan->hlf_den_ = model.hlf_.den().coefficients();
+  const RationalFunction lti = model.a_.closed_loop_unity_feedback();
+  plan->lti_num_ = lti.num().coefficients();
+  plan->lti_den_ = lti.den().coefficients();
 
   for (const auto& ch : model.channels_) {
     plan->channels_.push_back(ChannelWeight{ch.k, ch.v_k});
@@ -363,6 +366,25 @@ CVector EvalPlan::lambda_derivative_grid(const CVector& s_grid) const {
           const cplx dacc{sc.dacc_re[i], sc.dacc_im[i]};
           out[b + i] = t_ * es * acc + sc.pre[i] * dacc;
         }
+      });
+  return out;
+}
+
+CVector EvalPlan::lti_closed_loop_grid(const CVector& s_grid) const {
+  HTMPLL_TRACE_SPAN("core.plan_grid");
+  plan_points_counter().add(s_grid.size());
+  CVector out(s_grid.size());
+  ThreadPool::global().for_each_chunk(
+      s_grid.size(), kBlock, [&](std::size_t b, std::size_t e) {
+        Scratch& sc = thread_scratch();
+        const std::size_t n = e - b;
+        sc.resize_point_planes(n);
+        split_planes(s_grid.data() + b, n, sc.s_re.data(), sc.s_im.data());
+        batch_rational(lti_num_.data(), lti_num_.size(), lti_den_.data(),
+                       lti_den_.size(), sc.s_re.data(), sc.s_im.data(), n,
+                       sc.num_re.data(), sc.num_im.data(), sc.den_re.data(),
+                       sc.den_im.data());
+        join_planes(sc.num_re.data(), sc.num_im.data(), n, out.data() + b);
       });
   return out;
 }

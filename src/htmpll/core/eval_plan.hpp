@@ -19,14 +19,17 @@
 //  * V~ / closed-loop bands: the loop-filter numerator/denominator
 //    coefficient vectors plus the (k, v_k) index structure of the
 //    nonzero ISF harmonics, evaluated as a shifted-gain table via
-//    batched Horner over split re/im planes.
+//    batched Horner over split re/im planes;
+//  * the classical LTI closed loop A/(1 + A), compiled as the one
+//    rational N/(D + N) of A = N/D, so a grid point costs two Horner
+//    passes and one plane quotient instead of two complex divisions.
 //
 // The plan is the only grid engine: every SamplingPllModel builds one,
-// and its lambda, lambda', V~ and closed-loop grids (and so the pole
-// polish and margin searches built on them) all run here.  Numerical
-// contract: every plan result agrees with the model's point-wise call
-// to <= 1e-12 relative error (see tests/test_eval_plan).  The
-// point-wise calls are the reference oracle.
+// and its lambda, lambda', V~, closed-loop and LTI grids (and so the
+// pole polish and margin searches built on them) all run here.
+// Numerical contract: every plan result agrees with the model's
+// point-wise call to <= 1e-12 relative error (see tests/test_eval_plan).
+// The point-wise calls are the reference oracle.
 //
 // Plans are immutable after build and shared by value-copied models
 // (shared_ptr<const EvalPlan>); grid evaluation uses per-thread scratch
@@ -61,6 +64,13 @@ class EvalPlan {
   CVector lambda_grid(const CVector& s_grid) const;
   std::vector<CVector> closed_loop_grid(const std::vector<int>& bands,
                                         const CVector& s_grid) const;
+
+  /// The LTI closed loop N/(D + N) of the open-loop gain A = N/D over a
+  /// grid, through batch_rational.  Matches A/(1 + A) to <= 1e-12
+  /// relative wherever that is finite; at a pole of A (s = 0 for every
+  /// PLL, whose A has integrators) it returns the closed loop's limit,
+  /// N(s)/N(s) = 1 where N(s) != 0.
+  CVector lti_closed_loop_grid(const CVector& s_grid) const;
 
   /// d lambda / ds of the exact closed form, streamed through the same
   /// block machinery as lambda_grid.  Each pole term differentiates via
@@ -115,6 +125,7 @@ class EvalPlan {
   std::vector<ChannelWeight> channels_;
   int hmax_ = 0;  ///< max |k| over nonzero ISF harmonics
   CVector hlf_num_, hlf_den_;  ///< H_LF coefficients (ascending)
+  CVector lti_num_, lti_den_;  ///< N and D + N of A = N/D (ascending)
 };
 
 }  // namespace htmpll

@@ -6,6 +6,7 @@
 #include <numbers>
 
 #include "htmpll/obs/diag.hpp"
+#include "htmpll/obs/metrics.hpp"
 #include "htmpll/util/check.hpp"
 #include "htmpll/ztrans/zdomain.hpp"
 
@@ -122,9 +123,13 @@ std::vector<ClosedLoopPole> refine_closed_loop_poles(
   out.reserve(n);
   if (n == 0) return out;
   const CVector res = model.lambda_grid(folded);
+  // Health: the worst residual a converged lane reports.
+  static obs::Gauge& g_residual = obs::gauge("core.max_pole_residual");
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(finish_pole(s[i], std::abs(1.0 + res[i]), iters[i],
-                              !dropped[i] && !active[i]));
+    const bool converged = !dropped[i] && !active[i];
+    const double residual = std::abs(1.0 + res[i]);
+    if (converged) g_residual.raise(residual);
+    out.push_back(finish_pole(s[i], residual, iters[i], converged));
   }
   return out;
 }

@@ -14,7 +14,9 @@
 // derivative degenerates (zero or non-finite) is dropped with a diag
 // event (pole_search.degenerate_step) instead of throwing.  The Newton
 // residual doubles as a numerical proof that the z-domain and
-// frequency-domain descriptions agree.
+// frequency-domain descriptions agree; while obs records, the health
+// gauge core.max_pole_residual keeps the worst residual of a converged
+// lane.
 #pragma once
 
 #include <vector>

@@ -8,7 +8,6 @@
 
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/obs/trace.hpp"
-#include "htmpll/parallel/thread_pool.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll {
@@ -252,16 +251,9 @@ CVector SamplingPllModel::baseband_transfer_grid(const CVector& s_grid) const {
 
 CVector SamplingPllModel::lti_baseband_transfer_grid(
     const CVector& s_grid) const {
+  HTMPLL_TRACE_SPAN("core.lti_baseband_transfer_grid");
   require_finite_grid(s_grid);
-  CVector out(s_grid.size());
-  ThreadPool& pool = ThreadPool::global();
-  pool.for_each_chunk(s_grid.size(), pool.auto_grain(s_grid.size()),
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          out[i] = lti_baseband_transfer(s_grid[i]);
-                        }
-                      });
-  return out;
+  return plan_->lti_closed_loop_grid(s_grid);
 }
 
 CVector SamplingPllModel::baseband_error_transfer_grid(

@@ -17,8 +17,9 @@
 // sensitivity function (ISF), where lambda is computed per ISF harmonic
 // through exact aliasing sums -- the "extension to arbitrary ...
 // behavior" the paper mentions.  The point-wise calls (lambda, V~,
-// closed_loop) are the reference; the *_grid calls run the compiled
-// EvalPlan (core/eval_plan.hpp) built with every model.
+// closed_loop, lti_baseband_transfer) are the reference; the *_grid
+// calls run the compiled EvalPlan (core/eval_plan.hpp) built with every
+// model.
 #pragma once
 
 #include <memory>
@@ -127,7 +128,10 @@ class SamplingPllModel {
   /// H_{0,0} (eq. 38) over a grid.
   CVector baseband_transfer_grid(const CVector& s_grid) const;
 
-  /// Classical A/(1+A) over a grid.
+  /// Classical A/(1+A) over a grid, evaluated as N/(D + N) of
+  /// A = N/D.  At a pole of A the point-wise A/(1+A) is not finite,
+  /// while the grid returns the closed loop's limit there: 1 at s = 0
+  /// (A's integrators), where N(0)/(D(0) + N(0)) = N(0)/N(0).
   CVector lti_baseband_transfer_grid(const CVector& s_grid) const;
 
   /// 1 - H_{0,0} over a grid.
@@ -152,7 +156,8 @@ class SamplingPllModel {
   /// Baseband-to-baseband transfer H_{0,0}(s) (eq. 38).
   cplx baseband_transfer(cplx s) const;
 
-  /// Classical LTI approximation A/(1+A) (the paper's comparison case).
+  /// Classical LTI approximation A/(1+A) (the paper's comparison case);
+  /// the reference oracle of lti_baseband_transfer_grid.
   cplx lti_baseband_transfer(cplx s) const;
 
   /// Phase-error (input-to-error) baseband transfer

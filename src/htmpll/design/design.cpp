@@ -4,6 +4,7 @@
 #include <limits>
 #include <numbers>
 
+#include "htmpll/linalg/batch_kernels.hpp"
 #include "htmpll/util/check.hpp"
 #include "htmpll/util/grid.hpp"
 
@@ -101,12 +102,14 @@ DesignResult design_time_varying_aware(const DesignSpec& spec,
 namespace {
 
 /// The jitter integrands of both models on one log quadrature grid.
-/// Everything that does not depend on the loop -- the grid, S_ref,
-/// S_vco and the folded VCO sum F(w) = sum_{0<|m|<=fold} S_vco(|w + m w0|)
-/// -- is built once, so scoring a candidate loop costs one model build
-/// and one H_00 grid on its compiled plan (TV), or one pointwise
-/// A/(1+A) pass (LTI).  The pointwise NoiseAnalysis chain computes the
-/// same integrals and stays as the test oracle.
+/// Everything that does not depend on the loop -- the grid and its
+/// split s = jw planes, S_ref, S_vco and the folded VCO sum
+/// F(w) = sum_{0<|m|<=fold} S_vco(|w + m w0|) -- is built once, so
+/// scoring a candidate loop costs one model build and one H_00 grid on
+/// its compiled plan (TV), or one batch_rational pass of the closed
+/// loop N/(D + N) over the planes, with no model (LTI).  The pointwise
+/// NoiseAnalysis chain computes the same integrals and stays as the
+/// test oracle.
 class JitterQuadrature {
  public:
   explicit JitterQuadrature(const JitterOptimizationSpec& spec)
@@ -127,6 +130,7 @@ class JitterQuadrature {
                   spec.quadrature_points);
     const std::size_t n = w_.size();
     s_.resize(n);
+    re_zero_.assign(n, 0.0);
     s_ref_.resize(n);
     s_vco_.resize(n);
     folded_.assign(n, 0.0);
@@ -161,16 +165,23 @@ class JitterQuadrature {
     return trapezoid_rms(w_, psd);
   }
 
-  /// Classical transfers: |A/(1+A)|^2 S_ref + |1/(1+A)|^2 S_vco, no
-  /// folding, no sampling effects.
+  /// Classical transfers: |H|^2 S_ref + |1 - H|^2 S_vco with H = N/(D + N)
+  /// the unity-feedback closed loop of A = N/D, no folding, no sampling
+  /// effects.
   double lti(double w_ug) const {
-    const RationalFunction a =
-        make_typical_loop(w_ug, spec_.w0, spec_.gamma).open_loop_gain();
-    std::vector<double> psd(w_.size());
-    for (std::size_t i = 0; i < w_.size(); ++i) {
-      const cplx av = a(s_[i]);
-      const cplx h = av / (1.0 + av);
-      psd[i] = std::norm(h) * s_ref_[i] + std::norm(1.0 - h) * s_vco_[i];
+    const RationalFunction h =
+        make_typical_loop(w_ug, spec_.w0, spec_.gamma).lti_closed_loop();
+    const CVector& num = h.num().coefficients();
+    const CVector& den = h.den().coefficients();
+    const std::size_t n = w_.size();
+    std::vector<double> h_re(n), h_im(n), tmp_re(n), tmp_im(n);
+    batch_rational(num.data(), num.size(), den.data(), den.size(),
+                   re_zero_.data(), w_.data(), n, h_re.data(), h_im.data(),
+                   tmp_re.data(), tmp_im.data());
+    std::vector<double> psd(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const cplx hv{h_re[i], h_im[i]};
+      psd[i] = std::norm(hv) * s_ref_[i] + std::norm(1.0 - hv) * s_vco_[i];
     }
     return trapezoid_rms(w_, psd);
   }
@@ -179,6 +190,7 @@ class JitterQuadrature {
   const JitterOptimizationSpec& spec_;
   std::vector<double> w_;
   CVector s_;
+  std::vector<double> re_zero_;  ///< Re s = 0: the grid is s = j w_
   std::vector<double> s_ref_, s_vco_, folded_;
 };
 

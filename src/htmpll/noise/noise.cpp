@@ -69,11 +69,12 @@ void even_odd_split(const CVector& c, std::vector<double>& even,
 // The grid is folded in blocks of kBlock points whose planes live in
 // stack arrays.  Per block the kernel adds the reference term, then the
 // VCO terms for m = -F..F, then the charge-pump terms for m = -F..F: the
-// order in which the per-point sums add them, so each lane runs the
-// operations of the per-point fold, in its order.  Loops run over all
-// kBlock lanes so they vectorize; a short last block repeats its last
-// point in the spare lanes and stores only the real ones.  The
-// reference PSD's per-point call, the scaling-safe |Z|^2 fallback and
+// order in which the per-point sums add them.  Every PSD value is
+// PowerLawPsd::at_reciprocal of a reciprocal equal to the per-point
+// call's 1/|w + m w0|, so it is that call's value bit for bit.  Loops
+// run over all kBlock lanes so they vectorize; a short last block
+// repeats its last point in the spare lanes and stores only the real
+// ones.  The reference term, the scaling-safe |Z|^2 fallback and
 // batch_rational see only the real lanes.
 
 constexpr std::size_t kBlock = 64;
@@ -146,17 +147,6 @@ HTMPLL_FOLD_INLINE void horner_block(const std::vector<double>& c,
   }
 }
 
-/// A folded source's PowerLawPsd as the fused loops read it: psd(wm) is
-/// S(wm) at wm = |w + m w0|, with the expression of
-/// PowerLawPsd::operator() (bitwise the per-point call, without its
-/// checks).  DC lanes may read inf or NaN; the fold skips them.
-struct LawPsd {
-  double white, flicker, walk;
-  HTMPLL_FOLD_INLINE double operator()(double wm) const {
-    return white + flicker / wm + walk / (wm * wm);
-  }
-};
-
 /// Everything a block folds: its points, padded to kBlock lanes.
 struct Block {
   std::size_t i0, nb;
@@ -164,14 +154,16 @@ struct Block {
 };
 
 /// The VCO term of fold band m with transfer gain |T_{0,m}|^2 = gain.
+/// The PSD takes r = 1/|x|, one division per term; DC lanes read inf or
+/// NaN there and the fold skips them.
 HTMPLL_FOLD_INLINE void vco_band(int m, const FoldPlan& p, const Block& b,
-                                 const LawPsd& psd, const double* gain,
+                                 PowerLawPsd psd, const double* gain,
                                  double* acc) {
   const double shift = band_shift(m, p.w0);
   double x[kBlock], term[kBlock];
   for (std::size_t i = 0; i < kBlock; ++i) {
     x[i] = b.w[i] + shift;
-    term[i] = gain[i] * psd(std::abs(x[i]));
+    term[i] = gain[i] * psd.at_reciprocal(1.0 / std::abs(x[i]));
   }
   add_off_dc(x, term, acc);
 }
@@ -180,7 +172,7 @@ HTMPLL_FOLD_INLINE void vco_band(int m, const FoldPlan& p, const Block& b,
 /// |H_00|^2 on every other band (each band gets its own loop, so no
 /// per-lane select between the two planes).
 HTMPLL_FOLD_INLINE void fold_vco(const FoldPlan& p, const Block& b,
-                                 const LawPsd& psd, const double* g_base,
+                                 PowerLawPsd psd, const double* g_base,
                                  const double* h2, double* acc) {
   for (int m = -p.fold; m < 0; ++m) vco_band(m, p, b, psd, h2, acc);
   vco_band(0, p, b, psd, g_base, acc);
@@ -232,9 +224,11 @@ HTMPLL_FOLD_INLINE void impedance_block(const FoldPlan& p, const double* x,
 // On the jw axis every folding denominator s + j b w0 is imaginary, so
 // v/(s + j b w0) = (Im v)/x - j (Re v)/x with x = w + b w0 and the
 // bracket is real multiply-adds on reciprocals 1/(w + b w0), weighted by
-// the tap planes g_k = (V~_0/(1+lambda)) (-j v_k).
+// the tap planes g_k = (V~_0/(1+lambda)) (-j v_k).  The band's own
+// reciprocal 1/(w + m w0) also feeds the PSD: its magnitude is 1/|x|
+// bit for bit, so a term takes two divisions, this one and |Z|^2's.
 HTMPLL_FOLD_INLINE void fold_charge_pump(const FoldPlan& p, const Block& b,
-                                         const LawPsd& psd, double* scratch,
+                                         PowerLawPsd psd, double* scratch,
                                          double* acc) {
   const std::size_t ntaps = p.taps.size();
   const double w0 = p.w0;
@@ -276,15 +270,14 @@ HTMPLL_FOLD_INLINE void fold_charge_pump(const FoldPlan& p, const Block& b,
     const double vm_re = p.vm_re[static_cast<std::size_t>(m + p.fold)];
     const double vm_im = p.vm_im[static_cast<std::size_t>(m + p.fold)];
     if (ntaps == 1) {
-      // DC-only ISF (the common case): one tap, fused into the sum --
-      // bracket = v_{-m}/s - g_k / (w + (m + k) w0).
-      const double shift_b = band_shift(m + p.taps[0].k, w0);
+      // DC-only ISF (the common case): one tap, k = 0, fused into the
+      // sum -- bracket = v_{-m}/s - g_0 / (w + m w0).
       for (std::size_t i = 0; i < kBlock; ++i) {
-        const double inv = 1.0 / (w[i] + shift_b);
+        const double inv = 1.0 / x[i];
         const double br = vm_re * inv_w[i] - g_re[i] * inv;
         const double bi = vm_im * inv_w[i] - g_im[i] * inv;
-        term[i] =
-            z2[i] * inv_icp2 * (br * br + bi * bi) * psd(std::abs(x[i]));
+        term[i] = z2[i] * inv_icp2 * (br * br + bi * bi) *
+                  psd.at_reciprocal(std::abs(inv));
       }
       add_off_dc(x, term, acc);
       continue;
@@ -304,11 +297,14 @@ HTMPLL_FOLD_INLINE void fold_charge_pump(const FoldPlan& p, const Block& b,
         row_im[i] += gi[i] * inv[i];
       }
     }
+    // Row m is 1/(w + m w0) = 1/x.
+    const double* inv_x =
+        rows + static_cast<std::size_t>(m + p.bmax) * kBlock;
     for (std::size_t i = 0; i < kBlock; ++i) {
       const double br = vm_re * inv_w[i] - row_re[i];
       const double bi = vm_im * inv_w[i] - row_im[i];
-      term[i] =
-          z2[i] * inv_icp2 * (br * br + bi * bi) * psd(std::abs(x[i]));
+      term[i] = z2[i] * inv_icp2 * (br * br + bi * bi) *
+                psd.at_reciprocal(std::abs(inv_x[i]));
     }
     add_off_dc(x, term, acc);
   }
@@ -334,14 +330,12 @@ HTMPLL_FOLD_INLINE void fold_block(const FoldPlan& p, std::size_t i0,
     g_base[i] = br * br + bi * bi;  // |1 - H_00|^2
   }
   // Reference noise is a baseband quantity in the paper's convention;
-  // only H_{0,0} applies, and every point calls s_ref.
+  // only H_{0,0} applies.
   for (std::size_t i = 0; i < nb; ++i) {
-    acc[i] += h2[i] * p.ref(std::abs(b.w[i]));
+    acc[i] += h2[i] * p.ref.at_reciprocal(1.0 / std::abs(b.w[i]));
   }
-  fold_vco(p, b, LawPsd{p.vco.white, p.vco.flicker, p.vco.walk}, g_base, h2,
-           acc);
-  fold_charge_pump(p, b, LawPsd{p.icp.white, p.icp.flicker, p.icp.walk},
-                   scratch, acc);
+  fold_vco(p, b, p.vco, g_base, h2, acc);
+  fold_charge_pump(p, b, p.icp, scratch, acc);
 
   for (std::size_t i = 0; i < nb; ++i) out[i0 + i] = acc[i];
 }
@@ -407,6 +401,9 @@ std::vector<double> fold_noise_grid(const SamplingPllModel& model,
     if (v_k == cplx{0.0}) continue;
     p.taps.push_back({k, v_k.real(), v_k.imag()});
   }
+  // The ISF's DC coefficient is nonzero, so a lone tap is k = 0: the
+  // fused one-tap charge-pump loop relies on it.
+  HTMPLL_ASSERT(p.taps.size() != 1 || p.taps[0].k == 0);
   for (int m = -fold_harmonics; m <= fold_harmonics; ++m) {
     const cplx v_minus_m = params.kvco * isf[-m];
     p.vm_re.push_back(v_minus_m.imag());
@@ -438,7 +435,7 @@ double PowerLawPsd::operator()(double w) const {
   require_power_law(*this);
   const double aw = std::abs(w);
   HTMPLL_REQUIRE(aw > 0.0, "power-law PSD evaluated at DC");
-  return white + flicker / aw + walk / (aw * aw);
+  return at_reciprocal(1.0 / aw);
 }
 
 NoiseAnalysis::NoiseAnalysis(const SamplingPllModel& model,

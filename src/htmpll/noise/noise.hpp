@@ -33,7 +33,15 @@ struct PowerLawPsd {
   double flicker = 0.0;
   double walk = 0.0;
 
+  /// S(|w|), computed as at_reciprocal(1/|w|).
   double operator()(double w) const;
+
+  /// S at |w| = 1/r, unchecked: white + flicker r + walk r^2.  The one
+  /// expression of operator() and of the noise fold kernel's lanes,
+  /// which pass in a reciprocal they already hold.
+  double at_reciprocal(double r) const {
+    return white + flicker * r + walk * (r * r);
+  }
 };
 
 class NoiseAnalysis {

@@ -9,8 +9,8 @@
 // thread-pool jobs), the diagnostic log (obs/diag.hpp) keeps one counter
 // per degradation reason, and health gauges keep the worst value of a
 // numerical-health measure (timedomain.max_eigenbasis_condition,
-// timedomain.max_eigenpair_residual).  perfbench snapshots them to
-// split a pass's time across the layers.
+// timedomain.max_eigenpair_residual, core.max_pole_residual).
+// perfbench snapshots them to split a pass's time across the layers.
 //
 // Cost model:
 //  * disabled (the default): every instrumentation site is one relaxed

@@ -247,8 +247,9 @@ namespace {
 constexpr double kCoincidenceWindow = 1e-9;
 
 /// A VCO edge search skips Newton when g = t + theta(t) - target is
-/// still below -kHorizonMargin * T * max(1, g') at the step horizon: the
-/// crossing then lies beyond the coincidence window with 4x headroom.
+/// still below -kHorizonMargin * T * max(1, |g'|) at the step horizon:
+/// the crossing then lies beyond the coincidence window with 4x
+/// headroom.
 constexpr double kHorizonMargin = 4.0 * kCoincidenceWindow;
 
 /// PFD edges processed across all simulators in the process (the
@@ -359,14 +360,15 @@ double PllTransientSim::next_vco_edge(double target, double current,
   if (t > horizon && horizon >= t_) {
     // Newton would start past the step's next event.  One evaluation at
     // the horizon (the step the commit takes when the search is skipped)
-    // decides: with the VCO phase still advancing and clearly short of
-    // the target there, the edge cannot fire in this step and the search
-    // is skipped.  Searching anyway is what made DOWN-state steps
-    // expensive: far past the horizon 1 + kvco y drops toward zero and
-    // Newton diverges into the bisection fallback.
+    // decides: with the VCO phase clearly short of the target there,
+    // whichever way g' points, the edge cannot fire in this step and the
+    // search is skipped.  Searching anyway is what made DOWN-state steps
+    // expensive: past the horizon 1 + kvco y drops toward zero or below,
+    // and Newton on the held current's extrapolation diverges into the
+    // bisection fallback, whose edge lies past the horizon and is
+    // discarded.
     const auto [g, gp] = g_at(horizon);
-    if (gp > 0.0 &&
-        g < -kHorizonMargin * t_period_ * std::max(1.0, gp)) {
+    if (g < -kHorizonMargin * t_period_ * std::max(1.0, std::abs(gp))) {
       return std::numeric_limits<double>::infinity();
     }
   }

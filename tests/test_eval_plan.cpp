@@ -28,6 +28,7 @@
 #include "htmpll/core/stability.hpp"
 #include "htmpll/linalg/batch_kernels.hpp"
 #include "htmpll/linalg/simd.hpp"
+#include "htmpll/lti/delay.hpp"
 #include "htmpll/obs/diag.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/parallel/sweep.hpp"
@@ -245,6 +246,51 @@ TEST(EvalPlan, ExtraLoopDynamicsAndRepeatedPoles) {
             pointwise.substr(0, pointwise.find(" [")));
 }
 
+TEST(EvalPlan, LtiClosedLoopGridMatchesPointwiseOracle) {
+  // The compiled N/(D + N) against the point-wise A/(1 + A) on the
+  // typical, second-order and 3rd-order Pade-delayed loops, both PFD
+  // shapes, w from 1e-5 to 10 w0 at six bandwidth ratios.  At s = 0,
+  // where A has its integrators' poles and A/(1 + A) is not finite, the
+  // grid returns the closed loop's limit 1.
+  const double w0 = 2.0 * std::numbers::pi;
+  const std::vector<double> w = logspace(1e-5 * w0, 10.0 * w0, 4000);
+  CVector s_grid = jw_grid(w);
+  s_grid.push_back(cplx{0.0, 0.0});
+  double worst = 0.0;
+  for (int loop = 0; loop < 3; ++loop) {
+    for (const PfdShape shape :
+         {PfdShape::kImpulse, PfdShape::kZeroOrderHold}) {
+      for (const double ratio : {0.002, 0.01, 0.05, 0.1, 0.2, 0.27}) {
+        const PllParameters params =
+            loop == 1 ? make_second_order_loop(ratio * w0, w0)
+                      : make_typical_loop(ratio * w0, w0);
+        const RationalFunction extra =
+            loop == 2 ? pade_delay(0.05 * params.period(), 3)
+                      : RationalFunction::constant(1.0);
+        SamplingPllOptions opts;
+        opts.pfd_shape = shape;
+        const SamplingPllModel m(params, HarmonicCoefficients(cplx{1.0}),
+                                 opts, extra);
+        const CVector lti = m.lti_baseband_transfer_grid(s_grid);
+        ASSERT_EQ(lti.size(), s_grid.size());
+        for (std::size_t i = 0; i + 1 < s_grid.size(); ++i) {
+          const double err =
+              rel_err(lti[i], m.lti_baseband_transfer(s_grid[i]));
+          worst = std::max(worst, err);
+          EXPECT_LE(err, 1e-14) << "loop " << loop << " ratio " << ratio
+                                << " w=" << w[i];
+        }
+        const cplx at_dc = m.lti_baseband_transfer(cplx{0.0, 0.0});
+        EXPECT_FALSE(std::isfinite(at_dc.real()) &&
+                     std::isfinite(at_dc.imag()));
+        EXPECT_EQ(lti.back(), cplx(1.0, 0.0))
+            << "loop " << loop << " ratio " << ratio;
+      }
+    }
+  }
+  EXPECT_GT(worst, 0.0);  // the two paths round differently
+}
+
 TEST(EvalPlan, CountersRecordBuildsAndGridPoints) {
   obs::enable();
   const auto before = obs::snapshot();
@@ -318,6 +364,31 @@ TEST(EvalPlan, ConcurrentLptvBandSweepsShareOnePlanSafely) {
       for (std::size_t i = 0; i < r[b].size(); ++i) {
         EXPECT_EQ(r[b][i], reference[b][i]);
       }
+    }
+  }
+}
+
+TEST(EvalPlan, ConcurrentLtiGridsMatchSerialBitwise) {
+  // Four threads sweep the LTI closed loop of one model over four plan
+  // blocks each; the per-thread scratch planes keep them independent
+  // (bit-exact here, race-free under TSan).
+  const double w0 = 2.0 * std::numbers::pi;
+  const SamplingPllModel model(make_typical_loop(0.1 * w0, w0));
+  const CVector s_grid = jw_grid(logspace(1e-4 * w0, 3.0 * w0, 1000));
+  const CVector reference = model.lti_baseband_transfer_grid(s_grid);
+
+  std::vector<CVector> results(4);
+  std::vector<std::thread> threads;
+  for (auto& slot : results) {
+    threads.emplace_back([&, out = &slot] {
+      *out = model.lti_baseband_transfer_grid(s_grid);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const CVector& r : results) {
+    ASSERT_EQ(r.size(), reference.size());
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      EXPECT_EQ(r[i], reference[i]) << "i=" << i;
     }
   }
 }

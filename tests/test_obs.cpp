@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "htmpll/core/pole_search.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/obs/report.hpp"
 #include "htmpll/obs/ring.hpp"
@@ -133,8 +134,13 @@ TEST(ObsMetrics, HealthGaugesAreTheOnlyLibraryGauges) {
   const RMatrix b{{0.0}, {1.0}, {0.0}};
   const PropagatorFactory factory(a, b);
   ASSERT_TRUE(factory.is_spectral());
+  const double w0 = 2.0 * std::numbers::pi;
+  ASSERT_FALSE(
+      closed_loop_poles(SamplingPllModel(make_typical_loop(0.1 * w0, w0)))
+          .empty());
   const obs::MetricsSnapshot snap = obs::snapshot();
-  const std::set<std::string> health{"timedomain.max_eigenbasis_condition",
+  const std::set<std::string> health{"core.max_pole_residual",
+                                     "timedomain.max_eigenbasis_condition",
                                      "timedomain.max_eigenpair_residual"};
   std::set<std::string> seen;
   for (const obs::MetricSample& m : snap.samples) {

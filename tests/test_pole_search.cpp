@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -6,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "htmpll/core/pole_search.hpp"
+#include "htmpll/obs/metrics.hpp"
 #include "htmpll/ztrans/zdomain.hpp"
+
+#include "obs_scope.hpp"
 
 namespace htmpll {
 namespace {
@@ -24,6 +28,36 @@ std::vector<cplx> perturbed_seeds(const std::vector<ClosedLoopPole>& poles) {
     seeds.push_back(p.s * cplx{1.01, -0.02});
   }
   return seeds;
+}
+
+TEST(PoleSearch, MaxPoleResidualGaugeKeepsWorstConvergedResidual) {
+  // While obs records, core.max_pole_residual holds the worst |1 +
+  // lambda| of a converged lane; lanes still moving when the iteration
+  // cap runs out do not raise it.
+  ScopedObs on(true);
+  const SamplingPllModel m = make_model(0.2);
+  obs::reset_counters();
+  const std::vector<ClosedLoopPole> poles = closed_loop_poles(m);
+  ASSERT_FALSE(poles.empty());
+  double worst = 0.0;
+  for (const ClosedLoopPole& p : poles) {
+    ASSERT_TRUE(p.converged);
+    worst = std::max(worst, p.residual);
+  }
+  EXPECT_GT(worst, 0.0);
+  EXPECT_LT(worst, 1e-9);
+  EXPECT_EQ(obs::snapshot().gauge_value("core.max_pole_residual"), worst);
+
+  obs::reset_counters();
+  PoleSearchOptions one_step;
+  one_step.max_iterations = 1;
+  const std::vector<ClosedLoopPole> moving =
+      refine_closed_loop_poles(m, perturbed_seeds(poles), one_step);
+  for (const ClosedLoopPole& p : moving) {
+    ASSERT_FALSE(p.converged);
+    EXPECT_GT(p.residual, 0.0);
+  }
+  EXPECT_EQ(obs::snapshot().gauge_value("core.max_pole_residual"), 0.0);
 }
 
 TEST(PoleSearch, ResidualsVanishOnOnePlusLambda) {

@@ -15,6 +15,7 @@
 #include <random>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -343,14 +344,30 @@ TEST(EdgeSearch, BisectionFallbackIsObservable) {
     ASSERT_GT(sim.time(), 8192.0 * p.period());
     EXPECT_EQ(fallbacks(), 0u);
   }
-  // A fast loop acquiring from a VCO 50 % fast still drives one Newton
-  // search into divergence (the damped step of a non-positive g'); the
-  // bisection finds that edge, the loop locks, and the diag event
-  // reports the search with its last Newton step as payload: NaN once
-  // it diverged.
-  const PllParameters p = make_typical_loop(0.27 * kW0, kW0);
+  // A fast loop acquiring from a VCO 50 % fast.  Its DOWN-state
+  // searches start Newton past the step horizon with g' <= 0 there;
+  // Newton on the held current's extrapolation used to diverge into the
+  // bisection, whose edge lay past the horizon and was discarded.  The
+  // horizon check now skips them whatever the sign of g'.
+  {
+    const PllParameters p = make_typical_loop(0.27 * kW0, kW0);
+    PllTransientSim sim(p);
+    sim.set_initial_frequency_offset(0.5);
+    obs::reset_counters();
+    sim.run_periods(200.0);
+    EXPECT_TRUE(sim.is_locked(1e-6 * p.period()));
+    EXPECT_EQ(sim.event_count(), 399u);
+    EXPECT_EQ(fallbacks(), 0u);
+  }
+  // A loop of 22 degrees phase margin (gamma 1.5) acquiring from a VCO
+  // 100 % fast and 0.8 T ahead still has one search whose Newton runs
+  // out of its 60 iterations; the bisection finds that edge, the loop
+  // locks, and the diag event reports the search with its last Newton
+  // step (in periods) as payload.
+  const PllParameters p = make_typical_loop(0.27 * kW0, kW0, 1.5);
   PllTransientSim sim(p);
-  sim.set_initial_frequency_offset(0.5);
+  sim.set_initial_frequency_offset(1.0);
+  sim.set_initial_theta(0.8 * p.period());
   obs::reset_counters();
   sim.run_periods(200.0);
   EXPECT_TRUE(sim.is_locked(1e-6 * p.period()));
@@ -359,9 +376,37 @@ TEST(EdgeSearch, BisectionFallbackIsObservable) {
   for (const obs::DiagEvent& e : obs::diag_snapshot().events) {
     if (e.reason != obs::DiagReason::kVcoEdgeBisectionFallback) continue;
     ++seen;
-    EXPECT_TRUE(std::isnan(e.payload)) << e.payload;
+    EXPECT_GT(e.payload, kEdgeTolerance) << e.payload;
   }
   EXPECT_EQ(seen, fallbacks());
+}
+
+/// The simulator's event count and theta samples against the
+/// reference loop's.  The Van Loan simulator follows the oracle bit for
+/// bit.  The modal one may differ by the spectral-versus-Van Loan
+/// contract (1e-10 of theta's scale) plus, per PFD event so far, one
+/// edge tolerance: each edge lies within kEdgeTolerance T of its
+/// crossing on either side, and a pulse-width change of d moves theta
+/// by at most about d in a stable loop (w_UG T < 2).  Measured: at most
+/// 5.7e-14 T.
+void expect_matches_reference(const PllTransientSim& sim,
+                              const ReferenceEventLoop& ref, bool spectral,
+                              double period) {
+  EXPECT_EQ(sim.event_count(), ref.event_count());
+  ASSERT_EQ(sim.theta_samples().size(), ref.theta_samples().size());
+  double scale = std::abs(ref.theta());
+  for (double th : ref.theta_samples()) scale = std::max(scale, std::abs(th));
+  const double bound =
+      spectral ? 1e-10 * scale + static_cast<double>(ref.event_count()) *
+                                     kEdgeTolerance * period
+               : 0.0;
+  EXPECT_LE(std::abs(sim.theta() - ref.theta()), bound);
+  for (std::size_t i = 0; i < ref.theta_samples().size(); ++i) {
+    ASSERT_EQ(sim.sample_times()[i], ref.sample_times()[i]) << "sample " << i;
+    ASSERT_LE(std::abs(sim.theta_samples()[i] - ref.theta_samples()[i]),
+              bound)
+        << "sample " << i;
+  }
 }
 
 TEST(EdgeSearch, MatchesUnboundedReferenceLoop) {
@@ -432,27 +477,27 @@ TEST(EdgeSearch, MatchesUnboundedReferenceLoop) {
     SCOPED_TRACE(testing::Message() << "trial " << trial << " ratio " << ratio
                                     << " gamma " << gamma << " offset "
                                     << offset << " theta0 " << theta0);
-    EXPECT_EQ(sim.event_count(), ref.event_count());
-    ASSERT_EQ(sim.theta_samples().size(), ref.theta_samples().size());
-    // The Van Loan simulator follows the oracle bit for bit.  The modal
-    // one may differ by the spectral-versus-Van Loan contract (1e-10 of
-    // theta's scale) plus, per PFD event so far, one edge tolerance:
-    // each edge lies within kEdgeTolerance T of its crossing on either
-    // side, and a pulse-width change of d moves theta by at most about d
-    // in a stable loop (w_UG T < 2).  Measured: at most 5.7e-14 T.
-    double scale = std::abs(ref.theta());
-    for (double th : ref.theta_samples()) scale = std::max(scale, std::abs(th));
-    const double bound =
-        spectral ? 1e-10 * scale + static_cast<double>(ref.event_count()) *
-                                       kEdgeTolerance * p.period()
-                 : 0.0;
-    EXPECT_LE(std::abs(sim.theta() - ref.theta()), bound);
-    for (std::size_t i = 0; i < ref.theta_samples().size(); ++i) {
-      ASSERT_EQ(sim.sample_times()[i], ref.sample_times()[i]) << "sample " << i;
-      ASSERT_LE(std::abs(sim.theta_samples()[i] - ref.theta_samples()[i]),
-                bound)
-          << "sample " << i;
-    }
+    expect_matches_reference(sim, ref, spectral, p.period());
+  }
+  // The acquisitions whose DOWN-state searches start past the horizon
+  // with g' <= 0 there (gamma 4, 200 periods from a fast VCO): the
+  // horizon check skips those searches, and the reference loop, which
+  // solves every edge with no horizon, shows that no edge that fires is
+  // skipped.
+  for (const auto& [ratio, offset] :
+       {std::pair{0.27, 0.5}, std::pair{0.27, 2.0}, std::pair{0.27, 5.0},
+        std::pair{0.2, 5.0}}) {
+    const PllParameters p = make_typical_loop(ratio * kW0, kW0);
+    PllTransientSim sim(p);
+    ReferenceEventLoop ref(p, {});
+    sim.set_initial_frequency_offset(offset);
+    ref.set_initial_frequency_offset(offset);
+    sim.run_until(200.0 * p.period());
+    ref.run_until(200.0 * p.period());
+    bisections += ref.bisection_fallbacks();
+    SCOPED_TRACE(testing::Message()
+                 << "acquisition ratio " << ratio << " offset " << offset);
+    expect_matches_reference(sim, ref, true, p.period());
   }
   // Coverage: cycle slips, and the diverging searches the horizon skips.
   EXPECT_GE(slipping_runs, 3);
