@@ -1,13 +1,9 @@
 #include "htmpll/obs/report.hpp"
 
+#include "htmpll_git_describe.h"
+
 namespace htmpll::obs {
 
-std::string git_describe() {
-#ifdef HTMPLL_GIT_DESCRIBE
-  return HTMPLL_GIT_DESCRIBE;
-#else
-  return "unknown";
-#endif
-}
+std::string git_describe() { return HTMPLL_GIT_DESCRIBE; }
 
 }  // namespace htmpll::obs

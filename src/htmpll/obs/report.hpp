@@ -7,8 +7,9 @@
 
 namespace htmpll::obs {
 
-/// Build-time `git describe --always --dirty` of the source tree
-/// ("unknown" when the build was configured outside a git checkout).
+/// `git describe --always --dirty` of the source tree, taken afresh by
+/// every build of the library ("unknown" when built outside a git
+/// checkout or without git).
 std::string git_describe();
 
 }  // namespace htmpll::obs

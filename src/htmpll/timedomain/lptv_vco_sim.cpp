@@ -44,6 +44,7 @@ LptvPllTransientSim::LptvPllTransientSim(const PllParameters& params,
       t_period_(params.period()),
       icp_(params.icp),
       filter_(to_state_space(params.filter.impedance())),
+      ref_edges_(mod_, t_period_),
       x_(filter_.order(), 0.0) {
   HTMPLL_REQUIRE(cfg_.substeps_per_period >= 8,
                  "need at least 8 RK4 substeps per period");
@@ -130,17 +131,7 @@ void LptvPllTransientSim::run_until(double t_end) {
   while (t_ < t_end) {
     const double current = pfd_.pump_current(icp_);
 
-    // Next reference edge (analytic, |theta_ref| << T).
-    double t_ref = static_cast<double>(n_ref_) * t_period_;
-    for (int it = 0; it < 50; ++it) {
-      const double g = t_ref + mod_.value(t_ref) -
-                       static_cast<double>(n_ref_) * t_period_;
-      const double gp = 1.0 + mod_.slope(t_ref);
-      const double dt = -g / gp;
-      t_ref += dt;
-      if (std::abs(dt) <= eps) break;
-    }
-    t_ref = std::max(t_ref, t_);
+    const double t_ref = std::max(ref_edges_.edge(n_ref_), t_);
 
     const double bound = std::min(t_ref, t_end);
     const double target_vco = static_cast<double>(n_vco_) * t_period_;

@@ -93,6 +93,7 @@ class LptvPllTransientSim {
   double t_period_;
   double icp_;
   StateSpace filter_;
+  ReferenceEdges ref_edges_;
 
   TriStatePfd pfd_;
   std::int64_t n_ref_ = 1;

@@ -39,23 +39,31 @@ double edge_search_tolerance(double tolerance, double target) {
   return std::max(tolerance, 4.0 * ulp);
 }
 
-}  // namespace
+/// Angles that took libm's sincos because they lay outside the
+/// small-angle series' range.
+obs::Counter& phasor_fallback_counter() {
+  static obs::Counter& c = obs::counter("timedomain.phasor_fallbacks");
+  return c;
+}
 
-double ReferenceModulation::edge_time(double target, double tolerance) const {
-  // |theta_ref| << T makes this a contraction around t = target.  With
-  // no modulation the loop below returns target (its first step is -0).
-  if (amplitude == 0.0) return target;
-  // Newton on d = t - target from one phasor at the target: the angle of
-  // t is (omega target + phase) + omega d, so each step rotates
-  // (s0, c0) by the small-angle sincos of omega d instead of reducing a
-  // large argument again.
-  double s0, c0;
-  __builtin_sincos(omega * target + phase, &s0, &c0);
-  const double tol = edge_search_tolerance(tolerance, target);
+/// z e^{j x} from (cos x, sin x), written out: std::complex's product
+/// carries a NaN-recovery branch the event loop does not need.
+cplx rotate(cplx z, double c, double s) {
+  return {z.real() * c - z.imag() * s, z.real() * s + z.imag() * c};
+}
+
+/// Newton on d = t - target for t + a sin(omega t + phase) = target,
+/// from the phasor (s0, c0) of the target's angle: the angle of t is
+/// that angle plus omega d, so each step rotates (s0, c0) by
+/// rotation(omega d, sin, cos) instead of reducing a large argument
+/// again.  Returns d once a step is within `tol`.
+template <class SinCos>
+double edge_offset(double amplitude, double omega, double s0, double c0,
+                   double tol, SinCos&& rotation) {
   double d = -amplitude * s0;
   for (int it = 0; it < 50; ++it) {
     double sd, cd;
-    __builtin_sincos(omega * d, &sd, &cd);
+    rotation(omega * d, sd, cd);
     const double s = s0 * cd + c0 * sd;
     const double c = c0 * cd - s0 * sd;
     const double g = d + amplitude * s;
@@ -66,7 +74,185 @@ double ReferenceModulation::edge_time(double target, double tolerance) const {
     d += step;
     if (std::abs(step) <= tol) break;
   }
-  return target + d;
+  return d;
+}
+
+__attribute__((noinline)) void libm_fallback_sincos(double x, double& s,
+                                                    double& c) {
+  phasor_fallback_counter().add();
+  __builtin_sincos(x, &s, &c);
+}
+
+/// detail::small_angle_sincos, inlined into the event loop's callers.
+/// Horner in x^2 on the Taylor coefficients; adding the leading x and 1
+/// last keeps each result within a rounding of the exact one.  Up to
+/// |x| = 2^-6, the terms past x^7 and x^6 are below 1e-19 relative, so
+/// the angles of lock (edge rotations, baseband offsets) take the short
+/// polynomials.
+inline __attribute__((always_inline)) void sincos_series(double x, double& s,
+                                                         double& c) {
+  const double ax = std::abs(x);
+  const double x2 = x * x;
+  double ps, pc;
+  if (ax <= 0x1p-6) {
+    ps = -1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (-1.0 / 5040.0));
+    pc = -0.5 + x2 * (1.0 / 24.0 + x2 * (-1.0 / 720.0));
+  } else if (ax <= detail::kSmallAngleMax) {
+    ps = -1.0 / 6.0 +
+         x2 * (1.0 / 120.0 +
+               x2 * (-1.0 / 5040.0 +
+                     x2 * (1.0 / 362880.0 +
+                           x2 * (-1.0 / 39916800.0 +
+                                 x2 * (1.0 / 6227020800.0)))));
+    pc = -0.5 +
+         x2 * (1.0 / 24.0 +
+               x2 * (-1.0 / 720.0 +
+                     x2 * (1.0 / 40320.0 +
+                           x2 * (-1.0 / 3628800.0 +
+                                 x2 * (1.0 / 479001600.0)))));
+  } else {
+    libm_fallback_sincos(x, s, c);
+    return;
+  }
+  s = x + x * (x2 * ps);
+  c = 1.0 + x2 * pc;
+}
+
+/// The rounding error of p = fl(a b): a b = p + e exactly (Dekker's
+/// product, which needs no fused multiply-add).
+double product_error(double a, double b, double p) {
+  constexpr double kSplit = 134217729.0;  // 2^27 + 1
+  const double ca = kSplit * a;
+  const double cb = kSplit * b;
+  const double ah = ca - (ca - a);
+  const double bh = cb - (cb - b);
+  const double al = a - ah;
+  const double bl = b - bh;
+  return ((ah * bh - p) + ah * bl + al * bh) + al * bl;
+}
+
+/// The rounding error of s = fl(a + b): a + b = s + e exactly (Knuth).
+double sum_error(double a, double b, double s) {
+  const double bb = s - a;
+  return (a - (s - bb)) + (b - bb);
+}
+
+/// e^{j (nu (x + x_err) + phase)} for the exact angle, not its double
+/// rounding: libm's sincos of the rounded angle, turned by the rounding
+/// errors of nu x and of the sum plus nu x_err, which stay far below
+/// 1e-5 rad, where the second-order turn is exact to the last bit.
+cplx exact_phasor(double nu, double x, double x_err, double phase) {
+  const double p = nu * x;
+  const double angle = p + phase;
+  double err =
+      product_error(nu, x, p) + nu * x_err + sum_error(p, phase, angle);
+  if (!std::isfinite(err)) err = 0.0;  // a product out of range
+  double s, c;
+  __builtin_sincos(angle, &s, &c);
+  return rotate({c, s}, 1.0 - 0.5 * err * err, err);
+}
+
+}  // namespace
+
+double ReferenceModulation::edge_time(double target, double tolerance) const {
+  // |theta_ref| << T makes this a contraction around t = target.  With
+  // no modulation the Newton loop would return target (its first step
+  // is -0).
+  if (amplitude == 0.0) return target;
+  double s0, c0;
+  __builtin_sincos(omega * target + phase, &s0, &c0);
+  return target + edge_offset(amplitude, omega, s0, c0,
+                              edge_search_tolerance(tolerance, target),
+                              [](double x, double& s, double& c) {
+                                __builtin_sincos(x, &s, &c);
+                              });
+}
+
+void detail::small_angle_sincos(double x, double& s, double& c) {
+  sincos_series(x, s, c);
+}
+
+GridPhasor::GridPhasor(double nu, double phase, double period)
+    : nu_(nu),
+      phase_(phase),
+      period_(period),
+      inv_period_(period > 0.0 ? 1.0 / period : 0.0) {
+  if (period_ > 0.0) step_ = exact_phasor(nu_, period_, 0.0, 0.0);
+}
+
+cplx GridPhasor::direct(double t) const {
+  double s, c;
+  __builtin_sincos(nu_ * t + phase_, &s, &c);
+  return {c, s};
+}
+
+cplx GridPhasor::at_index(std::int64_t k) {
+  if (k == k_) return z_;
+  // k_ starts at the int64 minimum, so k_ + 1 cannot overflow and
+  // matches no index (|k| < 2^52).
+  const bool follows = k == k_ + 1;
+  if (follows && steps_ + 1 < kReanchorPeriods) {
+    z_ = rotate(z_, step_.real(), step_.imag());
+    ++steps_;
+  } else {
+    const double kd = static_cast<double>(k);
+    const double x = kd * period_;
+    const cplx anchor =
+        exact_phasor(nu_, x, product_error(kd, period_, x), phase_);
+    if (follows && obs::enabled()) {
+      static obs::Gauge& drift = obs::gauge("timedomain.max_phasor_drift");
+      drift.raise(std::abs(rotate(z_, step_.real(), step_.imag()) - anchor));
+    }
+    z_ = anchor;
+    steps_ = 0;
+  }
+  k_ = k;
+  return z_;
+}
+
+cplx GridPhasor::at(double t) {
+  if (period_ > 0.0) {
+    const double q = t * inv_period_;
+    if (std::abs(q) < 0x1p52) {
+      // Nearest whole period, without a libm rounding call.
+      auto k = static_cast<std::int64_t>(q);
+      const double r = q - static_cast<double>(k);
+      if (r > 0.5) ++k;
+      if (r < -0.5) --k;
+      const double kd = static_cast<double>(k);
+      const double x = kd * period_;
+      if (std::abs(nu_ * (t - x)) <= detail::kSmallAngleMax) {
+        // The offset from the exact k T, which the anchor stands for.
+        const double offset = (t - x) - product_error(kd, period_, x);
+        double s, c;
+        sincos_series(nu_ * offset, s, c);
+        return rotate(at_index(k), c, s);
+      }
+    }
+    phasor_fallback_counter().add();
+  }
+  return direct(t);
+}
+
+ReferenceEdges::ReferenceEdges(const ReferenceModulation& mod, double period)
+    : mod_(mod),
+      period_(period),
+      // No modulation, no phasor: a zero period skips the step's sincos.
+      phasor_(mod.omega, mod.phase, mod.amplitude != 0.0 ? period : 0.0) {}
+
+double ReferenceEdges::edge(std::int64_t n) {
+  if (n == n_) return t_;
+  const double target = static_cast<double>(n) * period_;
+  n_ = n;
+  if (mod_.amplitude == 0.0) return t_ = target;
+  const cplx z = phasor_.at_index(n);
+  t_ = target +
+       edge_offset(mod_.amplitude, mod_.omega, z.imag(), z.real(),
+                   edge_search_tolerance(kEdgeTolerance * period_, target),
+                   [](double x, double& s, double& c) {
+                     sincos_series(x, s, c);
+                   });
+  return t_;
 }
 
 namespace {
@@ -82,21 +268,6 @@ cplx hann_exponential_bin(double nu, double t0, double width) {
                        0.25 * sinc(x + std::numbers::pi);
   const double tc = t0 + 0.5 * width;
   return width * lobes * cplx{std::cos(nu * tc), -std::sin(nu * tc)};
-}
-
-/// The three window phasors at t: e^{-j omega t} times 1,
-/// e^{+j s (t - t0)} and e^{-j s (t - t0)} (s the bin spacing) -- the
-/// e^{-j nu t} of nu = omega, omega - s, omega + s with the Hann
-/// window's e^{-+j s t0} factors folded in.
-void window_phasors(double omega, double spacing, double t0, double t,
-                    cplx out[3]) {
-  double se, ce, sr, cr;
-  __builtin_sincos(omega * t, &se, &ce);
-  __builtin_sincos(spacing * (t - t0), &sr, &cr);
-  const cplx e{ce, -se};
-  out[0] = e;
-  out[1] = e * cplx{cr, sr};
-  out[2] = e * cplx{cr, -sr};
 }
 
 /// Every ThetaBin rejection names the bin's output frequency.
@@ -119,11 +290,14 @@ cplx ReferenceModulation::hann_bin(double omega_bin, double t0,
   return amplitude / cplx{0.0, 2.0} * (up - down);
 }
 
-ThetaBin::ThetaBin(double omega, double t0, double width, RVector x0)
+ThetaBin::ThetaBin(double omega, double t0, double width, RVector x0,
+                   double period)
     : omega_(omega),
       t0_(t0),
       width_(width),
       spacing_(2.0 * std::numbers::pi / width),
+      carrier_(-omega, 0.0, period),
+      window_(spacing_, -spacing_ * t0, period),
       x0_(std::move(x0)) {
   HTMPLL_REQUIRE(std::isfinite(omega),
                  bin_error(omega, "bin frequency must be finite"));
@@ -131,6 +305,9 @@ ThetaBin::ThetaBin(double omega, double t0, double width, RVector x0)
                  bin_error(omega, "window width must be positive and finite"));
   HTMPLL_REQUIRE(std::isfinite(t0),
                  bin_error(omega, "window start must be finite"));
+  HTMPLL_REQUIRE(period >= 0.0 && std::isfinite(period),
+                 bin_error(omega, "grid period must be finite and "
+                                  "non-negative"));
   nu_[0] = omega;
   nu_[1] = omega - spacing_;
   nu_[2] = omega + spacing_;
@@ -142,17 +319,24 @@ ThetaBin::ThetaBin(double omega, double t0, double width, RVector x0)
   }
 }
 
+void ThetaBin::window_phasors(cplx e, cplx r, cplx out[3]) {
+  out[0] = e;
+  out[1] = rotate(e, r.real(), r.imag());
+  out[2] = rotate(e, r.real(), -r.imag());
+}
+
 void ThetaBin::add_segment(double t_a, double t_b, double u) {
   if (u == 0.0 || !(t_b > t_a)) return;
   const double h = t_b - t_a;
   // int_{t_a}^{t_b} e^{-j nu t} dt = h sinc(nu h / 2) e^{-j nu t_mid}:
-  // the phasor at the midpoint and sin(nu h / 2) for all three nu from
+  // the phasors at the midpoint and sin(nu h / 2) for all three nu from
   // the half-angle sincos of omega h and s h.
+  const double t_mid = t_a + 0.5 * h;
   cplx p[3];
-  window_phasors(omega_, spacing_, t0_, t_a + 0.5 * h, p);
+  window_phasors(carrier_.at(t_mid), window_.at(t_mid), p);
   double sa, ca, sb, cb;
-  __builtin_sincos(0.5 * omega_ * h, &sa, &ca);
-  __builtin_sincos(0.5 * spacing_ * h, &sb, &cb);
+  sincos_series(0.5 * omega_ * h, sa, ca);
+  sincos_series(0.5 * spacing_ * h, sb, cb);
   const double half_sin[3] = {sa, sa * cb - ca * sb, sa * cb + ca * sb};
   for (int k = 0; k < 3; ++k) {
     const double x = 0.5 * nu_[k] * h;
@@ -166,8 +350,9 @@ cplx ThetaBin::finish(const StateSpace& sys, const RVector& x1) const {
   HTMPLL_REQUIRE(x0_.size() == n && x1.size() == n,
                  "theta bin: state dimension mismatch");
   cplx p0[3], p1[3];
-  window_phasors(omega_, spacing_, t0_, t0_, p0);
-  window_phasors(omega_, spacing_, t0_, t0_ + width_, p1);
+  window_phasors(carrier_.direct(t0_), window_.direct(t0_), p0);
+  const double t1 = t0_ + width_;
+  window_phasors(carrier_.direct(t1), window_.direct(t1), p1);
   cplx bins[3];
   for (int k = 0; k < 3; ++k) {
     CMatrix m(n, n);
@@ -223,6 +408,17 @@ void UniformSamples::record_segment(const PiecewiseExactIntegrator& integ,
                        theta.data() + first);
 }
 
+namespace {
+
+std::string monotone_error(double product) {
+  std::ostringstream os;
+  os << "reference modulation |amplitude * omega| = " << product
+     << " must be below 1, or the reference phase is not monotone";
+  return os.str();
+}
+
+}  // namespace
+
 void validate_modulation(const ReferenceModulation& mod, double period) {
   HTMPLL_REQUIRE(std::abs(mod.amplitude) < 0.25 * period,
                  "reference modulation must stay small-signal (< T/4)");
@@ -230,6 +426,11 @@ void validate_modulation(const ReferenceModulation& mod, double period) {
                  "reference modulation omega must be finite");
   HTMPLL_REQUIRE(std::isfinite(mod.phase),
                  "reference modulation phase must be finite");
+  // d/dt (t + a sin(w t + p)) = 1 + a w cos(w t + p) reaches 0 once
+  // |a w| >= 1: the reference phase stops increasing and an edge
+  // equation can have several roots.
+  const double product = std::abs(mod.amplitude * mod.omega);
+  HTMPLL_REQUIRE(product < 1.0, monotone_error(product));
 }
 
 void validate_transient_setup(const ReferenceModulation& mod,
@@ -281,7 +482,8 @@ PllTransientSim::PllTransientSim(const PllParameters& params,
       aug_(augment_with_phase(to_state_space(params.filter.impedance()),
                               params.kvco),
            cfg.use_spectral_propagators),
-      theta_index_(aug_.order() - 1) {
+      theta_index_(aug_.order() - 1),
+      ref_edges_(mod_, t_period_) {
   validate_transient_setup(mod_, cfg_, t_period_);
   if (cfg_.sample_interval == 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
@@ -336,15 +538,6 @@ void PllTransientSim::set_initial_frequency_offset(double relative_offset) {
   RVector x = aug_.state();
   for (std::size_t j = 0; j < n; ++j) x[j] = ss.c(0, j) * target_y / cc;
   aug_.set_state(std::move(x));
-}
-
-double PllTransientSim::next_reference_edge(double target) const {
-  if (target != ref_edge_target_) {
-    ref_edge_time_ =
-        mod_.edge_time(target, kEdgeTolerance * t_period_);
-    ref_edge_target_ = target;
-  }
-  return std::max(ref_edge_time_, t_);
 }
 
 double PllTransientSim::next_vco_edge(double target, double current,
@@ -466,7 +659,7 @@ TransientStepPlan PllTransientSim::plan_step(double t_end) const {
   TransientStepPlan plan;
   plan.current = pfd_.pump_current(icp_) +
                  (leak_on_ ? leak_current_ : 0.0) + noise_current_;
-  plan.t_ref = next_reference_edge(static_cast<double>(n_ref_) * t_period_);
+  plan.t_ref = std::max(ref_edges_.edge(n_ref_), t_);
   plan.t_leak = leaking ? (static_cast<double>(n_leak_) * t_period_ +
                            (leak_on_ ? leak_window_ : 0.0))
                         : std::numeric_limits<double>::infinity();
@@ -523,7 +716,7 @@ void PllTransientSim::run_periods(double n) {
 
 cplx PllTransientSim::measure_theta_bin(double omega, double width) {
   return detail::run_theta_bin_window(
-      bin_, aug_, t_, omega, width,
+      bin_, aug_, t_, omega, width, t_period_,
       [this](double t_end) { run_until(t_end); });
 }
 

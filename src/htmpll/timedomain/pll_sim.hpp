@@ -38,9 +38,10 @@ struct ReferenceModulation {
   /// Reference edge for `target` = n T: solves t + value(t) = target by
   /// Newton from t = target - value(target), stopping once a step is
   /// within max(`tolerance`, 4 ulp(target)) seconds (at most 50 steps),
-  /// and returns t unclamped.  One sincos of omega target + phase is
-  /// taken; each step rotates it by the small-angle sincos of
-  /// omega (t - target).
+  /// and returns t unclamped.  One libm sincos of omega target + phase
+  /// is taken; each step rotates it by libm's sincos of
+  /// omega (t - target).  The stateless oracle of ReferenceEdges, which
+  /// the simulators step instead.
   double edge_time(double target, double tolerance) const;
 
   /// Hann-windowed bin of value(t) at `omega_bin` over the window
@@ -54,6 +55,95 @@ struct ReferenceModulation {
 /// Newton convergence tolerance of the event-driven simulators' edge
 /// times, relative to T.
 inline constexpr double kEdgeTolerance = 1e-13;
+
+namespace detail {
+
+/// Largest |x| small_angle_sincos takes.  The angles the event loop
+/// meets in lock stay below it: an edge Newton's rotation by omega d,
+/// |d| <= |amplitude|; a pulse midpoint's offset from its period times
+/// |nu| <= 8.5 w0 (a band |n| <= 8 bin), up to about 0.14 at the
+/// probes' default 1e-3 T amplitude; and half a short pulse's width
+/// times nu.
+inline constexpr double kSmallAngleMax = 0.25;
+
+/// sin x and cos x for |x| <= kSmallAngleMax from their Taylor series,
+/// to x^7 and x^6 up to |x| = 2^-6 and to x^13 and x^12 above (the
+/// first dropped terms are below 1e-19 relative), within 1 ulp of
+/// libm's.  Outside the range, libm's sincos; each such call counts in
+/// timedomain.phasor_fallbacks.
+void small_angle_sincos(double x, double& s, double& c);
+
+}  // namespace detail
+
+/// The unit phasor e^{j (nu t + phase)} of one frequency, stepped along
+/// the reference grid t = k T as a complex rotator: from index k to
+/// k + 1 it costs one complex multiply by e^{j nu T}.  It re-anchors
+/// every kReanchorPeriods periods and on any index that does not follow
+/// the last one, so the rotation error never builds up over more than
+/// kReanchorPeriods multiplies.  An anchor is libm's sincos of the
+/// rounded angle nu (k T) + phase, turned by that angle's rounding
+/// errors, so it stands for the exact angle (as does the step
+/// e^{j nu T}): rounding the angle would cost up to ulp(nu k T) / 2 at
+/// every anchor, shared by the periods up to the next.  Off the grid,
+/// at(t) rotates the anchor at the nearest whole period by the
+/// small-angle series.  Per-instance state: each simulator owns its
+/// own.
+class GridPhasor {
+ public:
+  static constexpr int kReanchorPeriods = 64;
+
+  /// With period 0 there is no grid and every at() takes libm.
+  GridPhasor(double nu, double phase, double period);
+
+  /// e^{j (nu k T + phase)}, on a grid (period > 0): an anchor or the
+  /// previous index's phasor times e^{j nu T}.  While obs records, each
+  /// re-anchor after a full run of steps raises
+  /// timedomain.max_phasor_drift to |rotated - anchor|.
+  cplx at_index(std::int64_t k);
+  /// e^{j (nu t + phase)}: at_index(k), k the whole period nearest t,
+  /// rotated by the small-angle series of nu (t - k T), or direct(t)
+  /// when that angle exceeds detail::kSmallAngleMax (counted in
+  /// timedomain.phasor_fallbacks).
+  cplx at(double t);
+  /// e^{j (nu t + phase)} from libm's sincos of the rounded angle, with
+  /// no grid.
+  cplx direct(double t) const;
+
+ private:
+  double nu_;
+  double phase_;
+  double period_;
+  double inv_period_;
+  cplx step_;  ///< e^{j nu T}
+  cplx z_;     ///< phasor at index k_
+  std::int64_t k_ = std::numeric_limits<std::int64_t>::min();
+  int steps_ = 0;  ///< rotations since the last anchor
+};
+
+/// One simulator's reference edges, solved in period order: edge(n)
+/// runs ReferenceModulation::edge_time's Newton for n T at
+/// kEdgeTolerance T, with the start phasor e^{j (omega n T + phase)}
+/// from a GridPhasor and each Newton rotation from the small-angle
+/// series instead of libm.  It agrees with edge_time within that stop
+/// rule plus the rounding of the double phase omega n T + phase, which
+/// edge_time carries and the GridPhasor does not.  The last edge is
+/// kept: a simulator asks for the same index again until the edge
+/// fires.  With no modulation the edge is n T exactly, with no phasor
+/// work.
+class ReferenceEdges {
+ public:
+  ReferenceEdges(const ReferenceModulation& mod, double period);
+
+  /// The edge of period index n, unclamped.
+  double edge(std::int64_t n);
+
+ private:
+  ReferenceModulation mod_;
+  double period_;
+  GridPhasor phasor_;
+  std::int64_t n_ = std::numeric_limits<std::int64_t>::min();
+  double t_ = 0.0;  ///< edge of index n_
+};
 
 struct TransientConfig {
   /// Uniform recording period for theta samples; 0 selects T/8, and a
@@ -99,9 +189,11 @@ struct UniformSamples {
 ///   U(nu) = sum over segments [t_a, t_b] of u int e^{-j nu t} dt,
 ///
 /// and the Hann window is three such rectangular bins, at nu = omega and
-/// omega -+ 2 pi / width.  A segment of nonzero current costs four
-/// sincos and never touches the state; closing the window costs one
-/// n x n complex solve per frequency.
+/// omega -+ 2 pi / width.  A segment of nonzero current never touches
+/// the state: its window phasors come from two GridPhasors anchored on
+/// whole periods, where pulses sit in lock, and its half-angle factors
+/// from the small-angle series, so a short pulse takes no libm call.
+/// Closing the window costs one n x n complex solve per frequency.
 class ThetaBin {
  public:
   /// Every window frequency must keep this fraction of the bin spacing
@@ -114,10 +206,14 @@ class ThetaBin {
   static constexpr double kMinDcOffset = 1e-2;
 
   /// Opens the window [t0, t0 + width] at state x0 for the bin at
-  /// `omega` (rad/s, any sign).  Throws std::invalid_argument, naming
-  /// omega, unless omega and t0 are finite, width is positive and
-  /// finite and every window frequency keeps kMinDcOffset bins from DC.
-  ThetaBin(double omega, double t0, double width, RVector x0);
+  /// `omega` (rad/s, any sign), with segment phasors anchored on the
+  /// grid k `period` (0: every phasor from libm).  Throws
+  /// std::invalid_argument, naming omega, unless omega and t0 are
+  /// finite, width is positive and finite, period is finite and
+  /// non-negative and every window frequency keeps kMinDcOffset bins
+  /// from DC.
+  ThetaBin(double omega, double t0, double width, RVector x0,
+           double period = 0.0);
 
   /// Adds the segment [t_a, t_b] over which the input is held at u:
   /// u e^{-j nu t_a} h phi1(-j nu h) per window frequency, h = t_b - t_a,
@@ -133,11 +229,17 @@ class ThetaBin {
   cplx finish(const StateSpace& sys, const RVector& x1) const;
 
  private:
+  /// e^{-j nu t} of the three window frequencies from the phasors
+  /// e^{-j omega t} and e^{j spacing (t - t0)}.
+  static void window_phasors(cplx e, cplx r, cplx out[3]);
+
   double omega_;
   double t0_;
   double width_;
   double spacing_;   ///< 2 pi / width
   double nu_[3];     ///< omega, omega - spacing, omega + spacing
+  GridPhasor carrier_;  ///< e^{-j omega t}
+  GridPhasor window_;   ///< e^{j spacing (t - t0)}
   RVector x0_;
   cplx u_[3] = {};   ///< U(nu) per window frequency
 };
@@ -145,15 +247,17 @@ class ThetaBin {
 namespace detail {
 
 /// Both event-driven simulators' measure_theta_bin: opens a ThetaBin at
-/// the integrator's state, points `slot` (the simulator's per-segment
-/// hook) at it while `run_until` covers [t0, t0 + width], then closes
-/// it at the final state.  `slot` is cleared on every exit, so it never
-/// outlives the bin.
+/// the integrator's state, anchored on the simulator's reference grid
+/// `period`, points `slot` (the simulator's per-segment hook) at it
+/// while `run_until` covers [t0, t0 + width], then closes it at the
+/// final state.  `slot` is cleared on every exit, so it never outlives
+/// the bin.
 template <class RunUntil>
 cplx run_theta_bin_window(ThetaBin*& slot,
                           const PiecewiseExactIntegrator& integ, double t0,
-                          double omega, double width, RunUntil&& run_until) {
-  ThetaBin bin(omega, t0, width, integ.state());
+                          double omega, double width, double period,
+                          RunUntil&& run_until) {
+  ThetaBin bin(omega, t0, width, integ.state(), period);
   struct Unhook {
     ThetaBin*& slot;
     ~Unhook() { slot = nullptr; }
@@ -166,8 +270,10 @@ cplx run_theta_bin_window(ThetaBin*& slot,
 }  // namespace detail
 
 /// Throws std::invalid_argument unless the modulation is small-signal
-/// (|amplitude| < T/4) with finite omega and phase.  Called by every
-/// transient simulator's constructor.
+/// (|amplitude| < T/4) with finite omega and phase, and the reference
+/// phase t + theta_ref(t) is strictly increasing (|amplitude omega| < 1),
+/// so each edge equation has one root.  Called by every transient
+/// simulator's constructor.
 void validate_modulation(const ReferenceModulation& mod, double period);
 
 /// validate_modulation, and throws unless sample_interval is finite and
@@ -293,9 +399,6 @@ class PllTransientSim {
   /// Records, advances the integrator over the planned segment and
   /// processes the event; false when t_end was reached first.
   bool commit_step(const TransientStepPlan& plan);
-  /// edge_time(target) clamped to the current time; the unclamped
-  /// solution is kept for the next call with the same target.
-  double next_reference_edge(double target) const;
   /// Time of the next VCO edge, or +inf when it cannot fire by
   /// `horizon` (the step's next reference/leakage event or t_end).
   double next_vco_edge(double target, double current, double horizon) const;
@@ -311,12 +414,9 @@ class PllTransientSim {
 
   PiecewiseExactIntegrator aug_;  ///< filter states + theta (last state)
   std::size_t theta_index_;
-  // Last reference-edge solve.  plan_step runs once per step and a
-  // reference edge usually spans two (a VCO edge falls in between); the
-  // solution depends only on the target, so it is keyed on the target.
-  // NaN matches no target.
-  mutable double ref_edge_target_ = std::numeric_limits<double>::quiet_NaN();
-  mutable double ref_edge_time_ = 0.0;
+  // plan_step runs once per step and a reference edge usually spans two
+  // (a VCO edge falls in between); the sequence keeps its last edge.
+  mutable ReferenceEdges ref_edges_;
 
   TriStatePfd pfd_;
   std::int64_t n_ref_ = 1;

@@ -18,7 +18,8 @@ SampleHoldPllSim::SampleHoldPllSim(const PllParameters& params,
       aug_(augment_with_phase(to_state_space(params.filter.impedance()),
                               params.kvco),
            cfg.use_spectral_propagators),
-      theta_index_(aug_.order() - 1) {
+      theta_index_(aug_.order() - 1),
+      ref_edges_(mod_, t_period_) {
   validate_transient_setup(mod_, cfg_, t_period_);
   if (cfg_.sample_interval == 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
@@ -41,10 +42,7 @@ void SampleHoldPllSim::record_range(double t_begin, double t_end) {
 void SampleHoldPllSim::run_until(double t_end) {
   HTMPLL_REQUIRE(std::isfinite(t_end), "run_until: t_end must be finite");
   while (t_ < t_end) {
-    const double t_ref = std::max(
-        mod_.edge_time(static_cast<double>(n_ref_) * t_period_,
-                       kEdgeTolerance * t_period_),
-        t_);
+    const double t_ref = std::max(ref_edges_.edge(n_ref_), t_);
     const double t_evt = std::min(t_ref, t_end);
 
     record_range(t_, t_evt);
@@ -72,7 +70,7 @@ void SampleHoldPllSim::clear_samples() { samples_.clear(); }
 
 cplx SampleHoldPllSim::measure_theta_bin(double omega, double width) {
   return detail::run_theta_bin_window(
-      bin_, aug_, t_, omega, width,
+      bin_, aug_, t_, omega, width, t_period_,
       [this](double t_end) { run_until(t_end); });
 }
 

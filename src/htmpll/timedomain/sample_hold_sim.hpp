@@ -49,6 +49,10 @@ class SampleHoldPllSim {
   std::size_t event_count() const { return events_; }
 
  private:
+  /// Its segments span whole periods, so their midpoints sit half a
+  /// period off the reference grid: a bin takes their window phasors
+  /// and half-angle factors from the small-angle series only while
+  /// |nu| T / 2 <= detail::kSmallAngleMax, and from libm above.
   void record_range(double t_begin, double t_end);
 
   PllParameters params_;
@@ -59,6 +63,7 @@ class SampleHoldPllSim {
 
   PiecewiseExactIntegrator aug_;
   std::size_t theta_index_;
+  ReferenceEdges ref_edges_;
 
   std::int64_t n_ref_ = 1;
   double t_ = 0.0;

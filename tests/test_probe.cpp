@@ -321,5 +321,17 @@ TEST(ThetaBin, RejectsBadWindowWidth) {
   }
 }
 
+TEST(ThetaBin, RejectsBadGridPeriod) {
+  // The period anchors the segment phasors on the reference grid; 0
+  // means no grid.
+  const RVector x0(3, 0.0);
+  for (double period : {-1.0, std::nan(""), HUGE_VAL}) {
+    expect_rejected([&] { ThetaBin(0.5, 0.0, 10.0, x0, period); },
+                    "grid period");
+  }
+  EXPECT_NO_THROW(ThetaBin(0.5, 0.0, 10.0, x0, 0.0));
+  EXPECT_NO_THROW(ThetaBin(0.5, 0.0, 10.0, x0, 1.0));
+}
+
 }  // namespace
 }  // namespace htmpll

@@ -1,9 +1,11 @@
 // Transient performance-layer suite: the step memo, the
 // horizon-bounded edge search (cost, and agreement with a reference
 // event loop on the Van Loan oracle), the allocation-free steady state,
-// the probe core both event-driven simulators share, probe batches,
-// probe-option and non-finite input validation and the Monte Carlo
-// batch APIs (bit-identical across pool widths and to standalone runs).
+// the probe core both event-driven simulators share, the trig-free
+// recurrences (small-angle series, reference-edge sequence, grid-anchored
+// theta bins), probe batches, probe-option, modulation and non-finite
+// input validation and the Monte Carlo batch APIs (bit-identical across
+// pool widths and to standalone runs).
 // Kept in its own binary (like test_parallel) so the whole suite stays
 // fast enough to run routinely under -DHTMPLL_SANITIZE=thread.
 #include <algorithm>
@@ -671,6 +673,37 @@ TEST(NonFiniteInput, ModulationPhaseRejected) {
   }
 }
 
+TEST(ModulationValidation, RejectsANonMonotoneReferencePhase) {
+  // With |a w| >= 1, t + a sin(w t + p) stops increasing and an edge
+  // equation has several roots: the edge Newton used to return wherever
+  // its 50 steps stopped (at a w = 1.5, 50 of 2,000 edges unconverged
+  // and 34 at or before their predecessor).  Every simulator rejects
+  // the modulation, naming the product; just below 1 it runs.
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  ReferenceModulation mod;
+  mod.amplitude = 0.2 * p.period();
+  mod.phase = 0.3;
+  for (double product : {1.0, 1.5}) {
+    mod.omega = product / mod.amplitude;
+    const std::string what = "|amplitude * omega| = " +
+                             testing::PrintToString(product);
+    expect_rejected([&] { PllTransientSim sim(p, mod); }, what);
+    expect_rejected([&] { SampleHoldPllSim sim(p, mod); }, what);
+    expect_rejected([&] { LptvPllTransientSim sim(p, flat_isf(), mod); },
+                    what);
+  }
+  mod.omega = 0.99 / mod.amplitude;
+  PllTransientSim pulse(p, mod);
+  SampleHoldPllSim sample_hold(p, mod);
+  LptvPllTransientSim lptv(p, flat_isf(), mod);
+  pulse.run_periods(5.0);
+  sample_hold.run_periods(5.0);
+  lptv.run_periods(5.0);
+  EXPECT_GT(pulse.event_count(), 0u);
+  EXPECT_GT(sample_hold.event_count(), 0u);
+  EXPECT_GT(lptv.event_count(), 0u);
+}
+
 TEST(NonFiniteInput, LoopParametersRejected) {
   // A NaN Icp built simulators that ran on NaN pump currents, and an
   // infinite R passed the filter's sign check.  Each simulator now
@@ -998,6 +1031,215 @@ TEST(ProbeCore, MatchesAHandDrivenSimulatorBitwise) {
     expect_same_measurement(measure_baseband_transfer_sample_hold(p, wm, opts),
                             probe_by_hand<SampleHoldPllSim>(p, wm, opts),
                             "sample-hold probe, " + at);
+  }
+}
+
+/// Representable doubles between a and b (0 when equal); a and b have
+/// the same sign.
+std::int64_t ulps_apart(double a, double b) {
+  if (a == b) return 0;  // +0 and -0 too
+  std::int64_t ia, ib;
+  std::memcpy(&ia, &a, sizeof a);
+  std::memcpy(&ib, &b, sizeof b);
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+TEST(TrigFreeLoop, SmallAngleSeriesMatchesLibmWithinOneUlp) {
+  // Both polynomial tiers against libm over the whole range: random and
+  // log-spaced angles, the tier boundary 2^-6 and the range ends.
+  std::mt19937 rng(20261019u);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<double> xs{0.0, -0.0, 1e-300, 0x1p-6,
+                         std::nextafter(0x1p-6, 1.0),
+                         detail::kSmallAngleMax, -detail::kSmallAngleMax};
+  for (int i = 0; i < 100000; ++i) {
+    const double sign = i % 2 == 0 ? 1.0 : -1.0;
+    xs.push_back(sign * detail::kSmallAngleMax * unit(rng));
+    xs.push_back(sign * detail::kSmallAngleMax *
+                 std::pow(10.0, -12.0 * unit(rng)));
+  }
+  ScopedObs on(true);
+  obs::Counter& fallbacks = obs::counter("timedomain.phasor_fallbacks");
+  const std::uint64_t f0 = fallbacks.value();
+  std::size_t exact = 0;
+  for (double x : xs) {
+    double s, c;
+    detail::small_angle_sincos(x, s, c);
+    const std::int64_t d = std::max(ulps_apart(s, std::sin(x)),
+                                    ulps_apart(c, std::cos(x)));
+    if (d == 0) ++exact;
+    ASSERT_LE(d, 1) << "x = " << x;
+  }
+  EXPECT_EQ(fallbacks.value(), f0);
+  // Measured: all but 0.5 % of these angles match libm bit for bit.
+  EXPECT_GT(static_cast<double>(exact), 0.99 * static_cast<double>(xs.size()));
+  // Past the range: libm's own bits, counted as fallbacks.
+  for (double x : {std::nextafter(detail::kSmallAngleMax, 1.0), -0.3, 1.0,
+                   -250.0}) {
+    double s, c, ls, lc;
+    detail::small_angle_sincos(x, s, c);
+    __builtin_sincos(x, &ls, &lc);
+    EXPECT_EQ(ulps_apart(s, ls), 0) << "x = " << x;
+    EXPECT_EQ(ulps_apart(c, lc), 0) << "x = " << x;
+  }
+  EXPECT_EQ(fallbacks.value() - f0, 4u);
+}
+
+TEST(TrigFreeLoop, ReferenceEdgeSequenceMatchesEdgeTime) {
+  // 10^5 consecutive periods per modulation, on T = 1 and on a period
+  // that n T rounds, including w T within 1e-7 of a multiple of 2 pi
+  // (the rotator then nearly returns to itself each period).  Every
+  // sequential edge agrees with the stateless oracle within the oracle's
+  // stop rule plus the rounding of the double phase w n T + p, which
+  // the oracle's own libm call carries; so does a sparse, re-anchoring
+  // index order and a repeated index.
+  struct Case {
+    double period, amplitude, omega, phase;
+  };
+  std::mt19937 rng(1019u);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<Case> cases;
+  for (double period : {1.0, 1e-7 / 3.0}) {
+    const double w0 = 2.0 * std::numbers::pi / period;
+    cases.push_back({period, 2e-3 * (unit(rng) - 0.5) * period,
+                     (0.01 + 0.49 * unit(rng)) * w0, 6.0 * unit(rng)});
+    cases.push_back({period, 0.3 * (unit(rng) - 0.5) * period,
+                     (0.01 + 0.49 * unit(rng)) * w0, 6.0 * unit(rng)});
+    cases.push_back({period, 1e-3 * period, (1.0 - 1e-9) * w0, 1.0});
+    cases.push_back({period, -1e-3 * period, 3.0 * (1.0 + 1e-7) * w0,
+                     -2.0});
+  }
+  const auto ulp = [](double x) {
+    const double a = std::abs(x);
+    return std::nextafter(a, std::numeric_limits<double>::infinity()) - a;
+  };
+  constexpr std::int64_t kPeriods = 100000;
+  ScopedObs on(true);
+  obs::Gauge& drift = obs::gauge("timedomain.max_phasor_drift");
+  for (const Case& c : cases) {
+    ReferenceModulation mod;
+    mod.amplitude = c.amplitude;
+    mod.omega = c.omega;
+    mod.phase = c.phase;
+    const double tol = kEdgeTolerance * c.period;
+    const auto bound = [&](double target) {
+      return std::max(tol, 4.0 * ulp(target)) +
+             2.0 * std::abs(c.amplitude) * ulp(c.omega * target + c.phase);
+    };
+    drift.reset();
+    ReferenceEdges seq(mod, c.period);
+    double worst = 0.0;
+    for (std::int64_t n = 1; n <= kPeriods; ++n) {
+      const double target = static_cast<double>(n) * c.period;
+      const double t = seq.edge(n);
+      const double err = std::abs(t - mod.edge_time(target, tol));
+      worst = std::max(worst, err / bound(target));
+      ASSERT_LE(err, bound(target)) << "n = " << n << " w " << c.omega;
+    }
+    // Each re-anchor compares 63 rotations with an anchor of the exact
+    // angle, so the drift is the multiplies' rounding alone, a few ulp
+    // of 1 each, whatever the phase has grown to (libm's rounding of
+    // w n T alone reaches 1.2e-10 rad here).  Measured: at most 5.5e-15.
+    EXPECT_GT(drift.value(), 0.0);
+    EXPECT_LE(drift.value(), GridPhasor::kReanchorPeriods * 0x1p-51)
+        << "w " << c.omega;
+    // Re-anchoring orders: a sparse walk and a repeat.
+    for (std::int64_t n : {7, 3, 3, 1000, 999, 1001, 1002, 99999}) {
+      const double target = static_cast<double>(n) * c.period;
+      EXPECT_LE(std::abs(seq.edge(n) - mod.edge_time(target, tol)),
+                bound(target))
+          << "n = " << n;
+    }
+    EXPECT_LT(worst, 1.0);
+  }
+  // No modulation: exactly n T.
+  ReferenceEdges none({}, 1e-7 / 3.0);
+  for (std::int64_t n : {1, 2, 3, 77777}) {
+    EXPECT_EQ(none.edge(n), static_cast<double>(n) * (1e-7 / 3.0));
+  }
+}
+
+TEST(TrigFreeLoop, GridAnchoredThetaBinMatchesExactPhasors) {
+  // The same segments into a bin anchored on the reference grid and into
+  // one that takes every phasor from libm: lock-like pulses straddling
+  // each period (bands n = 8 and -8, where |nu| * offset reaches 0.12),
+  // wide pulses whose offsets and half-angles leave the series range and take
+  // libm, and the sample-and-hold loop's full-period segments, half a
+  // period off the grid.  The libm side rounds its phase nu t to
+  // ulp(nu t) / 2 at every segment, so the windows start early to keep
+  // that floor below the 1e-13 bound.  Measured: at most 1.1e-14.
+  const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
+  const StateSpace sys =
+      augment_with_phase(to_state_space(p.filter.impedance()), p.kvco);
+  const RVector zero(sys.order(), 0.0);
+  struct Segment {
+    double t_a, t_b, u;
+  };
+  enum class Shape { kLockPulses, kWidePulses, kSampleHold };
+  struct Case {
+    const char* name;
+    Shape shape;
+    double omega_m;
+    int band;
+    bool falls_back;
+  };
+  const Case cases[] = {
+      {"band 8, lock pulses", Shape::kLockPulses, 0.3 * kW0, 8, false},
+      {"band -8, lock pulses", Shape::kLockPulses, 0.45 * kW0, -8, false},
+      {"baseband, lock pulses", Shape::kLockPulses, 0.05 * kW0, 0, false},
+      {"baseband, wide pulses", Shape::kWidePulses, 0.45 * kW0, 0, true},
+      {"sample-and-hold, series", Shape::kSampleHold, 0.05 * kW0, 0, false},
+      {"sample-and-hold, libm", Shape::kSampleHold, 0.1 * kW0, 0, true},
+  };
+  std::mt19937 rng(77u);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  ScopedObs on(true);
+  obs::Counter& fallbacks = obs::counter("timedomain.phasor_fallbacks");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const double tm = 2.0 * std::numbers::pi / c.omega_m;
+    const double t0 = 0.37;
+    const double width = (c.omega_m < 0.1 * kW0 ? 3.0 : 12.0) * tm;
+    std::vector<Segment> segs;
+    for (int k = 1; k < static_cast<int>(width); ++k) {
+      const double tk = static_cast<double>(k);
+      const double level = std::sin(c.omega_m * tk);
+      switch (c.shape) {
+        case Shape::kLockPulses: {
+          // Reference edge within 1e-3 T of k T, the pulse up to 2.5e-3 T
+          // wide on either side of it.
+          const double t_ref = tk + 1e-3 * unit(rng);
+          const double w = 2.5e-3 * level;
+          segs.push_back({std::min(t_ref, t_ref - w),
+                          std::max(t_ref, t_ref - w), w > 0 ? -1.0 : 1.0});
+          break;
+        }
+        case Shape::kWidePulses:
+          segs.push_back({tk + 0.02, tk + 0.02 + 0.3 * std::abs(level),
+                          level > 0 ? 1.0 : -1.0});
+          break;
+        case Shape::kSampleHold:
+          segs.push_back({tk + 1e-3 * level, tk + 1.0 + 1e-3 * level,
+                          level});
+          break;
+      }
+    }
+    const double omega = static_cast<double>(c.band) * kW0 + c.omega_m;
+    ThetaBin grid(omega, t0, width, zero, p.period());
+    ThetaBin exact(omega, t0, width, zero);
+    const std::uint64_t f0 = fallbacks.value();
+    for (const Segment& s : segs) grid.add_segment(s.t_a, s.t_b, s.u);
+    const std::uint64_t grid_fallbacks = fallbacks.value() - f0;
+    for (const Segment& s : segs) exact.add_segment(s.t_a, s.t_b, s.u);
+    const cplx a = grid.finish(sys, zero);
+    const cplx b = exact.finish(sys, zero);
+    ASSERT_GT(std::abs(b), 0.0);
+    EXPECT_LE(std::abs(a - b), 1e-13 * std::abs(b));
+    if (c.falls_back) {
+      EXPECT_GT(grid_fallbacks, 0u);
+    } else {
+      EXPECT_EQ(grid_fallbacks, 0u);
+    }
   }
 }
 
