@@ -8,7 +8,6 @@
 #include "htmpll/obs/diag.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/util/check.hpp"
-#include "htmpll/ztrans/zdomain.hpp"
 
 namespace htmpll {
 
@@ -136,17 +135,25 @@ std::vector<ClosedLoopPole> refine_closed_loop_poles(
 
 std::vector<ClosedLoopPole> closed_loop_poles(const SamplingPllModel& model,
                                               const PoleSearchOptions& opts) {
+  return closed_loop_poles(
+      model, ImpulseInvariantModel(model.open_loop_gain(), model.w0()), opts);
+}
+
+std::vector<ClosedLoopPole> closed_loop_poles(
+    const SamplingPllModel& model, const ImpulseInvariantModel& zmodel,
+    const PoleSearchOptions& opts) {
   HTMPLL_REQUIRE(model.time_invariant_vco(),
                  "pole search implemented for time-invariant VCOs");
   HTMPLL_REQUIRE(model.options().pfd_shape == PfdShape::kImpulse,
                  "pole search implemented for the impulse PFD shape");
   const double w0 = model.w0();
+  HTMPLL_REQUIRE(zmodel.w0() == w0,
+                 "the z-domain model must sample at the model's w0");
   const double t = 2.0 * std::numbers::pi / w0;
 
   // Seeds: z-domain characteristic roots mapped through s = ln(z)/T.
-  const ImpulseInvariantModel zm(model.open_loop_gain(), w0);
   std::vector<cplx> seeds;
-  for (const cplx& z : zm.closed_loop_poles()) {
+  for (const cplx& z : zmodel.closed_loop_poles()) {
     if (std::abs(z) < 1e-12) continue;  // z = 0 maps to Re(s) = -inf
     seeds.push_back(std::log(z) / t);
   }

@@ -5,7 +5,8 @@
 // vertical ladders s* + j m w0; we report the representatives in the
 // fundamental strip Im(s) in (-w0/2, w0/2].
 //
-// Strategy: seed from the z-domain characteristic roots mapped through
+// Strategy: seed from the z-domain characteristic roots (the ones an
+// ImpulseInvariantModel solves at construction) mapped through
 // s = ln(z)/T (exact by the Poisson identity), then polish with Newton
 // on 1 + lambda(s) using the analytic derivative.  Every seed advances
 // one iteration per lambda_grid / lambda_derivative_grid pair on the
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "htmpll/core/sampling_pll.hpp"
+#include "htmpll/ztrans/zdomain.hpp"
 
 namespace htmpll {
 
@@ -57,5 +59,13 @@ std::vector<ClosedLoopPole> refine_closed_loop_poles(
 /// ascending |s|.
 std::vector<ClosedLoopPole> closed_loop_poles(
     const SamplingPllModel& model, const PoleSearchOptions& opts = {});
+
+/// The same poles, seeded from the roots `zmodel` already holds: it must
+/// be the impulse-invariant model of model.open_loop_gain() at
+/// model.w0() (its rate is checked), so a caller that needs the z-domain
+/// verdict too solves the characteristic polynomial once.
+std::vector<ClosedLoopPole> closed_loop_poles(
+    const SamplingPllModel& model, const ImpulseInvariantModel& zmodel,
+    const PoleSearchOptions& opts = {});
 
 }  // namespace htmpll

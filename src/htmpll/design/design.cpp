@@ -1,8 +1,10 @@
 #include "htmpll/design/design.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <utility>
 
 #include "htmpll/linalg/batch_kernels.hpp"
 #include "htmpll/util/check.hpp"
@@ -37,11 +39,21 @@ PllParameters synthesize_loop(const DesignSpec& spec, double w_ug,
 
 DesignResult measure_design(const DesignSpec& spec,
                             const SamplingPllModel& model, double gamma) {
+  return measure_design(
+      spec, model, ImpulseInvariantModel(model.open_loop_gain(), spec.w0),
+      gamma);
+}
+
+DesignResult measure_design(const DesignSpec& spec,
+                            const SamplingPllModel& model,
+                            const ImpulseInvariantModel& zmodel,
+                            double gamma) {
+  HTMPLL_REQUIRE(zmodel.w0() == spec.w0,
+                 "the z-domain model must sample at the spec's w0");
   DesignResult out;
   out.gamma = gamma;
   out.params = model.parameters();
   out.margins = effective_margins(model);
-  const ImpulseInvariantModel zmodel(model.open_loop_gain(), spec.w0);
   out.z_domain_stable = zmodel.is_stable();
   out.meets_spec_lti =
       out.margins.lti_found &&
@@ -194,29 +206,97 @@ class JitterQuadrature {
   std::vector<double> s_ref_, s_vco_, folded_;
 };
 
-/// Golden-section minimization on log(w_ug).
+/// A minimum found by brent_min: the point and the objective there.
+struct Minimum {
+  double w = 0.0;
+  double f = 0.0;
+};
+
+/// Brent's minimization (Brent 1973, fmin: golden section plus parabolic
+/// steps) of f(w) over [lo, hi] in u = ln w.  It stops once the bracket
+/// is at most kLnTol wide: below about 3e-8 relative in w the jitter
+/// objectives' rounding decides every comparison, so a tighter bracket
+/// buys nothing.  A parabolic step needs f finite at all three points it
+/// fits (an unstable loop's rms is +inf); otherwise the step is golden.
+/// A best point within a few tolerances of an end is replaced by that
+/// end, evaluated at lo or hi itself, when f is no worse there, so an
+/// optimum on the edge reads the end exactly.  Returns the best point
+/// evaluated and f there.
 template <typename F>
-double golden_min(F f, double lo, double hi, int iterations = 60) {
-  const double phi = 0.5 * (std::sqrt(5.0) - 1.0);
-  double a = std::log(lo), b = std::log(hi);
-  double x1 = b - phi * (b - a), x2 = a + phi * (b - a);
-  double f1 = f(std::exp(x1)), f2 = f(std::exp(x2));
-  for (int it = 0; it < iterations; ++it) {
-    if (f1 < f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - phi * (b - a);
-      f1 = f(std::exp(x1));
+Minimum brent_min(F f, double lo, double hi) {
+  constexpr double kLnTol = 1e-9;
+  // Closest spacing between probes; the stop below fires once the best
+  // point lies within 2 kMinStep of both bracket ends.
+  constexpr double kMinStep = 0.25 * kLnTol;
+  constexpr double kEdge = 4.0 * kLnTol;
+  const double golden = 0.5 * (3.0 - std::sqrt(5.0));
+  const double u_lo = std::log(lo), u_hi = std::log(hi);
+  double a = u_lo, b = u_hi;
+  double x = a + golden * (b - a), w = x, v = x;
+  double fx = f(std::exp(x)), fw = fx, fv = fx;
+  double d = 0.0, e = 0.0;  // last step and the one before it
+  for (;;) {
+    const double xm = 0.5 * (a + b);
+    if (std::max(x - a, b - x) <= 2.0 * kMinStep) break;
+    bool parabolic = false;
+    if (std::abs(e) > kMinStep && std::isfinite(fx) && std::isfinite(fw) &&
+        std::isfinite(fv)) {
+      // Vertex of the parabola through (x, fx), (w, fw), (v, fv), as
+      // x + p/q; taken only when it falls inside the bracket and moves
+      // less than half the step before last.
+      const double r = (x - w) * (fx - fv);
+      double q = (x - v) * (fx - fw);
+      double p = (x - v) * q - (x - w) * r;
+      q = 2.0 * (q - r);
+      if (q > 0.0) p = -p;
+      q = std::abs(q);
+      if (std::abs(p) < std::abs(0.5 * q * e) && p > q * (a - x) &&
+          p < q * (b - x)) {
+        e = d;
+        d = p / q;
+        const double u = x + d;
+        if (u - a < 2.0 * kMinStep || b - u < 2.0 * kMinStep) {
+          d = std::copysign(kMinStep, xm - x);
+        }
+        parabolic = true;
+      }
+    }
+    if (!parabolic) {
+      e = (x >= xm ? a : b) - x;
+      d = golden * e;
+    }
+    const double u =
+        std::abs(d) >= kMinStep ? x + d : x + std::copysign(kMinStep, d);
+    const double fu = f(std::exp(u));
+    if (fu <= fx) {
+      (u >= x ? a : b) = x;
+      v = w;
+      fv = fw;
+      w = x;
+      fw = fx;
+      x = u;
+      fx = fu;
     } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + phi * (b - a);
-      f2 = f(std::exp(x2));
+      (u < x ? a : b) = u;
+      if (fu <= fw || w == x) {
+        v = w;
+        fv = fw;
+        w = u;
+        fw = fu;
+      } else if (fu <= fv || v == x || v == w) {
+        v = u;
+        fv = fu;
+      }
     }
   }
-  return std::exp(0.5 * (a + b));
+  for (const auto& [u_end, w_end] :
+       {std::pair{u_lo, lo}, std::pair{u_hi, hi}}) {
+    if (std::abs(x - u_end) <= kEdge) {
+      const double f_end = f(w_end);
+      if (f_end <= fx) return {w_end, f_end};
+    }
+  }
+  return {std::exp(x), fx};
 }
 
 }  // namespace
@@ -232,9 +312,9 @@ JitterOptimizationResult optimize_bandwidth_for_jitter(
   };
   HTMPLL_REQUIRE(stable(spec.ratio_min),
                  "the loop at ratio_min is already half-rate unstable");
-  // Golden-section search cannot cross the +inf rms of unstable loops
-  // (two +inf probes send it right), so the TV search stops at the
-  // half-rate boundary.
+  // The +inf rms of an unstable loop tells the search nothing about
+  // where the stable optimum lies (two +inf probes send it right), so
+  // the TV search stops at the half-rate boundary.
   double tv_ratio_max = spec.ratio_max;
   if (!stable(spec.ratio_max)) {
     tv_ratio_max = bisect_stability_boundary(stable, spec.ratio_min,
@@ -244,13 +324,22 @@ JitterOptimizationResult optimize_bandwidth_for_jitter(
   const double lo = spec.ratio_min * spec.w0;
 
   JitterOptimizationResult out;
-  out.w_ug_tv = golden_min([&](double w) { return q.tv(w); }, lo,
-                           tv_ratio_max * spec.w0);
-  out.rms_tv = q.tv(out.w_ug_tv);
+  const Minimum tv = brent_min([&](double w) { return q.tv(w); }, lo,
+                               tv_ratio_max * spec.w0);
+  out.w_ug_tv = tv.w;
+  out.rms_tv = tv.f;
 
-  out.w_ug_lti = golden_min([&](double w) { return q.lti(w); }, lo,
-                            spec.ratio_max * spec.w0);
+  out.w_ug_lti = brent_min([&](double w) { return q.lti(w); }, lo,
+                           spec.ratio_max * spec.w0)
+                     .w;
   out.rms_at_lti_pick = q.tv(out.w_ug_lti);
+  // Both searches stop at a bracket the objective can resolve, so the
+  // LTI pick can score a hair below the TV optimum; it is then the
+  // better TV point, which keeps penalty >= 1.
+  if (out.rms_at_lti_pick < out.rms_tv) {
+    out.w_ug_tv = out.w_ug_lti;
+    out.rms_tv = out.rms_at_lti_pick;
+  }
   out.penalty = out.rms_at_lti_pick / out.rms_tv;
   return out;
 }

@@ -60,6 +60,15 @@ DesignResult evaluate_design(const DesignSpec& spec, double w_ug,
 DesignResult measure_design(const DesignSpec& spec,
                             const SamplingPllModel& model, double gamma);
 
+/// The same measurement with the z-domain verdict read from `zmodel`,
+/// the impulse-invariant model of model.open_loop_gain() at spec.w0 (its
+/// rate is checked), so a caller that also seeds the pole search from it
+/// solves the characteristic polynomial once.
+DesignResult measure_design(const DesignSpec& spec,
+                            const SamplingPllModel& model,
+                            const ImpulseInvariantModel& zmodel,
+                            double gamma);
+
 /// Pure LTI synthesis at the requested crossover.
 DesignResult design_classical(const DesignSpec& spec);
 
@@ -104,6 +113,12 @@ struct JitterOptimizationResult {
 /// once with the classical LTI transfers and once with the time-varying
 /// (folded, peaked) transfers.  The penalty quantifies what an LTI-based
 /// bandwidth choice costs in real output jitter.
+///
+/// Each search is Brent's method in ln w_ug, stopped at a bracket of
+/// 1e-9 (the objectives resolve about 3e-8 relative in w_ug); an optimum
+/// on an end of the range reads that end exactly.  When the LTI pick's
+/// TV rms falls below the TV search's optimum, the pick becomes the TV
+/// optimum, so penalty >= 1 holds exactly.
 ///
 /// The TV search runs on the half-rate-stable part of [ratio_min,
 /// ratio_max] (bisect_stability_boundary when the loop at ratio_max is

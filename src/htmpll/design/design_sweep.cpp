@@ -15,18 +15,20 @@ namespace {
 DesignPoint evaluate_point(const DesignSpec& base, double ratio,
                            double gamma, const DesignSweepOptions& opts) {
   // One model per point serves the design verdicts, the half-rate
-  // lambda and the poles.
+  // lambda and the poles; one z-domain model, whose characteristic roots
+  // are solved once, serves the z-domain verdict and the pole seeds.
   const SamplingPllModel model(
       synthesize_loop(base, ratio * base.w0, gamma));
+  const ImpulseInvariantModel zmodel(model.open_loop_gain(), base.w0);
   DesignPoint pt;
   pt.ratio = ratio;
   pt.gamma = gamma;
-  pt.design = measure_design(base, model, gamma);
+  pt.design = measure_design(base, model, zmodel, gamma);
   pt.half_rate_lambda = half_rate_lambda(model);
   pt.half_rate_stable = pt.half_rate_lambda > -1.0;
 
   if (opts.include_poles) {
-    pt.poles = closed_loop_poles(model);
+    pt.poles = closed_loop_poles(model, zmodel);
   }
   return pt;
 }

@@ -46,6 +46,14 @@ std::size_t strip_zero_roots(CVector& coeffs) {
 
 CVector find_roots(const Polynomial& p, const RootOptions& opts) {
   HTMPLL_REQUIRE(!p.is_zero(), "cannot find roots of the zero polynomial");
+  // A NaN would stall the sweeps' step test (max(0, NaN) is 0) and an
+  // infinity would strip every coefficient as a zero root: both return
+  // roots that mean nothing.
+  for (const cplx& c : p.coefficients()) {
+    HTMPLL_REQUIRE(std::isfinite(c.real()) && std::isfinite(c.imag()),
+                   "cannot find roots of a polynomial with a non-finite "
+                   "coefficient");
+  }
   CVector coeffs = p.coefficients();
   const std::size_t zeros = strip_zero_roots(coeffs);
   Polynomial q{CVector(coeffs)};

@@ -21,8 +21,9 @@ struct RootOptions {
 };
 
 /// All complex roots of `p` (with multiplicity, as clustered numerical
-/// copies).  Throws std::invalid_argument for the zero polynomial;
-/// returns an empty vector for (non-zero) constants.
+/// copies).  Throws std::invalid_argument for the zero polynomial and
+/// for a NaN or infinite coefficient; returns an empty vector for
+/// (non-zero) constants.
 CVector find_roots(const Polynomial& p, const RootOptions& opts = {});
 
 /// Groups numerically coincident roots.  `tol` is an absolute distance

@@ -22,6 +22,7 @@ constexpr const char* kReasonNames[kDiagReasonCount] = {
     "pole_search.degenerate_step",  // kPoleSearchDegenerateStep
     "pole_search.diverged",         // kPoleSearchDiverged
     "vco_edge.bisection_fallback",  // kVcoEdgeBisectionFallback
+    "parallel.incomplete_job",      // kParallelIncompleteJob
 };
 static_assert(sizeof(kReasonNames) / sizeof(kReasonNames[0]) ==
               kDiagReasonCount);

@@ -51,6 +51,7 @@ enum class DiagReason : std::uint8_t {
   kPoleSearchDegenerateStep,    ///< Newton lane dropped: df zero/non-finite
   kPoleSearchDiverged,          ///< Newton lane dropped: step left R^2
   kVcoEdgeBisectionFallback,    ///< VCO-edge Newton failed; bisection ran
+  kParallelIncompleteJob,       ///< pooled job ran fewer than n indices
   kCount,
 };
 

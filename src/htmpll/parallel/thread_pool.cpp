@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "htmpll/obs/diag.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/obs/trace.hpp"
 #include "htmpll/util/check.hpp"
@@ -109,7 +110,7 @@ void ThreadPool::run_chunks() {
   const std::size_t n = job_n_;
   const std::size_t grain = job_grain_;
   const std::function<void(std::size_t)>& fn = *job_fn_;
-  const bool instrumented = obs::enabled();
+  const bool instrumented = job_instrumented_;
   const std::uint64_t t0 = instrumented ? obs::now_ns() : 0;
   for (;;) {
     const std::size_t chunk =
@@ -120,6 +121,9 @@ void ThreadPool::run_chunks() {
     const std::size_t end = std::min(n, begin + grain);
     try {
       for (std::size_t i = begin; i < end; ++i) fn(i);
+      if (instrumented) {
+        completed_.fetch_add(end - begin, std::memory_order_relaxed);
+      }
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);
       if (!error_) error_ = std::current_exception();
@@ -157,7 +161,9 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
     job_n_ = n;
     job_grain_ = grain;
     job_fn_ = &fn;
+    job_instrumented_ = instrumented;
     next_chunk_.store(0, std::memory_order_relaxed);
+    completed_.store(0, std::memory_order_relaxed);
     failed_.store(false, std::memory_order_relaxed);
     error_ = nullptr;
     busy_workers_ = workers_.size();
@@ -178,6 +184,15 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
     // Capacity offered during this job: wall time times pool width.
     // Telemetry derives utilization as pool_busy_ns / pool_width_ns.
     pool_metrics().width_ns.add((obs::now_ns() - job_t0) * threads());
+    // Health: a job that raised nothing ran every index.  Every worker
+    // has left run_chunks (busy_workers_ == 0 under mu_), so the count
+    // is final.
+    const std::size_t completed = completed_.load(std::memory_order_relaxed);
+    if (!error_ && completed != n) {
+      obs::diag_event(obs::DiagReason::kParallelIncompleteJob,
+                      static_cast<double>(n) -
+                          static_cast<double>(completed));
+    }
   }
   if (error_) {
     std::exception_ptr err = error_;

@@ -62,7 +62,10 @@ class ThreadPool {
   /// any fn(i) is rethrown here (remaining chunks are skipped).
   /// Nested calls from inside a worker run inline, and so does a call
   /// from a thread that finds another thread's job in flight (counted
-  /// as parallel.pool_jobs_contended).
+  /// as parallel.pool_jobs_contended).  While obs records, a pooled job
+  /// counts the indices it ran; one that raised nothing yet ran fewer
+  /// than n records the diag event parallel.incomplete_job (payload:
+  /// the missing count).
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t)>& fn);
 
@@ -132,7 +135,10 @@ class ThreadPool {
   std::size_t job_n_ = 0;
   std::size_t job_grain_ = 1;
   const std::function<void(std::size_t)>* job_fn_ = nullptr;
+  bool job_instrumented_ = false;  ///< obs recorded when the job began
   std::atomic<std::size_t> next_chunk_{0};
+  /// Indices run by the current job; counted only while instrumented.
+  std::atomic<std::size_t> completed_{0};
   std::atomic<bool> failed_{false};
   std::exception_ptr error_;  ///< first failure (guarded by mu_)
 };

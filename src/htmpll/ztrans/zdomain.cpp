@@ -3,11 +3,16 @@
 #include <cmath>
 #include <numbers>
 
+#include "htmpll/lti/roots.hpp"
 #include "htmpll/util/check.hpp"
 
 namespace htmpll {
 
 namespace {
+
+bool finite(cplx z) {
+  return std::isfinite(z.real()) && std::isfinite(z.imag());
+}
 
 /// Numerator of the z-transform of the sampled sequence
 /// a_n = r (nT)^(k-1) e^(p nT) / (k-1)!, over denominator (z-q)^k:
@@ -59,6 +64,9 @@ ImpulseInvariantModel::ImpulseInvariantModel(RationalFunction a, double w0)
   std::vector<ClusterZ> clusters;
   for (const PoleTerm& term : pf.terms()) {
     const cplx q = std::exp(term.pole * t);
+    HTMPLL_REQUIRE(finite(q),
+                   "impulse-invariant pole factor e^{pT} is not finite: A(s) "
+                   "has a pole too far in the right half plane");
     const int m = static_cast<int>(term.residues.size());
     const Polynomial zmq(CVector{-q, cplx{1.0}});
     Polynomial num;  // sum_k N_k(z) (z-q)^(m-k)
@@ -91,6 +99,16 @@ ImpulseInvariantModel::ImpulseInvariantModel(RationalFunction a, double w0)
   }
   gz_ = RationalFunction(cplx{t} * num, den);
   gz_eff_ = gz_ - RationalFunction::constant(0.5 * t * a0_);
+  for (const RationalFunction* g : {&gz_, &gz_eff_}) {
+    for (const Polynomial* poly : {&g->num(), &g->den()}) {
+      for (const cplx& c : poly->coefficients()) {
+        HTMPLL_REQUIRE(finite(c),
+                       "impulse-invariant G(z) has a non-finite coefficient: "
+                       "the sampled loop is outside the double range");
+      }
+    }
+  }
+  poles_ = find_roots(characteristic());
 }
 
 double ImpulseInvariantModel::period() const {
@@ -110,13 +128,11 @@ Polynomial ImpulseInvariantModel::characteristic() const {
   return gz_eff_.den() + gz_eff_.num();
 }
 
-CVector ImpulseInvariantModel::closed_loop_poles() const {
-  return find_roots(characteristic());
-}
-
 bool ImpulseInvariantModel::is_stable(double margin) const {
-  for (const cplx& p : closed_loop_poles()) {
-    if (std::abs(p) >= 1.0 - margin) return false;
+  HTMPLL_REQUIRE(std::isfinite(margin) && margin >= 0.0,
+                 "stability margin must be finite and >= 0");
+  for (const cplx& p : poles_) {
+    if (!(std::abs(p) < 1.0 - margin)) return false;
   }
   return true;
 }

@@ -25,6 +25,10 @@ class ImpulseInvariantModel {
  public:
   /// `a` is the continuous open-loop gain A(s) (strictly proper, pole
   /// multiplicities <= 4); `w0` the sampling (reference) rate in rad/s.
+  /// Solves the closed-loop characteristic polynomial once, so the
+  /// poles and the stability verdict below are reads.  Throws
+  /// std::invalid_argument when a pole factor e^{pT} or a coefficient of
+  /// G(z) leaves the double range (a fast unstable pole of A).
   ImpulseInvariantModel(RationalFunction a, double w0);
 
   double w0() const { return w0_; }
@@ -57,11 +61,14 @@ class ImpulseInvariantModel {
   /// Closed-loop characteristic polynomial den(G_eff) + num(G_eff).
   Polynomial characteristic() const;
 
-  /// All closed-loop z-plane poles.
-  CVector closed_loop_poles() const;
+  /// All closed-loop z-plane poles: the roots of characteristic(),
+  /// found once at construction.
+  const CVector& closed_loop_poles() const { return poles_; }
 
-  /// True when every closed-loop pole lies strictly inside the unit
-  /// circle (margin: required distance from the circle).
+  /// True when every closed-loop pole lies strictly inside the circle
+  /// of radius 1 - margin; a non-finite pole reads unstable.  `margin`
+  /// (the required distance from the unit circle) must be finite and
+  /// >= 0 (std::invalid_argument otherwise).
   bool is_stable(double margin = 0.0) const;
 
  private:
@@ -70,6 +77,7 @@ class ImpulseInvariantModel {
   RationalFunction gz_;      ///< raw transform (full t=0 weight)
   RationalFunction gz_eff_;  ///< half-weight convention (matches lambda)
   cplx a0_;  ///< a(0+) = sum of simple-pole residues (0 for rel.deg >= 2)
+  CVector poles_;  ///< roots of characteristic()
 };
 
 }  // namespace htmpll

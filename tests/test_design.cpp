@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <utility>
@@ -8,6 +9,10 @@
 
 #include "htmpll/design/design.hpp"
 #include "htmpll/design/design_sweep.hpp"
+#include "htmpll/lti/roots.hpp"
+#include "htmpll/obs/metrics.hpp"
+#include "htmpll/util/grid.hpp"
+#include "obs_scope.hpp"
 
 namespace htmpll {
 namespace {
@@ -158,8 +163,25 @@ TEST(Design, DesignSpaceMapMatchesPointwiseEvaluation) {
   spec.target_pm_deg = 60.0;
   const std::vector<double> ratios{0.05, 0.12, 0.2};
   const std::vector<double> gammas{3.0, 5.0};
+  ScopedObs on(true);
+  obs::Counter& sweeps = obs::counter("lti.aberth_sweeps");
+  const std::uint64_t map_s0 = sweeps.value();
   const DesignSpaceMap map = design_space_map(spec, ratios, gammas);
+  const std::uint64_t map_sweeps = sweeps.value() - map_s0;
   ASSERT_EQ(map.points.size(), ratios.size() * gammas.size());
+  // Each point solves its z-domain characteristic polynomial once, for
+  // both the verdict and the pole seeds: the map's Aberth sweeps are
+  // those of one find_roots(characteristic()) per point.
+  std::uint64_t one_solve_per_point = 0;
+  for (const DesignPoint& pt : map.points) {
+    const ImpulseInvariantModel zm(
+        SamplingPllModel(pt.design.params).open_loop_gain(), kW0);
+    const std::uint64_t s0 = sweeps.value();
+    (void)find_roots(zm.characteristic());
+    one_solve_per_point += sweeps.value() - s0;
+  }
+  EXPECT_GT(one_solve_per_point, 0u);
+  EXPECT_EQ(map_sweeps, one_solve_per_point);
   for (std::size_t g = 0; g < gammas.size(); ++g) {
     for (std::size_t r = 0; r < ratios.size(); ++r) {
       const DesignPoint& pt = map.at(r, g);
@@ -167,13 +189,13 @@ TEST(Design, DesignSpaceMapMatchesPointwiseEvaluation) {
       EXPECT_EQ(pt.gamma, gammas[g]);
       const DesignResult ref =
           evaluate_design(spec, ratios[r] * kW0, gammas[g]);
-      ASSERT_EQ(pt.design.margins.eff_found, ref.margins.eff_found);
-      EXPECT_NEAR(pt.design.margins.eff_phase_margin_deg,
-                  ref.margins.eff_phase_margin_deg,
-                  1e-9 * ref.margins.eff_phase_margin_deg);
-      EXPECT_NEAR(pt.design.margins.lti_crossover,
-                  ref.margins.lti_crossover,
-                  1e-9 * ref.margins.lti_crossover);
+      const EffectiveMargins& m = pt.design.margins;
+      EXPECT_EQ(m.lti_crossover, ref.margins.lti_crossover);
+      EXPECT_EQ(m.lti_phase_margin_deg, ref.margins.lti_phase_margin_deg);
+      EXPECT_EQ(m.lti_found, ref.margins.lti_found);
+      EXPECT_EQ(m.eff_crossover, ref.margins.eff_crossover);
+      EXPECT_EQ(m.eff_phase_margin_deg, ref.margins.eff_phase_margin_deg);
+      ASSERT_EQ(m.eff_found, ref.margins.eff_found);
       EXPECT_EQ(pt.design.z_domain_stable, ref.z_domain_stable);
       EXPECT_EQ(pt.half_rate_stable, pt.half_rate_lambda > -1.0);
       // Poles included by default, sorted by ascending frequency, and
@@ -559,6 +581,114 @@ TEST(Design, JitterOptimizerRejectsUnstableLowerEnd) {
   spec.ratio_min = 0.3;
   spec.ratio_max = 0.45;
   EXPECT_THROW(optimize_bandwidth_for_jitter(spec), std::invalid_argument);
+}
+
+// ---- Brent search: accuracy, edge picks, penalty and cost -------------
+
+/// JitterHasInteriorOptimum's spec: white reference noise and VCO random
+/// walk crossing it at 0.05 w0.
+JitterOptimizationSpec interior_optimum_spec() {
+  const double ref_white = 1e-18;
+  const double c = 0.05 * kW0;
+  return jitter_spec({ref_white, 0.0, 0.0}, {0.0, 0.0, ref_white * c * c});
+}
+
+TEST(Design, JitterTvOptimumMatchesADenseScan) {
+  // The search stops at a bracket of 1e-9 in ln w, so its optimum lies
+  // within one step of a 4000-point log scan's argmin and scores no
+  // worse than the scan's best point.
+  for (const JitterOptimizationSpec& spec :
+       {interior_optimum_spec(), jitter_bandwidth_spec()}) {
+    const JitterOptimizationResult r = optimize_bandwidth_for_jitter(spec);
+    constexpr std::size_t kScan = 4000;
+    const std::vector<double> w = logspace(
+        spec.ratio_min * spec.w0, spec.ratio_max * spec.w0, kScan);
+    std::size_t best = 0;
+    double best_rms = kInf;
+    for (std::size_t i = 0; i < kScan; ++i) {
+      const double rms = output_jitter_tv(spec, w[i]);
+      if (rms < best_rms) {
+        best_rms = rms;
+        best = i;
+      }
+    }
+    const double step = std::log(spec.ratio_max / spec.ratio_min) /
+                        static_cast<double>(kScan - 1);
+    ASSERT_GT(best, 0u) << "the optimum must be interior";
+    ASSERT_LT(best, kScan - 1) << "the optimum must be interior";
+    EXPECT_LE(std::abs(std::log(r.w_ug_tv / w[best])), step);
+    EXPECT_LE(r.rms_tv, best_rms * (1.0 + 1e-12));
+    EXPECT_EQ(r.rms_tv, output_jitter_tv(spec, r.w_ug_tv));
+  }
+}
+
+TEST(Design, JitterSearchReadsAnEdgeOptimumExactly) {
+  // jitter_bandwidth's LTI objective falls all the way to ratio_max: the
+  // pick is ratio_max w0 itself, not a point just inside it.
+  JitterOptimizationSpec spec = jitter_bandwidth_spec();
+  for (const double ratio_max : {0.2, 0.26}) {
+    spec.ratio_max = ratio_max;
+    const double hi = spec.ratio_max * spec.w0;
+    ASSERT_LT(output_jitter_lti(spec, hi),
+              output_jitter_lti(spec, hi * (1.0 - 1e-6)));
+    const JitterOptimizationResult r = optimize_bandwidth_for_jitter(spec);
+    EXPECT_EQ(r.w_ug_lti, hi) << ratio_max;
+    EXPECT_EQ(r.rms_at_lti_pick, output_jitter_tv(spec, hi)) << ratio_max;
+  }
+  // A VCO corner far below ratio_min puts both optima on ratio_min.
+  spec = jitter_bandwidth_spec();
+  const double c = 1e-4 * spec.w0;
+  spec.s_vco = PowerLawPsd{0.0, 0.0, 1e-24 * c * c};
+  const JitterOptimizationResult r = optimize_bandwidth_for_jitter(spec);
+  EXPECT_EQ(r.w_ug_tv, spec.ratio_min * spec.w0);
+  EXPECT_EQ(r.w_ug_lti, spec.ratio_min * spec.w0);
+  EXPECT_EQ(r.penalty, 1.0);
+}
+
+TEST(Design, JitterPenaltyIsAtLeastOneOnEdgeOptima) {
+  // 192 specs with optima on or near the range ends: VCO corners
+  // 0.001-0.05 w0, gamma 2-6, two ratio_min and three ratio_max.  The
+  // LTI pick's TV rms may never undercut the TV optimum, with no slack.
+  const double w0 = 2.0 * std::numbers::pi * 10e6;
+  const double ref_white = 1e-24;
+  int specs = 0;
+  for (int k = 0; k < 8; ++k) {
+    const double corner = 0.001 * std::pow(50.0, k / 7.0) * w0;
+    for (const double gamma : {2.0, 10.0 / 3.0, 14.0 / 3.0, 6.0}) {
+      for (const double ratio_min : {0.001, 0.002}) {
+        for (const double ratio_max : {0.01, 0.05, 0.26}) {
+          JitterOptimizationSpec spec;
+          spec.w0 = w0;
+          spec.s_ref = PowerLawPsd{ref_white, 0.0, 0.0};
+          spec.s_vco = PowerLawPsd{0.0, 0.0, ref_white * corner * corner};
+          spec.gamma = gamma;
+          spec.ratio_min = ratio_min;
+          spec.ratio_max = ratio_max;
+          const JitterOptimizationResult r =
+              optimize_bandwidth_for_jitter(spec);
+          EXPECT_GE(r.penalty, 1.0)
+              << "corner " << corner / w0 << " gamma " << gamma
+              << " ratio_min " << ratio_min << " ratio_max " << ratio_max;
+          ++specs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(specs, 192);
+}
+
+TEST(Design, JitterSearchBuildsFewModels) {
+  // Each TV probe builds one model, and so do the LTI pick's rms and
+  // the two stability checks; a search that stops where the objective
+  // stops resolving needs about 20 probes.
+  ScopedObs on(true);
+  obs::Counter& builds = obs::counter("core.plan_builds");
+  for (const JitterOptimizationSpec& spec :
+       {interior_optimum_spec(), jitter_bandwidth_spec()}) {
+    const std::uint64_t b0 = builds.value();
+    (void)optimize_bandwidth_for_jitter(spec);
+    EXPECT_LE(builds.value() - b0, 30u);
+  }
 }
 
 TEST(Design, RejectsCrossoverBeyondNyquist) {

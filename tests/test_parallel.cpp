@@ -1,8 +1,9 @@
 // Tests for the parallel sweep engine: thread-pool semantics
-// (coverage, determinism, exception propagation, nesting), the
-// HTMPLL_THREADS configuration, and agreement between the batched
-// *_grid model APIs and their point-wise counterparts across loop
-// families and PFD shapes.
+// (coverage, determinism, exception propagation, nesting, the
+// incomplete-job health event), the HTMPLL_THREADS configuration, the
+// design layer under concurrent callers, and agreement between the
+// batched *_grid model APIs and their point-wise counterparts across
+// loop families and PFD shapes.
 //
 // Built as its own executable so it can also run under
 // -DHTMPLL_SANITIZE=thread, where the whole suite would be too slow.
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <numbers>
 #include <stdexcept>
 #include <thread>
@@ -18,13 +20,17 @@
 #include <gtest/gtest.h>
 
 #include "htmpll/core/sampling_pll.hpp"
+#include "htmpll/design/design.hpp"
+#include "htmpll/design/design_sweep.hpp"
 #include "htmpll/lti/bode.hpp"
 #include "htmpll/lti/delay.hpp"
 #include "htmpll/lti/loop_filter.hpp"
+#include "htmpll/obs/diag.hpp"
 #include "htmpll/obs/metrics.hpp"
 #include "htmpll/parallel/sweep.hpp"
 #include "htmpll/parallel/thread_pool.hpp"
 #include "htmpll/util/grid.hpp"
+#include "obs_scope.hpp"
 
 namespace htmpll {
 namespace {
@@ -179,6 +185,57 @@ TEST(ThreadPool, ContendedCallerRunsInlineAndIsCounted) {
   }
   EXPECT_EQ(c1 - c0, 1u);
   EXPECT_EQ(i1 - i0, 1u);
+}
+
+TEST(ThreadPool, CompleteJobsRecordNoIncompleteJobEvent) {
+  // Every job that raises nothing runs all n indices, so the health
+  // tally parallel.incomplete_job stays 0 over pooled, inline, nested
+  // and contended jobs.  A throwing job skips its remaining chunks on
+  // purpose and records nothing either.
+  ScopedObs on(true);
+  obs::Counter& incomplete = obs::counter(
+      obs::diag_reason_name(obs::DiagReason::kParallelIncompleteJob));
+  const std::uint64_t before = incomplete.value();
+  std::atomic<std::size_t> ran{0};
+  const auto count = [&](std::size_t) { ran++; };
+
+  ThreadPool pool(4);
+  for (std::size_t grain : {1u, 3u, 64u}) {
+    pool.parallel_for(1000, grain, count);  // pooled
+  }
+  ThreadPool single(1);
+  single.parallel_for(100, 1, count);  // inline: no workers
+  pool.parallel_for(32, 1, [&](std::size_t) {  // nested: inner inline
+    pool.parallel_for(10, 1, count);
+  });
+  pool.for_each_chunk(500, 7, [&](std::size_t b, std::size_t e) {
+    ran += e - b;
+  });
+  EXPECT_EQ(ran.load(), 3u * 1000u + 100u + 320u + 500u);
+
+  // Contended: a second caller runs its job inline behind a held one.
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    pool.parallel_for(4, 1, [&](std::size_t i) {
+      if (i != 0) return;
+      holding.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+  pool.parallel_for(64, 1, count);
+  release.store(true);
+  holder.join();
+
+  EXPECT_THROW(pool.parallel_for(1000, 1,
+                                 [](std::size_t i) {
+                                   if (i == 37) {
+                                     throw std::runtime_error("boom");
+                                   }
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(incomplete.value(), before);
 }
 
 TEST(ThreadPool, RejectsZeroGrainAndAcceptsEmptyRange) {
@@ -360,6 +417,98 @@ TEST(GridApi, LptvVcoGridsMatchScalar) {
       EXPECT_LE(std::abs(cl[b][i] - want), 1e-12 * std::abs(want))
           << "band " << bands[b] << " i=" << i;
     }
+  }
+}
+
+// ---- the design layer under concurrent callers -----------------------
+
+void expect_same_map(const DesignSpaceMap& got, const DesignSpaceMap& want) {
+  ASSERT_EQ(got.points.size(), want.points.size());
+  for (std::size_t i = 0; i < want.points.size(); ++i) {
+    const DesignPoint& a = got.points[i];
+    const DesignPoint& b = want.points[i];
+    EXPECT_EQ(a.ratio, b.ratio) << i;
+    EXPECT_EQ(a.gamma, b.gamma) << i;
+    EXPECT_EQ(a.design.margins.lti_crossover, b.design.margins.lti_crossover)
+        << i;
+    EXPECT_EQ(a.design.margins.lti_phase_margin_deg,
+              b.design.margins.lti_phase_margin_deg)
+        << i;
+    EXPECT_EQ(a.design.margins.eff_crossover, b.design.margins.eff_crossover)
+        << i;
+    EXPECT_EQ(a.design.margins.eff_phase_margin_deg,
+              b.design.margins.eff_phase_margin_deg)
+        << i;
+    EXPECT_EQ(a.design.margins.lti_found, b.design.margins.lti_found) << i;
+    EXPECT_EQ(a.design.margins.eff_found, b.design.margins.eff_found) << i;
+    EXPECT_EQ(a.design.z_domain_stable, b.design.z_domain_stable) << i;
+    EXPECT_EQ(a.half_rate_lambda, b.half_rate_lambda) << i;
+    ASSERT_EQ(a.poles.size(), b.poles.size()) << i;
+    for (std::size_t k = 0; k < b.poles.size(); ++k) {
+      EXPECT_EQ(a.poles[k].s, b.poles[k].s) << i << " pole " << k;
+      EXPECT_EQ(a.poles[k].residual, b.poles[k].residual) << i;
+      EXPECT_EQ(a.poles[k].iterations, b.poles[k].iterations) << i;
+      EXPECT_EQ(a.poles[k].converged, b.poles[k].converged) << i;
+    }
+  }
+}
+
+void expect_same_jitter(const JitterOptimizationResult& got,
+                        const JitterOptimizationResult& want) {
+  EXPECT_EQ(got.w_ug_tv, want.w_ug_tv);
+  EXPECT_EQ(got.rms_tv, want.rms_tv);
+  EXPECT_EQ(got.w_ug_lti, want.w_ug_lti);
+  EXPECT_EQ(got.rms_at_lti_pick, want.rms_at_lti_pick);
+  EXPECT_EQ(got.penalty, want.penalty);
+}
+
+TEST(Design, ConcurrentMapsAndJitterSearchesMatchSerial) {
+  // Two callers run a design-space map (whose points fan out over the
+  // global pool, each sharing one z-domain model between the verdict
+  // and the pole seeds) and a jitter search at once; each result equals
+  // the one computed alone first, bit for bit.
+  const double w0 = 2.0 * std::numbers::pi * 10e6;
+  DesignSpec spec;
+  spec.w0 = w0;
+  spec.target_w_ug = 0.1 * w0;
+  spec.target_pm_deg = 60.0;
+  const std::vector<double> ratios{0.01, 0.03, 0.06, 0.1, 0.18, 0.26};
+  const std::vector<double> gammas{3.0, 5.0};
+  JitterOptimizationSpec jitter;
+  jitter.w0 = w0;
+  const double corner = 0.3 * w0;
+  jitter.s_ref = PowerLawPsd{1e-24, 0.0, 0.0};
+  jitter.s_vco = PowerLawPsd{0.0, 0.0, 1e-24 * corner * corner};
+
+  const DesignSpaceMap serial_map = design_space_map(spec, ratios, gammas);
+  const JitterOptimizationResult serial_jitter =
+      optimize_bandwidth_for_jitter(jitter);
+
+  DesignSpaceMap maps[2];
+  JitterOptimizationResult jitters[2];
+  std::exception_ptr errors[2];
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      try {
+        // Opposite orders, so a map overlaps the other caller's search.
+        if (c == 0) {
+          maps[c] = design_space_map(spec, ratios, gammas);
+          jitters[c] = optimize_bandwidth_for_jitter(jitter);
+        } else {
+          jitters[c] = optimize_bandwidth_for_jitter(jitter);
+          maps[c] = design_space_map(spec, ratios, gammas);
+        }
+      } catch (...) {
+        errors[c] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_FALSE(errors[c]) << "caller " << c << " threw";
+    expect_same_map(maps[c], serial_map);
+    expect_same_jitter(jitters[c], serial_jitter);
   }
 }
 

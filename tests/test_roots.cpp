@@ -81,6 +81,22 @@ TEST(Roots, ZeroPolynomialThrows) {
   EXPECT_THROW(find_roots(Polynomial()), std::invalid_argument);
 }
 
+TEST(Roots, NonFiniteCoefficientThrows) {
+  // Unchecked, a NaN ends the sweeps after one (max(0, NaN) is 0) with
+  // finite roots such as (1.147, 0.966), and an infinity strips every
+  // coefficient as a zero root, returning three zeros.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(find_roots(Polynomial::from_real({1.0, nan, 2.0, 1.0})),
+               std::invalid_argument);
+  EXPECT_THROW(find_roots(Polynomial::from_real({1.0, inf, 2.0, 1.0})),
+               std::invalid_argument);
+  EXPECT_THROW(find_roots(Polynomial::from_real({1.0, 2.0, -inf})),
+               std::invalid_argument);
+  EXPECT_THROW(find_roots(Polynomial(CVector{cplx{1.0}, cplx{0.0, nan}})),
+               std::invalid_argument);
+}
+
 TEST(Roots, CubicWithKnownRoots) {
   const CVector expected{cplx{-1.0}, cplx{-2.0}, cplx{-10.0}};
   const Polynomial p = Polynomial::from_roots(expected, 4.0);

@@ -1,11 +1,16 @@
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include <gtest/gtest.h>
 
 #include "htmpll/core/aliasing_sum.hpp"
 #include "htmpll/lti/loop_filter.hpp"
+#include "htmpll/lti/roots.hpp"
 #include "htmpll/ztrans/jury.hpp"
 #include "htmpll/ztrans/zdomain.hpp"
+#include "obs_scope.hpp"
 
 namespace htmpll {
 namespace {
@@ -94,6 +99,74 @@ TEST(Zdomain, FastLoopGoesUnstable) {
   }
   EXPECT_TRUE(unstable_seen);
   EXPECT_TRUE(agree);
+}
+
+TEST(Zdomain, SolvesTheCharacteristicPolynomialOnce) {
+  // The constructor runs the one root solve; the poles and every
+  // stability verdict after it are reads of those roots.
+  ScopedObs on(true);
+  obs::Counter& sweeps = obs::counter("lti.aberth_sweeps");
+  for (const double ratio : {0.005, 0.1, 0.27, 0.3}) {
+    const RationalFunction a =
+        make_typical_loop(ratio * kW0, kW0).open_loop_gain();
+    const std::uint64_t s0 = sweeps.value();
+    const ImpulseInvariantModel zm(a, kW0);
+    const std::uint64_t s1 = sweeps.value();
+    const CVector own = find_roots(zm.characteristic());
+    const std::uint64_t s2 = sweeps.value();
+    EXPECT_GT(s1 - s0, 0u) << "ratio " << ratio;
+    EXPECT_EQ(s1 - s0, s2 - s1) << "ratio " << ratio;
+    const CVector& poles = zm.closed_loop_poles();
+    ASSERT_EQ(poles.size(), own.size());
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      EXPECT_EQ(poles[i], own[i]) << "ratio " << ratio << " pole " << i;
+    }
+    const bool stable =
+        std::all_of(own.begin(), own.end(),
+                    [](const cplx& z) { return std::abs(z) < 1.0; });
+    EXPECT_EQ(zm.is_stable(), stable) << "ratio " << ratio;
+    EXPECT_EQ(sweeps.value(), s2) << "ratio " << ratio;
+  }
+}
+
+/// A(s) = 1/((s - p w0)(s + 1)): a right-half-plane pole at p w0, whose
+/// sampled factor is e^{p w0 T} = e^{2 pi p}.
+RationalFunction fast_unstable_pole(double p) {
+  return RationalFunction(Polynomial::constant(1.0),
+                          Polynomial::from_real({-p * kW0, 1.0}) *
+                              Polynomial::from_real({1.0, 1.0}));
+}
+
+TEST(Zdomain, RejectsPoleFactorsOutsideTheDoubleRange) {
+  // e^{2 pi p} overflows from p ~ 113: an infinite G(z) would give the
+  // poles {0, NaN}, which a verdict must not read as stable.
+  for (const double p : {120.0, 200.0, 1000.0}) {
+    EXPECT_THROW(ImpulseInvariantModel(fast_unstable_pole(p), kW0),
+                 std::invalid_argument)
+        << "p " << p;
+  }
+  // Still in range: a root near e^{100 pi} ~ 2.7e136, read unstable.
+  const ImpulseInvariantModel zm(fast_unstable_pole(50.0), kW0);
+  double largest = 0.0;
+  for (const cplx& z : zm.closed_loop_poles()) {
+    largest = std::max(largest, std::abs(z));
+  }
+  EXPECT_GT(largest, 1e136);
+  EXPECT_TRUE(std::isfinite(largest));
+  EXPECT_FALSE(zm.is_stable());
+}
+
+TEST(Zdomain, StabilityMarginMustBeFiniteAndNonNegative) {
+  const ImpulseInvariantModel zm(
+      make_typical_loop(0.1 * kW0, kW0).open_loop_gain(), kW0);
+  EXPECT_TRUE(zm.is_stable(0.0));
+  EXPECT_TRUE(zm.is_stable(0.01));
+  EXPECT_FALSE(zm.is_stable(1.0));
+  EXPECT_THROW(zm.is_stable(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(zm.is_stable(-1.0), std::invalid_argument);
+  EXPECT_THROW(zm.is_stable(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(Zdomain, RequiresStrictlyProper) {
