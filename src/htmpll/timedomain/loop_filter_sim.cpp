@@ -51,11 +51,8 @@ StateSpace augment_with_phase(const StateSpace& filter, double kvco) {
   return aug;
 }
 
-PiecewiseExactIntegrator::PiecewiseExactIntegrator(StateSpace ss,
-                                                   bool use_spectral)
-    : ss_(std::move(ss)),
-      factory_(ss_.a, ss_.b, use_spectral),
-      x_(ss_.order(), 0.0) {}
+PiecewiseExactIntegrator::PiecewiseExactIntegrator(StateSpace ss)
+    : ss_(std::move(ss)), factory_(ss_.a, ss_.b), x_(ss_.order(), 0.0) {}
 
 void PiecewiseExactIntegrator::set_state(RVector x) {
   HTMPLL_REQUIRE(x.size() == ss_.order(), "state dimension mismatch");
@@ -70,9 +67,7 @@ void PiecewiseExactIntegrator::lookup(double h) const {
     propagator_metrics().spectral.add();
     factory_.evaluate(h, step_);
   } else {
-    if (factory_.spectral_requested()) {
-      propagator_metrics().pade_fallbacks.add();
-    }
+    propagator_metrics().pade_fallbacks.add();
     factory_.make_into(h, memo_);
   }
   memo_h_ = h;

@@ -9,7 +9,10 @@
 // its filter block is to_state_space's companion matrix, whose modes are
 // the roots of the filter's denominator.  Any other system, or a
 // denominator with a repeated or near-repeated root, takes the Van Loan
-// expm.
+// expm.  The matrix alone decides, and its condition test depends on
+// the time unit: the typical loop's modal basis has condition
+// ~ 2 (1 + 1/w_p), w_p its filter pole in rad/s, so once
+// w_p < ~2e-6 rad/s it steps on Van Loan at any w_UG/w0 (spectral.hpp).
 #pragma once
 
 #include <limits>
@@ -32,9 +35,7 @@ StateSpace augment_with_phase(const StateSpace& filter, double kvco);
 /// otherwise and leave the state as it was.
 class PiecewiseExactIntegrator {
  public:
-  /// `use_spectral` false builds every step's propagator with the Van
-  /// Loan oracle, make_propagator, bit for bit.
-  explicit PiecewiseExactIntegrator(StateSpace ss, bool use_spectral = true);
+  explicit PiecewiseExactIntegrator(StateSpace ss);
 
   std::size_t order() const { return ss_.order(); }
   const StateSpace& system() const { return ss_; }

@@ -48,10 +48,7 @@ LptvPllTransientSim::LptvPllTransientSim(const PllParameters& params,
       x_(filter_.order(), 0.0) {
   HTMPLL_REQUIRE(cfg_.substeps_per_period >= 8,
                  "need at least 8 RK4 substeps per period");
-  validate_modulation(mod_, t_period_);
-  HTMPLL_REQUIRE(cfg_.sample_interval >= 0.0 &&
-                     std::isfinite(cfg_.sample_interval),
-                 "sample_interval must be finite and non-negative");
+  validate_transient_setup(mod_, cfg_.sample_interval, t_period_);
   if (cfg_.sample_interval == 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
 

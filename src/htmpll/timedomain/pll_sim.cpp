@@ -419,7 +419,8 @@ std::string monotone_error(double product) {
 
 }  // namespace
 
-void validate_modulation(const ReferenceModulation& mod, double period) {
+void validate_transient_setup(const ReferenceModulation& mod,
+                              double sample_interval, double period) {
   HTMPLL_REQUIRE(std::abs(mod.amplitude) < 0.25 * period,
                  "reference modulation must stay small-signal (< T/4)");
   HTMPLL_REQUIRE(std::isfinite(mod.omega),
@@ -431,13 +432,7 @@ void validate_modulation(const ReferenceModulation& mod, double period) {
   // equation can have several roots.
   const double product = std::abs(mod.amplitude * mod.omega);
   HTMPLL_REQUIRE(product < 1.0, monotone_error(product));
-}
-
-void validate_transient_setup(const ReferenceModulation& mod,
-                              const TransientConfig& cfg, double period) {
-  validate_modulation(mod, period);
-  HTMPLL_REQUIRE(cfg.sample_interval >= 0.0 &&
-                     std::isfinite(cfg.sample_interval),
+  HTMPLL_REQUIRE(sample_interval >= 0.0 && std::isfinite(sample_interval),
                  "sample_interval must be finite and non-negative");
 }
 
@@ -480,11 +475,10 @@ PllTransientSim::PllTransientSim(const PllParameters& params,
       // charge-pump current (+-Icp) is the input, so Icp must not be
       // folded into the system too.
       aug_(augment_with_phase(to_state_space(params.filter.impedance()),
-                              params.kvco),
-           cfg.use_spectral_propagators),
+                              params.kvco)),
       theta_index_(aug_.order() - 1),
       ref_edges_(mod_, t_period_) {
-  validate_transient_setup(mod_, cfg_, t_period_);
+  validate_transient_setup(mod_, cfg_.sample_interval, t_period_);
   if (cfg_.sample_interval == 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
 

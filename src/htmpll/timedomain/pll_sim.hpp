@@ -151,11 +151,6 @@ struct TransientConfig {
   double sample_interval = 0.0;
   /// Record (t, theta, theta_ref) streams while running.
   bool record = true;
-  /// Build step propagators from the one-time modal factorization of
-  /// the filter block instead of a per-step Van Loan expm (see
-  /// timedomain/spectral.hpp).  False runs the Van Loan oracle,
-  /// make_propagator, through the whole simulation.
-  bool use_spectral_propagators = true;
 };
 
 /// Uniform-grid recording of the event-driven simulators: theta and
@@ -270,16 +265,12 @@ cplx run_theta_bin_window(ThetaBin*& slot,
 }  // namespace detail
 
 /// Throws std::invalid_argument unless the modulation is small-signal
-/// (|amplitude| < T/4) with finite omega and phase, and the reference
-/// phase t + theta_ref(t) is strictly increasing (|amplitude omega| < 1),
-/// so each edge equation has one root.  Called by every transient
-/// simulator's constructor.
-void validate_modulation(const ReferenceModulation& mod, double period);
-
-/// validate_modulation, and throws unless sample_interval is finite and
-/// non-negative.  Called by both event-driven simulators' constructors.
+/// (|amplitude| < T/4) with finite omega and phase, the reference phase
+/// t + theta_ref(t) is strictly increasing (|amplitude omega| < 1), so
+/// each edge equation has one root, and sample_interval is finite and
+/// non-negative.  Called by every transient simulator's constructor.
 void validate_transient_setup(const ReferenceModulation& mod,
-                              const TransientConfig& cfg, double period);
+                              double sample_interval, double period);
 
 /// One planned event-loop iteration of PllTransientSim: the held
 /// charge-pump current over the segment and the candidate event times,

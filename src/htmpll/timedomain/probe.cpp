@@ -135,13 +135,6 @@ TransferMeasurement measure_band_transfer(const PllParameters& params,
 
 std::vector<TransferMeasurement> measure_baseband_transfer_many(
     const PllParameters& params, const std::vector<double>& omegas,
-    const ProbeOptions& opts) {
-  return measure_baseband_transfer_many(params, omegas, opts,
-                                        ThreadPool::global());
-}
-
-std::vector<TransferMeasurement> measure_baseband_transfer_many(
-    const PllParameters& params, const std::vector<double>& omegas,
     const ProbeOptions& opts, ThreadPool& pool) {
   validate_probe_options(opts);
   std::vector<TransferMeasurement> out(omegas.size());
@@ -151,13 +144,6 @@ std::vector<TransferMeasurement> measure_baseband_transfer_many(
     out[i] = measure_baseband_transfer(params, omegas[i], opts);
   });
   return out;
-}
-
-std::vector<TransferMeasurement> measure_band_transfer_many(
-    const PllParameters& params, const std::vector<BandProbePoint>& points,
-    const ProbeOptions& opts) {
-  return measure_band_transfer_many(params, points, opts,
-                                    ThreadPool::global());
 }
 
 std::vector<TransferMeasurement> measure_band_transfer_many(

@@ -13,11 +13,10 @@
 #include <cstddef>
 
 #include "htmpll/linalg/matrix.hpp"
+#include "htmpll/parallel/thread_pool.hpp"
 #include "htmpll/timedomain/pll_sim.hpp"
 
 namespace htmpll {
-
-class ThreadPool;
 
 struct ProbeOptions {
   /// theta_ref modulation amplitude as a fraction of T (small-signal).
@@ -72,10 +71,7 @@ TransferMeasurement measure_band_transfer(const PllParameters& params,
 /// count.  out[i] corresponds to omegas[i].
 std::vector<TransferMeasurement> measure_baseband_transfer_many(
     const PllParameters& params, const std::vector<double>& omegas,
-    const ProbeOptions& opts = {});
-std::vector<TransferMeasurement> measure_baseband_transfer_many(
-    const PllParameters& params, const std::vector<double>& omegas,
-    const ProbeOptions& opts, ThreadPool& pool);
+    const ProbeOptions& opts = {}, ThreadPool& pool = ThreadPool::global());
 
 /// One (band, omega_m) request for measure_band_transfer_many.
 struct BandProbePoint {
@@ -87,10 +83,7 @@ struct BandProbePoint {
 /// measure_baseband_transfer_many.
 std::vector<TransferMeasurement> measure_band_transfer_many(
     const PllParameters& params, const std::vector<BandProbePoint>& points,
-    const ProbeOptions& opts = {});
-std::vector<TransferMeasurement> measure_band_transfer_many(
-    const PllParameters& params, const std::vector<BandProbePoint>& points,
-    const ProbeOptions& opts, ThreadPool& pool);
+    const ProbeOptions& opts = {}, ThreadPool& pool = ThreadPool::global());
 
 /// Windowed single-bin DFT ratio of two equally-sampled records: the
 /// LPTV probe's estimator, and the oracle the exact bins are tested

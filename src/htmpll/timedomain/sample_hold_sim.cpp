@@ -16,11 +16,10 @@ SampleHoldPllSim::SampleHoldPllSim(const PllParameters& params,
       t_period_(params.period()),
       icp_(params.icp),
       aug_(augment_with_phase(to_state_space(params.filter.impedance()),
-                              params.kvco),
-           cfg.use_spectral_propagators),
+                              params.kvco)),
       theta_index_(aug_.order() - 1),
       ref_edges_(mod_, t_period_) {
-  validate_transient_setup(mod_, cfg_, t_period_);
+  validate_transient_setup(mod_, cfg_.sample_interval, t_period_);
   if (cfg_.sample_interval == 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
 

@@ -47,6 +47,8 @@ class SampleHoldPllSim {
   cplx measure_theta_bin(double omega, double width);
 
   std::size_t event_count() const { return events_; }
+  /// True when propagator builds use the spectral (modal) path.
+  bool spectral_propagators() const { return aug_.spectral_propagators(); }
 
  private:
   /// Its segments span whole periods, so their midpoints sit half a

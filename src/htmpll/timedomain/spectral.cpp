@@ -154,9 +154,8 @@ inline double re_product(cplx a, cplx b) {
 
 }  // namespace
 
-PropagatorFactory::PropagatorFactory(RMatrix a, RMatrix b,
-                                     bool allow_spectral)
-    : a_(std::move(a)), b_(std::move(b)), requested_(allow_spectral) {
+PropagatorFactory::PropagatorFactory(RMatrix a, RMatrix b)
+    : a_(std::move(a)), b_(std::move(b)) {
   HTMPLL_REQUIRE(a_.is_square(), "PropagatorFactory: A must be square");
   if (!b_.empty()) {
     HTMPLL_REQUIRE(b_.rows() == a_.rows(),
@@ -172,7 +171,7 @@ PropagatorFactory::PropagatorFactory(RMatrix a, RMatrix b,
     }
   }
   cond_ = std::numeric_limits<double>::infinity();
-  if (requested_) try_spectral();
+  try_spectral();
 }
 
 void PropagatorFactory::try_spectral() {

@@ -42,13 +42,20 @@
 // below |z| = 0.5, where the direct formulas (e^z - 1)/z ... would
 // cancel.
 //
-// Van Loan fallback: the integrator builds with make_propagator when
-// the matrix has another shape (no trailing zero column, no input or
-// several inputs, a filter block that is not a companion matrix), when
-// the denominator has a repeated root or kappa_inf(V) exceeds
-// kMaxCondition, and when the caller passes allow_spectral = false
-// (TransientConfig::use_spectral_propagators), which runs the oracle
-// through a whole simulation.
+// Van Loan fallback, decided from the matrix alone: the integrator
+// builds with make_propagator when the matrix has another shape (no
+// trailing zero column, no input or several inputs, a filter block that
+// is not a companion matrix), or when the denominator has a repeated
+// root or kappa_inf(V) exceeds kMaxCondition.  The condition depends on
+// the time unit.  For the modes {0, -w_p} of the typical loop (w_p =
+// gamma w_UG) the unit-norm columns (1, 0) and (1, -w_p)/sqrt(1 + w_p^2)
+// give kappa_inf(V) = (1 + 1/sqrt(1 + w_p^2)) (1 + 1/w_p)
+// ~ 2 (1 + 1/w_p) with w_p in rad/s, so once w_p < ~2e-6 rad/s the loop
+// runs on Van Loan whatever its w_UG/w0.  With gamma = 4: at
+// w0 = 2 pi 1e-6 rad/s kappa reads 1.6e7 at w_UG/w0 = 0.005 and 8.0e5
+// at 0.1; at w0 = 2 pi rad/s it reads 1.3 to 17.8 over ratios 0.27 to
+// 0.005.  A slow-unit loop (w0 = 2 pi 1e-9 rad/s, kappa ~ 1e9) is how
+// a whole simulation runs on the oracle.
 #pragma once
 
 #include <cstddef>
@@ -87,18 +94,14 @@ class PropagatorFactory {
   /// the 1e-10 state-agreement contract of the transient bench.
   static constexpr double kMaxCondition = 1e6;
 
-  /// B may be empty (autonomous system).  `allow_spectral` false sends
-  /// every step to make_propagator.  Each companion filter block
+  /// B may be empty (autonomous system).  Each companion filter block
   /// factored adds 1 to the "linalg.eig_factorizations" counter.
   /// Throws std::invalid_argument on a non-finite entry of A or B, on
   /// either path.
-  PropagatorFactory(RMatrix a, RMatrix b, bool allow_spectral = true);
+  PropagatorFactory(RMatrix a, RMatrix b);
 
   /// True when the modal evaluation serves this system.
   bool is_spectral() const { return spectral_; }
-  /// True when the caller allowed the modal evaluation (even if the
-  /// matrix forced the Van Loan fallback).
-  bool spectral_requested() const { return requested_; }
   /// kappa_inf of the unit-column Vandermonde basis of the filter
   /// block; +inf when nothing was factored or the basis is singular.
   double vector_condition() const { return cond_; }
@@ -136,7 +139,6 @@ class PropagatorFactory {
 
   RMatrix a_;
   RMatrix b_;
-  bool requested_ = false;
   bool spectral_ = false;
   double cond_ = 0.0;
 

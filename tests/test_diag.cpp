@@ -266,10 +266,9 @@ TEST(DiagSpectral, DefectiveMatrixEmitsTaggedPadeFallback) {
   // block: a defective double eigenvalue at 0 in the factored block.
   const RMatrix a{{0.0, 1.0, 0.0}, {0.0, 0.0, 0.0}, {1.0, 0.0, 0.0}};
   const RMatrix b{{0.0}, {1.0}, {0.0}};
-  PropagatorFactory factory(a, b, true);
+  PropagatorFactory factory(a, b);
 
   EXPECT_FALSE(factory.is_spectral());
-  EXPECT_TRUE(factory.spectral_requested());
   const obs::DiagSnapshot s = obs::diag_snapshot();
   EXPECT_EQ(s.tally[static_cast<std::size_t>(
                 obs::DiagReason::kPadeFallbackDefective)],
@@ -307,7 +306,7 @@ TEST(DiagSpectral, NearRepeatedRootsEmitFallbackTaggedByCondition) {
     obs::reset_counters();
     const RMatrix a{{0.0, 1.0, 0.0}, {0.0, -c.delta, 0.0}, {1.0, 0.0, 0.0}};
     const RMatrix b{{0.0}, {1.0}, {0.0}};
-    PropagatorFactory factory(a, b, true);
+    PropagatorFactory factory(a, b);
 
     EXPECT_FALSE(factory.is_spectral()) << c.delta;
     const double kappa = factory.vector_condition();
@@ -333,7 +332,7 @@ TEST(DiagSpectral, HealthyFactorizationRaisesConditionGauge) {
   // block: s^2 + 0.8 s + 1.15, modes -0.4 +- 0.995j.
   const RMatrix a{{0.0, 1.0, 0.0}, {-1.15, -0.8, 0.0}, {1.0, 1.0, 0.0}};
   const RMatrix b{{0.0}, {1.0}, {0.0}};
-  PropagatorFactory factory(a, b, true);
+  PropagatorFactory factory(a, b);
 
   EXPECT_TRUE(factory.is_spectral());
   const obs::DiagSnapshot s = obs::diag_snapshot();

@@ -134,9 +134,9 @@ TEST(Integrator, PropagatorMemoStaysExact) {
   // The one-entry memo rebuilds its propagator in place whenever h
   // changes: random step lengths interleaved with repeats of the
   // previous h and of a pinned set must keep every peek bit-exact.
-  // Pade is forced so every peek can be compared against a direct
-  // make_propagator call.
-  PiecewiseExactIntegrator sim(lowpass(1.5), /*use_spectral=*/false);
+  // A 1x1 lowpass has no modal build, so every peek can be compared
+  // against a direct make_propagator call.
+  PiecewiseExactIntegrator sim(lowpass(1.5));
   const PropagatorMemoCounts st;
   std::mt19937 rng(5u);
   std::uniform_real_distribution<double> step(0.01, 1.0);
@@ -168,22 +168,41 @@ TEST(Integrator, CacheHitRate) {
   EXPECT_DOUBLE_EQ(st.hit_rate(), 0.5);
 }
 
-TEST(Integrator, SpectralOffIsAvailablePerInstance) {
-  // use_spectral = false must force the Van Loan path on a system the
-  // modal build serves (the phase-augmented shape), and both paths must
-  // agree on a well-scaled system.
-  const StateSpace aug = augment_with_phase(lowpass(2.0), 0.5);
-  PiecewiseExactIntegrator on(aug, /*use_spectral=*/true);
-  PiecewiseExactIntegrator off(aug, /*use_spectral=*/false);
-  EXPECT_TRUE(on.spectral_propagators());
-  EXPECT_FALSE(off.spectral_propagators());
+TEST(Integrator, SlowTimeUnitSelectsTheVanLoanPath) {
+  // One phase-augmented system, the companion block of s (s + 2)
+  // feeding theta, in two time units.  In seconds its modes {0, -2}
+  // give a well-conditioned modal basis.  In a unit 2^30 times slower
+  // (A and B divided, steps multiplied, all exactly) the pole sits at
+  // -2^-29 rad/s, the basis's condition ~ 2^30 passes kMaxCondition and
+  // the matrix alone sends the integrator to Van Loan.  The Van Loan
+  // matrix [A h, B h] is the same in both units bit for bit, so the
+  // slow integrator equals make_propagator on the unit system exactly,
+  // and the modal integrator agrees with both to 1e-13.
+  constexpr double kScale = 0x1p30;
+  StateSpace unit;
+  unit.a = RMatrix{{0.0, 1.0, 0.0}, {0.0, -2.0, 0.0}, {0.7, 0.2, 0.0}};
+  unit.b = RMatrix{{0.0}, {1.0}, {0.4}};
+  unit.c = RMatrix{{1.0, 0.0, 0.0}};
+  StateSpace slow = unit;
+  for (std::size_t i = 0; i < unit.order(); ++i) {
+    for (std::size_t j = 0; j < unit.order(); ++j) slow.a(i, j) /= kScale;
+    slow.b(i, 0) /= kScale;
+  }
+  PiecewiseExactIntegrator modal(unit);
+  PiecewiseExactIntegrator van_loan(slow);
+  EXPECT_TRUE(modal.spectral_propagators());
+  EXPECT_FALSE(van_loan.spectral_propagators());
+  RVector x(unit.order(), 0.0), next;
   for (int k = 0; k < 10; ++k) {
     const double h = 0.05 + 0.02 * k;
-    on.advance(h, 1.0);
-    off.advance(h, 1.0);
+    modal.advance(h, 1.0);
+    van_loan.advance(h * kScale, 1.0);
+    make_propagator(unit.a, unit.b, h).advance_into(x, 1.0, next);
+    x.swap(next);
   }
-  for (std::size_t i = 0; i < aug.order(); ++i) {
-    EXPECT_NEAR(on.state()[i], off.state()[i], 1e-13) << "state " << i;
+  for (std::size_t i = 0; i < unit.order(); ++i) {
+    EXPECT_EQ(van_loan.state()[i], x[i]) << "state " << i;
+    EXPECT_NEAR(modal.state()[i], x[i], 1e-13) << "state " << i;
   }
 }
 

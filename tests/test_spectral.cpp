@@ -8,7 +8,7 @@
 // scale, the theta and theta' rows, the step memo and the sampler's
 // bit-identity with the commit, the real-axis series against long
 // double, the Van Loan fallback for every other shape, a repeated root
-// and allow_spectral = false, and the rejection of non-finite input.
+// and a loop in slow time units, and the rejection of non-finite input.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -267,7 +267,6 @@ TEST(SpectralPropagator, NonAugmentedSystemBuildsVanLoanBitwise) {
   const RMatrix b{{0.0}, {1.0}, {0.5}};
   PropagatorFactory f(a, b);
   EXPECT_FALSE(f.is_spectral());
-  EXPECT_TRUE(f.spectral_requested());
   for (double h = 1e-3; h <= 10.0 + 1e-9; h *= 10.0) {
     expect_van_loan_bitwise(f, a, b, h);
   }
@@ -315,7 +314,6 @@ TEST(SpectralPropagator, AugmentedLoopUsesStructuredMode) {
       augment_with_phase(to_state_space(p.filter.impedance()), p.kvco);
   PropagatorFactory f(aug.a, aug.b);
   EXPECT_TRUE(f.is_spectral());
-  EXPECT_TRUE(f.spectral_requested());
   EXPECT_LT(f.vector_condition(), PropagatorFactory::kMaxCondition);
 }
 
@@ -394,7 +392,6 @@ TEST(SpectralPropagator, DefectiveMatrixFallsBackToPadeBitwise) {
   if (!was) obs::disable();
   EXPECT_EQ(after - before, 1u);  // the factorization really ran
   EXPECT_FALSE(f.is_spectral());
-  EXPECT_TRUE(f.spectral_requested());
   for (double h : {0.25, 2.0}) expect_van_loan_bitwise(f, a, b, h);
 }
 
@@ -404,7 +401,6 @@ TEST(SpectralPropagator, NonCompanionFilterBlockBuildsVanLoanBitwise) {
   // the factory has no modal build for it.
   PropagatorFactory f(kNonCompanionA, kAugB);
   EXPECT_FALSE(f.is_spectral());
-  EXPECT_TRUE(f.spectral_requested());
   EXPECT_TRUE(std::isinf(f.vector_condition()));
   for (double h : {1e-3, 0.1, 2.0}) {
     expect_van_loan_bitwise(f, kNonCompanionA, kAugB, h);
@@ -548,23 +544,22 @@ TEST(SpectralPropagator, EigenpairResidualStaysAtRoundingLevel) {
 
 TEST(SpectralPropagator, RejectsNonFiniteSystems) {
   // A NaN or infinity in any entry of A or B is rejected when the
-  // factory is built, whether or not the modal build is allowed.
+  // factory is built, on a system with a modal build (kAugA) and on one
+  // without (kNonCompanionA).
   const double inf = std::numeric_limits<double>::infinity();
   for (const double bad :
        {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
-    for (const bool allow : {true, false}) {
+    for (const RMatrix* base : {&kAugA, &kNonCompanionA}) {
       for (std::size_t i = 0; i < 3; ++i) {
         for (std::size_t j = 0; j < 3; ++j) {
-          RMatrix a = kAugA;
+          RMatrix a = *base;
           a(i, j) = bad;
-          EXPECT_THROW(PropagatorFactory(a, kAugB, allow),
-                       std::invalid_argument)
+          EXPECT_THROW(PropagatorFactory(a, kAugB), std::invalid_argument)
               << "A(" << i << ", " << j << ") = " << bad;
         }
         RMatrix b = kAugB;
         b(i, 0) = bad;
-        EXPECT_THROW(PropagatorFactory(kAugA, b, allow),
-                     std::invalid_argument)
+        EXPECT_THROW(PropagatorFactory(*base, b), std::invalid_argument)
             << "B(" << i << ") = " << bad;
       }
     }
@@ -651,12 +646,27 @@ TEST(SpectralPropagator, EveryLibraryLoopFamilyIsModal) {
   }
 }
 
-TEST(SpectralPropagator, AllowSpectralFalseForcesPadeBitwise) {
-  ASSERT_TRUE(PropagatorFactory(kAugA, kAugB).is_spectral());
-  PropagatorFactory f(kAugA, kAugB, /*allow_spectral=*/false);
+TEST(SpectralPropagator, SlowUnitLoopBuildsVanLoanBitwise) {
+  // The typical loop in slow units (w0 = 2 pi 1e-9 rad/s).  Its modes
+  // {0, -w_p} give the unit-column basis
+  // kappa_inf(V) = (1 + 1/sqrt(1 + w_p^2)) (1 + 1/w_p) ~ 2/w_p with w_p
+  // in rad/s: 8e8 here, past kMaxCondition, so the matrix alone sends
+  // every step of this loop to make_propagator.
+  const double w0 = 2.0 * std::numbers::pi * 1e-9;
+  const PllParameters p = make_typical_loop(0.1 * w0, w0);
+  const StateSpace aug = loop_system(p);
+  ASSERT_EQ(aug.a(1, 0), 0.0);  // the DC mode
+  const double wp = -aug.a(1, 1);
+  const PropagatorFactory f(aug.a, aug.b);
   EXPECT_FALSE(f.is_spectral());
-  EXPECT_FALSE(f.spectral_requested());
-  for (double h : {1e-3, 0.1, 2.0}) expect_van_loan_bitwise(f, kAugA, kAugB, h);
+  const double kappa =
+      (1.0 + 1.0 / std::sqrt(1.0 + wp * wp)) * (1.0 + 1.0 / wp);
+  EXPECT_GT(kappa, PropagatorFactory::kMaxCondition);
+  EXPECT_NEAR(f.vector_condition(), kappa, 1e-12 * kappa);
+  const double t = p.period();
+  for (double h : {t / 64.0, t / 8.0, t, 4.0 * t}) {
+    expect_van_loan_bitwise(f, aug.a, aug.b, h);
+  }
 }
 
 TEST(SpectralPropagator, TwoInputSystemBuildsVanLoanBitwise) {
@@ -664,7 +674,6 @@ TEST(SpectralPropagator, TwoInputSystemBuildsVanLoanBitwise) {
   const RMatrix b{{0.1, 0.0}, {1.0, 0.3}, {0.4, -0.2}};
   PropagatorFactory f(kAugA, b);
   EXPECT_FALSE(f.is_spectral());
-  EXPECT_TRUE(f.spectral_requested());
   for (double h : {1e-2, 0.5, 3.0}) expect_van_loan_bitwise(f, kAugA, b, h);
 }
 

@@ -1,6 +1,9 @@
 // Transient performance-layer suite: the step memo, the
 // horizon-bounded edge search (cost, and agreement with a reference
-// event loop on the Van Loan oracle), the allocation-free steady state,
+// event loop on the Van Loan oracle), both event-driven simulators on
+// the modal path against their Van Loan oracles and, in slow time
+// units, on the Van Loan path the matrix selects, bit for bit with
+// them, the allocation-free steady state,
 // the probe core both event-driven simulators share, the trig-free
 // recurrences (small-angle series, reference-edge sequence, grid-anchored
 // theta bins), probe batches, probe-option, modulation and non-finite
@@ -37,6 +40,11 @@ namespace htmpll {
 namespace {
 
 constexpr double kW0 = 2.0 * std::numbers::pi;  // T = 1
+/// Slow units, T = 1e9 s.  The typical loop's filter pole w_p lies far
+/// below 1 rad/s there, the modal basis's condition ~ 2 (1 + 1/w_p)
+/// passes PropagatorFactory::kMaxCondition, and the matrix itself sends
+/// every step to the Van Loan oracle.
+constexpr double kSlowW0 = 2.0 * std::numbers::pi * 1e-9;
 
 /// Test oracle: PllTransientSim's event loop as it stood before the
 /// edge search was bounded by the step horizon.  Every VCO edge is
@@ -125,6 +133,17 @@ class ReferenceEventLoop {
     }
   }
 
+  /// theta's exact Hann bin over [t, t + width], from this loop's
+  /// segments and Van Loan states: PllTransientSim::measure_theta_bin's
+  /// window, anchored on the same reference grid.
+  cplx measure_theta_bin(double omega, double width) {
+    ThetaBin bin(omega, t_, width, x_, t_period_);
+    bin_ = &bin;
+    run_until(t_ + width);
+    bin_ = nullptr;
+    return bin.finish(ss_, x_);
+  }
+
   double theta() const { return x_[theta_index_]; }
   std::size_t event_count() const { return events_; }
   /// Largest |VCO edges - reference edges| seen: > 1 means cycle slips.
@@ -202,6 +221,7 @@ class ReferenceEventLoop {
   }
 
   void record_range(double t_begin, double t_end, double current) {
+    if (bin_ != nullptr) bin_->add_segment(t_begin, t_end, current);
     while (true) {
       const double ts = static_cast<double>(next_sample_) * sample_interval_;
       if (ts > t_end) break;
@@ -232,6 +252,67 @@ class ReferenceEventLoop {
   std::mt19937 noise_rng_;
   std::normal_distribution<double> noise_dist_{0.0, 1.0};
   std::vector<double> sample_t_, sample_theta_;
+  ThetaBin* bin_ = nullptr;  ///< open measure_theta_bin window, if any
+};
+
+/// Test oracle for SampleHoldPllSim: its event loop written out with a
+/// fresh Van Loan propagator, make_propagator, for every step and
+/// sample, on the simulator's reference-edge sequence.
+class SampleHoldReference {
+ public:
+  SampleHoldReference(const PllParameters& p, ReferenceModulation mod)
+      : t_period_(p.period()),
+        icp_(p.icp),
+        ss_(augment_with_phase(to_state_space(p.filter.impedance()),
+                               p.kvco)),
+        x_(ss_.order(), 0.0),
+        theta_index_(x_.size() - 1),
+        sample_interval_(t_period_ / 8.0),
+        edges_(mod, t_period_) {}
+
+  void run_until(double t_end) {
+    while (t_ < t_end) {
+      const double t_ref = std::max(edges_.edge(n_ref_), t_);
+      const double t_evt = std::min(t_ref, t_end);
+      for (;; ++next_sample_) {
+        const double ts = static_cast<double>(next_sample_) * sample_interval_;
+        if (ts > t_evt) break;
+        if (ts < t_) continue;
+        sample_theta_.push_back(peek(ts - t_)[theta_index_]);
+      }
+      x_ = peek(t_evt - t_);
+      t_ = t_evt;
+      if (t_evt < t_ref) break;
+      const double error =
+          static_cast<double>(n_ref_) * t_period_ - t_ref - x_[theta_index_];
+      current_ = icp_ * error / t_period_;
+      ++n_ref_;
+      ++events_;
+    }
+  }
+
+  double theta() const { return x_[theta_index_]; }
+  std::size_t event_count() const { return events_; }
+  const std::vector<double>& theta_samples() const { return sample_theta_; }
+
+ private:
+  RVector peek(double h) const {
+    if (h == 0.0) return x_;
+    RVector out;
+    make_propagator(ss_.a, ss_.b, h).advance_into(x_, current_, out);
+    return out;
+  }
+
+  double t_period_, icp_;
+  StateSpace ss_;
+  RVector x_;
+  std::size_t theta_index_;
+  double sample_interval_;
+  ReferenceEdges edges_;
+  double t_ = 0.0, current_ = 0.0;
+  std::int64_t n_ref_ = 1, next_sample_ = 1;
+  std::size_t events_ = 0;
+  std::vector<double> sample_theta_;
 };
 
 TEST(PropagatorCache, CountsHitsAndMisses) {
@@ -384,24 +465,24 @@ TEST(EdgeSearch, BisectionFallbackIsObservable) {
 }
 
 /// The simulator's event count and theta samples against the
-/// reference loop's.  The Van Loan simulator follows the oracle bit for
-/// bit.  The modal one may differ by the spectral-versus-Van Loan
-/// contract (1e-10 of theta's scale) plus, per PFD event so far, one
+/// reference loop's.  A simulator on the Van Loan path follows the
+/// oracle bit for bit.  A modal one may differ by the spectral-versus-Van
+/// Loan contract (1e-10 of theta's scale) plus, per PFD event so far, one
 /// edge tolerance: each edge lies within kEdgeTolerance T of its
 /// crossing on either side, and a pulse-width change of d moves theta
 /// by at most about d in a stable loop (w_UG T < 2).  Measured: at most
 /// 5.7e-14 T.
 void expect_matches_reference(const PllTransientSim& sim,
-                              const ReferenceEventLoop& ref, bool spectral,
-                              double period) {
+                              const ReferenceEventLoop& ref) {
   EXPECT_EQ(sim.event_count(), ref.event_count());
   ASSERT_EQ(sim.theta_samples().size(), ref.theta_samples().size());
   double scale = std::abs(ref.theta());
   for (double th : ref.theta_samples()) scale = std::max(scale, std::abs(th));
   const double bound =
-      spectral ? 1e-10 * scale + static_cast<double>(ref.event_count()) *
-                                     kEdgeTolerance * period
-               : 0.0;
+      sim.spectral_propagators()
+          ? 1e-10 * scale + static_cast<double>(ref.event_count()) *
+                                kEdgeTolerance * sim.period()
+          : 0.0;
   EXPECT_LE(std::abs(sim.theta() - ref.theta()), bound);
   for (std::size_t i = 0; i < ref.theta_samples().size(); ++i) {
     ASSERT_EQ(sim.sample_times()[i], ref.sample_times()[i]) << "sample " << i;
@@ -422,7 +503,9 @@ TEST(EdgeSearch, MatchesUnboundedReferenceLoop) {
   // Quiet runs (no modulation, noise or leakage) on fast loops settle
   // until reference and VCO edges coincide within the 1e-9 T window,
   // which is what the horizon margin must respect.  run_until stops at
-  // off-grid times so t_end bounds the horizon too.
+  // off-grid times so t_end bounds the horizon too.  Every eighth run
+  // is in slow units, where the matrix itself puts the simulator on the
+  // Van Loan path: it must follow the reference bit for bit.
   std::mt19937 rng(20261016u);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   int slipping_runs = 0;
@@ -430,15 +513,17 @@ TEST(EdgeSearch, MatchesUnboundedReferenceLoop) {
   for (int trial = 0; trial < 24; ++trial) {
     const bool slip_prone = trial % 4 == 0;
     const bool quiet = trial % 6 == 3;
+    const bool slow_units = trial % 8 == 7;
+    const double w0 = slow_units ? kSlowW0 : kW0;
     const double ratio = slip_prone ? 0.005 + 0.005 * unit(rng)
                          : quiet    ? 0.1 + 0.17 * unit(rng)
                                     : 0.005 + 0.265 * unit(rng);
     const double gamma = 2.0 + 4.0 * unit(rng);
-    const PllParameters p = make_typical_loop(ratio * kW0, kW0, gamma);
+    const PllParameters p = make_typical_loop(ratio * w0, w0, gamma);
     ReferenceModulation mod;
     if (!quiet && trial % 3 != 0) {
       mod.amplitude = 2e-3 * unit(rng) * p.period();
-      mod.omega = (0.05 + 0.4 * unit(rng)) * kW0;
+      mod.omega = (0.05 + 0.4 * unit(rng)) * w0;
       mod.phase = 6.0 * unit(rng);
     }
     const double offset = slip_prone ? -3e-2 * (1.0 - 0.2 * unit(rng))
@@ -447,15 +532,12 @@ TEST(EdgeSearch, MatchesUnboundedReferenceLoop) {
                           p.period();
     const bool noisy = !quiet && trial % 2 == 1;
     const bool leaky = !quiet && trial % 4 >= 2;
-    const bool spectral = trial % 8 != 7;
     const double sigma = 1e-3 * unit(rng) * p.icp;
     const unsigned seed = static_cast<unsigned>(rng());
     const double leak = 0.02 * (2.0 * unit(rng) - 1.0) * p.icp;
     const double window = (0.05 + 0.4 * unit(rng)) * p.period();
 
-    TransientConfig cfg;
-    cfg.use_spectral_propagators = spectral;
-    PllTransientSim sim(p, mod, cfg);
+    PllTransientSim sim(p, mod);
     ReferenceEventLoop ref(p, mod);
     sim.set_initial_frequency_offset(offset);  // before theta0: it
     ref.set_initial_frequency_offset(offset);  // rewrites the whole state
@@ -479,7 +561,8 @@ TEST(EdgeSearch, MatchesUnboundedReferenceLoop) {
     SCOPED_TRACE(testing::Message() << "trial " << trial << " ratio " << ratio
                                     << " gamma " << gamma << " offset "
                                     << offset << " theta0 " << theta0);
-    expect_matches_reference(sim, ref, spectral, p.period());
+    EXPECT_EQ(sim.spectral_propagators(), !slow_units);
+    expect_matches_reference(sim, ref);
   }
   // The acquisitions whose DOWN-state searches start past the horizon
   // with g' <= 0 there (gamma 4, 200 periods from a fast VCO): the
@@ -499,59 +582,36 @@ TEST(EdgeSearch, MatchesUnboundedReferenceLoop) {
     bisections += ref.bisection_fallbacks();
     SCOPED_TRACE(testing::Message()
                  << "acquisition ratio " << ratio << " offset " << offset);
-    expect_matches_reference(sim, ref, true, p.period());
+    expect_matches_reference(sim, ref);
   }
   // Coverage: cycle slips, and the diverging searches the horizon skips.
   EXPECT_GE(slipping_runs, 3);
   EXPECT_GT(bisections, 0u);
 }
 
-TEST(SpectralEngine, SimulationAgreesWithPadeWithinTolerance) {
-  // Full transient runs with the two propagator backends: the recorded
-  // theta trajectories must agree to the 1e-10 relative level of the
-  // bench contract.  (T = 1 normalization keeps the Van Loan matrix
-  // well scaled, so the Pade reference itself is trustworthy here.)
-  const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
-  ReferenceModulation mod;
-  mod.amplitude = 2e-3;
-  mod.omega = 0.21 * kW0;
-  auto run = [&](bool use_spectral) {
-    TransientConfig cfg;
-    cfg.use_spectral_propagators = use_spectral;
-    PllTransientSim sim(p, mod, cfg);
-    sim.run_periods(60.0);
-    return sim;
-  };
-  const PllTransientSim s = run(true);
-  const PllTransientSim q = run(false);
-  EXPECT_TRUE(s.spectral_propagators());
-  EXPECT_FALSE(q.spectral_propagators());
-  ASSERT_EQ(s.theta_samples().size(), q.theta_samples().size());
+/// theta samples of a modal simulator against its Van Loan oracle on
+/// the same T = 1 loop, where the Van Loan matrix is well scaled and so
+/// the oracle itself is trustworthy: they must agree to the 1e-10
+/// relative level of the bench contract.
+template <class Sim, class Oracle>
+void expect_modal_run_matches_oracle(const Sim& sim, const Oracle& ref) {
+  EXPECT_TRUE(sim.spectral_propagators());
+  EXPECT_EQ(sim.event_count(), ref.event_count());
+  ASSERT_EQ(sim.theta_samples().size(), ref.theta_samples().size());
   double scale = 0.0;
-  for (double th : q.theta_samples()) scale = std::max(scale, std::abs(th));
+  for (double th : ref.theta_samples()) scale = std::max(scale, std::abs(th));
   ASSERT_GT(scale, 0.0);
-  for (std::size_t i = 0; i < s.theta_samples().size(); ++i) {
-    EXPECT_LT(std::abs(s.theta_samples()[i] - q.theta_samples()[i]) / scale,
+  for (std::size_t i = 0; i < sim.theta_samples().size(); ++i) {
+    EXPECT_LT(std::abs(sim.theta_samples()[i] - ref.theta_samples()[i]) /
+                  scale,
               1e-10)
         << "sample " << i;
   }
 }
 
-TEST(SpectralEngine, ConfigOffRunsTheVanLoanOracle) {
-  // TransientConfig::use_spectral_propagators = false runs every step
-  // through make_propagator: the simulator then equals the reference
-  // loop on the Van Loan oracle bit for bit.
-  const PllParameters p = make_typical_loop(0.12 * kW0, kW0);
-  ReferenceModulation mod;
-  mod.amplitude = 1e-3;
-  mod.omega = 0.3 * kW0;
-  TransientConfig cfg;
-  cfg.use_spectral_propagators = false;
-  PllTransientSim sim(p, mod, cfg);
-  EXPECT_FALSE(sim.spectral_propagators());
-  ReferenceEventLoop ref(p, mod);
-  sim.run_periods(30.0);
-  ref.run_until(30.0 * p.period());
+/// sim and ref's theta samples and final theta, bit for bit.
+template <class Sim, class Oracle>
+void expect_bitwise_equal_runs(const Sim& sim, const Oracle& ref) {
   EXPECT_EQ(sim.event_count(), ref.event_count());
   const double theta_sim = sim.theta();
   const double theta_ref = ref.theta();
@@ -562,6 +622,86 @@ TEST(SpectralEngine, ConfigOffRunsTheVanLoanOracle) {
                           sizeof(double)),
               0)
         << "sample " << i;
+  }
+}
+
+TEST(SpectralEngine, SimulationAgreesWithPadeWithinTolerance) {
+  const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
+  ReferenceModulation mod;
+  mod.amplitude = 2e-3;
+  mod.omega = 0.21 * kW0;
+  PllTransientSim sim(p, mod);
+  ReferenceEventLoop ref(p, mod);
+  sim.run_periods(60.0);
+  ref.run_until(60.0 * p.period());
+  expect_modal_run_matches_oracle(sim, ref);
+}
+
+TEST(SpectralEngine, SlowUnitLoopRunsTheVanLoanOracle) {
+  // In slow units the matrix sends every step through make_propagator:
+  // the simulator then equals the reference loop on the Van Loan oracle
+  // bit for bit.
+  const PllParameters p = make_typical_loop(0.12 * kSlowW0, kSlowW0);
+  ReferenceModulation mod;
+  mod.amplitude = 1e-3 * p.period();
+  mod.omega = 0.3 * kSlowW0;
+  PllTransientSim sim(p, mod);
+  EXPECT_FALSE(sim.spectral_propagators());
+  ReferenceEventLoop ref(p, mod);
+  sim.run_periods(30.0);
+  ref.run_until(30.0 * p.period());
+  expect_bitwise_equal_runs(sim, ref);
+}
+
+TEST(SpectralEngine, SampleHoldSimulationAgreesWithPadeWithinTolerance) {
+  const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
+  ReferenceModulation mod;
+  mod.amplitude = 2e-3;
+  mod.omega = 0.21 * kW0;
+  SampleHoldPllSim sim(p, mod);
+  SampleHoldReference ref(p, mod);
+  sim.run_periods(60.0);
+  ref.run_until(60.0 * p.period());
+  expect_modal_run_matches_oracle(sim, ref);
+}
+
+TEST(SpectralEngine, SampleHoldSlowUnitLoopRunsTheVanLoanOracle) {
+  // The sample-and-hold loop in slow units: on the Van Loan path the
+  // matrix selects, it equals its oracle bit for bit.
+  const PllParameters p = make_typical_loop(0.15 * kSlowW0, kSlowW0);
+  ReferenceModulation mod;
+  mod.amplitude = 2e-3 * p.period();
+  mod.omega = 0.21 * kSlowW0;
+  SampleHoldPllSim sim(p, mod);
+  EXPECT_FALSE(sim.spectral_propagators());
+  SampleHoldReference ref(p, mod);
+  sim.run_periods(60.0);
+  ref.run_until(60.0 * p.period());
+  ASSERT_GT(ref.event_count(), 50u);
+  expect_bitwise_equal_runs(sim, ref);
+}
+
+TEST(ThetaBin, SpectralAndPadeBinsAgreeWithinTheStateContract) {
+  // The modal simulator's exact bin against the reference loop's, whose
+  // states come from the Van Loan oracle, on one T = 1 loop.
+  const PllParameters p = make_typical_loop(0.2 * kW0, kW0);
+  ReferenceModulation mod;
+  mod.amplitude = 1e-3;
+  mod.omega = 0.12 * kW0;
+  const double width = 12.0 * 2.0 * std::numbers::pi / mod.omega;
+  for (int band : {0, -1, 2}) {
+    TransientConfig cfg;
+    cfg.record = false;
+    PllTransientSim sim(p, mod, cfg);
+    ReferenceEventLoop ref(p, mod);
+    ASSERT_TRUE(sim.spectral_propagators());
+    sim.run_until(150.0);
+    ref.run_until(150.0);
+    const double omega = band * kW0 + mod.omega;
+    const cplx modal = sim.measure_theta_bin(omega, width);
+    const cplx van_loan = ref.measure_theta_bin(omega, width);
+    EXPECT_LT(std::abs(modal - van_loan) / std::abs(van_loan), 1e-10)
+        << "band " << band;
   }
 }
 
