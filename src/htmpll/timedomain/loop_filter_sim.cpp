@@ -52,11 +52,23 @@ StateSpace augment_with_phase(const StateSpace& filter, double kvco) {
 }
 
 PiecewiseExactIntegrator::PiecewiseExactIntegrator(StateSpace ss)
-    : ss_(std::move(ss)), factory_(ss_.a, ss_.b), x_(ss_.order(), 0.0) {}
+    : ss_(std::move(ss)), factory_(ss_.a, ss_.b), x_(ss_.order(), 0.0) {
+  if (factory_.is_spectral()) factory_.project(x_.data(), modal_);
+}
+
+const RVector& PiecewiseExactIntegrator::state() const {
+  if (!x_current_) {
+    factory_.rebuild(modal_, x_.data());
+    x_current_ = true;
+  }
+  return x_;
+}
 
 void PiecewiseExactIntegrator::set_state(RVector x) {
   HTMPLL_REQUIRE(x.size() == ss_.order(), "state dimension mismatch");
   x_ = std::move(x);
+  x_current_ = true;
+  if (factory_.is_spectral()) factory_.project(x_.data(), modal_);
 }
 
 void PiecewiseExactIntegrator::lookup(double h) const {
@@ -83,13 +95,14 @@ void PiecewiseExactIntegrator::peek_into(double h, double u,
                                          RVector& out) const {
   require_step(h);
   if (h == 0.0) {
-    out = x_;
+    out = state();
     return;
   }
   lookup(h);
   if (factory_.is_spectral()) {
-    out.resize(x_.size());
-    factory_.advance(step_, x_.data(), u, out.data());
+    factory_.advance(step_, modal_, u, peeked_);
+    out.resize(ss_.order());
+    factory_.rebuild(peeked_, out.data());
   } else {
     memo_.advance_into(x_, u, out);
   }
@@ -102,10 +115,10 @@ void PiecewiseExactIntegrator::peek_last_many(const double* h,
   for (std::size_t i = 0; i < count; ++i) {
     require_step(h[i]);
     if (h[i] == 0.0) {
-      out[i] = x_[last];
+      out[i] = last_state();
     } else if (factory_.is_spectral()) {
       factory_.evaluate(h[i], sample_step_);
-      out[i] = factory_.theta(sample_step_, x_.data(), u);
+      out[i] = factory_.theta(sample_step_, modal_, u);
     } else {
       peek_into(h[i], u, scratch_);
       out[i] = scratch_[last];
@@ -125,17 +138,28 @@ double PiecewiseExactIntegrator::last_rate(const RVector& x,
 ThetaRows PiecewiseExactIntegrator::peek_theta(double h, double u) const {
   require_step(h);
   HTMPLL_REQUIRE(ss_.b.cols() == 1, "peek_theta needs one input column");
-  const std::size_t last = ss_.order() - 1;
-  if (h == 0.0) return {x_[last], last_rate(x_, u)};
+  const bool modal = factory_.is_spectral();
+  if (h == 0.0) {
+    if (modal) return {modal_.theta, factory_.rate(modal_, u)};
+    return {x_.back(), last_rate(x_, u)};
+  }
   lookup(h);
-  if (factory_.is_spectral()) return factory_.theta_rows(step_, x_.data(), u);
+  if (modal) return factory_.theta_rows(step_, modal_, u);
   memo_.advance_into(x_, u, scratch_);
-  return {scratch_[last], last_rate(scratch_, u)};
+  return {scratch_.back(), last_rate(scratch_, u)};
 }
 
 void PiecewiseExactIntegrator::advance(double h, double u) {
-  peek_into(h, u, scratch_);
-  x_.swap(scratch_);
+  if (!factory_.is_spectral()) {
+    peek_into(h, u, scratch_);
+    x_.swap(scratch_);
+    return;
+  }
+  require_step(h);
+  if (h == 0.0) return;
+  lookup(h);
+  factory_.advance(step_, modal_, u, modal_);
+  x_current_ = false;
 }
 
 }  // namespace htmpll

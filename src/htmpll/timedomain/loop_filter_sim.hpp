@@ -29,10 +29,15 @@ namespace htmpll {
 /// output y (the VCO control).  Shared by the transient simulators.
 StateSpace augment_with_phase(const StateSpace& filter, double kvco);
 
-/// Exact stepping of x' = A x + B u under a held scalar input.  Every
-/// step length must be finite and non-negative: peek, peek_into,
-/// peek_last_many, peek_theta and advance throw std::invalid_argument
-/// otherwise and leave the state as it was.
+/// Exact stepping of x' = A x + B u under a held scalar input.  On the
+/// modal path the state lives in modal form (ModalState): each step and
+/// each theta peek costs O(n), and state() rebuilds the vector x only
+/// when it is read, caching it until the next step.  Like the step memo, that
+/// cache makes an instance unsafe for concurrent callers, readers
+/// included.  The Van Loan path keeps x itself.  Every step length must
+/// be finite and non-negative: peek, peek_into, peek_last_many,
+/// peek_theta and advance throw std::invalid_argument otherwise and
+/// leave the state as it was.
 class PiecewiseExactIntegrator {
  public:
   explicit PiecewiseExactIntegrator(StateSpace ss);
@@ -44,11 +49,18 @@ class PiecewiseExactIntegrator {
   /// instead of a per-step expm.
   bool spectral_propagators() const { return factory_.is_spectral(); }
 
-  const RVector& state() const { return x_; }
+  /// The state vector; on the modal path, rebuilt from the modal state
+  /// at the first read after a step.
+  const RVector& state() const;
+  /// The last state component (theta of the phase-augmented loop),
+  /// equal to state().back() but read with no rebuild.
+  double last_state() const {
+    return factory_.is_spectral() ? modal_.theta : x_.back();
+  }
   void set_state(RVector x);
 
   /// y = C x + D u at the current state.
-  double output(double u) const { return ss_.output(x_, u); }
+  double output(double u) const { return ss_.output(state(), u); }
 
   /// State after holding input `u` for `h` seconds, without committing.
   RVector peek(double h, double u) const;
@@ -87,7 +99,11 @@ class PiecewiseExactIntegrator {
 
   StateSpace ss_;
   PropagatorFactory factory_;
-  RVector x_;
+  ModalState modal_;  ///< the state, on the modal path
+  /// The state on the Van Loan path.  On the modal path, its rebuild,
+  /// current while x_current_.
+  mutable RVector x_;
+  mutable bool x_current_ = true;
 
   // One-entry step memo: the last step length requested and its modal
   // scalars (or, on the Van Loan path, its propagator).  A lookup of the
@@ -102,7 +118,8 @@ class PiecewiseExactIntegrator {
   mutable ModalStep step_;
   mutable StepPropagator memo_;
   mutable ModalStep sample_step_;  ///< peek_last_many's per-offset scalars
-  mutable RVector scratch_;        ///< advance() and Van Loan peek staging
+  mutable ModalState peeked_;      ///< peek_into's modal staging
+  mutable RVector scratch_;        ///< Van Loan advance and peek staging
 };
 
 }  // namespace htmpll

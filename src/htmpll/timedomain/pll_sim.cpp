@@ -33,10 +33,7 @@ namespace {
 /// that is coarser -- past t ~ 128 T, kEdgeTolerance T is finer than the
 /// spacing of the doubles there and could never be met.
 double edge_search_tolerance(double tolerance, double target) {
-  const double a = std::abs(target);
-  const double ulp =
-      std::nextafter(a, std::numeric_limits<double>::infinity()) - a;
-  return std::max(tolerance, 4.0 * ulp);
+  return std::max(tolerance, 4.0 * detail::ulp_above(std::abs(target)));
 }
 
 /// Angles that took libm's sincos because they lay outside the
@@ -410,6 +407,13 @@ void UniformSamples::record_segment(const PiecewiseExactIntegrator& integ,
 
 namespace {
 
+std::string recording_horizon_error(double t_end) {
+  std::ostringstream os;
+  os << "run_until: recording to t_end = " << t_end
+     << " s needs more theta samples than a stream can hold";
+  return os.str();
+}
+
 std::string monotone_error(double product) {
   std::ostringstream os;
   os << "reference modulation |amplitude * omega| = " << product
@@ -476,13 +480,12 @@ PllTransientSim::PllTransientSim(const PllParameters& params,
       // folded into the system too.
       aug_(augment_with_phase(to_state_space(params.filter.impedance()),
                               params.kvco)),
-      theta_index_(aug_.order() - 1),
       ref_edges_(mod_, t_period_) {
   validate_transient_setup(mod_, cfg_.sample_interval, t_period_);
   if (cfg_.sample_interval == 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
 
-double PllTransientSim::theta() const { return aug_.state()[theta_index_]; }
+double PllTransientSim::theta() const { return aug_.last_state(); }
 
 double PllTransientSim::control_output() const {
   return aug_.output(pfd_.pump_current(icp_) +
@@ -513,7 +516,7 @@ void PllTransientSim::set_initial_theta(double theta0) {
   HTMPLL_REQUIRE(!started_, "initial conditions must precede run_until");
   HTMPLL_REQUIRE(std::isfinite(theta0), "initial theta must be finite");
   RVector x = aug_.state();
-  x[theta_index_] = theta0;
+  x.back() = theta0;
   aug_.set_state(std::move(x));
 }
 
@@ -689,16 +692,19 @@ bool PllTransientSim::commit_step(const TransientStepPlan& plan) {
 
 void PllTransientSim::run_until(double t_end) {
   HTMPLL_REQUIRE(std::isfinite(t_end), "run_until: t_end must be finite");
-  started_ = true;
   if (cfg_.record && t_end > t_) {
     // Reserve the whole recording horizon up front instead of growing
     // the three streams geometrically mid-run.
-    const std::size_t add = static_cast<std::size_t>(
-        (t_end - t_) / cfg_.sample_interval) + 2;
+    const double span = (t_end - t_) / cfg_.sample_interval;
+    const std::size_t room = samples_.t.max_size() - samples_.t.size();
+    HTMPLL_REQUIRE(span < static_cast<double>(room) - 2.0,
+                   recording_horizon_error(t_end));
+    const std::size_t add = static_cast<std::size_t>(span) + 2;
     samples_.t.reserve(samples_.t.size() + add);
     samples_.theta.reserve(samples_.theta.size() + add);
     samples_.theta_ref.reserve(samples_.theta_ref.size() + add);
   }
+  started_ = true;
   while (t_ < t_end) {
     if (!commit_step(plan_step(t_end))) break;  // reached t_end first
   }

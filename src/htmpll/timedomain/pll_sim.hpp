@@ -13,6 +13,7 @@
 // an edge that cannot fire before it is not searched for.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -72,6 +73,13 @@ inline constexpr double kSmallAngleMax = 0.25;
 /// libm's.  Outside the range, libm's sincos; each such call counts in
 /// timedomain.phasor_fallbacks.
 void small_angle_sincos(double x, double& s, double& c);
+
+/// The gap from a finite a >= 0 up to the next double,
+/// std::nextafter(a, +inf) - a, from the bit pattern with no libm call:
+/// the edge searches' 4-ulp stop.
+inline double ulp_above(double a) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(a) + 1) - a;
+}
 
 }  // namespace detail
 
@@ -320,7 +328,9 @@ class PllTransientSim {
   /// Advances by n reference periods.
   void run_periods(double n);
 
-  /// Augmented integrator state [x_filter; theta] at the current time.
+  /// Augmented integrator state [x_filter; theta] at the current time,
+  /// rebuilt from the modal state at the first read after a step (see
+  /// PiecewiseExactIntegrator).
   const RVector& state() const { return aug_.state(); }
   double time() const { return t_; }
   /// Current VCO phase excursion theta(t) in seconds.
@@ -404,7 +414,6 @@ class PllTransientSim {
   double kvco_;
 
   PiecewiseExactIntegrator aug_;  ///< filter states + theta (last state)
-  std::size_t theta_index_;
   // plan_step runs once per step and a reference edge usually spans two
   // (a VCO edge falls in between); the sequence keeps its last edge.
   mutable ReferenceEdges ref_edges_;

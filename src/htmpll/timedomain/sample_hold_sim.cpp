@@ -17,15 +17,12 @@ SampleHoldPllSim::SampleHoldPllSim(const PllParameters& params,
       icp_(params.icp),
       aug_(augment_with_phase(to_state_space(params.filter.impedance()),
                               params.kvco)),
-      theta_index_(aug_.order() - 1),
       ref_edges_(mod_, t_period_) {
   validate_transient_setup(mod_, cfg_.sample_interval, t_period_);
   if (cfg_.sample_interval == 0.0) cfg_.sample_interval = t_period_ / 8.0;
 }
 
-double SampleHoldPllSim::theta() const {
-  return aug_.state()[theta_index_];
-}
+double SampleHoldPllSim::theta() const { return aug_.last_state(); }
 
 void SampleHoldPllSim::record_range(double t_begin, double t_end) {
   if (bin_ != nullptr) bin_->add_segment(t_begin, t_end, current_);

@@ -28,6 +28,10 @@ class SampleHoldPllSim {
 
   double period() const { return t_period_; }
   double time() const { return t_; }
+  /// Augmented integrator state [x_filter; theta] at the current time,
+  /// as PllTransientSim::state().
+  const RVector& state() const { return aug_.state(); }
+  /// Current VCO phase excursion theta(t) in seconds.
   double theta() const;
   double held_current() const { return current_; }
 
@@ -64,7 +68,6 @@ class SampleHoldPllSim {
   double icp_;
 
   PiecewiseExactIntegrator aug_;
-  std::size_t theta_index_;
   ReferenceEdges ref_edges_;
 
   std::int64_t n_ref_ = 1;

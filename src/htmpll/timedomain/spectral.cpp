@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "htmpll/linalg/lu.hpp"
 #include "htmpll/lti/roots.hpp"
@@ -73,8 +75,9 @@ const std::array<int, kSeriesBinades>& series_terms() {
 
 /// e^z, phi1(z) = (e^z - 1)/z and phi2(z) = (phi1(z) - 1)/z of one modal
 /// argument z = lambda h.
-struct ModeScalars {
-  cplx e, phi1, phi2;
+template <class T>
+struct PhiValues {
+  T e, phi1, phi2;
 };
 
 /// Real argument, the branch of every mode of the typical and
@@ -87,7 +90,7 @@ struct ModeScalars {
 /// direct quotients lose no leading digit.  Evaluated in real arithmetic: on a
 /// real argument the library complex division reduces to it
 /// (PhiShortcutIdentitiesMatchLibraryOps).
-ModeScalars real_mode_scalars(double z) {
+PhiValues<double> phi_values(double z) {
   const double a = std::fabs(z);
   if (a < 0x1p-60) return {1.0, 1.0, 0.5};
   if (a < 0.5) {
@@ -111,7 +114,7 @@ ModeScalars real_mode_scalars(double z) {
 
 /// Complex argument (an underdamped filter pair): the full 17-term
 /// series below |z| = 0.5, the library complex quotients above.
-ModeScalars complex_mode_scalars(cplx z) {
+PhiValues<cplx> phi_values(cplx z) {
   const double m = std::exp(z.real());
   const cplx e{m * std::cos(z.imag()), m * std::sin(z.imag())};
   if (std::abs(z) >= 0.5) {
@@ -135,9 +138,13 @@ ModeScalars complex_mode_scalars(cplx z) {
   return {e, cplx{p1r, p1i}, cplx{p2r, p2i}};
 }
 
-/// p alpha + q beta u, the complex products spelled out as real flops
-/// (std::complex's multiply adds a NaN-recovery call the finite modal
-/// data never needs).
+/// p alpha + q beta u.  The complex products are spelled out as real
+/// flops (std::complex's multiply adds a NaN-recovery call the finite
+/// modal data never needs).
+inline double combine(double p, double alpha, double q, double beta,
+                      double u) {
+  return p * alpha + q * (beta * u);
+}
 inline cplx combine(cplx p, cplx alpha, cplx q, cplx beta, double u) {
   const double bur = beta.real() * u;
   const double bui = beta.imag() * u;
@@ -148,8 +155,130 @@ inline cplx combine(cplx p, cplx alpha, cplx q, cplx beta, double u) {
 }
 
 /// Re(a b).
+inline double re_product(double a, double b) { return a * b; }
 inline double re_product(cplx a, cplx b) {
   return a.real() * b.real() - a.imag() * b.imag();
+}
+
+/// The block's entry of a mode's complex modal datum: a real mode keeps
+/// the real part (its imaginary part is zero, or rounding where complex
+/// modes share the basis).
+template <class T>
+T narrow(cplx z) {
+  if constexpr (std::is_same_v<T, double>) {
+    return z.real();
+  } else {
+    return z;
+  }
+}
+
+/// The modal data of the modes `which` (indices into `modes`).
+template <class T>
+detail::ModeBlock<T> mode_block(const std::vector<std::size_t>& which,
+                                const CVector& modes, const CMatrix& v,
+                                const CMatrix& vinv, const CVector& beta,
+                                const CVector& cv) {
+  const std::size_t nf = v.rows();
+  detail::ModeBlock<T> m;
+  m.v = DenseMatrix<T>(which.size(), nf);
+  m.w = DenseMatrix<T>(which.size(), nf);
+  for (std::size_t r = 0; r < which.size(); ++r) {
+    const std::size_t k = which[r];
+    m.lambda.push_back(narrow<T>(modes[k]));
+    m.beta.push_back(narrow<T>(beta[k]));
+    m.cv.push_back(narrow<T>(cv[k]));
+    for (std::size_t i = 0; i < nf; ++i) {
+      m.v(r, i) = narrow<T>(v(i, k));
+      m.w(r, i) = narrow<T>(vinv(k, i));
+    }
+  }
+  return m;
+}
+
+// The contractions, one body for both mode kinds.
+
+template <class T>
+void evaluate_modes(const detail::ModeBlock<T>& m, double h,
+                    ModeScalars<T>& out) {
+  const std::size_t count = m.lambda.size();
+  out.e.resize(count);
+  out.g1.resize(count);
+  out.g2.resize(count);
+  const double h2 = h * h;
+  for (std::size_t k = 0; k < count; ++k) {
+    const PhiValues<T> f = phi_values(m.lambda[k] * h);
+    out.e[k] = f.e;
+    out.g1[k] = h * f.phi1;
+    out.g2[k] = h2 * f.phi2;
+  }
+}
+
+/// alpha_k = w_k^T x_f.
+template <class T>
+void project_modes(const detail::ModeBlock<T>& m, const double* x,
+                   std::vector<T>& alpha) {
+  const std::size_t nf = m.w.cols();
+  alpha.resize(m.lambda.size());
+  for (std::size_t k = 0; k < alpha.size(); ++k) {
+    const T* w = m.w.row(k);
+    T acc{};
+    for (std::size_t j = 0; j < nf; ++j) acc += w[j] * x[j];
+    alpha[k] = acc;
+  }
+}
+
+/// out += Re sum_k v_k alpha_k.
+template <class T>
+void rebuild_modes(const detail::ModeBlock<T>& m, const std::vector<T>& alpha,
+                   double* out) {
+  const std::size_t nf = m.v.cols();
+  for (std::size_t k = 0; k < alpha.size(); ++k) {
+    const T* v = m.v.row(k);
+    for (std::size_t i = 0; i < nf; ++i) out[i] += re_product(v[i], alpha[k]);
+  }
+}
+
+/// alpha_k(h) = e_k alpha_k + g1_k beta_k u into `out` (may be `alpha`).
+template <class T>
+void advance_modes(const detail::ModeBlock<T>& m, const ModeScalars<T>& s,
+                   const std::vector<T>& alpha, double u,
+                   std::vector<T>& out) {
+  out.resize(alpha.size());
+  for (std::size_t k = 0; k < alpha.size(); ++k) {
+    out[k] = combine(s.e[k], alpha[k], s.g1[k], m.beta[k], u);
+  }
+}
+
+/// acc + Re sum_k c^T v_k (g1_k alpha_k + g2_k beta_k u).
+template <class T>
+double theta_terms(const detail::ModeBlock<T>& m, const ModeScalars<T>& s,
+                   const std::vector<T>& alpha, double u, double acc) {
+  for (std::size_t k = 0; k < alpha.size(); ++k) {
+    acc += re_product(m.cv[k],
+                      combine(s.g1[k], alpha[k], s.g2[k], m.beta[k], u));
+  }
+  return acc;
+}
+
+/// acc + Re sum_k c^T v_k alpha_k(h).
+template <class T>
+double rate_terms(const detail::ModeBlock<T>& m, const ModeScalars<T>& s,
+                  const std::vector<T>& alpha, double u, double acc) {
+  for (std::size_t k = 0; k < alpha.size(); ++k) {
+    acc += re_product(m.cv[k],
+                      combine(s.e[k], alpha[k], s.g1[k], m.beta[k], u));
+  }
+  return acc;
+}
+
+/// acc + Re sum_k c^T v_k alpha_k.
+template <class T>
+double state_rate_terms(const detail::ModeBlock<T>& m,
+                        const std::vector<T>& alpha, double acc) {
+  for (std::size_t k = 0; k < alpha.size(); ++k) {
+    acc += re_product(m.cv[k], alpha[k]);
+  }
+  return acc;
 }
 
 }  // namespace
@@ -266,34 +395,29 @@ void PropagatorFactory::try_spectral() {
   }
   g_condition.raise(cond_);
 
-  nf_ = nf;
-  lambda_ = modes;
-  v_ = CMatrix(nf_, nf_);
-  w_ = vinv;
-  beta_.assign(nf_, cplx{0.0, 0.0});
-  cv_.assign(nf_, cplx{0.0, 0.0});
-  for (std::size_t k = 0; k < nf_; ++k) {
-    cplx beta{0.0, 0.0};
-    cplx cv{0.0, 0.0};
-    for (std::size_t i = 0; i < nf_; ++i) {
-      v_(k, i) = v(i, k);
-      beta += vinv(k, i) * b_(i, 0);
-      cv += a_(n - 1, i) * v(i, k);
+  CVector beta(nf, cplx{0.0, 0.0});
+  CVector cv(nf, cplx{0.0, 0.0});
+  std::vector<std::size_t> real_modes, complex_modes;
+  for (std::size_t k = 0; k < nf; ++k) {
+    for (std::size_t i = 0; i < nf; ++i) {
+      beta[k] += vinv(k, i) * b_(i, 0);
+      cv[k] += a_(n - 1, i) * v(i, k);
     }
-    beta_[k] = beta;
-    cv_[k] = cv;
+    (modes[k].imag() == 0.0 ? real_modes : complex_modes).push_back(k);
   }
   const auto finite = [](const CVector& m) {
     return std::all_of(m.begin(), m.end(), [](cplx e) {
       return std::isfinite(e.real()) && std::isfinite(e.imag());
     });
   };
-  if (!finite(w_.data()) || !finite(beta_) || !finite(cv_)) {
+  if (!finite(vinv.data()) || !finite(beta) || !finite(cv)) {
     obs::diag_event(obs::DiagReason::kPadeFallbackDefective, cond_);
     return;
   }
+  nf_ = nf;
+  real_ = mode_block<double>(real_modes, modes, v, vinv, beta, cv);
+  complex_ = mode_block<cplx>(complex_modes, modes, v, vinv, beta, cv);
   btheta_ = b_(n - 1, 0);
-  alpha_.resize(nf_);
   spectral_ = true;
 }
 
@@ -308,72 +432,64 @@ void PropagatorFactory::evaluate(double h, ModalStep& out) const {
                  "PropagatorFactory: step must be positive and finite");
   HTMPLL_ASSERT(spectral_);
   out.h = h;
-  out.e.resize(nf_);
-  out.g1.resize(nf_);
-  out.g2.resize(nf_);
-  const double h2 = h * h;
-  for (std::size_t k = 0; k < nf_; ++k) {
-    const cplx z{lambda_[k].real() * h, lambda_[k].imag() * h};
-    const ModeScalars f = z.imag() == 0.0 ? real_mode_scalars(z.real())
-                                          : complex_mode_scalars(z);
-    out.e[k] = f.e;
-    out.g1[k] = cplx{h * f.phi1.real(), h * f.phi1.imag()};
-    out.g2[k] = cplx{h2 * f.phi2.real(), h2 * f.phi2.imag()};
-  }
+  evaluate_modes(real_, h, out.real_modes);
+  evaluate_modes(complex_, h, out.complex_modes);
 }
 
-void PropagatorFactory::modal_coordinates(const double* x) const {
-  for (std::size_t k = 0; k < nf_; ++k) {
-    const cplx* w = w_.row(k);
-    double ar = 0.0, ai = 0.0;
-    for (std::size_t j = 0; j < nf_; ++j) {
-      ar += w[j].real() * x[j];
-      ai += w[j].imag() * x[j];
-    }
-    alpha_[k] = cplx{ar, ai};
-  }
+void PropagatorFactory::project(const double* x, ModalState& out) const {
+  HTMPLL_ASSERT(spectral_);
+  project_modes(real_, x, out.real_modes);
+  project_modes(complex_, x, out.complex_modes);
+  out.theta = x[nf_];
+}
+
+void PropagatorFactory::rebuild(const ModalState& a, double* out) const {
+  HTMPLL_ASSERT(spectral_);
+  for (std::size_t i = 0; i < nf_; ++i) out[i] = 0.0;
+  rebuild_modes(real_, a.real_modes, out);
+  rebuild_modes(complex_, a.complex_modes, out);
+  out[nf_] = a.theta;
 }
 
 double PropagatorFactory::theta_increment(const ModalStep& s,
+                                          const ModalState& a,
                                           double u) const {
-  double acc = 0.0;
-  for (std::size_t k = 0; k < nf_; ++k) {
-    acc += re_product(cv_[k],
-                      combine(s.g1[k], alpha_[k], s.g2[k], beta_[k], u));
-  }
+  double acc = theta_terms(real_, s.real_modes, a.real_modes, u, 0.0);
+  acc = theta_terms(complex_, s.complex_modes, a.complex_modes, u, acc);
   return acc + s.h * btheta_ * u;
 }
 
-void PropagatorFactory::advance(const ModalStep& s, const double* x,
-                                double u, double* out) const {
+void PropagatorFactory::advance(const ModalStep& s, const ModalState& a,
+                                double u, ModalState& out) const {
   HTMPLL_ASSERT(spectral_);
-  modal_coordinates(x);
-  for (std::size_t i = 0; i < nf_; ++i) out[i] = 0.0;
-  for (std::size_t k = 0; k < nf_; ++k) {
-    const cplx q = combine(s.e[k], alpha_[k], s.g1[k], beta_[k], u);
-    const cplx* v = v_.row(k);
-    for (std::size_t i = 0; i < nf_; ++i) out[i] += re_product(v[i], q);
-  }
-  out[nf_] = x[nf_] + theta_increment(s, u);
+  // theta first: `out` may be `a`.
+  const double theta = a.theta + theta_increment(s, a, u);
+  advance_modes(real_, s.real_modes, a.real_modes, u, out.real_modes);
+  advance_modes(complex_, s.complex_modes, a.complex_modes, u,
+                out.complex_modes);
+  out.theta = theta;
 }
 
-double PropagatorFactory::theta(const ModalStep& s, const double* x,
+double PropagatorFactory::theta(const ModalStep& s, const ModalState& a,
                                 double u) const {
   HTMPLL_ASSERT(spectral_);
-  modal_coordinates(x);
-  return x[nf_] + theta_increment(s, u);
+  return a.theta + theta_increment(s, a, u);
 }
 
-ThetaRows PropagatorFactory::theta_rows(const ModalStep& s, const double* x,
+ThetaRows PropagatorFactory::theta_rows(const ModalStep& s,
+                                        const ModalState& a,
                                         double u) const {
   HTMPLL_ASSERT(spectral_);
-  modal_coordinates(x);
-  double rate = 0.0;
-  for (std::size_t k = 0; k < nf_; ++k) {
-    rate += re_product(cv_[k],
-                       combine(s.e[k], alpha_[k], s.g1[k], beta_[k], u));
-  }
-  return {x[nf_] + theta_increment(s, u), rate + btheta_ * u};
+  double rate = rate_terms(real_, s.real_modes, a.real_modes, u, 0.0);
+  rate = rate_terms(complex_, s.complex_modes, a.complex_modes, u, rate);
+  return {a.theta + theta_increment(s, a, u), rate + btheta_ * u};
+}
+
+double PropagatorFactory::rate(const ModalState& a, double u) const {
+  HTMPLL_ASSERT(spectral_);
+  double rate = state_rate_terms(real_, a.real_modes, 0.0);
+  rate = state_rate_terms(complex_, a.complex_modes, rate);
+  return rate + btheta_ * u;
 }
 
 }  // namespace htmpll

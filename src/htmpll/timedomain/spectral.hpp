@@ -28,19 +28,25 @@
 //   e_k = e^{lambda_k h},  g1_k = h phi1(lambda_k h),
 //   g2_k = h^2 phi2(lambda_k h),
 //
-// and every consumer contracts them with the modal coordinates
-// alpha_k = w_k^T x_f of the state and beta_k = w_k^T b_f of the input:
+// and the state lives in modal form (ModalState): the coordinates
+// alpha_k = w_k^T x_f and theta.  With beta_k = w_k^T b_f, a step is
 //
-//   x_f(h)    = Re sum_k v_k (e_k alpha_k + g1_k beta_k u)
-//   theta(h)  = theta + Re sum_k c^T v_k (g1_k alpha_k + g2_k beta_k u)
-//               + h b_theta u
-//   theta'(h) = Re sum_k c^T v_k (e_k alpha_k + g1_k beta_k u)
-//               + b_theta u                    (= (A x(h) + B u)_theta)
+//   alpha_k(h) = e_k alpha_k + g1_k beta_k u
+//   theta(h)   = theta + Re sum_k c^T v_k (g1_k alpha_k + g2_k beta_k u)
+//                + h b_theta u
+//   theta'(h)  = Re sum_k c^T v_k alpha_k(h) + b_theta u
+//                                              (= (A x(h) + B u)_theta)
 //
-// O(n^2) per state and O(n) per step length; no Phi or Gamma1 matrix is
-// ever formed.  The scalar phi functions switch to a Taylor series
-// below |z| = 0.5, where the direct formulas (e^z - 1)/z ... would
-// cancel.
+// O(n) per step and per theta peek: the state is projected (alpha = W x_f)
+// when it is set and rebuilt (x_f = Re sum_k v_k alpha_k, O(n^2)) only
+// when it is read, and no Phi or Gamma1 matrix is ever formed.  Modes
+// find_roots returns exactly real -- the closed forms give them for
+// every RC filter, {0, -w_p} for the typical loop and {0} for the
+// second-order loop -- carry real coordinates, basis rows and scalars
+// and step in real arithmetic; the others (an underdamped pair) in
+// complex arithmetic, one body serving both.  The scalar phi functions
+// switch to a Taylor series below |z| = 0.5, where the direct formulas
+// (e^z - 1)/z ... would cancel.
 //
 // Van Loan fallback, decided from the matrix alone: the integrator
 // builds with make_propagator when the matrix has another shape (no
@@ -66,12 +72,29 @@
 
 namespace htmpll {
 
-/// The per-mode scalars of one step length h: e^{lambda_k h},
-/// h phi1(lambda_k h) and h^2 phi2(lambda_k h) for every filter mode
-/// lambda_k, the one evaluation every spectral consumer contracts.
+/// The per-mode scalars of one step length h for the filter modes of
+/// one kind: e^{lambda_k h}, h phi1(lambda_k h) and h^2 phi2(lambda_k h).
+template <class T>
+struct ModeScalars {
+  std::vector<T> e, g1, g2;
+};
+
+/// The scalars of one step length h, the one evaluation every spectral
+/// consumer contracts: the real modes' in real arithmetic, the complex
+/// modes' in complex.
 struct ModalStep {
   double h = 0.0;
-  std::vector<cplx> e, g1, g2;
+  ModeScalars<double> real_modes;
+  ModeScalars<cplx> complex_modes;
+};
+
+/// A state of the phase-augmented system in modal form: the coordinates
+/// alpha_k = w_k^T x_f of the filter state, real for the real modes,
+/// and theta.
+struct ModalState {
+  std::vector<double> real_modes;
+  std::vector<cplx> complex_modes;
+  double theta = 0.0;
 };
 
 /// theta and its rate theta' = (A x + B u)_theta at one state: the two
@@ -81,11 +104,27 @@ struct ThetaRows {
   double slope = 0.0;
 };
 
+namespace detail {
+
+/// The modal data of the filter modes of one kind (real or complex),
+/// nf the filter order.
+template <class T>
+struct ModeBlock {
+  std::vector<T> lambda;
+  DenseMatrix<T> v;     ///< row k: v_k, column k of V         (count x nf)
+  DenseMatrix<T> w;     ///< row k: w_k^T, row k of V^{-1}     (count x nf)
+  std::vector<T> beta;  ///< w_k^T b_f
+  std::vector<T> cv;    ///< c^T v_k
+};
+
+}  // namespace detail
+
 /// Per-(A, B) step evaluator.  Construction factors the system once;
 /// evaluate() then takes the scalars of any step length, and advance(),
-/// theta() and theta_rows() contract them with a state.  Not
-/// thread-safe across concurrent calls (the modal-coordinate scratch is
-/// reused), matching the per-integrator ownership of the step memo.
+/// theta() and theta_rows() contract them with a modal state that
+/// project() takes from a state vector and rebuild() turns back into
+/// one.  Its const members keep no scratch, so concurrent callers may
+/// share one factory.
 class PropagatorFactory {
  public:
   /// kappa_inf(V) above which the modal basis is rejected: the
@@ -113,45 +152,49 @@ class PropagatorFactory {
   void make_into(double h, StepPropagator& out) const;
 
   /// Scalars of a finite step h > 0 into `out`, whose vectors are sized
-  /// to the mode count (no allocation once warm).  Requires
-  /// is_spectral().
+  /// to the mode counts (no allocation once warm).  The methods below
+  /// all require is_spectral().
   void evaluate(double h, ModalStep& out) const;
 
-  /// x(h) from the scalars of h: n entries into `out`, which must not
-  /// alias `x`.  Its last entry is theta(s, x, u), bit for bit.
-  void advance(const ModalStep& s, const double* x, double u,
-               double* out) const;
+  /// The modal form of the state x (order() entries) into `out`, sized
+  /// to the mode counts.
+  void project(const double* x, ModalState& out) const;
+  /// The state vector of `a` into `out` (order() entries): the filter
+  /// states Re sum_k v_k alpha_k, then theta as it is.
+  void rebuild(const ModalState& a, double* out) const;
 
-  /// theta(h) alone: the last entry of advance() without the filter
-  /// states.
-  double theta(const ModalStep& s, const double* x, double u) const;
+  /// The state one step of length s.h after `a` under the held input u,
+  /// into `out`, which may be `a` itself.  Its theta is theta(s, a, u),
+  /// bit for bit.
+  void advance(const ModalStep& s, const ModalState& a, double u,
+               ModalState& out) const;
+
+  /// theta(h) alone.
+  double theta(const ModalStep& s, const ModalState& a, double u) const;
 
   /// theta(h), bit-identical to theta(), and theta'(h).
-  ThetaRows theta_rows(const ModalStep& s, const double* x,
+  ThetaRows theta_rows(const ModalStep& s, const ModalState& a,
                        double u) const;
+
+  /// theta' = (A x + B u)_theta at the state `a` itself.
+  double rate(const ModalState& a, double u) const;
 
  private:
   void try_spectral();
-  /// alpha_k = w_k^T x_f into alpha_.
-  void modal_coordinates(const double* x) const;
-  /// theta(h) - theta from alpha_.
-  double theta_increment(const ModalStep& s, double u) const;
+  /// theta(h) - theta.
+  double theta_increment(const ModalStep& s, const ModalState& a,
+                         double u) const;
 
   RMatrix a_;
   RMatrix b_;
   bool spectral_ = false;
   double cond_ = 0.0;
 
-  // Modal data of the filter block (order nf_ = n - 1).
+  // Modal data of the filter block (order nf_ = n - 1), split by kind.
   std::size_t nf_ = 0;
-  CVector lambda_;
-  CMatrix v_;         ///< row k: v_k, column k of V     (nf x nf)
-  CMatrix w_;         ///< row k: w_k^T, row k of V^{-1} (nf x nf)
-  CVector beta_;      ///< w_k^T b_f
-  CVector cv_;        ///< c^T v_k
+  detail::ModeBlock<double> real_;
+  detail::ModeBlock<cplx> complex_;
   double btheta_ = 0.0;  ///< last entry of B
-
-  mutable CVector alpha_;  ///< modal-coordinate scratch (see above)
 };
 
 }  // namespace htmpll

@@ -4,15 +4,18 @@
 // the modal path against their Van Loan oracles and, in slow time
 // units, on the Van Loan path the matrix selects, bit for bit with
 // them, the allocation-free steady state,
-// the probe core both event-driven simulators share, the trig-free
-// recurrences (small-angle series, reference-edge sequence, grid-anchored
-// theta bins), probe batches, probe-option, modulation and non-finite
-// input validation and the Monte Carlo batch APIs (bit-identical across
-// pool widths and to standalone runs).
+// a probe-length run on the oracle, state reads that leave a run
+// unperturbed, the probe core both event-driven simulators share, the
+// trig-free recurrences (small-angle series, the ulp of the edge
+// searches' stop, reference-edge sequence, grid-anchored theta bins),
+// probe batches, probe-option, modulation, recording-horizon and
+// non-finite input validation and the Monte Carlo batch APIs
+// (bit-identical across pool widths and to standalone runs).
 // Kept in its own binary (like test_parallel) so the whole suite stays
 // fast enough to run routinely under -DHTMPLL_SANITIZE=thread.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -589,6 +592,31 @@ TEST(EdgeSearch, MatchesUnboundedReferenceLoop) {
   EXPECT_GT(bisections, 0u);
 }
 
+TEST(EdgeSearch, ProbeLengthRunStaysOnTheOracle) {
+  // The modal integrator keeps its state in modal coordinates from step
+  // to step and never re-projects it from a rebuilt vector.  Over a
+  // probe's length -- 2,500 periods with 1e-3 T modulation at 0.3 w_UG
+  // -- it must stay within expect_matches_reference's bound of the
+  // reference loop on the Van Loan oracle at narrow, mid and wide
+  // bandwidths, as the 120-period differential runs above do.
+  // Measured: theta samples within 9.1e-17, 8.8e-13 and 7.1e-13 T at
+  // w_UG/w0 = 0.01, 0.1 and 0.2 (bound 5e-10 T, theta ~ 1.2e-3 T).
+  for (double ratio : {0.01, 0.1, 0.2}) {
+    const PllParameters p = make_typical_loop(ratio * kW0, kW0);
+    ReferenceModulation mod;
+    mod.amplitude = 1e-3 * p.period();
+    mod.omega = 0.3 * ratio * kW0;
+    PllTransientSim sim(p, mod);
+    ReferenceEventLoop ref(p, mod);
+    sim.run_until(2500.0 * p.period());
+    ref.run_until(2500.0 * p.period());
+    SCOPED_TRACE(testing::Message() << "ratio " << ratio);
+    ASSERT_TRUE(sim.spectral_propagators());
+    ASSERT_GT(sim.event_count(), 4900u);
+    expect_matches_reference(sim, ref);
+  }
+}
+
 /// theta samples of a modal simulator against its Van Loan oracle on
 /// the same T = 1 loop, where the Van Loan matrix is well scaled and so
 /// the oracle itself is trustworthy: they must agree to the 1e-10
@@ -679,6 +707,54 @@ TEST(SpectralEngine, SampleHoldSlowUnitLoopRunsTheVanLoanOracle) {
   ref.run_until(60.0 * p.period());
   ASSERT_GT(ref.event_count(), 50u);
   expect_bitwise_equal_runs(sim, ref);
+}
+
+TEST(SpectralEngine, ReadingTheStateDoesNotPerturbARun) {
+  // On the modal path the integrator rebuilds its state vector only when
+  // it is read, caching it until the next step, and theta() reads the
+  // modal state with no rebuild.  Reading must not perturb the run: a
+  // simulator whose state(), control_output() and theta() are read after
+  // every run_until slice of a modulated, recorded run follows an unread
+  // twin bit for bit -- theta samples, event count and final state --
+  // on the typical loop (real modes {0, -w_p}) and on the
+  // sample-and-hold loop.
+  const PllParameters p = make_typical_loop(0.15 * kW0, kW0);
+  ReferenceModulation mod;
+  mod.amplitude = 2e-3 * p.period();
+  mod.omega = 0.21 * kW0;
+  const auto same = [](const std::vector<double>& a,
+                       const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  const auto check = [&](auto& read, auto& twin, auto&& read_outputs) {
+    ASSERT_TRUE(read.spectral_propagators());
+    for (int k = 1; k <= 40; ++k) {
+      const double t_end = 1.37 * k * p.period();  // off the sample grid
+      read.run_until(t_end);
+      twin.run_until(t_end);
+      const double theta = read.theta();
+      EXPECT_EQ(std::memcmp(&theta, &read.state().back(), sizeof theta), 0)
+          << "slice " << k;
+      read_outputs();
+    }
+    EXPECT_GT(read.event_count(), 50u);
+    EXPECT_EQ(read.event_count(), twin.event_count());
+    EXPECT_TRUE(same(read.theta_samples(), twin.theta_samples()));
+    EXPECT_TRUE(same(read.state(), twin.state()));
+  };
+  {
+    PllTransientSim read(p, mod);
+    PllTransientSim twin(p, mod);
+    double sink = 0.0;
+    check(read, twin, [&] { sink += read.control_output(); });
+    EXPECT_TRUE(std::isfinite(sink));
+  }
+  {
+    SampleHoldPllSim read(p, mod);
+    SampleHoldPllSim twin(p, mod);
+    check(read, twin, [] {});
+  }
 }
 
 TEST(ThetaBin, SpectralAndPadeBinsAgreeWithinTheStateContract) {
@@ -899,6 +975,30 @@ TEST(NonFiniteInput, RunUntilRejectsNonFiniteEnd) {
     expect_rejected([&] { lptv.run_periods(t_end); }, "t_end");
     EXPECT_EQ(lptv.time(), 0.0);
   }
+}
+
+TEST(NonFiniteInput, RunUntilRejectsAHorizonTooLongToRecord) {
+  // With recording on, run_until reserves (t_end - t) / sample_interval
+  // samples up front.  At T = 1 a horizon of 1e30 asks for 8e30, past
+  // any size_t, and the conversion was undefined behaviour (the
+  // float-cast-overflow sanitizer stopped there).  It is rejected,
+  // naming the horizon, before any state changes: the simulator still
+  // takes initial conditions and then runs bit-identically to an
+  // untouched one.
+  const PllParameters p = make_typical_loop(0.1 * kW0, kW0);
+  PllTransientSim ref(p);
+  PllTransientSim sim(p);
+  expect_rejected([&] { sim.run_until(1e30); }, "t_end = 1e+30");
+  expect_rejected([&] { sim.run_periods(1e30); }, "t_end");
+  EXPECT_EQ(sim.time(), 0.0);
+  EXPECT_TRUE(sim.theta_samples().empty());
+  for (PllTransientSim* s : {&ref, &sim}) {
+    s->set_initial_theta(1e-3 * p.period());
+    s->run_periods(20.0);
+  }
+  EXPECT_EQ(sim.event_count(), ref.event_count());
+  EXPECT_EQ(sim.theta(), ref.theta());
+  EXPECT_EQ(sim.theta_samples(), ref.theta_samples());
 }
 
 TEST(NonFiniteInput, SettlePeriodsRejected) {
@@ -1223,6 +1323,36 @@ TEST(TrigFreeLoop, SmallAngleSeriesMatchesLibmWithinOneUlp) {
     EXPECT_EQ(ulps_apart(c, lc), 0) << "x = " << x;
   }
   EXPECT_EQ(fallbacks.value() - f0, 4u);
+}
+
+TEST(TrigFreeLoop, UlpAboveMatchesNextafter) {
+  // The edge searches' 4-ulp stop takes the gap to the next double from
+  // the bit pattern instead of libm's nextafter.  It must equal
+  // nextafter(a, +inf) - a bit for bit at 0, the smallest subnormal,
+  // both sides of every binade boundary 2^k (k = -1074..1023), DBL_MAX
+  // (+inf) and random finite values of every binade.
+  std::vector<double> as{0.0, std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::max()};
+  for (int k = -1074; k <= 1023; ++k) {
+    const double b = std::ldexp(1.0, k);
+    as.push_back(b);
+    as.push_back(std::nextafter(b, 0.0));
+  }
+  std::mt19937_64 rng(20261020u);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  while (as.size() < 200000) {
+    // A random finite non-negative bit pattern, then a uniform value.
+    const std::uint64_t bits = rng() >> 1;
+    double a;
+    std::memcpy(&a, &bits, sizeof a);
+    if (std::isfinite(a)) as.push_back(a);
+    as.push_back(1e3 * unit(rng));
+  }
+  for (double a : as) {
+    const double got = detail::ulp_above(a);
+    const double want = std::nextafter(a, kInf) - a;
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "a = " << a;
+  }
 }
 
 TEST(TrigFreeLoop, ReferenceEdgeSequenceMatchesEdgeTime) {
